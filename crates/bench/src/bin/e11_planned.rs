@@ -24,8 +24,8 @@ use qcs_bench::{checksum, fmt_secs, time_best, Table};
 use qcs_core::circuit::Circuit;
 use qcs_core::config::SimConfig;
 use qcs_core::library;
-use qcs_core::perf::{predict_circuit, predict_planned};
-use qcs_core::plan::plan_circuit;
+use qcs_core::perf::predict;
+use qcs_core::program::{lower, Program};
 use qcs_core::sim::Strategy;
 use qcs_core::state::StateVector;
 
@@ -148,9 +148,9 @@ fn headline(samples: &mut Vec<Sample>, max_threads: usize) -> String {
 
     let chip = ChipParams::a64fx();
     let cfg = ExecConfig::full_chip();
-    let naive_model = predict_circuit(&chip, &cfg, &c);
-    let plan = plan_circuit(&c, 13, 4);
-    let planned_model = predict_planned(&chip, &cfg, &plan);
+    let naive_model = predict(&chip, &cfg, &Program::per_gate(&c));
+    let planned = lower(&c, Strategy::Planned { block_qubits: 13, max_k: 4 }, None);
+    let planned_model = predict(&chip, &cfg, &planned);
 
     let mut table = Table::new(&["strategy", "host time", "sweeps", "vs naive", "model (A64FX)"]);
     let (naive_s, naive_sw) = measure(&c, Strategy::Naive, threads, 1);

@@ -28,6 +28,7 @@ use qcs_core::config::SimConfig;
 use qcs_core::library;
 use qcs_core::perf::predict_batched;
 use qcs_core::prelude::*;
+use qcs_core::program::Program;
 use qcs_core::sim::Strategy;
 
 use a64fx_model::timing::ExecConfig;
@@ -101,7 +102,7 @@ fn bench_width(n: u32, rows: &mut Vec<Row>) {
         let batch_secs = time_best(REPS, || {
             let _ = engine.run_fresh(&circuit).expect("batched run");
         });
-        let model = predict_batched(&chip, &cfg, &circuit, b);
+        let model = predict_batched(&chip, &cfg, &Program::per_gate(&circuit), b);
         let row = Row {
             n,
             batch: b,

@@ -27,6 +27,7 @@ use qcs_bench::{fmt_secs, Table};
 use qcs_core::circuit::Circuit;
 use qcs_core::library;
 use qcs_core::perf::predict_distributed;
+use qcs_core::program::Program;
 use qcs_dist::{plan_circuit, run_distributed_planned, DistPlanKind};
 
 const RANKS: usize = 4;
@@ -102,8 +103,9 @@ fn main() {
             (predicted_reorder as f64 - reorder_bytes as f64).abs() / reorder_bytes as f64
         };
 
-        let pr = predict_distributed(&chip, &exec, &c, RANKS, &link, &reorder_plan.profile);
-        let po = predict_distributed(&chip, &exec, &c, RANKS, &link, &overlap_plan.profile);
+        let per_gate = Program::per_gate(&c);
+        let pr = predict_distributed(&chip, &exec, &per_gate, RANKS, &link, &reorder_plan.profile);
+        let po = predict_distributed(&chip, &exec, &per_gate, RANKS, &link, &overlap_plan.profile);
 
         volume.row(&[
             name.into(),

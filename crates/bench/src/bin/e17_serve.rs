@@ -22,6 +22,7 @@ use a64fx_model::ChipParams;
 use qcs_bench::{fmt_secs, Table};
 use qcs_core::circuit::{Circuit, Gate};
 use qcs_core::perf::predict_batched;
+use qcs_core::program::Program;
 use qcs_serve::client::{http_request, submit_job, wait_for_job};
 use qcs_serve::{ServeConfig, Server};
 use std::time::Instant;
@@ -131,7 +132,7 @@ fn drive_width(server: &Server, n: u32, rows: &mut Vec<Row>) {
     let model = predict_batched(
         &ChipParams::a64fx(),
         &ExecConfig::full_chip(),
-        &circuit(n),
+        &Program::per_gate(&circuit(n)),
         JOBS_PER_WIDTH,
     );
     rows.push(Row {

@@ -27,6 +27,7 @@ use qcs_core::config::SimConfig;
 use qcs_core::expectation::Hamiltonian;
 use qcs_core::perf::{predict_batched, predict_expectation};
 use qcs_core::prelude::*;
+use qcs_core::program::Program;
 use qcs_core::variational::hardware_efficient_ansatz;
 
 use a64fx_model::timing::ExecConfig;
@@ -160,7 +161,8 @@ fn bench_sweep(rows: &mut Vec<SweepRow>) {
         let batched_secs = time_best(REPS, || {
             std::hint::black_box(driver.energies(&points).unwrap());
         });
-        let model = predict_batched(&chip, &cfg, &ansatz.bind(&theta), points.len());
+        let model =
+            predict_batched(&chip, &cfg, &Program::per_gate(&ansatz.bind(&theta)), points.len());
         let row = SweepRow {
             n,
             points: points.len(),

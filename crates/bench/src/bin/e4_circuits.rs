@@ -62,15 +62,15 @@ fn bench_circuit(name: &str, c: &Circuit) {
 fn model_at_scale(name: &str, c: &Circuit) {
     use a64fx_model::timing::ExecConfig;
     use a64fx_model::ChipParams;
-    use qcs_core::fusion::fuse;
-    use qcs_core::perf::{predict_circuit, predict_fused};
+    use qcs_core::perf::predict;
+    use qcs_core::program::Program;
 
     let chip = ChipParams::a64fx();
     let cfg = ExecConfig::full_chip();
     println!();
     println!("E4 (modelled at n = {}): {name} — {} gates", c.n_qubits(), c.len());
     let mut table = Table::new(&["strategy", "sweeps", "model time", "vs naive", "HBM GiB"]);
-    let naive = predict_circuit(&chip, &cfg, c);
+    let naive = predict(&chip, &cfg, &Program::per_gate(c));
     table.row(&[
         "naive".into(),
         naive.sweeps.to_string(),
@@ -79,8 +79,7 @@ fn model_at_scale(name: &str, c: &Circuit) {
         format!("{:.1}", naive.mem_bytes as f64 / (1u64 << 30) as f64),
     ]);
     for k in [2u32, 3, 4, 5] {
-        let plan = fuse(c, k);
-        let fused = predict_fused(&chip, &cfg, &plan, c.n_qubits());
+        let fused = predict(&chip, &cfg, &Program::greedy_fused(c, k));
         table.row(&[
             format!("fused k={k}"),
             fused.sweeps.to_string(),

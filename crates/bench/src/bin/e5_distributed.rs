@@ -17,9 +17,10 @@ use mpi_sim::{NetworkModel, TofuParams};
 use qcs_bench::{fmt_secs, Table};
 use qcs_core::circuit::Circuit;
 use qcs_core::library;
-use qcs_core::perf::predict_circuit;
+use qcs_core::perf::predict;
+use qcs_core::program::Program;
 use qcs_core::telemetry::{ExchangePhase, SpanKind, TelemetryConfig};
-use qcs_dist::run_distributed_traced;
+use qcs_dist::{run_distributed_planned, run_distributed_traced, DistPlanKind};
 
 fn analyze(name: &str, circuit: &Circuit) {
     println!();
@@ -62,8 +63,8 @@ fn analyze(name: &str, circuit: &Circuit) {
         let comm = net.rank_time(&worst);
         // Compute time: each rank sweeps its slice; the model scales the
         // single-node prediction by the slice fraction (per-node chip).
-        let compute =
-            predict_circuit(&chip, &ExecConfig::full_chip(), circuit).seconds / ranks as f64;
+        let compute = predict(&chip, &ExecConfig::full_chip(), &Program::per_gate(circuit)).seconds
+            / ranks as f64;
         let total = comm.seconds + compute;
         table.row(&[
             ranks.to_string(),
@@ -77,45 +78,46 @@ fn analyze(name: &str, circuit: &Circuit) {
     table.print();
 }
 
-/// E5b: the qubit-remapping optimization — plain engine (swap back after
-/// every relocated gate) vs lazy mapping (leave relocated qubits local).
-fn remap_ablation(name: &str, circuit: &Circuit) {
-    use qcs_dist::remap::run_distributed_mapped;
+/// E5b: the qubit-reorder plan — the per-gate engine (swap back after
+/// every relocated gate) vs the exchange-minimizing reorder plan (leave
+/// relocated qubits local, evict by farthest next use).
+fn reorder_ablation(name: &str, circuit: &Circuit) {
     println!();
-    println!("E5b: qubit-remap optimization — {name}, n = {}", circuit.n_qubits());
+    println!("E5b: qubit-reorder plan — {name}, n = {}", circuit.n_qubits());
     let net = NetworkModel::new(TofuParams::tofu_d());
     let mut table = Table::new(&[
         "ranks",
-        "plain bytes/rank",
-        "mapped bytes/rank",
+        "naive bytes/rank",
+        "reorder bytes/rank",
         "saving",
-        "mapped comm time",
+        "reorder comm time",
     ]);
     for ranks in [2usize, 4, 8] {
-        let empty = Circuit::new(circuit.n_qubits());
-        let algo = |runner: &dyn Fn(&Circuit, usize) -> Vec<mpi_sim::CommStats>| -> u64 {
-            let with = runner(circuit, ranks);
-            let base = runner(&empty, ranks);
+        // Algorithm bytes: subtract the empty circuit's traffic (the
+        // final gather) rank by rank.
+        let algo = |kind: DistPlanKind| -> u64 {
+            let run = |c: &Circuit| run_distributed_planned(c, ranks, kind).expect("run").1;
+            let (with, base) = (run(circuit), run(&Circuit::new(circuit.n_qubits())));
             with.iter()
                 .zip(&base)
                 .map(|(a, b)| a.bytes_sent.saturating_sub(b.bytes_sent))
                 .max()
                 .unwrap_or(0)
         };
-        let plain = algo(&|c, r| qcs_dist::run_distributed(c, r).expect("distributed run").1);
-        let mapped = algo(&|c, r| run_distributed_mapped(c, r).expect("mapped run").1);
-        let mapped_stats =
-            mpi_sim::CommStats { bytes_sent: mapped, messages_sent: 1, ..Default::default() };
+        let naive = algo(DistPlanKind::Naive);
+        let reorder = algo(DistPlanKind::Reorder);
+        let reorder_stats =
+            mpi_sim::CommStats { bytes_sent: reorder, messages_sent: 1, ..Default::default() };
         table.row(&[
             ranks.to_string(),
-            format!("{:.2} MiB", plain as f64 / (1 << 20) as f64),
-            format!("{:.2} MiB", mapped as f64 / (1 << 20) as f64),
-            if plain > 0 {
-                format!("{:.1}%", 100.0 * (1.0 - mapped as f64 / plain as f64))
+            format!("{:.2} MiB", naive as f64 / (1 << 20) as f64),
+            format!("{:.2} MiB", reorder as f64 / (1 << 20) as f64),
+            if naive > 0 {
+                format!("{:.1}%", 100.0 * (1.0 - reorder as f64 / naive as f64))
             } else {
                 "-".into()
             },
-            fmt_secs(net.rank_time(&mapped_stats).seconds),
+            fmt_secs(net.rank_time(&reorder_stats).seconds),
         ]);
     }
     table.print();
@@ -127,23 +129,22 @@ fn main() {
     analyze("random circuit (depth 10)", &library::random_circuit(n, 10, 5));
     analyze("GHZ chain", &library::ghz(n));
 
-    // Remap ablation on a workload that hammers the top qubits.
+    // Reorder ablation on a workload that hammers the top qubits.
     let mut hot_top = Circuit::new(14);
     for l in 0..8 {
         hot_top.rx(13, 0.1 * (l + 1) as f64);
         hot_top.ry(12, 0.2 * (l + 1) as f64);
         hot_top.rxx(12, 13, 0.05 * (l + 1) as f64);
     }
-    remap_ablation("top-qubit rotation block", &hot_top);
-    remap_ablation("QFT", &library::qft(14));
+    reorder_ablation("top-qubit rotation block", &hot_top);
+    reorder_ablation("QFT", &library::qft(14));
 
     println!();
     println!("Expected shape: communication fraction grows with rank count; QFT moves the");
     println!("most data (its CP/SWAP ladder touches the top qubits repeatedly), GHZ the least");
     println!("(a single CX chain crosses the global boundary once per global qubit).");
-    println!("E5b: lazy remapping collapses repeated global-qubit touches into one");
-    println!("relocation (≈90% saving on the hot-top block) but *loses* on QFT, where each");
-    println!("global qubit is touched once and the plain pair exchange is already optimal —");
-    println!("the reason production simulators gate this optimization on a touch-count");
-    println!("heuristic.");
+    println!("E5b: the reorder plan collapses repeated global-qubit touches into one");
+    println!("relocation (≈97% saving on the hot-top block) and still halves QFT's traffic:");
+    println!("its final SWAP ladder is absorbed into the permutation and the layout is");
+    println!("un-permuted locally at gather time instead of being swapped back on the wire.");
 }

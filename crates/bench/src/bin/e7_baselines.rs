@@ -14,9 +14,9 @@ use a64fx_model::ChipParams;
 use qcs_bench::{checksum, fmt_secs, time_best, Table};
 use qcs_core::circuit::Circuit;
 use qcs_core::config::SimConfig;
-use qcs_core::fusion::fuse;
 use qcs_core::library;
-use qcs_core::perf::{predict_circuit, predict_fused};
+use qcs_core::perf::predict;
+use qcs_core::program::{lower, Program};
 use qcs_core::sim::Strategy;
 use qcs_core::state::StateVector;
 
@@ -42,24 +42,12 @@ fn bench(name: &str, c: &Circuit) {
             std::hint::black_box(checksum(s.amplitudes()));
         });
         let model_secs = match strat {
+            // The Aer-like comparator fuses unconditionally; the engine's
+            // cost-aware lowering may decline merges on this host.
             Strategy::Fused { max_k } => {
-                let plan = fuse(c, max_k);
-                predict_fused(&chip, &cfg, &plan, c.n_qubits()).seconds
+                predict(&chip, &cfg, &Program::greedy_fused(c, max_k)).seconds
             }
-            Strategy::Blocked { .. } => {
-                // Blocking leaves per-gate arithmetic unchanged but cuts
-                // state sweeps (and hence traffic) to the blocked run
-                // count — scale the naive prediction by the sweep ratio.
-                let naive = predict_circuit(&chip, &cfg, c);
-                naive.seconds * sweeps as f64 / naive.sweeps.max(1) as f64
-            }
-            Strategy::Naive => predict_circuit(&chip, &cfg, c).seconds,
-            Strategy::Planned { block_qubits, max_k } => {
-                let plan = qcs_core::plan::plan_circuit(c, block_qubits, max_k);
-                qcs_core::perf::predict_planned(&chip, &cfg, &plan).seconds
-            }
-            // Not in the fixed-strategy table above.
-            Strategy::Auto => unreachable!("e7 benches fixed strategies only"),
+            s => predict(&chip, &cfg, &lower(c, s, None)).seconds,
         };
         table.row(&[label, fmt_secs(host), fmt_secs(model_secs), sweeps.to_string()]);
     }
@@ -72,10 +60,9 @@ fn model_only(name: &str, c: &Circuit) {
     println!();
     println!("E7 (modelled, n = {}): {name} — {} gates", c.n_qubits(), c.len());
     let mut table = Table::new(&["strategy", "model time", "vs naive"]);
-    let naive = predict_circuit(&chip, &cfg, c);
+    let naive = predict(&chip, &cfg, &Program::per_gate(c));
     table.row(&["naive".into(), fmt_secs(naive.seconds), "1.00×".into()]);
-    let plan = fuse(c, 4);
-    let fused = predict_fused(&chip, &cfg, &plan, c.n_qubits());
+    let fused = predict(&chip, &cfg, &Program::greedy_fused(c, 4));
     table.row(&[
         "fused k=4".into(),
         fmt_secs(fused.seconds),

@@ -2,16 +2,16 @@
 //!
 //! A [`BatchSimulator`] owns nothing between calls; [`BatchSimulator::run`]
 //! applies one circuit to a batch of independent state vectors in
-//! *gate-major* order: the fuse/plan products are built once, then each
-//! sweep is applied to every member before the next sweep starts. The
-//! gate stream (matrices, block items, plan ops) stays hot across
+//! *gate-major* order: the circuit is lowered once ([`lower`]), then
+//! each op of the program is applied to every member before the next op
+//! starts. The gate stream (matrices, offset tables) stays hot across
 //! members — the locality argument of the paper's cache-blocking
 //! analysis applied along the batch axis — while the amplitude work per
 //! member is exactly what a lone run performs.
 //!
 //! Every (member, block) cell executes the *serial* kernel path a
-//! single-threaded [`Simulator`](crate::sim::Simulator) run uses (the
-//! shared executors in `sim.rs`), and worksharing only decides which
+//! single-threaded [`Simulator`] run uses (the same `program::Kernel`
+//! sits behind both interpreters), and worksharing only decides which
 //! thread owns which disjoint cell. Batched results are therefore
 //! bit-identical to running the members sequentially, for every
 //! strategy × backend × schedule combination — the property the
@@ -22,33 +22,24 @@
 //! member, each with its own seeded RNG, in a single batched call.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-use a64fx_model::timing::ExecConfig;
-use a64fx_model::traffic::KernelKind;
-use a64fx_model::ChipParams;
-use omp_par::{for_each_cell, CellGrid, Schedule, ThreadPool};
+use omp_par::{for_each_cell, CellGrid, Schedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::circuit::{Circuit, Gate};
+use crate::circuit::Circuit;
 use crate::complex::C64;
-use crate::config::{PoolSpec, SimConfig};
-use crate::fusion::{fuse_costed, FusedOp};
-use crate::kernels::blocked::{apply_block_chunk, BlockGate, PreparedRun};
-use crate::kernels::fused::PreparedFused;
-use crate::kernels::simd::{self, BackendChoice, KernelBackend};
+use crate::config::SimConfig;
+use crate::kernels::simd::KernelBackend;
 use crate::kernels::AmpPtr;
 use crate::measure::{measure_qubit, MeasurementResult};
 use crate::noise::{run_trajectory, NoiseChannel};
 use crate::perf::{predict_batched, BatchPrediction};
-use crate::plan::{plan_circuit, Plan, PlanOp};
-use crate::sim::{
-    build_block_items, exec_block_run, exec_gate, exec_plan_op, BlockItem, SimError, Strategy,
-};
+use crate::program::{lower, GateRef, Kernel, Program, SweepOp};
+use crate::sim::{strategy_label, trace_io_error, SimError, Simulator, Strategy};
 use crate::state::StateVector;
-use crate::telemetry::{self, RunMeta, TelemetryConfig, Trace, Tracer};
+use crate::telemetry::{self, RunMeta, Trace, Tracer};
 
 /// Most members one batched call accepts. Far above any host memory
 /// budget for interesting widths; the cap exists so configuration
@@ -155,27 +146,16 @@ pub struct TrajectoryBatch {
 /// those are single-trajectory features.
 #[derive(Clone)]
 pub struct BatchSimulator {
-    strategy: Strategy,
-    pool: Option<Arc<ThreadPool>>,
-    sched: Schedule,
-    chip: Option<(ChipParams, ExecConfig)>,
-    backend: Option<BackendChoice>,
-    telemetry: TelemetryConfig,
+    /// Strategy, pool, schedule, model, backend and telemetry resolve
+    /// exactly as for the single-run engine.
+    engine: Simulator,
     default_batch: usize,
 }
 
 impl BatchSimulator {
     /// Single-threaded, gate-by-gate, batch size 1, telemetry off.
     pub fn new() -> BatchSimulator {
-        BatchSimulator {
-            strategy: Strategy::Naive,
-            pool: None,
-            sched: Schedule::default_static(),
-            chip: None,
-            backend: None,
-            telemetry: TelemetryConfig::off(),
-            default_batch: 1,
-        }
+        BatchSimulator { engine: Simulator::new(), default_batch: 1 }
     }
 
     /// Build a batched engine from a validated [`SimConfig`].
@@ -184,7 +164,6 @@ impl BatchSimulator {
     /// do not compose with gate-major interleaving; configs enabling
     /// them are rejected with [`SimError::InvalidConfig`].
     pub fn from_config(config: SimConfig) -> Result<BatchSimulator, SimError> {
-        config.validate()?;
         if config.integrity.enabled() {
             return Err(SimError::InvalidConfig(
                 "integrity sweeps are per-run rollback state and do not compose with \
@@ -199,44 +178,18 @@ impl BatchSimulator {
                     .to_string(),
             ));
         }
-        let SimConfig {
-            strategy,
-            backend,
-            pool,
-            schedule,
-            model,
-            telemetry,
-            integrity: _,
-            checkpoint: _,
-            batch,
-        } = config;
-        let pool = match pool {
-            PoolSpec::Serial | PoolSpec::Threads(1) => None,
-            PoolSpec::Threads(n) => Some(Arc::new(ThreadPool::new(n))),
-            PoolSpec::Shared(p) => Some(p),
-        };
-        Ok(BatchSimulator {
-            strategy,
-            pool,
-            sched: schedule,
-            chip: model,
-            backend: match backend {
-                BackendChoice::Auto => None,
-                explicit => Some(explicit),
-            },
-            telemetry,
-            default_batch: batch,
-        })
+        let default_batch = config.batch;
+        Ok(BatchSimulator { engine: Simulator::from_config(config)?, default_batch })
     }
 
     /// The configured strategy.
     pub fn strategy(&self) -> Strategy {
-        self.strategy
+        self.engine.strategy
     }
 
     /// Worksharing threads (1 when serial).
     pub fn threads(&self) -> usize {
-        self.pool.as_ref().map_or(1, |p| p.num_threads())
+        self.engine.threads()
     }
 
     /// The batch size [`run_fresh`](BatchSimulator::run_fresh) uses.
@@ -246,16 +199,13 @@ impl BatchSimulator {
 
     /// The kernel backend this engine executes with.
     pub fn backend(&self) -> &'static KernelBackend {
-        match self.backend {
-            Some(choice) => simd::backend_for(choice),
-            None => simd::active(),
-        }
+        self.engine.backend()
     }
 
     /// Execute `circuit` on every member of `states`, gate-major.
     ///
     /// Results are bit-identical to running each member through a
-    /// *serial* single-run [`Simulator`](crate::sim::Simulator) with
+    /// *serial* single-run [`Simulator`] with
     /// the same strategy and backend — regardless of this engine's
     /// thread count, because work is sharded at (member × block)
     /// granularity and every cell executes the serial kernel sequence.
@@ -264,22 +214,10 @@ impl BatchSimulator {
         circuit: &Circuit,
         states: &mut [StateVector],
     ) -> Result<BatchReport, SimError> {
-        let members = states.len();
-        if members == 0 {
+        if states.is_empty() {
             return Err(SimError::InvalidConfig(
                 "batch needs at least 1 member state (got an empty batch)".to_string(),
             ));
-        }
-        if members > MAX_BATCH {
-            return Err(SimError::InvalidConfig(format!(
-                "batch of {members} members exceeds the limit of {MAX_BATCH}"
-            )));
-        }
-        let n = circuit.n_qubits();
-        for s in states.iter() {
-            if s.n_qubits() != n {
-                return Err(SimError::QubitMismatch { circuit: n, state: s.n_qubits() });
-            }
         }
         if circuit.has_nonunitary() {
             return Err(SimError::InvalidConfig(
@@ -288,195 +226,21 @@ impl BatchSimulator {
                     .to_string(),
             ));
         }
-        let len = 1usize << n;
-        let be = self.backend();
-        let batch_id = next_batch_id();
-        // One tracer per member: spans stay attributable, and each
-        // member's trace is a drop-in for the single-run trace of the
-        // same circuit.
-        let tracers: Option<Vec<Tracer>> = if self.telemetry.enabled {
-            let (chip, cfg) = self
-                .chip
-                .clone()
-                .unwrap_or_else(|| (ChipParams::a64fx(), ExecConfig::single_core()));
-            Some(
-                (0..members)
-                    .map(|_| {
-                        Tracer::new(n, self.threads(), chip.clone(), cfg, self.telemetry.capacity)
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
-
-        enum BatchPrep {
-            Naive,
-            Fused(Vec<FusedOp>),
-            Blocked(Vec<BlockItem>, u32),
-            Planned(Plan),
-        }
-
-        // `Auto` resolves to a concrete strategy per circuit from the
-        // calibrated model, exactly as the single-run engine does — so a
-        // batched run stays bit-identical to its sequential members.
-        let strategy = match self.strategy {
-            Strategy::Auto => crate::calibrate::choose(circuit),
-            s => s,
-        };
-        let start = Instant::now();
-        // Planning products are built ONCE and shared by every member —
-        // the amortization the batch engine exists for.
-        let prep = match strategy {
-            Strategy::Naive => BatchPrep::Naive,
-            Strategy::Fused { max_k } => {
-                // Same cost-aware lowering as the single-run engine, so
-                // batched members stay bit-identical to serial runs.
-                let costs = crate::calibrate::Calibration::get().fuse_costs();
-                BatchPrep::Fused(fuse_costed(circuit, max_k, &costs))
-            }
-            Strategy::Blocked { block_qubits } => {
-                let bq = block_qubits.min(n);
-                BatchPrep::Blocked(build_block_items(circuit, bq, self.telemetry.enabled), bq)
-            }
-            Strategy::Planned { block_qubits, max_k } => {
-                BatchPrep::Planned(plan_circuit(circuit, block_qubits, max_k))
-            }
-            Strategy::Auto => unreachable!("Auto resolved to a concrete strategy above"),
-        };
-        let ptrs: Vec<AmpPtr> =
-            states.iter_mut().map(|s| AmpPtr(s.amplitudes_mut().as_mut_ptr())).collect();
-        let trs = tracers.as_deref();
-        let sweeps = match &prep {
-            BatchPrep::Naive => {
-                for g in circuit.gates() {
-                    self.sweep_full(
-                        &ptrs,
-                        len,
-                        trs,
-                        |amps| exec_gate(be, None, self.sched, amps, g),
-                        |t, ns| t.record_gate(0, g, ns),
-                    );
-                }
-                circuit.len()
-            }
-            BatchPrep::Fused(ops) => {
-                // Each op is lowered once and its specialized form
-                // reused across every member sweep.
-                for (op, prep) in ops.iter().zip(ops.iter().map(PreparedFused::new)) {
-                    self.sweep_full(
-                        &ptrs,
-                        len,
-                        trs,
-                        |amps| prep.apply(be, amps),
-                        |t, ns| t.record_fused(0, op, ns),
-                    );
-                }
-                ops.len()
-            }
-            BatchPrep::Blocked(items, bq) => {
-                for item in items {
-                    match item {
-                        BlockItem::Run(bgs, shadow) => {
-                            self.sweep_blocked(be, &ptrs, len, *bq, bgs, shadow, trs);
-                        }
-                        BlockItem::Single(gi) => {
-                            let g = &circuit.gates()[*gi];
-                            self.sweep_full(
-                                &ptrs,
-                                len,
-                                trs,
-                                |amps| exec_gate(be, None, self.sched, amps, g),
-                                |t, ns| t.record_gate(0, g, ns),
-                            );
-                        }
-                    }
-                }
-                items.len()
-            }
-            BatchPrep::Planned(plan) => {
-                for op in &plan.ops {
-                    match op {
-                        // Untraced block passes get the fine (member ×
-                        // block) grid; traced ones fall through to the
-                        // per-member path so each member's pass is timed
-                        // as one span.
-                        PlanOp::Block(ops) if trs.is_none() => {
-                            let prepared = PreparedRun::new(ops, plan.block_qubits);
-                            let block = prepared.block_len();
-                            let grid = CellGrid::new(members, len / block);
-                            for_each_cell(self.pool.as_deref(), self.sched, grid, |m, b| {
-                                // SAFETY: cells are disjoint (member,
-                                // block) slices; the region barrier ends
-                                // all access before the next sweep.
-                                let chunk = unsafe { ptrs[m].slice(b * block, block) };
-                                prepared.apply_chunk(be, chunk);
-                            });
-                        }
-                        op => {
-                            self.sweep_full(
-                                &ptrs,
-                                len,
-                                trs,
-                                |amps| {
-                                    exec_plan_op(be, None, self.sched, amps, op, plan.block_qubits)
-                                },
-                                |t, ns| match op {
-                                    PlanOp::SwapAxes(a, b) => {
-                                        t.record_kernel(0, KernelKind::Swap, &[*a, *b], ns)
-                                    }
-                                    PlanOp::Block(ops) => t.record_block_pass(0, ops, ns),
-                                    PlanOp::Gate(g) => t.record_gate(0, g, ns),
-                                },
-                            );
-                        }
-                    }
-                }
-                plan.sweeps
-            }
-        };
-        let wall_seconds = start.elapsed().as_secs_f64();
-
-        let mut traces: Vec<Trace> = Vec::new();
-        if let Some(ts) = tracers {
-            for (m, t) in ts.into_iter().enumerate() {
-                let meta = RunMeta {
-                    strategy: self.strategy.to_string(),
-                    backend: be.name.to_string(),
-                    threads: self.threads() as u32,
-                    schedule: self.sched.to_string(),
-                    n_qubits: n,
-                    label: member_label(&self.telemetry.label, batch_id, m),
-                };
-                let trace = t.finish(meta);
-                // Member 0 honors the configured truncate/append choice;
-                // later members append, so one batched run lands in the
-                // JSONL sink as one contiguous group.
-                let sink_cfg = if m == 0 {
-                    self.telemetry.clone()
-                } else {
-                    self.telemetry.clone().appending(true)
-                };
-                telemetry::write_configured(&sink_cfg, &trace).map_err(|e| {
-                    SimError::TraceIo(match &self.telemetry.trace_path {
-                        Some(p) => format!("{}: {e}", p.display()),
-                        None => e.to_string(),
-                    })
-                })?;
-                traces.push(trace);
-            }
-        }
-
-        let predicted =
-            self.chip.as_ref().map(|(chip, cfg)| predict_batched(chip, cfg, circuit, members));
+        let (program, run, traces) = self.interpret(circuit, states, &[])?;
+        let members = states.len();
+        let predicted = self
+            .engine
+            .chip
+            .as_ref()
+            .map(|(chip, cfg)| predict_batched(chip, cfg, &program, members));
         Ok(BatchReport {
-            batch_id,
-            wall_seconds,
+            batch_id: run.batch_id,
+            wall_seconds: run.wall_seconds,
             members,
             gates: circuit.len(),
-            sweeps,
-            backend: be.name,
-            circuits_per_sec: if wall_seconds > 0.0 { members as f64 / wall_seconds } else { 0.0 },
+            sweeps: program.ops.len(),
+            backend: self.backend().name,
+            circuits_per_sec: circuits_per_sec(members, run.wall_seconds),
             predicted,
             traces,
         })
@@ -502,10 +266,10 @@ impl BatchSimulator {
     /// ([`crate::variational`]): the gate stream stays hot along the
     /// batch axis while each member applies its own angles.
     ///
-    /// Every member executes the serial naive kernel sequence, so
-    /// member `m`'s final state is bit-identical to running
-    /// `circuits[m]` through a serial `Strategy::Naive`
-    /// [`Simulator`](crate::sim::Simulator).
+    /// Each member's circuit is interpreted in place as its per-gate
+    /// program (no per-member [`Program`] is built), so member `m`'s
+    /// final state is bit-identical to running `circuits[m]` through a
+    /// serial `Strategy::Naive` [`Simulator`].
     pub fn run_sweep(
         &self,
         circuits: &[Circuit],
@@ -516,11 +280,6 @@ impl BatchSimulator {
             return Err(SimError::InvalidConfig(format!(
                 "sweep needs one circuit per member state (got {} circuits, {members} states)",
                 circuits.len()
-            )));
-        }
-        if members > MAX_BATCH {
-            return Err(SimError::InvalidConfig(format!(
-                "batch of {members} members exceeds the limit of {MAX_BATCH}"
             )));
         }
         let n = circuits[0].n_qubits();
@@ -542,84 +301,39 @@ impl BatchSimulator {
                 ));
             }
         }
-        for s in states.iter() {
-            if s.n_qubits() != n {
-                return Err(SimError::QubitMismatch { circuit: n, state: s.n_qubits() });
-            }
-        }
+        check_members(states, n)?;
         let len = 1usize << n;
         let be = self.backend();
         let batch_id = next_batch_id();
-        let tracers: Option<Vec<Tracer>> = if self.telemetry.enabled {
-            let (chip, cfg) = self
-                .chip
-                .clone()
-                .unwrap_or_else(|| (ChipParams::a64fx(), ExecConfig::single_core()));
-            Some(
-                (0..members)
-                    .map(|_| {
-                        Tracer::new(n, self.threads(), chip.clone(), cfg, self.telemetry.capacity)
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
+        let tracers = self.tracers(n, members);
         let start = Instant::now();
-        let ptrs: Vec<AmpPtr> =
-            states.iter_mut().map(|s| AmpPtr(s.amplitudes_mut().as_mut_ptr())).collect();
-        let trs = tracers.as_deref();
+        let ptrs = amp_ptrs(states);
         for j in 0..gate_count {
-            for_each_cell(
-                self.pool.as_deref(),
-                self.sched,
-                CellGrid::per_member(members),
-                |m, _| {
-                    // SAFETY: cell (m, 0) is the only cell touching
-                    // member m's amplitudes; the region barrier ends all
-                    // access before the next sweep.
-                    let amps = unsafe { ptrs[m].slice(0, len) };
-                    let g = &circuits[m].gates()[j];
-                    match trs {
-                        Some(ts) => {
-                            let t0 = Instant::now();
-                            exec_gate(be, None, self.sched, amps, g);
-                            ts[m].record_gate(0, g, t0.elapsed().as_nanos() as u64);
-                        }
-                        None => exec_gate(be, None, self.sched, amps, g),
-                    }
-                },
-            );
+            self.for_each_member(&ptrs, len, |m, amps| {
+                let op = SweepOp::Gate(GateRef::Source(&circuits[m].gates()[j]));
+                exec_member(
+                    be,
+                    self.engine.sched,
+                    &op.kernel(0),
+                    &op,
+                    amps,
+                    tracers.as_ref().map(|t| &t[m]),
+                );
+            });
         }
         let wall_seconds = start.elapsed().as_secs_f64();
-        let mut traces: Vec<Trace> = Vec::new();
-        if let Some(ts) = tracers {
-            for (m, t) in ts.into_iter().enumerate() {
-                let meta = RunMeta {
-                    strategy: "naive".to_string(),
-                    backend: be.name.to_string(),
-                    threads: self.threads() as u32,
-                    schedule: self.sched.to_string(),
-                    n_qubits: n,
-                    label: member_label(&self.telemetry.label, batch_id, m),
-                };
-                let trace = t.finish(meta);
-                let sink_cfg = if m == 0 {
-                    self.telemetry.clone()
-                } else {
-                    self.telemetry.clone().appending(true)
-                };
-                telemetry::write_configured(&sink_cfg, &trace).map_err(|e| {
-                    SimError::TraceIo(match &self.telemetry.trace_path {
-                        Some(p) => format!("{}: {e}", p.display()),
-                        None => e.to_string(),
-                    })
-                })?;
-                traces.push(trace);
-            }
-        }
-        let predicted =
-            self.chip.as_ref().map(|(chip, cfg)| predict_batched(chip, cfg, &circuits[0], members));
+        // Every member runs the per-gate program of its own circuit;
+        // member 0's stands for the shape in the header and the model.
+        let shape = || Program::per_gate(&circuits[0]);
+        let traces = match tracers {
+            Some(ts) => self.finish_traces(ts, shape().strategy.to_string(), be, n, batch_id)?,
+            None => Vec::new(),
+        };
+        let predicted = self
+            .engine
+            .chip
+            .as_ref()
+            .map(|(chip, cfg)| predict_batched(chip, cfg, &shape(), members));
         Ok(BatchReport {
             batch_id,
             wall_seconds,
@@ -627,7 +341,7 @@ impl BatchSimulator {
             gates: gate_count,
             sweeps: gate_count,
             backend: be.name,
-            circuits_per_sec: if wall_seconds > 0.0 { members as f64 / wall_seconds } else { 0.0 },
+            circuits_per_sec: circuits_per_sec(members, wall_seconds),
             predicted,
             traces,
         })
@@ -642,82 +356,175 @@ impl BatchSimulator {
     /// Every member therefore produces the bit-identical state,
     /// outcome list, and classical register a serial
     /// [`Simulator::run_measured`](crate::sim::Simulator::run_measured)
-    /// call with `Strategy::Naive` and the same seed produces —
-    /// regardless of this engine's thread count. Unitary gates run
-    /// naive gate-major (a collapse is a barrier at every gate, so no
-    /// per-member lowering products exist to amortize).
+    /// call with the same strategy and seed produces — regardless of
+    /// this engine's thread count. The unitary runs between collapses
+    /// are lowered once and shared by every member, exactly as in
+    /// [`run`](BatchSimulator::run).
+    ///
+    /// [`Gate::Measure`]: crate::circuit::Gate::Measure
+    /// [`Gate::Cif`]: crate::circuit::Gate::Cif
     pub fn run_measured(
         &self,
         circuit: &Circuit,
         states: &mut [StateVector],
         seeds: &[u64],
     ) -> Result<MeasuredBatch, SimError> {
+        if states.is_empty() || seeds.len() != states.len() {
+            return Err(SimError::InvalidConfig(format!(
+                "measured batch needs one seed per member state (got {} seeds, {} states)",
+                seeds.len(),
+                states.len()
+            )));
+        }
+        Ok(self.interpret(circuit, states, seeds)?.1)
+    }
+
+    /// The interpreter: lower `circuit` once, then apply each op of the
+    /// program to every member before the next op starts. Block ops run
+    /// on the fine (member × block) grid when untraced; everything else
+    /// — and every traced op, so each member's sweep is timed as one
+    /// span — runs one cell per member. `seeds` (one per member, or
+    /// empty for a barrier-free circuit) start the per-member RNG
+    /// streams that `Measure` ops draw from; only unseeded (unitary)
+    /// runs are traced, and return one trace per member.
+    fn interpret<'c>(
+        &self,
+        circuit: &'c Circuit,
+        states: &mut [StateVector],
+        seeds: &[u64],
+    ) -> Result<(Program<'c>, MeasuredBatch, Vec<Trace>), SimError> {
         let members = states.len();
-        if members == 0 || seeds.len() != members {
-            return Err(SimError::InvalidConfig(format!(
-                "measured batch needs one seed per member state (got {} seeds, {members} \
-                 states)",
-                seeds.len()
-            )));
-        }
-        if members > MAX_BATCH {
-            return Err(SimError::InvalidConfig(format!(
-                "batch of {members} members exceeds the limit of {MAX_BATCH}"
-            )));
-        }
         let n = circuit.n_qubits();
-        for s in states.iter() {
-            if s.n_qubits() != n {
-                return Err(SimError::QubitMismatch { circuit: n, state: s.n_qubits() });
-            }
-        }
+        check_members(states, n)?;
+        let len = 1usize << n;
         let be = self.backend();
         let batch_id = next_batch_id();
-        let start = Instant::now();
+        let tracers = seeds.is_empty().then(|| self.tracers(n, members)).flatten();
+        let trs = tracers.as_deref();
         let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-        let mut cregs: Vec<u64> = vec![0; members];
-        let mut outcomes: Vec<Vec<MeasurementResult>> = vec![Vec::new(); members];
-        {
-            let states_ptr = RowPtr(states.as_mut_ptr());
-            let rngs_ptr = RowPtr(rngs.as_mut_ptr());
-            let cregs_ptr = RowPtr(cregs.as_mut_ptr());
-            let outcomes_ptr = RowPtr(outcomes.as_mut_ptr());
-            for g in circuit.gates() {
-                for_each_cell(
-                    self.pool.as_deref(),
-                    self.sched,
-                    CellGrid::per_member(members),
-                    |m, _| {
+        let mut cregs: Vec<u64> = vec![0; seeds.len()];
+        let mut outcomes: Vec<Vec<MeasurementResult>> = vec![Vec::new(); seeds.len()];
+        let start = Instant::now();
+        // Lowered ONCE and shared by every member — the amortization
+        // the batch engine exists for.
+        let program = lower(circuit, self.engine.strategy, None);
+        let mut ptrs = amp_ptrs(states);
+        let (rngs_ptr, cregs_ptr, outcomes_ptr) =
+            (RowPtr(rngs.as_mut_ptr()), RowPtr(cregs.as_mut_ptr()), RowPtr(outcomes.as_mut_ptr()));
+        for op in &program.ops {
+            match op {
+                SweepOp::Measure { q, creg: bit } => {
+                    let states_ptr = RowPtr(states.as_mut_ptr());
+                    let grid = CellGrid::per_member(members);
+                    for_each_cell(self.engine.pool.as_deref(), self.engine.sched, grid, |m, _| {
                         // SAFETY: the per-member grid hands row `m` of
                         // every table to exactly this cell; the region
                         // barrier orders all writes before the next
-                        // gate's cells (or the caller) read them.
-                        let state = unsafe { states_ptr.at(m) };
-                        match g {
-                            Gate::Measure { q, creg: bit } => {
-                                let rng = unsafe { rngs_ptr.at(m) };
-                                let r = measure_qubit(state, *q, rng);
-                                let cr = unsafe { cregs_ptr.at(m) };
-                                if r.outcome == 1 {
-                                    *cr |= 1 << bit;
-                                } else {
-                                    *cr &= !(1 << bit);
-                                }
-                                unsafe { outcomes_ptr.at(m) }.push(r);
-                            }
-                            Gate::Cif { mask, val, gate } => {
-                                let cr = *unsafe { cregs_ptr.at(m) };
-                                if cr & *mask == *val {
-                                    exec_gate(be, None, self.sched, state.amplitudes_mut(), gate);
-                                }
-                            }
-                            g => exec_gate(be, None, self.sched, state.amplitudes_mut(), g),
+                        // op's cells (or the caller) read them.
+                        let (state, rng, cr, outs) = unsafe {
+                            (states_ptr.at(m), rngs_ptr.at(m), cregs_ptr.at(m), outcomes_ptr.at(m))
+                        };
+                        let r = measure_qubit(state, *q, rng);
+                        *cr = (*cr & !(1 << bit)) | ((r.outcome as u64) << bit);
+                        outs.push(r);
+                    });
+                    // The collapse reborrowed every member's buffer
+                    // through its `StateVector`: re-derive the raw
+                    // amplitude pointers the sweeps below go through.
+                    ptrs = amp_ptrs(states);
+                }
+                op => {
+                    let kernel = op.kernel(program.block_qubits);
+                    match kernel.block_len().filter(|_| trs.is_none()) {
+                        Some(block) => {
+                            let grid = CellGrid::new(members, len / block);
+                            for_each_cell(
+                                self.engine.pool.as_deref(),
+                                self.engine.sched,
+                                grid,
+                                |m, b| {
+                                    // SAFETY: cells are disjoint (member,
+                                    // block) slices; the region barrier ends
+                                    // all access before the next op.
+                                    let chunk = unsafe { ptrs[m].slice(b * block, block) };
+                                    kernel.exec_chunk(be, chunk);
+                                },
+                            );
                         }
-                    },
-                );
+                        None => self.for_each_member(&ptrs, len, |m, amps| {
+                            if let SweepOp::Cif { mask, val, .. } = op {
+                                // SAFETY: row `m` belongs to this cell.
+                                if *unsafe { cregs_ptr.at(m) } & mask != *val {
+                                    return;
+                                }
+                            }
+                            exec_member(
+                                be,
+                                self.engine.sched,
+                                &kernel,
+                                op,
+                                amps,
+                                trs.map(|ts| &ts[m]),
+                            );
+                        }),
+                    }
+                }
             }
         }
-        Ok(MeasuredBatch { batch_id, wall_seconds: start.elapsed().as_secs_f64(), outcomes, cregs })
+        let wall_seconds = start.elapsed().as_secs_f64();
+        let traces = match tracers {
+            Some(ts) => {
+                let strategy = strategy_label(self.engine.strategy, program.strategy);
+                self.finish_traces(ts, strategy, be, n, batch_id)?
+            }
+            None => Vec::new(),
+        };
+        Ok((program, MeasuredBatch { batch_id, wall_seconds, outcomes, cregs }, traces))
+    }
+
+    /// One tracer per member, when telemetry is on: spans stay
+    /// attributable, and each member's trace is a drop-in for the
+    /// single-run trace of the same circuit.
+    fn tracers(&self, n_qubits: u32, members: usize) -> Option<Vec<Tracer>> {
+        (0..members)
+            .map(|_| {
+                self.engine.telemetry.tracer(self.engine.chip.as_ref(), n_qubits, self.threads())
+            })
+            .collect()
+    }
+
+    /// Close every member's tracer and write the configured sink.
+    fn finish_traces(
+        &self,
+        tracers: Vec<Tracer>,
+        strategy: String,
+        be: &KernelBackend,
+        n_qubits: u32,
+        batch_id: u64,
+    ) -> Result<Vec<Trace>, SimError> {
+        let mut traces = Vec::with_capacity(tracers.len());
+        for (m, t) in tracers.into_iter().enumerate() {
+            let trace = t.finish(RunMeta {
+                strategy: strategy.clone(),
+                backend: be.name.to_string(),
+                threads: self.threads() as u32,
+                schedule: self.engine.sched.to_string(),
+                n_qubits,
+                label: member_label(&self.engine.telemetry.label, batch_id, m),
+            });
+            // Member 0 honors the configured truncate/append choice;
+            // later members append, so one batched run lands in the
+            // JSONL sink as one contiguous group.
+            let sink_cfg = if m == 0 {
+                self.engine.telemetry.clone()
+            } else {
+                self.engine.telemetry.clone().appending(true)
+            };
+            telemetry::write_configured(&sink_cfg, &trace)
+                .map_err(|e| trace_io_error(&self.engine.telemetry, e))?;
+            traces.push(trace);
+        }
+        Ok(traces)
     }
 
     /// Sample one noisy trajectory per seed, batched: member `m` starts
@@ -771,8 +578,8 @@ impl BatchSimulator {
             let rngs_ptr = RowPtr(rngs.as_mut_ptr());
             let errors_ptr = RowPtr(errors.as_mut_ptr());
             for_each_cell(
-                self.pool.as_deref(),
-                self.sched,
+                self.engine.pool.as_deref(),
+                self.engine.sched,
                 CellGrid::per_member(members.len()),
                 |m, _| {
                     // SAFETY: the per-member grid hands row `m` of every
@@ -793,77 +600,67 @@ impl BatchSimulator {
         })
     }
 
-    /// One full-state sweep across all members (one cell per member).
-    /// Each cell runs the *serial* kernel path; when tracing, the cell
-    /// also times itself and records into its member's tracer.
-    fn sweep_full<A, R>(
+    /// Run `body(member, amplitudes)` once per member, one cell each.
+    fn for_each_member(
         &self,
         ptrs: &[AmpPtr],
         len: usize,
-        tracers: Option<&[Tracer]>,
-        apply: A,
-        record: R,
-    ) where
-        A: Fn(&mut [C64]) + Sync,
-        R: Fn(&Tracer, u64) + Sync,
-    {
-        for_each_cell(
-            self.pool.as_deref(),
-            self.sched,
-            CellGrid::per_member(ptrs.len()),
-            |m, _| {
-                // SAFETY: cell (m, 0) is the only cell touching member m's
-                // amplitudes; the region barrier ends all access on return.
-                let amps = unsafe { ptrs[m].slice(0, len) };
-                match tracers {
-                    Some(ts) => {
-                        let t0 = Instant::now();
-                        apply(amps);
-                        record(&ts[m], t0.elapsed().as_nanos() as u64);
-                    }
-                    None => apply(amps),
-                }
-            },
-        );
-    }
-
-    /// One blocked run across all members. Untraced: the fine (member ×
-    /// block) grid, each cell applying the identical per-chunk serial
-    /// path. Traced: one cell per member so the run is timed as a
-    /// single span per member, exactly like a single run's trace.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_blocked(
-        &self,
-        be: &KernelBackend,
-        ptrs: &[AmpPtr],
-        len: usize,
-        block_qubits: u32,
-        gates: &[BlockGate],
-        shadow: &[(KernelKind, Vec<u32>)],
-        tracers: Option<&[Tracer]>,
+        body: impl Fn(usize, &mut [C64]) + Sync,
     ) {
-        match tracers {
-            Some(ts) => {
-                let grid = CellGrid::per_member(ptrs.len());
-                for_each_cell(self.pool.as_deref(), self.sched, grid, |m, _| {
-                    // SAFETY: one cell per member; see `sweep_full`.
-                    let amps = unsafe { ptrs[m].slice(0, len) };
-                    let t0 = Instant::now();
-                    exec_block_run(be, None, self.sched, amps, gates, block_qubits);
-                    ts[m].record_block_run(0, shadow, t0.elapsed().as_nanos() as u64);
-                });
-            }
-            None => {
-                let block = 1usize << block_qubits;
-                let grid = CellGrid::new(ptrs.len(), len / block);
-                for_each_cell(self.pool.as_deref(), self.sched, grid, |m, b| {
-                    // SAFETY: cells are disjoint (member, block) slices;
-                    // the region barrier ends all access on return.
-                    let chunk = unsafe { ptrs[m].slice(b * block, block) };
-                    apply_block_chunk(be, chunk, gates);
-                });
-            }
+        let grid = CellGrid::per_member(ptrs.len());
+        for_each_cell(self.engine.pool.as_deref(), self.engine.sched, grid, |m, _| {
+            // SAFETY: cell (m, 0) is the only cell touching member m's
+            // amplitudes; the region barrier ends all access on return.
+            body(m, unsafe { ptrs[m].slice(0, len) })
+        });
+    }
+}
+
+/// One member's share of one op: the *serial* kernel path, timed into
+/// the member's tracer when tracing.
+fn exec_member(
+    be: &KernelBackend,
+    sched: Schedule,
+    kernel: &Kernel,
+    op: &SweepOp,
+    amps: &mut [C64],
+    tracer: Option<&Tracer>,
+) {
+    match tracer {
+        Some(t) => {
+            let t0 = Instant::now();
+            kernel.exec(be, None, sched, amps);
+            t.record_op(0, op, t0.elapsed().as_nanos() as u64);
         }
+        None => kernel.exec(be, None, sched, amps),
+    }
+}
+
+/// Raw base pointers of every member's amplitude buffer, for cells to
+/// carve their disjoint slices from.
+fn amp_ptrs(states: &mut [StateVector]) -> Vec<AmpPtr> {
+    states.iter_mut().map(|s| AmpPtr(s.amplitudes_mut().as_mut_ptr())).collect()
+}
+
+/// The size and width limits every batched entry point enforces.
+fn check_members(states: &[StateVector], n_qubits: u32) -> Result<(), SimError> {
+    if states.len() > MAX_BATCH {
+        return Err(SimError::InvalidConfig(format!(
+            "batch of {} members exceeds the limit of {MAX_BATCH}",
+            states.len()
+        )));
+    }
+    match states.iter().find(|s| s.n_qubits() != n_qubits) {
+        Some(s) => Err(SimError::QubitMismatch { circuit: n_qubits, state: s.n_qubits() }),
+        None => Ok(()),
+    }
+}
+
+fn circuits_per_sec(members: usize, wall_seconds: f64) -> f64 {
+    if wall_seconds > 0.0 {
+        members as f64 / wall_seconds
+    } else {
+        0.0
     }
 }
 
@@ -876,9 +673,9 @@ impl Default for BatchSimulator {
 impl std::fmt::Debug for BatchSimulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchSimulator")
-            .field("strategy", &self.strategy)
+            .field("strategy", &self.engine.strategy)
             .field("threads", &self.threads())
-            .field("schedule", &self.sched)
+            .field("schedule", &self.engine.sched)
             .field("batch", &self.default_batch)
             .finish_non_exhaustive()
     }
@@ -896,8 +693,10 @@ fn member_label(base: &str, batch_id: u64, member: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Simulator;
+    use crate::telemetry::TelemetryConfig;
     use crate::testing::random_circuit_seeded;
+    use a64fx_model::timing::ExecConfig;
+    use a64fx_model::ChipParams;
     use rand::Rng;
 
     fn all_strategies() -> Vec<Strategy> {
@@ -1116,20 +915,24 @@ mod tests {
         }
         circuit.measure(3, 1);
         let seeds = [11u64, 12, 13, 14];
-        let serial = Simulator::new();
-        for threads in [1usize, 3] {
-            let batch = BatchSimulator::from_config(SimConfig::default().threads(threads)).unwrap();
-            let mut states: Vec<StateVector> = seeds.iter().map(|_| StateVector::zero(4)).collect();
-            let got = batch.run_measured(&circuit, &mut states, &seeds).unwrap();
-            for (m, &seed) in seeds.iter().enumerate() {
-                let mut expect = StateVector::zero(4);
-                let report = serial.run_measured(&circuit, &mut expect, seed).unwrap();
-                assert!(
-                    states[m].approx_eq(&expect, 0.0),
-                    "member {m} state diverged (threads={threads})"
-                );
-                assert_eq!(got.cregs[m], report.creg, "member {m} creg");
-                assert_eq!(got.outcomes[m], report.outcomes, "member {m} outcomes");
+        for strategy in all_strategies() {
+            let cfg = SimConfig::default().strategy(strategy);
+            let serial = Simulator::from_config(cfg.clone()).unwrap();
+            for threads in [1usize, 3] {
+                let batch = BatchSimulator::from_config(cfg.clone().threads(threads)).unwrap();
+                let mut states: Vec<StateVector> =
+                    seeds.iter().map(|_| StateVector::zero(4)).collect();
+                let got = batch.run_measured(&circuit, &mut states, &seeds).unwrap();
+                for (m, &seed) in seeds.iter().enumerate() {
+                    let mut expect = StateVector::zero(4);
+                    let report = serial.run_measured(&circuit, &mut expect, seed).unwrap();
+                    assert!(
+                        states[m].approx_eq(&expect, 0.0),
+                        "member {m} state diverged ({strategy}, threads={threads})"
+                    );
+                    assert_eq!(got.cregs[m], report.creg, "member {m} creg");
+                    assert_eq!(got.outcomes[m], report.outcomes, "member {m} outcomes");
+                }
             }
         }
     }

@@ -8,26 +8,27 @@
 //! On first use it runs a micro-benchmark on the actual machine — one
 //! timed sweep per kernel cost kind, at two state sizes so the
 //! per-amplitude slope and the per-sweep overhead separate — and caches
-//! the result process-wide. [`predict_strategy_ns`] then prices any
-//! strategy for any circuit from those measured constants, and
-//! [`choose`] (the engine behind [`Strategy::Auto`]) picks the cheapest
-//! candidate per circuit.
+//! the result process-wide.
+//! [`Program::calibrated_ns`](crate::program::Program::calibrated_ns)
+//! then prices any lowering of any circuit from those measured
+//! constants, and [`choose`] (the engine behind [`Strategy::Auto`])
+//! picks the cheapest candidate per circuit.
 //!
 //! Under Miri, or with `QCS_CALIBRATE=analytic`, measurement is skipped
 //! and deterministic analytic defaults are used instead.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::circuit::{Circuit, Gate};
 use crate::complex::C64;
-use crate::fusion::{fuse, fuse_costed, FuseCosts, FusedClass, FusedOp};
+use crate::fusion::{fuse, fuse_costed, FuseCosts, FusedOp};
 use crate::kernels::blocked::{apply_blocked, apply_blocked_fused, BlockGate};
 use crate::kernels::dispatch::apply_gate_with;
 use crate::kernels::fused::PreparedFused;
 use crate::kernels::simd::{self, KernelBackend};
-use crate::plan::{plan_circuit_with, PlanOp};
-use crate::sim::{build_block_items, BlockItem, Strategy};
+use crate::program::{lower, to_block_gate};
+use crate::sim::Strategy;
 use crate::state::StateVector;
 
 /// State sizes the micro-benchmark sweeps: the big size must spill the
@@ -136,17 +137,11 @@ impl Calibration {
     }
 
     /// Per-amp cost one member contributes to a cache-blocked pass: its
-    /// arithmetic above the stream floor, plus whatever share of the
-    /// stream this host fails to amortize across the pass (see
+    /// arithmetic above the stream floor, plus the `stream_factor` share
+    /// of the stream this host fails to amortize across the pass (see
     /// [`Calibration::block_stream_factor`]).
-    fn in_block_per_amp(&self, c: f64) -> f64 {
-        (c - self.stream).max(0.1 * c) + self.block_stream_factor * c.min(self.stream)
-    }
-
-    /// [`Calibration::in_block_per_amp`] for the planner's fused block
-    /// passes, which pay [`Calibration::fused_block_stream_factor`].
-    fn in_fused_block_per_amp(&self, c: f64) -> f64 {
-        (c - self.stream).max(0.1 * c) + self.fused_block_stream_factor * c.min(self.stream)
+    fn in_block_per_amp(&self, c: f64, stream_factor: f64) -> f64 {
+        (c - self.stream).max(0.1 * c) + stream_factor * c.min(self.stream)
     }
 
     /// In-block variant for the planner: the cost table rewritten to
@@ -154,7 +149,7 @@ impl Calibration {
     /// (the same member pricing `block_pass_ns` charges), so in-block
     /// fusion decisions agree with the pass pricing.
     pub fn block_fuse_costs(&self) -> FuseCosts {
-        let arith = |c: f64| self.in_fused_block_per_amp(c);
+        let arith = |c: f64| self.in_block_per_amp(c, self.fused_block_stream_factor);
         let full = self.fuse_costs();
         FuseCosts {
             gate_1q_dense: arith(full.gate_1q_dense),
@@ -370,11 +365,11 @@ fn measure(be: &'static KernelBackend) -> Calibration {
             ((target - stream - arith) / streamable.max(1e-6)).clamp(0.0, 1.5)
         };
 
-        let items = build_block_items(&c, bq, false);
-        let bgs = match &items[..] {
-            [BlockItem::Run(bgs, _)] => bgs.clone(),
-            _ => unreachable!("probe circuit builds one blocked run"),
-        };
+        let bgs: Vec<BlockGate> = c
+            .gates()
+            .iter()
+            .map(|g| to_block_gate(g, bq).expect("probe gates sit below the block width"))
+            .collect();
         let t_block = time_sweep(big, |a| apply_blocked(be, a, &bgs, bq));
         let gate_members: Vec<f64> = c.gates().iter().map(|g| gate_per_amp(&cal, g)).collect();
         cal.block_stream_factor = factor_of(t_block, &gate_members);
@@ -392,46 +387,20 @@ fn measure(be: &'static KernelBackend) -> Calibration {
 
 /// Calibrated ns/amp of one naive sweep of `g`.
 pub(crate) fn gate_per_amp(cal: &Calibration, g: &Gate) -> f64 {
-    use a64fx_model::traffic::KernelKind;
-    match crate::perf::classify(g) {
-        KernelKind::OneQubitDiagonal => cal.gate_1q_diag,
-        KernelKind::OneQubitDense => cal.gate_1q_dense,
-        KernelKind::ControlledDense => cal.gate_controlled,
-        KernelKind::TwoQubitDiagonal => cal.gate_2q_diag,
-        KernelKind::TwoQubitDense => cal.gate_2q_dense,
-        KernelKind::Swap => cal.swap,
-        KernelKind::FusedDense { k } => dense_per_amp(cal, k as usize),
-    }
+    cal.fuse_costs().gate(g)
 }
 
-/// Calibrated ns/amp of a dense fused block of width `k`.
-fn dense_per_amp(cal: &Calibration, k: usize) -> f64 {
-    match k {
-        0..=2 => cal.fused_dense[0],
-        3 => cal.fused_dense[1],
-        4 => cal.fused_dense[2],
-        5 => cal.fused_dense[3],
-        // The dense mat-vec doubles per extra qubit.
-        _ => cal.fused_dense[3] * (1u64 << (k - 5)) as f64,
-    }
-}
-
-/// Calibrated ns/amp of one specialized fused sweep of `op`.
+/// Calibrated ns/amp of one specialized fused sweep of `op`; a
+/// gate-backed singleton executes through the per-gate kernel.
 pub(crate) fn fused_per_amp(cal: &Calibration, op: &FusedOp) -> f64 {
-    // A gate-backed singleton executes through the per-gate kernel.
-    if let Some(g) = &op.gate {
-        return gate_per_amp(cal, g);
-    }
-    match &op.class {
-        FusedClass::Diagonal(_) => cal.fused_diag,
-        FusedClass::Permutation { .. } => cal.fused_perm,
-        FusedClass::Sparse(_) => cal.fused_sparse,
-        FusedClass::Dense => dense_per_amp(cal, op.qubits.len()),
+    match &op.gate {
+        Some(g) => gate_per_amp(cal, g),
+        None => cal.fuse_costs().block(&op.class, op.qubits.len()),
     }
 }
 
 /// Calibrated ns/amp of one member of a cache-blocked run.
-fn block_gate_per_amp(cal: &Calibration, g: &BlockGate) -> f64 {
+pub(crate) fn block_gate_per_amp(cal: &Calibration, g: &BlockGate) -> f64 {
     match g {
         BlockGate::One(..) => cal.gate_1q_dense,
         BlockGate::Diag1(..) => cal.gate_1q_diag,
@@ -444,82 +413,19 @@ fn block_gate_per_amp(cal: &Calibration, g: &BlockGate) -> f64 {
 /// A pass that applies `per_amp_costs` members out of cache-resident
 /// blocks pays one memory stream plus each member's in-block
 /// contribution: arithmetic above the stream floor, plus the stream
-/// share this host fails to amortize.
+/// share this host fails to amortize — `stream_factor`, the
+/// calibration's [`block_stream_factor`](Calibration::block_stream_factor)
+/// for a `BlockGate` run or its
+/// [`fused_block_stream_factor`](Calibration::fused_block_stream_factor)
+/// for the planner's fused block passes.
 pub(crate) fn block_pass_ns(
     cal: &Calibration,
     amps: f64,
+    stream_factor: f64,
     per_amp_costs: impl Iterator<Item = f64>,
 ) -> f64 {
-    let members: f64 = per_amp_costs.map(|c| cal.in_block_per_amp(c)).sum();
+    let members: f64 = per_amp_costs.map(|c| cal.in_block_per_amp(c, stream_factor)).sum();
     cal.sweep_overhead_ns + amps * (cal.stream + members)
-}
-
-/// [`block_pass_ns`] for the planner's fused block passes, which run
-/// through the fused-op block engine and pay its own measured stream
-/// share.
-pub(crate) fn fused_block_pass_ns(
-    cal: &Calibration,
-    amps: f64,
-    per_amp_costs: impl Iterator<Item = f64>,
-) -> f64 {
-    let members: f64 = per_amp_costs.map(|c| cal.in_fused_block_per_amp(c)).sum();
-    cal.sweep_overhead_ns + amps * (cal.stream + members)
-}
-
-/// Predicted nanoseconds to execute `circuit` with `strategy` (serial),
-/// from the calibrated per-kernel costs. `Auto` prices as its resolved
-/// choice.
-pub fn predict_strategy_ns(cal: &Calibration, circuit: &Circuit, strategy: Strategy) -> f64 {
-    predict_strategy(cal, circuit, strategy).0
-}
-
-/// Predicted wall time plus the number of full-state sweeps the lowered
-/// strategy executes. The sweep count falls out of the same lowering
-/// the price does, so [`choose`] gets its tie-break metric for free.
-fn predict_strategy(cal: &Calibration, circuit: &Circuit, strategy: Strategy) -> (f64, usize) {
-    let amps = (1u64 << circuit.n_qubits()) as f64;
-    let sweep = |per_amp: f64| cal.sweep_overhead_ns + amps * per_amp;
-    match strategy {
-        Strategy::Naive => {
-            (circuit.gates().iter().map(|g| sweep(gate_per_amp(cal, g))).sum(), circuit.len())
-        }
-        Strategy::Fused { max_k } => {
-            // Price the lowering the engine actually executes: the
-            // cost-aware plan built from this same calibration.
-            let plan = fuse_costed(circuit, max_k, &cal.fuse_costs());
-            (plan.iter().map(|op| sweep(fused_per_amp(cal, op))).sum(), plan.len())
-        }
-        Strategy::Blocked { block_qubits } => {
-            let b = block_qubits.min(circuit.n_qubits());
-            let items = build_block_items(circuit, b, false);
-            let ns = items
-                .iter()
-                .map(|item| match item {
-                    BlockItem::Run(bgs, _) => {
-                        block_pass_ns(cal, amps, bgs.iter().map(|g| block_gate_per_amp(cal, g)))
-                    }
-                    BlockItem::Single(gi) => sweep(gate_per_amp(cal, &circuit.gates()[*gi])),
-                })
-                .sum();
-            (ns, items.len())
-        }
-        Strategy::Planned { block_qubits, max_k } => {
-            let plan = plan_circuit_with(circuit, block_qubits, max_k, cal);
-            let ns = plan
-                .ops
-                .iter()
-                .map(|op| match op {
-                    PlanOp::SwapAxes(..) => sweep(cal.swap),
-                    PlanOp::Gate(g) => sweep(gate_per_amp(cal, g)),
-                    PlanOp::Block(ops) => {
-                        fused_block_pass_ns(cal, amps, ops.iter().map(|op| fused_per_amp(cal, op)))
-                    }
-                })
-                .sum();
-            (ns, plan.sweeps)
-        }
-        Strategy::Auto => predict_strategy(cal, circuit, choose(circuit)),
-    }
 }
 
 /// The concrete strategies [`choose`] prices against each other for an
@@ -540,9 +446,43 @@ pub fn candidates(n: u32) -> Vec<Strategy> {
     out
 }
 
+/// How many circuits' [`Strategy::Auto`] resolutions are remembered.
+/// Serving and variational loops alternate between a handful of circuit
+/// shapes; past this many distinct ones the oldest entry is re-priced
+/// on its next run.
+const AUTO_MEMO_CAPACITY: usize = 64;
+
+/// `(circuit fingerprint, resolved strategy)`, oldest first. Lives
+/// beside the process-wide [`Calibration`] because a resolution is a
+/// pure function of (circuit, that calibration).
+static AUTO_MEMO: Mutex<Vec<(u64, Strategy)>> = Mutex::new(Vec::new());
+
 /// Pick the cheapest concrete strategy for `circuit` from the machine
 /// calibration — the resolver behind [`Strategy::Auto`]. Never returns
 /// `Auto`.
+///
+/// Memoized on [`Circuit::fingerprint`], so repeated runs of the same
+/// circuit (benchmark rounds, batch replicas, served jobs) skip
+/// re-pricing every candidate lowering. A fingerprint collision would
+/// still execute correctly — the choice affects speed, never semantics.
+pub fn choose(circuit: &Circuit) -> Strategy {
+    let fp = circuit.fingerprint();
+    let lock = || AUTO_MEMO.lock().expect("auto memo updates cannot panic mid-way");
+    if let Some(&(_, s)) = lock().iter().find(|(k, _)| *k == fp) {
+        return s;
+    }
+    // Priced outside the lock: eight lowerings must not serialize
+    // unrelated engines.
+    let s = cheapest(Calibration::get(), circuit);
+    let mut memo = lock();
+    if memo.len() == AUTO_MEMO_CAPACITY {
+        memo.remove(0);
+    }
+    memo.push((fp, s));
+    s
+}
+
+/// Price every candidate lowering of `circuit` under `cal` and pick.
 ///
 /// A prediction within the micro-benchmark's noise margin of the price
 /// winner counts as a tie, and a tie goes to a strategy that sweeps
@@ -550,13 +490,12 @@ pub fn candidates(n: u32) -> Vec<Strategy> {
 /// (consecutive-sweep cache effects, per-sweep engine overhead) favor
 /// it. The sweep reduction must be meaningful (≥ 10 %) so a trivial
 /// difference cannot override the price order.
-pub fn choose(circuit: &Circuit) -> Strategy {
-    let cal = Calibration::get();
+fn cheapest(cal: &Calibration, circuit: &Circuit) -> Strategy {
     let scored: Vec<(f64, usize, Strategy)> = candidates(circuit.n_qubits())
         .into_iter()
         .map(|s| {
-            let (ns, sweeps) = predict_strategy(cal, circuit, s);
-            (ns, sweeps, s)
+            let program = lower(circuit, s, Some(cal));
+            (program.calibrated_ns(cal), program.ops.len(), s)
         })
         .collect();
     let Some(&(best_ns, best_sweeps, best)) = scored.iter().min_by(|a, b| a.0.total_cmp(&b.0))
@@ -627,8 +566,8 @@ mod tests {
             long.push(g);
         }
         for s in candidates(8) {
-            let a = predict_strategy_ns(&cal, &short, s);
-            let b = predict_strategy_ns(&cal, &long, s);
+            let a = lower(&short, s, Some(&cal)).calibrated_ns(&cal);
+            let b = lower(&long, s, Some(&cal)).calibrated_ns(&cal);
             assert!(b > a, "{s:?}: doubled circuit predicted {b} !> {a}");
         }
     }
@@ -644,8 +583,8 @@ mod tests {
             let q = i % 7;
             c.rz(q, 0.1).cp(q, q + 1, 0.2);
         }
-        let naive = predict_strategy_ns(&cal, &c, Strategy::Naive);
-        let fused = predict_strategy_ns(&cal, &c, Strategy::Fused { max_k: 4 });
+        let naive = lower(&c, Strategy::Naive, Some(&cal)).calibrated_ns(&cal);
+        let fused = lower(&c, Strategy::Fused { max_k: 4 }, Some(&cal)).calibrated_ns(&cal);
         assert!(fused < naive, "fused {fused} !< naive {naive}");
     }
 
@@ -666,10 +605,11 @@ mod tests {
         // with analytic constants it holds whenever choose() and the
         // pricing agree on the resolution, which they do by definition
         // when the same calibration prices both sides.
-        let auto = predict_strategy_ns(Calibration::get(), &c, Strategy::Auto);
-        let resolved = predict_strategy_ns(Calibration::get(), &c, choose(&c));
+        let live = Calibration::get();
+        let auto = lower(&c, Strategy::Auto, Some(live)).calibrated_ns(live);
+        let resolved = lower(&c, choose(&c), Some(live)).calibrated_ns(live);
         assert_eq!(auto, resolved);
-        assert!(predict_strategy_ns(&cal, &c, Strategy::Auto) > 0.0);
+        assert!(lower(&c, Strategy::Auto, Some(&cal)).calibrated_ns(&cal) > 0.0);
     }
 
     #[test]

@@ -2,8 +2,10 @@
 
 use std::collections::BTreeMap;
 
+use crate::complex::C64;
 use crate::gates::matrices::{Mat2, Mat4};
 use crate::gates::standard;
+use crate::io::{fnv1a, fnv1a_update};
 
 /// One gate application. Qubit indices are little-endian bit positions in
 /// the amplitude index (qubit 0 = least significant bit).
@@ -258,6 +260,40 @@ impl Gate {
         }
     }
 
+    /// Fold this gate into a running FNV-1a hash: kind, qubits, and the
+    /// exact bits of every parameter (angles, matrix entries, classical
+    /// bit and condition).
+    pub(crate) fn fingerprint_into(&self, h: u64) -> u64 {
+        // The mnemonic is unique per variant and fixes how many qubits
+        // and parameters follow; the 0 byte ends it.
+        let mut h = fnv1a_update(fnv1a_update(h, self.name().as_bytes()), &[0]);
+        for q in self.qubits() {
+            h = fnv1a_update(h, &q.to_le_bytes());
+        }
+        let reals = |h: u64, vals: &[f64]| {
+            vals.iter().fold(h, |h, v| fnv1a_update(h, &v.to_bits().to_le_bytes()))
+        };
+        let entries = |h: u64, rows: &[C64]| rows.iter().fold(h, |h, c| reals(h, &[c.re, c.im]));
+        match self {
+            Gate::Rx(_, a)
+            | Gate::Ry(_, a)
+            | Gate::Rz(_, a)
+            | Gate::Phase(_, a)
+            | Gate::CPhase(_, _, a)
+            | Gate::Rzz(_, _, a)
+            | Gate::Rxx(_, _, a) => reals(h, &[*a]),
+            Gate::U3(_, t, p, l) => reals(h, &[*t, *p, *l]),
+            Gate::Unitary1(_, m) => entries(h, m.m.as_flattened()),
+            Gate::Unitary2(_, _, m) => entries(h, m.m.as_flattened()),
+            Gate::Measure { creg, .. } => fnv1a_update(h, &creg.to_le_bytes()),
+            Gate::Cif { mask, val, gate } => {
+                let h = fnv1a_update(fnv1a_update(h, &mask.to_le_bytes()), &val.to_le_bytes());
+                gate.fingerprint_into(h)
+            }
+            _ => h,
+        }
+    }
+
     /// The inverse gate. Panics for the non-unitary [`Gate::Measure`]
     /// and the classically-conditioned [`Gate::Cif`].
     pub fn inverse(&self) -> Gate {
@@ -359,6 +395,15 @@ impl Circuit {
         }
         self.gates.push(gate);
         self
+    }
+
+    /// Structural FNV-1a fingerprint: width, then every gate's kind,
+    /// qubits and exact parameter bits. Equal circuits hash equal; a
+    /// one-ulp angle change hashes differently. Keys the
+    /// [`Strategy::Auto`](crate::sim::Strategy::Auto) memo and the job
+    /// server's batch/cache fingerprints.
+    pub fn fingerprint(&self) -> u64 {
+        self.gates.iter().fold(fnv1a(&self.n_qubits.to_le_bytes()), |h, g| g.fingerprint_into(h))
     }
 
     /// Append all gates of another circuit.

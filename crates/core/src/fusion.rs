@@ -351,7 +351,7 @@ mod tests {
 
     const EPS: f64 = 1e-10;
 
-    fn run_naive(c: &Circuit, s: &mut StateVector) {
+    fn run_gate_by_gate(c: &Circuit, s: &mut StateVector) {
         for g in c.gates() {
             apply(s.amplitudes_mut(), g);
         }
@@ -378,7 +378,7 @@ mod tests {
         let c = library::ghz(5);
         for k in 2..=5u32 {
             let mut a = StateVector::zero(5);
-            run_naive(&c, &mut a);
+            run_gate_by_gate(&c, &mut a);
             let mut b = StateVector::zero(5);
             run_fused(&fuse(&c, k), &mut b);
             assert!(a.approx_eq(&b, EPS), "k={k}");
@@ -393,7 +393,7 @@ mod tests {
             let init = StateVector::random(6, &mut rng);
             for k in [2u32, 3, 4] {
                 let mut a = init.clone();
-                run_naive(&c, &mut a);
+                run_gate_by_gate(&c, &mut a);
                 let mut b = init.clone();
                 run_fused(&fuse(&c, k), &mut b);
                 assert!(a.approx_eq(&b, EPS), "seed={seed} k={k}");
@@ -407,7 +407,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let init = StateVector::random(6, &mut rng);
         let mut a = init.clone();
-        run_naive(&c, &mut a);
+        run_gate_by_gate(&c, &mut a);
         let mut b = init.clone();
         run_fused(&fuse(&c, 4), &mut b);
         assert!(a.approx_eq(&b, EPS));
@@ -575,7 +575,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed + 31);
             let init = StateVector::random(6, &mut rng);
             let mut a = init.clone();
-            run_naive(&c, &mut a);
+            run_gate_by_gate(&c, &mut a);
             let mut b = init.clone();
             run_fused(&fuse_costed(&c, 4, &costs), &mut b);
             assert!(a.approx_eq(&b, EPS), "seed={seed}");

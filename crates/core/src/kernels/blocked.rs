@@ -155,6 +155,37 @@ impl<'a> PreparedRun<'a> {
             op.apply(be, chunk);
         }
     }
+
+    /// Apply the run block by block: one full-state sweep.
+    pub fn apply(&self, be: &KernelBackend, amps: &mut [C64]) {
+        assert!(self.block <= amps.len(), "block larger than the state");
+        for chunk in amps.chunks_exact_mut(self.block) {
+            self.apply_chunk(be, chunk);
+        }
+    }
+
+    /// Parallel twin of [`apply`](PreparedRun::apply): blocks are
+    /// disjoint slices, workshared across the pool.
+    pub fn apply_parallel(
+        &self,
+        be: &KernelBackend,
+        pool: &ThreadPool,
+        sched: Schedule,
+        amps: &mut [C64],
+    ) {
+        let block = self.block;
+        assert!(block <= amps.len(), "block larger than the state");
+        let n_blocks = amps.len() / block;
+        let p = AmpPtr(amps.as_mut_ptr());
+        pool.parallel_for(0..n_blocks, sched, move |chunk| {
+            for bi in chunk {
+                // SAFETY: blocks are disjoint `2^block_qubits` slices; each
+                // block index lands in exactly one chunk.
+                let slice = unsafe { p.slice(bi * block, block) };
+                self.apply_chunk(be, slice);
+            }
+        });
+    }
 }
 
 /// Apply a run of fused ops (all on qubits below `block_qubits`) block by
@@ -165,42 +196,7 @@ pub fn apply_blocked_fused(
     ops: &[FusedOp],
     block_qubits: u32,
 ) {
-    let block = 1usize << block_qubits;
-    assert!(block <= amps.len(), "block larger than the state");
-    let prepared = prepare_fused(ops, block_qubits);
-    for chunk in amps.chunks_exact_mut(block) {
-        for op in &prepared {
-            op.apply(be, chunk);
-        }
-    }
-}
-
-/// Parallel twin of [`apply_blocked_fused`]: blocks are disjoint
-/// `2^block_qubits` slices, workshared across the pool.
-pub fn apply_blocked_fused_parallel(
-    be: &KernelBackend,
-    pool: &ThreadPool,
-    sched: Schedule,
-    amps: &mut [C64],
-    ops: &[FusedOp],
-    block_qubits: u32,
-) {
-    let block = 1usize << block_qubits;
-    assert!(block <= amps.len(), "block larger than the state");
-    let prepared = prepare_fused(ops, block_qubits);
-    let n_blocks = amps.len() / block;
-    let p = AmpPtr(amps.as_mut_ptr());
-    let prepared_ref = &prepared;
-    pool.parallel_for(0..n_blocks, sched, move |chunk| {
-        for bi in chunk {
-            // SAFETY: blocks are disjoint `2^block_qubits` slices; each
-            // block index lands in exactly one chunk.
-            let slice = unsafe { p.slice(bi * block, block) };
-            for op in prepared_ref {
-                op.apply(be, slice);
-            }
-        }
-    });
+    PreparedRun::new(ops, block_qubits).apply(be, amps);
 }
 
 /// Memory sweeps saved by blocking a run of `n_gates` gates into one
@@ -328,7 +324,7 @@ mod tests {
                 let mut a = rand_state(10, 31);
                 let mut b = a.clone();
                 apply_blocked_fused(be, a.amplitudes_mut(), &ops, 5);
-                apply_blocked_fused_parallel(be, &pool, sched, b.amplitudes_mut(), &ops, 5);
+                PreparedRun::new(&ops, 5).apply_parallel(be, &pool, sched, b.amplitudes_mut());
                 assert!(a.approx_eq(&b, EPS), "threads={threads}");
             }
         }

@@ -18,8 +18,11 @@
 //! * [`library`] — benchmark circuit generators (QFT, GHZ, random,
 //!   quantum volume, Trotterized Ising, QAOA, Grover).
 //! * [`measure`] / [`expectation`] — sampling and observables.
-//! * [`sim`] — the execution engine tying strategies, threading, and the
-//!   A64FX performance model together.
+//! * [`program`] — the one lowering from (circuit, strategy) to a flat
+//!   [`Program`](program::Program) of sweep ops: what the engines
+//!   interpret, the model prices and the tracer records.
+//! * [`sim`] — the execution engine: one interpreter over a program,
+//!   with threading, timing, and the resilience guard.
 //! * [`perf`] — per-gate traffic/time prediction hooks into
 //!   `a64fx-model`.
 //! * [`calibrate`] — startup micro-benchmark measuring per-kernel costs
@@ -69,10 +72,10 @@ pub mod kernels;
 pub mod library;
 pub mod measure;
 pub mod noise;
-pub mod optimize;
 pub mod outcome;
 pub mod perf;
 pub mod plan;
+pub mod program;
 pub mod qasm;
 pub mod sim;
 pub mod state;

@@ -1,20 +1,19 @@
-//! Performance-model hooks: classify gates, predict per-gate traffic and
-//! time on the modelled A64FX.
+//! Performance-model hooks: classify gates, predict per-sweep traffic
+//! and time on the modelled A64FX.
 //!
 //! This is the bridge between the simulator and `a64fx-model` — it turns
-//! a circuit into the table of predicted bytes / flops / seconds the
-//! experiment harness prints next to measured values.
+//! a lowered [`Program`] into the table of predicted bytes / flops /
+//! seconds the experiment harness prints next to measured values.
 
 use std::collections::BTreeMap;
 
 use a64fx_model::link::LinkModel;
-use a64fx_model::timing::{predict, Bottleneck, ExecConfig, KernelProfile};
+use a64fx_model::timing::{self, Bottleneck, ExecConfig, KernelProfile};
 use a64fx_model::traffic::{GateTraffic, KernelKind, TrafficModel, AMP_BYTES};
 use a64fx_model::ChipParams;
 
-use crate::circuit::{Circuit, Gate};
-use crate::fusion::FusedOp;
-use crate::plan::{Plan, PlanOp};
+use crate::circuit::Gate;
+use crate::program::{Program, SweepOp};
 
 /// Map a gate to the kernel-kind taxonomy of the traffic model.
 pub fn classify(gate: &Gate) -> KernelKind {
@@ -55,7 +54,7 @@ pub fn estimate_instructions(kind: KernelKind, amps_touched: u64, simd_bits: u16
     amps_touched.div_ceil(lanes) * per_lane_iter / 2
 }
 
-/// A predicted execution profile of a whole circuit (or fused plan).
+/// A predicted execution profile of a whole [`Program`].
 #[derive(Debug, Clone)]
 pub struct ModelReport {
     /// Predicted wall seconds on the modelled chip.
@@ -99,9 +98,9 @@ fn bottleneck_name(b: Bottleneck) -> &'static str {
 }
 
 /// Prediction for a single kernel sweep: seconds plus the bottleneck that
-/// pins it. Shared by the whole-circuit predictors below and by the
-/// telemetry layer, which records one of these next to every measured
-/// span so the drift report joins on identical model numbers.
+/// pins it. Shared by [`predict`] and by the telemetry layer, which
+/// records one of these next to every measured span so the drift report
+/// joins on identical model numbers.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepPrediction {
     /// Predicted wall seconds of this one sweep on the modelled chip.
@@ -132,82 +131,18 @@ pub fn predict_sweep(
         instructions: estimate_instructions(kind, traffic.amps_read, chip.simd_bits),
         gather_scatter: 0,
     };
-    let p = predict(chip, &profile, cfg);
+    let p = timing::predict(chip, &profile, cfg);
     SweepPrediction { seconds: p.seconds, bottleneck: bottleneck_name(p.bottleneck) }
 }
 
-/// Traffic of one cache-blocked pass: a single full-state memory sweep
-/// carrying the summed arithmetic of every fused op it applies (the ops
-/// run out of cache-resident blocks). Returns `None` for an empty run.
-/// Shared by [`predict_planned`] and the telemetry layer.
-pub fn block_pass_traffic(
-    model: &TrafficModel,
-    n: u32,
-    ops: &[FusedOp],
-) -> Option<(KernelKind, GateTraffic)> {
-    let widest = ops.iter().map(|o| o.qubits.len()).max()?;
-    let amps = 1u64 << n;
-    let kind = KernelKind::FusedDense { k: widest as u8 };
-    let mut traffic = model.predict(kind, n, &ops[0].qubits);
-    // Gate-backed singletons run their own kernel, not the dense block
-    // mat-vec; count their real arithmetic.
-    traffic.flops = ops
-        .iter()
-        .map(|o| match &o.gate {
-            Some(g) => model.predict(classify(g), n, &o.qubits).flops,
-            None => amps * (8u64 << o.qubits.len()),
-        })
-        .sum();
-    traffic.amps_read = amps * ops.len() as u64;
-    traffic.amps_written = amps;
-    traffic.arithmetic_intensity =
-        if traffic.mem_bytes == 0 { 0.0 } else { traffic.flops as f64 / traffic.mem_bytes as f64 };
-    Some((kind, traffic))
-}
-
-/// Traffic of one cache-blocked run of unfused gates: one full-state
-/// memory sweep, with each member gate contributing its own arithmetic.
-/// Returns `None` for an empty run.
-pub fn blocked_run_traffic(
-    model: &TrafficModel,
-    n: u32,
-    members: &[(KernelKind, Vec<u32>)],
-) -> Option<(KernelKind, GateTraffic)> {
-    let (first_kind, first_qubits) = members.first()?;
-    let amps = 1u64 << n;
-    // The sweep streams every line once regardless of which member gate
-    // is densest; borrow the dense 1q formula for the memory side.
-    let mut traffic = model.predict(KernelKind::OneQubitDense, n, &[first_qubits[0]]);
-    traffic.flops = members.iter().map(|(kind, qs)| model.predict(*kind, n, qs).flops).sum();
-    traffic.amps_read = amps * members.len() as u64;
-    traffic.amps_written = amps;
-    traffic.arithmetic_intensity =
-        if traffic.mem_bytes == 0 { 0.0 } else { traffic.flops as f64 / traffic.mem_bytes as f64 };
-    Some((*first_kind, traffic))
-}
-
-fn accumulate(
-    report: &mut ModelReport,
-    chip: &ChipParams,
-    cfg: &ExecConfig,
-    kind: KernelKind,
-    traffic: GateTraffic,
-    n: u32,
-    model: &TrafficModel,
-) {
-    let p = predict_sweep(chip, cfg, model, kind, &traffic, n);
-    report.seconds += p.seconds;
-    report.mem_bytes += traffic.mem_bytes;
-    report.flops += traffic.flops;
-    report.sweeps += 1;
-    *report.bottlenecks.entry(p.bottleneck).or_insert(0) += 1;
-}
-
-/// Predict a gate-by-gate (naive) execution of `circuit` on a state of
-/// the circuit's width.
-pub fn predict_circuit(chip: &ChipParams, cfg: &ExecConfig, circuit: &Circuit) -> ModelReport {
+/// Predict the execution of a lowered `program`: one [`predict_sweep`]
+/// per op, priced from [`SweepOp::traffic`] — the same figures a traced
+/// run of the same program records span by span. Block ops are what
+/// make the blocked and planned lowerings win on the model: one memory
+/// sweep carries the arithmetic of every member.
+pub fn predict(chip: &ChipParams, cfg: &ExecConfig, program: &Program) -> ModelReport {
     let model = TrafficModel::new(chip.clone());
-    let n = circuit.n_qubits();
+    let n = program.n_qubits;
     let mut report = ModelReport {
         seconds: 0.0,
         mem_bytes: 0,
@@ -215,72 +150,14 @@ pub fn predict_circuit(chip: &ChipParams, cfg: &ExecConfig, circuit: &Circuit) -
         sweeps: 0,
         bottlenecks: BTreeMap::new(),
     };
-    for g in circuit.gates() {
-        let kind = classify(g);
-        let traffic = model.predict(kind, n, &g.qubits());
-        accumulate(&mut report, chip, cfg, kind, traffic, n, &model);
-    }
-    report
-}
-
-/// Predict execution of a fused plan on an `n`-qubit state.
-pub fn predict_fused(chip: &ChipParams, cfg: &ExecConfig, plan: &[FusedOp], n: u32) -> ModelReport {
-    let model = TrafficModel::new(chip.clone());
-    let mut report = ModelReport {
-        seconds: 0.0,
-        mem_bytes: 0,
-        flops: 0,
-        sweeps: 0,
-        bottlenecks: BTreeMap::new(),
-    };
-    for op in plan {
-        let kind = match &op.gate {
-            // A gate-backed singleton sweeps through its own kernel.
-            Some(g) => classify(g),
-            None => KernelKind::FusedDense { k: op.qubits.len() as u8 },
-        };
-        let traffic = model.predict(kind, n, &op.qubits);
-        accumulate(&mut report, chip, cfg, kind, traffic, n, &model);
-    }
-    report
-}
-
-/// Predict a planned execution (see [`crate::plan`]).
-///
-/// Axis relabelings are flop-free half-state sweeps; each block pass is
-/// *one* full-state memory sweep carrying the summed arithmetic of every
-/// fused op it applies (the ops run out of cache-resident blocks);
-/// fallback gates predict as in [`predict_circuit`]. The reduced sweep
-/// count is what makes the planner win on low-qubit-dense circuits.
-pub fn predict_planned(chip: &ChipParams, cfg: &ExecConfig, plan: &Plan) -> ModelReport {
-    let model = TrafficModel::new(chip.clone());
-    let n = plan.n_qubits;
-    let mut report = ModelReport {
-        seconds: 0.0,
-        mem_bytes: 0,
-        flops: 0,
-        sweeps: 0,
-        bottlenecks: BTreeMap::new(),
-    };
-    for op in &plan.ops {
-        match op {
-            PlanOp::SwapAxes(a, b) => {
-                let kind = KernelKind::Swap;
-                let traffic = model.predict(kind, n, &[*a, *b]);
-                accumulate(&mut report, chip, cfg, kind, traffic, n, &model);
-            }
-            PlanOp::Gate(g) => {
-                let kind = classify(g);
-                let traffic = model.predict(kind, n, &g.qubits());
-                accumulate(&mut report, chip, cfg, kind, traffic, n, &model);
-            }
-            PlanOp::Block(ops) => {
-                let Some((kind, traffic)) = block_pass_traffic(&model, n, ops) else {
-                    continue;
-                };
-                accumulate(&mut report, chip, cfg, kind, traffic, n, &model);
-            }
-        }
+    for op in &program.ops {
+        let (kind, traffic) = op.traffic(&model, n);
+        let p = predict_sweep(chip, cfg, &model, kind, &traffic, n);
+        report.seconds += p.seconds;
+        report.mem_bytes += traffic.mem_bytes;
+        report.flops += traffic.flops;
+        report.sweeps += 1;
+        *report.bottlenecks.entry(p.bottleneck).or_insert(0) += 1;
     }
     report
 }
@@ -353,27 +230,6 @@ pub fn measure_traffic(model: &TrafficModel, n: u32) -> GateTraffic {
     }
 }
 
-/// Predict one projective measurement (probability + collapse sweeps).
-pub fn predict_measure(
-    chip: &ChipParams,
-    cfg: &ExecConfig,
-    n: u32,
-) -> (GateTraffic, SweepPrediction) {
-    let model = TrafficModel::new(chip.clone());
-    let traffic = measure_traffic(&model, n);
-    let p = predict_sweep(chip, cfg, &model, KernelKind::OneQubitDiagonal, &traffic, n);
-    (traffic, p)
-}
-
-/// Calibrated twin of the analytic predictors: price a strategy for
-/// `circuit` from the machine's *measured* per-kernel costs
-/// ([`crate::calibrate`]) instead of A64FX datasheet constants — the
-/// numbers `Strategy::Auto` actually ranks candidates with. Returns
-/// predicted serial nanoseconds.
-pub fn predict_calibrated_ns(circuit: &Circuit, strategy: crate::sim::Strategy) -> f64 {
-    crate::calibrate::predict_strategy_ns(crate::calibrate::Calibration::get(), circuit, strategy)
-}
-
 /// Approximate latency of warming a cold gate stream before a sweep can
 /// start streaming amplitudes: one HBM2 round trip for the matrix/
 /// descriptor line (A64FX main-memory latency per public
@@ -388,7 +244,7 @@ const COLD_STREAM_LATENCY_S: f64 = 150e-9;
 pub struct BatchPrediction {
     /// Batch members.
     pub members: usize,
-    /// The amplitude-streaming profile of one member (gate-by-gate).
+    /// The amplitude-streaming profile of one member.
     pub per_member: ModelReport,
     /// Gate-stream bytes one run touches cold: matrix entries plus a
     /// descriptor line per sweep.
@@ -421,7 +277,7 @@ impl BatchPrediction {
     }
 }
 
-/// Predict a batched execution of `circuit` over `members` independent
+/// Predict a batched execution of `program` over `members` independent
 /// state vectors in gate-major order.
 ///
 /// The amplitude work is strictly per member — batching never reduces
@@ -435,22 +291,29 @@ impl BatchPrediction {
 pub fn predict_batched(
     chip: &ChipParams,
     cfg: &ExecConfig,
-    circuit: &Circuit,
+    program: &Program,
     members: usize,
 ) -> BatchPrediction {
-    let per_member = predict_circuit(chip, cfg, circuit);
-    // 16 B per complex matrix entry (4^k entries for a k-qubit gate)
+    let per_member = predict(chip, cfg, program);
+    // 16 B per complex matrix entry (4^k entries for a k-qubit member)
     // plus one 64 B dispatch-descriptor line per sweep.
-    let gate_stream_bytes: u64 = circuit
-        .gates()
+    let matrix = |k: usize| 16u64 << (2 * k);
+    let gate_stream_bytes: u64 = program
+        .ops
         .iter()
-        .map(|g| {
-            let k = g.qubits().len() as u32;
-            (16u64 << (2 * k)) + 64
+        .map(|op| {
+            64 + match op {
+                SweepOp::Gate(g) => matrix(g.arity()),
+                SweepOp::Cif { gate, .. } => matrix(gate.arity()),
+                SweepOp::Fused(f) => matrix(f.qubits.len()),
+                SweepOp::BlockRun { source, .. } => source.iter().map(|g| matrix(g.arity())).sum(),
+                SweepOp::BlockPass(fs) => fs.iter().map(|f| matrix(f.qubits.len())).sum(),
+                SweepOp::AxisSwap(..) | SweepOp::Measure { .. } => 0,
+            }
         })
         .sum();
     let stream_fetch_seconds = gate_stream_bytes as f64 / chip.peak_l2bw(cfg.active_cmgs)
-        + circuit.len() as f64 * COLD_STREAM_LATENCY_S;
+        + program.ops.len() as f64 * COLD_STREAM_LATENCY_S;
     let m = members as f64;
     let sequential_seconds = m * (per_member.seconds + stream_fetch_seconds);
     let batched_seconds = m * per_member.seconds + stream_fetch_seconds;
@@ -516,10 +379,10 @@ impl DistPrediction {
     }
 }
 
-/// Predict a distributed execution of `circuit` over `n_ranks` ranks
+/// Predict a distributed execution of `program` over `n_ranks` ranks
 /// whose plan exchanges according to `profile`.
 ///
-/// Compute is the gate-by-gate sweep model divided evenly across ranks
+/// Compute is the program's sweep model divided evenly across ranks
 /// (every rank sweeps its `2^{n−g}`-amplitude slice in parallel).
 /// Communication is priced by the Tofu-D-style α–β [`LinkModel`]; the
 /// overlap engine's keep-half compute (`hidden_bytes_per_rank`, priced
@@ -529,12 +392,12 @@ impl DistPrediction {
 pub fn predict_distributed(
     chip: &ChipParams,
     cfg: &ExecConfig,
-    circuit: &Circuit,
+    program: &Program,
     n_ranks: usize,
     link: &LinkModel,
     profile: &ExchangeProfile,
 ) -> DistPrediction {
-    let full = predict_circuit(chip, cfg, circuit);
+    let full = predict(chip, cfg, program);
     let r = n_ranks.max(1) as u64;
     let compute = ModelReport {
         seconds: full.seconds / r as f64,
@@ -564,7 +427,7 @@ pub fn predict_distributed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fusion::fuse;
+    use crate::circuit::Circuit;
     use crate::library;
 
     fn chip() -> ChipParams {
@@ -576,8 +439,8 @@ mod tests {
         let chip = chip();
         let cfg = ExecConfig::full_chip();
         let circuit = library::qft(12);
-        let p1 = predict_batched(&chip, &cfg, &circuit, 1);
-        let p8 = predict_batched(&chip, &cfg, &circuit, 8);
+        let p1 = predict_batched(&chip, &cfg, &Program::per_gate(&circuit), 1);
+        let p8 = predict_batched(&chip, &cfg, &Program::per_gate(&circuit), 8);
         // One member: nothing to amortize.
         assert!((p1.speedup - 1.0).abs() < 1e-12);
         assert!((p1.sequential_seconds - p1.batched_seconds).abs() < 1e-15);
@@ -594,13 +457,13 @@ mod tests {
         let chip = chip();
         let cfg = ExecConfig::full_chip();
         let small = library::qft(10);
-        let s2 = predict_batched(&chip, &cfg, &small, 2);
-        let s16 = predict_batched(&chip, &cfg, &small, 16);
+        let s2 = predict_batched(&chip, &cfg, &Program::per_gate(&small), 2);
+        let s16 = predict_batched(&chip, &cfg, &Program::per_gate(&small), 16);
         assert!(s16.speedup > s2.speedup, "{} vs {}", s16.speedup, s2.speedup);
         // At large n the amplitude stream hits the HBM roof and the
         // warmup is negligible: the relative gain must collapse.
         let large = library::qft(26);
-        let l16 = predict_batched(&chip, &cfg, &large, 16);
+        let l16 = predict_batched(&chip, &cfg, &Program::per_gate(&large), 16);
         assert!(
             s16.speedup > l16.speedup,
             "small-n {} should out-gain large-n {}",
@@ -618,7 +481,7 @@ mod tests {
         c.h(0); // 1q: 16·4 + 64
         c.cx(0, 1); // 2q: 16·16 + 64
         c.ccx(0, 1, 2); // 3q: 16·64 + 64
-        let p = predict_batched(&chip, &cfg, &c, 4);
+        let p = predict_batched(&chip, &cfg, &Program::per_gate(&c), 4);
         assert_eq!(p.gate_stream_bytes, (64 + 64) + (256 + 64) + (1024 + 64));
         assert_eq!(p.members, 4);
     }
@@ -638,7 +501,7 @@ mod tests {
     #[test]
     fn large_state_circuit_is_memory_bound() {
         let c = library::hadamard_layers(26, 1);
-        let report = predict_circuit(&chip(), &ExecConfig::full_chip(), &c);
+        let report = predict(&chip(), &ExecConfig::full_chip(), &Program::per_gate(&c));
         assert_eq!(report.sweeps, 26);
         assert_eq!(report.bottlenecks.get("memory"), Some(&26));
         // Effective bandwidth is pinned at the HBM roof.
@@ -649,7 +512,7 @@ mod tests {
     #[test]
     fn small_state_circuit_is_not_memory_bound() {
         let c = library::hadamard_layers(10, 1);
-        let report = predict_circuit(&chip(), &ExecConfig::single_core(), &c);
+        let report = predict(&chip(), &ExecConfig::single_core(), &Program::per_gate(&c));
         assert_eq!(report.bottlenecks.get("memory"), None, "{:?}", report.bottlenecks);
     }
 
@@ -657,9 +520,8 @@ mod tests {
     fn fusion_cuts_predicted_time_on_deep_circuits() {
         let c = library::rotation_layers(26, 4, 0.3);
         let cfg = ExecConfig::full_chip();
-        let naive = predict_circuit(&chip(), &cfg, &c);
-        let plan = fuse(&c, 4);
-        let fused = predict_fused(&chip(), &cfg, &plan, 26);
+        let naive = predict(&chip(), &cfg, &Program::per_gate(&c));
+        let fused = predict(&chip(), &cfg, &Program::greedy_fused(&c, 4));
         assert!(fused.sweeps < naive.sweeps);
         assert!(
             fused.seconds < naive.seconds / 2.0,
@@ -673,8 +535,10 @@ mod tests {
     #[test]
     fn predicted_seconds_scale_with_qubits() {
         let cfg = ExecConfig::full_chip();
-        let t24 = predict_circuit(&chip(), &cfg, &library::hadamard_layers(24, 1)).seconds;
-        let t26 = predict_circuit(&chip(), &cfg, &library::hadamard_layers(26, 1)).seconds;
+        let t24 =
+            predict(&chip(), &cfg, &Program::per_gate(&library::hadamard_layers(24, 1))).seconds;
+        let t26 =
+            predict(&chip(), &cfg, &Program::per_gate(&library::hadamard_layers(26, 1))).seconds;
         // 4× amplitudes × 26/24 gates ≈ 4.33×.
         let ratio = t26 / t24;
         assert!((ratio - 4.0 * 26.0 / 24.0).abs() < 0.5, "ratio = {ratio}");
@@ -690,7 +554,7 @@ mod tests {
     #[test]
     fn gflops_and_bandwidth_reported() {
         let c = library::hadamard_layers(25, 1);
-        let r = predict_circuit(&chip(), &ExecConfig::full_chip(), &c);
+        let r = predict(&chip(), &ExecConfig::full_chip(), &Program::per_gate(&c));
         assert!(r.gflops() > 0.0);
         assert!(r.effective_bandwidth() > 0.0);
     }
@@ -708,9 +572,9 @@ mod tests {
             hidden_bytes_per_rank: 0,
         };
         let overlapped = ExchangeProfile { hidden_bytes_per_rank: u64::MAX / 2, ..sync };
-        let p0 = predict_distributed(&chip(), &cfg, &c, 4, &link, &none);
-        let ps = predict_distributed(&chip(), &cfg, &c, 4, &link, &sync);
-        let po = predict_distributed(&chip(), &cfg, &c, 4, &link, &overlapped);
+        let p0 = predict_distributed(&chip(), &cfg, &Program::per_gate(&c), 4, &link, &none);
+        let ps = predict_distributed(&chip(), &cfg, &Program::per_gate(&c), 4, &link, &sync);
+        let po = predict_distributed(&chip(), &cfg, &Program::per_gate(&c), 4, &link, &overlapped);
         // No exchange: end-to-end is pure compute.
         assert_eq!(p0.comm_seconds, 0.0);
         assert!((p0.seconds - p0.compute.seconds).abs() < 1e-15);
@@ -731,8 +595,8 @@ mod tests {
         let link = LinkModel::default();
         let c = library::hadamard_layers(22, 1);
         let none = ExchangeProfile::default();
-        let p2 = predict_distributed(&chip(), &cfg, &c, 2, &link, &none);
-        let p8 = predict_distributed(&chip(), &cfg, &c, 8, &link, &none);
+        let p2 = predict_distributed(&chip(), &cfg, &Program::per_gate(&c), 2, &link, &none);
+        let p8 = predict_distributed(&chip(), &cfg, &Program::per_gate(&c), 8, &link, &none);
         let ratio = p2.compute.seconds / p8.compute.seconds;
         assert!((ratio - 4.0).abs() < 1e-9, "ratio = {ratio}");
         assert_eq!(p2.compute.mem_bytes, 4 * p8.compute.mem_bytes);

@@ -4,8 +4,8 @@
 //! to keep its gates below the block width — a gate on a high qubit
 //! forces a full-state fallback sweep. This pass removes that luck
 //! factor: it walks the circuit with a logical→physical qubit
-//! [`Permutation`] (the local analogue of `qcs-dist`'s
-//! `MappedDistState`), and when a run of gates fits in `block_qubits`
+//! [`Permutation`] (the local analogue of `qcs-dist`'s exchange plans),
+//! and when a run of gates fits in `block_qubits`
 //! *logical* qubits but sits on high *physical* axes, it inserts cheap
 //! axis-swap relabeling sweeps that pull the run down onto low physical
 //! qubits. The run then executes as one cache-resident block pass, with
@@ -22,14 +22,14 @@
 //! block side wins. A final normalization restores the identity layout
 //! so callers see logical amplitudes.
 
-use crate::calibrate::{fused_block_pass_ns, fused_per_amp, gate_per_amp, Calibration};
+use crate::calibrate::{block_pass_ns, fused_per_amp, gate_per_amp, Calibration};
 use crate::circuit::{Circuit, Gate};
 use crate::fusion::{fuse_costed, FusedOp};
 
 /// A logical→physical qubit permutation.
 ///
 /// `phys_of[logical]` is the physical axis currently holding that
-/// logical qubit, exactly as in `qcs-dist::remap`.
+/// logical qubit, exactly as in `qcs-dist::plan`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Permutation {
     phys_of: Vec<u32>,
@@ -264,7 +264,12 @@ impl Planner<'_> {
         let sweep = |per_amp: f64| cal.sweep_overhead_ns + amps * per_amp;
         let naive_ns: f64 = run.iter().map(|g| sweep(gate_per_amp(cal, g))).sum();
         let block_ns = 2.0 * swaps.len() as f64 * sweep(cal.swap)
-            + fused_block_pass_ns(cal, amps, fused.iter().map(|op| fused_per_amp(cal, op)));
+            + block_pass_ns(
+                cal,
+                amps,
+                cal.fused_block_stream_factor,
+                fused.iter().map(|op| fused_per_amp(cal, op)),
+            );
         // Relocation risk is asymmetric under calibration noise: a wrong
         // fallback forgoes a small win, a wrong commit pays the swaps
         // AND the low-stride block passes. Swap-bearing routes must

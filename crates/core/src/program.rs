@@ -1,0 +1,559 @@
+//! The one executable form: a circuit and a strategy lowered to a flat
+//! sequence of state sweeps.
+//!
+//! The paper's unit of analysis is the full-state sweep — bytes moved
+//! per amplitude per gate. [`lower`] is the single place that decides
+//! which sweeps a (circuit, strategy) pair becomes; everything
+//! downstream reads the answer off the resulting [`Program`]:
+//!
+//! * the engines ([`Simulator`](crate::sim::Simulator),
+//!   [`BatchSimulator`](crate::batch::BatchSimulator)) interpret
+//!   `program.ops` one op at a time, each through the one executor
+//!   behind both (`Kernel::exec`);
+//! * the A64FX model ([`crate::perf::predict`]) and the tracer
+//!   ([`Tracer::record_op`](crate::telemetry::Tracer::record_op)) both
+//!   price an op with [`SweepOp::traffic`], so a measured span and its
+//!   model price come from the same op by construction;
+//! * the auto-tuner ([`crate::calibrate::choose`]) ranks candidate
+//!   strategies by [`Program::calibrated_ns`].
+//!
+//! The lowering itself is assembled from the passes that already
+//! existed — cost-aware fusion ([`fuse_costed`]), the relabeling planner
+//! ([`plan_circuit_with`]) and the low-target block-run grouping — and
+//! is the flat gate-record shape plan-then-execute simulators
+//! (mpiQulacs) use for the same reason.
+
+use std::borrow::Cow;
+use std::ops::Deref;
+
+use a64fx_model::traffic::{GateTraffic, KernelKind, TrafficModel};
+use omp_par::{Schedule, ThreadPool};
+
+use crate::calibrate::{
+    block_gate_per_amp, block_pass_ns, fused_per_amp, gate_per_amp, Calibration,
+};
+use crate::circuit::{Circuit, Gate};
+use crate::complex::C64;
+use crate::fusion::{fuse, fuse_costed, FusedOp};
+use crate::kernels::blocked::{
+    apply_block_chunk, apply_blocked, apply_blocked_parallel, BlockGate, PreparedRun,
+};
+use crate::kernels::dispatch::{apply_gate_parallel_with, apply_gate_with};
+use crate::kernels::fused::PreparedFused;
+use crate::kernels::parallel;
+use crate::kernels::simd::{self, KernelBackend};
+use crate::perf::{classify, measure_traffic};
+use crate::plan::{plan_circuit_with, PlanOp};
+use crate::sim::Strategy;
+
+/// The gate a [`SweepOp::Gate`] sweeps with: borrowed from the source
+/// circuit where the lowering kept it as written, owned where the
+/// planner rewrote it onto physical axes. Either way no matrix is
+/// copied.
+#[derive(Debug)]
+pub enum GateRef<'c> {
+    Source(&'c Gate),
+    Remapped(Box<Gate>),
+}
+
+impl Deref for GateRef<'_> {
+    type Target = Gate;
+
+    fn deref(&self) -> &Gate {
+        match self {
+            GateRef::Source(g) => g,
+            GateRef::Remapped(g) => g,
+        }
+    }
+}
+
+/// One step of a [`Program`]: one pass over the state (or, for the two
+/// barrier ops, one collapse / one classically-conditioned sweep).
+#[derive(Debug)]
+pub enum SweepOp<'c> {
+    /// A gate through its own specialized kernel.
+    Gate(GateRef<'c>),
+    /// A fused block through the kernel matching its structure class.
+    Fused(FusedOp),
+    /// A run of consecutive source gates (`source`) whose qubits all lie
+    /// below the block width, applied cache block by cache block.
+    BlockRun { gates: Vec<BlockGate>, source: &'c [Gate] },
+    /// The planner's cache-blocked pass: fused ops on low physical
+    /// axes, applied cache block by cache block.
+    BlockPass(Vec<FusedOp>),
+    /// The planner's relabeling sweep: swap two physical amplitude axes.
+    AxisSwap(u32, u32),
+    /// Barrier: projective measurement of `q` into classical bit `creg`.
+    Measure { q: u32, creg: u32 },
+    /// Barrier: sweep `gate` iff the classical register satisfies
+    /// `creg & mask == val`.
+    Cif { mask: u64, val: u64, gate: &'c Gate },
+}
+
+/// A lowered circuit: what the engines execute, the model prices and
+/// the tracer records.
+#[derive(Debug)]
+pub struct Program<'c> {
+    /// One op per state sweep, in execution order.
+    pub ops: Vec<SweepOp<'c>>,
+    pub n_qubits: u32,
+    /// The concrete strategy the ops were lowered under — never
+    /// [`Strategy::Auto`], which [`lower`] resolves.
+    pub strategy: Strategy,
+    /// Block width of the `BlockRun`/`BlockPass` ops, clamped to the
+    /// state (0 for strategies that emit neither).
+    pub block_qubits: u32,
+}
+
+/// Lower `circuit` under `strategy`, pricing fusion and relocation
+/// decisions from `cal`. `None` means the process-wide
+/// [`Calibration::get`] — measured on first use, and only by a strategy
+/// that reads costs, so a naive or blocked run never pays for the
+/// micro-benchmark.
+///
+/// [`Gate::Measure`] and [`Gate::Cif`] are barriers: each maximal
+/// unitary run between them is lowered on its own, so no fusion or
+/// relabeling crosses a collapse. [`Strategy::Auto`] is resolved once
+/// for the whole circuit against the process-wide calibration (the one
+/// its memo belongs to, see [`crate::calibrate::choose`]).
+pub fn lower<'c>(
+    circuit: &'c Circuit,
+    strategy: Strategy,
+    cal: Option<&Calibration>,
+) -> Program<'c> {
+    let n = circuit.n_qubits();
+    let strategy = match strategy {
+        Strategy::Auto => crate::calibrate::choose(circuit),
+        s => s,
+    };
+    let block_qubits = match strategy {
+        Strategy::Blocked { block_qubits } | Strategy::Planned { block_qubits, .. } => {
+            block_qubits.min(n)
+        }
+        _ => 0,
+    };
+    let gates = circuit.gates();
+    let mut ops = Vec::new();
+    let mut start = 0;
+    for (i, g) in gates.iter().enumerate() {
+        let barrier = match g {
+            Gate::Measure { q, creg } => SweepOp::Measure { q: *q, creg: *creg },
+            Gate::Cif { mask, val, gate } => SweepOp::Cif { mask: *mask, val: *val, gate },
+            _ => continue,
+        };
+        lower_unitary(&mut ops, circuit, &gates[start..i], strategy, cal);
+        ops.push(barrier);
+        start = i + 1;
+    }
+    lower_unitary(&mut ops, circuit, &gates[start..], strategy, cal);
+    Program { ops, n_qubits: n, strategy, block_qubits }
+}
+
+/// Lower one barrier-free run of `circuit`'s gates.
+fn lower_unitary<'c>(
+    ops: &mut Vec<SweepOp<'c>>,
+    circuit: &'c Circuit,
+    gates: &'c [Gate],
+    strategy: Strategy,
+    cal: Option<&Calibration>,
+) {
+    if gates.is_empty() {
+        return;
+    }
+    // Fusion and planning take a whole `Circuit`: the source itself when
+    // no barrier splits it, otherwise a copy of this run.
+    let as_circuit = || {
+        if gates.len() == circuit.len() {
+            return Cow::Borrowed(circuit);
+        }
+        let mut run = Circuit::new(circuit.n_qubits());
+        for g in gates {
+            run.push(g.clone());
+        }
+        Cow::Owned(run)
+    };
+    let cal = || match cal {
+        Some(table) => table,
+        None => Calibration::get(),
+    };
+    match strategy {
+        Strategy::Naive => ops.extend(gates.iter().map(|g| SweepOp::Gate(GateRef::Source(g)))),
+        Strategy::Fused { max_k } => {
+            // Merge only where the calibrated block kernel beats the
+            // member gates' own kernels.
+            let fused = fuse_costed(&as_circuit(), max_k, &cal().fuse_costs());
+            ops.extend(fused.into_iter().map(SweepOp::Fused))
+        }
+        Strategy::Blocked { block_qubits } => {
+            lower_blocked(ops, gates, block_qubits.min(circuit.n_qubits()))
+        }
+        Strategy::Planned { block_qubits, max_k } => {
+            let plan = plan_circuit_with(&as_circuit(), block_qubits, max_k, cal());
+            ops.extend(plan.ops.into_iter().map(|op| match op {
+                PlanOp::SwapAxes(a, b) => SweepOp::AxisSwap(a, b),
+                PlanOp::Block(fused) => SweepOp::BlockPass(fused),
+                PlanOp::Gate(g) => SweepOp::Gate(GateRef::Remapped(g)),
+            }))
+        }
+        Strategy::Auto => unreachable!("lower resolves Auto before lowering any run"),
+    }
+}
+
+/// Group consecutive gates that fit below the block width into block
+/// runs; every other gate keeps its own full-state sweep.
+fn lower_blocked<'c>(ops: &mut Vec<SweepOp<'c>>, gates: &'c [Gate], block_qubits: u32) {
+    let mut run: Vec<BlockGate> = Vec::new();
+    for (i, g) in gates.iter().enumerate() {
+        match to_block_gate(g, block_qubits) {
+            Some(bg) => run.push(bg),
+            None => {
+                if !run.is_empty() {
+                    let source = &gates[i - run.len()..i];
+                    ops.push(SweepOp::BlockRun { gates: std::mem::take(&mut run), source });
+                }
+                ops.push(SweepOp::Gate(GateRef::Source(g)));
+            }
+        }
+    }
+    if !run.is_empty() {
+        let source = &gates[gates.len() - run.len()..];
+        ops.push(SweepOp::BlockRun { gates: run, source });
+    }
+}
+
+/// Convert a gate into its blocked form if all its qubits fit below the
+/// block width.
+pub(crate) fn to_block_gate(g: &Gate, block_qubits: u32) -> Option<BlockGate> {
+    if g.qubits().iter().any(|&q| q >= block_qubits) {
+        return None;
+    }
+    if let Some((q, m)) = g.as_single() {
+        return Some(if g.is_diagonal() {
+            BlockGate::Diag1(q, m.m[0][0], m.m[1][1])
+        } else {
+            BlockGate::One(q, m)
+        });
+    }
+    match *g {
+        Gate::Swap(a, b) => Some(BlockGate::Swap(a, b)),
+        _ => {
+            if let Some((c, t, m)) = g.as_controlled() {
+                Some(BlockGate::Controlled(c, t, m))
+            } else {
+                g.as_two().map(|(h, l, m)| BlockGate::Two(h, l, m))
+            }
+        }
+    }
+}
+
+impl<'c> Program<'c> {
+    /// The gate-by-gate lowering — one borrowed gate per sweep, no
+    /// cost table read — for callers that want the per-gate model of a
+    /// circuit, and what each member of a parameter sweep executes.
+    pub fn per_gate(circuit: &'c Circuit) -> Program<'c> {
+        lower(circuit, Strategy::Naive, None)
+    }
+
+    /// The Aer-like comparator as a program: every run of gates that
+    /// fits in `max_k` qubits fused unconditionally ([`fuse`]). The
+    /// `fused:<k>` lowering is cost-aware and may decline merges on the
+    /// host; the paper-scale model tables want the unconditional plan.
+    pub fn greedy_fused(circuit: &Circuit, max_k: u32) -> Program<'static> {
+        Program {
+            ops: fuse(circuit, max_k).into_iter().map(SweepOp::Fused).collect(),
+            n_qubits: circuit.n_qubits(),
+            strategy: Strategy::Fused { max_k },
+            block_qubits: 0,
+        }
+    }
+
+    /// Maximal runs of sweep ops between barriers (1 for a non-empty
+    /// unitary circuit).
+    pub fn segments(&self) -> usize {
+        let barrier = |op: &SweepOp| matches!(op, SweepOp::Measure { .. } | SweepOp::Cif { .. });
+        let ops = &self.ops;
+        (0..ops.len()).filter(|&i| !barrier(&ops[i]) && (i == 0 || barrier(&ops[i - 1]))).count()
+    }
+
+    /// Predicted serial nanoseconds on this machine, from the calibrated
+    /// per-kernel costs.
+    pub fn calibrated_ns(&self, cal: &Calibration) -> f64 {
+        let amps = (1u64 << self.n_qubits) as f64;
+        self.ops.iter().map(|op| op.calibrated_ns(cal, amps)).sum()
+    }
+}
+
+impl SweepOp<'_> {
+    /// Kernel kind and memory/arithmetic traffic of this op on an
+    /// `n`-qubit state — the figures both the predictor and the tracer
+    /// report.
+    ///
+    /// A block op is *one* full-state memory sweep carrying the summed
+    /// arithmetic of every member (they run out of cache-resident
+    /// blocks); a `Cif` is priced as taken.
+    pub fn traffic(&self, model: &TrafficModel, n: u32) -> (KernelKind, GateTraffic) {
+        let gate = |g: &Gate| {
+            let kind = classify(g);
+            (kind, model.predict(kind, n, &g.qubits()))
+        };
+        // A gate-backed singleton sweeps through its gate's own kernel.
+        let fused = |op: &FusedOp| match &op.gate {
+            Some(g) => gate(g),
+            None => {
+                let kind = KernelKind::FusedDense { k: op.qubits.len() as u8 };
+                (kind, model.predict(kind, n, &op.qubits))
+            }
+        };
+        // One streamed pass over the state with `flops` of arithmetic,
+        // `members` reads per amplitude and one write.
+        let one_pass = |mut traffic: GateTraffic, flops: u64, members: usize| {
+            let amps = 1u64 << n;
+            traffic.flops = flops;
+            traffic.amps_read = amps * members as u64;
+            traffic.amps_written = amps;
+            traffic.arithmetic_intensity = if traffic.mem_bytes == 0 {
+                0.0
+            } else {
+                traffic.flops as f64 / traffic.mem_bytes as f64
+            };
+            traffic
+        };
+        match self {
+            SweepOp::Gate(g) => gate(g),
+            SweepOp::Cif { gate: g, .. } => gate(g),
+            SweepOp::Fused(op) => fused(op),
+            SweepOp::AxisSwap(a, b) => {
+                (KernelKind::Swap, model.predict(KernelKind::Swap, n, &[*a, *b]))
+            }
+            SweepOp::BlockRun { source, .. } => {
+                // The sweep streams every line once whichever member is
+                // densest; borrow the dense 1q formula for the memory side.
+                let first = source[0].qubits()[0];
+                let stream = model.predict(KernelKind::OneQubitDense, n, &[first]);
+                let flops = source.iter().map(|g| gate(g).1.flops).sum();
+                (classify(&source[0]), one_pass(stream, flops, source.len()))
+            }
+            SweepOp::BlockPass(ops) => {
+                let widest = ops.iter().map(|o| o.qubits.len()).max().expect("non-empty pass");
+                let kind = KernelKind::FusedDense { k: widest as u8 };
+                let stream = model.predict(kind, n, &ops[0].qubits);
+                let flops = ops.iter().map(|o| fused(o).1.flops).sum();
+                (kind, one_pass(stream, flops, ops.len()))
+            }
+            SweepOp::Measure { .. } => (KernelKind::OneQubitDiagonal, measure_traffic(model, n)),
+        }
+    }
+
+    /// The qubits a span of this op is tagged with (block ops: their
+    /// first member's).
+    pub fn qubits(&self) -> Vec<u32> {
+        match self {
+            SweepOp::Gate(g) => g.qubits(),
+            SweepOp::Cif { gate, .. } => gate.qubits(),
+            SweepOp::Fused(op) => {
+                op.gate.as_ref().map_or_else(|| op.qubits.clone(), |g| g.qubits())
+            }
+            SweepOp::BlockRun { source, .. } => source[0].qubits(),
+            SweepOp::BlockPass(ops) => ops[0].qubits.clone(),
+            SweepOp::AxisSwap(a, b) => vec![*a, *b],
+            SweepOp::Measure { q, .. } => vec![*q],
+        }
+    }
+
+    /// Predicted serial nanoseconds of this op over `amps` amplitudes,
+    /// from the machine calibration. A collapse is not a kernel the
+    /// calibration measures and costs the same under every strategy, so
+    /// it prices at zero; a `Cif` is priced as taken.
+    pub fn calibrated_ns(&self, cal: &Calibration, amps: f64) -> f64 {
+        let sweep = |per_amp: f64| cal.sweep_overhead_ns + amps * per_amp;
+        match self {
+            SweepOp::Gate(g) => sweep(gate_per_amp(cal, g)),
+            SweepOp::Cif { gate, .. } => sweep(gate_per_amp(cal, gate)),
+            SweepOp::Fused(op) => sweep(fused_per_amp(cal, op)),
+            SweepOp::AxisSwap(..) => sweep(cal.swap),
+            SweepOp::BlockRun { gates, .. } => {
+                let members = gates.iter().map(|g| block_gate_per_amp(cal, g));
+                block_pass_ns(cal, amps, cal.block_stream_factor, members)
+            }
+            SweepOp::BlockPass(ops) => {
+                let members = ops.iter().map(|op| fused_per_amp(cal, op));
+                block_pass_ns(cal, amps, cal.fused_block_stream_factor, members)
+            }
+            SweepOp::Measure { .. } => 0.0,
+        }
+    }
+
+    /// Resolve the op to its kernel: offset tables and class dispatch
+    /// are built here, once, so a batch applies the same [`Kernel`] to
+    /// every member.
+    pub(crate) fn kernel(&self, block_qubits: u32) -> Kernel<'_> {
+        match self {
+            SweepOp::Gate(g) => Kernel::Gate(g),
+            SweepOp::Cif { gate, .. } => Kernel::Gate(gate),
+            SweepOp::Fused(op) => Kernel::Fused(PreparedFused::new(op)),
+            SweepOp::AxisSwap(a, b) => Kernel::AxisSwap(*a, *b),
+            SweepOp::BlockRun { gates, .. } => Kernel::BlockRun(gates, block_qubits),
+            SweepOp::BlockPass(ops) => Kernel::BlockPass(PreparedRun::new(ops, block_qubits)),
+            SweepOp::Measure { .. } => {
+                unreachable!("a collapse draws from the interpreter's RNG stream; it has no kernel")
+            }
+        }
+    }
+}
+
+/// A sweep op resolved to the kernel that executes it.
+///
+/// Both engines funnel every sweep through [`Kernel::exec`], so a batch
+/// member executes the *identical* kernel calls a lone run does: the
+/// bit-exact batched-vs-sequential guarantee holds by construction,
+/// because worksharing only changes which thread touches which disjoint
+/// index range, never the per-amplitude arithmetic.
+pub(crate) enum Kernel<'p> {
+    Gate(&'p Gate),
+    Fused(PreparedFused<'p>),
+    AxisSwap(u32, u32),
+    BlockRun(&'p [BlockGate], u32),
+    BlockPass(PreparedRun<'p>),
+}
+
+impl Kernel<'_> {
+    /// One pass over a full state, serial or workshared.
+    pub(crate) fn exec(
+        &self,
+        be: &KernelBackend,
+        pool: Option<&ThreadPool>,
+        sched: Schedule,
+        amps: &mut [C64],
+    ) {
+        match (self, pool) {
+            (Kernel::Gate(g), None) => apply_gate_with(be, amps, g),
+            (Kernel::Gate(g), Some(pool)) => apply_gate_parallel_with(be, pool, sched, amps, g),
+            (Kernel::Fused(op), None) => op.apply(be, amps),
+            (Kernel::Fused(op), Some(pool)) => op.apply_parallel(be, pool, sched, amps),
+            (Kernel::AxisSwap(a, b), None) => simd::apply_swap(be, amps, *a, *b),
+            (Kernel::AxisSwap(a, b), Some(pool)) => {
+                parallel::apply_swap(pool, sched, amps, *a, *b, be)
+            }
+            (Kernel::BlockRun(gates, bq), None) => apply_blocked(be, amps, gates, *bq),
+            (Kernel::BlockRun(gates, bq), Some(pool)) => {
+                apply_blocked_parallel(be, pool, sched, amps, gates, *bq)
+            }
+            (Kernel::BlockPass(run), None) => run.apply(be, amps),
+            (Kernel::BlockPass(run), Some(pool)) => run.apply_parallel(be, pool, sched, amps),
+        }
+    }
+
+    /// Amplitudes per cache block, for the block ops — the ones that act
+    /// independently on each block and can therefore be sharded finer
+    /// than one state.
+    pub(crate) fn block_len(&self) -> Option<usize> {
+        match self {
+            Kernel::BlockRun(_, bq) => Some(1usize << bq),
+            Kernel::BlockPass(run) => Some(run.block_len()),
+            _ => None,
+        }
+    }
+
+    /// Apply a block op to one cache-resident chunk of
+    /// [`block_len`](Kernel::block_len) amplitudes.
+    pub(crate) fn exec_chunk(&self, be: &KernelBackend, chunk: &mut [C64]) {
+        match self {
+            Kernel::BlockRun(gates, _) => apply_block_chunk(be, chunk, gates),
+            Kernel::BlockPass(run) => run.apply_chunk(be, chunk),
+            _ => unreachable!("only block ops have a block_len to be chunked by"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::library;
+
+    fn all_strategies() -> [Strategy; 4] {
+        [
+            Strategy::Naive,
+            Strategy::Fused { max_k: 3 },
+            Strategy::Blocked { block_qubits: 4 },
+            Strategy::Planned { block_qubits: 4, max_k: 3 },
+        ]
+    }
+
+    #[test]
+    fn naive_lowers_one_borrowed_gate_per_sweep() {
+        let c = library::qft(5);
+        let p = lower(&c, Strategy::Naive, None);
+        assert_eq!(p.ops.len(), c.len());
+        assert_eq!((p.strategy, p.block_qubits, p.segments()), (Strategy::Naive, 0, 1));
+        for (op, g) in p.ops.iter().zip(c.gates()) {
+            assert!(matches!(op, SweepOp::Gate(GateRef::Source(s)) if std::ptr::eq(*s, g)));
+        }
+    }
+
+    #[test]
+    fn blocked_runs_cover_their_source_gates() {
+        // Gates on qubits {0,1} | a high gate | gates on {0,1}: two runs
+        // split by one fallback sweep.
+        let mut c = Circuit::new(6);
+        c.h(0).cx(0, 1).h(5).rz(1, 0.3).swap(0, 1);
+        let p = lower(&c, Strategy::Blocked { block_qubits: 9 }, None);
+        assert_eq!(p.block_qubits, 6, "clamped to the state");
+        let p = lower(&c, Strategy::Blocked { block_qubits: 3 }, None);
+        let shape: Vec<usize> = p
+            .ops
+            .iter()
+            .map(|op| match op {
+                SweepOp::BlockRun { gates, source } => {
+                    assert_eq!(gates.len(), source.len());
+                    source.len()
+                }
+                SweepOp::Gate(_) => 0,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(shape, vec![2, 0, 2]);
+    }
+
+    #[test]
+    fn barriers_split_the_lowering() {
+        let mut c = Circuit::new(4);
+        c.rz(0, 0.1).cp(0, 1, 0.2).measure(0, 0);
+        c.cif_bit(0, 1, Gate::X(1));
+        c.rz(2, 0.3).cp(2, 3, 0.4).measure(3, 1);
+        let cal = Calibration::analytic();
+        for s in all_strategies() {
+            let p = lower(&c, s, Some(&cal));
+            assert_eq!(p.segments(), 2, "{s}");
+            let barriers: Vec<usize> = p
+                .ops
+                .iter()
+                .enumerate()
+                .filter(|(_, op)| matches!(op, SweepOp::Measure { .. } | SweepOp::Cif { .. }))
+                .map(|(i, _)| i)
+                .collect();
+            assert_eq!(barriers.len(), 3, "{s}");
+            // Measure then Cif back to back, the last measure at the end.
+            assert_eq!(barriers[1], barriers[0] + 1, "{s}");
+            assert_eq!(barriers[2], p.ops.len() - 1, "{s}");
+        }
+        // Diagonal pairs merge under any cost table, but never across
+        // the collapse: 1 fused op per side.
+        let p = lower(&c, Strategy::Fused { max_k: 3 }, Some(&cal));
+        assert_eq!(p.ops.len(), 2 + 3);
+    }
+
+    #[test]
+    fn block_op_traffic_is_one_stream_with_summed_flops() {
+        let model = TrafficModel::a64fx();
+        let c = library::rotation_layers(10, 2, 0.2);
+        let p = lower(&c, Strategy::Blocked { block_qubits: 10 }, None);
+        assert_eq!(p.ops.len(), 1);
+        let (_, t) = p.ops[0].traffic(&model, 10);
+        let one = model.predict(KernelKind::OneQubitDense, 10, &[0]);
+        assert_eq!(t.mem_bytes, one.mem_bytes);
+        let flops: u64 =
+            c.gates().iter().map(|g| crate::perf::gate_traffic(&model, g, 10).flops).sum();
+        assert_eq!(t.flops, flops);
+        assert_eq!(t.amps_read, (c.len() as u64) << 10);
+    }
+}

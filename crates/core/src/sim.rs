@@ -1,29 +1,22 @@
 //! The execution engine: strategies, threading, timing, and model hooks.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use a64fx_model::timing::ExecConfig;
-use a64fx_model::traffic::KernelKind;
 use a64fx_model::ChipParams;
 use omp_par::{RegionObserver, Schedule, ThreadPool};
+use rand::SeedableRng;
 
 use crate::checkpoint::{Checkpointer, ShardMeta};
-use crate::circuit::{Circuit, Gate};
+use crate::circuit::Circuit;
 use crate::complex::C64;
 use crate::config::{CheckpointConfig, PoolSpec, SimConfig};
-use crate::fusion::{fuse_costed, FusedOp};
 use crate::integrity::{self, IntegrityMode, IntegrityPolicy, IntegrityViolation, Outcome};
-use crate::kernels::blocked::{
-    apply_blocked, apply_blocked_fused, apply_blocked_fused_parallel, apply_blocked_parallel,
-    BlockGate,
-};
-use crate::kernels::dispatch::{apply_gate_parallel_with, apply_gate_with};
-use crate::kernels::fused::PreparedFused;
-use crate::kernels::parallel;
 use crate::kernels::simd::{self, BackendChoice, KernelBackend};
-use crate::perf::{predict_circuit, predict_fused, predict_planned, ModelReport};
-use crate::plan::{plan_circuit, Plan, PlanOp};
+use crate::measure::{measure_qubit, MeasurementResult};
+use crate::perf::{predict, ModelReport};
+use crate::program::{lower, Kernel, Program, SweepOp};
 use crate::state::StateVector;
 use crate::telemetry::{self, RunMeta, TelemetryConfig, Trace, Tracer};
 
@@ -276,18 +269,14 @@ pub struct RunReport {
 /// The simulator engine.
 #[derive(Clone)]
 pub struct Simulator {
-    strategy: Strategy,
-    pool: Option<Arc<ThreadPool>>,
-    sched: Schedule,
-    chip: Option<(ChipParams, ExecConfig)>,
+    pub(crate) strategy: Strategy,
+    pub(crate) pool: Option<Arc<ThreadPool>>,
+    pub(crate) sched: Schedule,
+    pub(crate) chip: Option<(ChipParams, ExecConfig)>,
     backend: Option<BackendChoice>,
-    telemetry: TelemetryConfig,
+    pub(crate) telemetry: TelemetryConfig,
     integrity: IntegrityPolicy,
     checkpoint: Option<CheckpointConfig>,
-    /// Memoized [`Strategy::Auto`] resolution: fingerprint of the last
-    /// circuit run plus the strategy chosen for it. Shared across
-    /// clones (the calibration it derives from is process-wide).
-    auto_cache: Arc<Mutex<Option<(u64, Strategy)>>>,
 }
 
 impl Simulator {
@@ -302,7 +291,6 @@ impl Simulator {
             telemetry: TelemetryConfig::off(),
             integrity: IntegrityPolicy::default(),
             checkpoint: None,
-            auto_cache: Arc::new(Mutex::new(None)),
         }
     }
 
@@ -343,7 +331,6 @@ impl Simulator {
                 BackendChoice::Auto => None,
                 explicit => Some(explicit),
             },
-            auto_cache: Arc::new(Mutex::new(None)),
             telemetry,
             integrity,
             checkpoint,
@@ -368,43 +355,12 @@ impl Simulator {
         }
     }
 
-    /// Execute `circuit` on `state`.
-    /// Resolve [`Strategy::Auto`] for `circuit`, memoized on a
-    /// structural fingerprint so repeated runs of the same circuit
-    /// (benchmark rounds, batch replicas) skip re-pricing every
-    /// candidate lowering. A stale entry only costs one re-pricing;
-    /// a fingerprint hit on a different circuit is impossible short
-    /// of a hash collision, which would still execute correctly —
-    /// the choice affects speed, never semantics.
-    fn resolve_auto(&self, circuit: &Circuit) -> Strategy {
-        use std::fmt::Write as _;
-        use std::hash::{Hash, Hasher};
-        let mut buf = String::with_capacity(circuit.len() * 24);
-        for g in circuit.gates() {
-            let _ = write!(buf, "{g:?};");
-        }
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        circuit.n_qubits().hash(&mut h);
-        buf.hash(&mut h);
-        let fp = h.finish();
-        let mut cache = self.auto_cache.lock().unwrap();
-        if let Some((k, s)) = *cache {
-            if k == fp {
-                return s;
-            }
-        }
-        let s = crate::calibrate::choose(circuit);
-        *cache = Some((fp, s));
-        s
-    }
-
+    /// Execute the unitary `circuit` on `state`: lower it under the
+    /// configured strategy ([`lower`]) and interpret the resulting
+    /// program, one sweep per op. Circuits holding measurements or
+    /// classically-controlled gates go through
+    /// [`run_measured`](Simulator::run_measured).
     pub fn run(&self, circuit: &Circuit, state: &mut StateVector) -> Result<RunReport, SimError> {
-        if circuit.n_qubits() != state.n_qubits() {
-            return Err(SimError::QubitMismatch {
-                circuit: circuit.n_qubits(),
-                state: state.n_qubits(),
-            });
-        }
         if circuit.has_nonunitary() {
             return Err(SimError::InvalidConfig(
                 "circuit contains measurement or classically-controlled ops; run it \
@@ -413,94 +369,144 @@ impl Simulator {
                     .to_string(),
             ));
         }
-        let be = self.backend();
-        // Telemetry setup stays outside the timed region; when disabled
-        // the run pays exactly one `Option` branch per sweep.
-        let tracer = if self.telemetry.enabled {
-            let (chip, cfg) = self
-                .chip
-                .clone()
-                .unwrap_or_else(|| (ChipParams::a64fx(), ExecConfig::single_core()));
-            let t = Arc::new(Tracer::new(
-                circuit.n_qubits(),
-                self.threads(),
-                chip,
-                cfg,
-                self.telemetry.capacity,
-            ));
-            if let Some(pool) = &self.pool {
-                pool.set_observer(Some(t.clone() as Arc<dyn RegionObserver>));
-            }
-            Some(t)
-        } else {
-            None
-        };
-        let tr = tracer.as_deref();
-        let mut guard =
-            RunGuard::new(&self.integrity, self.checkpoint.as_ref(), circuit.n_qubits())?;
-        // `Auto` resolves to a concrete strategy per circuit from the
-        // calibrated cost model — outside the timed region, because the
-        // one-time process-wide calibration is not part of this run.
-        let strategy = match self.strategy {
-            Strategy::Auto => self.resolve_auto(circuit),
-            s => s,
-        };
-        let start = Instant::now();
-        let (sweeps, prep) = self.execute_circuit(be, strategy, circuit, state, tr, &mut guard)?;
-        let wall_seconds = start.elapsed().as_secs_f64();
-        let predicted = self.chip.as_ref().map(|(chip, cfg)| match &prep {
-            Prep::Direct => predict_circuit(chip, cfg, circuit),
-            Prep::Fused(ops) => predict_fused(chip, cfg, ops, circuit.n_qubits()),
-            Prep::Planned(plan) => predict_planned(chip, cfg, plan),
-        });
-        let trace = match tracer {
-            Some(t) => Some(self.finish_trace(t, be, circuit.n_qubits())?),
-            None => None,
-        };
+        let (program, run) = self.interpret(circuit, state, 0, self.checkpoint.as_ref())?;
         Ok(RunReport {
-            wall_seconds,
-            gates: circuit.len(),
-            sweeps,
-            backend: be.name,
-            predicted,
-            trace,
-            guard: guard.map(|g| g.report),
+            wall_seconds: run.wall_seconds,
+            gates: run.gates,
+            sweeps: run.sweeps,
+            backend: run.backend,
+            predicted: self.chip.as_ref().map(|(chip, cfg)| predict(chip, cfg, &program)),
+            trace: run.trace,
+            guard: run.guard,
         })
     }
 
-    /// Execute one unitary circuit under a *concrete* strategy (`Auto`
-    /// resolves here, per circuit). Shared by [`Simulator::run`] and the
-    /// per-segment loop of [`Simulator::run_measured`].
-    fn execute_circuit(
+    /// Execute a circuit that may contain [`Gate::Measure`] and
+    /// [`Gate::Cif`] ops.
+    ///
+    /// [`lower`] treats every non-unitary op as a barrier: each maximal
+    /// unitary run is lowered under the configured strategy on its own
+    /// (no fusion or relabeling crosses a collapse), the measurement
+    /// itself draws from `StdRng::seed_from_u64(seed)` and collapses in
+    /// two sweeps ([`crate::measure::measure_qubit`]), and
+    /// classically-controlled gates consult the classical register
+    /// accumulated so far.
+    ///
+    /// **RNG-stream contract:** all randomness comes from the one seeded
+    /// stream, consumed in circuit order (one draw per `Measure`). The
+    /// batched engine gives member `m` its own stream seeded with
+    /// `seeds[m]`, so a batched member is bit-identical to a serial
+    /// `run_measured` call with that seed.
+    ///
+    /// Checkpoint snapshots are not taken (a rollback cannot rewind the
+    /// RNG stream across a collapse); integrity sweeps still run, on a
+    /// cadence counted in program ops.
+    ///
+    /// [`Gate::Measure`]: crate::circuit::Gate::Measure
+    /// [`Gate::Cif`]: crate::circuit::Gate::Cif
+    pub fn run_measured(
         &self,
-        be: &KernelBackend,
-        strategy: Strategy,
         circuit: &Circuit,
         state: &mut StateVector,
-        tr: Option<&Tracer>,
-        guard: &mut Option<RunGuard>,
-    ) -> Result<(usize, Prep), SimError> {
-        Ok(match strategy {
-            Strategy::Naive => (self.run_naive(be, circuit, state, tr, guard)?, Prep::Direct),
-            Strategy::Fused { max_k } => {
-                // Cost-aware lowering: merge only where the calibrated
-                // block kernel beats the member gates' own kernels.
-                let costs = crate::calibrate::Calibration::get().fuse_costs();
-                let ops = fuse_costed(circuit, max_k, &costs);
-                (self.run_fused_ops(be, &ops, state, tr, guard)?, Prep::Fused(ops))
+        seed: u64,
+    ) -> Result<MeasuredReport, SimError> {
+        Ok(self.interpret(circuit, state, seed, None)?.1)
+    }
+
+    /// The interpreter: lower `circuit`, then execute `program.ops` in
+    /// order on `state`. Index-based, so a guard rollback can rewind to
+    /// any op boundary and replay. Returns the program beside the
+    /// measured report; `run` reports the part a unitary run has.
+    fn interpret<'c>(
+        &self,
+        circuit: &'c Circuit,
+        state: &mut StateVector,
+        seed: u64,
+        checkpoint: Option<&CheckpointConfig>,
+    ) -> Result<(Program<'c>, MeasuredReport), SimError> {
+        let n = circuit.n_qubits();
+        if n != state.n_qubits() {
+            return Err(SimError::QubitMismatch { circuit: n, state: state.n_qubits() });
+        }
+        let be = self.backend();
+        // Telemetry setup stays outside the timed region; when disabled
+        // the run pays exactly one `Option` branch per sweep.
+        let tracer = self.telemetry.tracer(self.chip.as_ref(), n, self.threads()).map(Arc::new);
+        if let (Some(t), Some(pool)) = (&tracer, &self.pool) {
+            pool.set_observer(Some(t.clone() as Arc<dyn RegionObserver>));
+        }
+        let tr = tracer.as_deref();
+        let mut guard = RunGuard::new(&self.integrity, checkpoint, n)?;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut outcomes: Vec<MeasurementResult> = Vec::new();
+        let mut creg: u64 = 0;
+        // Ops that were not state sweeps: collapses and untaken `Cif`s.
+        let mut not_swept = 0usize;
+        // `Auto` resolves before the clock starts: the candidate
+        // pricing and the one-time process-wide calibration behind it
+        // are not part of this run.
+        let strategy = match self.strategy {
+            Strategy::Auto => crate::calibrate::choose(circuit),
+            s => s,
+        };
+        let start = Instant::now();
+        let program = lower(circuit, strategy, None);
+        // Kernels (offset tables, class dispatch) are built once, ahead
+        // of the spans, and survive a guard replay; a collapse has none.
+        let kernels: Vec<Option<Kernel>> = program
+            .ops
+            .iter()
+            .map(|op| {
+                (!matches!(op, SweepOp::Measure { .. })).then(|| op.kernel(program.block_qubits))
+            })
+            .collect();
+        let mut i = 0;
+        while i < program.ops.len() {
+            let op = &program.ops[i];
+            if matches!(op, SweepOp::Cif { mask, val, .. } if creg & mask != *val) {
+                // Untaken: touches nothing, so no sweep, no span, and no
+                // guard work is due.
+                not_swept += 1;
+                i += 1;
+                continue;
             }
-            Strategy::Blocked { block_qubits } => {
-                (self.run_blocked(be, circuit, state, block_qubits, tr, guard)?, Prep::Direct)
+            let t0 = tr.map(|_| Instant::now());
+            match op {
+                SweepOp::Measure { q, creg: bit } => {
+                    let r = measure_qubit(state, *q, &mut rng);
+                    creg = (creg & !(1 << bit)) | ((r.outcome as u64) << bit);
+                    outcomes.push(r);
+                    not_swept += 1;
+                }
+                _ => kernels[i].as_ref().expect("every sweep op has a kernel").exec(
+                    be,
+                    self.pool.as_deref(),
+                    self.sched,
+                    state.amplitudes_mut(),
+                ),
             }
-            Strategy::Planned { block_qubits, max_k } => {
-                let plan = plan_circuit(circuit, block_qubits, max_k);
-                (self.run_planned(be, &plan, state, tr, guard)?, Prep::Planned(plan))
+            if let (Some(t), Some(t0)) = (tr, t0) {
+                t.record_op(0, op, t0.elapsed().as_nanos() as u64);
             }
-            Strategy::Auto => {
-                let s = self.resolve_auto(circuit);
-                return self.execute_circuit(be, s, circuit, state, tr, guard);
-            }
-        })
+            i = advance(&mut guard, state.amplitudes_mut(), i)?;
+        }
+        let wall_seconds = start.elapsed().as_secs_f64();
+        let trace = match tracer {
+            Some(t) => Some(self.finish_trace(t, be, &program)?),
+            None => None,
+        };
+        let report = MeasuredReport {
+            wall_seconds,
+            gates: circuit.len(),
+            segments: program.segments(),
+            sweeps: program.ops.len() - not_swept,
+            outcomes,
+            creg,
+            backend: be.name,
+            trace,
+            guard: guard.map(|g| g.report),
+        };
+        Ok((program, report))
     }
 
     /// Detach the tracer from the pool, close it, and write the
@@ -509,7 +515,7 @@ impl Simulator {
         &self,
         tracer: Arc<Tracer>,
         be: &KernelBackend,
-        n_qubits: u32,
+        program: &Program,
     ) -> Result<Trace, SimError> {
         if let Some(pool) = &self.pool {
             pool.set_observer(None);
@@ -519,278 +525,37 @@ impl Simulator {
         let t = Arc::try_unwrap(tracer)
             .unwrap_or_else(|_| unreachable!("tracer still shared after detach"));
         let meta = RunMeta {
-            strategy: self.strategy.to_string(),
+            strategy: strategy_label(self.strategy, program.strategy),
             backend: be.name.to_string(),
             threads: self.threads() as u32,
             schedule: self.sched.to_string(),
-            n_qubits,
+            n_qubits: program.n_qubits,
             label: self.telemetry.label.clone(),
         };
         let trace = t.finish(meta);
-        telemetry::write_configured(&self.telemetry, &trace).map_err(|e| {
-            SimError::TraceIo(match &self.telemetry.trace_path {
-                Some(p) => format!("{}: {e}", p.display()),
-                None => e.to_string(),
-            })
-        })?;
+        telemetry::write_configured(&self.telemetry, &trace)
+            .map_err(|e| trace_io_error(&self.telemetry, e))?;
         Ok(trace)
-    }
-
-    /// Execute a circuit that may contain [`Gate::Measure`] and
-    /// [`Gate::Cif`] ops.
-    ///
-    /// The circuit is segmented at every non-unitary op: each maximal
-    /// unitary run executes under the configured strategy (a measurement
-    /// is therefore a plan/fusion *barrier* — no lowering crosses a
-    /// collapse), the measurement itself draws from
-    /// `StdRng::seed_from_u64(seed)` and collapses in two sweeps
-    /// ([`crate::measure::measure_qubit`]), and classically-controlled
-    /// gates consult the classical register accumulated so far.
-    ///
-    /// **RNG-stream contract:** all randomness comes from the one seeded
-    /// stream, consumed in circuit order (one draw per `Measure`). The
-    /// batched engine gives member `m` its own stream seeded with
-    /// `seeds[m]`, so a batched member is bit-identical to a serial
-    /// `run_measured` call with that seed.
-    ///
-    /// Checkpoint snapshots are not taken (a rollback cannot rewind the
-    /// RNG stream across a collapse); integrity sweeps still run.
-    pub fn run_measured(
-        &self,
-        circuit: &Circuit,
-        state: &mut StateVector,
-        seed: u64,
-    ) -> Result<MeasuredReport, SimError> {
-        use rand::SeedableRng;
-        if circuit.n_qubits() != state.n_qubits() {
-            return Err(SimError::QubitMismatch {
-                circuit: circuit.n_qubits(),
-                state: state.n_qubits(),
-            });
-        }
-        let be = self.backend();
-        let tracer = if self.telemetry.enabled {
-            let (chip, cfg) = self
-                .chip
-                .clone()
-                .unwrap_or_else(|| (ChipParams::a64fx(), ExecConfig::single_core()));
-            let t = Arc::new(Tracer::new(
-                circuit.n_qubits(),
-                self.threads(),
-                chip,
-                cfg,
-                self.telemetry.capacity,
-            ));
-            if let Some(pool) = &self.pool {
-                pool.set_observer(Some(t.clone() as Arc<dyn RegionObserver>));
-            }
-            Some(t)
-        } else {
-            None
-        };
-        let tr = tracer.as_deref();
-        let mut guard = RunGuard::new(&self.integrity, None, circuit.n_qubits())?;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut outcomes: Vec<crate::measure::MeasurementResult> = Vec::new();
-        let mut creg: u64 = 0;
-        let mut segments = 0usize;
-        let mut sweeps = 0usize;
-        let mut seg = Circuit::new(circuit.n_qubits());
-        let start = Instant::now();
-        for g in circuit.gates() {
-            if g.is_unitary() {
-                seg.push(g.clone());
-                continue;
-            }
-            if !seg.is_empty() {
-                let (s, _) =
-                    self.execute_circuit(be, self.strategy, &seg, state, tr, &mut guard)?;
-                sweeps += s;
-                segments += 1;
-                seg = Circuit::new(circuit.n_qubits());
-            }
-            match g {
-                Gate::Measure { q, creg: bit } => {
-                    let t0 = tr.map(|_| Instant::now());
-                    let r = crate::measure::measure_qubit(state, *q, &mut rng);
-                    if let (Some(t), Some(t0)) = (tr, t0) {
-                        t.record_measure(0, *q, t0.elapsed().as_nanos() as u64);
-                    }
-                    if r.outcome == 1 {
-                        creg |= 1 << bit;
-                    } else {
-                        creg &= !(1 << bit);
-                    }
-                    outcomes.push(r);
-                }
-                Gate::Cif { mask, val, gate } => {
-                    if creg & *mask == *val {
-                        let t0 = tr.map(|_| Instant::now());
-                        exec_gate(
-                            be,
-                            self.pool.as_deref(),
-                            self.sched,
-                            state.amplitudes_mut(),
-                            gate,
-                        );
-                        if let (Some(t), Some(t0)) = (tr, t0) {
-                            t.record_gate(0, gate, t0.elapsed().as_nanos() as u64);
-                        }
-                        sweeps += 1;
-                    }
-                }
-                _ => unreachable!("non-unitary gates are Measure/Cif only"),
-            }
-        }
-        if !seg.is_empty() {
-            let (s, _) = self.execute_circuit(be, self.strategy, &seg, state, tr, &mut guard)?;
-            sweeps += s;
-            segments += 1;
-        }
-        let wall_seconds = start.elapsed().as_secs_f64();
-        let trace = match tracer {
-            Some(t) => Some(self.finish_trace(t, be, circuit.n_qubits())?),
-            None => None,
-        };
-        Ok(MeasuredReport {
-            wall_seconds,
-            gates: circuit.len(),
-            segments,
-            sweeps,
-            outcomes,
-            creg,
-            backend: be.name,
-            trace,
-            guard: guard.map(|g| g.report),
-        })
-    }
-
-    fn run_naive(
-        &self,
-        be: &KernelBackend,
-        circuit: &Circuit,
-        state: &mut StateVector,
-        tr: Option<&Tracer>,
-        guard: &mut Option<RunGuard>,
-    ) -> Result<usize, SimError> {
-        let amps = state.amplitudes_mut();
-        let gates = circuit.gates();
-        // Index-based so a guard rollback can rewind and replay.
-        let mut i = 0;
-        while i < gates.len() {
-            let g = &gates[i];
-            let t0 = tr.map(|_| Instant::now());
-            exec_gate(be, self.pool.as_deref(), self.sched, amps, g);
-            if let (Some(t), Some(t0)) = (tr, t0) {
-                t.record_gate(0, g, t0.elapsed().as_nanos() as u64);
-            }
-            i = advance(guard, amps, i)?;
-        }
-        Ok(gates.len())
-    }
-
-    fn run_fused_ops(
-        &self,
-        be: &KernelBackend,
-        ops: &[FusedOp],
-        state: &mut StateVector,
-        tr: Option<&Tracer>,
-        guard: &mut Option<RunGuard>,
-    ) -> Result<usize, SimError> {
-        let amps = state.amplitudes_mut();
-        // Lower every op once, outside the sweep loop: sorting, offset
-        // tables, and class dispatch are not re-done per sweep, and the
-        // hot loop itself performs no heap allocation (`tests/no_alloc`).
-        let preps: Vec<PreparedFused<'_>> = ops.iter().map(PreparedFused::new).collect();
-        let mut i = 0;
-        while i < ops.len() {
-            let op = &ops[i];
-            let t0 = tr.map(|_| Instant::now());
-            match self.pool.as_deref() {
-                Some(pool) => preps[i].apply_parallel(be, pool, self.sched, amps),
-                None => preps[i].apply(be, amps),
-            }
-            if let (Some(t), Some(t0)) = (tr, t0) {
-                t.record_fused(0, op, t0.elapsed().as_nanos() as u64);
-            }
-            i = advance(guard, amps, i)?;
-        }
-        Ok(ops.len())
-    }
-
-    fn run_blocked(
-        &self,
-        be: &KernelBackend,
-        circuit: &Circuit,
-        state: &mut StateVector,
-        block_qubits: u32,
-        tr: Option<&Tracer>,
-        guard: &mut Option<RunGuard>,
-    ) -> Result<usize, SimError> {
-        let block_qubits = block_qubits.min(state.n_qubits());
-        // One item = one sweep; materialized up front so a guard
-        // rollback can rewind to any sweep boundary.
-        let items = build_block_items(circuit, block_qubits, tr.is_some());
-
-        let amps = state.amplitudes_mut();
-        let mut i = 0;
-        while i < items.len() {
-            let t0 = tr.map(|_| Instant::now());
-            match &items[i] {
-                BlockItem::Run(bgs, mem) => {
-                    exec_block_run(be, self.pool.as_deref(), self.sched, amps, bgs, block_qubits);
-                    if let (Some(t), Some(t0)) = (tr, t0) {
-                        t.record_block_run(0, mem, t0.elapsed().as_nanos() as u64);
-                    }
-                }
-                BlockItem::Single(gi) => {
-                    let g = &circuit.gates()[*gi];
-                    exec_gate(be, self.pool.as_deref(), self.sched, amps, g);
-                    if let (Some(t), Some(t0)) = (tr, t0) {
-                        t.record_gate(0, g, t0.elapsed().as_nanos() as u64);
-                    }
-                }
-            }
-            i = advance(guard, amps, i)?;
-        }
-        Ok(items.len())
-    }
-
-    fn run_planned(
-        &self,
-        be: &KernelBackend,
-        plan: &Plan,
-        state: &mut StateVector,
-        tr: Option<&Tracer>,
-        guard: &mut Option<RunGuard>,
-    ) -> Result<usize, SimError> {
-        let amps = state.amplitudes_mut();
-        let mut i = 0;
-        while i < plan.ops.len() {
-            let op = &plan.ops[i];
-            let t0 = tr.map(|_| Instant::now());
-            exec_plan_op(be, self.pool.as_deref(), self.sched, amps, op, plan.block_qubits);
-            if let (Some(t), Some(t0)) = (tr, t0) {
-                let ns = t0.elapsed().as_nanos() as u64;
-                match op {
-                    PlanOp::SwapAxes(a, b) => t.record_kernel(0, KernelKind::Swap, &[*a, *b], ns),
-                    PlanOp::Block(ops) => t.record_block_pass(0, ops, ns),
-                    PlanOp::Gate(g) => t.record_gate(0, g, ns),
-                }
-            }
-            i = advance(guard, amps, i)?;
-        }
-        Ok(plan.sweeps)
     }
 }
 
-/// Planning products of one unitary execution, built once inside the
-/// timed region and shared with the model prediction afterwards —
-/// fusing or planning is never repeated for the report.
-enum Prep {
-    Direct,
-    Fused(Vec<FusedOp>),
-    Planned(Plan),
+/// The strategy a trace header names: what actually ran. A configured
+/// `auto` is written with its resolution (`auto=fused:4`), so a trace
+/// taken under the measured calibration can be replayed with the same
+/// lowering.
+pub(crate) fn strategy_label(configured: Strategy, resolved: Strategy) -> String {
+    match configured {
+        Strategy::Auto => format!("auto={resolved}"),
+        _ => resolved.to_string(),
+    }
+}
+
+/// The error for a trace sink that could not be written.
+pub(crate) fn trace_io_error(cfg: &TelemetryConfig, e: std::io::Error) -> SimError {
+    SimError::TraceIo(match &cfg.trace_path {
+        Some(p) => format!("{}: {e}", p.display()),
+        None => e.to_string(),
+    })
 }
 
 /// Report of one [`Simulator::run_measured`] execution.
@@ -831,114 +596,6 @@ fn advance(guard: &mut Option<RunGuard>, amps: &mut [C64], i: usize) -> Result<u
     }
 }
 
-// ---------------------------------------------------------------------------
-// Shared per-op executors.
-//
-// Both the single-run `Simulator` loops above and the batched engine
-// (`crate::batch`) funnel every sweep through these functions, so a
-// batch member executes the *identical* kernel calls a lone run does.
-// The bit-exact batched-vs-sequential conformance guarantee holds by
-// construction: parallelism only changes which thread touches which
-// disjoint index range, never the per-amplitude arithmetic.
-
-/// One full-state gate sweep, serial or workshared.
-pub(crate) fn exec_gate(
-    be: &KernelBackend,
-    pool: Option<&ThreadPool>,
-    sched: Schedule,
-    amps: &mut [C64],
-    g: &Gate,
-) {
-    match pool {
-        Some(pool) => apply_gate_parallel_with(be, pool, sched, amps, g),
-        None => apply_gate_with(be, amps, g),
-    }
-}
-
-/// One cache-blocked run of low-target gates, serial or workshared.
-pub(crate) fn exec_block_run(
-    be: &KernelBackend,
-    pool: Option<&ThreadPool>,
-    sched: Schedule,
-    amps: &mut [C64],
-    gates: &[BlockGate],
-    block_qubits: u32,
-) {
-    match pool {
-        Some(pool) => apply_blocked_parallel(be, pool, sched, amps, gates, block_qubits),
-        None => apply_blocked(be, amps, gates, block_qubits),
-    }
-}
-
-/// One step of a plan, serial or workshared.
-pub(crate) fn exec_plan_op(
-    be: &KernelBackend,
-    pool: Option<&ThreadPool>,
-    sched: Schedule,
-    amps: &mut [C64],
-    op: &PlanOp,
-    block_qubits: u32,
-) {
-    match op {
-        PlanOp::SwapAxes(a, b) => match pool {
-            Some(pool) => parallel::apply_swap(pool, sched, amps, *a, *b, be),
-            None => simd::apply_swap(be, amps, *a, *b),
-        },
-        PlanOp::Block(ops) => match pool {
-            Some(pool) => apply_blocked_fused_parallel(be, pool, sched, amps, ops, block_qubits),
-            None => apply_blocked_fused(be, amps, ops, block_qubits),
-        },
-        PlanOp::Gate(g) => exec_gate(be, pool, sched, amps, g),
-    }
-}
-
-/// One sweep item of a `Strategy::Blocked` execution: either a
-/// cache-resident run of block gates or a single fallback gate (by gate
-/// index into the source circuit).
-pub(crate) enum BlockItem {
-    /// The second vec is the kernel-kind/qubit shadow of the run,
-    /// maintained only while tracing.
-    Run(Vec<BlockGate>, Vec<(KernelKind, Vec<u32>)>),
-    Single(usize),
-}
-
-/// Materialize the sweep items of a blocked execution up front (so a
-/// guard rollback can rewind to any sweep boundary, and so a batched
-/// run can share one item list across every member). `shadow` keeps the
-/// per-run classification table the tracer needs.
-pub(crate) fn build_block_items(
-    circuit: &Circuit,
-    block_qubits: u32,
-    shadow: bool,
-) -> Vec<BlockItem> {
-    let mut items: Vec<BlockItem> = Vec::new();
-    let mut run: Vec<BlockGate> = Vec::new();
-    let mut members: Vec<(KernelKind, Vec<u32>)> = Vec::new();
-    for (gi, g) in circuit.gates().iter().enumerate() {
-        match to_block_gate(g, block_qubits) {
-            Some(bg) => {
-                run.push(bg);
-                if shadow {
-                    members.push((crate::perf::classify(g), g.qubits()));
-                }
-            }
-            None => {
-                if !run.is_empty() {
-                    items.push(BlockItem::Run(
-                        std::mem::take(&mut run),
-                        std::mem::take(&mut members),
-                    ));
-                }
-                items.push(BlockItem::Single(gi));
-            }
-        }
-    }
-    if !run.is_empty() {
-        items.push(BlockItem::Run(run, members));
-    }
-    items
-}
-
 impl Default for Simulator {
     fn default() -> Self {
         Simulator::new()
@@ -958,37 +615,12 @@ impl std::fmt::Debug for Simulator {
     }
 }
 
-/// Convert a gate into its blocked form if all its qubits fit below the
-/// block width.
-fn to_block_gate(g: &Gate, block_qubits: u32) -> Option<BlockGate> {
-    if g.qubits().iter().any(|&q| q >= block_qubits) {
-        return None;
-    }
-    if let Some((q, m)) = g.as_single() {
-        return Some(if g.is_diagonal() {
-            BlockGate::Diag1(q, m.m[0][0], m.m[1][1])
-        } else {
-            BlockGate::One(q, m)
-        });
-    }
-    match *g {
-        Gate::Swap(a, b) => Some(BlockGate::Swap(a, b)),
-        _ => {
-            if let Some((c, t, m)) = g.as_controlled() {
-                Some(BlockGate::Controlled(c, t, m))
-            } else {
-                g.as_two().map(|(h, l, m)| BlockGate::Two(h, l, m))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::Gate;
     use crate::library;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     const EPS: f64 = 1e-10;
 

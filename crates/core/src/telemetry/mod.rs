@@ -27,10 +27,11 @@
 //!   EXPERIMENTS claims ("diag is memory-bound", "fusion optimum at
 //!   k=4") into machine-checkable numbers.
 //!
-//! Every span's traffic counters (bytes, amplitudes, flops) come from
-//! the same [`TrafficModel`] the predictors use, so span byte-counts are
-//! equal to [`crate::perf::gate_traffic`] by
-//! construction — a property the proptests pin down.
+//! Every sweep span is recorded from the [`SweepOp`] that executed
+//! ([`Tracer::record_op`]) and priced by the same
+//! [`SweepOp::traffic`] [`crate::perf::predict`] sums, so a traced run's
+//! span bytes and flops equal the model's for the same program by
+//! construction.
 
 pub mod drift;
 pub mod ring;
@@ -44,9 +45,8 @@ use a64fx_model::traffic::{GateTraffic, KernelKind, TrafficModel};
 use a64fx_model::ChipParams;
 use omp_par::RegionObserver;
 
-use crate::circuit::Gate;
-use crate::fusion::FusedOp;
 use crate::perf;
+use crate::program::SweepOp;
 use ring::SpanRing;
 
 /// Default per-thread ring capacity in spans.
@@ -384,6 +384,21 @@ impl TelemetryConfig {
         self
     }
 
+    /// The tracer for one `n_qubits` run on `threads` threads — `None`
+    /// when telemetry is off. Spans price against `model`, or the
+    /// default A64FX single-core configuration when none is attached.
+    pub fn tracer(
+        &self,
+        model: Option<&(ChipParams, ExecConfig)>,
+        n_qubits: u32,
+        threads: usize,
+    ) -> Option<Tracer> {
+        self.enabled.then(|| match model {
+            Some((chip, cfg)) => Tracer::new(n_qubits, threads, chip.clone(), *cfg, self.capacity),
+            None => Tracer::with_defaults(n_qubits, threads, self.capacity),
+        })
+    }
+
     /// Apply `QCS_TRACE` (any value but `0`/empty enables) and
     /// `QCS_TRACE_OUT` (output path) environment overrides.
     pub fn from_env(mut self) -> TelemetryConfig {
@@ -487,65 +502,35 @@ impl Tracer {
         unsafe { self.rings[thread].push(span) };
     }
 
-    /// Record one kernel sweep (a gate or fused op). Traffic counters and
-    /// the model-side time come from the same formulas the predictors
-    /// use, so drift reports join on identical numbers.
-    pub fn record_kernel(&self, thread: usize, kind: KernelKind, qubits: &[u32], wall_ns: u64) {
-        let traffic = self.model.predict(kind, self.n_qubits, qubits);
-        self.record_traffic(thread, SpanKind::Kernel(kind), qubits, kind, &traffic, wall_ns);
-    }
-
-    /// Record a gate sweep, classifying the gate first.
-    pub fn record_gate(&self, thread: usize, gate: &Gate, wall_ns: u64) {
-        self.record_kernel(thread, perf::classify(gate), &gate.qubits(), wall_ns);
-    }
-
-    /// Record one fused-op sweep (kind `FusedDense{k}`, matching
-    /// [`crate::perf::predict_fused`]). A gate-backed singleton executes
-    /// through its per-gate kernel, so it is recorded as that kernel.
-    pub fn record_fused(&self, thread: usize, op: &FusedOp, wall_ns: u64) {
-        if let Some(g) = &op.gate {
-            return self.record_gate(thread, g, wall_ns);
-        }
-        let kind = KernelKind::FusedDense { k: op.qubits.len() as u8 };
-        self.record_kernel(thread, kind, &op.qubits, wall_ns);
-    }
-
-    /// Record one cache-blocked pass of fused ops (the planned engine).
-    pub fn record_block_pass(&self, thread: usize, ops: &[FusedOp], wall_ns: u64) {
-        let Some((kind, traffic)) = perf::block_pass_traffic(&self.model, self.n_qubits, ops)
-        else {
-            return;
+    /// Record one executed op of a [`Program`](crate::program::Program).
+    /// Traffic counters and the model-side time come from
+    /// [`SweepOp::traffic`], the same figures [`perf::predict`] sums, so
+    /// drift reports join on identical numbers. A gate-backed fused
+    /// singleton runs its gate's own kernel and is recorded as that
+    /// kernel; a measurement prices as one probability pass plus ONE
+    /// collapse pass — its byte counter is the regression guard against
+    /// reintroducing a second probability sweep into the collapse.
+    pub fn record_op(&self, thread: usize, op: &SweepOp, wall_ns: u64) {
+        let (kind, traffic) = op.traffic(&self.model, self.n_qubits);
+        let span_kind = match op {
+            SweepOp::BlockRun { gates, .. } => SpanKind::Block { gates: gates.len() as u32, k: 0 },
+            SweepOp::BlockPass(ops) => {
+                let KernelKind::FusedDense { k } = kind else {
+                    unreachable!("a block pass prices as its widest fused member")
+                };
+                SpanKind::Block { gates: ops.len() as u32, k }
+            }
+            SweepOp::Measure { .. } => SpanKind::Measure,
+            _ => SpanKind::Kernel(kind),
         };
-        let span_kind = SpanKind::Block {
-            gates: ops.len() as u32,
-            k: ops.iter().map(|o| o.qubits.len()).max().unwrap_or(0) as u8,
-        };
-        self.record_traffic(thread, span_kind, &ops[0].qubits, kind, &traffic, wall_ns);
-    }
-
-    /// Record one cache-blocked run of unfused gates (the blocked
-    /// engine); `members` pairs each gate's kernel kind with its qubits.
-    pub fn record_block_run(
-        &self,
-        thread: usize,
-        members: &[(KernelKind, Vec<u32>)],
-        wall_ns: u64,
-    ) {
-        let Some((kind, traffic)) = perf::blocked_run_traffic(&self.model, self.n_qubits, members)
-        else {
-            return;
-        };
-        let span_kind = SpanKind::Block { gates: members.len() as u32, k: 0 };
-        let qubits = members[0].1.clone();
-        self.record_traffic(thread, span_kind, &qubits, kind, &traffic, wall_ns);
+        self.record_traffic(thread, span_kind, op.qubits(), kind, &traffic, wall_ns);
     }
 
     fn record_traffic(
         &self,
         thread: usize,
         span_kind: SpanKind,
-        qubits: &[u32],
+        qubits: Vec<u32>,
         kind: KernelKind,
         traffic: &GateTraffic,
         wall_ns: u64,
@@ -557,7 +542,7 @@ impl Tracer {
             Span {
                 seq: self.next_seq(),
                 kind: span_kind,
-                qubits: qubits.to_vec(),
+                qubits,
                 wall_ns,
                 amps: traffic.amps_read,
                 bytes: traffic.mem_bytes,
@@ -576,30 +561,8 @@ impl Tracer {
     pub fn record_reduce(&self, thread: usize, terms: usize, sweeps: usize, wall_ns: u64) {
         let traffic = perf::expectation_traffic(&self.model, self.n_qubits, terms, sweeps);
         let span_kind = SpanKind::Reduce { terms: terms as u32, sweeps: sweeps as u32 };
-        self.record_traffic(
-            thread,
-            span_kind,
-            &[],
-            KernelKind::OneQubitDiagonal,
-            &traffic,
-            wall_ns,
-        );
-    }
-
-    /// Record one projective measurement of qubit `q`. Priced by
-    /// [`perf::measure_traffic`]: one probability pass plus ONE collapse
-    /// pass — the span's byte counter is the regression guard against
-    /// reintroducing a second probability sweep into the collapse.
-    pub fn record_measure(&self, thread: usize, q: u32, wall_ns: u64) {
-        let traffic = perf::measure_traffic(&self.model, self.n_qubits);
-        self.record_traffic(
-            thread,
-            SpanKind::Measure,
-            &[q],
-            KernelKind::OneQubitDiagonal,
-            &traffic,
-            wall_ns,
-        );
+        let kind = KernelKind::OneQubitDiagonal;
+        self.record_traffic(thread, span_kind, Vec::new(), kind, &traffic, wall_ns);
     }
 
     /// Record one distributed communication phase: `bytes` is the wire
@@ -696,10 +659,17 @@ pub fn write_configured(cfg: &TelemetryConfig, trace: &Trace) -> std::io::Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::Gate;
+    use crate::fusion::FusedOp;
     use crate::perf::gate_traffic;
+    use crate::program::GateRef;
 
     fn tracer(n: u32) -> Tracer {
         Tracer::with_defaults(n, 2, 64)
+    }
+
+    fn record_gate(tr: &Tracer, g: &Gate, wall_ns: u64) {
+        tr.record_op(0, &SweepOp::Gate(GateRef::Source(g)), wall_ns);
     }
 
     #[test]
@@ -740,7 +710,7 @@ mod tests {
     fn recorded_span_counters_match_gate_traffic() {
         let tr = tracer(10);
         let g = Gate::H(3);
-        tr.record_gate(0, &g, 1234);
+        record_gate(&tr, &g, 1234);
         let trace = tr.finish(RunMeta::default());
         assert_eq!(trace.spans.len(), 1);
         let span = &trace.spans[0];
@@ -755,9 +725,9 @@ mod tests {
     #[test]
     fn summary_aggregates_by_kind() {
         let tr = tracer(8);
-        tr.record_gate(0, &Gate::H(0), 100);
-        tr.record_gate(0, &Gate::H(1), 150);
-        tr.record_gate(0, &Gate::Rz(2, 0.5), 50);
+        record_gate(&tr, &Gate::H(0), 100);
+        record_gate(&tr, &Gate::H(1), 150);
+        record_gate(&tr, &Gate::Rz(2, 0.5), 50);
         let trace = tr.finish(RunMeta::default());
         assert_eq!(trace.summary.spans, 3);
         assert_eq!(trace.summary.wall_ns, 300);
@@ -771,7 +741,7 @@ mod tests {
     fn ring_overflow_drops_oldest_and_counts() {
         let tr = Tracer::with_defaults(6, 1, 4);
         for i in 0..10 {
-            tr.record_gate(0, &Gate::H(i % 6), i as u64);
+            record_gate(&tr, &Gate::H(i % 6), i as u64);
         }
         let trace = tr.finish(RunMeta::default());
         assert_eq!(trace.spans.len(), 4);
@@ -816,7 +786,7 @@ mod tests {
         };
         let ops = vec![mk(vec![0, 1], 2), mk(vec![1, 2, 3], 3)];
         let tr = tracer(10);
-        tr.record_block_pass(0, &ops, 500);
+        tr.record_op(0, &SweepOp::BlockPass(ops), 500);
         let trace = tr.finish(RunMeta::default());
         let s = &trace.spans[0];
         assert_eq!(s.kind, SpanKind::Block { gates: 2, k: 3 });
@@ -841,7 +811,7 @@ mod tests {
     #[test]
     fn measure_span_prices_single_pass_collapse() {
         let tr = tracer(10);
-        tr.record_measure(0, 4, 321);
+        tr.record_op(0, &SweepOp::Measure { q: 4, creg: 0 }, 321);
         let trace = tr.finish(RunMeta::default());
         let s = &trace.spans[0];
         assert_eq!(s.kind, SpanKind::Measure);

@@ -31,6 +31,7 @@ use rand::{Rng, SeedableRng};
 use crate::batch::{BatchSimulator, MAX_BATCH};
 use crate::circuit::{Circuit, Gate};
 use crate::expectation::{CompiledObservable, Observable};
+use crate::io::{fnv1a, fnv1a_update};
 use crate::sim::SimError;
 use crate::state::StateVector;
 
@@ -199,6 +200,27 @@ impl ParamCircuit {
         assert!(a < self.n_qubits && b < self.n_qubits && a != b);
         self.ops.push(ParamOp::Rxx(a, b, p));
         self
+    }
+
+    /// Structural FNV-1a fingerprint of the template itself: width, then
+    /// per op a tag byte (fixed gate vs parameterized rotation) followed
+    /// by the gate's own fingerprint, or the rotation's kind, qubits and
+    /// slot index. No angle stands in for a slot, so a rotation on slot
+    /// `k` never hashes like a fixed rotation by `k.0`.
+    pub fn fingerprint(&self) -> u64 {
+        let slot = |h: u64, kind: &[u8], qs: &[u32], p: usize| {
+            let h = fnv1a_update(fnv1a_update(h, &[1]), kind);
+            let h = qs.iter().fold(h, |h, q| fnv1a_update(h, &q.to_le_bytes()));
+            fnv1a_update(h, &(p as u64).to_le_bytes())
+        };
+        self.ops.iter().fold(fnv1a(&self.n_qubits.to_le_bytes()), |h, op| match *op {
+            ParamOp::Fixed(ref g) => g.fingerprint_into(fnv1a_update(h, &[0])),
+            ParamOp::Rx(q, p) => slot(h, b"rx\0", &[q], p),
+            ParamOp::Ry(q, p) => slot(h, b"ry\0", &[q], p),
+            ParamOp::Rz(q, p) => slot(h, b"rz\0", &[q], p),
+            ParamOp::Rzz(a, b, p) => slot(h, b"rzz\0", &[a, b], p),
+            ParamOp::Rxx(a, b, p) => slot(h, b"rxx\0", &[a, b], p),
+        })
     }
 
     /// Instantiate the template at `theta` (length must equal

@@ -578,7 +578,7 @@ impl DistState {
     }
 
     /// Crate-internal: swap a global physical axis with a local one (the
-    /// remapping engine drives this directly).
+    /// planned executors drive this directly).
     pub(crate) fn swap_physical(
         &mut self,
         comm: &mut Comm,
@@ -586,35 +586,6 @@ impl DistState {
         lq: u32,
     ) -> Result<(), DistError> {
         self.swap_global_local(comm, gq, lq)
-    }
-
-    /// Crate-internal: swap any two physical axes. Local–local is a
-    /// rank-local permutation; global–local is one half-buffer exchange;
-    /// global–global decomposes into three global–local swaps through a
-    /// temporary local axis ((a t)(b t)(a t) = (a b)).
-    pub(crate) fn swap_physical_any(
-        &mut self,
-        comm: &mut Comm,
-        a: u32,
-        b: u32,
-    ) -> Result<(), DistError> {
-        if a == b {
-            return Ok(());
-        }
-        match (self.part.is_local(a), self.part.is_local(b)) {
-            (true, true) => {
-                qcs_core::kernels::scalar::apply_swap(&mut self.amps, a, b);
-                Ok(())
-            }
-            (false, true) => self.swap_global_local(comm, a, b),
-            (true, false) => self.swap_global_local(comm, b, a),
-            (false, false) => {
-                let t = 0u32; // any local axis works as scratch
-                self.swap_global_local(comm, a, t)?;
-                self.swap_global_local(comm, b, t)?;
-                self.swap_global_local(comm, a, t)
-            }
-        }
     }
 
     /// ⟨ψ|ψ⟩ across all ranks.

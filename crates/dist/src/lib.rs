@@ -25,7 +25,6 @@ pub mod engine;
 pub mod error;
 pub mod partition;
 pub mod plan;
-pub mod remap;
 pub mod resilience;
 
 pub use engine::{run_distributed, run_distributed_traced, DistState};
@@ -35,5 +34,4 @@ pub use plan::{
     plan_circuit, run_distributed_planned, run_distributed_planned_traced, DistPlan, DistPlanKind,
     PlannedGate,
 };
-pub use remap::{run_distributed_mapped, MappedDistState};
 pub use resilience::{run_resilient, RecoveryReport, ResilienceConfig, ResilientRun};

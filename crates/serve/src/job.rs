@@ -207,22 +207,15 @@ impl JobSpec {
     /// over the same template pack into one gate-major batch across
     /// tenants. `(cache_fingerprint, seed, shots)` keys the cache.
     pub fn fingerprint(&self) -> u64 {
-        let mut text =
+        let header =
             format!("n={};strategy={};backend={};", self.n, self.strategy_str, self.backend_str);
-        match &self.ansatz {
-            Some(template) => {
-                text.push_str("template;");
-                for op in template.ops() {
-                    text.push_str(&format!("{op:?};"));
-                }
-            }
-            None => {
-                for g in self.circuit.gates() {
-                    text.push_str(&format!("{g:?};"));
-                }
-            }
-        }
-        let mut h = fnv1a(text.as_bytes());
+        // A template hashes its own structure (fixed gates, which slot
+        // drives which rotation), never a circuit bound at some point.
+        let circuit = match &self.ansatz {
+            Some(template) => template.fingerprint(),
+            None => self.circuit.fingerprint(),
+        };
+        let mut h = fnv1a_update(fnv1a(header.as_bytes()), &circuit.to_le_bytes());
         for (src, _) in &self.observables {
             h = fnv1a_update(h, b"obs=");
             h = fnv1a_update(h, src.as_bytes());
@@ -641,6 +634,25 @@ mod tests {
         // A plain job never collides with a sweep job's cache key.
         let plain = JobSpec::parse(&submission("")).unwrap();
         assert_eq!(plain.fingerprint(), plain.cache_fingerprint());
+    }
+
+    #[test]
+    fn param_slot_never_hashes_like_a_fixed_angle() {
+        // Slot k must not stand in for the angle k.0: these two are
+        // different circuits at the same point and may share neither a
+        // batch nor a cache entry.
+        let job = |second: &str| {
+            JobSpec::parse(&format!(
+                r#"{{"tenant":"t","n":2,
+                    "circuit":[{{"gate":"ry","q":[0],"param":0}},
+                               {{"gate":"ry","q":[1],{second}}}],
+                    "points":[[0.7]]}}"#
+            ))
+            .unwrap()
+        };
+        let (shared, fixed) = (job("\"param\":0"), job("\"theta\":0.0"));
+        assert_ne!(shared.fingerprint(), fixed.fingerprint());
+        assert_ne!(shared.cache_fingerprint(), fixed.cache_fingerprint());
     }
 
     #[test]

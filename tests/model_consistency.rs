@@ -7,9 +7,11 @@ use a64fx_qcs::a64fx::roofline::{attainable_gflops, ridge_point};
 use a64fx_qcs::a64fx::timing::{predict, Bottleneck, ExecConfig, KernelProfile};
 use a64fx_qcs::a64fx::traffic::{KernelKind, TrafficModel};
 use a64fx_qcs::a64fx::ChipParams;
+use a64fx_qcs::core::circuit::Circuit;
 use a64fx_qcs::core::gates::standard;
 use a64fx_qcs::core::kernels::sve::apply_1q_sve;
-use a64fx_qcs::core::perf::{predict_batched, predict_circuit};
+use a64fx_qcs::core::perf::{self, predict_batched, ModelReport};
+use a64fx_qcs::core::program::Program;
 use a64fx_qcs::core::testing;
 use a64fx_qcs::core::StateVector;
 use a64fx_qcs::sve::{SveCtx, Vl};
@@ -111,6 +113,11 @@ fn bottleneck_transitions_match_roofline() {
     }
 }
 
+/// The gate-by-gate (naive) model of `circuit`.
+fn predict_circuit(chip: &ChipParams, cfg: &ExecConfig, circuit: &Circuit) -> ModelReport {
+    perf::predict(chip, cfg, &Program::per_gate(circuit))
+}
+
 #[test]
 fn circuit_prediction_decomposes_into_gate_predictions() {
     // predict_circuit must equal the sum over gates of single-gate
@@ -124,7 +131,7 @@ fn circuit_prediction_decomposes_into_gate_predictions() {
         let mut sum_seconds = 0.0;
         let mut sum_bytes = 0u64;
         for g in circuit.gates() {
-            let mut single = a64fx_qcs::core::circuit::Circuit::new(8);
+            let mut single = Circuit::new(8);
             single.push(g.clone());
             let p = predict_circuit(&chip, &cfg, &single);
             sum_seconds += p.seconds;
@@ -151,7 +158,7 @@ fn batched_prediction_is_consistent_with_the_single_run_model() {
         let single = predict_circuit(&chip, &cfg, &circuit);
         let mut last_speedup = 0.0;
         for members in [1usize, 2, 8, 32] {
-            let b = predict_batched(&chip, &cfg, &circuit, members);
+            let b = predict_batched(&chip, &cfg, &Program::per_gate(&circuit), members);
             assert_eq!(b.members, members);
             assert_eq!(b.per_member.seconds, single.seconds, "seed {seed}");
             assert_eq!(b.per_member.mem_bytes, single.mem_bytes, "seed {seed}");

@@ -1,0 +1,202 @@
+//! The `Program` contract, from the outside: the lowering, the engines,
+//! the model and the tracer must all read the same sequence of sweeps.
+//!
+//! (a) a run executes exactly the ops `lower` emits; (b) a traced run's
+//! span bytes/flops equal `perf::predict` of the same program, exactly;
+//! (c) the final state bits of seeded circuits on the portable backend
+//! match checksums recorded *before* the engines were rewritten as
+//! interpreters over `Program`, so a reordered arithmetic sequence fails
+//! loudly; (d) `Circuit::fingerprint` separates what it must.
+
+use std::sync::Once;
+
+use a64fx_qcs::a64fx::timing::ExecConfig;
+use a64fx_qcs::a64fx::ChipParams;
+use a64fx_qcs::core::calibrate::Calibration;
+use a64fx_qcs::core::io::{fnv1a, fnv1a_update};
+use a64fx_qcs::core::kernels::simd;
+use a64fx_qcs::core::perf;
+use a64fx_qcs::core::prelude::*;
+use a64fx_qcs::core::program::lower;
+use a64fx_qcs::core::testing::random_circuit_seeded;
+
+/// Two process-wide choices shape a lowering's arithmetic: the machine
+/// calibration (measured per host) prices fusion and relocation, and
+/// the active kernel backend builds fused product matrices. Pin both —
+/// analytic costs, portable kernels — before anything in this binary
+/// lowers a circuit, so the golden checksums name one fixed arithmetic
+/// sequence on every host and under every CI environment.
+fn pin_process_wide_choices() {
+    static PIN: Once = Once::new();
+    PIN.call_once(|| {
+        std::env::set_var("QCS_CALIBRATE", "analytic");
+        std::env::set_var("QCS_BACKEND", "scalar");
+        assert!(!Calibration::get().measured, "calibration was measured before the pin");
+        assert_eq!(simd::active().name, "portable", "backend was chosen before the pin");
+    });
+}
+
+fn strategies() -> [Strategy; 4] {
+    [
+        Strategy::Naive,
+        Strategy::Fused { max_k: 3 },
+        Strategy::Blocked { block_qubits: 4 },
+        Strategy::Planned { block_qubits: 4, max_k: 3 },
+    ]
+}
+
+const SHAPES: [(u32, usize, u64); 3] = [(6, 40, 1), (8, 60, 2), (10, 80, 3)];
+
+#[test]
+fn a_run_executes_exactly_the_lowered_ops() {
+    pin_process_wide_choices();
+    for seed in 0..6u64 {
+        let circuit = random_circuit_seeded(7, 45, seed);
+        for strategy in strategies() {
+            let program = lower(&circuit, strategy, None);
+            assert_eq!(program.strategy, strategy);
+            let sim = SimConfig::default().strategy(strategy).build().unwrap();
+            let mut state = StateVector::zero(7);
+            let report = sim.run(&circuit, &mut state).unwrap();
+            assert_eq!(report.sweeps, program.ops.len(), "{strategy} seed {seed}");
+
+            let batch =
+                BatchSimulator::from_config(SimConfig::default().strategy(strategy)).unwrap();
+            let mut members = vec![StateVector::zero(7), StateVector::zero(7)];
+            let report = batch.run(&circuit, &mut members).unwrap();
+            assert_eq!(report.sweeps, program.ops.len(), "batched {strategy} seed {seed}");
+        }
+    }
+}
+
+#[test]
+fn span_traffic_equals_the_model_of_the_same_program() {
+    pin_process_wide_choices();
+    let (chip, cfg) = (ChipParams::a64fx(), ExecConfig::single_core());
+    for seed in 0..6u64 {
+        let circuit = random_circuit_seeded(8, 50, 100 + seed);
+        for strategy in strategies() {
+            let model = perf::predict(&chip, &cfg, &lower(&circuit, strategy, None));
+            let sim = SimConfig::default()
+                .strategy(strategy)
+                .model(chip.clone(), cfg)
+                .traced()
+                .build()
+                .unwrap();
+            let mut state = StateVector::zero(8);
+            let report = sim.run(&circuit, &mut state).unwrap();
+            let trace = report.trace.expect("traced");
+            assert_eq!(trace.spans.len(), model.sweeps, "{strategy} seed {seed}");
+            assert_eq!(trace.summary.bytes, model.mem_bytes, "{strategy} seed {seed}");
+            assert_eq!(trace.summary.flops, model.flops, "{strategy} seed {seed}");
+            // And the report's own prediction is that same model.
+            let predicted = report.predicted.expect("model attached");
+            assert_eq!(predicted.mem_bytes, model.mem_bytes, "{strategy} seed {seed}");
+            assert_eq!(predicted.flops, model.flops, "{strategy} seed {seed}");
+        }
+    }
+}
+
+/// FNV-1a over the IEEE-754 bits of every amplitude, in index order.
+fn state_checksum(state: &StateVector) -> u64 {
+    state.amplitudes().iter().fold(fnv1a(&[]), |h, a| {
+        fnv1a_update(fnv1a_update(h, &a.re.to_bits().to_le_bytes()), &a.im.to_bits().to_le_bytes())
+    })
+}
+
+#[test]
+fn final_state_bits_match_the_pre_refactor_engines() {
+    pin_process_wide_choices();
+    // Recorded at the parent commit (per-strategy executors, `Prep`)
+    // under QCS_BACKEND=scalar QCS_CALIBRATE=analytic, |0…0⟩ start.
+    // Rows follow SHAPES; columns follow strategies().
+    const GOLDEN: [[u64; 4]; 3] = [
+        [0x920e14d21fc5fbd9, 0xab5de4191fc2683a, 0x920e14d21fc5fbd9, 0x76be445ded438c16],
+        [0xe1ac15682fedd7f6, 0xbf3ed899ab571fed, 0xe1ac15682fedd7f6, 0xcc6b6137cdf0aeee],
+        [0x01cd71aafe8fcc77, 0xf77dc9701a0049e7, 0x01cd71aafe8fcc77, 0xb7fbc1b6a88081d7],
+    ];
+    const SWEEPS: [[usize; 4]; 3] = [[40, 20, 31, 26], [60, 34, 54, 50], [80, 42, 74, 74]];
+    for (row, &(n, gates, seed)) in SHAPES.iter().enumerate() {
+        let circuit = random_circuit_seeded(n, gates, seed);
+        for (col, strategy) in strategies().into_iter().enumerate() {
+            let config = SimConfig::default().strategy(strategy).backend(BackendChoice::Scalar);
+            let mut state = StateVector::zero(n);
+            let report = config.clone().build().unwrap().run(&circuit, &mut state).unwrap();
+            assert_eq!(report.sweeps, SWEEPS[row][col], "{strategy} on {:?}", SHAPES[row]);
+            assert_eq!(
+                state_checksum(&state),
+                GOLDEN[row][col],
+                "{strategy} on {:?}: the arithmetic sequence changed",
+                SHAPES[row]
+            );
+            // The batch interpreter runs the same kernels per member.
+            let mut members = vec![StateVector::zero(n), StateVector::zero(n)];
+            BatchSimulator::from_config(config).unwrap().run(&circuit, &mut members).unwrap();
+            for member in &members {
+                assert_eq!(state_checksum(member), GOLDEN[row][col], "batched {strategy}");
+            }
+        }
+    }
+}
+
+#[test]
+fn fingerprint_is_structural_and_bit_exact() {
+    let a = random_circuit_seeded(6, 40, 9);
+    let b = random_circuit_seeded(6, 40, 9);
+    assert_eq!(a.fingerprint(), b.fingerprint(), "equal circuits hash equal");
+    assert_ne!(a.fingerprint(), random_circuit_seeded(6, 40, 10).fingerprint());
+
+    let theta = 0.4f64;
+    let ulp_up = f64::from_bits(theta.to_bits() + 1);
+    let with = |angle: f64| {
+        let mut c = Circuit::new(3);
+        c.h(0).rz(1, angle).cx(0, 2);
+        c.fingerprint()
+    };
+    assert_eq!(with(theta), with(theta));
+    assert_ne!(with(theta), with(ulp_up), "a one-ulp angle change must separate");
+
+    // Same gates on a wider register, another qubit, another kind,
+    // another order, another direction: all separate.
+    let fp = |n: u32, gates: &[Gate]| {
+        let mut c = Circuit::new(n);
+        for g in gates {
+            c.push(g.clone());
+        }
+        c.fingerprint()
+    };
+    let base = fp(3, &[Gate::H(0), Gate::Cx(0, 1)]);
+    let variants = [
+        fp(4, &[Gate::H(0), Gate::Cx(0, 1)]),
+        fp(3, &[Gate::H(1), Gate::Cx(0, 1)]),
+        fp(3, &[Gate::H(0), Gate::Cy(0, 1)]),
+        fp(3, &[Gate::Cx(0, 1), Gate::H(0)]),
+        fp(3, &[Gate::H(0), Gate::Cx(1, 0)]),
+    ];
+    for (i, v) in variants.into_iter().enumerate() {
+        assert_ne!(base, v, "variant {i}");
+    }
+    // Another classical bit, another condition value.
+    let measured = |creg: u32, val: u8| {
+        let mut c = Circuit::new(2);
+        c.h(0).measure(0, creg);
+        c.cif_bit(creg, val, Gate::X(1));
+        c.fingerprint()
+    };
+    assert_eq!(measured(0, 1), measured(0, 1));
+    assert_ne!(measured(0, 1), measured(1, 1));
+    assert_ne!(measured(0, 1), measured(0, 0));
+}
+
+#[test]
+fn auto_trace_header_names_what_ran() {
+    pin_process_wide_choices();
+    let circuit = random_circuit_seeded(6, 30, 4);
+    let sim = SimConfig::default().strategy(Strategy::Auto).traced().build().unwrap();
+    let mut state = StateVector::zero(6);
+    let trace = sim.run(&circuit, &mut state).unwrap().trace.expect("traced");
+    let resolved = trace.meta.strategy.strip_prefix("auto=").expect("auto=<resolved>");
+    let resolved: Strategy = resolved.parse().expect("the resolution is replayable");
+    assert_ne!(resolved, Strategy::Auto);
+    assert_eq!(resolved, lower(&circuit, Strategy::Auto, None).strategy);
+}
