@@ -7,8 +7,9 @@
 //! experiment re-measures the e11 workload after the fix:
 //!
 //! 1. fused blocks are classified (diagonal / permutation / sparse /
-//!    dense) and executed by matching specialized kernels, with a SIMD
-//!    row-vectorized mat-vec for the dense remainder;
+//!    dense); diagonal ones stream, every other runs the one block
+//!    kernel over its non-identity rows' nonzeros, `W` groups per
+//!    vector step whatever the target stride;
 //! 2. `Strategy::Auto` picks a strategy per circuit from a startup
 //!    micro-benchmark of the actual machine's per-kernel costs.
 //!
@@ -178,8 +179,8 @@ fn sweep(samples: &mut Vec<Sample>, auto_rows: &mut String) {
 }
 
 /// Old-vs-new fused execution: the seed's generic scalar k-qubit
-/// gather/mat-vec/scatter per block, against the specialized
-/// class-dispatched kernels, on the same fusion plan.
+/// gather/mat-vec/scatter per block, against the structure-aware block
+/// kernel, on the same fusion plan.
 fn specialization(n: u32) -> String {
     println!();
     println!("E15: generic vs specialized fused blocks — n = {n}, k = 4");
@@ -249,7 +250,9 @@ fn write_json(samples: &[Sample], auto_rows: &str, spec_rows: &str, cal: &Calibr
         "{{\n  \"experiment\": \"e15_fused\",\n\
          \x20 \"machine\": {{\"arch\": \"{}\", \"cores\": {}, \"backend\": \"{}\", \
          \"calibration_measured\": {}, \"stream_ns_per_amp\": {:.4}, \
-         \"fused_diag_ns_per_amp\": {:.4}, \"fused_dense_k4_ns_per_amp\": {:.4}}},\n\
+         \"fused_diag_ns_per_amp\": {:.4}, \"fused_perm_ns_per_amp\": {:.4}, \
+         \"fused_dense_ns_per_amp\": {{\"k2\": {:.4}, \"k3\": {:.4}, \"k4\": {:.4}, \
+         \"k5\": {:.4}}}}},\n\
          \x20 \"auto\": [\n{auto_rows}\n  ],\n\
          \x20 \"specialization\": [\n{spec_rows}\n  ],\n\
          \x20 \"samples\": [\n{rows}\n  ]\n}}\n",
@@ -259,7 +262,11 @@ fn write_json(samples: &[Sample], auto_rows: &str, spec_rows: &str, cal: &Calibr
         cal.measured,
         cal.stream,
         cal.fused_diag,
+        cal.fused_perm,
+        cal.fused_dense[0],
+        cal.fused_dense[1],
         cal.fused_dense[2],
+        cal.fused_dense[3],
     );
     let _ = std::fs::create_dir_all("results");
     match std::fs::write("results/BENCH_fused_v2.json", &json) {
@@ -273,9 +280,17 @@ fn main() {
     println!("E15 — specialized fused kernels + auto-tuner (host has {cores} core(s))");
     let cal = Calibration::get();
     println!(
-        "calibration: backend {}, measured {}, stream {:.2} ns/amp, \
-         fused diag {:.2} / dense-k4 {:.2} ns/amp",
-        cal.backend, cal.measured, cal.stream, cal.fused_diag, cal.fused_dense[2]
+        "calibration: backend {}, measured {}, stream {:.2} ns/amp; fused blocks as multiples \
+         of that roof: diag {:.2}×, perm {:.2}×, dense k=2..5 {:.2}× {:.2}× {:.2}× {:.2}×",
+        cal.backend,
+        cal.measured,
+        cal.stream,
+        cal.fused_diag / cal.stream,
+        cal.fused_perm / cal.stream,
+        cal.fused_dense[0] / cal.stream,
+        cal.fused_dense[1] / cal.stream,
+        cal.fused_dense[2] / cal.stream,
+        cal.fused_dense[3] / cal.stream,
     );
     let mut samples = Vec::new();
     let mut auto_rows = String::new();

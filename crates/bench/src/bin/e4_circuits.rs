@@ -57,8 +57,8 @@ fn bench_circuit(name: &str, c: &Circuit) {
 }
 
 /// Paper-scale (memory-bound) comparison on the A64FX model only — the
-/// host runs its measurements at cache-resident sizes where fusion's
-/// extra FLOPs dominate; at 2^26 amplitudes the tradeoff inverts.
+/// host runs its measurements at cache-resident sizes, where a block's
+/// FLOPs are not hidden behind memory; at 2^26 amplitudes they are.
 fn model_at_scale(name: &str, c: &Circuit) {
     use a64fx_model::timing::ExecConfig;
     use a64fx_model::ChipParams;
@@ -194,8 +194,9 @@ fn main() {
     bench_circuit("quantum volume", &library::quantum_volume(16, 7));
     bench_circuit("rotation layers ×8 (fusion-friendly)", &library::rotation_layers(n, 8, 0.37));
     println!();
-    println!("Host measurements above run at cache-resident sizes (this machine), where");
-    println!("fusion's extra arithmetic dominates. At paper scale the state is HBM-bound:");
+    println!("Host measurements above run at cache-resident sizes (this machine), where a");
+    println!("block's arithmetic is not hidden behind memory. At paper scale the state is");
+    println!("HBM-bound:");
 
     let big = 26u32;
     model_at_scale("random circuit (depth 20)", &library::random_circuit(big, 20, 42));
@@ -205,5 +206,5 @@ fn main() {
 
     println!();
     println!("Expected shape (memory-bound regime): fused time tracks the sweep count until");
-    println!("k ≈ 4–5 where the 2^k matrix FLOPs reach the compute roof and gains flatten.");
+    println!("k ≈ 3–5 where the 2^k matrix FLOPs reach the compute roof and gains flatten.");
 }

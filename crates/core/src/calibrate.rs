@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use crate::circuit::{Circuit, Gate};
 use crate::complex::C64;
-use crate::fusion::{fuse, fuse_costed, FuseCosts, FusedOp};
+use crate::fusion::{fuse, fuse_costed, FuseCosts, FusedClass, FusedOp};
 use crate::kernels::blocked::{apply_blocked, apply_blocked_fused, BlockGate};
 use crate::kernels::dispatch::apply_gate_with;
 use crate::kernels::fused::PreparedFused;
@@ -30,6 +30,7 @@ use crate::kernels::simd::{self, KernelBackend};
 use crate::program::{lower, to_block_gate};
 use crate::sim::Strategy;
 use crate::state::StateVector;
+use crate::testing::class_circuit;
 
 /// State sizes the micro-benchmark sweeps: the big size must spill the
 /// private caches (a 2^18 state is 4 MB) so gather-heavy kernels are
@@ -58,12 +59,15 @@ pub struct Calibration {
     pub gate_2q_dense: f64,
     /// Axis-swap / SWAP-gate sweep.
     pub swap: f64,
-    /// Specialized fused sweeps, by structure class (k = 3 blocks).
+    /// Streaming diagonal fused sweep (k = 3 block).
     pub fused_diag: f64,
+    /// Permutation fused sweep (k = 3 block): the block kernel with one
+    /// nonzero per row, i.e. its gather/scatter floor.
     pub fused_perm: f64,
-    pub fused_sparse: f64,
     /// Dense fused sweeps at k = 2, 3, 4, 5; wider blocks extrapolate
     /// at 2× per extra qubit (the `8·2^k` flops-per-amplitude law).
+    /// Sparser blocks are priced per nonzero off these
+    /// ([`FuseCosts::block`]).
     pub fused_dense: [f64; 4],
     /// Pure read-modify-write streaming pass (`scale_run`): the floor
     /// any full-state sweep pays. Cache-blocked passes are priced as
@@ -108,7 +112,6 @@ impl Calibration {
             swap: 1.0,
             fused_diag: 1.2,
             fused_perm: 2.0,
-            fused_sparse: 3.0,
             fused_dense: [4.0, 8.0, 16.0, 32.0],
             stream: 0.5,
             block_stream_factor: 0.05,
@@ -131,7 +134,6 @@ impl Calibration {
             swap: self.swap,
             fused_diag: self.fused_diag,
             fused_perm: self.fused_perm,
-            fused_sparse: self.fused_sparse,
             fused_dense: self.fused_dense,
         }
     }
@@ -160,7 +162,6 @@ impl Calibration {
             swap: arith(full.swap),
             fused_diag: arith(full.fused_diag),
             fused_perm: arith(full.fused_perm),
-            fused_sparse: arith(full.fused_sparse),
             fused_dense: full.fused_dense.map(arith),
         }
     }
@@ -207,41 +208,13 @@ fn fit(t_big: f64, t_small: f64) -> (f64, f64) {
     (per_amp, overhead)
 }
 
-/// One circuit per fused structure class on mid-register qubits, each
-/// fusing into a single ≤ `k`-qubit block with strided offsets — the
-/// layout the real workloads exercise.
-fn class_ops(n: u32, k: u32) -> Vec<(&'static str, FusedOp)> {
-    let mut out = Vec::new();
-    let q = n / 2 - 1;
-    let mut diag = Circuit::new(n);
-    diag.rz(q, 0.4).cp(q, q + 1, 0.9).cz(q + 1, q + 2).rzz(q, q + 2, 0.3);
-    let mut perm = Circuit::new(n);
-    perm.x(q).cx(q, q + 2).swap(q + 1, q + 2);
-    let mut sparse = Circuit::new(n);
-    sparse.ccx(q, q + 1, q + 2).rx(q + 2, 0.7);
-    for (name, c) in [("diag", diag), ("perm", perm), ("sparse", sparse)] {
-        let mut ops = fuse(&c, k);
-        assert_eq!(ops.len(), 1, "calibration circuit must fuse to one block");
-        out.push((name, ops.remove(0)));
-    }
-    out
-}
-
-/// A dense `k`-qubit fused block on mid-register qubits.
-fn dense_op(n: u32, k: u32) -> FusedOp {
+/// One `k`-qubit block of structure `class` on mid-register qubits.
+fn class_op(class: FusedClass, n: u32, k: u32) -> FusedOp {
     let q0 = n / 2 - k / 2;
-    let mut c = Circuit::new(n);
-    for j in 0..k {
-        c.h(q0 + j);
-    }
-    for j in 0..k.saturating_sub(1) {
-        c.cx(q0 + j, q0 + j + 1);
-    }
-    for j in 0..k {
-        c.h(q0 + j);
-    }
+    let qubits: Vec<u32> = (q0..q0 + k).collect();
+    let c = class_circuit(class, n, &qubits).expect("calibrated classes exist at every width");
     let mut ops = fuse(&c, k);
-    assert_eq!(ops.len(), 1, "dense calibration circuit must fuse to one block");
+    assert_eq!((ops.len(), ops[0].class), (1, class), "calibration circuit must be one block");
     ops.remove(0)
 }
 
@@ -292,19 +265,10 @@ fn measure(be: &'static KernelBackend) -> Calibration {
         overheads.push(overhead);
         per_amp
     };
-    let (mut fused_diag, mut fused_perm, mut fused_sparse) = (1.0, 1.0, 1.0);
-    for (name, op) in class_ops(N_SMALL, 3) {
-        let c = fused_cost(&op, &mut overheads);
-        match name {
-            "diag" => fused_diag = c,
-            "perm" => fused_perm = c,
-            _ => fused_sparse = c,
-        }
-    }
-    let mut fused_dense = [0.0f64; 4];
-    for (i, k) in (2u32..=5).enumerate() {
-        fused_dense[i] = fused_cost(&dense_op(N_SMALL, k), &mut overheads);
-    }
+    let fused_diag = fused_cost(&class_op(FusedClass::Diagonal, N_SMALL, 3), &mut overheads);
+    let fused_perm = fused_cost(&class_op(FusedClass::Permutation, N_SMALL, 3), &mut overheads);
+    let fused_dense =
+        [2, 3, 4, 5].map(|k| fused_cost(&class_op(FusedClass::Dense, N_SMALL, k), &mut overheads));
 
     let stream = {
         let d = C64::new(1.0, 0.0);
@@ -324,7 +288,6 @@ fn measure(be: &'static KernelBackend) -> Calibration {
         swap,
         fused_diag,
         fused_perm,
-        fused_sparse,
         fused_dense,
         stream,
         block_stream_factor: 0.0,
@@ -395,7 +358,7 @@ pub(crate) fn gate_per_amp(cal: &Calibration, g: &Gate) -> f64 {
 pub(crate) fn fused_per_amp(cal: &Calibration, op: &FusedOp) -> f64 {
     match &op.gate {
         Some(g) => gate_per_amp(cal, g),
-        None => cal.fuse_costs().block(&op.class, op.qubits.len()),
+        None => cal.fuse_costs().block(op.class, op.qubits.len(), op.active_nnz),
     }
 }
 
@@ -528,7 +491,6 @@ mod tests {
             cal.swap,
             cal.fused_diag,
             cal.fused_perm,
-            cal.fused_sparse,
             cal.stream,
             cal.block_stream_factor,
             cal.fused_block_stream_factor,

@@ -16,8 +16,8 @@
 use omp_par::{Schedule, ThreadPool};
 
 use crate::complex::C64;
-use crate::gates::matrices::{DenseMatrix, Mat2, Mat4};
-use crate::kernels::index::{insert_two_zero_bits, insert_zero_bit, spread_bits};
+use crate::gates::matrices::{Mat2, Mat4};
+use crate::kernels::index::{insert_two_zero_bits, insert_zero_bit};
 use crate::kernels::simd::KernelBackend;
 use crate::kernels::AmpPtr;
 
@@ -253,35 +253,6 @@ pub fn apply_swap(
     });
 }
 
-/// Parallel fused k-qubit dense kernel; see
-/// [`crate::kernels::scalar::apply_kq`]. Each chunk of groups runs the
-/// backend's `kq_range` kernel directly.
-pub fn apply_kq(
-    pool: &ThreadPool,
-    sched: Schedule,
-    amps: &mut [C64],
-    ts: &[u32],
-    m: &DenseMatrix,
-    be: &KernelBackend,
-) {
-    let k = ts.len() as u32;
-    assert_eq!(m.dim(), 1usize << k);
-    let mut sorted = ts.to_vec();
-    sorted.sort_unstable();
-    let groups = amps.len() >> k;
-    let dim = m.dim();
-    let offsets: Vec<usize> = (0..dim).map(|local| spread_bits(local, &sorted)).collect();
-    let p = AmpPtr(amps.as_mut_ptr());
-    let sorted_ref = &sorted;
-    let offsets_ref = &offsets;
-    pool.parallel_for(0..groups, sched, move |chunk| {
-        let p = p; // capture the Send+Sync wrapper, not the raw field
-                   // SAFETY: 2^k groups partition the index space; each group index
-                   // lands in exactly one chunk.
-        unsafe { (be.kq_range)(p.0, chunk.start, chunk.end, sorted_ref, offsets_ref, m) }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,28 +397,6 @@ mod tests {
                     be,
                 );
                 assert!(a.approx_eq(&b, EPS), "{} a={x} b={y}", be.name);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_kq_matches_scalar() {
-        let pool = ThreadPool::new(5);
-        let dm = DenseMatrix::from_mat4(&standard::iswap_mat());
-        for be in backends() {
-            for ts in [[2u32, 6], [0, 1], [5, 7]] {
-                let mut a = rand_state(9, 33);
-                let mut b = a.clone();
-                scalar::apply_kq(a.amplitudes_mut(), &ts, &dm);
-                apply_kq(
-                    &pool,
-                    Schedule::Static { chunk: Some(3) },
-                    b.amplitudes_mut(),
-                    &ts,
-                    &dm,
-                    be,
-                );
-                assert!(a.approx_eq(&b, EPS), "{} ts={ts:?}", be.name);
             }
         }
     }

@@ -16,11 +16,10 @@
 use std::arch::x86_64::*;
 
 use crate::complex::C64;
-use crate::gates::matrices::{DenseMatrix, Mat2, Mat4};
-use crate::kernels::index::insert_zero_bits;
-use crate::kernels::KQ_STACK_DIM;
+use crate::gates::matrices::{Mat2, Mat4};
+use crate::kernels::fused::{self, Block, Lanes};
 
-use super::{portable, KernelBackend};
+use super::KernelBackend;
 
 pub(super) static BACKEND: KernelBackend = KernelBackend {
     name: "avx2",
@@ -29,8 +28,7 @@ pub(super) static BACKEND: KernelBackend = KernelBackend {
     scale_run,
     swap_runs,
     quads_2q,
-    kq_range,
-    mat_vec,
+    block_range,
     sum_norms_run,
     norms_into_run,
     sum_f64_run,
@@ -44,6 +42,7 @@ const W: usize = 4;
 
 /// Four complex numbers as separate real/imaginary planes.
 #[derive(Clone, Copy)]
+#[repr(C)]
 struct CVec {
     re: __m256d,
     im: __m256d,
@@ -395,120 +394,99 @@ unsafe fn quads_2q_impl(a0: &mut [C64], a1: &mut [C64], a2: &mut [C64], a3: &mut
     }
 }
 
-/// Dense mat-vec over a gathered contiguous vector: vectorize along the
-/// (row-major, contiguous) matrix rows with a horizontal-sum reduction,
-/// as in [`kq_contiguous_impl`]. Vectors narrower than W fall back.
-fn mat_vec(vin: &[C64], out: &mut [C64], m: &DenseMatrix) {
-    if vin.len() < W {
-        return portable::mat_vec(vin, out, m);
-    }
-    // SAFETY: this backend is only installed after feature detection.
-    unsafe { mat_vec_impl(vin, out, m) }
-}
+// SAFETY: `CVec` is `#[repr(C)]`: four real lanes, then four imaginary.
+//
+// The block kernel never looks at which lane holds which group, only
+// that load, exchange and store agree. So its loads deinterleave with
+// two in-lane unpacks instead of [`load`]'s four shuffles, which leaves
+// amplitudes 0, 2, 1, 3 in lanes 0..4: memory bit 0 of the amplitude
+// index is lane bit 1 and memory bit 1 is lane bit 0.
+unsafe impl Lanes for CVec {
+    const W: usize = W;
+    type Acc = [__m256d; 4];
 
-#[target_feature(enable = "avx2,fma")]
-unsafe fn mat_vec_impl(vin: &[C64], out: &mut [C64], m: &DenseMatrix) {
-    let dim = vin.len();
-    debug_assert_eq!(dim, m.dim());
-    debug_assert_eq!(out.len(), dim);
-    let nv = dim / W; // dim is a power of two ≥ W
-    let mdata = m.data().as_ptr();
-    let pin = vin.as_ptr();
-    for (row, o) in out.iter_mut().enumerate() {
-        let mrow = mdata.add(row * dim);
-        let mut acc = zero();
-        for j in 0..nv {
-            acc = fma(acc, load(mrow.add(W * j)), load(pin.add(W * j)));
+    #[inline(always)]
+    unsafe fn zero() -> CVec {
+        zero()
+    }
+
+    #[inline(always)]
+    unsafe fn load(p: *const C64) -> CVec {
+        let a = _mm256_loadu_pd(p as *const f64); // re0 im0 re1 im1
+        let b = _mm256_loadu_pd((p as *const f64).add(4)); // re2 im2 re3 im3
+        CVec { re: _mm256_unpacklo_pd(a, b), im: _mm256_unpackhi_pd(a, b) }
+    }
+
+    #[inline(always)]
+    unsafe fn store(self, p: *mut C64) {
+        _mm256_storeu_pd(p as *mut f64, _mm256_unpacklo_pd(self.re, self.im));
+        _mm256_storeu_pd((p as *mut f64).add(4), _mm256_unpackhi_pd(self.re, self.im));
+    }
+
+    #[inline(always)]
+    unsafe fn prefetch(p: *const C64) {
+        _mm_prefetch(p as *const i8, _MM_HINT_T0);
+    }
+
+    /// Memory bit 1 (lane bit 0, adjacent lanes) trades places through
+    /// `unpack`, memory bit 0 (lane bit 1, the 128-bit halves) through
+    /// `permute2f128`.
+    #[inline(always)]
+    unsafe fn exchange(t: u32, a: CVec, b: CVec) -> (CVec, CVec) {
+        if t == 1 {
+            (
+                CVec { re: _mm256_unpacklo_pd(a.re, b.re), im: _mm256_unpacklo_pd(a.im, b.im) },
+                CVec { re: _mm256_unpackhi_pd(a.re, b.re), im: _mm256_unpackhi_pd(a.im, b.im) },
+            )
+        } else {
+            (
+                CVec {
+                    re: _mm256_permute2f128_pd(a.re, b.re, 0x20),
+                    im: _mm256_permute2f128_pd(a.im, b.im, 0x20),
+                },
+                CVec {
+                    re: _mm256_permute2f128_pd(a.re, b.re, 0x31),
+                    im: _mm256_permute2f128_pd(a.im, b.im, 0x31),
+                },
+            )
         }
-        *o = hsum(acc);
+    }
+
+    #[inline(always)]
+    unsafe fn acc_zero() -> [__m256d; 4] {
+        [_mm256_setzero_pd(); 4]
+    }
+
+    #[inline(always)]
+    unsafe fn mul_acc(acc: [__m256d; 4], w: C64, v: CVec) -> [__m256d; 4] {
+        let (wr, wi) = (_mm256_set1_pd(w.re), _mm256_set1_pd(w.im));
+        [
+            _mm256_fmadd_pd(wr, v.re, acc[0]),
+            _mm256_fmadd_pd(wi, v.im, acc[1]),
+            _mm256_fmadd_pd(wr, v.im, acc[2]),
+            _mm256_fmadd_pd(wi, v.re, acc[3]),
+        ]
+    }
+
+    #[inline(always)]
+    unsafe fn fold(a: [__m256d; 4], b: [__m256d; 4]) -> CVec {
+        CVec {
+            re: _mm256_sub_pd(_mm256_add_pd(a[0], b[0]), _mm256_add_pd(a[1], b[1])),
+            im: _mm256_add_pd(_mm256_add_pd(a[2], b[2]), _mm256_add_pd(a[3], b[3])),
+        }
     }
 }
 
-/// Fused k-qubit kernel over groups `g0..g1`; vectorizes across groups
-/// when the lowest target leaves a ≥ W contiguous run, or across the
-/// matrix row when the group itself is contiguous (targets `0..k`).
+/// The block kernel four groups per step.
 ///
 /// # Safety
-/// As [`portable::kq_range`].
-unsafe fn kq_range(
-    amps: *mut C64,
-    g0: usize,
-    g1: usize,
-    sorted: &[u32],
-    offsets: &[usize],
-    m: &DenseMatrix,
-) {
-    let dim = offsets.len();
-    if dim > KQ_STACK_DIM {
-        return portable::kq_range(amps, g0, g1, sorted, offsets, m);
-    }
-    if offsets.iter().enumerate().all(|(i, &o)| o == i) && dim >= W {
-        return kq_contiguous_impl(amps, g0, g1, dim, m);
-    }
-    if (1usize << sorted[0]) >= W {
-        return kq_strided_impl(amps, g0, g1, sorted, offsets, m);
-    }
-    portable::kq_range(amps, g0, g1, sorted, offsets, m)
+/// As [`fused::block_range`].
+unsafe fn block_range(amps: *mut C64, g0: usize, g1: usize, blk: &Block) {
+    // This backend is only installed after feature detection.
+    block_range_impl(amps, g0, g1, blk)
 }
 
-/// Case A: all offsets sit above the vector window, so W *consecutive
-/// groups* occupy contiguous addresses at each local basis offset.
-/// Gather-all-then-scatter keeps the in-place update race-free.
 #[target_feature(enable = "avx2,fma")]
-unsafe fn kq_strided_impl(
-    amps: *mut C64,
-    g0: usize,
-    g1: usize,
-    sorted: &[u32],
-    offsets: &[usize],
-    m: &DenseMatrix,
-) {
-    let dim = offsets.len();
-    // Scalar head: group runs below sorted[0] stay contiguous across a
-    // W-group step only from a W-aligned group index.
-    let head = g1.min((g0 + W - 1) & !(W - 1));
-    portable::kq_range(amps, g0, head, sorted, offsets, m);
-    let mut scratch = [zero(); KQ_STACK_DIM];
-    let mut g = head;
-    while g + W <= g1 {
-        let base = insert_zero_bits(g, sorted);
-        for (s, &off) in scratch[..dim].iter_mut().zip(offsets) {
-            *s = load(amps.add(base + off));
-        }
-        for (row, &off) in offsets.iter().enumerate() {
-            let mut acc = zero();
-            for (col, s) in scratch[..dim].iter().enumerate() {
-                acc = fma(acc, splat(m.get(row, col)), *s);
-            }
-            store(acc, amps.add(base + off));
-        }
-        g += W;
-    }
-    portable::kq_range(amps, g, g1, sorted, offsets, m);
-}
-
-/// Case B: targets are exactly `0..k`, so each group is one contiguous
-/// `dim`-amplitude slice — vectorize the dense mat-vec along the
-/// (row-major, contiguous) matrix rows with a horizontal-sum reduction.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn kq_contiguous_impl(amps: *mut C64, g0: usize, g1: usize, dim: usize, m: &DenseMatrix) {
-    let nv = dim / W; // dim is a power of two ≥ W
-    let mdata = m.data().as_ptr();
-    let mut vin = [zero(); KQ_STACK_DIM / W];
-    let mut out = [C64::default(); KQ_STACK_DIM];
-    for g in g0..g1 {
-        let base = amps.add(g * dim);
-        for (j, v) in vin[..nv].iter_mut().enumerate() {
-            *v = load(base.add(W * j));
-        }
-        for (row, o) in out[..dim].iter_mut().enumerate() {
-            let mrow = mdata.add(row * dim);
-            let mut acc = zero();
-            for (j, v) in vin[..nv].iter().enumerate() {
-                acc = fma(acc, load(mrow.add(W * j)), *v);
-            }
-            *o = hsum(acc);
-        }
-        std::ptr::copy_nonoverlapping(out.as_ptr(), base, dim);
-    }
+unsafe fn block_range_impl(amps: *mut C64, g0: usize, g1: usize, blk: &Block) {
+    fused::block_range::<CVec>(amps, g0, g1, blk)
 }

@@ -3,9 +3,9 @@
 //! The `sve` module *counts* what an A64FX would execute; this module
 //! actually executes vector code on the host. Every hot kernel shape —
 //! dense 1q, diag 1q/2q, X/SWAP, controlled 1q, dense 2q, and the fused
-//! k-qubit matvec — is expressed over a small primitive set (paired-run
+//! k-qubit block — is expressed over a small primitive set (paired-run
 //! mat-vec, run scaling, run exchange, quad-run mat-vec, group-range
-//! fused kernel) collected in a [`KernelBackend`] vtable:
+//! block kernel) collected in a [`KernelBackend`] vtable:
 //!
 //! * `avx2` — x86-64 AVX2+FMA intrinsics, 4 complex lanes (runtime
 //!   detected via `is_x86_feature_detected!`);
@@ -38,7 +38,8 @@ use std::sync::OnceLock;
 
 use crate::complex::C64;
 use crate::gates::matrices::{DenseMatrix, Mat2, Mat4};
-use crate::kernels::index::{insert_two_zero_bits, spread_bits};
+use crate::kernels::fused::Block;
+use crate::kernels::index::insert_two_zero_bits;
 use crate::kernels::{scalar, AmpPtr};
 
 /// One SIMD backend: a name, its vector width in *complex lanes*, and
@@ -62,16 +63,13 @@ pub struct KernelBackend {
     /// Dense 4×4 mat-vec over four runs in matrix basis order `v0..v3`.
     #[allow(clippy::type_complexity)]
     pub quads_2q: fn(&mut [C64], &mut [C64], &mut [C64], &mut [C64], &Mat4),
-    /// Fused k-qubit gather → mat-vec → scatter over groups `g0..g1`.
+    /// The fused k-qubit block over groups `g0..g1`: the one block
+    /// kernel of [`crate::kernels::fused`] at this backend's width.
     ///
     /// # Safety
     /// The caller must hold exclusive access to every amplitude
-    /// reachable from the group range.
-    pub kq_range: unsafe fn(*mut C64, usize, usize, &[u32], &[usize], &DenseMatrix),
-    /// Dense mat-vec `out[row] = Σ_col m[row][col]·in[col]` over a
-    /// gathered contiguous vector — the arithmetic core the specialized
-    /// fused-block executor pairs with its own gather/scatter.
-    pub mat_vec: fn(&[C64], &mut [C64], &DenseMatrix),
+    /// reachable from the group range, which must lie within the state.
+    pub block_range: unsafe fn(*mut C64, usize, usize, &Block),
     /// `Σ |a|²` over one run — the norm/diagonal-expectation reduction.
     pub sum_norms_run: fn(&[C64]) -> f64,
     /// `out[k] = |run[k]|²` — materialize norms into an `f64` scratch so
@@ -306,28 +304,13 @@ pub fn apply_swap(be: &KernelBackend, amps: &mut [C64], a: u32, b: u32) {
 /// Dense `2^k × 2^k` unitary on qubits `ts`; semantics of
 /// [`scalar::apply_kq`] (local basis follows sorted qubit order).
 pub fn apply_kq(be: &KernelBackend, amps: &mut [C64], ts: &[u32], m: &DenseMatrix) {
-    let k = ts.len() as u32;
-    assert_eq!(m.dim(), 1usize << k, "matrix dimension must match qubit count");
     let mut sorted = ts.to_vec();
     sorted.sort_unstable();
-    sorted.windows(2).for_each(|w| assert_ne!(w[0], w[1], "duplicate qubit in fused gate"));
-    let offsets: Vec<usize> = (0..m.dim()).map(|local| spread_bits(local, &sorted)).collect();
-    apply_kq_prepared(be, amps, &sorted, &offsets, m);
-}
-
-/// [`apply_kq`] with qubits pre-sorted and offsets precomputed — the
-/// blocked executor calls this once per cache-resident block.
-pub fn apply_kq_prepared(
-    be: &KernelBackend,
-    amps: &mut [C64],
-    sorted: &[u32],
-    offsets: &[usize],
-    m: &DenseMatrix,
-) {
+    let blk = Block::new(&sorted, m);
     debug_assert_aligned(amps);
     let groups = amps.len() >> sorted.len();
     // SAFETY: the exclusive borrow of `amps` covers every group.
-    unsafe { (be.kq_range)(amps.as_mut_ptr(), 0, groups, sorted, offsets, m) }
+    unsafe { (be.block_range)(amps.as_mut_ptr(), 0, groups, &blk) }
 }
 
 #[cfg(test)]
@@ -576,9 +559,9 @@ mod tests {
     }
 
     #[test]
-    fn kq_narrow_stride_falls_back_and_matches() {
-        // Lowest target at bit 0/1 with non-identity offsets: the scalar
-        // fallback path inside kq_range.
+    fn kq_narrow_stride_exchanges_lanes_and_matches() {
+        // Lowest target at bit 0/1: the lane-exchange path of the block
+        // kernel.
         let mut rng = StdRng::seed_from_u64(47);
         for be in backends() {
             for ts in [vec![0u32, 5], vec![1, 6, 7]] {

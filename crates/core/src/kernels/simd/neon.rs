@@ -9,11 +9,10 @@
 use std::arch::aarch64::*;
 
 use crate::complex::C64;
-use crate::gates::matrices::{DenseMatrix, Mat2, Mat4};
-use crate::kernels::index::insert_zero_bits;
-use crate::kernels::KQ_STACK_DIM;
+use crate::gates::matrices::{Mat2, Mat4};
+use crate::kernels::fused::{self, Block, Lanes};
 
-use super::{portable, KernelBackend};
+use super::KernelBackend;
 
 pub(super) static BACKEND: KernelBackend = KernelBackend {
     name: "neon",
@@ -22,8 +21,7 @@ pub(super) static BACKEND: KernelBackend = KernelBackend {
     scale_run,
     swap_runs,
     quads_2q,
-    kq_range,
-    mat_vec,
+    block_range,
     sum_norms_run,
     norms_into_run,
     sum_f64_run,
@@ -37,6 +35,7 @@ const W: usize = 2;
 
 /// Two complex numbers as separate real/imaginary planes.
 #[derive(Clone, Copy)]
+#[repr(C)]
 struct CVec {
     re: float64x2_t,
     im: float64x2_t,
@@ -334,110 +333,64 @@ fn quads_2q(a0: &mut [C64], a1: &mut [C64], a2: &mut [C64], a3: &mut [C64], m: &
     }
 }
 
-/// Dense mat-vec over a gathered contiguous vector: vectorize along the
-/// matrix rows with a horizontal-sum reduction, as in [`kq_contiguous`].
-/// Vectors narrower than W fall back.
-fn mat_vec(vin: &[C64], out: &mut [C64], m: &DenseMatrix) {
-    let dim = vin.len();
-    debug_assert_eq!(dim, m.dim());
-    debug_assert_eq!(out.len(), dim);
-    if dim < W {
-        return portable::mat_vec(vin, out, m);
+// SAFETY: `CVec` is `#[repr(C)]`: two real lanes, then two imaginary.
+unsafe impl Lanes for CVec {
+    const W: usize = W;
+    type Acc = [float64x2_t; 4];
+
+    #[inline(always)]
+    unsafe fn zero() -> CVec {
+        zero()
     }
-    let nv = dim / W; // dim is a power of two ≥ W
-    let mdata = m.data().as_ptr();
-    let pin = vin.as_ptr();
-    // SAFETY: NEON is baseline on aarch64; pointers stay in bounds.
-    unsafe {
-        for (row, o) in out.iter_mut().enumerate() {
-            let mrow = mdata.add(row * dim);
-            let mut acc = zero();
-            for j in 0..nv {
-                acc = fma(acc, load(mrow.add(W * j)), load(pin.add(W * j)));
-            }
-            *o = hsum(acc);
+
+    #[inline(always)]
+    unsafe fn load(p: *const C64) -> CVec {
+        load(p)
+    }
+
+    #[inline(always)]
+    unsafe fn store(self, p: *mut C64) {
+        store(self, p)
+    }
+
+    /// The one lane bit trades places through `zip1`/`zip2`.
+    #[inline(always)]
+    unsafe fn exchange(_: u32, a: CVec, b: CVec) -> (CVec, CVec) {
+        (
+            CVec { re: vzip1q_f64(a.re, b.re), im: vzip1q_f64(a.im, b.im) },
+            CVec { re: vzip2q_f64(a.re, b.re), im: vzip2q_f64(a.im, b.im) },
+        )
+    }
+
+    #[inline(always)]
+    unsafe fn acc_zero() -> [float64x2_t; 4] {
+        [vdupq_n_f64(0.0); 4]
+    }
+
+    #[inline(always)]
+    unsafe fn mul_acc(acc: [float64x2_t; 4], w: C64, v: CVec) -> [float64x2_t; 4] {
+        let (wr, wi) = (vdupq_n_f64(w.re), vdupq_n_f64(w.im));
+        [
+            vfmaq_f64(acc[0], wr, v.re),
+            vfmaq_f64(acc[1], wi, v.im),
+            vfmaq_f64(acc[2], wr, v.im),
+            vfmaq_f64(acc[3], wi, v.re),
+        ]
+    }
+
+    #[inline(always)]
+    unsafe fn fold(a: [float64x2_t; 4], b: [float64x2_t; 4]) -> CVec {
+        CVec {
+            re: vsubq_f64(vaddq_f64(a[0], b[0]), vaddq_f64(a[1], b[1])),
+            im: vaddq_f64(vaddq_f64(a[2], b[2]), vaddq_f64(a[3], b[3])),
         }
     }
 }
 
-/// Fused k-qubit kernel over groups `g0..g1`; same case split as the
-/// AVX2 backend at width 2.
+/// The block kernel two groups per step.
 ///
 /// # Safety
-/// As [`portable::kq_range`].
-unsafe fn kq_range(
-    amps: *mut C64,
-    g0: usize,
-    g1: usize,
-    sorted: &[u32],
-    offsets: &[usize],
-    m: &DenseMatrix,
-) {
-    let dim = offsets.len();
-    if dim > KQ_STACK_DIM {
-        return portable::kq_range(amps, g0, g1, sorted, offsets, m);
-    }
-    if offsets.iter().enumerate().all(|(i, &o)| o == i) && dim >= W {
-        return kq_contiguous(amps, g0, g1, dim, m);
-    }
-    if (1usize << sorted[0]) >= W {
-        return kq_strided(amps, g0, g1, sorted, offsets, m);
-    }
-    portable::kq_range(amps, g0, g1, sorted, offsets, m)
-}
-
-/// Case A: vectorize across W consecutive groups (contiguous below the
-/// lowest target). Gather-all-then-scatter keeps in-place safe.
-unsafe fn kq_strided(
-    amps: *mut C64,
-    g0: usize,
-    g1: usize,
-    sorted: &[u32],
-    offsets: &[usize],
-    m: &DenseMatrix,
-) {
-    let dim = offsets.len();
-    let head = g1.min((g0 + W - 1) & !(W - 1));
-    portable::kq_range(amps, g0, head, sorted, offsets, m);
-    let mut scratch = [zero(); KQ_STACK_DIM];
-    let mut g = head;
-    while g + W <= g1 {
-        let base = insert_zero_bits(g, sorted);
-        for (s, &off) in scratch[..dim].iter_mut().zip(offsets) {
-            *s = load(amps.add(base + off));
-        }
-        for (row, &off) in offsets.iter().enumerate() {
-            let mut acc = zero();
-            for (col, s) in scratch[..dim].iter().enumerate() {
-                acc = fma(acc, splat(m.get(row, col)), *s);
-            }
-            store(acc, amps.add(base + off));
-        }
-        g += W;
-    }
-    portable::kq_range(amps, g, g1, sorted, offsets, m);
-}
-
-/// Case B: targets `0..k` make each group one contiguous slice;
-/// vectorize along matrix rows with a horizontal-sum reduction.
-unsafe fn kq_contiguous(amps: *mut C64, g0: usize, g1: usize, dim: usize, m: &DenseMatrix) {
-    let nv = dim / W; // dim is a power of two ≥ W
-    let mdata = m.data().as_ptr();
-    let mut vin = [zero(); KQ_STACK_DIM / W];
-    let mut out = [C64::default(); KQ_STACK_DIM];
-    for g in g0..g1 {
-        let base = amps.add(g * dim);
-        for (j, v) in vin[..nv].iter_mut().enumerate() {
-            *v = load(base.add(W * j));
-        }
-        for (row, o) in out[..dim].iter_mut().enumerate() {
-            let mrow = mdata.add(row * dim);
-            let mut acc = zero();
-            for (j, v) in vin[..nv].iter().enumerate() {
-                acc = fma(acc, load(mrow.add(W * j)), *v);
-            }
-            *o = hsum(acc);
-        }
-        std::ptr::copy_nonoverlapping(out.as_ptr(), base, dim);
-    }
+/// As [`fused::block_range`].
+unsafe fn block_range(amps: *mut C64, g0: usize, g1: usize, blk: &Block) {
+    fused::block_range::<CVec>(amps, g0, g1, blk)
 }

@@ -7,9 +7,8 @@
 //! backends fall back to for remainders and narrow strides.
 
 use crate::complex::C64;
-use crate::gates::matrices::{DenseMatrix, Mat2, Mat4};
-use crate::kernels::index::insert_zero_bits;
-use crate::kernels::KQ_STACK_DIM;
+use crate::gates::matrices::{Mat2, Mat4};
+use crate::kernels::fused::{self, Block, Lanes};
 
 use super::KernelBackend;
 
@@ -20,8 +19,7 @@ pub(super) static BACKEND: KernelBackend = KernelBackend {
     scale_run,
     swap_runs,
     quads_2q,
-    kq_range,
-    mat_vec,
+    block_range,
     sum_norms_run,
     norms_into_run,
     sum_f64_run,
@@ -63,22 +61,6 @@ fn quads_2q(a0: &mut [C64], a1: &mut [C64], a2: &mut [C64], a3: &mut [C64], m: &
         a1[i] = out[1];
         a2[i] = out[2];
         a3[i] = out[3];
-    }
-}
-
-/// Dense mat-vec over a gathered contiguous vector, with the same
-/// [`C64::fma`] accumulation order as [`kq_range`]'s inner loop — so a
-/// specialized fused sweep through this primitive reproduces the scalar
-/// kernel bit-for-bit.
-pub(super) fn mat_vec(vin: &[C64], out: &mut [C64], m: &DenseMatrix) {
-    debug_assert_eq!(vin.len(), m.dim());
-    debug_assert_eq!(out.len(), m.dim());
-    for (row, o) in out.iter_mut().enumerate() {
-        let mut acc = C64::default();
-        for (col, &s) in vin.iter().enumerate() {
-            acc = acc.fma(m.get(row, col), s);
-        }
-        *o = acc;
     }
 }
 
@@ -137,35 +119,54 @@ fn sum_c64_run(run: &[C64]) -> C64 {
     acc
 }
 
-/// Fused k-qubit gather → mat-vec → scatter over groups `g0..g1`.
+/// One complex number is a vector of one lane: the block kernel at
+/// width 1, in plain multiplies and adds (no `mul_add`, which is a libm
+/// call on baseline x86-64).
+// SAFETY: `C64` is `#[repr(C)] { re: f64, im: f64 }`: one real lane, then
+// one imaginary lane.
+unsafe impl Lanes for C64 {
+    const W: usize = 1;
+    type Acc = [f64; 4];
+
+    #[inline(always)]
+    unsafe fn zero() -> C64 {
+        C64::default()
+    }
+
+    #[inline(always)]
+    unsafe fn load(p: *const C64) -> C64 {
+        *p
+    }
+
+    #[inline(always)]
+    unsafe fn store(self, p: *mut C64) {
+        *p = self;
+    }
+
+    unsafe fn exchange(_: u32, _: C64, _: C64) -> (C64, C64) {
+        unreachable!("no target sits below a one-lane vector")
+    }
+
+    #[inline(always)]
+    unsafe fn acc_zero() -> [f64; 4] {
+        [0.0; 4]
+    }
+
+    #[inline(always)]
+    unsafe fn mul_acc(acc: [f64; 4], w: C64, v: C64) -> [f64; 4] {
+        [acc[0] + w.re * v.re, acc[1] + w.im * v.im, acc[2] + w.re * v.im, acc[3] + w.im * v.re]
+    }
+
+    #[inline(always)]
+    unsafe fn fold(a: [f64; 4], b: [f64; 4]) -> C64 {
+        C64::new((a[0] + b[0]) - (a[1] + b[1]), (a[2] + b[2]) + (a[3] + b[3]))
+    }
+}
+
+/// The block kernel one group per step.
 ///
 /// # Safety
-/// The caller must hold exclusive access to every amplitude reachable
-/// from groups `g0..g1` (base `insert_zero_bits(g, sorted)` plus each
-/// entry of `offsets`).
-pub(super) unsafe fn kq_range(
-    amps: *mut C64,
-    g0: usize,
-    g1: usize,
-    sorted: &[u32],
-    offsets: &[usize],
-    m: &DenseMatrix,
-) {
-    let dim = offsets.len();
-    let mut stack = [C64::default(); KQ_STACK_DIM];
-    let mut heap = if dim > KQ_STACK_DIM { vec![C64::default(); dim] } else { Vec::new() };
-    let scratch: &mut [C64] = if dim <= KQ_STACK_DIM { &mut stack[..dim] } else { &mut heap };
-    for g in g0..g1 {
-        let base = insert_zero_bits(g, sorted);
-        for (s, &off) in scratch.iter_mut().zip(offsets) {
-            *s = *amps.add(base | off);
-        }
-        for (row, &off) in offsets.iter().enumerate() {
-            let mut acc = C64::default();
-            for (col, &s) in scratch.iter().enumerate() {
-                acc = acc.fma(m.get(row, col), s);
-            }
-            *amps.add(base | off) = acc;
-        }
-    }
+/// As [`fused::block_range`].
+unsafe fn block_range(amps: *mut C64, g0: usize, g1: usize, blk: &Block) {
+    fused::block_range::<C64>(amps, g0, g1, blk)
 }

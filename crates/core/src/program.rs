@@ -254,8 +254,8 @@ impl<'c> Program<'c> {
         lower(circuit, Strategy::Naive, None)
     }
 
-    /// The Aer-like comparator as a program: every run of gates that
-    /// fits in `max_k` qubits fused unconditionally ([`fuse`]). The
+    /// The Aer-like comparator as a program: every merge that fits in
+    /// `max_k` qubits taken, whatever it costs ([`fuse`]). The
     /// `fused:<k>` lowering is cost-aware and may decline merges on the
     /// host; the paper-scale model tables want the unconditional plan.
     pub fn greedy_fused(circuit: &Circuit, max_k: u32) -> Program<'static> {

@@ -27,8 +27,10 @@ pub enum Strategy {
     /// baseline).
     #[default]
     Naive,
-    /// Fuse adjacent gates into ≤ `max_k`-qubit dense unitaries first
-    /// (the Qiskit-Aer-style optimization).
+    /// Fuse gates into ≤ `max_k`-qubit blocks first, sliding each gate
+    /// past gates on other qubits to the group it merges with most
+    /// cheaply (the Qiskit-Aer-style optimization, commutation- and
+    /// cost-aware: see [`crate::fusion`]).
     Fused { max_k: u32 },
     /// Apply runs of gates whose qubits all lie below `block_qubits` one
     /// cache-resident block at a time; other gates fall back to naive.

@@ -782,7 +782,15 @@ mod tests {
         let mk = |qubits: Vec<u32>, k: u32| {
             let matrix = DenseMatrix::identity(k);
             let class = crate::fusion::classify_matrix(&matrix);
-            FusedOp { qubits, matrix, n_gates: 1, class, gate: None }
+            FusedOp {
+                qubits,
+                matrix,
+                n_gates: 1,
+                members: vec![0],
+                class,
+                active_nnz: 0,
+                gate: None,
+            }
         };
         let ops = vec![mk(vec![0, 1], 2), mk(vec![1, 2, 3], 3)];
         let tr = tracer(10);

@@ -1,6 +1,8 @@
 //! Seeded random-circuit generation shared by the differential test
 //! suites (property tests, the dense-unitary oracle, the batched
-//! conformance matrix, and the cross-substrate integration tests).
+//! conformance matrix, and the cross-substrate integration tests), plus
+//! one-block circuits of each fused structure class for the kernel
+//! suites ([`class_circuit`]).
 //!
 //! Every [`Gate`] constructor is reachable: dense and diagonal
 //! single-qubit gates, controlled gates, dense and diagonal two-qubit
@@ -16,6 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::circuit::{Circuit, Gate};
+use crate::fusion::FusedClass;
 use crate::gates::matrices::{Mat2, Mat4};
 use crate::gates::standard;
 
@@ -129,6 +132,52 @@ pub fn random_circuit_seeded(n: u32, gates: usize, seed: u64) -> Circuit {
     random_circuit(&mut rng, n, gates)
 }
 
+/// A circuit on `qubits` of an `n`-qubit register whose gates multiply
+/// to one `qubits.len()`-qubit block of structure `class`, every qubit
+/// touched and at least two gates long (so the block is not backed by a
+/// single gate's kernel). `None` where the class does not exist at that
+/// width: a sparse, non-monomial unitary needs three qubits.
+pub fn class_circuit(class: FusedClass, n: u32, qubits: &[u32]) -> Option<Circuit> {
+    let mut c = Circuit::new(n);
+    let pairs = || qubits.windows(2).map(|w| (w[0], w[1]));
+    match class {
+        FusedClass::Diagonal => {
+            for (j, &q) in qubits.iter().enumerate() {
+                c.rz(q, 0.4 + j as f64).t(q);
+            }
+            for (a, b) in pairs() {
+                c.cp(a, b, 0.9);
+            }
+        }
+        FusedClass::Permutation => {
+            for &q in qubits {
+                c.x(q).z(q);
+            }
+            for (a, b) in pairs() {
+                c.cx(a, b);
+            }
+        }
+        FusedClass::Sparse => {
+            // Two nonzeros per row: at most a quarter of the entries
+            // from three qubits up.
+            let [first, second, .., last] = qubits[..] else { return None };
+            c.ccx(first, second, last).rx(last, 0.7);
+            for (a, b) in pairs() {
+                c.cz(a, b);
+            }
+        }
+        FusedClass::Dense => {
+            for (j, &q) in qubits.iter().enumerate() {
+                c.h(q).ry(q, 0.3 + j as f64);
+            }
+            for (a, b) in pairs() {
+                c.cx(a, b);
+            }
+        }
+    }
+    Some(c)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,6 +218,24 @@ mod tests {
         for _ in 0..50 {
             assert!(random_unitary1(&mut rng).is_unitary(1e-12));
             assert!(random_unitary2(&mut rng).is_unitary(1e-12));
+        }
+    }
+
+    #[test]
+    fn class_circuits_fuse_to_one_block_of_their_class() {
+        use FusedClass::*;
+        for class in [Diagonal, Permutation, Sparse, Dense] {
+            for k in 1..=5usize {
+                let qubits: Vec<u32> = (0..k as u32).map(|j| 1 + 2 * j).collect();
+                let Some(c) = class_circuit(class, 11, &qubits) else {
+                    assert!(class == Sparse && k < 3);
+                    continue;
+                };
+                let plan = crate::fusion::fuse(&c, k as u32);
+                assert_eq!(plan.len(), 1, "{class:?} k={k}");
+                assert_eq!((plan[0].class, &plan[0].qubits), (class, &qubits), "k={k}");
+                assert!(plan[0].gate.is_none());
+            }
         }
     }
 

@@ -1,33 +1,41 @@
-//! Proof that the specialized fused hot loop never touches the heap.
+//! Proof that the fused hot loop never touches the heap.
 //!
 //! The seed regression that motivated the specialized kernels was partly
 //! allocator traffic: the generic fused path built scratch vectors per
 //! block application. This binary installs a counting global allocator
 //! and asserts that [`PreparedFused::apply`] performs **zero**
-//! allocations for every structure class at k ≤ 5 — the entire cost of
-//! lowering (sorting qubits, precomputing offsets) is paid once in
-//! `PreparedFused::new`, outside the sweep.
+//! allocations for every structure class at k ≤ 5, at every lowest
+//! target the block kernel treats differently (0 and 1: lane exchange;
+//! 2 and up: contiguous lanes) — the entire cost of lowering (offsets,
+//! the CSR rows) is paid once in `PreparedFused::new`, outside the
+//! sweep.
 //!
-//! Everything lives in a single `#[test]` so no concurrent test can
-//! allocate while the counter is armed.
+//! Only the armed thread is counted (a thread-local flag), so whatever
+//! else the test harness allocates meanwhile cannot fail the proof.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use a64fx_qcs::core::circuit::Circuit;
-use a64fx_qcs::core::fusion::fuse;
+use a64fx_qcs::core::fusion::{fuse, FusedClass};
 use a64fx_qcs::core::kernels::fused::PreparedFused;
 use a64fx_qcs::core::kernels::simd;
 use a64fx_qcs::core::state::StateVector;
+use a64fx_qcs::core::testing::class_circuit;
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    // Const-initialized and without a destructor: reading it never
+    // allocates, so the allocator may consult it.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if ARMED.try_with(Cell::get).unwrap_or(false) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.alloc(layout)
@@ -41,55 +49,44 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// One circuit per structure class, wide enough to fuse up to k = 5.
-fn class_circuits() -> Vec<(&'static str, Circuit)> {
-    let mut diag = Circuit::new(5);
-    diag.rz(0, 0.4).t(1).cp(0, 1, 0.9).cz(1, 2).rzz(2, 3, 0.3).cp(3, 4, 0.7).s(4);
-    let mut perm = Circuit::new(5);
-    perm.x(0).cx(0, 2).swap(1, 2).ccx(0, 1, 3).y(4).cx(3, 4);
-    let mut sparse = Circuit::new(5);
-    sparse.ccx(0, 1, 2).rx(2, 0.7).ccx(2, 3, 4).rz(4, 0.2);
-    let mut dense = Circuit::new(5);
-    dense.h(0).h(1).h(2).h(3).h(4).cx(0, 1).cx(1, 2).cx(2, 3).cx(3, 4);
-    dense.h(0).h(1).h(2).h(3).h(4);
-    vec![("diag", diag), ("perm", perm), ("sparse", sparse), ("dense", dense)]
-}
-
 #[test]
 fn fused_hot_loop_is_allocation_free() {
     let mut backends: Vec<&'static simd::KernelBackend> =
         vec![simd::backend_for(simd::BackendChoice::Scalar)];
-    if let Some(native) = simd::native() {
-        backends.push(native);
-    }
-    let mut state = StateVector::plus(10);
+    backends.extend(simd::native());
+    let n = 12;
+    let mut state = StateVector::plus(n);
 
-    for (name, circuit) in class_circuits() {
-        // Generated circuits include 3-qubit gates, so k starts at 3.
-        for max_k in 3..=5u32 {
-            let plan = fuse(&circuit, max_k);
-            let preps: Vec<PreparedFused<'_>> = plan.iter().map(PreparedFused::new).collect();
-            for be in &backends {
-                // Warm-up pass: let any lazy one-time initialization
-                // (backend detection, allocator pools) happen first.
-                let amps = state.amplitudes_mut();
-                for prep in &preps {
+    use FusedClass::{Dense, Diagonal, Permutation, Sparse};
+    for class in [Diagonal, Permutation, Sparse, Dense] {
+        for k in 1..=5u32 {
+            for lowest in [0u32, 1, 2, 5] {
+                let qubits: Vec<u32> = (lowest..lowest + k).collect();
+                // No sparse block below three qubits.
+                let Some(circuit) = class_circuit(class, n, &qubits) else { continue };
+                let plan = fuse(&circuit, k);
+                assert_eq!((plan.len(), plan[0].class), (1, class));
+                assert!(plan[0].gate.is_none(), "the op must run a block kernel");
+                let prep = PreparedFused::new(&plan[0]);
+                for be in &backends {
+                    // Warm-up pass: let any lazy one-time initialization
+                    // (backend detection, allocator pools) happen first.
+                    let amps = state.amplitudes_mut();
                     prep.apply(be, amps);
-                }
 
-                ALLOCS.store(0, Ordering::SeqCst);
-                ARMED.store(true, Ordering::SeqCst);
-                for prep in &preps {
+                    ALLOCS.store(0, Ordering::SeqCst);
+                    ARMED.set(true);
                     prep.apply(be, amps);
-                }
-                ARMED.store(false, Ordering::SeqCst);
+                    ARMED.set(false);
 
-                let count = ALLOCS.load(Ordering::SeqCst);
-                assert_eq!(
-                    count, 0,
-                    "{name} k={max_k} be={}: {count} heap allocations in the fused hot loop",
-                    be.name
-                );
+                    let count = ALLOCS.load(Ordering::SeqCst);
+                    assert_eq!(
+                        count, 0,
+                        "{class:?} k={k} lowest={lowest} be={}: {count} heap allocations in the \
+                         fused hot loop",
+                        be.name
+                    );
+                }
             }
         }
     }

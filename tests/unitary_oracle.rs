@@ -113,13 +113,16 @@ fn simulator_matches_the_dense_oracle_on_200_circuits() {
         Strategy::Fused { max_k: 3 },
         Strategy::Blocked { block_qubits: 3 },
         Strategy::Planned { block_qubits: 3, max_k: 3 },
+        Strategy::Fused { max_k: 4 },
     ];
     for seed in 0..200u64 {
         let n = 2 + (seed % 5) as u32; // 2..=6
         let gates = 8 + (seed % 9) as usize;
         let circuit = testing::random_circuit_seeded(n, gates, seed);
         let expected = oracle_state(&circuit);
-        let strategy = strategies[(seed % 4) as usize];
+        // Width cycles with `seed % 5`, the strategy with the next digit:
+        // every strategy meets every width.
+        let strategy = strategies[(seed / 5 % 5) as usize];
         let sim = SimConfig::new().strategy(strategy).build().unwrap();
         let mut s = StateVector::zero(n);
         sim.run(&circuit, &mut s).unwrap();
