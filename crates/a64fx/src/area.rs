@@ -7,12 +7,10 @@
 //! a SIMD-width-proportional FPU/register part and a fixed scalar part;
 //! SRAM scales with capacity; uncore is constant.
 
-use serde::Serialize;
-
 use crate::chip::ChipParams;
 
 /// Area model constants at the 7 nm reference node (mm²).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AreaParams {
     /// Scalar core front-end + integer + L1 (SIMD-independent).
     pub core_fixed_mm2: f64,
@@ -49,7 +47,7 @@ impl AreaParams {
 }
 
 /// Area report for one chip variant.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AreaReport {
     pub core_mm2: f64,
     pub cores_total_mm2: f64,

@@ -6,10 +6,8 @@
 //! kernel at reduced problem sizes through this simulator and compares the
 //! line traffic against the analytical formulas (experiment E6).
 
-use serde::Serialize;
-
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheParams {
     /// Total capacity in bytes.
     pub size_bytes: usize,
@@ -27,7 +25,7 @@ impl CacheParams {
 }
 
 /// Per-level access statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LevelStats {
     pub hits: u64,
     pub misses: u64,
@@ -177,7 +175,7 @@ pub struct MemoryHierarchy {
 }
 
 /// Summary of a hierarchy replay.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HierarchyStats {
     pub l1: LevelStats,
     pub l2: LevelStats,

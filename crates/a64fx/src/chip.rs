@@ -1,7 +1,5 @@
 //! A64FX chip parameters and peak rates.
 
-use serde::Serialize;
-
 use crate::cache::CacheParams;
 
 /// Parameter set describing one A64FX-class chip.
@@ -10,7 +8,7 @@ use crate::cache::CacheParams;
 /// configuration. Every field is public so experiments can model design
 /// variants (the PPA-exploration methodology of the authors' Gem5/McPAT
 /// study).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChipParams {
     /// Core memory groups on the chip.
     pub n_cmgs: usize,

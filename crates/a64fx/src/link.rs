@@ -14,10 +14,8 @@
 //! dependency cycle, and lets [`crate::timing`]-style predictions fold
 //! communication into end-to-end estimates.
 
-use serde::Serialize;
-
 /// α–β parameters of one node's attachment to the interconnect.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LinkParams {
     /// One-way small-message latency in seconds (α).
     pub latency_s: f64,
@@ -47,7 +45,7 @@ impl Default for LinkParams {
 }
 
 /// Prices exchange phases for the distributed planner.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LinkModel {
     pub params: LinkParams,
 }

@@ -12,12 +12,10 @@
 //! Their study also covers *core retention* (parking unused cores), which
 //! we model with the `parked_cores` term of [`EnergyEstimate::estimate`].
 
-use serde::Serialize;
-
 use crate::chip::ChipParams;
 
 /// Chip power mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PowerMode {
     Normal,
     /// One floating pipe, reduced voltage.
@@ -62,7 +60,7 @@ pub const RETENTION_WATTS: f64 = 0.25;
 pub const UNCORE_WATTS: f64 = 60.0;
 
 /// An energy estimate for one kernel/application run.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EnergyEstimate {
     /// Average power draw in watts.
     pub watts: f64,

@@ -6,8 +6,6 @@
 //! far to its left, which is *the* reason the paper's analysis is a
 //! bandwidth story.
 
-use serde::Serialize;
-
 use crate::chip::ChipParams;
 
 /// Attainable performance (FLOP/s) at arithmetic intensity `ai`
@@ -23,7 +21,7 @@ pub fn ridge_point(peak_flops: f64, bandwidth: f64) -> f64 {
 }
 
 /// One point on a roofline chart.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RooflinePoint {
     /// Label-free kernel identifier supplied by the caller.
     pub ai: f64,

@@ -14,8 +14,6 @@
 //! bytes stay fixed, so short vectors lose exactly when the kernel is
 //! issue-bound — the finding of the authors' SVE VL study.
 
-use serde::Serialize;
-
 use sve_sim::{InstrCounts, Vl};
 
 use crate::chip::ChipParams;
@@ -77,7 +75,7 @@ impl ExecConfig {
 }
 
 /// The predicted time and its bottleneck decomposition.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TimePrediction {
     /// Predicted wall seconds.
     pub seconds: f64,
@@ -92,7 +90,7 @@ pub struct TimePrediction {
 }
 
 /// The dominating resource.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bottleneck {
     FloatingPoint,
     Memory,

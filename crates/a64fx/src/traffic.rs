@@ -9,15 +9,13 @@
 //! Conventions: `n` qubits ⇒ `2^n` amplitudes of 16 bytes (two `f64`).
 //! Qubit `t` has stride `2^t` amplitudes between paired indices.
 
-use serde::Serialize;
-
 use crate::chip::ChipParams;
 
 /// Bytes per amplitude of one `f64`-pair complex value.
 pub const AMP_BYTES: u64 = 16;
 
 /// The kind of kernel whose traffic is being modelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
     /// General dense 2×2 unitary on one target qubit.
     OneQubitDense,
@@ -37,7 +35,7 @@ pub enum KernelKind {
 }
 
 /// Traffic/flop prediction for one whole-state application of a kernel.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GateTraffic {
     /// Amplitudes read (counted at element granularity).
     pub amps_read: u64,

@@ -6,12 +6,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use omp_par::Schedule;
 use qcs_bench::bench_state;
 use qcs_core::complex::C64;
 use qcs_core::fusion::fuse;
 use qcs_core::gates::matrices::DenseMatrix;
 use qcs_core::gates::standard;
-use qcs_core::kernels::{scalar, simd};
+use qcs_core::kernels::{scalar, simd, sweep};
 use qcs_core::library;
 
 const N: u32 = 16;
@@ -94,6 +95,7 @@ fn bench_simd_backends(c: &mut Criterion) {
     let t = 8u32;
     let u = standard::u3(0.3, 0.5, 0.7);
     let rxx = standard::rxx_mat(0.6);
+    let serial = Schedule::default();
 
     let mut backends = vec![simd::backend_for(simd::BackendChoice::Scalar)];
     if let Some(native) = simd::native() {
@@ -102,15 +104,15 @@ fn bench_simd_backends(c: &mut Criterion) {
     for be in backends {
         let mut state = bench_state(N, 7);
         group.bench_with_input(BenchmarkId::new("dense_1q", be.name), &be, |b, be| {
-            b.iter(|| simd::apply_1q(be, state.amplitudes_mut(), t, &u));
+            b.iter(|| sweep::apply_1q(be, None, serial, state.amplitudes_mut(), t, &u));
         });
         let mut state = bench_state(N, 8);
         group.bench_with_input(BenchmarkId::new("dense_2q", be.name), &be, |b, be| {
-            b.iter(|| simd::apply_2q(be, state.amplitudes_mut(), 3, t, &rxx));
+            b.iter(|| sweep::apply_2q(be, None, serial, state.amplitudes_mut(), 3, t, &rxx));
         });
         let mut state = bench_state(N, 9);
         group.bench_with_input(BenchmarkId::new("pauli_x", be.name), &be, |b, be| {
-            b.iter(|| simd::apply_x(be, state.amplitudes_mut(), t));
+            b.iter(|| sweep::apply_x(be, None, serial, state.amplitudes_mut(), t));
         });
     }
     group.finish();

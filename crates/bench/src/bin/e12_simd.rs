@@ -16,12 +16,13 @@
 
 use std::fmt::Write as _;
 
+use omp_par::Schedule;
 use qcs_bench::{checksum, fmt_secs, time_best, Table};
 use qcs_core::complex::C64;
 use qcs_core::fusion::fuse;
 use qcs_core::gates::matrices::DenseMatrix;
 use qcs_core::gates::standard;
-use qcs_core::kernels::{scalar, simd};
+use qcs_core::kernels::{scalar, simd, sweep};
 use qcs_core::library;
 use qcs_core::state::StateVector;
 use rand::rngs::StdRng;
@@ -37,6 +38,9 @@ struct Sample {
 
 /// The kernel shapes under test, dispatched by name so one measuring
 /// loop covers the scalar substrate and every vtable backend.
+/// Every kernel here sweeps on the calling thread.
+const SERIAL: Schedule = Schedule::Static { chunk: None };
+
 const KERNELS: &[&str] =
     &["dense_1q", "diag_1q", "pauli_x", "controlled_1q", "diag_2q", "dense_2q", "fused_3q"];
 
@@ -63,17 +67,19 @@ fn apply(
     let q3: Vec<u32> = (lo..lo + 3).collect();
     match (kernel, be) {
         ("dense_1q", None) => scalar::apply_1q(amps, t, &u),
-        ("dense_1q", Some(be)) => simd::apply_1q(be, amps, t, &u),
+        ("dense_1q", Some(be)) => sweep::apply_1q(be, None, SERIAL, amps, t, &u),
         ("diag_1q", None) => scalar::apply_1q_diag(amps, t, d0, d1),
-        ("diag_1q", Some(be)) => simd::apply_1q_diag(be, amps, t, d0, d1),
+        ("diag_1q", Some(be)) => sweep::apply_1q_diag(be, None, SERIAL, amps, t, d0, d1),
         ("pauli_x", None) => scalar::apply_x(amps, t),
-        ("pauli_x", Some(be)) => simd::apply_x(be, amps, t),
+        ("pauli_x", Some(be)) => sweep::apply_x(be, None, SERIAL, amps, t),
         ("controlled_1q", None) => scalar::apply_controlled_1q(amps, lo, t, &ry),
-        ("controlled_1q", Some(be)) => simd::apply_controlled_1q(be, amps, lo, t, &ry),
+        ("controlled_1q", Some(be)) => {
+            sweep::apply_controlled_1q(be, None, SERIAL, amps, lo, t, &ry)
+        }
         ("diag_2q", None) => scalar::apply_2q_diag(amps, t, lo, d2),
-        ("diag_2q", Some(be)) => simd::apply_2q_diag(be, amps, t, lo, d2),
+        ("diag_2q", Some(be)) => sweep::apply_2q_diag(be, None, SERIAL, amps, t, lo, d2),
         ("dense_2q", None) => scalar::apply_2q(amps, t, lo, &rxx),
-        ("dense_2q", Some(be)) => simd::apply_2q(be, amps, t, lo, &rxx),
+        ("dense_2q", Some(be)) => sweep::apply_2q(be, None, SERIAL, amps, t, lo, &rxx),
         ("fused_3q", None) => scalar::apply_kq(amps, &q3, m3),
         ("fused_3q", Some(be)) => simd::apply_kq(be, amps, &q3, m3),
         (other, _) => unreachable!("unknown kernel {other}"),

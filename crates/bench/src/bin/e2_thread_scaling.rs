@@ -11,8 +11,8 @@ use omp_par::affinity::AffinityMap;
 use omp_par::{CmgTopology, Placement, Schedule, ThreadPool};
 use qcs_bench::{bench_state, checksum, fmt_secs, sweep_bytes, time_best, Table};
 use qcs_core::gates::standard;
-use qcs_core::kernels::parallel::apply_1q;
 use qcs_core::kernels::simd;
+use qcs_core::kernels::sweep::apply_1q;
 
 fn main() {
     let n = 22u32;
@@ -33,26 +33,14 @@ fn main() {
         let mut state = bench_state(n, 3);
         let t_static = time_best(3, || {
             for t in 0..n {
-                apply_1q(
-                    &pool,
-                    Schedule::Static { chunk: None },
-                    state.amplitudes_mut(),
-                    t,
-                    &h,
-                    be,
-                );
+                let sched = Schedule::Static { chunk: None };
+                apply_1q(be, Some(&pool), sched, state.amplitudes_mut(), t, &h);
             }
         });
         let t_dyn = time_best(3, || {
             for t in 0..n {
-                apply_1q(
-                    &pool,
-                    Schedule::Dynamic { chunk: 4096 },
-                    state.amplitudes_mut(),
-                    t,
-                    &h,
-                    be,
-                );
+                let sched = Schedule::Dynamic { chunk: 4096 };
+                apply_1q(be, Some(&pool), sched, state.amplitudes_mut(), t, &h);
             }
         });
         std::hint::black_box(checksum(state.amplitudes()));

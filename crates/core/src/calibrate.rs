@@ -20,14 +20,16 @@
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use omp_par::Schedule;
+
 use crate::circuit::{Circuit, Gate};
 use crate::complex::C64;
 use crate::fusion::{fuse, fuse_costed, FuseCosts, FusedClass, FusedOp};
-use crate::kernels::blocked::{apply_blocked, apply_blocked_fused, BlockGate};
-use crate::kernels::dispatch::apply_gate_with;
+use crate::kernels::blocked::{apply_blocked, PreparedRun};
+use crate::kernels::dispatch::{apply_gate_with, GateKernel};
 use crate::kernels::fused::PreparedFused;
 use crate::kernels::simd::{self, KernelBackend};
-use crate::program::{lower, to_block_gate};
+use crate::program::lower;
 use crate::sim::Strategy;
 use crate::state::StateVector;
 use crate::testing::class_circuit;
@@ -42,6 +44,8 @@ const N_BIG: u32 = 18;
 const N_SMALL: u32 = 12;
 /// Timed repetitions per kind; the minimum is kept (noise is one-sided).
 const REPS: usize = 3;
+/// Every probe sweeps on the calling thread, where the schedule is moot.
+const SERIAL: Schedule = Schedule::Static { chunk: None };
 
 /// Measured per-kernel costs on this machine: nanoseconds per amplitude
 /// per sweep, by cost kind, plus a flat per-sweep overhead.
@@ -79,15 +83,15 @@ pub struct Calibration {
     /// arithmetic above it), 1 = blocking amortizes nothing (each
     /// member pays its full sweep cost, e.g. because the benchmark
     /// state already sits in a large cache, or per-block dispatch eats
-    /// the savings). This factor is measured through the `BlockGate`
+    /// the savings). This factor is measured through the `GateKernel`
     /// engine [`Strategy::Blocked`] executes.
     pub block_stream_factor: f64,
     /// Same stream share, measured through the fused-op block engine
-    /// the planner's block passes execute (`apply_blocked_fused`). Kept
+    /// the planner's block passes execute (`PreparedRun`). Kept
     /// separate because the two engines measure very differently on
     /// some hosts: per-op-per-block dispatch and the low physical
     /// strides relocation produces can make a fused block pass cost
-    /// more than naive sweeps while a plain `BlockGate` pass still
+    /// more than naive sweeps while a plain `GateKernel` pass still
     /// saves memory traffic.
     pub fused_block_stream_factor: f64,
     /// Flat cost per sweep (dispatch, loop setup), nanoseconds.
@@ -241,7 +245,9 @@ fn measure(be: &'static KernelBackend) -> Calibration {
     let gate_1q_dense = gate_cost(Gate::H(q), &mut overheads);
     let gate_1q_diag = gate_cost(Gate::Rz(q, 0.3), &mut overheads);
     let gate_controlled = gate_cost(Gate::Cx(q, q + 1), &mut overheads);
-    let gate_2q_diag = gate_cost(Gate::Cz(q, q + 1), &mut overheads);
+    // No unit entry: the full-state diagonal, not a controlled phase's
+    // quarter of it.
+    let gate_2q_diag = gate_cost(Gate::Rzz(q, q + 1, 0.3), &mut overheads);
     let gate_2q_dense = gate_cost(Gate::Rxx(q, q + 1, 0.5), &mut overheads);
     // Swap measured low↔high across the full register (per state size,
     // since the top axis moves with n): that is the stride the planner's
@@ -259,8 +265,8 @@ fn measure(be: &'static KernelBackend) -> Calibration {
 
     let mut fused_cost = |op: &FusedOp, overheads: &mut Vec<f64>| {
         let prep = PreparedFused::new(op);
-        let tb = time_sweep(big, |a| prep.apply(be, a));
-        let ts = time_sweep(small, |a| prep.apply(be, a));
+        let tb = time_sweep(big, |a| prep.apply(be, None, SERIAL, a));
+        let ts = time_sweep(small, |a| prep.apply(be, None, SERIAL, a));
         let (per_amp, overhead) = fit(tb, ts);
         overheads.push(overhead);
         per_amp
@@ -328,12 +334,8 @@ fn measure(be: &'static KernelBackend) -> Calibration {
             ((target - stream - arith) / streamable.max(1e-6)).clamp(0.0, 1.5)
         };
 
-        let bgs: Vec<BlockGate> = c
-            .gates()
-            .iter()
-            .map(|g| to_block_gate(g, bq).expect("probe gates sit below the block width"))
-            .collect();
-        let t_block = time_sweep(big, |a| apply_blocked(be, a, &bgs, bq));
+        let bgs: Vec<GateKernel> = c.gates().iter().map(GateKernel::from).collect();
+        let t_block = time_sweep(big, |a| apply_blocked(be, None, SERIAL, a, &bgs, bq));
         let gate_members: Vec<f64> = c.gates().iter().map(|g| gate_per_amp(&cal, g)).collect();
         cal.block_stream_factor = factor_of(t_block, &gate_members);
 
@@ -341,7 +343,8 @@ fn measure(be: &'static KernelBackend) -> Calibration {
         // the same lowering (at the ideal-model costs the provisional
         // factors imply) so the probe executes what plans execute.
         let ops = fuse_costed(&c, 4, &cal.block_fuse_costs());
-        let t_fused = time_sweep(big, |a| apply_blocked_fused(be, a, &ops, bq));
+        let run = PreparedRun::new(&ops, bq);
+        let t_fused = time_sweep(big, |a| run.apply(be, None, SERIAL, a));
         let fused_members: Vec<f64> = ops.iter().map(|op| fused_per_amp(&cal, op)).collect();
         cal.fused_block_stream_factor = factor_of(t_fused, &fused_members);
     }
@@ -362,23 +365,12 @@ pub(crate) fn fused_per_amp(cal: &Calibration, op: &FusedOp) -> f64 {
     }
 }
 
-/// Calibrated ns/amp of one member of a cache-blocked run.
-pub(crate) fn block_gate_per_amp(cal: &Calibration, g: &BlockGate) -> f64 {
-    match g {
-        BlockGate::One(..) => cal.gate_1q_dense,
-        BlockGate::Diag1(..) => cal.gate_1q_diag,
-        BlockGate::Controlled(..) => cal.gate_controlled,
-        BlockGate::Two(..) => cal.gate_2q_dense,
-        BlockGate::Swap(..) => cal.swap,
-    }
-}
-
 /// A pass that applies `per_amp_costs` members out of cache-resident
 /// blocks pays one memory stream plus each member's in-block
 /// contribution: arithmetic above the stream floor, plus the stream
 /// share this host fails to amortize — `stream_factor`, the
 /// calibration's [`block_stream_factor`](Calibration::block_stream_factor)
-/// for a `BlockGate` run or its
+/// for a `GateKernel` run or its
 /// [`fused_block_stream_factor`](Calibration::fused_block_stream_factor)
 /// for the planner's fused block passes.
 pub(crate) fn block_pass_ns(

@@ -1,16 +1,17 @@
-//! A minimal nested-JSON parser and writer for the wire protocol.
+//! The one JSON reader and writer: the job server's wire protocol, the
+//! trace sink's JSON lines and the `Outcome` ledger all go through it.
 //!
-//! The telemetry sink's flat-object parser cannot represent a job
-//! submission (`"circuit"` is an array of gate objects), so the server
-//! carries its own small recursive-descent parser. Same philosophy as
-//! the sink: the vendored `serde` is an API stub, the schema is small
-//! and known, and a DOM of a few dozen nodes per request is cheap.
+//! The schemas are small and known, so a recursive-descent parser into a
+//! DOM of a few dozen nodes per document is all the reading there is.
+//! Input arrives from the network: nesting is bounded ([`MAX_DEPTH`]), so
+//! a body of four million `[` is a parse error, not a stack overflow.
 //!
-//! Writing stays string-building ([`escape_into`], and the response
-//! renderers in the server) — `f64` values go through `Display`, which
-//! in Rust prints the shortest round-trip representation, so a given
-//! result renders to *byte-identical* JSON every time. The result cache
-//! and the conformance suite rely on that.
+//! Writing stays string-building ([`escape_into`], [`push_str_field`],
+//! [`push_num_field`], and the response renderers in the server) — `f64`
+//! values go through `Display`, which in Rust prints the shortest
+//! round-trip representation, so a given result renders to
+//! *byte-identical* JSON every time. The result cache and the
+//! conformance suite rely on that.
 
 use std::collections::BTreeMap;
 
@@ -67,13 +68,18 @@ impl Value {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. Every level
+/// is one parser stack frame; the deepest document in any schema here
+/// (a sweep job: object → `points` array → point array) has three.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse one JSON document. Returns `Err` with a short human-readable
-/// reason on malformed input — the server maps it to a 400, never a
-/// panic.
+/// reason on malformed or over-nested input — the server maps it to a
+/// 400, never a panic.
 pub fn parse(src: &str) -> Result<Value, String> {
     let bytes = src.as_bytes();
     let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing bytes at offset {pos}"));
@@ -87,12 +93,16 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// `depth` counts the arrays and objects already open around this value.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at offset {pos}", pos = *pos))
+        }
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
@@ -110,7 +120,7 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, St
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // '{'
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -126,7 +136,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
             return Err(format!("expected ':' at offset {pos}", pos = *pos));
         }
         *pos += 1;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(b, pos, depth)?;
         map.insert(key, val);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -140,7 +150,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // '['
     let mut arr = Vec::new();
     skip_ws(b, pos);
@@ -149,7 +159,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(arr));
     }
     loop {
-        arr.push(parse_value(b, pos)?);
+        arr.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -225,8 +235,7 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         .map_err(|_| format!("invalid number '{text}' at offset {start}"))
 }
 
-/// Append `s` JSON-escaped (without surrounding quotes) to `out` — the
-/// same escaping the telemetry sink uses, so the two wire formats agree.
+/// Append `s` JSON-escaped (without surrounding quotes) to `out`.
 pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
@@ -248,6 +257,26 @@ pub fn quote(s: &str) -> String {
     escape_into(&mut out, s);
     out.push('"');
     out
+}
+
+/// Append `"key":"val",` (`val` escaped; `key` a literal that needs no
+/// escaping) — one member of a flat object under construction, trailing
+/// comma included.
+pub fn push_str_field(out: &mut String, key: &str, val: &str) {
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\":\"");
+    escape_into(out, val);
+    out.push_str("\",");
+}
+
+/// Append `"key":val,` with `val` through `Display`.
+pub fn push_num_field(out: &mut String, key: &str, val: impl std::fmt::Display) {
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\":");
+    out.push_str(&val.to_string());
+    out.push(',');
 }
 
 #[cfg(test)]
@@ -278,6 +307,19 @@ mod tests {
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok(), "the limit's depth parses");
+        assert!(parse(&nested(MAX_DEPTH + 1)).unwrap_err().contains("nesting"));
+        // One stack frame per byte would overflow long before this ends.
+        assert!(parse(&"[".repeat(100_000)).unwrap_err().contains("nesting"));
+        assert!(parse(&"{\"a\":".repeat(100_000)).unwrap_err().contains("nesting"));
+        // Depth counts open containers, not siblings.
+        let wide = format!("[{}]", vec!["[]"; 1000].join(","));
+        assert_eq!(parse(&wide).unwrap().as_arr().unwrap().len(), 1000);
     }
 
     #[test]

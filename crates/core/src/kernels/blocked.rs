@@ -11,88 +11,44 @@ use omp_par::{Schedule, ThreadPool};
 
 use crate::complex::C64;
 use crate::fusion::FusedOp;
-use crate::gates::matrices::{Mat2, Mat4};
+use crate::kernels::dispatch::GateKernel;
 use crate::kernels::fused::PreparedFused;
-use crate::kernels::simd::{self, KernelBackend};
-use crate::kernels::AmpPtr;
+use crate::kernels::simd::KernelBackend;
+use crate::kernels::{for_range, AmpPtr};
 
-/// A gate in a blocked run, restricted to the shapes that commute with
-/// block decomposition (all-qubit indices below the block width).
-#[derive(Debug, Clone)]
-pub enum BlockGate {
-    One(u32, Mat2),
-    Diag1(u32, C64, C64),
-    Controlled(u32, u32, Mat2),
-    Two(u32, u32, Mat4),
-    Swap(u32, u32),
-}
-
-impl BlockGate {
-    /// Highest qubit index the gate touches.
-    pub fn max_qubit(&self) -> u32 {
-        match *self {
-            BlockGate::One(q, _) | BlockGate::Diag1(q, ..) => q,
-            BlockGate::Controlled(a, b, _) | BlockGate::Two(a, b, _) | BlockGate::Swap(a, b) => {
-                a.max(b)
-            }
+/// Hand each `block`-amplitude slice of `amps` to `body`: one sweep over
+/// the state, the disjoint blocks workshared across the pool if there is
+/// one.
+fn for_blocks(
+    pool: Option<&ThreadPool>,
+    sched: Schedule,
+    amps: &mut [C64],
+    block: usize,
+    body: impl Fn(&mut [C64]) + Sync,
+) {
+    assert!(block <= amps.len(), "block larger than the state");
+    let p = AmpPtr(amps.as_mut_ptr());
+    for_range(pool, sched, 0..amps.len() / block, move |chunk| {
+        for bi in chunk {
+            // SAFETY: blocks are disjoint `block`-long slices; each
+            // block index lands in exactly one chunk.
+            body(unsafe { p.slice(bi * block, block) });
         }
-    }
-
-    /// Apply to a (sub-)state of any power-of-two length covering the
-    /// gate's qubits, sweeping with the given backend's vector kernels.
-    pub fn apply(&self, be: &KernelBackend, amps: &mut [C64]) {
-        match self {
-            BlockGate::One(q, m) => simd::apply_1q(be, amps, *q, m),
-            BlockGate::Diag1(q, d0, d1) => simd::apply_1q_diag(be, amps, *q, *d0, *d1),
-            BlockGate::Controlled(c, t, m) => simd::apply_controlled_1q(be, amps, *c, *t, m),
-            BlockGate::Two(h, l, m) => simd::apply_2q(be, amps, *h, *l, m),
-            BlockGate::Swap(a, b) => simd::apply_swap(be, amps, *a, *b),
-        }
-    }
+    });
 }
 
 /// Apply a run of low-target gates block by block.
 ///
 /// Every gate's qubits must be `< block_qubits` and the state must have at
 /// least `block_qubits` qubits.
-pub fn apply_blocked(be: &KernelBackend, amps: &mut [C64], gates: &[BlockGate], block_qubits: u32) {
-    let block = 1usize << block_qubits;
-    assert!(block <= amps.len(), "block larger than the state");
-    for g in gates {
-        assert!(
-            g.max_qubit() < block_qubits,
-            "gate touches qubit {} outside a {}-qubit block",
-            g.max_qubit(),
-            block_qubits
-        );
-    }
-    for chunk in amps.chunks_exact_mut(block) {
-        apply_block_chunk(be, chunk, gates);
-    }
-}
-
-/// Apply one run of block gates to a single cache-resident chunk — the
-/// per-cell unit both the worksharing loops here and the batched
-/// (member × block) engine dispatch, so every path performs the
-/// identical per-amplitude arithmetic.
-pub fn apply_block_chunk(be: &KernelBackend, chunk: &mut [C64], gates: &[BlockGate]) {
-    for g in gates {
-        g.apply(be, chunk);
-    }
-}
-
-/// Apply a run of low-target gates block by block, worksharing the
-/// disjoint blocks across a thread pool.
-pub fn apply_blocked_parallel(
+pub fn apply_blocked(
     be: &KernelBackend,
-    pool: &ThreadPool,
+    pool: Option<&ThreadPool>,
     sched: Schedule,
     amps: &mut [C64],
-    gates: &[BlockGate],
+    gates: &[GateKernel],
     block_qubits: u32,
 ) {
-    let block = 1usize << block_qubits;
-    assert!(block <= amps.len(), "block larger than the state");
     for g in gates {
         assert!(
             g.max_qubit() < block_qubits,
@@ -101,30 +57,19 @@ pub fn apply_blocked_parallel(
             block_qubits
         );
     }
-    let n_blocks = amps.len() / block;
-    let p = AmpPtr(amps.as_mut_ptr());
-    pool.parallel_for(0..n_blocks, sched, move |chunk| {
-        for bi in chunk {
-            // SAFETY: blocks are disjoint `2^block_qubits` slices; each
-            // block index lands in exactly one chunk.
-            let slice = unsafe { p.slice(bi * block, block) };
-            apply_block_chunk(be, slice, gates);
-        }
+    for_blocks(pool, sched, amps, 1usize << block_qubits, |chunk| {
+        apply_block_chunk(be, chunk, gates)
     });
 }
 
-fn prepare_fused(ops: &[FusedOp], block_qubits: u32) -> Vec<PreparedFused<'_>> {
-    ops.iter()
-        .map(|op| {
-            assert!(
-                op.qubits.iter().all(|&q| q < block_qubits),
-                "fused op on qubits {:?} outside a {}-qubit block",
-                op.qubits,
-                block_qubits
-            );
-            PreparedFused::new(op)
-        })
-        .collect()
+/// Apply one run of block gates to a single cache-resident chunk — the
+/// per-cell unit both the block loop here and the batched
+/// (member × block) engine dispatch, so every path performs the
+/// identical per-amplitude arithmetic.
+pub fn apply_block_chunk(be: &KernelBackend, chunk: &mut [C64], gates: &[GateKernel]) {
+    for g in gates {
+        g.apply(be, None, Schedule::default(), chunk);
+    }
 }
 
 /// A run of fused ops lowered exactly once for repeated per-chunk
@@ -140,7 +85,19 @@ impl<'a> PreparedRun<'a> {
     /// Lower `ops` (all on qubits below `block_qubits`) for per-chunk
     /// application.
     pub fn new(ops: &'a [FusedOp], block_qubits: u32) -> PreparedRun<'a> {
-        PreparedRun { ops: prepare_fused(ops, block_qubits), block: 1usize << block_qubits }
+        let ops = ops
+            .iter()
+            .map(|op| {
+                assert!(
+                    op.qubits.iter().all(|&q| q < block_qubits),
+                    "fused op on qubits {:?} outside a {}-qubit block",
+                    op.qubits,
+                    block_qubits
+                );
+                PreparedFused::new(op)
+            })
+            .collect();
+        PreparedRun { ops, block: 1usize << block_qubits }
     }
 
     /// Amplitudes per chunk (`2^block_qubits`).
@@ -152,51 +109,20 @@ impl<'a> PreparedRun<'a> {
     pub fn apply_chunk(&self, be: &KernelBackend, chunk: &mut [C64]) {
         debug_assert_eq!(chunk.len(), self.block);
         for op in &self.ops {
-            op.apply(be, chunk);
+            op.apply(be, None, Schedule::default(), chunk);
         }
     }
 
     /// Apply the run block by block: one full-state sweep.
-    pub fn apply(&self, be: &KernelBackend, amps: &mut [C64]) {
-        assert!(self.block <= amps.len(), "block larger than the state");
-        for chunk in amps.chunks_exact_mut(self.block) {
-            self.apply_chunk(be, chunk);
-        }
-    }
-
-    /// Parallel twin of [`apply`](PreparedRun::apply): blocks are
-    /// disjoint slices, workshared across the pool.
-    pub fn apply_parallel(
+    pub fn apply(
         &self,
         be: &KernelBackend,
-        pool: &ThreadPool,
+        pool: Option<&ThreadPool>,
         sched: Schedule,
         amps: &mut [C64],
     ) {
-        let block = self.block;
-        assert!(block <= amps.len(), "block larger than the state");
-        let n_blocks = amps.len() / block;
-        let p = AmpPtr(amps.as_mut_ptr());
-        pool.parallel_for(0..n_blocks, sched, move |chunk| {
-            for bi in chunk {
-                // SAFETY: blocks are disjoint `2^block_qubits` slices; each
-                // block index lands in exactly one chunk.
-                let slice = unsafe { p.slice(bi * block, block) };
-                self.apply_chunk(be, slice);
-            }
-        });
+        for_blocks(pool, sched, amps, self.block, |chunk| self.apply_chunk(be, chunk));
     }
-}
-
-/// Apply a run of fused ops (all on qubits below `block_qubits`) block by
-/// block: one full-state sweep for the whole run.
-pub fn apply_blocked_fused(
-    be: &KernelBackend,
-    amps: &mut [C64],
-    ops: &[FusedOp],
-    block_qubits: u32,
-) {
-    PreparedRun::new(ops, block_qubits).apply(be, amps);
 }
 
 /// Memory sweeps saved by blocking a run of `n_gates` gates into one
@@ -209,12 +135,13 @@ pub fn sweeps_saved(n_gates: usize) -> usize {
 mod tests {
     use super::*;
     use crate::gates::standard;
-    use crate::kernels::scalar;
+    use crate::kernels::{scalar, simd};
     use crate::state::StateVector;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     const EPS: f64 = 1e-12;
+    const SERIAL: Schedule = Schedule::Static { chunk: None };
 
     fn rand_state(n: u32, seed: u64) -> StateVector {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -231,29 +158,39 @@ mod tests {
         v
     }
 
-    fn sequential(be: &KernelBackend, amps: &mut [C64], gates: &[BlockGate]) {
+    fn sequential(be: &KernelBackend, amps: &mut [C64], gates: &[GateKernel]) {
         for g in gates {
-            g.apply(be, amps);
+            g.apply(be, None, SERIAL, amps);
         }
+    }
+
+    fn mixed_run() -> Vec<GateKernel> {
+        vec![
+            GateKernel::One(0, standard::h()),
+            GateKernel::One(2, standard::t()),
+            GateKernel::X(1),
+            GateKernel::Controlled(1, 3, standard::x()),
+            GateKernel::Two(3, 0, standard::iswap_mat()),
+            GateKernel::Diag1(1, crate::complex::ONE, C64::exp_i(0.4)),
+            GateKernel::Diag2(
+                0,
+                2,
+                [C64::exp_i(0.1), C64::exp_i(-0.1), C64::exp_i(-0.1), C64::exp_i(0.1)],
+            ),
+            GateKernel::Swap(2, 3),
+        ]
     }
 
     #[test]
     fn blocked_matches_sequential() {
-        let gates = vec![
-            BlockGate::One(0, standard::h()),
-            BlockGate::One(2, standard::t()),
-            BlockGate::Controlled(1, 3, standard::x()),
-            BlockGate::Two(3, 0, standard::iswap_mat()),
-            BlockGate::Diag1(1, crate::complex::ONE, C64::exp_i(0.4)),
-            BlockGate::Swap(2, 3),
-        ];
+        let gates = mixed_run();
         for be in backends() {
             for block_qubits in [4u32, 5, 8] {
                 let mut a = rand_state(10, 3);
                 let mut b = a.clone();
                 sequential(be, a.amplitudes_mut(), &gates);
-                apply_blocked(be, b.amplitudes_mut(), &gates, block_qubits);
-                assert!(a.approx_eq(&b, EPS), "{} block_qubits={block_qubits}", be.name);
+                apply_blocked(be, None, SERIAL, b.amplitudes_mut(), &gates, block_qubits);
+                assert_eq!(a.max_abs_diff(&b), 0.0, "{} block_qubits={block_qubits}", be.name);
             }
         }
     }
@@ -261,11 +198,11 @@ mod tests {
     #[test]
     fn block_equals_full_state_width() {
         let be = simd::active();
-        let gates = vec![BlockGate::One(1, standard::ry(0.3))];
+        let gates = vec![GateKernel::One(1, standard::ry(0.3))];
         let mut a = rand_state(5, 4);
         let mut b = a.clone();
         sequential(be, a.amplitudes_mut(), &gates);
-        apply_blocked(be, b.amplitudes_mut(), &gates, 5);
+        apply_blocked(be, None, SERIAL, b.amplitudes_mut(), &gates, 5);
         assert!(a.approx_eq(&b, EPS));
     }
 
@@ -273,14 +210,15 @@ mod tests {
     #[should_panic(expected = "outside")]
     fn gate_above_block_rejected() {
         let mut s = rand_state(6, 5);
-        apply_blocked(simd::active(), s.amplitudes_mut(), &[BlockGate::One(4, standard::h())], 3);
+        let gates = [GateKernel::One(4, standard::h())];
+        apply_blocked(simd::active(), None, SERIAL, s.amplitudes_mut(), &gates, 3);
     }
 
     #[test]
     #[should_panic(expected = "block larger")]
     fn oversize_block_rejected() {
         let mut s = rand_state(3, 6);
-        apply_blocked(simd::active(), s.amplitudes_mut(), &[], 5);
+        apply_blocked(simd::active(), None, SERIAL, s.amplitudes_mut(), &[], 5);
     }
 
     #[test]
@@ -304,7 +242,12 @@ mod tests {
                     for op in &ops {
                         scalar::apply_kq(a.amplitudes_mut(), &op.qubits, &op.matrix);
                     }
-                    apply_blocked_fused(be, b.amplitudes_mut(), &ops, block_qubits);
+                    PreparedRun::new(&ops, block_qubits).apply(
+                        be,
+                        None,
+                        SERIAL,
+                        b.amplitudes_mut(),
+                    );
                     assert!(a.approx_eq(&b, EPS), "{} seed={seed} block={block_qubits}", be.name);
                 }
             }
@@ -312,59 +255,14 @@ mod tests {
     }
 
     #[test]
-    fn blocked_fused_parallel_matches_serial() {
-        use crate::fusion::fuse;
-        use crate::library;
-        let be = simd::active();
-        let c = library::random_circuit(5, 40, 11);
-        let ops = fuse(&c, 3);
-        for threads in [1usize, 3, 8] {
-            let pool = ThreadPool::new(threads);
-            for sched in [Schedule::default_static(), Schedule::Dynamic { chunk: 2 }] {
-                let mut a = rand_state(10, 31);
-                let mut b = a.clone();
-                apply_blocked_fused(be, a.amplitudes_mut(), &ops, 5);
-                PreparedRun::new(&ops, 5).apply_parallel(be, &pool, sched, b.amplitudes_mut());
-                assert!(a.approx_eq(&b, EPS), "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_parallel_matches_serial() {
-        let be = simd::active();
-        let gates = vec![
-            BlockGate::One(0, standard::h()),
-            BlockGate::Controlled(1, 3, standard::x()),
-            BlockGate::Two(3, 0, standard::iswap_mat()),
-            BlockGate::Swap(2, 3),
-        ];
-        for threads in [1usize, 3, 8] {
-            let pool = ThreadPool::new(threads);
-            let mut a = rand_state(10, 13);
-            let mut b = a.clone();
-            apply_blocked(be, a.amplitudes_mut(), &gates, 4);
-            apply_blocked_parallel(
-                be,
-                &pool,
-                Schedule::default_static(),
-                b.amplitudes_mut(),
-                &gates,
-                4,
-            );
-            assert!(a.approx_eq(&b, EPS), "threads={threads}");
-        }
-    }
-
-    #[test]
     fn norm_preserved() {
         let gates = vec![
-            BlockGate::One(0, standard::h()),
-            BlockGate::One(1, standard::sx()),
-            BlockGate::Two(1, 0, standard::rxx_mat(0.8)),
+            GateKernel::One(0, standard::h()),
+            GateKernel::One(1, standard::sx()),
+            GateKernel::Two(1, 0, standard::rxx_mat(0.8)),
         ];
         let mut s = rand_state(8, 7);
-        apply_blocked(simd::active(), s.amplitudes_mut(), &gates, 4);
+        apply_blocked(simd::active(), None, SERIAL, s.amplitudes_mut(), &gates, 4);
         assert!((s.norm_sqr() - 1.0).abs() < 1e-10);
     }
 }

@@ -1,17 +1,124 @@
-//! Gate → kernel dispatch.
+//! Gate → kernel dispatch: the one table.
 //!
-//! Picks the cheapest kernel shape for each gate: diagonal gates take the
-//! streaming multiply, X/SWAP take the permutation kernels, controlled
-//! dense gates take the half-space kernel, and everything else falls back
-//! to the dense 1q/2q sweeps. This mapping *is* the "kernel
-//! specialization" axis of the performance analysis.
+//! [`GateKernel`] is a gate resolved to the loop that executes it, and
+//! its `From<&Gate>` is the only place that picks: X/SWAP take the
+//! permutation kernels, diagonal gates the streaming multiply — which
+//! leaves alone the runs whose entry is exactly 1, so a controlled phase
+//! (`Cz`, `CPhase`) touches a quarter of the state —, controlled dense
+//! gates the half-state kernel, and everything else the dense 1q/2q
+//! sweeps. This mapping *is* the "kernel specialization" axis of the
+//! performance analysis; serial runs, pooled runs, cache-blocked runs
+//! and gate-backed fused singletons all read it, so an amplitude meets
+//! the same primitive whichever engine sweeps it.
 
 use omp_par::{Schedule, ThreadPool};
 
 use crate::circuit::Gate;
 use crate::complex::C64;
+use crate::gates::matrices::{Mat2, Mat4};
 use crate::kernels::simd::{self, KernelBackend};
-use crate::kernels::{parallel, scalar};
+use crate::kernels::{scalar, sweep};
+
+/// A gate resolved to its kernel shape: the qubits it acts on and the
+/// matrix entries its loop needs, inline.
+#[derive(Debug, Clone)]
+pub enum GateKernel {
+    /// Dense 2×2 on one target.
+    One(u32, Mat2),
+    /// `diag(d0, d1)` on one target.
+    Diag1(u32, C64, C64),
+    /// Pauli-X: exchange the paired runs.
+    X(u32),
+    /// Dense 2×2 on the target (second) where the control (first) is set.
+    Controlled(u32, u32, Mat2),
+    /// `diag(d)` in `|h l⟩` order on (high, low); entries that are exactly
+    /// 1 are not multiplied.
+    Diag2(u32, u32, [C64; 4]),
+    /// Dense 4×4 on (high, low).
+    Two(u32, u32, Mat4),
+    Swap(u32, u32),
+    /// Toffoli on (control, control, target).
+    Ccx(u32, u32, u32),
+    /// Fredkin on (control, swapped, swapped).
+    CSwap(u32, u32, u32),
+}
+
+impl From<&Gate> for GateKernel {
+    /// Pick the cheapest kernel shape for `g`. Panics on
+    /// [`Gate::Measure`]/[`Gate::Cif`], which are not sweeps.
+    fn from(g: &Gate) -> GateKernel {
+        match *g {
+            Gate::X(q) => GateKernel::X(q),
+            Gate::Swap(a, b) => GateKernel::Swap(a, b),
+            Gate::Ccx(c1, c2, t) => GateKernel::Ccx(c1, c2, t),
+            Gate::CSwap(c, a, b) => GateKernel::CSwap(c, a, b),
+            _ => {
+                if let Some((q, m)) = g.as_single() {
+                    if g.is_diagonal() {
+                        GateKernel::Diag1(q, m.m[0][0], m.m[1][1])
+                    } else {
+                        GateKernel::One(q, m)
+                    }
+                } else if let Some((h, l, m)) = g.as_two() {
+                    if g.is_diagonal() {
+                        GateKernel::Diag2(h, l, [m.m[0][0], m.m[1][1], m.m[2][2], m.m[3][3]])
+                    } else if let Some((c, t, m)) = g.as_controlled() {
+                        GateKernel::Controlled(c, t, m)
+                    } else {
+                        GateKernel::Two(h, l, m)
+                    }
+                } else {
+                    unreachable!("gate {} has no kernel mapping", g.name());
+                }
+            }
+        }
+    }
+}
+
+impl GateKernel {
+    /// Highest qubit index the kernel touches.
+    pub fn max_qubit(&self) -> u32 {
+        match *self {
+            GateKernel::One(q, _) | GateKernel::Diag1(q, ..) | GateKernel::X(q) => q,
+            GateKernel::Controlled(a, b, _)
+            | GateKernel::Diag2(a, b, _)
+            | GateKernel::Two(a, b, _)
+            | GateKernel::Swap(a, b) => a.max(b),
+            GateKernel::Ccx(a, b, c) | GateKernel::CSwap(a, b, c) => a.max(b).max(c),
+        }
+    }
+
+    /// One sweep over a (sub-)state of any power-of-two length covering
+    /// the kernel's qubits: workshared across `pool`, or inline on the
+    /// caller without one — bit-identical either way.
+    ///
+    /// The cold 3-qubit permutation gates (CCX/CSwap) stay on the scalar
+    /// loops and on the calling thread; every hot shape routes through
+    /// the backend's vector primitives.
+    pub fn apply(
+        &self,
+        be: &KernelBackend,
+        pool: Option<&ThreadPool>,
+        sched: Schedule,
+        amps: &mut [C64],
+    ) {
+        match self {
+            GateKernel::One(q, m) => sweep::apply_1q(be, pool, sched, amps, *q, m),
+            GateKernel::Diag1(q, d0, d1) => {
+                sweep::apply_1q_diag(be, pool, sched, amps, *q, *d0, *d1)
+            }
+            GateKernel::X(q) => sweep::apply_x(be, pool, sched, amps, *q),
+            GateKernel::Controlled(c, t, m) => {
+                sweep::apply_controlled_1q(be, pool, sched, amps, *c, *t, m)
+            }
+            GateKernel::Diag2(h, l, d) => sweep::apply_2q_diag(be, pool, sched, amps, *h, *l, *d),
+            GateKernel::Two(h, l, m) => sweep::apply_2q(be, pool, sched, amps, *h, *l, m),
+            GateKernel::Swap(a, b) => sweep::apply_swap(be, pool, sched, amps, *a, *b),
+            GateKernel::Ccx(c1, c2, t) => scalar::apply_ccx(amps, *c1, *c2, *t),
+            GateKernel::CSwap(c, a, b) => scalar::apply_cswap(amps, *c, *a, *b),
+        }
+    }
+}
 
 /// Apply one gate with the process-wide active SIMD backend (runtime
 /// feature detection, overridable via `QCS_BACKEND`).
@@ -19,57 +126,13 @@ pub fn apply_gate(amps: &mut [C64], g: &Gate) {
     apply_gate_with(simd::active(), amps, g);
 }
 
-/// Apply one gate through an explicit kernel backend.
-///
-/// The cold 3-qubit permutation gates (CCX/CSwap) stay on the scalar
-/// kernels; every hot shape routes through the backend's vector
-/// primitives (which themselves fall back to scalar below the vector
-/// window).
+/// Apply one gate through an explicit kernel backend, on the caller.
 pub fn apply_gate_with(be: &KernelBackend, amps: &mut [C64], g: &Gate) {
-    match g {
-        Gate::X(q) => simd::apply_x(be, amps, *q),
-        Gate::Swap(a, b) => simd::apply_swap(be, amps, *a, *b),
-        Gate::Ccx(c1, c2, t) => scalar::apply_ccx(amps, *c1, *c2, *t),
-        Gate::CSwap(c, a, b) => scalar::apply_cswap(amps, *c, *a, *b),
-        _ => {
-            if let Some((q, m)) = g.as_single() {
-                if g.is_diagonal() {
-                    simd::apply_1q_diag(be, amps, q, m.m[0][0], m.m[1][1]);
-                } else {
-                    simd::apply_1q(be, amps, q, &m);
-                }
-            } else if let Some((h, l, m)) = g.as_two() {
-                if g.is_diagonal() {
-                    simd::apply_2q_diag(
-                        be,
-                        amps,
-                        h,
-                        l,
-                        [m.m[0][0], m.m[1][1], m.m[2][2], m.m[3][3]],
-                    );
-                } else if let Some((c, t, m2)) = g.as_controlled() {
-                    simd::apply_controlled_1q(be, amps, c, t, &m2);
-                } else {
-                    simd::apply_2q(be, amps, h, l, &m);
-                }
-            } else {
-                unreachable!("gate {} has no kernel mapping", g.name());
-            }
-        }
-    }
+    GateKernel::from(g).apply(be, None, Schedule::default(), amps);
 }
 
-/// Apply one gate using the parallel kernels and the active backend.
-pub fn apply_gate_parallel(pool: &ThreadPool, sched: Schedule, amps: &mut [C64], g: &Gate) {
-    apply_gate_parallel_with(simd::active(), pool, sched, amps, g);
-}
-
-/// Apply one gate using the parallel kernels where available, with each
-/// thread's chunk swept by the given backend's vector primitives.
-///
-/// Permutation and 3-qubit gates currently run on the scalar kernels
-/// (their cost is a small fraction of circuit time); everything on the
-/// hot path — dense/diagonal 1q, controlled, dense 2q — workshares.
+/// Apply one gate with its sweep workshared across `pool`: the same
+/// kernel [`apply_gate_with`] runs, bit for bit.
 pub fn apply_gate_parallel_with(
     be: &KernelBackend,
     pool: &ThreadPool,
@@ -77,27 +140,7 @@ pub fn apply_gate_parallel_with(
     amps: &mut [C64],
     g: &Gate,
 ) {
-    match g {
-        Gate::X(q) => simd::apply_x(be, amps, *q),
-        Gate::Swap(a, b) => parallel::apply_swap(pool, sched, amps, *a, *b, be),
-        Gate::Ccx(c1, c2, t) => scalar::apply_ccx(amps, *c1, *c2, *t),
-        Gate::CSwap(c, a, b) => scalar::apply_cswap(amps, *c, *a, *b),
-        _ => {
-            if let Some((q, m)) = g.as_single() {
-                if g.is_diagonal() {
-                    parallel::apply_1q_diag(pool, sched, amps, q, m.m[0][0], m.m[1][1], be);
-                } else {
-                    parallel::apply_1q(pool, sched, amps, q, &m, be);
-                }
-            } else if let Some((c, t, m2)) = g.as_controlled() {
-                parallel::apply_controlled_1q(pool, sched, amps, c, t, &m2, be);
-            } else if let Some((h, l, m)) = g.as_two() {
-                parallel::apply_2q(pool, sched, amps, h, l, &m, be);
-            } else {
-                unreachable!("gate {} has no kernel mapping", g.name());
-            }
-        }
-    }
+    GateKernel::from(g).apply(be, Some(pool), sched, amps);
 }
 
 #[cfg(test)]
@@ -151,29 +194,24 @@ mod tests {
 
     #[test]
     fn dispatch_matches_dense_for_every_gate() {
+        // The active backend, and the portable primitives behind a
+        // pretended vector width of 4: qubits 0 and 1 then take the
+        // walkers' per-index path, so Miri — which has no native backend
+        // and selects this module by path — interprets both sides of the
+        // vector window. The full shape × placement × pool matrix is the
+        // facade's `tests/kernel_conformance.rs`.
+        let portable = simd::backend_for(simd::BackendChoice::Scalar);
+        let windowed = KernelBackend { name: "portable-as-width-4", width: 4, ..*portable };
         let mut rng = StdRng::seed_from_u64(10);
         for g in all_gates() {
             let a0 = StateVector::random(5, &mut rng);
-            let mut a = a0.clone();
             let mut b = a0.clone();
-            apply_gate(a.amplitudes_mut(), &g);
             apply_gate_dense(b.amplitudes_mut(), &g);
-            assert!(a.approx_eq(&b, 1e-12), "gate {}", g.name());
-        }
-    }
-
-    #[test]
-    fn parallel_dispatch_matches_scalar_dispatch() {
-        let pool = ThreadPool::new(4);
-        let sched = Schedule::Static { chunk: None };
-        let mut rng = StdRng::seed_from_u64(20);
-        for g in all_gates() {
-            let a0 = StateVector::random(6, &mut rng);
-            let mut a = a0.clone();
-            let mut b = a0.clone();
-            apply_gate(a.amplitudes_mut(), &g);
-            apply_gate_parallel(&pool, sched, b.amplitudes_mut(), &g);
-            assert!(a.approx_eq(&b, 1e-12), "gate {}", g.name());
+            for be in [simd::active(), &windowed] {
+                let mut a = a0.clone();
+                apply_gate_with(be, a.amplitudes_mut(), &g);
+                assert!(a.approx_eq(&b, 1e-12), "{} gate {}", be.name, g.name());
+            }
         }
     }
 

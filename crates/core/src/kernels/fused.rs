@@ -37,14 +37,13 @@
 
 use omp_par::{Schedule, ThreadPool};
 
-use crate::circuit::Gate;
 use crate::complex::{C64, ONE};
 use crate::fusion::{FusedClass, FusedOp};
 use crate::gates::matrices::DenseMatrix;
-use crate::kernels::dispatch::{apply_gate_parallel_with, apply_gate_with};
+use crate::kernels::dispatch::GateKernel;
 use crate::kernels::index::{compress_bits, insert_zero_bits, spread_bits};
 use crate::kernels::simd::KernelBackend;
-use crate::kernels::{AmpPtr, KQ_STACK_DIM};
+use crate::kernels::{for_range, AmpPtr, KQ_STACK_DIM};
 
 /// A block matrix lowered for `block_range`: targets, per-local-index
 /// amplitude offsets, and the non-identity rows as CSR.
@@ -327,10 +326,10 @@ struct DiagLoTable {
 }
 
 /// How a [`PreparedFused`] executes.
-enum Lowered<'a> {
+enum Lowered {
     /// A single original gate, through its own specialized sweep — the
     /// identical code path the naive strategy uses.
-    Gate(&'a Gate),
+    Gate(GateKernel),
     /// The diagonal entries per local index, streamed.
     Diagonal {
         diag: Vec<C64>,
@@ -343,7 +342,7 @@ enum Lowered<'a> {
 /// built. Build once per op, sweep many times.
 pub struct PreparedFused<'a> {
     sorted: &'a [u32],
-    lowered: Lowered<'a>,
+    lowered: Lowered,
 }
 
 impl<'a> PreparedFused<'a> {
@@ -355,7 +354,7 @@ impl<'a> PreparedFused<'a> {
         );
         debug_assert_eq!(op.matrix.dim(), 1usize << op.qubits.len());
         let lowered = match (&op.gate, op.class) {
-            (Some(g), _) => Lowered::Gate(g),
+            (Some(g), _) => Lowered::Gate(GateKernel::from(&**g)),
             (None, FusedClass::Diagonal) => {
                 let diag = (0..op.matrix.dim()).map(|i| op.matrix.get(i, i)).collect();
                 let lo = (op.qubits[0] < DIAG_RUN_MIN).then(|| {
@@ -372,46 +371,25 @@ impl<'a> PreparedFused<'a> {
         PreparedFused { sorted: &op.qubits, lowered }
     }
 
-    /// Apply serially to a full state (or one cache-resident block
-    /// slice; `amps.len()` must be a power of two above every target).
-    pub fn apply(&self, be: &KernelBackend, amps: &mut [C64]) {
-        debug_assert!(amps.len() >> self.sorted.len() >= 1);
-        match &self.lowered {
-            Lowered::Gate(g) => apply_gate_with(be, amps, g),
-            Lowered::Diagonal { diag, lo } => {
-                if let Some(t) = lo_table_for(lo, amps.len()) {
-                    let tiles = amps.len() >> DIAG_TILE_BITS;
-                    // SAFETY: the exclusive borrow covers every tile.
-                    unsafe { diag_tiles(amps.as_mut_ptr(), diag, t, 0, tiles) }
-                    return;
-                }
-                let runs = amps.len() >> self.sorted[0];
-                // SAFETY: the exclusive borrow covers every run.
-                unsafe { self.diag_range(be, amps.as_mut_ptr(), diag, 0, runs) }
-            }
-            Lowered::Block(blk) => {
-                // SAFETY: the exclusive borrow covers every group.
-                unsafe { (be.block_range)(amps.as_mut_ptr(), 0, blk.groups(amps.len()), blk) }
-            }
-        }
-    }
-
-    /// Apply with the sweep workshared across `pool`. Bit-identical to
-    /// [`apply`](PreparedFused::apply) at any thread count and schedule.
-    pub fn apply_parallel(
+    /// One sweep over a full state (or one cache-resident block slice;
+    /// `amps.len()` must be a power of two above every target),
+    /// workshared across `pool` or — without one — inline on the caller.
+    /// Bit-identical at any thread count and schedule.
+    pub fn apply(
         &self,
         be: &KernelBackend,
-        pool: &ThreadPool,
+        pool: Option<&ThreadPool>,
         sched: Schedule,
         amps: &mut [C64],
     ) {
+        debug_assert!(amps.len() >> self.sorted.len() >= 1);
         let p = AmpPtr(amps.as_mut_ptr());
         match &self.lowered {
-            Lowered::Gate(g) => apply_gate_parallel_with(be, pool, sched, amps, g),
+            Lowered::Gate(kernel) => kernel.apply(be, pool, sched, amps),
             Lowered::Diagonal { diag, lo } => {
                 if let Some(t) = lo_table_for(lo, amps.len()) {
                     let tiles = amps.len() >> DIAG_TILE_BITS;
-                    pool.parallel_for(0..tiles, sched, move |chunk| {
+                    for_range(pool, sched, 0..tiles, move |chunk| {
                         let p = p;
                         // SAFETY: tiles partition the index space; each
                         // tile index lands in exactly one chunk.
@@ -420,7 +398,7 @@ impl<'a> PreparedFused<'a> {
                     return;
                 }
                 let runs = amps.len() >> self.sorted[0];
-                pool.parallel_for(0..runs, sched, move |chunk| {
+                for_range(pool, sched, 0..runs, move |chunk| {
                     let p = p;
                     // SAFETY: runs partition the index space; each run
                     // index lands in exactly one chunk.
@@ -428,7 +406,7 @@ impl<'a> PreparedFused<'a> {
                 });
             }
             Lowered::Block(blk) => {
-                pool.parallel_for(0..blk.groups(amps.len()), sched, move |chunk| {
+                for_range(pool, sched, 0..blk.groups(amps.len()), move |chunk| {
                     let p = p;
                     // SAFETY: 2^k groups partition the index space; each
                     // group index lands in exactly one chunk.
@@ -493,20 +471,9 @@ unsafe fn diag_tiles(amps: *mut C64, diag: &[C64], t: &DiagLoTable, t0: usize, t
     }
 }
 
-/// One-shot convenience: lower and apply a fused op serially.
+/// One-shot convenience: lower and apply a fused op on the caller.
 pub fn apply_fused(be: &KernelBackend, amps: &mut [C64], op: &FusedOp) {
-    PreparedFused::new(op).apply(be, amps);
-}
-
-/// One-shot convenience: lower and apply a fused op across a pool.
-pub fn apply_fused_parallel(
-    be: &KernelBackend,
-    pool: &ThreadPool,
-    sched: Schedule,
-    amps: &mut [C64],
-    op: &FusedOp,
-) {
-    PreparedFused::new(op).apply_parallel(be, pool, sched, amps);
+    PreparedFused::new(op).apply(be, None, Schedule::default(), amps);
 }
 
 #[cfg(test)]

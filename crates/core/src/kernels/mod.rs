@@ -2,30 +2,39 @@
 //!
 //! These loops are what the paper's performance analysis is *about*: each
 //! sweeps the `2^n`-amplitude array with a stride pattern determined by
-//! the target qubit(s). Variants:
+//! the target qubit(s). One path leads from a gate to its loop:
 //!
+//! * [`dispatch`] — the gate → kernel-shape table ([`dispatch::GateKernel`]):
+//!   the one place that decides which loop a gate takes.
+//! * [`sweep`] — the loops: one range driver per index pattern (pairs,
+//!   quads) with the shapes as inlined bodies, run inline on the caller
+//!   or workshared across an `omp-par` pool (`for_range` is the only
+//!   place that tells the two apart).
+//! * [`simd`] — the vector primitives the loops are built from
+//!   (AVX2/NEON intrinsics with a portable fallback), selected once at
+//!   startup.
+//! * [`fused`] / [`blocked`] — fused k-qubit blocks, and cache-blocked
+//!   multi-gate sweeps that apply a run of low-target gates to one
+//!   L2-resident block at a time (E7).
 //! * [`index`] — the bit-manipulation helpers shared by all kernels.
-//! * [`scalar`] — portable Rust loops (the compiler's autovectorizer
-//!   plays the role of Fujitsu's `-Kfast` SVE vectorization).
-//! * [`parallel`] — OpenMP-style worksharing over the sweep via
-//!   `omp-par`.
+//! * [`scalar`] — plain per-index Rust loops: the reference the
+//!   conformance tests compare against, and the cold `Ccx`/`CSwap` path.
 //! * [`sve`] — the same kernels expressed against the `sve-sim` layer,
 //!   producing exact dynamic instruction counts for VL sweeps (E3).
-//! * [`blocked`] — cache-blocked multi-gate sweeps: applies a run of
-//!   low-target gates to one L2-resident block at a time (E7).
-//! * [`simd`] — native vector implementations of the hot kernels
-//!   (AVX2/NEON intrinsics with a portable fallback), selected once at
-//!   startup and consulted by [`dispatch`].
 
 pub mod blocked;
 pub mod dispatch;
 pub mod fused;
 pub mod index;
-pub mod parallel;
 pub mod reduce;
 pub mod scalar;
 pub mod simd;
 pub mod sve;
+pub mod sweep;
+
+use std::ops::Range;
+
+use omp_par::{Schedule, ThreadPool};
 
 use crate::complex::C64;
 
@@ -57,6 +66,21 @@ impl AmpPtr {
     #[inline(always)]
     pub(crate) unsafe fn slice(self, start: usize, len: usize) -> &'static mut [C64] {
         std::slice::from_raw_parts_mut(self.0.add(start), len)
+    }
+}
+
+/// Run `body` over `range`: workshared across `pool` under `sched`, or
+/// — without a pool — inline on the caller as one chunk. The only
+/// serial/pooled branch in the kernels: a serial sweep is the
+/// workshared sweep with one chunk.
+#[inline]
+pub(crate) fn for_range<F>(pool: Option<&ThreadPool>, sched: Schedule, range: Range<usize>, body: F)
+where
+    F: Fn(Range<usize>) + Sync,
+{
+    match pool {
+        Some(pool) => pool.parallel_for(range, sched, body),
+        None => body(range),
     }
 }
 

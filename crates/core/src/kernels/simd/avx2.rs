@@ -86,6 +86,17 @@ unsafe fn fma(acc: CVec, w: CVec, v: CVec) -> CVec {
     }
 }
 
+/// One lane of [`fma`], for the tail of a run: fused exactly as the
+/// vector body is, so an amplitude gets the same bits wherever a chunk
+/// boundary cuts its run ([`C64::fma`] is unfused on baseline x86-64).
+#[inline(always)]
+fn fma_lane(acc: C64, w: C64, v: C64) -> C64 {
+    C64 {
+        re: (-w.im).mul_add(v.im, w.re.mul_add(v.re, acc.re)),
+        im: w.im.mul_add(v.re, w.re.mul_add(v.im, acc.im)),
+    }
+}
+
 /// `w·v` with plain mul/sub (matches the scalar `Mul` impl bit-for-bit).
 #[inline(always)]
 unsafe fn mul(w: CVec, v: CVec) -> CVec {
@@ -304,8 +315,8 @@ unsafe fn pairs_1q_impl(a0: &mut [C64], a1: &mut [C64], m: &Mat2) {
     while i < n {
         let v0 = *p0.add(i);
         let v1 = *p1.add(i);
-        *p0.add(i) = C64::default().fma(m.m[0][0], v0).fma(m.m[0][1], v1);
-        *p1.add(i) = C64::default().fma(m.m[1][0], v0).fma(m.m[1][1], v1);
+        *p0.add(i) = fma_lane(fma_lane(C64::default(), m.m[0][0], v0), m.m[0][1], v1);
+        *p1.add(i) = fma_lane(fma_lane(C64::default(), m.m[1][0], v0), m.m[1][1], v1);
         i += 1;
     }
 }
@@ -386,9 +397,9 @@ unsafe fn quads_2q_impl(a0: &mut [C64], a1: &mut [C64], a2: &mut [C64], a3: &mut
     }
     while i < n {
         let v = [*ps[0].add(i), *ps[1].add(i), *ps[2].add(i), *ps[3].add(i)];
-        let out = m.apply(v);
-        for (row, &o) in out.iter().enumerate() {
-            *ps[row].add(i) = o;
+        for (row, mrow) in m.m.iter().enumerate() {
+            let acc = mrow.iter().zip(v).fold(C64::default(), |acc, (&w, x)| fma_lane(acc, w, x));
+            *ps[row].add(i) = acc;
         }
         i += 1;
     }

@@ -14,11 +14,13 @@
 //! * [`portable`] — width-1 safe fallback, bit-identical to the
 //!   scalar kernels in `crate::kernels::scalar`.
 //!
-//! The drivers below hold the stride logic: a 1q gate on target `t`
-//! splits the array into `2^t`-long paired runs, and whenever the run is
-//! at least one vector wide the backend primitive sweeps it; targets
-//! below the vector window fall back to the scalar kernels, mirroring
-//! `kernels/sve.rs`'s predicated remainder handling.
+//! The stride logic lives in [`crate::kernels::sweep`]: a 1q gate on
+//! target `t` splits the array into `2^t`-long paired runs, and whenever
+//! the run is at least one vector wide the backend primitive sweeps it.
+//! A primitive must give an amplitude the same bits wherever a run is
+//! cut — its tail loop rounds as its vector body does — because a
+//! workshared sweep cuts runs at chunk boundaries and must still equal
+//! the serial one exactly.
 //!
 //! Backend selection happens once per process ([`active`]); the
 //! `QCS_BACKEND` environment variable (`auto`/`scalar`/`simd`) and the
@@ -39,8 +41,6 @@ use std::sync::OnceLock;
 use crate::complex::C64;
 use crate::gates::matrices::{DenseMatrix, Mat2, Mat4};
 use crate::kernels::fused::Block;
-use crate::kernels::index::insert_two_zero_bits;
-use crate::kernels::{scalar, AmpPtr};
 
 /// One SIMD backend: a name, its vector width in *complex lanes*, and
 /// the primitive kernels every driver is built from.
@@ -162,147 +162,16 @@ pub fn active() -> &'static KernelBackend {
 const ALIGN_ASSERT_MIN: usize = 64;
 
 #[inline]
-fn debug_assert_aligned(amps: &[C64]) {
+pub(crate) fn debug_assert_aligned(amps: &[C64]) {
     debug_assert!(
         amps.len() < ALIGN_ASSERT_MIN || (amps.as_ptr() as usize).is_multiple_of(64),
         "state buffers must be 64-byte aligned (allocate via align::AlignedAmps)"
     );
 }
 
-/// Dense 2×2 unitary on target `t`: paired runs of `2^t` amplitudes.
-pub fn apply_1q(be: &KernelBackend, amps: &mut [C64], t: u32, m: &Mat2) {
-    debug_assert_aligned(amps);
-    let stride = 1usize << t;
-    debug_assert!(stride < amps.len());
-    if stride < be.width {
-        return scalar::apply_1q(amps, t, m);
-    }
-    for seg in amps.chunks_exact_mut(2 * stride) {
-        let (a0, a1) = seg.split_at_mut(stride);
-        (be.pairs_1q)(a0, a1, m);
-    }
-}
-
-/// Diagonal 1q gate: stream `d0`/`d1` over alternating `2^t` runs.
-pub fn apply_1q_diag(be: &KernelBackend, amps: &mut [C64], t: u32, d0: C64, d1: C64) {
-    debug_assert_aligned(amps);
-    let stride = 1usize << t;
-    if stride < be.width {
-        return scalar::apply_1q_diag(amps, t, d0, d1);
-    }
-    for seg in amps.chunks_exact_mut(2 * stride) {
-        let (a0, a1) = seg.split_at_mut(stride);
-        (be.scale_run)(a0, d0);
-        (be.scale_run)(a1, d1);
-    }
-}
-
-/// Pauli-X on target `t`: exchange paired `2^t` runs.
-pub fn apply_x(be: &KernelBackend, amps: &mut [C64], t: u32) {
-    debug_assert_aligned(amps);
-    let stride = 1usize << t;
-    if stride < be.width {
-        return scalar::apply_x(amps, t);
-    }
-    for seg in amps.chunks_exact_mut(2 * stride) {
-        let (a0, a1) = seg.split_at_mut(stride);
-        (be.swap_runs)(a0, a1);
-    }
-}
-
-/// Controlled dense 1q gate: paired runs within the control-set
-/// subspace, each `2^min(c,t)` long.
-pub fn apply_controlled_1q(be: &KernelBackend, amps: &mut [C64], c: u32, t: u32, m: &Mat2) {
-    debug_assert_ne!(c, t);
-    debug_assert_aligned(amps);
-    let (lo, hi) = if c < t { (c, t) } else { (t, c) };
-    let run = 1usize << lo;
-    if run < be.width {
-        return scalar::apply_controlled_1q(amps, c, t, m);
-    }
-    let cbit = 1usize << c;
-    let tbit = 1usize << t;
-    let groups = (amps.len() / 4) >> lo;
-    let p = AmpPtr(amps.as_mut_ptr());
-    for g in 0..groups {
-        let i0 = insert_two_zero_bits(g << lo, lo, hi) | cbit;
-        // SAFETY: the two runs differ in bit t ≥ lo, so they are
-        // disjoint; distinct g values never share amplitudes.
-        unsafe { (be.pairs_1q)(p.slice(i0, run), p.slice(i0 | tbit, run), m) }
-    }
-}
-
-/// Diagonal 2q gate: one diagonal entry per `2^min(h,l)` run, picked by
-/// the (h, l) bits of the run's base index.
-pub fn apply_2q_diag(be: &KernelBackend, amps: &mut [C64], h: u32, l: u32, d: [C64; 4]) {
-    debug_assert_ne!(h, l);
-    debug_assert_aligned(amps);
-    let lo = h.min(l);
-    let run = 1usize << lo;
-    if run < be.width {
-        return scalar::apply_2q_diag(amps, h, l, d);
-    }
-    let hbit = 1usize << h;
-    let lbit = 1usize << l;
-    for (ri, seg) in amps.chunks_exact_mut(run).enumerate() {
-        let base = ri << lo;
-        let idx = (usize::from(base & hbit != 0) << 1) | usize::from(base & lbit != 0);
-        (be.scale_run)(seg, d[idx]);
-    }
-}
-
-/// Dense 4×4 unitary on (high `h`, low `l`): four disjoint
-/// `2^min(h,l)` runs per group, in matrix basis order.
-pub fn apply_2q(be: &KernelBackend, amps: &mut [C64], h: u32, l: u32, m: &Mat4) {
-    debug_assert_ne!(h, l);
-    debug_assert_aligned(amps);
-    let (lo, hi) = if h < l { (h, l) } else { (l, h) };
-    let run = 1usize << lo;
-    if run < be.width {
-        return scalar::apply_2q(amps, h, l, m);
-    }
-    let hbit = 1usize << h;
-    let lbit = 1usize << l;
-    let groups = (amps.len() / 4) >> lo;
-    let p = AmpPtr(amps.as_mut_ptr());
-    for g in 0..groups {
-        let base = insert_two_zero_bits(g << lo, lo, hi);
-        // SAFETY: the four runs differ in bits h, l ≥ lo and are
-        // pairwise disjoint; distinct g values never share amplitudes.
-        unsafe {
-            (be.quads_2q)(
-                p.slice(base, run),
-                p.slice(base | lbit, run),
-                p.slice(base | hbit, run),
-                p.slice(base | hbit | lbit, run),
-                m,
-            )
-        }
-    }
-}
-
-/// SWAP two qubits: exchange the mismatched `2^min(a,b)` runs.
-pub fn apply_swap(be: &KernelBackend, amps: &mut [C64], a: u32, b: u32) {
-    debug_assert_ne!(a, b);
-    debug_assert_aligned(amps);
-    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    let run = 1usize << lo;
-    if run < be.width {
-        return scalar::apply_swap(amps, a, b);
-    }
-    let abit = 1usize << a;
-    let bbit = 1usize << b;
-    let groups = (amps.len() / 4) >> lo;
-    let p = AmpPtr(amps.as_mut_ptr());
-    for g in 0..groups {
-        let base = insert_two_zero_bits(g << lo, lo, hi);
-        // SAFETY: the runs differ in bits a, b ≥ lo; disjoint.
-        unsafe { (be.swap_runs)(p.slice(base | abit, run), p.slice(base | bbit, run)) }
-    }
-}
-
-/// Dense `2^k × 2^k` unitary on qubits `ts`; semantics of
-/// [`scalar::apply_kq`] (local basis follows sorted qubit order).
+/// Dense `2^k × 2^k` unitary on qubits `ts`; semantics of the reference
+/// `apply_kq` in `kernels/scalar.rs` (local basis follows sorted qubit
+/// order).
 pub fn apply_kq(be: &KernelBackend, amps: &mut [C64], ts: &[u32], m: &DenseMatrix) {
     let mut sorted = ts.to_vec();
     sorted.sort_unstable();
@@ -316,7 +185,7 @@ pub fn apply_kq(be: &KernelBackend, amps: &mut [C64], ts: &[u32], m: &DenseMatri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gates::standard;
+    use crate::kernels::scalar;
     use crate::state::StateVector;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -380,152 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn portable_backend_is_bit_identical_to_scalar() {
-        // Not just within EPS: the portable primitives reproduce the
-        // scalar sweeps exactly, so a forced-scalar run is reproducible.
-        let be = &portable::BACKEND;
-        let m = standard::u3(0.4, -1.1, 0.9);
-        for t in 0..8u32 {
-            let mut a = rand_state(8, 100 + t as u64);
-            let mut b = a.clone();
-            scalar::apply_1q(a.amplitudes_mut(), t, &m);
-            apply_1q(be, b.amplitudes_mut(), t, &m);
-            assert_eq!(a.max_abs_diff(&b), 0.0, "t={t}");
-        }
-    }
-
-    #[test]
-    fn dense_1q_matches_scalar_every_target() {
-        for be in backends() {
-            let m = standard::u3(0.3, 1.0, -0.5);
-            for n in [1u32, 3, 6, 10] {
-                for t in 0..n {
-                    let mut a = rand_state(n, 7 + t as u64);
-                    let mut b = a.clone();
-                    scalar::apply_1q(a.amplitudes_mut(), t, &m);
-                    apply_1q(be, b.amplitudes_mut(), t, &m);
-                    assert!(a.approx_eq(&b, EPS), "{} n={n} t={t}", be.name);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn diag_1q_matches_scalar_every_target() {
-        let d0 = C64::exp_i(0.31);
-        let d1 = C64::exp_i(-1.27);
-        for be in backends() {
-            for n in [1u32, 5, 9] {
-                for t in 0..n {
-                    let mut a = rand_state(n, 11 + t as u64);
-                    let mut b = a.clone();
-                    scalar::apply_1q_diag(a.amplitudes_mut(), t, d0, d1);
-                    apply_1q_diag(be, b.amplitudes_mut(), t, d0, d1);
-                    assert!(a.approx_eq(&b, EPS), "{} n={n} t={t}", be.name);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn x_matches_scalar_every_target() {
-        for be in backends() {
-            for n in [1u32, 4, 9] {
-                for t in 0..n {
-                    let mut a = rand_state(n, 13 + t as u64);
-                    let mut b = a.clone();
-                    scalar::apply_x(a.amplitudes_mut(), t);
-                    apply_x(be, b.amplitudes_mut(), t);
-                    assert!(a.approx_eq(&b, EPS), "{} n={n} t={t}", be.name);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn controlled_1q_matches_scalar_every_pair() {
-        let m = standard::ry(0.73);
-        for be in backends() {
-            for n in [2u32, 5, 8] {
-                for c in 0..n {
-                    for t in 0..n {
-                        if c == t {
-                            continue;
-                        }
-                        let mut a = rand_state(n, 17);
-                        let mut b = a.clone();
-                        scalar::apply_controlled_1q(a.amplitudes_mut(), c, t, &m);
-                        apply_controlled_1q(be, b.amplitudes_mut(), c, t, &m);
-                        assert!(a.approx_eq(&b, EPS), "{} n={n} c={c} t={t}", be.name);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn diag_2q_matches_scalar_every_pair() {
-        let d = [C64::exp_i(0.1), C64::exp_i(0.2), C64::exp_i(0.3), C64::exp_i(-0.4)];
-        for be in backends() {
-            for n in [2u32, 6, 9] {
-                for h in 0..n {
-                    for l in 0..n {
-                        if h == l {
-                            continue;
-                        }
-                        let mut a = rand_state(n, 19);
-                        let mut b = a.clone();
-                        scalar::apply_2q_diag(a.amplitudes_mut(), h, l, d);
-                        apply_2q_diag(be, b.amplitudes_mut(), h, l, d);
-                        assert!(a.approx_eq(&b, EPS), "{} n={n} h={h} l={l}", be.name);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dense_2q_matches_scalar_every_pair() {
-        let m = standard::rxx_mat(0.62);
-        for be in backends() {
-            for n in [2u32, 6, 9] {
-                for h in 0..n {
-                    for l in 0..n {
-                        if h == l {
-                            continue;
-                        }
-                        let mut a = rand_state(n, 23);
-                        let mut b = a.clone();
-                        scalar::apply_2q(a.amplitudes_mut(), h, l, &m);
-                        apply_2q(be, b.amplitudes_mut(), h, l, &m);
-                        assert!(a.approx_eq(&b, EPS), "{} n={n} h={h} l={l}", be.name);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn swap_matches_scalar_every_pair() {
-        for be in backends() {
-            for n in [2u32, 7] {
-                for x in 0..n {
-                    for y in 0..n {
-                        if x == y {
-                            continue;
-                        }
-                        let mut a = rand_state(n, 29);
-                        let mut b = a.clone();
-                        scalar::apply_swap(a.amplitudes_mut(), x, y);
-                        apply_swap(be, b.amplitudes_mut(), x, y);
-                        assert!(a.approx_eq(&b, EPS), "{} n={n} a={x} b={y}", be.name);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn kq_contiguous_case_matches_scalar() {
         // Targets 0..k: the contiguous-group (row-vectorized) path.
         let mut rng = StdRng::seed_from_u64(31);
@@ -575,110 +298,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn small_unaligned_scratch_is_accepted() {
-        // The fusion layer applies gates to short Vec-backed scratch
-        // buffers; those are exempt from the alignment assertion.
-        let mut amps = vec![C64::default(); 32];
-        amps[0] = C64::real(1.0);
-        for be in backends() {
-            apply_1q(be, &mut amps, 3, &standard::h());
-            apply_1q(be, &mut amps, 3, &standard::h());
-        }
-        assert!(amps[0].approx_eq(C64::real(1.0), 1e-10));
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Dense 1q equivalence across sizes 2^1..2^14 and all targets.
-        #[test]
-        fn prop_dense_1q(n in 1u32..15, traw in 0u32..16, seed in 0u64..10_000,
-                         th in -3.2f64..3.2, ph in -3.2f64..3.2, la in -3.2f64..3.2) {
-            let t = traw % n;
-            let m = standard::u3(th, ph, la);
-            for be in backends() {
-                let mut a = rand_state(n, seed);
-                let mut b = a.clone();
-                scalar::apply_1q(a.amplitudes_mut(), t, &m);
-                apply_1q(be, b.amplitudes_mut(), t, &m);
-                prop_assert!(a.approx_eq(&b, EPS), "{} n={} t={}", be.name, n, t);
-            }
-        }
-
-        /// Diagonal 1q equivalence.
-        #[test]
-        fn prop_diag_1q(n in 1u32..15, traw in 0u32..16, seed in 0u64..10_000,
-                        p0 in -3.2f64..3.2, p1 in -3.2f64..3.2) {
-            let t = traw % n;
-            let (d0, d1) = (C64::exp_i(p0), C64::exp_i(p1));
-            for be in backends() {
-                let mut a = rand_state(n, seed);
-                let mut b = a.clone();
-                scalar::apply_1q_diag(a.amplitudes_mut(), t, d0, d1);
-                apply_1q_diag(be, b.amplitudes_mut(), t, d0, d1);
-                prop_assert!(a.approx_eq(&b, EPS), "{} n={} t={}", be.name, n, t);
-            }
-        }
-
-        /// X / SWAP permutation equivalence.
-        #[test]
-        fn prop_x_and_swap(n in 2u32..15, araw in 0u32..16, braw in 0u32..16,
-                           seed in 0u64..10_000) {
-            let qa = araw % n;
-            let qb = (qa + 1 + braw % (n - 1)) % n;
-            for be in backends() {
-                let mut a = rand_state(n, seed);
-                let mut b = a.clone();
-                scalar::apply_x(a.amplitudes_mut(), qa);
-                scalar::apply_swap(a.amplitudes_mut(), qa, qb);
-                apply_x(be, b.amplitudes_mut(), qa);
-                apply_swap(be, b.amplitudes_mut(), qa, qb);
-                prop_assert!(a.approx_eq(&b, EPS), "{} n={} a={} b={}", be.name, n, qa, qb);
-            }
-        }
-
-        /// Controlled 1q equivalence.
-        #[test]
-        fn prop_controlled_1q(n in 2u32..15, craw in 0u32..16, traw in 0u32..16,
-                              seed in 0u64..10_000, th in -3.2f64..3.2) {
-            let c = craw % n;
-            let t = (c + 1 + traw % (n - 1)) % n;
-            let m = standard::ry(th);
-            for be in backends() {
-                let mut a = rand_state(n, seed);
-                let mut b = a.clone();
-                scalar::apply_controlled_1q(a.amplitudes_mut(), c, t, &m);
-                apply_controlled_1q(be, b.amplitudes_mut(), c, t, &m);
-                prop_assert!(a.approx_eq(&b, EPS), "{} n={} c={} t={}", be.name, n, c, t);
-            }
-        }
-
-        /// Dense + diagonal 2q equivalence with a random dense 4×4.
-        #[test]
-        fn prop_2q(n in 2u32..15, hraw in 0u32..16, lraw in 0u32..16,
-                   seed in 0u64..10_000, mseed in 0u64..10_000) {
-            let h = hraw % n;
-            let l = (h + 1 + lraw % (n - 1)) % n;
-            let mut mrng = StdRng::seed_from_u64(mseed);
-            let mut rows = [[C64::default(); 4]; 4];
-            for row in rows.iter_mut() {
-                for e in row.iter_mut() {
-                    *e = C64::new(mrng.gen_range(-1.0..1.0), mrng.gen_range(-1.0..1.0));
-                }
-            }
-            let m = Mat4::from_rows(rows);
-            let d = [C64::exp_i(0.3), C64::exp_i(-0.1), C64::exp_i(1.2), C64::exp_i(0.8)];
-            for be in backends() {
-                let mut a = rand_state(n, seed);
-                let mut b = a.clone();
-                scalar::apply_2q(a.amplitudes_mut(), h, l, &m);
-                scalar::apply_2q_diag(a.amplitudes_mut(), h, l, d);
-                apply_2q(be, b.amplitudes_mut(), h, l, &m);
-                apply_2q_diag(be, b.amplitudes_mut(), h, l, d);
-                prop_assert!(a.approx_eq(&b, EPS), "{} n={} h={} l={}", be.name, n, h, l);
-            }
-        }
 
         /// Fused k-qubit matvec equivalence for k = 2..5 on random
         /// qubit subsets and random dense matrices.

@@ -68,6 +68,7 @@ pub mod fusion;
 pub mod gates;
 pub mod integrity;
 pub mod io;
+pub mod json;
 pub mod kernels;
 pub mod library;
 pub mod measure;

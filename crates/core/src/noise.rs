@@ -15,10 +15,12 @@
 
 use rand::Rng;
 
-use crate::circuit::Circuit;
-use crate::complex::C64;
-use crate::kernels::dispatch::apply_gate;
-use crate::kernels::scalar;
+use omp_par::Schedule;
+
+use crate::circuit::{Circuit, Gate};
+use crate::complex::{C64, ONE};
+use crate::kernels::dispatch::{apply_gate, GateKernel};
+use crate::kernels::simd;
 use crate::state::StateVector;
 
 /// A single-qubit noise channel.
@@ -69,7 +71,7 @@ pub fn apply_channel<R: Rng>(
     match channel {
         NoiseChannel::BitFlip { p } => {
             if rng.gen_range(0.0..1.0) < p {
-                scalar::apply_x(state.amplitudes_mut(), q);
+                apply_gate(state.amplitudes_mut(), &Gate::X(q));
                 ErrorEvent::PauliX
             } else {
                 ErrorEvent::None
@@ -77,7 +79,7 @@ pub fn apply_channel<R: Rng>(
         }
         NoiseChannel::PhaseFlip { p } => {
             if rng.gen_range(0.0..1.0) < p {
-                scalar::apply_1q_diag(state.amplitudes_mut(), q, C64::real(1.0), C64::real(-1.0));
+                apply_gate(state.amplitudes_mut(), &Gate::Z(q));
                 ErrorEvent::PauliZ
             } else {
                 ErrorEvent::None
@@ -86,26 +88,13 @@ pub fn apply_channel<R: Rng>(
         NoiseChannel::Depolarizing { p } => {
             let u: f64 = rng.gen_range(0.0..1.0);
             if u < p {
-                let which = (u / p * 3.0) as usize;
-                match which {
-                    0 => {
-                        scalar::apply_x(state.amplitudes_mut(), q);
-                        ErrorEvent::PauliX
-                    }
-                    1 => {
-                        scalar::apply_1q(state.amplitudes_mut(), q, &crate::gates::standard::y());
-                        ErrorEvent::PauliY
-                    }
-                    _ => {
-                        scalar::apply_1q_diag(
-                            state.amplitudes_mut(),
-                            q,
-                            C64::real(1.0),
-                            C64::real(-1.0),
-                        );
-                        ErrorEvent::PauliZ
-                    }
-                }
+                let (pauli, event) = match (u / p * 3.0) as usize {
+                    0 => (Gate::X(q), ErrorEvent::PauliX),
+                    1 => (Gate::Y(q), ErrorEvent::PauliY),
+                    _ => (Gate::Z(q), ErrorEvent::PauliZ),
+                };
+                apply_gate(state.amplitudes_mut(), &pauli);
+                event
             } else {
                 ErrorEvent::None
             }
@@ -131,8 +120,10 @@ pub fn apply_channel<R: Rng>(
                 ErrorEvent::Decay
             } else {
                 // K0 branch: damp the |1⟩ amplitudes and renormalize.
-                let d1 = C64::real((1.0 - gamma).sqrt());
-                scalar::apply_1q_diag(state.amplitudes_mut(), q, C64::real(1.0), d1);
+                // K0 is diagonal but not unitary, so no `Gate` names it:
+                // hand the dispatcher its kernel shape directly.
+                let k0 = GateKernel::Diag1(q, ONE, C64::real((1.0 - gamma).sqrt()));
+                k0.apply(simd::active(), None, Schedule::default(), state.amplitudes_mut());
                 state.normalize();
                 ErrorEvent::None
             }

@@ -11,20 +11,18 @@
 //! format as a `{"type":"outcome",...}` line
 //! ([`crate::telemetry::sink::append_outcome`]).
 //!
-//! The vendored `serde` is an API stub, so like the trace sink the JSON
-//! here is hand-rolled against this small flat schema; the derives mark
-//! the types as wire-schema carriers for builds against real `serde`.
-
-use serde::Serialize;
+//! Like the trace sink, the line is built with [`crate::json`]'s field
+//! writers against this small flat schema.
 
 use crate::batch::BatchReport;
+use crate::json::{push_num_field, push_str_field};
 use crate::sim::RunReport;
 use crate::telemetry::Trace;
 
 /// Per-member execution statistics (one row per batch member; a single
 /// run is one member). Populated from traces when telemetry was on,
 /// otherwise only `member` is meaningful.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemberStats {
     /// Member index within the batch (0 for single runs).
     pub member: u32,
@@ -38,7 +36,7 @@ pub struct MemberStats {
 
 /// The unified, serializable result of one execution — single run,
 /// batched run, or resilient distributed run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Outcome {
     /// What produced this outcome: `"run"`, `"batch"`, or
     /// `"resilient"`.
@@ -99,23 +97,23 @@ impl Outcome {
     /// records, and the JSONL sink appends.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");
-        push_str(&mut s, "type", "outcome");
-        push_str(&mut s, "kind", &self.kind);
-        push_str(&mut s, "label", &self.label);
-        push_num(&mut s, "elapsed_seconds", self.elapsed_seconds);
-        push_str(&mut s, "strategy", &self.strategy);
-        push_str(&mut s, "backend", &self.backend);
-        push_num(&mut s, "threads", self.threads);
-        push_num(&mut s, "n_qubits", self.n_qubits);
-        push_num(&mut s, "gates", self.gates);
-        push_num(&mut s, "sweeps", self.sweeps);
-        push_num(&mut s, "members", self.members);
-        push_num(&mut s, "batch_id", self.batch_id);
-        push_num(&mut s, "spans", self.spans);
-        push_num(&mut s, "bytes", self.bytes);
-        push_num(&mut s, "recoveries", self.recoveries);
-        push_num(&mut s, "checkpoints", self.checkpoints);
-        push_num(&mut s, "repairs", self.repairs);
+        push_str_field(&mut s, "type", "outcome");
+        push_str_field(&mut s, "kind", &self.kind);
+        push_str_field(&mut s, "label", &self.label);
+        push_num_field(&mut s, "elapsed_seconds", self.elapsed_seconds);
+        push_str_field(&mut s, "strategy", &self.strategy);
+        push_str_field(&mut s, "backend", &self.backend);
+        push_num_field(&mut s, "threads", self.threads);
+        push_num_field(&mut s, "n_qubits", self.n_qubits);
+        push_num_field(&mut s, "gates", self.gates);
+        push_num_field(&mut s, "sweeps", self.sweeps);
+        push_num_field(&mut s, "members", self.members);
+        push_num_field(&mut s, "batch_id", self.batch_id);
+        push_num_field(&mut s, "spans", self.spans);
+        push_num_field(&mut s, "bytes", self.bytes);
+        push_num_field(&mut s, "recoveries", self.recoveries);
+        push_num_field(&mut s, "checkpoints", self.checkpoints);
+        push_num_field(&mut s, "repairs", self.repairs);
         s.push_str("\"member_stats\":[");
         for (i, m) in self.member_stats.iter().enumerate() {
             if i > 0 {
@@ -146,36 +144,6 @@ impl Outcome {
             self.elapsed_seconds * 1e3
         )
     }
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-fn push_str(out: &mut String, key: &str, val: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    escape_into(out, val);
-    out.push_str("\",");
-}
-
-fn push_num(out: &mut String, key: &str, val: impl std::fmt::Display) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&val.to_string());
-    out.push(',');
 }
 
 fn member_stats_from_traces(traces: &[Trace]) -> Vec<MemberStats> {

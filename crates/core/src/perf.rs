@@ -306,7 +306,7 @@ pub fn predict_batched(
                 SweepOp::Gate(g) => matrix(g.arity()),
                 SweepOp::Cif { gate, .. } => matrix(gate.arity()),
                 SweepOp::Fused(f) => matrix(f.qubits.len()),
-                SweepOp::BlockRun { source, .. } => source.iter().map(|g| matrix(g.arity())).sum(),
+                SweepOp::BlockRun(source) => source.iter().map(|g| matrix(g.arity())).sum(),
                 SweepOp::BlockPass(fs) => fs.iter().map(|f| matrix(f.qubits.len())).sum(),
                 SweepOp::AxisSwap(..) | SweepOp::Measure { .. } => 0,
             }

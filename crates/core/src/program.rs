@@ -29,19 +29,15 @@ use std::ops::Deref;
 use a64fx_model::traffic::{GateTraffic, KernelKind, TrafficModel};
 use omp_par::{Schedule, ThreadPool};
 
-use crate::calibrate::{
-    block_gate_per_amp, block_pass_ns, fused_per_amp, gate_per_amp, Calibration,
-};
+use crate::calibrate::{block_pass_ns, fused_per_amp, gate_per_amp, Calibration};
 use crate::circuit::{Circuit, Gate};
 use crate::complex::C64;
 use crate::fusion::{fuse, fuse_costed, FusedOp};
-use crate::kernels::blocked::{
-    apply_block_chunk, apply_blocked, apply_blocked_parallel, BlockGate, PreparedRun,
-};
-use crate::kernels::dispatch::{apply_gate_parallel_with, apply_gate_with};
+use crate::kernels::blocked::{apply_block_chunk, apply_blocked, PreparedRun};
+use crate::kernels::dispatch::GateKernel;
 use crate::kernels::fused::PreparedFused;
-use crate::kernels::parallel;
-use crate::kernels::simd::{self, KernelBackend};
+use crate::kernels::simd::KernelBackend;
+use crate::kernels::sweep;
 use crate::perf::{classify, measure_traffic};
 use crate::plan::{plan_circuit_with, PlanOp};
 use crate::sim::Strategy;
@@ -75,9 +71,9 @@ pub enum SweepOp<'c> {
     Gate(GateRef<'c>),
     /// A fused block through the kernel matching its structure class.
     Fused(FusedOp),
-    /// A run of consecutive source gates (`source`) whose qubits all lie
-    /// below the block width, applied cache block by cache block.
-    BlockRun { gates: Vec<BlockGate>, source: &'c [Gate] },
+    /// A run of consecutive source gates whose qubits all lie below the
+    /// block width, applied cache block by cache block.
+    BlockRun(&'c [Gate]),
     /// The planner's cache-blocked pass: fused ops on low physical
     /// axes, applied cache block by cache block.
     BlockPass(Vec<FusedOp>),
@@ -199,50 +195,23 @@ fn lower_unitary<'c>(
     }
 }
 
-/// Group consecutive gates that fit below the block width into block
-/// runs; every other gate keeps its own full-state sweep.
+/// Group consecutive gates whose qubits all fit below the block width
+/// into block runs; every other gate — and the cold 3-qubit
+/// permutations — keeps its own full-state sweep.
 fn lower_blocked<'c>(ops: &mut Vec<SweepOp<'c>>, gates: &'c [Gate], block_qubits: u32) {
-    let mut run: Vec<BlockGate> = Vec::new();
+    let mut run_start = 0;
     for (i, g) in gates.iter().enumerate() {
-        match to_block_gate(g, block_qubits) {
-            Some(bg) => run.push(bg),
-            None => {
-                if !run.is_empty() {
-                    let source = &gates[i - run.len()..i];
-                    ops.push(SweepOp::BlockRun { gates: std::mem::take(&mut run), source });
-                }
-                ops.push(SweepOp::Gate(GateRef::Source(g)));
-            }
+        if g.arity() <= 2 && g.qubits().iter().all(|&q| q < block_qubits) {
+            continue;
         }
-    }
-    if !run.is_empty() {
-        let source = &gates[gates.len() - run.len()..];
-        ops.push(SweepOp::BlockRun { gates: run, source });
-    }
-}
-
-/// Convert a gate into its blocked form if all its qubits fit below the
-/// block width.
-pub(crate) fn to_block_gate(g: &Gate, block_qubits: u32) -> Option<BlockGate> {
-    if g.qubits().iter().any(|&q| q >= block_qubits) {
-        return None;
-    }
-    if let Some((q, m)) = g.as_single() {
-        return Some(if g.is_diagonal() {
-            BlockGate::Diag1(q, m.m[0][0], m.m[1][1])
-        } else {
-            BlockGate::One(q, m)
-        });
-    }
-    match *g {
-        Gate::Swap(a, b) => Some(BlockGate::Swap(a, b)),
-        _ => {
-            if let Some((c, t, m)) = g.as_controlled() {
-                Some(BlockGate::Controlled(c, t, m))
-            } else {
-                g.as_two().map(|(h, l, m)| BlockGate::Two(h, l, m))
-            }
+        if run_start < i {
+            ops.push(SweepOp::BlockRun(&gates[run_start..i]));
         }
+        ops.push(SweepOp::Gate(GateRef::Source(g)));
+        run_start = i + 1;
+    }
+    if run_start < gates.len() {
+        ops.push(SweepOp::BlockRun(&gates[run_start..]));
     }
 }
 
@@ -325,7 +294,7 @@ impl SweepOp<'_> {
             SweepOp::AxisSwap(a, b) => {
                 (KernelKind::Swap, model.predict(KernelKind::Swap, n, &[*a, *b]))
             }
-            SweepOp::BlockRun { source, .. } => {
+            SweepOp::BlockRun(source) => {
                 // The sweep streams every line once whichever member is
                 // densest; borrow the dense 1q formula for the memory side.
                 let first = source[0].qubits()[0];
@@ -353,7 +322,7 @@ impl SweepOp<'_> {
             SweepOp::Fused(op) => {
                 op.gate.as_ref().map_or_else(|| op.qubits.clone(), |g| g.qubits())
             }
-            SweepOp::BlockRun { source, .. } => source[0].qubits(),
+            SweepOp::BlockRun(source) => source[0].qubits(),
             SweepOp::BlockPass(ops) => ops[0].qubits.clone(),
             SweepOp::AxisSwap(a, b) => vec![*a, *b],
             SweepOp::Measure { q, .. } => vec![*q],
@@ -371,8 +340,8 @@ impl SweepOp<'_> {
             SweepOp::Cif { gate, .. } => sweep(gate_per_amp(cal, gate)),
             SweepOp::Fused(op) => sweep(fused_per_amp(cal, op)),
             SweepOp::AxisSwap(..) => sweep(cal.swap),
-            SweepOp::BlockRun { gates, .. } => {
-                let members = gates.iter().map(|g| block_gate_per_amp(cal, g));
+            SweepOp::BlockRun(source) => {
+                let members = source.iter().map(|g| gate_per_amp(cal, g));
                 block_pass_ns(cal, amps, cal.block_stream_factor, members)
             }
             SweepOp::BlockPass(ops) => {
@@ -388,11 +357,13 @@ impl SweepOp<'_> {
     /// every member.
     pub(crate) fn kernel(&self, block_qubits: u32) -> Kernel<'_> {
         match self {
-            SweepOp::Gate(g) => Kernel::Gate(g),
-            SweepOp::Cif { gate, .. } => Kernel::Gate(gate),
+            SweepOp::Gate(g) => Kernel::Gate(GateKernel::from(&**g)),
+            SweepOp::Cif { gate, .. } => Kernel::Gate(GateKernel::from(*gate)),
             SweepOp::Fused(op) => Kernel::Fused(PreparedFused::new(op)),
             SweepOp::AxisSwap(a, b) => Kernel::AxisSwap(*a, *b),
-            SweepOp::BlockRun { gates, .. } => Kernel::BlockRun(gates, block_qubits),
+            SweepOp::BlockRun(source) => {
+                Kernel::BlockRun(source.iter().map(GateKernel::from).collect(), block_qubits)
+            }
             SweepOp::BlockPass(ops) => Kernel::BlockPass(PreparedRun::new(ops, block_qubits)),
             SweepOp::Measure { .. } => {
                 unreachable!("a collapse draws from the interpreter's RNG stream; it has no kernel")
@@ -409,15 +380,16 @@ impl SweepOp<'_> {
 /// because worksharing only changes which thread touches which disjoint
 /// index range, never the per-amplitude arithmetic.
 pub(crate) enum Kernel<'p> {
-    Gate(&'p Gate),
+    Gate(GateKernel),
     Fused(PreparedFused<'p>),
     AxisSwap(u32, u32),
-    BlockRun(&'p [BlockGate], u32),
+    BlockRun(Vec<GateKernel>, u32),
     BlockPass(PreparedRun<'p>),
 }
 
 impl Kernel<'_> {
-    /// One pass over a full state, serial or workshared.
+    /// One pass over a full state: workshared across `pool`, or inline on
+    /// the caller without one.
     pub(crate) fn exec(
         &self,
         be: &KernelBackend,
@@ -425,21 +397,12 @@ impl Kernel<'_> {
         sched: Schedule,
         amps: &mut [C64],
     ) {
-        match (self, pool) {
-            (Kernel::Gate(g), None) => apply_gate_with(be, amps, g),
-            (Kernel::Gate(g), Some(pool)) => apply_gate_parallel_with(be, pool, sched, amps, g),
-            (Kernel::Fused(op), None) => op.apply(be, amps),
-            (Kernel::Fused(op), Some(pool)) => op.apply_parallel(be, pool, sched, amps),
-            (Kernel::AxisSwap(a, b), None) => simd::apply_swap(be, amps, *a, *b),
-            (Kernel::AxisSwap(a, b), Some(pool)) => {
-                parallel::apply_swap(pool, sched, amps, *a, *b, be)
-            }
-            (Kernel::BlockRun(gates, bq), None) => apply_blocked(be, amps, gates, *bq),
-            (Kernel::BlockRun(gates, bq), Some(pool)) => {
-                apply_blocked_parallel(be, pool, sched, amps, gates, *bq)
-            }
-            (Kernel::BlockPass(run), None) => run.apply(be, amps),
-            (Kernel::BlockPass(run), Some(pool)) => run.apply_parallel(be, pool, sched, amps),
+        match self {
+            Kernel::Gate(kernel) => kernel.apply(be, pool, sched, amps),
+            Kernel::Fused(op) => op.apply(be, pool, sched, amps),
+            Kernel::AxisSwap(a, b) => sweep::apply_swap(be, pool, sched, amps, *a, *b),
+            Kernel::BlockRun(gates, bq) => apply_blocked(be, pool, sched, amps, gates, *bq),
+            Kernel::BlockPass(run) => run.apply(be, pool, sched, amps),
         }
     }
 
@@ -503,10 +466,7 @@ mod tests {
             .ops
             .iter()
             .map(|op| match op {
-                SweepOp::BlockRun { gates, source } => {
-                    assert_eq!(gates.len(), source.len());
-                    source.len()
-                }
+                SweepOp::BlockRun(source) => source.len(),
                 SweepOp::Gate(_) => 0,
                 other => panic!("unexpected {other:?}"),
             })

@@ -513,7 +513,7 @@ impl Tracer {
     pub fn record_op(&self, thread: usize, op: &SweepOp, wall_ns: u64) {
         let (kind, traffic) = op.traffic(&self.model, self.n_qubits);
         let span_kind = match op {
-            SweepOp::BlockRun { gates, .. } => SpanKind::Block { gates: gates.len() as u32, k: 0 },
+            SweepOp::BlockRun(source) => SpanKind::Block { gates: source.len() as u32, k: 0 },
             SweepOp::BlockPass(ops) => {
                 let KernelKind::FusedDense { k } = kind else {
                     unreachable!("a block pass prices as its widest fused member")

@@ -3,18 +3,17 @@
 //! The on-disk format is JSON lines — one `{"type":"run",...}` header
 //! per run followed by one `{"type":"span",...}` line per span — chosen
 //! so multi-run files (e.g. a fusion-width sweep appending one run per
-//! `k`) concatenate trivially and stream-parse without a DOM. The
-//! vendored `serde` is a no-op API stub, so serialization here is
-//! hand-rolled against the small, flat schema of [`Span`] and
-//! [`RunMeta`]; [`read_jsonl`] is its exact inverse and the round-trip
-//! is pinned by tests.
+//! `k`) concatenate trivially and parse a line at a time. Lines are
+//! built with [`crate::json`]'s field writers against the small, flat
+//! schema of [`Span`] and [`RunMeta`]; [`read_jsonl`] is the exact
+//! inverse and the round-trip is pinned by tests.
 
-use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use super::{RunMeta, Span, SpanKind, Trace};
+use crate::json::{self, push_num_field, push_str_field, Value};
 use crate::outcome::Outcome;
 
 /// A destination for completed traces.
@@ -96,36 +95,6 @@ pub fn append_outcome(path: impl AsRef<Path>, outcome: &Outcome) -> std::io::Res
     writeln!(w, "{}", outcome.to_json())
 }
 
-fn escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-fn push_str_field(out: &mut String, key: &str, val: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    escape(val, out);
-    out.push_str("\",");
-}
-
-fn push_num_field(out: &mut String, key: &str, val: impl std::fmt::Display) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&val.to_string());
-    out.push(',');
-}
-
 /// Serialize a run header line.
 pub fn run_to_json(meta: &RunMeta) -> String {
     let mut s = String::from("{");
@@ -168,144 +137,6 @@ pub fn span_to_json(span: &Span) -> String {
     s
 }
 
-/// A parsed flat-JSON value; the trace schema only uses these three.
-#[derive(Debug, Clone, PartialEq)]
-enum JVal {
-    Str(String),
-    Num(f64),
-    Arr(Vec<u64>),
-}
-
-impl JVal {
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JVal::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            JVal::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-/// Parse one flat JSON object line (string / number / integer-array
-/// values only — exactly the trace schema). Returns `None` on malformed
-/// input rather than panicking: trace files may be truncated by a
-/// killed run.
-fn parse_flat_object(line: &str) -> Option<BTreeMap<String, JVal>> {
-    let mut chars = line.trim().char_indices().peekable();
-    let s = line.trim();
-    if !s.starts_with('{') || !s.ends_with('}') {
-        return None;
-    }
-    let mut map = BTreeMap::new();
-    chars.next(); // consume '{'
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek() {
-            Some((_, '}')) => break,
-            Some((_, ',')) => {
-                chars.next();
-                continue;
-            }
-            Some((_, '"')) => {}
-            _ => return None,
-        }
-        let key = parse_string(s, &mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next().map(|(_, c)| c) != Some(':') {
-            return None;
-        }
-        skip_ws(&mut chars);
-        let val = match chars.peek() {
-            Some((_, '"')) => JVal::Str(parse_string(s, &mut chars)?),
-            Some((_, '[')) => {
-                chars.next();
-                let mut arr = Vec::new();
-                loop {
-                    skip_ws(&mut chars);
-                    match chars.peek() {
-                        Some((_, ']')) => {
-                            chars.next();
-                            break;
-                        }
-                        Some((_, ',')) => {
-                            chars.next();
-                        }
-                        _ => {
-                            let n = parse_number(s, &mut chars)?;
-                            arr.push(n as u64);
-                        }
-                    }
-                }
-                JVal::Arr(arr)
-            }
-            Some(_) => JVal::Num(parse_number(s, &mut chars)?),
-            None => return None,
-        };
-        map.insert(key, val);
-    }
-    Some(map)
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) {
-    while matches!(chars.peek(), Some((_, c)) if c.is_whitespace()) {
-        chars.next();
-    }
-}
-
-fn parse_string(
-    _src: &str,
-    chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-) -> Option<String> {
-    if chars.next().map(|(_, c)| c) != Some('"') {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next()?.1 {
-            '"' => return Some(out),
-            '\\' => match chars.next()?.1 {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.1.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-fn parse_number(
-    src: &str,
-    chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-) -> Option<f64> {
-    let start = chars.peek()?.0;
-    let mut end = start;
-    while let Some(&(i, c)) = chars.peek() {
-        if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-            end = i + c.len_utf8();
-            chars.next();
-        } else {
-            break;
-        }
-    }
-    src[start..end].parse().ok()
-}
-
 /// Map a parsed bottleneck name back onto the `&'static str` vocabulary
 /// the predictors use.
 fn static_bottleneck(s: &str) -> &'static str {
@@ -318,9 +149,9 @@ fn static_bottleneck(s: &str) -> &'static str {
     }
 }
 
-fn meta_from_map(map: &BTreeMap<String, JVal>) -> RunMeta {
-    let get_s = |k: &str| map.get(k).and_then(JVal::as_str).unwrap_or("").to_string();
-    let get_n = |k: &str| map.get(k).and_then(JVal::as_f64).unwrap_or(0.0);
+fn meta_from_line(line: &Value) -> RunMeta {
+    let get_s = |k: &str| line.get(k).and_then(Value::as_str).unwrap_or("").to_string();
+    let get_n = |k: &str| line.get(k).and_then(Value::as_f64).unwrap_or(0.0);
     RunMeta {
         strategy: get_s("strategy"),
         backend: get_s("backend"),
@@ -331,14 +162,14 @@ fn meta_from_map(map: &BTreeMap<String, JVal>) -> RunMeta {
     }
 }
 
-fn span_from_map(map: &BTreeMap<String, JVal>) -> Option<Span> {
-    let get_n = |k: &str| map.get(k).and_then(JVal::as_f64);
+fn span_from_line(line: &Value) -> Option<Span> {
+    let get_n = |k: &str| line.get(k).and_then(Value::as_f64);
     Some(Span {
         seq: get_n("seq")? as u64,
-        kind: SpanKind::from_label(map.get("kind")?.as_str()?)?,
-        qubits: match map.get("qubits") {
-            Some(JVal::Arr(a)) => a.iter().map(|&q| q as u32).collect(),
-            _ => Vec::new(),
+        kind: SpanKind::from_label(line.get("kind")?.as_str()?)?,
+        qubits: match line.get("qubits").and_then(Value::as_arr) {
+            Some(a) => a.iter().filter_map(Value::as_u64).map(|q| q as u32).collect(),
+            None => Vec::new(),
         },
         wall_ns: get_n("wall_ns")? as u64,
         amps: get_n("amps").unwrap_or(0.0) as u64,
@@ -346,7 +177,7 @@ fn span_from_map(map: &BTreeMap<String, JVal>) -> Option<Span> {
         flops: get_n("flops").unwrap_or(0.0) as u64,
         model_ns: get_n("model_ns").unwrap_or(0.0),
         bottleneck: static_bottleneck(
-            map.get("bottleneck").and_then(JVal::as_str).unwrap_or("other"),
+            line.get("bottleneck").and_then(Value::as_str).unwrap_or("other"),
         ),
         thread: get_n("thread").unwrap_or(0.0) as u32,
         rank: get_n("rank").unwrap_or(-1.0) as i32,
@@ -364,11 +195,11 @@ pub fn read_jsonl(path: impl AsRef<Path>) -> std::io::Result<Vec<Trace>> {
         if line.trim().is_empty() {
             continue;
         }
-        let Some(map) = parse_flat_object(&line) else { continue };
-        match map.get("type").and_then(JVal::as_str) {
-            Some("run") => runs.push((meta_from_map(&map), Vec::new())),
+        let Ok(line) = json::parse(&line) else { continue };
+        match line.get("type").and_then(Value::as_str) {
+            Some("run") => runs.push((meta_from_line(&line), Vec::new())),
             Some("span") => {
-                if let (Some(span), Some(run)) = (span_from_map(&map), runs.last_mut()) {
+                if let (Some(span), Some(run)) = (span_from_line(&line), runs.last_mut()) {
                     run.1.push(span);
                 }
             }
@@ -429,8 +260,8 @@ mod tests {
         let trace = sample_trace();
         for span in &trace.spans {
             let line = span_to_json(span);
-            let map = parse_flat_object(&line).expect("parse");
-            let back = span_from_map(&map).expect("span");
+            let parsed = json::parse(&line).expect("parse");
+            let back = span_from_line(&parsed).expect("span");
             assert_eq!(&back, span);
         }
     }
@@ -439,8 +270,8 @@ mod tests {
     fn run_header_round_trips_with_escapes() {
         let trace = sample_trace();
         let line = run_to_json(&trace.meta);
-        let map = parse_flat_object(&line).expect("parse");
-        assert_eq!(meta_from_map(&map), trace.meta);
+        let parsed = json::parse(&line).expect("parse");
+        assert_eq!(meta_from_line(&parsed), trace.meta);
     }
 
     #[test]

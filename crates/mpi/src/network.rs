@@ -13,12 +13,10 @@
 //! parallel (Tofu-D has 6 RDMA engines; 4 usable concurrently by one
 //! process is the practical figure in public measurements).
 
-use serde::Serialize;
-
 use crate::stats::CommStats;
 
 /// α–β parameters of one node's injection path.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TofuParams {
     /// Per-message latency in seconds.
     pub latency_s: f64,
@@ -47,7 +45,7 @@ impl Default for TofuParams {
 }
 
 /// Prediction of interconnect time for one rank's recorded traffic.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CommTimePrediction {
     /// Seconds attributable to per-message latency.
     pub latency_seconds: f64,

@@ -52,8 +52,11 @@ pub mod client;
 pub mod error;
 pub mod http;
 pub mod job;
-pub mod json;
 pub mod server;
+
+/// The wire format's JSON reader and writer: [`qcs_core::json`], under
+/// the path the server's callers have always used.
+pub use qcs_core::json;
 
 pub use error::QcsError;
 pub use job::JobSpec;

@@ -18,9 +18,25 @@ fn serial(circuit: &Circuit) -> StateVector {
     s
 }
 
+/// QFT from a generic product state: every amplitude is a full complex
+/// number by the time the controlled phases with a rank-constant qubit
+/// multiply it, so a rank that rounded them differently from the serial
+/// kernel (a fused multiply-add chain against a plain product) shows.
+fn dressed_qft(n: u32) -> Circuit {
+    let mut c = Circuit::new(n);
+    for q in 0..n {
+        c.ry(q, 0.37 + 0.61 * q as f64).rz(q, 1.1 - 0.23 * q as f64);
+    }
+    for g in library::qft(n).gates() {
+        c.push(g.clone());
+    }
+    c
+}
+
 fn families() -> Vec<(&'static str, Circuit)> {
     vec![
         ("qft", library::qft(8)),
+        ("dressed-qft", dressed_qft(8)),
         ("ghz", library::ghz(8)),
         ("random", library::random_circuit(8, 24, 42)),
         ("trotter", library::trotter_ising(8, 2, 1.0, 0.8, 0.1)),

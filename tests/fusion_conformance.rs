@@ -12,7 +12,7 @@
 use a64fx_qcs::core::calibrate::Calibration;
 use a64fx_qcs::core::circuit::Gate;
 use a64fx_qcs::core::fusion::{fuse, fuse_costed, FusedClass, FusedOp};
-use a64fx_qcs::core::kernels::fused::{apply_fused, apply_fused_parallel};
+use a64fx_qcs::core::kernels::fused::{apply_fused, PreparedFused};
 use a64fx_qcs::core::kernels::{scalar, simd};
 use a64fx_qcs::core::prelude::*;
 use a64fx_qcs::core::program::{lower, SweepOp};
@@ -197,10 +197,11 @@ fn workshared_block_sweeps_are_bit_identical_to_serial_ones() {
                 for be in backends() {
                     let mut serial = random_state(n, 31);
                     let start = serial.clone();
-                    apply_fused(be, serial.amplitudes_mut(), &op);
+                    let prep = PreparedFused::new(&op);
+                    prep.apply(be, None, schedules[0], serial.amplitudes_mut());
                     for sched in schedules {
                         let mut shared = start.clone();
-                        apply_fused_parallel(be, &pool, sched, shared.amplitudes_mut(), &op);
+                        prep.apply(be, Some(&pool), sched, shared.amplitudes_mut());
                         assert_eq!(
                             shared.max_abs_diff(&serial),
                             0.0,

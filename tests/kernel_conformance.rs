@@ -1,0 +1,311 @@
+//! One gate → kernel table, one range driver per index pattern — from the
+//! outside.
+//!
+//! (a) every kernel shape, at every qubit placement of several register
+//! sizes, on every backend the host runs, pool-less: within 1e-12 of the
+//! plain per-index loops in `kernels::scalar` (exactly equal on the
+//! portable backend, whose primitives are those loops); (b) the same
+//! shapes at the placements the drivers treat differently (qubits 0 and
+//! 1, either side of the backend's vector window, mid-register, top; both
+//! qubit orders), workshared over 1–4 threads under four schedules:
+//! within 1e-12 of the reference and *bit-identical* to the pool-less
+//! sweep, however the chunks cut the runs; (c) whole circuits through
+//! `Simulator`, every concrete strategy: 2–4 threads bit-identical to one;
+//! (d) every gate constructor: pooled ≡ pool-less, and a cache-blocked
+//! run ≡ a naive one, because both read the same table.
+
+use std::sync::Once;
+
+use a64fx_qcs::core::calibrate::Calibration;
+use a64fx_qcs::core::gates::standard;
+use a64fx_qcs::core::kernels::dispatch::{apply_gate_parallel_with, apply_gate_with, GateKernel};
+use a64fx_qcs::core::kernels::scalar;
+use a64fx_qcs::core::kernels::simd::{self, KernelBackend};
+use a64fx_qcs::core::library::qft::qft;
+use a64fx_qcs::core::prelude::*;
+use a64fx_qcs::core::testing::random_circuit_seeded;
+use a64fx_qcs::omp::ThreadPool;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+const EPS: f64 = 1e-12;
+const SERIAL: Schedule = Schedule::Static { chunk: None };
+
+/// Every backend the host can run: portable always, plus the native one
+/// when detection finds it. Enumerated in-process, so no `QCS_BACKEND`
+/// rerun of this binary adds coverage.
+fn backends() -> Vec<&'static KernelBackend> {
+    let mut v = vec![simd::backend_for(BackendChoice::Scalar)];
+    v.extend(simd::native());
+    v
+}
+
+fn schedules() -> [Schedule; 4] {
+    [
+        Schedule::default_static(),
+        Schedule::Static { chunk: Some(5) },
+        Schedule::Dynamic { chunk: 16 },
+        Schedule::Guided { min_chunk: 4 },
+    ]
+}
+
+fn random_state(n: u32, seed: u64) -> StateVector {
+    StateVector::random(n, &mut StdRng::seed_from_u64(seed))
+}
+
+/// A dense, non-unitary, asymmetric 4×4: swapping the qubit order or two
+/// basis states changes the result.
+fn dense4() -> Mat4 {
+    let mut rows = [[C64::default(); 4]; 4];
+    for (r, row) in rows.iter_mut().enumerate() {
+        for (c, e) in row.iter_mut().enumerate() {
+            let k = (4 * r + c) as f64;
+            *e = C64::new((0.7 * k + 0.3).sin(), (1.3 * k - 0.2).cos());
+        }
+    }
+    Mat4::from_rows(rows)
+}
+
+fn shapes_1q(t: u32) -> Vec<GateKernel> {
+    vec![
+        GateKernel::One(t, standard::u3(0.3, 1.0, -0.5)),
+        GateKernel::Diag1(t, C64::exp_i(0.31), C64::exp_i(-1.27)),
+        GateKernel::X(t),
+    ]
+}
+
+fn shapes_2q(a: u32, b: u32) -> Vec<GateKernel> {
+    let d = [C64::exp_i(0.3), C64::exp_i(-0.1), C64::exp_i(1.2), C64::exp_i(0.8)];
+    let one = C64::real(1.0);
+    vec![
+        GateKernel::Controlled(a, b, standard::ry(0.7)),
+        GateKernel::Diag2(a, b, d),
+        // A controlled phase: the unit entries' runs are skipped.
+        GateKernel::Diag2(a, b, [one, one, one, d[3]]),
+        GateKernel::Two(a, b, dense4()),
+        GateKernel::Swap(a, b),
+    ]
+}
+
+fn shapes_3q(a: u32, b: u32, c: u32) -> Vec<GateKernel> {
+    vec![GateKernel::Ccx(a, b, c), GateKernel::CSwap(a, b, c)]
+}
+
+/// The shape through the plain per-index loops.
+fn reference(kernel: &GateKernel, amps: &mut [C64]) {
+    match kernel {
+        GateKernel::One(t, m) => scalar::apply_1q(amps, *t, m),
+        GateKernel::Diag1(t, d0, d1) => scalar::apply_1q_diag(amps, *t, *d0, *d1),
+        GateKernel::X(t) => scalar::apply_x(amps, *t),
+        GateKernel::Controlled(c, t, m) => scalar::apply_controlled_1q(amps, *c, *t, m),
+        GateKernel::Diag2(h, l, d) => scalar::apply_2q_diag(amps, *h, *l, *d),
+        GateKernel::Two(h, l, m) => scalar::apply_2q(amps, *h, *l, m),
+        GateKernel::Swap(a, b) => scalar::apply_swap(amps, *a, *b),
+        GateKernel::Ccx(c1, c2, t) => scalar::apply_ccx(amps, *c1, *c2, *t),
+        GateKernel::CSwap(c, a, b) => scalar::apply_cswap(amps, *c, *a, *b),
+    }
+}
+
+#[test]
+fn every_shape_at_every_placement_matches_the_scalar_loops() {
+    for n in [1u32, 2, 3, 6, 10, 13] {
+        let mut kernels: Vec<GateKernel> = (0..n).flat_map(shapes_1q).collect();
+        for a in 0..n {
+            for b in (0..n).filter(|&b| b != a) {
+                kernels.extend(shapes_2q(a, b));
+            }
+        }
+        if n >= 3 {
+            for (a, b, c) in [(0, 1, 2), (n - 1, 0, 1), (1, n - 1, n - 2), (n / 2, n - 1, 0)] {
+                kernels.extend(shapes_3q(a, b, c));
+            }
+        }
+        let start = random_state(n, 7 + n as u64);
+        for kernel in &kernels {
+            let mut expected = start.clone();
+            reference(kernel, expected.amplitudes_mut());
+            for be in backends() {
+                let mut got = start.clone();
+                kernel.apply(be, None, SERIAL, got.amplitudes_mut());
+                let off = got.max_abs_diff(&expected);
+                // Width 1 is the scalar arithmetic itself, so a
+                // forced-portable run is reproducible to the bit.
+                let bound = if be.width == 1 { 0.0 } else { EPS };
+                assert!(off <= bound, "{} n={n} {kernel:?}: {off:e}", be.name);
+            }
+        }
+    }
+}
+
+#[test]
+fn short_unaligned_scratch_buffers_are_accepted() {
+    // The fusion layer builds product matrices in short Vec-backed
+    // buffers; those are exempt from the state-alignment assertion.
+    let mut amps = vec![C64::default(); 32];
+    amps[0] = C64::real(1.0);
+    for be in backends() {
+        for _ in 0..2 {
+            GateKernel::One(3, standard::h()).apply(be, None, SERIAL, &mut amps);
+        }
+    }
+    assert!(amps[0].approx_eq(C64::real(1.0), 1e-10));
+}
+
+#[test]
+fn workshared_sweeps_are_bit_identical_to_pool_less_ones() {
+    let n = 10u32;
+    let pools: Vec<ThreadPool> = (1..=4).map(ThreadPool::new).collect();
+    let start = random_state(n, 5);
+    for be in backends() {
+        // 0, 1, the last stride below the vector window, the first one
+        // inside it, mid-register, top.
+        let window = be.width.trailing_zeros();
+        let mut places = vec![0, 1, window.saturating_sub(1), window, n / 2, n - 1];
+        places.sort_unstable();
+        places.dedup();
+        let mut kernels: Vec<GateKernel> = places.iter().copied().flat_map(shapes_1q).collect();
+        for &a in &places {
+            for &b in places.iter().filter(|&&b| b != a) {
+                kernels.extend(shapes_2q(a, b));
+            }
+        }
+        kernels.extend(shapes_3q(0, n - 1, 1));
+        for kernel in &kernels {
+            let mut expected = start.clone();
+            reference(kernel, expected.amplitudes_mut());
+            let mut serial = start.clone();
+            kernel.apply(be, None, SERIAL, serial.amplitudes_mut());
+            for pool in &pools {
+                for sched in schedules() {
+                    let mut shared = start.clone();
+                    kernel.apply(be, Some(pool), sched, shared.amplitudes_mut());
+                    let what =
+                        format!("{} {kernel:?} threads={} {sched:?}", be.name, pool.num_threads());
+                    assert!(shared.approx_eq(&expected, EPS), "{what}: off the scalar loops");
+                    assert_eq!(shared.max_abs_diff(&serial), 0.0, "{what}: pooled ≠ pool-less");
+                }
+            }
+        }
+    }
+}
+
+/// Fusion and planning price their merges from the process-wide
+/// calibration; pin it to the analytic table so every simulator below
+/// lowers a circuit the same way without the startup micro-benchmark.
+fn pin_calibration() {
+    static PIN: Once = Once::new();
+    PIN.call_once(|| {
+        std::env::set_var("QCS_CALIBRATE", "analytic");
+        assert!(!Calibration::get().measured, "calibration was measured before the pin");
+    });
+}
+
+#[test]
+fn every_strategy_is_bit_identical_at_every_thread_count() {
+    pin_calibration();
+    let strategies = [
+        Strategy::Naive,
+        Strategy::Fused { max_k: 3 },
+        Strategy::Blocked { block_qubits: 5 },
+        Strategy::Planned { block_qubits: 5, max_k: 3 },
+    ];
+    for (name, circuit) in [("qft(12)", qft(12)), ("random", random_circuit_seeded(10, 80, 5))] {
+        let n = circuit.n_qubits();
+        let start = random_state(n, 11);
+        for backend in [BackendChoice::Scalar, BackendChoice::Simd] {
+            for strategy in strategies {
+                let run = |threads: usize, schedule: Schedule| {
+                    let config = SimConfig::default().strategy(strategy).backend(backend);
+                    let mut state = start.clone();
+                    let sim = config.threads(threads).schedule(schedule).build().unwrap();
+                    sim.run(&circuit, &mut state).unwrap();
+                    state
+                };
+                let one = run(1, SERIAL);
+                for threads in 2..=4 {
+                    for schedule in [Schedule::default_static(), Schedule::Dynamic { chunk: 3 }] {
+                        assert_eq!(
+                            run(threads, schedule).max_abs_diff(&one),
+                            0.0,
+                            "{name} {strategy} {backend:?}: {threads} threads, {schedule:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One gate per constructor, on qubits `a`, `b`, `c`.
+fn every_gate(a: u32, b: u32, c: u32) -> Vec<Gate> {
+    let (re, im) = (C64::new(0.6, 0.0), C64::new(0.0, 0.8));
+    let u1 = Mat2::new(re, im, im, re);
+    vec![
+        Gate::H(a),
+        Gate::X(a),
+        Gate::Y(a),
+        Gate::Z(a),
+        Gate::S(a),
+        Gate::Sdg(a),
+        Gate::T(a),
+        Gate::Tdg(a),
+        Gate::Sx(a),
+        Gate::Rx(a, 0.3),
+        Gate::Ry(a, -0.7),
+        Gate::Rz(a, 1.9),
+        Gate::Phase(a, 0.4),
+        Gate::U3(a, 0.1, 0.2, 0.3),
+        Gate::Unitary1(a, u1),
+        Gate::Cx(a, b),
+        Gate::Cy(a, b),
+        Gate::Cz(a, b),
+        Gate::CPhase(a, b, 0.6),
+        Gate::Swap(a, b),
+        Gate::ISwap(a, b),
+        Gate::Rzz(a, b, -0.5),
+        Gate::Rxx(a, b, 0.8),
+        Gate::Unitary2(a, b, standard::rxx_mat(0.35)),
+        Gate::Ccx(a, b, c),
+        Gate::CSwap(a, b, c),
+    ]
+}
+
+#[test]
+fn every_gate_runs_one_kernel_whoever_sweeps_it() {
+    let n = 7u32;
+    let pool = ThreadPool::new(3);
+    let start = random_state(n, 23);
+    // Low qubits in both orders (inside a 4-qubit block), then a spread
+    // that a 4-qubit block cannot hold.
+    for (a, b, c) in [(0, 2, 3), (3, 1, 0), (6, 0, 4)] {
+        for gate in every_gate(a, b, c) {
+            let mut circuit = Circuit::new(n);
+            circuit.push(gate.clone());
+            for be in backends() {
+                let mut serial = start.clone();
+                apply_gate_with(be, serial.amplitudes_mut(), &gate);
+                let mut shared = start.clone();
+                let sched = Schedule::Static { chunk: Some(5) };
+                apply_gate_parallel_with(be, &pool, sched, shared.amplitudes_mut(), &gate);
+                assert_eq!(shared.max_abs_diff(&serial), 0.0, "{} {gate:?}: pooled", be.name);
+
+                // Engines: naive sweeps the whole state with the gate's
+                // kernel, blocked sweeps it 16 amplitudes at a time with
+                // the same kernel; each amplitude meets the same
+                // primitive, so not one bit may differ.
+                let choice =
+                    if be.width == 1 { BackendChoice::Scalar } else { BackendChoice::Simd };
+                let run = |strategy: Strategy| {
+                    let config = SimConfig::default().strategy(strategy).backend(choice);
+                    let mut state = start.clone();
+                    config.build().unwrap().run(&circuit, &mut state).unwrap();
+                    state
+                };
+                let naive = run(Strategy::Naive);
+                assert_eq!(naive.max_abs_diff(&serial), 0.0, "{} {gate:?}: engine", be.name);
+                let blocked = run(Strategy::Blocked { block_qubits: 4 });
+                assert_eq!(blocked.max_abs_diff(&naive), 0.0, "{} {gate:?}: blocked", be.name);
+            }
+        }
+    }
+}

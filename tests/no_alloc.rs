@@ -22,6 +22,7 @@ use a64fx_qcs::core::kernels::fused::PreparedFused;
 use a64fx_qcs::core::kernels::simd;
 use a64fx_qcs::core::state::StateVector;
 use a64fx_qcs::core::testing::class_circuit;
+use a64fx_qcs::omp::Schedule;
 
 struct CountingAlloc;
 
@@ -72,11 +73,11 @@ fn fused_hot_loop_is_allocation_free() {
                     // Warm-up pass: let any lazy one-time initialization
                     // (backend detection, allocator pools) happen first.
                     let amps = state.amplitudes_mut();
-                    prep.apply(be, amps);
+                    prep.apply(be, None, Schedule::default(), amps);
 
                     ALLOCS.store(0, Ordering::SeqCst);
                     ARMED.set(true);
-                    prep.apply(be, amps);
+                    prep.apply(be, None, Schedule::default(), amps);
                     ARMED.set(false);
 
                     let count = ALLOCS.load(Ordering::SeqCst);

@@ -226,7 +226,11 @@ fn malformed_submissions_are_rejected_without_killing_the_worker() {
     let server = Server::start(ServeConfig::default()).unwrap();
     let addr = server.addr();
 
+    // Nested past the parser's depth bound: one stack frame per byte
+    // would overflow the connection thread's stack and abort the server.
+    let bottomless = "[".repeat(100_000);
     let malformed = [
+        bottomless.as_str(),
         // Not JSON at all.
         "{{{{",
         // Missing the circuit.
@@ -246,7 +250,8 @@ fn malformed_submissions_are_rejected_without_killing_the_worker() {
     ];
     for body in malformed {
         let (status, resp) = http_request(addr, "POST", "/jobs", body).unwrap();
-        assert_eq!(status, 400, "expected a 400 for {body:?}, got {status}: {resp}");
+        let shown = &body[..body.len().min(120)];
+        assert_eq!(status, 400, "expected a 400 for {shown:?}, got {status}: {resp}");
         assert!(resp.contains("\"error\""), "error body missing code: {resp}");
     }
 
