@@ -1,31 +1,42 @@
-//! The distributed state and its three communication regimes.
+//! A rank's shard, the exchanges it can take part in, and the loop that
+//! runs its op list.
 //!
-//! 1. **No communication** — gates whose qubits are all local, and *any*
-//!    diagonal gate (global bits are constant per rank, so the phase
-//!    factor is a rank-local constant).
-//! 2. **Pair exchange** — a dense 1-qubit (or controlled) gate on a
-//!    global qubit: each rank exchanges its whole local buffer with the
-//!    partner rank differing in that global bit, then combines rows.
-//!    Cost: `2^{n_local}` amplitudes per rank per gate — the dominant
-//!    communication term of distributed state-vector simulation.
-//! 3. **Global–local qubit swap** — everything else (dense 2q+ gates on
-//!    global qubits): swap the global qubit with a free local one (half a
-//!    buffer exchanged), apply locally, swap back.
+//! [`DistState`] is one rank's slice of the state vector. It executes
+//! `RankOp`s — a [`crate::plan::DistPlan`] with every gate already
+//! resolved to this rank's [`GateKernel`] — and does not look inside a
+//! gate: which ops a circuit becomes is the lowering's business
+//! ([`crate::plan`]), and `DistState::run` is the only loop over them,
+//! for the plain, the traced and the resilient runs alike. An op is one
+//! of
+//!
+//! * a **sweep** of the whole shard with a kernel, no communication;
+//! * a **global–local swap**: half the shard traded with the partner
+//!   across a global axis, blocking — or, on the top local axis,
+//!   chunked and nonblocking with resident kernels sweeping each half
+//!   around the flight;
+//! * a **pair exchange**: the whole shard traded, the kernel swept over
+//!   both partners' shards side by side, this rank's half kept.
+//!
+//! Every sweep — full shard, half shard, doubled scratch — goes through
+//! [`GateKernel::apply`], the serial engine's table, so the distributed
+//! arithmetic is the serial arithmetic at a different stride.
 
-use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mpi_sim::Comm;
 use qcs_core::align::AlignedAmps;
-use qcs_core::circuit::{Circuit, Gate};
-use qcs_core::complex::{as_f64_slice, C64};
-use qcs_core::kernels::dispatch::apply_gate as apply_local;
+use qcs_core::circuit::Circuit;
+use qcs_core::complex::{as_f64_slice, as_f64_slice_mut, C64};
+use qcs_core::kernels::dispatch::GateKernel;
 use qcs_core::kernels::index::insert_zero_bit;
+use qcs_core::kernels::simd;
+use qcs_core::prelude::Schedule;
 use qcs_core::state::StateVector;
-use qcs_core::telemetry::{ExchangePhase, TelemetryConfig, Trace, Tracer};
+use qcs_core::telemetry::{ExchangePhase, RunMeta, Trace, Tracer};
 
 use crate::error::DistError;
 use crate::partition::Partition;
+use crate::plan::{plan_circuit, DistPlanKind};
 
 const TAG_XCHG: u32 = 0xD157_0001;
 const TAG_SWAP: u32 = 0xD157_0002;
@@ -39,99 +50,94 @@ pub(crate) const OVERLAP_CHUNKS: usize = 8;
 /// Bytes on the wire for a C64 buffer (interleaved f64 pairs).
 const C64_BYTES: u64 = 16;
 
+/// One op of a rank's program: a [`crate::plan::PlanOp`] with its gates
+/// resolved to the kernels this rank sweeps with. It carries kernels,
+/// not gates, because a diagonal specialised to a rank's global bits
+/// has no `Gate` spelling.
+#[derive(Debug, Clone)]
+pub(crate) enum RankOp {
+    /// Sweep the whole shard.
+    Sweep(GateKernel),
+    /// Blocking swap of global axis `gq` with local axis `lq`.
+    Swap { gq: u32, lq: u32 },
+    /// Overlapped swap of `gq` with the top local axis; the `resident`
+    /// kernels avoid that axis and sweep each half on its own.
+    OverlapSwap { gq: u32, resident: Vec<GateKernel> },
+    /// Pair exchange across `gq`, `kernel` over the doubled buffer.
+    PairExchange { gq: u32, kernel: GateKernel },
+}
+
 /// One rank's slice of a distributed state vector.
 ///
 /// The slice lives in [`AlignedAmps`] storage so the rank-local kernel
 /// sweeps run on the same cache-line-aligned buffers as the serial
 /// engine (the SIMD backends assert this in debug builds).
 ///
-/// An attached [`Tracer`] (see [`DistState::set_tracer`]) records every
-/// communication phase — pair exchanges, controlled exchanges,
-/// global–local swaps, and collectives — as exchange spans carrying the
-/// wire volume and the global qubit involved, so E5's communication
-/// accounting comes straight out of the trace instead of
-/// subtract-the-empty-circuit arithmetic.
-#[derive(Debug, Clone)]
+/// A state built with a tracer records every communication phase —
+/// pair exchanges, global–local swaps, the gather — as exchange spans
+/// carrying the wire volume and the qubits involved, so E5's
+/// communication accounting comes straight out of the trace.
+#[derive(Debug)]
 pub struct DistState {
     part: Partition,
     rank: usize,
     amps: AlignedAmps,
-    tracer: Option<Arc<Tracer>>,
+    tracer: Option<Tracer>,
     /// Reusable exchange scratch, shared by every phase (pair-exchange
     /// doubled buffers and swap outboxes) so a long circuit allocates
     /// once instead of once per phase. 64-byte aligned like `amps`.
     scratch: Option<AlignedAmps>,
 }
 
-/// Send a complex slice as interleaved f64 (C64 is repr(C) f64-pairs).
-/// Transport failures surface as [`DistError::Exchange`] so the caller
-/// can roll back instead of tearing the world down.
-fn sendrecv_c64(
-    comm: &mut Comm,
-    peer: usize,
-    tag: u32,
-    data: &[C64],
-) -> Result<Vec<C64>, DistError> {
-    let raw = comm.try_sendrecv(peer, tag, as_f64_slice(data))?;
-    Ok(raw.chunks_exact(2).map(|p| C64::new(p[0], p[1])).collect())
-}
-
-/// The value of global qubit `q`'s bit on `rank`.
-#[inline]
-fn global_bit_of(part: &Partition, rank: usize, q: u32) -> bool {
-    (rank >> part.global_bit(q)) & 1 == 1
-}
-
 impl DistState {
-    /// The |0…0⟩ state distributed over the communicator's world.
-    pub fn zero(n_qubits: u32, comm: &Comm) -> DistState {
-        let part = Partition::new(n_qubits, comm.size());
+    /// The |0…0⟩ state over `part`, with a tracer of `trace_capacity`
+    /// spans when one is given.
+    pub(crate) fn new(part: Partition, comm: &Comm, trace_capacity: Option<usize>) -> DistState {
+        debug_assert_eq!(part.n_ranks(), comm.size());
         let mut amps = AlignedAmps::zeroed(part.local_len());
         if comm.rank() == 0 {
             amps[0] = C64::real(1.0);
         }
-        DistState { part, rank: comm.rank(), amps, tracer: None, scratch: None }
+        let tracer = trace_capacity.map(|capacity| {
+            let mut t = Tracer::with_defaults(part.n_qubits(), 1, capacity);
+            t.set_rank(comm.rank() as i32);
+            t
+        });
+        DistState { part, rank: comm.rank(), amps, tracer, scratch: None }
+    }
+
+    /// The |0…0⟩ state distributed over the communicator's world.
+    pub fn zero(n_qubits: u32, comm: &Comm) -> Result<DistState, DistError> {
+        Ok(DistState::new(Partition::new(n_qubits, comm.size())?, comm, None))
     }
 
     /// Slice a full state vector (every rank passes the same `full`).
-    pub fn from_full(full: &StateVector, comm: &Comm) -> DistState {
-        let part = Partition::new(full.n_qubits(), comm.size());
-        let rank = comm.rank();
-        let start = part.global_index(rank, 0);
-        let amps = AlignedAmps::from_slice(&full.amplitudes()[start..start + part.local_len()]);
-        DistState { part, rank, amps, tracer: None, scratch: None }
+    pub fn from_full(full: &StateVector, comm: &Comm) -> Result<DistState, DistError> {
+        let mut st = DistState::zero(full.n_qubits(), comm)?;
+        let start = st.part.global_index(st.rank, 0);
+        st.amps.copy_from_slice(&full.amplitudes()[start..start + st.part.local_len()]);
+        Ok(st)
     }
 
-    /// Attach (or detach) a tracer; subsequent communication phases are
-    /// recorded as exchange spans stamped with this rank.
-    pub fn set_tracer(&mut self, tracer: Option<Arc<Tracer>>) {
-        self.tracer = tracer;
+    /// Detach the tracer and close its trace under `meta`; `None` for a
+    /// state that was not tracing.
+    pub(crate) fn finish_trace(&mut self, meta: RunMeta) -> Option<Trace> {
+        self.tracer.take().map(|t| t.finish(meta))
     }
 
+    /// Record a communication phase that took `wall` — for the
+    /// overlapped exchange only its *exposed* time, excluding the
+    /// compute hidden in flight. A no-op without a tracer.
     pub(crate) fn record_exchange(
         &self,
         phase: ExchangePhase,
         qubits: &[u32],
         amps_moved: u64,
-        started: Option<Instant>,
-    ) {
-        if let (Some(_), Some(t0)) = (&self.tracer, started) {
-            self.record_exchange_ns(phase, qubits, amps_moved, t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Like [`DistState::record_exchange`], with the wall time supplied
-    /// by the caller — the overlapped exchange records only its
-    /// *exposed* nanoseconds, excluding the compute hidden in flight.
-    pub(crate) fn record_exchange_ns(
-        &self,
-        phase: ExchangePhase,
-        qubits: &[u32],
-        amps_moved: u64,
-        wall_ns: u64,
+        wall: Duration,
     ) {
         if let Some(t) = &self.tracer {
-            t.record_exchange(0, phase, qubits, amps_moved, amps_moved * C64_BYTES, wall_ns);
+            let ns = wall.as_nanos() as u64;
+            t.record_exchange(0, phase, qubits, amps_moved, amps_moved * C64_BYTES, ns);
         }
     }
 
@@ -169,131 +175,26 @@ impl DistState {
         &mut self.amps
     }
 
-    /// Can `gate` run without communication under `part`? True for
-    /// all-local gates, any diagonal gate (global bits are rank-wide
-    /// constants), and controlled gates whose control is global but
-    /// target local. The distributed planner's relocation rule is the
-    /// complement of this predicate.
-    pub(crate) fn is_comm_free(part: &Partition, gate: &Gate) -> bool {
-        let qs = gate.qubits();
-        if qs.iter().all(|&q| part.is_local(q)) {
-            return true;
-        }
-        if gate.is_diagonal() {
-            return true;
-        }
-        if let Some((c, t, _)) = gate.as_controlled() {
-            if !part.is_local(c) && part.is_local(t) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Apply one gate, communicating as needed.
-    pub fn apply_gate(&mut self, comm: &mut Comm, gate: &Gate) -> Result<(), DistError> {
-        if Self::is_comm_free(&self.part, gate) {
-            return Self::apply_resident_slice(&self.part, self.rank, &mut self.amps, gate);
-        }
-        let vq = self.part.n_local();
-        // Dense 1q on a global qubit: direct pair exchange, dispatching
-        // the original gate variant at a virtual doubled-buffer axis so
-        // the kernel (and its rounding) is the one the serial engine
-        // would have run.
-        if let Some((q, _)) = gate.as_single() {
-            let virtual_gate = gate.remap(|_| vq);
-            return self.pair_exchange_dispatch(
-                comm,
-                ExchangePhase::PairExchange,
-                &[q],
-                q,
-                &virtual_gate,
-            );
-        }
-        // Controlled dense gates get the cheap special cases.
-        if let Some((c, t, m)) = gate.as_controlled() {
-            let c_local = self.part.is_local(c);
-            debug_assert!(!self.part.is_local(t), "comm-free controlled cases handled above");
-            return if c_local {
-                // Local control, global target: exchange, then run the
-                // original controlled kernel against the virtual axis.
-                let virtual_gate = gate.remap(|q| if q == t { vq } else { q });
-                self.pair_exchange_dispatch(
-                    comm,
-                    ExchangePhase::CtrlExchange,
-                    &[c, t],
-                    t,
-                    &virtual_gate,
-                )
-            } else if self.global_bit_value(c) {
-                // Both global, control set here (and on the partner,
-                // which differs only in the target bit): the control is
-                // satisfied buffer-wide, so a dense 1q on the virtual
-                // axis applies the same per-pair arithmetic the serial
-                // controlled kernel would.
-                self.pair_exchange_dispatch(
-                    comm,
-                    ExchangePhase::PairExchange,
-                    &[t],
-                    t,
-                    &Gate::Unitary1(vq, m),
-                )
-            } else {
-                // Partner has the same (clear) control bit and also
-                // skips; no exchange needed.
-                Ok(())
-            };
-        }
-        // General fallback: relocate each global qubit to a free local
-        // position, apply, relocate back.
-        self.apply_via_remap(comm, gate)
-    }
-
-    /// Apply a communication-free gate (see [`DistState::is_comm_free`])
-    /// to `amps` — the rank's full buffer, or one contiguous half of it
-    /// during an overlapped exchange (legal whenever the gate does not
-    /// touch the top local axis, because every kernel then acts
-    /// independently within each half).
-    fn apply_resident_slice(
-        part: &Partition,
-        rank: usize,
-        amps: &mut [C64],
-        gate: &Gate,
-    ) -> Result<(), DistError> {
-        let qs = gate.qubits();
-        if qs.iter().all(|&q| part.is_local(q)) {
-            apply_local(amps, gate);
-            return Ok(());
-        }
-        if gate.is_diagonal() {
-            return Self::apply_diagonal_with_globals(part, rank, amps, gate);
-        }
-        if let Some((c, t, m)) = gate.as_controlled() {
-            if !part.is_local(c) && part.is_local(t) {
-                // Global control: rank-constant predicate.
-                if global_bit_of(part, rank, c) {
-                    apply_local(amps, &Gate::Unitary1(t, m));
+    /// The rank loop: execute `ops` in order, skipping the ones this
+    /// rank sits out. Transport failures surface as
+    /// [`DistError::Exchange`] so the caller can roll back instead of
+    /// tearing the world down.
+    pub(crate) fn run(&mut self, comm: &mut Comm, ops: &[Option<RankOp>]) -> Result<(), DistError> {
+        for op in ops.iter().flatten() {
+            match op {
+                RankOp::Sweep(kernel) => sweep(kernel, &mut self.amps),
+                &RankOp::Swap { gq, lq } => self.swap_global_local(comm, gq, lq)?,
+                RankOp::OverlapSwap { gq, resident } => {
+                    self.swap_top_overlapped(comm, *gq, resident)?
                 }
-                return Ok(());
+                RankOp::PairExchange { gq, kernel } => self.pair_exchange(comm, *gq, kernel)?,
             }
         }
-        Err(DistError::internal(format!(
-            "gate `{}` reached the resident path but needs communication",
-            gate.name()
-        )))
+        Ok(())
     }
 
-    /// Apply a comm-free gate to a contiguous sub-range of the local
-    /// buffer (the overlap engine's per-half application).
-    pub(crate) fn apply_resident_on(
-        &mut self,
-        gate: &Gate,
-        range: std::ops::Range<usize>,
-    ) -> Result<(), DistError> {
-        Self::apply_resident_slice(&self.part, self.rank, &mut self.amps[range], gate)
-    }
-
-    /// Run a whole circuit.
+    /// Run a whole circuit on this state, under the naive lowering
+    /// (which leaves every qubit where it found it).
     pub fn apply_circuit(&mut self, comm: &mut Comm, circuit: &Circuit) -> Result<(), DistError> {
         if circuit.n_qubits() != self.part.n_qubits() {
             return Err(DistError::WidthMismatch {
@@ -301,219 +202,118 @@ impl DistState {
                 state: self.part.n_qubits(),
             });
         }
-        for g in circuit.gates() {
-            self.apply_gate(comm, g)?;
-        }
-        Ok(())
+        let plan = plan_circuit(circuit, comm.size(), DistPlanKind::Naive)?;
+        self.run(comm, &plan.localize(self.rank))
     }
 
-    /// The value of global qubit `q`'s bit on this rank.
-    fn global_bit_value(&self, q: u32) -> bool {
-        global_bit_of(&self.part, self.rank, q)
-    }
-
-    /// Dense gate touching global qubit `gq` by whole-buffer pair
-    /// exchange: concatenate the two partner buffers into the scratch
-    /// (this rank's half at index bit `vq = n_local` equal to its `gq`
-    /// bit), dispatch `virtual_gate` — the original gate remapped onto
-    /// `vq` — over the doubled buffer, and keep this rank's half.
-    ///
-    /// Routing through the ordinary kernel dispatch (instead of a
-    /// hand-rolled row combine) makes the distributed arithmetic
-    /// *bit-identical* to the serial engine: the same kernel variant
-    /// runs with the same per-pair operation order, merely at a
-    /// different stride.
-    fn pair_exchange_dispatch(
+    /// Whole-buffer pair exchange across global axis `gq`: concatenate
+    /// the two partner shards in the scratch (this rank's at index bit
+    /// `n_local` equal to its `gq` bit), sweep `kernel` over the doubled
+    /// buffer, and keep this rank's half.
+    fn pair_exchange(
         &mut self,
         comm: &mut Comm,
-        phase: ExchangePhase,
-        span_qubits: &[u32],
         gq: u32,
-        virtual_gate: &Gate,
+        kernel: &GateKernel,
     ) -> Result<(), DistError> {
-        let t0 = self.tracer.as_ref().map(|_| Instant::now());
+        let t0 = Instant::now();
         let partner = self.part.partner(self.rank, gq);
-        let theirs = sendrecv_c64(comm, partner, TAG_XCHG, &self.amps);
+        let theirs = comm.try_sendrecv(partner, TAG_XCHG, as_f64_slice(&self.amps))?;
         let l = self.amps.len();
         let mut buf = self.take_scratch(2 * l);
-        let theirs = match theirs {
-            Ok(t) => t,
-            Err(e) => {
-                self.scratch = Some(buf);
-                return Err(e);
-            }
-        };
-        let r = usize::from(self.global_bit_value(gq));
+        let r = self.part.rank_bit(self.rank, gq);
         buf[r * l..(r + 1) * l].copy_from_slice(&self.amps);
-        buf[(1 - r) * l..(2 - r) * l].copy_from_slice(&theirs);
-        apply_local(&mut buf[..2 * l], virtual_gate);
+        as_f64_slice_mut(&mut buf[(1 - r) * l..(2 - r) * l]).copy_from_slice(&theirs);
+        sweep(kernel, &mut buf[..2 * l]);
         self.amps.copy_from_slice(&buf[r * l..(r + 1) * l]);
         self.scratch = Some(buf);
-        self.record_exchange(phase, span_qubits, l as u64, t0);
-        Ok(())
-    }
-
-    /// Diagonal gate with ≥1 global qubit: every factor involving a
-    /// global bit is a rank-wide constant. Operates on a slice so the
-    /// overlap engine can run it per half (enumeration offsets only
-    /// affect the top local bit, which a half-applied gate never uses).
-    fn apply_diagonal_with_globals(
-        part: &Partition,
-        rank: usize,
-        amps: &mut [C64],
-        gate: &Gate,
-    ) -> Result<(), DistError> {
-        // Obtain the diagonal entries from the dense forms.
-        match gate.arity() {
-            1 => {
-                let (q, m) = gate.as_single().ok_or_else(|| {
-                    DistError::internal(format!(
-                        "1-qubit diagonal gate `{}` has no dense 1q form",
-                        gate.name()
-                    ))
-                })?;
-                let d = if global_bit_of(part, rank, q) { m.m[1][1] } else { m.m[0][0] };
-                for a in amps.iter_mut() {
-                    *a *= d;
-                }
+        let wall = t0.elapsed();
+        match *kernel {
+            GateKernel::Controlled(c, ..) => {
+                self.record_exchange(ExchangePhase::CtrlExchange, &[c, gq], l as u64, wall)
             }
-            2 => {
-                let (h, l, m) = gate.as_two().ok_or_else(|| {
-                    DistError::internal(format!(
-                        "2-qubit diagonal gate `{}` has no dense 2q form",
-                        gate.name()
-                    ))
-                })?;
-                let d = [m.m[0][0], m.m[1][1], m.m[2][2], m.m[3][3]];
-                let h_local = part.is_local(h);
-                let l_local = part.is_local(l);
-                match (h_local, l_local) {
-                    (false, false) => {
-                        let idx = ((global_bit_of(part, rank, h) as usize) << 1)
-                            | global_bit_of(part, rank, l) as usize;
-                        for a in amps.iter_mut() {
-                            *a *= d[idx];
-                        }
-                    }
-                    (false, true) => {
-                        let hbit = global_bit_of(part, rank, h) as usize;
-                        let lmask = 1usize << l;
-                        for (x, a) in amps.iter_mut().enumerate() {
-                            let idx = (hbit << 1) | usize::from(x & lmask != 0);
-                            *a *= d[idx];
-                        }
-                    }
-                    (true, false) => {
-                        let lbit = global_bit_of(part, rank, l) as usize;
-                        let hmask = 1usize << h;
-                        for (x, a) in amps.iter_mut().enumerate() {
-                            let idx = ((usize::from(x & hmask != 0)) << 1) | lbit;
-                            *a *= d[idx];
-                        }
-                    }
-                    (true, true) => {
-                        return Err(DistError::internal(format!(
-                            "diagonal gate `{}` with two local qubits reached the global path",
-                            gate.name()
-                        )))
-                    }
-                }
-            }
-            arity => {
-                return Err(DistError::UnsupportedGate {
-                    gate: gate.name().to_string(),
-                    reason: format!(
-                        "diagonal gates of arity {arity} are not in the distributed gate set"
-                    ),
-                })
-            }
+            _ => self.record_exchange(ExchangePhase::PairExchange, &[gq], l as u64, wall),
         }
         Ok(())
     }
 
-    /// Swap global qubit `gq` with local qubit `lq` (a physical data
-    /// exchange of half the local buffer), returning nothing; qubit
-    /// *labels* are restored by the caller swapping back after use.
+    /// Swap global axis `gq` with local axis `lq`: a physical exchange
+    /// of half the local buffer. Nothing swaps back; the plan tracks
+    /// where each qubit lives.
     fn swap_global_local(&mut self, comm: &mut Comm, gq: u32, lq: u32) -> Result<(), DistError> {
         debug_assert!(!self.part.is_local(gq) && self.part.is_local(lq));
-        let t0 = self.tracer.as_ref().map(|_| Instant::now());
-        let r = usize::from(self.global_bit_value(gq));
+        let t0 = Instant::now();
         let half = self.amps.len() / 2;
-        // Ship amplitudes whose lq bit ≠ my global bit, gathered into the
-        // reusable scratch (one allocation per run, not per phase).
-        let want_bit = 1 - r;
+        // Ship the amplitudes whose lq bit ≠ my global bit, gathered
+        // into the reusable scratch.
+        let want_bit = 1 - self.part.rank_bit(self.rank, gq);
+        let at = |j: usize| insert_zero_bit(j, lq) | (want_bit << lq);
         let mut outbox = self.take_scratch(half);
         for j in 0..half {
-            let x = insert_zero_bit(j, lq) | (want_bit << lq);
-            outbox[j] = self.amps[x];
+            outbox[j] = self.amps[at(j)];
         }
         let partner = self.part.partner(self.rank, gq);
-        let inbox = sendrecv_c64(comm, partner, TAG_SWAP, &outbox[..half]);
+        let inbox = comm.try_sendrecv(partner, TAG_SWAP, as_f64_slice(&outbox[..half]));
         self.scratch = Some(outbox);
-        for (j, v) in inbox?.into_iter().enumerate() {
-            let x = insert_zero_bit(j, lq) | (want_bit << lq);
-            self.amps[x] = v;
+        for (j, p) in inbox?.chunks_exact(2).enumerate() {
+            self.amps[at(j)] = C64::new(p[0], p[1]);
         }
-        self.record_exchange(ExchangePhase::GlobalSwap, &[gq, lq], half as u64, t0);
+        self.record_exchange(ExchangePhase::GlobalSwap, &[gq, lq], half as u64, t0.elapsed());
         Ok(())
     }
 
     /// Overlapped global–local swap on the *top* local axis
     /// `lq = n_local − 1`: the outgoing contiguous half is sent in
-    /// chunks through the nonblocking transport while `resident` —
-    /// comm-free gates scheduled after this swap that do not touch
-    /// `lq` — run on both halves (the outgoing half before departure,
-    /// the resident half during flight). Bit-identical to
-    /// `swap_global_local(gq, lq)` followed by full-buffer application
-    /// of `resident`, because gates avoiding `lq` act independently
+    /// chunks through the nonblocking transport while the `resident`
+    /// kernels sweep both halves (the outgoing half before departure,
+    /// the kept half during flight). Bit-identical to
+    /// `swap_global_local(gq, lq)` after full-shard sweeps of
+    /// `resident`, because kernels avoiding `lq` act independently
     /// within each half.
     ///
     /// The recorded [`ExchangePhase::OverlapSwap`] span carries only the
     /// *exposed* wall time (chunk posting + drain), not the hidden
     /// keep-half compute — the separation e5-style accounting needs.
-    pub(crate) fn swap_top_overlapped(
+    fn swap_top_overlapped(
         &mut self,
         comm: &mut Comm,
         gq: u32,
-        resident: &[Gate],
-        chunks: usize,
+        resident: &[GateKernel],
     ) -> Result<(), DistError> {
         let lq = self.part.n_local() - 1;
         debug_assert!(!self.part.is_local(gq));
-        debug_assert!(resident.iter().all(|g| !g.qubits().contains(&lq)));
+        debug_assert!(resident.iter().all(|k| k.max_qubit() < lq));
         let half = self.amps.len() / 2;
-        let r = usize::from(self.global_bit_value(gq));
-        let want = 1 - r;
+        let want = 1 - self.part.rank_bit(self.rank, gq);
         let ship = want * half..(want + 1) * half;
         let keep = (1 - want) * half..(2 - want) * half;
-        for g in resident {
-            self.apply_resident_on(g, ship.clone())?;
+        for k in resident {
+            sweep(k, &mut self.amps[ship.clone()]);
         }
         let partner = self.part.partner(self.rank, gq);
         let t0 = Instant::now();
-        {
-            let out = &self.amps[ship.clone()];
-            let k = mpi_sim::chunk_count(out.len(), chunks);
-            let mut off = 0;
-            for i in 0..k {
-                let len = out.len() / k + usize::from(i < out.len() % k);
-                comm.try_send(partner, TAG_OVL + i as u32, as_f64_slice(&out[off..off + len]))?;
-                off += len;
-            }
+        let out = &self.amps[ship.clone()];
+        let n_chunks = mpi_sim::chunk_count(half, OVERLAP_CHUNKS);
+        let mut off = 0;
+        for i in 0..n_chunks {
+            let len = half / n_chunks + usize::from(i < half % n_chunks);
+            comm.try_send(partner, TAG_OVL + i as u32, as_f64_slice(&out[off..off + len]))?;
+            off += len;
         }
-        let reqs = comm.irecv_chunked(partner, TAG_OVL, half, chunks);
+        let reqs = comm.irecv_chunked(partner, TAG_OVL, half, OVERLAP_CHUNKS);
         let mut exposed = t0.elapsed();
-        for g in resident {
-            self.apply_resident_on(g, keep.clone())?;
+        for k in resident {
+            sweep(k, &mut self.amps[keep.clone()]);
         }
         let t1 = Instant::now();
-        let parts = comm.try_waitall::<f64>(reqs)?;
         let mut w = ship.start;
-        for (_, data) in parts {
-            for p in data.chunks_exact(2) {
-                self.amps[w] = C64::new(p[0], p[1]);
-                w += 1;
+        for (_, data) in comm.try_waitall::<f64>(reqs)? {
+            let end = w + data.len() / 2;
+            if end > ship.end {
+                break;
             }
+            as_f64_slice_mut(&mut self.amps[w..end]).copy_from_slice(&data);
+            w = end;
         }
         exposed += t1.elapsed();
         if w != ship.end {
@@ -522,70 +322,8 @@ impl DistState {
                 w - ship.start
             )));
         }
-        self.record_exchange_ns(
-            ExchangePhase::OverlapSwap,
-            &[gq, lq],
-            half as u64,
-            exposed.as_nanos() as u64,
-        );
+        self.record_exchange(ExchangePhase::OverlapSwap, &[gq, lq], half as u64, exposed);
         Ok(())
-    }
-
-    /// Apply a gate with global qubits by temporarily relocating each
-    /// global qubit onto a free local qubit.
-    fn apply_via_remap(&mut self, comm: &mut Comm, gate: &Gate) -> Result<(), DistError> {
-        let qs = gate.qubits();
-        let globals: Vec<u32> = qs.iter().copied().filter(|&q| !self.part.is_local(q)).collect();
-        // Free local qubits: *highest* indices not used by the gate.
-        // High victims keep the remapped gate's minimum axis at or above
-        // the serial gate's, so both runs take the same SIMD-vs-scalar
-        // kernel path and stay bit-identical.
-        let mut free: Vec<u32> = (0..self.part.n_local())
-            .rev()
-            .filter(|q| !qs.contains(q))
-            .take(globals.len())
-            .collect();
-        if free.len() != globals.len() {
-            return Err(DistError::UnsupportedGate {
-                gate: gate.name().to_string(),
-                reason: format!(
-                    "not enough free local qubits to relocate {} global qubits \
-                     ({} local qubits per rank)",
-                    globals.len(),
-                    self.part.n_local()
-                ),
-            });
-        }
-        for (&g, &l) in globals.iter().zip(&free) {
-            self.swap_global_local(comm, g, l)?;
-        }
-        let remapped = gate.remap(|q| {
-            if let Some(pos) = globals.iter().position(|&g| g == q) {
-                free[pos]
-            } else {
-                q
-            }
-        });
-        apply_local(&mut self.amps, &remapped);
-        // Swap back in reverse order.
-        free.reverse();
-        let mut globals_rev = globals.clone();
-        globals_rev.reverse();
-        for (&g, &l) in globals_rev.iter().zip(&free) {
-            self.swap_global_local(comm, g, l)?;
-        }
-        Ok(())
-    }
-
-    /// Crate-internal: swap a global physical axis with a local one (the
-    /// planned executors drive this directly).
-    pub(crate) fn swap_physical(
-        &mut self,
-        comm: &mut Comm,
-        gq: u32,
-        lq: u32,
-    ) -> Result<(), DistError> {
-        self.swap_global_local(comm, gq, lq)
     }
 
     /// ⟨ψ|ψ⟩ across all ranks.
@@ -604,7 +342,7 @@ impl DistState {
                 .filter(|(x, _)| x & mask != 0)
                 .map(|(_, a)| a.norm_sqr())
                 .sum()
-        } else if self.global_bit_value(q) {
+        } else if self.part.rank_bit(self.rank, q) == 1 {
             self.amps.iter().map(|a| a.norm_sqr()).sum()
         } else {
             0.0
@@ -645,7 +383,7 @@ impl DistState {
                     *a = C64::default();
                 }
             }
-        } else if self.global_bit_value(q) == keep_set {
+        } else if (self.part.rank_bit(self.rank, q) == 1) == keep_set {
             for a in &mut self.amps {
                 *a = a.scale(scale);
             }
@@ -706,59 +444,51 @@ impl DistState {
 
     /// Reassemble the full state on every rank (allgather).
     pub fn allgather_full(&self, comm: &mut Comm) -> StateVector {
-        let t0 = self.tracer.as_ref().map(|_| Instant::now());
-        let all_f64 = comm.allgather(as_f64_slice(&self.amps));
-        let amps: Vec<C64> = all_f64.chunks_exact(2).map(|p| C64::new(p[0], p[1])).collect();
-        self.record_exchange(ExchangePhase::Collective, &[], self.amps.len() as u64, t0);
-        StateVector::from_amplitudes(&amps)
+        let identity: Vec<u32> = (0..self.part.n_qubits()).collect();
+        self.gather(comm, &identity)
+    }
+
+    /// Allgather the shards and write each amplitude straight to its
+    /// logical index, given the layout the plan ended in
+    /// (`logical_at[p]` = logical qubit on physical axis `p`): one
+    /// conversion, one copy, and no communication beyond the collective
+    /// — restoring the layout with swaps would cost half a buffer per
+    /// displaced qubit.
+    pub(crate) fn gather(&self, comm: &mut Comm, logical_at: &[u32]) -> StateVector {
+        let t0 = Instant::now();
+        let raw = comm.allgather(as_f64_slice(&self.amps));
+        self.record_exchange(ExchangePhase::Collective, &[], self.amps.len() as u64, t0.elapsed());
+        let mut out = StateVector::zero(self.part.n_qubits());
+        if logical_at.iter().enumerate().all(|(p, &l)| p as u32 == l) {
+            as_f64_slice_mut(out.amplitudes_mut()).copy_from_slice(&raw);
+            return out;
+        }
+        let amps = out.amplitudes_mut();
+        for (x, a) in raw.chunks_exact(2).enumerate() {
+            let y = logical_at.iter().enumerate().fold(0, |y, (p, &l)| y | ((x >> p) & 1) << l);
+            amps[y] = C64::new(a[0], a[1]);
+        }
+        out
     }
 }
 
-/// Convenience harness: run `circuit` from |0…0⟩ on `n_ranks` ranks and
-/// return the reassembled state plus per-rank communication statistics.
-///
-/// The scheduling policy is read from `QCS_DIST_PLAN`
-/// (`naive|reorder|overlap`, default naive); use
-/// [`crate::plan::run_distributed_planned`] to pin a kind explicitly.
-/// All kinds produce bit-identical states.
-///
-/// Engine errors are deterministic and symmetric across ranks (they
-/// depend only on the circuit and the partition geometry), so every
-/// rank returns the same `Err` and the world tears down cleanly.
-pub fn run_distributed(
-    circuit: &Circuit,
-    n_ranks: usize,
-) -> Result<(StateVector, Vec<mpi_sim::CommStats>), DistError> {
-    crate::plan::run_distributed_planned(circuit, n_ranks, crate::plan::DistPlanKind::from_env())
-}
-
-/// Like [`run_distributed`], but every rank records an exchange span per
-/// communication phase (phase kind, partner qubits, amplitudes moved,
-/// bytes on the wire, wall time). Returns one [`Trace`] per rank; when
-/// `telemetry.trace_path` is set the traces are also written there as
-/// JSONL, one run block per rank. The scheduling policy follows
-/// `QCS_DIST_PLAN` like [`run_distributed`].
-pub fn run_distributed_traced(
-    circuit: &Circuit,
-    n_ranks: usize,
-    telemetry: &TelemetryConfig,
-) -> Result<(StateVector, Vec<mpi_sim::CommStats>, Vec<Trace>), DistError> {
-    crate::plan::run_distributed_planned_traced(
-        circuit,
-        n_ranks,
-        crate::plan::DistPlanKind::from_env(),
-        telemetry,
-    )
+/// One pool-less sweep of `kernel` over a shard, half a shard or a
+/// doubled scratch, on the process-wide backend.
+fn sweep(kernel: &GateKernel, amps: &mut [C64]) {
+    kernel.apply(simd::active(), None, Schedule::default(), amps);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{run_distributed_planned, run_distributed_planned_traced, DistPlanKind};
+    use crate::plan::{
+        run_distributed, run_distributed_planned, run_distributed_planned_traced,
+        run_distributed_traced,
+    };
     use mpi_sim::World;
     use qcs_core::library;
     use qcs_core::sim::Simulator;
-    use qcs_core::telemetry::SpanKind;
+    use qcs_core::telemetry::{SpanKind, TelemetryConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -772,12 +502,14 @@ mod tests {
 
     fn check_distributed(circuit: &Circuit, n_ranks: usize) {
         let reference = serial_reference(circuit);
-        let (dist, _) = run_distributed(circuit, n_ranks).unwrap();
-        assert!(
-            dist.approx_eq(&reference, EPS),
-            "ranks={n_ranks}: max diff {}",
-            dist.max_abs_diff(&reference)
-        );
+        for kind in DistPlanKind::ALL {
+            let (dist, _) = run_distributed_planned(circuit, n_ranks, kind).unwrap();
+            assert!(
+                dist.approx_eq(&reference, EPS),
+                "{kind} ranks={n_ranks}: max diff {}",
+                dist.max_abs_diff(&reference)
+            );
+        }
     }
 
     #[test]
@@ -977,7 +709,7 @@ mod tests {
         let full = StateVector::random(8, &mut rng);
         let full2 = full.clone();
         let gathered = World::run(4, move |comm| {
-            let st = DistState::from_full(&full2, comm);
+            let st = DistState::from_full(&full2, comm).unwrap();
             st.allgather_full(comm)
         });
         for g in gathered {
@@ -991,7 +723,7 @@ mod tests {
         let reference = serial_reference(&c);
         let p1_ref: Vec<f64> = (0..8).map(|q| reference.prob_qubit_one(q)).collect();
         let results = World::run(4, |comm| {
-            let mut st = DistState::zero(8, comm);
+            let mut st = DistState::zero(8, comm).unwrap();
             st.apply_circuit(comm, &library::ghz(8)).unwrap();
             let norm = st.norm_sqr(comm);
             let p1: Vec<f64> = (0..8).map(|q| st.prob_qubit_one(comm, q)).collect();
@@ -1012,7 +744,7 @@ mod tests {
         for q in [0u32, 7] {
             for forced in [0.0, 0.999_999] {
                 let results = World::run(4, move |comm| {
-                    let mut st = DistState::zero(8, comm);
+                    let mut st = DistState::zero(8, comm).unwrap();
                     st.apply_circuit(comm, &library::ghz(8)).unwrap();
                     let outcome = st.measure_qubit(comm, q, forced);
                     let norm = st.norm_sqr(comm);
@@ -1037,7 +769,7 @@ mod tests {
         let serial_clone = serial.clone();
         let c2 = c.clone();
         let results = World::run(4, move |comm| {
-            let mut st = DistState::zero(8, comm);
+            let mut st = DistState::zero(8, comm).unwrap();
             st.apply_circuit(comm, &c2).unwrap();
             st.collapse(comm, 5, 1);
             st.allgather_full(comm)
@@ -1075,7 +807,7 @@ mod tests {
             let c2 = c.clone();
             let us2 = us.clone();
             let results = World::run(ranks, move |comm| {
-                let mut st = DistState::zero(8, comm);
+                let mut st = DistState::zero(8, comm).unwrap();
                 st.apply_circuit(comm, &c2).unwrap();
                 st.sample_counts(comm, &us2)
             });
@@ -1088,7 +820,7 @@ mod tests {
     #[test]
     fn distributed_sampling_of_basis_state() {
         let results = World::run(4, |comm| {
-            let mut st = DistState::zero(8, comm);
+            let mut st = DistState::zero(8, comm).unwrap();
             st.apply_circuit(comm, &{
                 let mut c = Circuit::new(8);
                 c.x(2).x(7);

@@ -8,12 +8,13 @@
 //! transients (transport failures, injected faults, integrity drift)
 //! from hard programming or configuration errors.
 //!
-//! Recovery relies on errors being **deterministic and symmetric**: a
-//! gate-classification error ([`DistError::WidthMismatch`],
-//! [`DistError::UnsupportedGate`]) depends only on the circuit and the
-//! partition geometry, so every rank reaches the same verdict at the
-//! same gate and the world tears down (or rolls back) in lockstep
-//! without deadlocking a partner mid-exchange.
+//! What depends only on the circuit and the geometry
+//! ([`DistError::UnsupportedGate`], [`DistError::Partition`]) is
+//! rejected once, by the lowering, before any rank thread starts;
+//! recovery relies on the run-time errors being **deterministic and
+//! symmetric**, so every rank reaches the same verdict at the same gate
+//! and the world rolls back in lockstep without deadlocking a partner
+//! mid-exchange.
 
 use mpi_sim::CommError;
 use qcs_core::integrity::IntegrityViolation;
@@ -21,14 +22,21 @@ use qcs_core::integrity::IntegrityViolation;
 /// Everything that can go wrong in the distributed engine.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DistError {
-    /// A gate the distributed dispatch cannot execute (e.g. a diagonal
-    /// gate of arity ≥ 3, or a wide gate with no free local qubit to
-    /// relocate onto).
+    /// A gate the lowering cannot place on ranks: a measurement or a
+    /// classically-controlled gate (the ranks run unitary circuits).
     UnsupportedGate {
         /// Gate name as reported by [`qcs_core::circuit::Gate::name`].
         gate: String,
-        /// Why the dispatch rejected it.
+        /// Why the lowering rejected it.
         reason: String,
+    },
+    /// The rank count is not a power of two, or leaves a rank fewer
+    /// than 3 local qubits.
+    Partition {
+        /// Qubits in the circuit.
+        n_qubits: u32,
+        /// Ranks asked for.
+        n_ranks: usize,
     },
     /// Circuit width does not match the distributed state width.
     WidthMismatch {
@@ -59,6 +67,8 @@ pub enum DistError {
         /// Gate index of the final, unrecovered failure.
         gate_index: usize,
     },
+    /// The configured trace sink could not be written.
+    TraceIo(String),
     /// An invariant the engine relies on was violated — a bug, not an
     /// environmental condition.
     Internal(String),
@@ -90,6 +100,14 @@ impl std::fmt::Display for DistError {
             DistError::UnsupportedGate { gate, reason } => {
                 write!(f, "unsupported gate `{gate}`: {reason}")
             }
+            DistError::Partition { n_ranks, .. } if !n_ranks.is_power_of_two() => {
+                write!(f, "rank count {n_ranks} is not a power of two")
+            }
+            DistError::Partition { n_qubits, n_ranks } => write!(
+                f,
+                "{n_ranks} ranks on {n_qubits} qubits leaves fewer than 3 local qubits; \
+                 use a wider circuit or fewer ranks"
+            ),
             DistError::WidthMismatch { circuit, state } => {
                 write!(f, "circuit acts on {circuit} qubits but the state holds {state}")
             }
@@ -102,6 +120,7 @@ impl std::fmt::Display for DistError {
             DistError::RecoveryExhausted { replays, gate_index } => {
                 write!(f, "recovery exhausted after {replays} replays (failing gate {gate_index})")
             }
+            DistError::TraceIo(why) => write!(f, "cannot write trace: {why}"),
             DistError::Internal(msg) => write!(f, "internal engine error: {msg}"),
         }
     }

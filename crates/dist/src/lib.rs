@@ -5,21 +5,24 @@
 //! `r` owns the amplitudes whose global index starts with `r`. Qubits
 //! below `n − g` are *local* (gates touch only rank-resident amplitudes);
 //! the top `g` qubits are *global* — a dense gate on a global qubit pairs
-//! each amplitude with one on a partner rank, costing a full local-buffer
-//! exchange. That exchange is the communication pattern whose cost the
-//! paper's multi-node analysis studies (experiment E5).
+//! each amplitude with one on a partner rank. Which gates cost an
+//! exchange, and how many bytes it moves, is what the paper's multi-node
+//! analysis studies (experiment E5) and what this crate decides in one
+//! place: a run is *lowered* to a flat op list, then every rank executes
+//! that list with one loop.
 //!
 //! * [`partition`] — the index split and ownership arithmetic.
-//! * [`engine`] — [`DistState`]: gate application with
-//!   the three communication regimes (none / pair exchange / global–local
-//!   qubit swap), measurement, and gathering.
-//! * [`error`] — [`DistError`]: typed failures replacing the engine's
-//!   former panics, split into recoverable transients and hard errors.
-//! * [`plan`] — [`DistPlan`]: exchange-minimizing qubit-reorder planning
-//!   and comm/compute-overlapped execution (`QCS_DIST_PLAN` selects
-//!   naive / reorder / overlap; all bit-identical).
+//! * [`plan`] — [`plan_circuit`]: the lowering of (circuit, partition,
+//!   [`DistPlanKind`]) to [`PlanOp`]s by three rules (comm-free /
+//!   half-buffer swap / full-buffer pair exchange), its exchange
+//!   accounting, each rank's kernels, and the `run_distributed*` harness.
+//! * [`engine`] — [`DistState`]: a rank's shard, the exchange
+//!   primitives, the rank loop, measurement and gathering.
 //! * [`resilience`] — [`run_resilient`]: coordinated checkpoints,
-//!   rollback-and-replay, and integrity guards over the engine.
+//!   rollback-and-replay and integrity guards around the same loop.
+//! * [`error`] — [`DistError`]: what the lowering rejects at the door
+//!   and what a run can hit, split into recoverable transients and hard
+//!   errors.
 
 pub mod engine;
 pub mod error;
@@ -27,11 +30,11 @@ pub mod partition;
 pub mod plan;
 pub mod resilience;
 
-pub use engine::{run_distributed, run_distributed_traced, DistState};
+pub use engine::DistState;
 pub use error::DistError;
 pub use partition::Partition;
 pub use plan::{
-    plan_circuit, run_distributed_planned, run_distributed_planned_traced, DistPlan, DistPlanKind,
-    PlannedGate,
+    plan_circuit, run_distributed, run_distributed_planned, run_distributed_planned_traced,
+    run_distributed_traced, DistPlan, DistPlanKind, PlanOp,
 };
 pub use resilience::{run_resilient, RecoveryReport, ResilienceConfig, ResilientRun};

@@ -1,5 +1,7 @@
 //! Ownership arithmetic for the block-distributed state vector.
 
+use crate::error::DistError;
+
 /// The split of an `n`-qubit state across `2^g` ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Partition {
@@ -12,15 +14,15 @@ impl Partition {
     /// Build a partition of `n_qubits` over `n_ranks` ranks.
     ///
     /// `n_ranks` must be a power of two, and enough qubits must stay
-    /// local for every gate to be executable (≥ 3 local).
-    pub fn new(n_qubits: u32, n_ranks: usize) -> Partition {
-        assert!(n_ranks.is_power_of_two(), "rank count {n_ranks} is not a power of two");
+    /// local for every gate to be executable (≥ 3 local); anything else
+    /// is [`DistError::Partition`]. This is the only place the geometry
+    /// is checked: whoever holds a `Partition` holds a valid one.
+    pub fn new(n_qubits: u32, n_ranks: usize) -> Result<Partition, DistError> {
         let g = n_ranks.trailing_zeros();
-        assert!(
-            g + 3 <= n_qubits,
-            "{n_ranks} ranks on {n_qubits} qubits leaves fewer than 3 local qubits"
-        );
-        Partition { n_qubits, g }
+        if !n_ranks.is_power_of_two() || g + 3 > n_qubits {
+            return Err(DistError::Partition { n_qubits, n_ranks });
+        }
+        Ok(Partition { n_qubits, g })
     }
 
     /// Total qubits.
@@ -67,6 +69,13 @@ impl Partition {
         q - self.n_local()
     }
 
+    /// The value global qubit `q`'s bit takes on every amplitude `rank`
+    /// holds.
+    #[inline]
+    pub fn rank_bit(&self, rank: usize, q: u32) -> usize {
+        (rank >> self.global_bit(q)) & 1
+    }
+
     /// The rank owning global amplitude index `i`.
     #[inline]
     pub fn owner(&self, i: usize) -> usize {
@@ -98,7 +107,7 @@ mod tests {
 
     #[test]
     fn split_arithmetic() {
-        let p = Partition::new(10, 4);
+        let p = Partition::new(10, 4).unwrap();
         assert_eq!(p.n_local(), 8);
         assert_eq!(p.n_global(), 2);
         assert_eq!(p.n_ranks(), 4);
@@ -111,7 +120,7 @@ mod tests {
 
     #[test]
     fn ownership_roundtrip() {
-        let p = Partition::new(8, 8);
+        let p = Partition::new(8, 8).unwrap();
         for i in 0..(1usize << 8) {
             let r = p.owner(i);
             let l = p.local_index(i);
@@ -123,7 +132,7 @@ mod tests {
 
     #[test]
     fn single_rank_world() {
-        let p = Partition::new(5, 1);
+        let p = Partition::new(5, 1).unwrap();
         assert_eq!(p.n_global(), 0);
         assert_eq!(p.local_len(), 32);
         assert_eq!(p.owner(31), 0);
@@ -131,7 +140,7 @@ mod tests {
 
     #[test]
     fn partner_flips_one_bit() {
-        let p = Partition::new(10, 8); // local = 7
+        let p = Partition::new(10, 8).unwrap(); // local = 7
         assert_eq!(p.partner(0b000, 7), 0b001);
         assert_eq!(p.partner(0b101, 8), 0b111);
         assert_eq!(p.partner(0b101, 9), 0b001);
@@ -144,14 +153,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_pow2_ranks_rejected() {
-        let _ = Partition::new(10, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "local")]
-    fn too_many_ranks_rejected() {
-        let _ = Partition::new(4, 4);
+    fn bad_geometries_are_typed_errors() {
+        for (n_qubits, n_ranks, why) in
+            [(10, 3, "power of two"), (10, 0, "power of two"), (4, 4, "fewer than 3 local")]
+        {
+            let err = Partition::new(n_qubits, n_ranks).unwrap_err();
+            assert_eq!(err, DistError::Partition { n_qubits, n_ranks });
+            assert!(err.to_string().contains(why), "{err}");
+        }
     }
 }

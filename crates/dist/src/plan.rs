@@ -1,53 +1,65 @@
-//! Exchange-minimizing distributed execution plans.
+//! The lowering: (circuit, partition, [`DistPlanKind`]) → one flat op
+//! list, and the harness that runs it on a world of ranks.
 //!
-//! The plain engine ([`crate::engine`]) pays communication *per gate*: a
-//! dense gate on a global qubit exchanges a whole local buffer (pair
-//! exchange) or a half buffer twice (relocate in, relocate out). Real
-//! distributed simulators (mpiQulacs, QuEST, Qiskit Aer) instead plan a
-//! sequence of global↔local qubit *permutations* over the whole circuit,
-//! so each relocation is paid once and amortized over every subsequent
-//! gate that benefits. This module is that planner, plus two executors:
+//! A distributed run is plan-then-execute, the shape mpiQulacs has
+//! (PAPERS.md) and `qcs_core::program::lower` → `interpret` has for one
+//! state: [`plan_circuit`] decides every exchange ahead of the run and
+//! writes it down as a [`PlanOp`] beside the gates, so "local gate" and
+//! "swap exchange" are sibling records; each rank resolves the list to
+//! its own kernels once (`DistPlan::localize`) and
+//! `DistState::run` executes it. Nothing is decided per gate at run
+//! time.
 //!
-//! * [`DistPlanKind::Reorder`] — walk the circuit tracking a
-//!   logical→physical qubit permutation; when a gate needs a global
-//!   qubit resident, swap it with the local slot whose occupant's next
-//!   dense use lies farthest ahead (Belady's rule) and leave it there.
-//!   Logical `Swap` gates are absorbed into the permutation outright at
-//!   zero cost. Every step's gate is communication-free after its
-//!   `pre_swaps`; the only wire traffic is half-buffer swaps.
-//! * [`DistPlanKind::Overlap`] — same plan, but comm-free gates that
-//!   avoid the top local axis are *deferred* and folded into the next
-//!   swap of that axis as the resident work of
-//!   `DistState::swap_top_overlapped`: each rank applies them to its
-//!   outgoing half before departure and to its resident half while the
-//!   chunked nonblocking exchange is in flight, hiding the wire time
-//!   behind compute.
+//! **Three lowering rules** say what a gate on physical axes costs:
 //!
-//! **Bit-exactness.** Both planned executors produce states
-//! bit-identical to [`DistPlanKind::Naive`] and to the serial engine:
-//! relocated gates run through the ordinary kernel dispatch, and victims
-//! are drawn from local slots `≥ 2` whenever possible so a relocated
-//! dense gate takes the same SIMD-vs-scalar kernel path the serial axis
-//! would (slots 0 and 1 are only evicted when a gate needs more
-//! relocations than there are high slots — impossible for the supported
-//! gate set once `n_local ≥ 5`). The final layout is *not* restored with
-//! extra swaps; the gather allgathers raw slices and unpermutes locally
-//! at zero communication cost.
+//! 1. *Nothing* ([`PlanOp::Gate`]) when every qubit is local; when the
+//!    gate is diagonal (a global qubit's bit is constant on a rank, so
+//!    its factor is a rank-local constant); or when only the *control*
+//!    of a controlled gate is global (a rank-constant predicate).
+//!    `localize` turns such a gate into the rank's [`GateKernel`].
+//! 2. *Half a buffer* ([`PlanOp::Swap`]) to bring a global qubit onto a
+//!    local axis, after which rule 1 applies.
+//! 3. *A whole buffer* ([`PlanOp::PairExchange`], naive kind only) for a
+//!    dense 1-qubit or controlled gate on a global target: partners
+//!    trade shards and sweep the doubled buffer.
 //!
-//! The planner also prices its own plan: [`DistPlan::profile`] is an
-//! exact [`ExchangeProfile`] (bytes, messages, phases, hidden bytes) in
-//! the units [`qcs_core::perf::predict_distributed`] consumes, so the
-//! α–β comm model and the measured [`mpi_sim::CommStats`] can be joined
-//! without any out-of-band accounting.
+//! The kinds differ in how they spend rule 2:
+//!
+//! * [`DistPlanKind::Naive`] plans one gate at a time: rule 3 where it
+//!   applies, otherwise swap every global qubit in, run the gate, swap
+//!   them back out — three explicit ops per relocation, nothing kept.
+//! * [`DistPlanKind::Reorder`] tracks a logical→physical permutation
+//!   over the whole circuit: a relocated qubit stays where it landed,
+//!   the evicted slot is the one whose occupant's next dense use lies
+//!   farthest ahead (Belady's rule), and a logical `Swap` is absorbed
+//!   into the permutation at no cost. The only traffic is rule 2.
+//! * [`DistPlanKind::Overlap`] is the reorder list with the comm-free
+//!   gates that avoid the top local axis *deferred* into the next swap
+//!   of that axis ([`PlanOp::OverlapSwap`]): each rank sweeps them over
+//!   its outgoing half before departure and over its resident half
+//!   while the chunked exchange is in flight.
+//!
+//! **Bit-exactness.** Every kind produces the serial engine's state to
+//! the bit: a rank reaches its arithmetic through the same
+//! [`GateKernel`] table, and victims are drawn from local slots `≥ 2`
+//! whenever possible so a relocated dense gate takes the same
+//! vector-vs-scalar path the serial axis would. The final layout is not
+//! restored with swaps; the gather unpermutes while it copies.
+//!
+//! [`DistPlan::profile`] is one fold over the same op list, in the units
+//! [`qcs_core::perf::predict_distributed`] consumes, so the α–β model
+//! and the measured [`mpi_sim::CommStats`] join without out-of-band
+//! accounting.
 
-use mpi_sim::{Comm, World};
+use mpi_sim::{Comm, CommStats, FaultPlan, World};
 use qcs_core::circuit::{Circuit, Gate};
+use qcs_core::complex::{C64, ONE};
+use qcs_core::kernels::dispatch::GateKernel;
 use qcs_core::perf::ExchangeProfile;
 use qcs_core::state::StateVector;
-use qcs_core::telemetry::{RunMeta, TelemetryConfig, Trace, Tracer};
-use std::sync::Arc;
+use qcs_core::telemetry::{RunMeta, TelemetryConfig, Trace};
 
-use crate::engine::{DistState, OVERLAP_CHUNKS};
+use crate::engine::{DistState, RankOp, OVERLAP_CHUNKS};
 use crate::error::DistError;
 use crate::partition::Partition;
 
@@ -57,15 +69,14 @@ use crate::partition::Partition;
 const BELADY_HORIZON: usize = 4096;
 
 /// Lowest local slot a relocated dense gate may land on without risking
-/// a SIMD-vs-scalar kernel-path divergence from the serial engine
-/// (strides below the widest vector width fall back to scalar kernels,
-/// whose rounding differs from the FMA-based vector lanes).
+/// a vector-vs-scalar kernel-path divergence from the serial engine
+/// (strides below the widest vector width take the per-index path).
 const SIMD_SAFE_SLOT: u32 = 2;
 
 /// How a distributed run schedules its communication.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DistPlanKind {
-    /// Per-gate exchanges, no planning — the engine's original regimes.
+    /// Per-gate exchanges, nothing amortised.
     #[default]
     Naive,
     /// Exchange-minimizing qubit reordering with blocking swaps.
@@ -81,7 +92,7 @@ impl DistPlanKind {
     pub const ALL: [DistPlanKind; 3] =
         [DistPlanKind::Naive, DistPlanKind::Reorder, DistPlanKind::Overlap];
 
-    /// The CLI/env spelling.
+    /// The CLI spelling.
     pub fn name(self) -> &'static str {
         match self {
             DistPlanKind::Naive => "naive",
@@ -90,13 +101,12 @@ impl DistPlanKind {
         }
     }
 
-    /// Read `QCS_DIST_PLAN`; unset or unrecognized values fall back to
-    /// [`DistPlanKind::Naive`] (the conservative per-gate engine).
-    pub fn from_env() -> DistPlanKind {
-        std::env::var("QCS_DIST_PLAN")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(DistPlanKind::Naive)
+    /// The `strategy` a plain run's trace header carries.
+    fn strategy(self, n_ranks: usize) -> String {
+        match self {
+            DistPlanKind::Naive => format!("dist:{n_ranks}"),
+            kind => format!("dist-{kind}:{n_ranks}"),
+        }
     }
 }
 
@@ -119,45 +129,36 @@ impl std::str::FromStr for DistPlanKind {
     }
 }
 
-/// One circuit gate under the plan: the global↔local swaps that must
-/// precede it, then the gate itself remapped onto physical axes. After
-/// the `pre_swaps` the gate is communication-free (the planner
-/// guarantees it), so the resilient executor can step gate-by-gate and
-/// checkpoint at gate boundaries exactly as it does for the naive
-/// engine — the physical layout at any gate index is a pure function of
-/// the plan prefix.
-#[derive(Debug, Clone)]
-pub struct PlannedGate {
-    /// `(global physical axis, local physical axis)` swaps, in order.
-    pub pre_swaps: Vec<(u32, u32)>,
-    /// The gate on physical axes (comm-free for planned kinds; for
-    /// [`DistPlanKind::Naive`] it is the original gate and may still
-    /// communicate through the engine's per-gate regimes). `None` when
-    /// the planner absorbed the gate entirely into its qubit
-    /// permutation: a logical `Swap` is a pure relabeling of amplitude
-    /// axes, so planned kinds execute it as a map update and let the
-    /// gather's unpermutation realize it — zero communication, zero
-    /// compute, bit-exact (no amplitude is touched at all).
-    pub gate: Option<Gate>,
-}
-
-/// One executor action of the overlap schedule (derived from the
-/// gate-aligned steps by [`DistPlan::overlap_schedule`]).
+/// One record of a lowered circuit, the same on every rank. Gates are
+/// on *physical* axes: the layout at any op is a pure function of the
+/// list's prefix.
 #[derive(Debug, Clone)]
 pub enum PlanOp {
-    /// Apply a comm-free physical gate to resident data (boxed: the
-    /// gate payload dwarfs the other variants).
-    Gate(Box<Gate>),
-    /// Blocking global–local swap of physical axes `(global, local)`.
+    /// A comm-free gate (lowering rule 1).
+    Gate(Gate),
+    /// Blocking half-buffer swap of physical axes `(global, local)`.
     Swap(u32, u32),
     /// Chunked nonblocking swap of `(gq, n_local − 1)` with the deferred
-    /// comm-free gates applied per-half around/during the flight.
+    /// comm-free gates swept per half around and during the flight.
     OverlapSwap {
         /// Global physical axis being swapped with the top local axis.
         gq: u32,
         /// Earlier comm-free gates (avoiding the top local axis) whose
         /// application is hidden behind the exchange.
         resident: Vec<Gate>,
+    },
+    /// Full-buffer exchange with the partner across global axis `gq`,
+    /// then `gate` over the doubled buffer, where `gq` sits on the
+    /// virtual axis `n_local`: the kernel the serial engine would run,
+    /// at a different stride.
+    PairExchange {
+        /// Global axis whose two values the doubled buffer holds.
+        gq: u32,
+        /// The gate with `gq` renamed to `n_local`, all-local there.
+        gate: Gate,
+        /// A global control the gate was stripped of: only the ranks
+        /// whose bit of it is set take part.
+        ctrl: Option<u32>,
     },
 }
 
@@ -168,8 +169,14 @@ pub struct DistPlan {
     pub kind: DistPlanKind,
     /// Partition geometry the plan assumes.
     pub part: Partition,
-    /// Gate-aligned steps (one per circuit gate, in order).
-    pub steps: Vec<PlannedGate>,
+    /// What every rank executes, in order.
+    pub ops: Vec<PlanOp>,
+    /// `gate_ends[i]` = ops lowered once circuit gate `i` is: under the
+    /// blocking kinds `ops[..gate_ends[i]]` executes exactly gates
+    /// `0..=i`, which is what lets the resilient envelope checkpoint at
+    /// gate boundaries. Empty for [`DistPlanKind::Overlap`], whose
+    /// deferred gates straddle them.
+    pub gate_ends: Vec<usize>,
     /// Final layout: `logical_at[p]` = logical qubit living on physical
     /// axis `p` when the circuit ends. Identity for the naive kind.
     pub logical_at: Vec<u32>,
@@ -178,9 +185,16 @@ pub struct DistPlan {
     pub profile: ExchangeProfile,
 }
 
+/// Lowering rule 1: can `gate` run without communication under `part`?
+fn comm_free(part: &Partition, gate: &Gate) -> bool {
+    gate.qubits().iter().all(|&q| part.is_local(q))
+        || gate.is_diagonal()
+        || matches!(gate.as_controlled(), Some((c, t, _)) if !part.is_local(c) && part.is_local(t))
+}
+
 /// Does `gate` require qubit `q` to sit on a local axis? Diagonal gates
-/// never do, and a controlled gate's *control* may stay global (the
-/// engine predicates on the rank bit); everything else dense does.
+/// never do, and a controlled gate's *control* may stay global;
+/// everything else dense does.
 fn must_be_local(gate: &Gate, q: u32) -> bool {
     if gate.is_diagonal() || !gate.qubits().contains(&q) {
         return false;
@@ -215,377 +229,366 @@ fn next_dense_use(gates: &[Gate], from: usize, q: u32) -> usize {
     BELADY_HORIZON
 }
 
-/// The global physical axes of `pg` that must be swapped local before
-/// the gate can run comm-free. For controlled gates only the target
-/// relocates (a global control is free); for other dense gates every
-/// global qubit relocates. Only called when `pg` is not comm-free, so
-/// the controlled case always has a global target.
+/// The global axes of `pg` that lowering rule 2 must bring local: only
+/// the target of a controlled gate (a global control is free), every
+/// global qubit of any other dense gate.
 fn globals_to_localize(part: &Partition, pg: &Gate) -> Vec<u32> {
     if let Some((_, t, _)) = pg.as_controlled() {
-        debug_assert!(!part.is_local(t));
         return vec![t];
     }
     pg.qubits().into_iter().filter(|&q| !part.is_local(q)).collect()
 }
 
-/// Build the execution plan for `circuit` over `n_ranks`.
+/// The naive kind's lowering of one gate that is not comm-free: rule 3
+/// for a dense 1-qubit or controlled gate, else relocate in / apply /
+/// relocate out onto the *highest* free local axes — high victims keep
+/// the relocated gate's lowest axis at or above the serial gate's, so
+/// both take the same vector-vs-scalar path.
+fn lower_naive(part: &Partition, gate: &Gate, ops: &mut Vec<PlanOp>) {
+    let vq = part.n_local();
+    if let Some((q, _)) = gate.as_single() {
+        return ops.push(PlanOp::PairExchange { gq: q, gate: gate.remap(|_| vq), ctrl: None });
+    }
+    if let Some((c, t, m)) = gate.as_controlled() {
+        // With both qubits global the control is satisfied buffer-wide
+        // or not at all, so what is left to sweep is the bare target.
+        let (gate, ctrl) = match part.is_local(c) {
+            true => (gate.remap(|q| if q == t { vq } else { q }), None),
+            false => (Gate::Unitary1(vq, m), Some(c)),
+        };
+        return ops.push(PlanOp::PairExchange { gq: t, gate, ctrl });
+    }
+    let qs = gate.qubits();
+    let moves: Vec<(u32, u32)> = qs
+        .iter()
+        .copied()
+        .filter(|&q| !part.is_local(q))
+        .zip((0..vq).rev().filter(|l| !qs.contains(l)))
+        .collect();
+    let swaps = moves.iter().map(|&(g, l)| PlanOp::Swap(g, l));
+    ops.extend(swaps.clone());
+    ops.push(PlanOp::Gate(gate.remap(|q| moves.iter().find(|m| m.0 == q).map_or(q, |m| m.1))));
+    ops.extend(swaps.rev());
+}
+
+/// The overlap form of a blocking op list: comm-free gates that avoid
+/// the top local axis `lq` wait, and ride the next swap *of* that axis
+/// as its resident work; any other op flushes them first (they were
+/// lowered for the layout it is about to change, or it reads what they
+/// write).
+fn defer_into_swaps(blocking: Vec<PlanOp>, lq: u32) -> Vec<PlanOp> {
+    let mut ops = Vec::with_capacity(blocking.len());
+    let mut pending: Vec<Gate> = Vec::new();
+    for op in blocking {
+        match op {
+            PlanOp::Gate(g) if !g.qubits().contains(&lq) => pending.push(g),
+            PlanOp::Swap(gq, l) if l == lq && !pending.is_empty() => {
+                ops.push(PlanOp::OverlapSwap { gq, resident: std::mem::take(&mut pending) })
+            }
+            op => {
+                ops.extend(pending.drain(..).map(PlanOp::Gate));
+                ops.push(op);
+            }
+        }
+    }
+    ops.extend(pending.into_iter().map(PlanOp::Gate));
+    ops
+}
+
+/// Lower `circuit` for `n_ranks` ranks. This is the door: a rank count
+/// that is not a power of two or leaves fewer than 3 local qubits, and
+/// a circuit with a measurement or a classically-controlled gate, are
+/// rejected here, and nothing downstream checks again.
 pub fn plan_circuit(
     circuit: &Circuit,
     n_ranks: usize,
     kind: DistPlanKind,
 ) -> Result<DistPlan, DistError> {
-    let part = Partition::new(circuit.n_qubits(), n_ranks);
-    let n = circuit.n_qubits() as usize;
+    let part = Partition::new(circuit.n_qubits(), n_ranks)?;
+    let n = circuit.n_qubits();
     let gates = circuit.gates();
-
-    if kind == DistPlanKind::Naive {
-        let steps = gates
-            .iter()
-            .map(|g| PlannedGate { pre_swaps: Vec::new(), gate: Some(g.clone()) })
-            .collect();
-        return Ok(DistPlan {
-            kind,
-            part,
-            steps,
-            logical_at: (0..n as u32).collect(),
-            profile: naive_profile(&part, gates),
+    if let Some(g) = gates.iter().find(|g| !g.is_unitary()) {
+        return Err(DistError::UnsupportedGate {
+            gate: g.name().to_string(),
+            reason: "the distributed engine runs unitary circuits only".to_string(),
         });
     }
 
-    let mut phys_of: Vec<u32> = (0..n as u32).collect();
-    let mut logical_at: Vec<u32> = (0..n as u32).collect();
-    let mut steps = Vec::with_capacity(gates.len());
+    let mut phys_of: Vec<u32> = (0..n).collect();
+    let mut logical_at: Vec<u32> = (0..n).collect();
+    let mut ops = Vec::with_capacity(gates.len());
+    let mut gate_ends = Vec::with_capacity(gates.len());
     for (i, gate) in gates.iter().enumerate() {
-        // A logical Swap is a pure relabeling of amplitude axes: absorb
-        // it into the permutation instead of moving any data. The step
-        // stays in the plan (gate `None`) so gate indices still align
-        // with the circuit for the resilient checkpoint loop.
-        if let Gate::Swap(a, b) = *gate {
-            let pa = phys_of[a as usize];
-            let pb = phys_of[b as usize];
-            phys_of.swap(a as usize, b as usize);
-            logical_at[pa as usize] = b;
-            logical_at[pb as usize] = a;
-            steps.push(PlannedGate { pre_swaps: Vec::new(), gate: None });
-            continue;
-        }
-        let pg = gate.remap(|q| phys_of[q as usize]);
-        let mut pre_swaps = Vec::new();
-        if !DistState::is_comm_free(&part, &pg) {
-            for gq in globals_to_localize(&part, &pg) {
-                let gate_phys: Vec<u32> =
-                    gate.qubits().iter().map(|&q| phys_of[q as usize]).collect();
-                let candidates: Vec<u32> =
-                    (0..part.n_local()).filter(|q| !gate_phys.contains(q)).collect();
-                if candidates.is_empty() {
-                    return Err(DistError::UnsupportedGate {
-                        gate: gate.name().to_string(),
-                        reason: format!(
-                            "no free local slot to relocate onto ({} local qubits per rank)",
-                            part.n_local()
-                        ),
-                    });
+        match (kind, gate) {
+            (DistPlanKind::Naive, g) if comm_free(&part, g) => ops.push(PlanOp::Gate(g.clone())),
+            (DistPlanKind::Naive, g) => lower_naive(&part, g, &mut ops),
+            // A logical Swap is a pure relabeling of amplitude axes:
+            // absorb it into the permutation and let the gather's
+            // unpermutation realize it — no amplitude is touched.
+            (_, &Gate::Swap(a, b)) => {
+                logical_at.swap(phys_of[a as usize] as usize, phys_of[b as usize] as usize);
+                phys_of.swap(a as usize, b as usize);
+            }
+            _ => {
+                let pg = gate.remap(|q| phys_of[q as usize]);
+                let relocate =
+                    if comm_free(&part, &pg) { vec![] } else { globals_to_localize(&part, &pg) };
+                for gq in relocate {
+                    // Stay on SIMD-safe slots when any exist; among
+                    // those, evict the occupant whose next dense use
+                    // lies farthest ahead (Belady), breaking ties toward
+                    // the top slot (where the overlap kind hides swaps).
+                    let free = |floor: u32| {
+                        let taken = gate.qubits();
+                        let (phys_of, logical_at) = (&phys_of, &logical_at);
+                        (floor..part.n_local())
+                            .filter(move |s| !taken.iter().any(|&q| phys_of[q as usize] == *s))
+                            .max_by_key(move |&s| {
+                                (next_dense_use(gates, i + 1, logical_at[s as usize]), s)
+                            })
+                    };
+                    let victim = free(SIMD_SAFE_SLOT)
+                        .or_else(|| free(0))
+                        .expect("3 local axes leave one free beside a gate's other qubits");
+                    ops.push(PlanOp::Swap(gq, victim));
+                    logical_at.swap(gq as usize, victim as usize);
+                    phys_of[logical_at[gq as usize] as usize] = gq;
+                    phys_of[logical_at[victim as usize] as usize] = victim;
                 }
-                // Stay on SIMD-safe slots when any exist (bit-exactness
-                // with the serial kernel paths); among those, evict the
-                // occupant whose next dense use lies farthest ahead
-                // (Belady), breaking ties toward the top slot (which is
-                // where the overlap executor can hide swaps).
-                let safe: Vec<u32> =
-                    candidates.iter().copied().filter(|&q| q >= SIMD_SAFE_SLOT).collect();
-                let pool = if safe.is_empty() { candidates } else { safe };
-                let victim = pool
-                    .into_iter()
-                    .max_by_key(|&slot| {
-                        let occupant = logical_at[slot as usize];
-                        (next_dense_use(gates, i + 1, occupant), slot)
-                    })
-                    .expect("candidate pool is non-empty");
-                pre_swaps.push((gq, victim));
-                let incoming = logical_at[gq as usize];
-                let evicted = logical_at[victim as usize];
-                logical_at[gq as usize] = evicted;
-                logical_at[victim as usize] = incoming;
-                phys_of[incoming as usize] = victim;
-                phys_of[evicted as usize] = gq;
+                let pg = gate.remap(|q| phys_of[q as usize]);
+                debug_assert!(comm_free(&part, &pg), "planned gate must be comm-free");
+                ops.push(PlanOp::Gate(pg));
             }
         }
-        let pg = gate.remap(|q| phys_of[q as usize]);
-        debug_assert!(DistState::is_comm_free(&part, &pg), "planned gate must be comm-free");
-        steps.push(PlannedGate { pre_swaps, gate: Some(pg) });
+        gate_ends.push(ops.len());
     }
-
-    let mut plan = DistPlan { kind, part, steps, logical_at, profile: ExchangeProfile::default() };
-    plan.profile = match kind {
-        DistPlanKind::Naive => unreachable!("handled above"),
-        DistPlanKind::Reorder => reorder_profile(&part, &plan.steps),
-        DistPlanKind::Overlap => overlap_profile(&part, &plan.overlap_schedule()),
-    };
-    Ok(plan)
-}
-
-impl DistPlan {
-    /// Derive the overlap executor's op sequence from the gate-aligned
-    /// steps: comm-free gates avoiding the top local axis are deferred
-    /// and folded into the next swap *of* that axis as resident work;
-    /// any other swap or top-axis gate flushes the deferral first (those
-    /// gates were planned for the pre-swap layout and must run before
-    /// it changes).
-    pub fn overlap_schedule(&self) -> Vec<PlanOp> {
-        let lq = self.part.n_local() - 1;
-        let mut ops = Vec::new();
-        let mut pending: Vec<Gate> = Vec::new();
-        let flush = |ops: &mut Vec<PlanOp>, pending: &mut Vec<Gate>| {
-            ops.extend(pending.drain(..).map(|g| PlanOp::Gate(Box::new(g))));
-        };
-        for step in &self.steps {
-            for (k, &(g, l)) in step.pre_swaps.iter().enumerate() {
-                if k == 0 && l == lq && !pending.is_empty() {
-                    ops.push(PlanOp::OverlapSwap { gq: g, resident: std::mem::take(&mut pending) });
-                } else {
-                    flush(&mut ops, &mut pending);
-                    ops.push(PlanOp::Swap(g, l));
-                }
-            }
-            match &step.gate {
-                None => {} // absorbed into the layout permutation
-                Some(g) if g.qubits().contains(&lq) => {
-                    flush(&mut ops, &mut pending);
-                    ops.push(PlanOp::Gate(Box::new(g.clone())));
-                }
-                Some(g) => pending.push(g.clone()),
-            }
-        }
-        flush(&mut ops, &mut pending);
-        ops
+    if kind == DistPlanKind::Overlap {
+        ops = defer_into_swaps(ops, part.n_local() - 1);
+        gate_ends.clear();
     }
+    let profile = profile(&part, &ops);
+    Ok(DistPlan { kind, part, ops, gate_ends, logical_at, profile })
 }
 
-/// Wire bytes of one half-buffer swap, per rank.
-fn swap_bytes(part: &Partition) -> u64 {
-    (part.local_len() as u64 / 2) * 16
-}
-
-/// Exchange accounting of the per-gate naive engine (the regimes of
-/// [`DistState::apply_gate`]), as per-rank averages — the both-global
-/// controlled exchange only involves the control-set half of the ranks,
-/// so its volume averages to half a buffer per rank.
-fn naive_profile(part: &Partition, gates: &[Gate]) -> ExchangeProfile {
-    let full = part.local_len() as u64 * 16;
-    let mut p = ExchangeProfile::default();
-    for g in gates {
-        if DistState::is_comm_free(part, g) {
-            continue;
-        }
-        if g.as_single().is_some() {
-            p.bytes_per_rank += full;
-            p.messages_per_rank += 1;
-            p.phases += 1;
-        } else if let Some((c, _, _)) = g.as_controlled() {
-            if part.is_local(c) {
-                p.bytes_per_rank += full;
-            } else {
-                // Both global: only ranks with the control bit set
-                // exchange — half the world on average.
-                p.bytes_per_rank += full / 2;
-            }
-            p.messages_per_rank += 1;
-            p.phases += 1;
-        } else {
-            // Relocation fallback: swap in + swap out per global qubit,
-            // half a buffer each.
-            let globals = g.qubits().iter().filter(|&&q| !part.is_local(q)).count() as u64;
-            p.bytes_per_rank += 2 * globals * swap_bytes(part);
-            p.messages_per_rank += 2 * globals;
-            p.phases += 2 * globals;
-        }
-    }
-    p
-}
-
-/// Exchange accounting of a reorder plan: one half-buffer message per
-/// planned swap, nothing else.
-fn reorder_profile(part: &Partition, steps: &[PlannedGate]) -> ExchangeProfile {
-    let mut p = ExchangeProfile::default();
-    for step in steps {
-        for _ in &step.pre_swaps {
-            p.bytes_per_rank += swap_bytes(part);
-            p.messages_per_rank += 1;
-            p.phases += 1;
-        }
-    }
-    p
-}
-
-/// Exchange accounting of an overlap schedule: same bytes as reorder
-/// (chunking splits messages, not volume); each overlapped swap hides
-/// the resident gates' half-buffer sweeps (read + write 16-byte
-/// amplitudes) behind the flight.
-fn overlap_profile(part: &Partition, ops: &[PlanOp]) -> ExchangeProfile {
+/// The exchange accounting of an op list, per rank. A pair exchange
+/// stripped of a global control involves only the control-set half of
+/// the ranks, so it is averaged to half a buffer; chunking an overlapped
+/// swap splits messages, not volume, and hides the resident gates'
+/// half-buffer sweeps (16-byte amplitudes read and written) behind the
+/// flight.
+fn profile(part: &Partition, ops: &[PlanOp]) -> ExchangeProfile {
     let half_amps = part.local_len() as u64 / 2;
     let mut p = ExchangeProfile::default();
     for op in ops {
-        match op {
-            PlanOp::Gate(_) => {}
-            PlanOp::Swap(..) => {
-                p.bytes_per_rank += swap_bytes(part);
-                p.messages_per_rank += 1;
-                p.phases += 1;
-            }
+        let (bytes, messages) = match op {
+            PlanOp::Gate(_) => continue,
+            PlanOp::Swap(..) => (half_amps * 16, 1),
             PlanOp::OverlapSwap { resident, .. } => {
-                p.bytes_per_rank += swap_bytes(part);
-                p.messages_per_rank +=
-                    mpi_sim::chunk_count(half_amps as usize, OVERLAP_CHUNKS) as u64;
-                p.phases += 1;
                 p.hidden_bytes_per_rank += resident.len() as u64 * half_amps * 32;
+                (half_amps * 16, mpi_sim::chunk_count(half_amps as usize, OVERLAP_CHUNKS) as u64)
             }
-        }
+            PlanOp::PairExchange { ctrl: Some(_), .. } => (half_amps * 16, 1),
+            PlanOp::PairExchange { ctrl: None, .. } => (half_amps * 32, 1),
+        };
+        p.bytes_per_rank += bytes;
+        p.messages_per_rank += messages;
+        p.phases += 1;
     }
     p
 }
 
-/// Execute the plan on one rank's state.
-pub(crate) fn run_rank_planned(
-    st: &mut DistState,
-    comm: &mut Comm,
-    plan: &DistPlan,
-) -> Result<(), DistError> {
-    match plan.kind {
-        DistPlanKind::Naive | DistPlanKind::Reorder => {
-            for step in &plan.steps {
-                for &(g, l) in &step.pre_swaps {
-                    st.swap_physical(comm, g, l)?;
-                }
-                if let Some(g) = &step.gate {
-                    st.apply_gate(comm, g)?;
-                }
+/// Resolve a comm-free `gate` on physical axes to the kernel `rank`
+/// sweeps its shard with; `None` when the rank has nothing to do.
+///
+/// An all-local gate is the serial engine's kernel. A global qubit's
+/// bit is constant on the rank: it picks the row of a diagonal that the
+/// remaining local qubit indexes — or, with no local qubit left, one
+/// uniform factor, spelled as a [`GateKernel::Diag1`] with equal
+/// entries on an axis even a half shard has — and it satisfies a
+/// control on every amplitude or on none, leaving the bare target
+/// kernel. Each is the plain complex product or the 2×2 the serial
+/// kernel applies to the same amplitude, so the bits agree.
+pub(crate) fn localize(part: &Partition, rank: usize, gate: &Gate) -> Option<GateKernel> {
+    if gate.qubits().iter().all(|&q| part.is_local(q)) {
+        return Some(GateKernel::from(gate));
+    }
+    let bit = |q: u32| part.rank_bit(rank, q);
+    if !gate.is_diagonal() {
+        let (c, t, m) = gate.as_controlled().expect("comm-free: global control, local target");
+        return (bit(c) == 1).then_some(GateKernel::One(t, m));
+    }
+    let uniform = |d: C64| (part.n_local() - 2, d, d);
+    let (axis, d0, d1) = match (gate.as_single(), gate.as_two()) {
+        (Some((q, m)), _) => uniform(m.m[bit(q)][bit(q)]),
+        (_, Some((h, l, m))) => {
+            // Entry of `|h l⟩`, a global qubit reading its rank bit.
+            let d = |hb: usize, lb: usize| {
+                let i = (if part.is_local(h) { hb } else { bit(h) }) << 1
+                    | if part.is_local(l) { lb } else { bit(l) };
+                m.m[i][i]
+            };
+            match (part.is_local(h), part.is_local(l)) {
+                (true, _) => (h, d(0, 0), d(1, 0)),
+                (_, true) => (l, d(0, 0), d(0, 1)),
+                _ => uniform(d(0, 0)),
             }
         }
-        DistPlanKind::Overlap => {
-            for op in plan.overlap_schedule() {
-                match op {
-                    PlanOp::Gate(g) => st.apply_gate(comm, &g)?,
-                    PlanOp::Swap(g, l) => st.swap_physical(comm, g, l)?,
-                    PlanOp::OverlapSwap { gq, resident } => {
-                        st.swap_top_overlapped(comm, gq, &resident, OVERLAP_CHUNKS)?
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
+        _ => unreachable!("diagonal gates act on one or two qubits"),
+    };
+    (d0 != ONE || d1 != ONE).then_some(GateKernel::Diag1(axis, d0, d1))
 }
 
-/// Gather the full state and undo the plan's final qubit permutation
-/// locally — a pure index shuffle, zero extra communication (the
-/// alternative, restoring the layout with swaps, would cost one
-/// half-buffer exchange per displaced qubit).
-pub(crate) fn gather_unpermuted(
-    st: &DistState,
-    comm: &mut Comm,
-    logical_at: &[u32],
-) -> StateVector {
-    let raw = st.allgather_full(comm);
-    if logical_at.iter().enumerate().all(|(p, &l)| p as u32 == l) {
-        return raw;
+impl DistPlan {
+    /// This plan as `rank` executes it: every gate resolved to the
+    /// rank's kernel, once, ahead of the loop. Indices match
+    /// [`DistPlan::ops`]; `None` marks an op the rank sits out.
+    pub(crate) fn localize(&self, rank: usize) -> Vec<Option<RankOp>> {
+        let kernel = |g: &Gate| localize(&self.part, rank, g);
+        let set = |q: u32| self.part.rank_bit(rank, q) == 1;
+        self.ops
+            .iter()
+            .map(|op| match op {
+                PlanOp::Gate(g) => kernel(g).map(RankOp::Sweep),
+                &PlanOp::Swap(gq, lq) => Some(RankOp::Swap { gq, lq }),
+                PlanOp::OverlapSwap { gq, resident } => Some(RankOp::OverlapSwap {
+                    gq: *gq,
+                    resident: resident.iter().filter_map(kernel).collect(),
+                }),
+                PlanOp::PairExchange { gq, gate, ctrl } => ctrl
+                    .is_none_or(set)
+                    .then(|| RankOp::PairExchange { gq: *gq, kernel: GateKernel::from(gate) }),
+            })
+            .collect()
     }
-    let amps = raw.amplitudes();
-    let mut out = vec![qcs_core::complex::C64::default(); amps.len()];
-    for (x, &a) in amps.iter().enumerate() {
-        let mut y = 0usize;
-        for (p, &l) in logical_at.iter().enumerate() {
-            y |= ((x >> p) & 1) << l;
-        }
-        out[y] = a;
-    }
-    StateVector::from_amplitudes(&out)
 }
 
-/// Run `circuit` from |0…0⟩ over `n_ranks` under an explicit plan kind,
-/// returning the reassembled state and per-rank communication
-/// statistics. [`crate::run_distributed`] is this with the kind read
-/// from `QCS_DIST_PLAN`.
+/// What [`run_world`] hands back: the reassembled state, and per rank
+/// its communication statistics, its `body` result and (when tracing)
+/// its trace.
+pub(crate) struct WorldRun<R> {
+    pub state: StateVector,
+    pub stats: Vec<CommStats>,
+    pub per_rank: Vec<R>,
+    pub traces: Vec<Trace>,
+}
+
+/// The one run body: lower `circuit`, start a world of `n_ranks` ranks
+/// from |0…0⟩, let `body` drive each rank through its op list, gather,
+/// and — when `telemetry` is given — finish one trace per rank under
+/// the `strategy` label and write them to the configured sink, one run
+/// block per rank.
+pub(crate) fn run_world<R: Send>(
+    circuit: &Circuit,
+    n_ranks: usize,
+    kind: DistPlanKind,
+    faults: Option<FaultPlan>,
+    telemetry: Option<&TelemetryConfig>,
+    strategy: &str,
+    body: impl Fn(&mut DistState, &mut Comm, &DistPlan, &[Option<RankOp>]) -> Result<R, DistError>
+        + Sync,
+) -> Result<WorldRun<R>, DistError> {
+    let plan = plan_circuit(circuit, n_ranks, kind)?;
+    type PerRank<R> = Result<(StateVector, R, Option<Trace>), DistError>;
+    let (results, stats) = World::run_faulted_with_stats(n_ranks, faults, |comm| -> PerRank<R> {
+        let mut st = DistState::new(plan.part, comm, telemetry.map(|t| t.capacity));
+        let out = body(&mut st, comm, &plan, &plan.localize(comm.rank()))?;
+        let state = st.gather(comm, &plan.logical_at);
+        let trace = telemetry.and_then(|cfg| {
+            st.finish_trace(RunMeta {
+                strategy: strategy.to_string(),
+                backend: "exchange".to_string(),
+                threads: 1,
+                schedule: "static".to_string(),
+                n_qubits: circuit.n_qubits(),
+                label: cfg.label.clone(),
+            })
+        });
+        Ok((state, out, trace))
+    });
+    let mut state = None;
+    let mut per_rank = Vec::with_capacity(n_ranks);
+    let mut traces = Vec::new();
+    for r in results {
+        let (s, out, trace) = r?;
+        state.get_or_insert(s);
+        per_rank.push(out);
+        traces.extend(trace);
+    }
+    if let Some(cfg) = telemetry {
+        let mut cfg = cfg.clone();
+        for trace in &traces {
+            qcs_core::telemetry::write_configured(&cfg, trace).map_err(|e| {
+                DistError::TraceIo(match &cfg.trace_path {
+                    Some(p) => format!("{}: {e}", p.display()),
+                    None => e.to_string(),
+                })
+            })?;
+            cfg.append = true;
+        }
+    }
+    let state = state.ok_or_else(|| DistError::internal("world produced no ranks"))?;
+    Ok(WorldRun { state, stats, per_rank, traces })
+}
+
+/// A run with no envelope around the rank loop, traced or not.
+fn run_plain(
+    circuit: &Circuit,
+    n_ranks: usize,
+    kind: DistPlanKind,
+    telemetry: Option<&TelemetryConfig>,
+) -> Result<(StateVector, Vec<CommStats>, Vec<Trace>), DistError> {
+    let (faults, strategy) = (FaultPlan::from_env(), kind.strategy(n_ranks));
+    let run =
+        run_world(circuit, n_ranks, kind, faults, telemetry, &strategy, |st, comm, _, ops| {
+            st.run(comm, ops)
+        })?;
+    Ok((run.state, run.stats, run.traces))
+}
+
+/// Run `circuit` from |0…0⟩ over `n_ranks` under `kind`, returning the
+/// reassembled state and per-rank communication statistics. All kinds
+/// produce bit-identical states.
+///
+/// Errors are decided by the lowering, before any rank starts, or are
+/// transport failures both partners of the failed exchange see.
 pub fn run_distributed_planned(
     circuit: &Circuit,
     n_ranks: usize,
     kind: DistPlanKind,
-) -> Result<(StateVector, Vec<mpi_sim::CommStats>), DistError> {
-    let plan = plan_circuit(circuit, n_ranks, kind)?;
-    let (states, stats) =
-        World::run_with_stats(n_ranks, |comm| -> Result<StateVector, DistError> {
-            let mut st = DistState::zero(circuit.n_qubits(), comm);
-            run_rank_planned(&mut st, comm, &plan)?;
-            Ok(gather_unpermuted(&st, comm, &plan.logical_at))
-        });
-    let mut first = None;
-    for s in states {
-        let s: StateVector = s?;
-        if first.is_none() {
-            first = Some(s);
-        }
-    }
-    let state = first.ok_or_else(|| DistError::internal("world produced no ranks"))?;
-    Ok((state, stats))
+) -> Result<(StateVector, Vec<CommStats>), DistError> {
+    run_plain(circuit, n_ranks, kind, None).map(|(state, stats, _)| (state, stats))
 }
 
-/// [`run_distributed_planned`] with per-rank exchange traces. The
-/// overlapped swaps record [`qcs_core::telemetry::ExchangePhase::OverlapSwap`]
-/// spans carrying only their *exposed* wall time, so exposed-vs-hidden
-/// communication separates directly in the trace.
+/// [`run_distributed_planned`] with every rank recording an exchange
+/// span per communication phase (phase kind, partner qubits, amplitudes
+/// moved, bytes on the wire, wall time; an overlapped swap carries only
+/// its *exposed* wall time). Returns one [`Trace`] per rank; when
+/// `telemetry.trace_path` is set they are also written there as JSONL,
+/// and a sink that cannot be written is [`DistError::TraceIo`].
 pub fn run_distributed_planned_traced(
     circuit: &Circuit,
     n_ranks: usize,
     kind: DistPlanKind,
     telemetry: &TelemetryConfig,
-) -> Result<(StateVector, Vec<mpi_sim::CommStats>, Vec<Trace>), DistError> {
-    let n = circuit.n_qubits();
-    let plan = plan_circuit(circuit, n_ranks, kind)?;
-    let strategy = match kind {
-        DistPlanKind::Naive => format!("dist:{n_ranks}"),
-        DistPlanKind::Reorder => format!("dist-reorder:{n_ranks}"),
-        DistPlanKind::Overlap => format!("dist-overlap:{n_ranks}"),
-    };
-    let (results, stats) =
-        World::run_with_stats(n_ranks, |comm| -> Result<(StateVector, Trace), DistError> {
-            let mut tracer = Tracer::with_defaults(n, 1, telemetry.capacity);
-            tracer.set_rank(comm.rank() as i32);
-            let tracer = Arc::new(tracer);
-            let mut st = DistState::zero(n, comm);
-            st.set_tracer(Some(Arc::clone(&tracer)));
-            run_rank_planned(&mut st, comm, &plan)?;
-            let state = gather_unpermuted(&st, comm, &plan.logical_at);
-            st.set_tracer(None);
-            let tracer = Arc::try_unwrap(tracer).map_err(|_| {
-                DistError::internal("tracer still shared after detaching from state")
-            })?;
-            let meta = RunMeta {
-                strategy: strategy.clone(),
-                backend: "exchange".to_string(),
-                threads: 1,
-                schedule: "static".to_string(),
-                n_qubits: n,
-                label: telemetry.label.clone(),
-            };
-            Ok((state, tracer.finish(meta)))
-        });
-    let mut state = None;
-    let mut traces = Vec::with_capacity(n_ranks);
-    for r in results {
-        let (s, t): (StateVector, Trace) = r?;
-        if state.is_none() {
-            state = Some(s);
-        }
-        traces.push(t);
-    }
-    if telemetry.trace_path.is_some() {
-        let mut cfg = telemetry.clone();
-        for trace in &traces {
-            let _ = qcs_core::telemetry::write_configured(&cfg, trace);
-            cfg.append = true;
-        }
-    }
-    let state = state.ok_or_else(|| DistError::internal("world produced no ranks"))?;
-    Ok((state, stats, traces))
+) -> Result<(StateVector, Vec<CommStats>, Vec<Trace>), DistError> {
+    run_plain(circuit, n_ranks, kind, Some(telemetry))
+}
+
+/// [`run_distributed_planned`] under [`DistPlanKind::Naive`].
+pub fn run_distributed(
+    circuit: &Circuit,
+    n_ranks: usize,
+) -> Result<(StateVector, Vec<CommStats>), DistError> {
+    run_distributed_planned(circuit, n_ranks, DistPlanKind::Naive)
+}
+
+/// [`run_distributed_planned_traced`] under [`DistPlanKind::Naive`].
+pub fn run_distributed_traced(
+    circuit: &Circuit,
+    n_ranks: usize,
+    telemetry: &TelemetryConfig,
+) -> Result<(StateVector, Vec<CommStats>, Vec<Trace>), DistError> {
+    run_distributed_planned_traced(circuit, n_ranks, DistPlanKind::Naive, telemetry)
 }
 
 #[cfg(test)]
@@ -616,50 +619,58 @@ mod tests {
         }
         assert_eq!("OVERLAP".parse::<DistPlanKind>().unwrap(), DistPlanKind::Overlap);
         assert!("fancy".parse::<DistPlanKind>().is_err());
+        assert_eq!(DistPlanKind::default(), DistPlanKind::Naive);
     }
 
     #[test]
     fn planned_gates_are_comm_free_and_swaps_stay_simd_safe() {
-        let c = library::qft(8);
-        let plan = plan_circuit(&c, 4, DistPlanKind::Reorder).unwrap();
-        for step in &plan.steps {
-            if let Some(g) = &step.gate {
-                assert!(DistState::is_comm_free(&plan.part, g), "{g:?}");
-            }
-            for &(g, l) in &step.pre_swaps {
-                assert!(!plan.part.is_local(g));
-                assert!(plan.part.is_local(l));
-                assert!(l >= SIMD_SAFE_SLOT, "victim {l} below the SIMD-safe floor");
+        let plan = plan_circuit(&library::qft(8), 4, DistPlanKind::Reorder).unwrap();
+        assert_eq!(plan.gate_ends.len(), library::qft(8).len());
+        assert_eq!(plan.gate_ends.last(), Some(&plan.ops.len()));
+        for op in &plan.ops {
+            match op {
+                PlanOp::Gate(g) => assert!(comm_free(&plan.part, g), "{g:?}"),
+                &PlanOp::Swap(g, l) => {
+                    assert!(!plan.part.is_local(g) && plan.part.is_local(l));
+                    assert!(l >= SIMD_SAFE_SLOT, "victim {l} below the SIMD-safe floor");
+                }
+                other => panic!("a reorder plan holds gates and swaps only, not {other:?}"),
             }
         }
     }
 
     #[test]
-    fn all_plan_kinds_are_bit_identical_to_serial() {
-        for c in [
-            library::qft(8),
-            library::ghz(8),
-            library::random_circuit(8, 12, 7),
-            library::trotter_ising(8, 2, 1.0, 0.6, 0.1),
-        ] {
-            let reference = serial(&c);
-            for ranks in [2usize, 4] {
-                for kind in DistPlanKind::ALL {
-                    let (state, _) = run_distributed_planned(&c, ranks, kind).unwrap();
-                    assert!(
-                        state.approx_eq(&reference, 0.0),
-                        "{kind} ranks={ranks}: max diff {}",
-                        state.max_abs_diff(&reference)
-                    );
-                }
-            }
+    fn naive_relocation_is_three_explicit_ops_per_global() {
+        // iswap on (local 0, global 7): swap in onto the top free local
+        // axis, the gate there, swap back out.
+        let mut c = Circuit::new(8);
+        c.iswap(0, 7);
+        let plan = plan_circuit(&c, 4, DistPlanKind::Naive).unwrap();
+        match &plan.ops[..] {
+            [PlanOp::Swap(7, 5), PlanOp::Gate(Gate::ISwap(0, 5)), PlanOp::Swap(7, 5)] => {}
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(plan.logical_at, (0..8).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn a_rank_sits_out_what_its_global_bits_switch_off() {
+        let part = Partition::new(8, 4).unwrap(); // qubits 6, 7 global
+        for rank in 0..4 {
+            let set = rank & 1 == 1; // qubit 6
+            assert_eq!(localize(&part, rank, &Gate::Cx(6, 0)).is_some(), set);
+            assert_eq!(localize(&part, rank, &Gate::CPhase(6, 1, 0.3)).is_some(), set);
+            assert_eq!(localize(&part, rank, &Gate::T(6)).is_some(), set);
+            assert_eq!(localize(&part, rank, &Gate::Cz(6, 7)).is_some(), rank == 3);
+            assert!(localize(&part, rank, &Gate::Rz(6, 0.3)).is_some());
+            assert!(localize(&part, rank, &Gate::Rzz(6, 7, 0.3)).is_some());
         }
     }
 
     #[test]
     fn reorder_slashes_qft_exchange_bytes() {
         // QFT's H ladder touches every global qubit with dense gates; the
-        // naive engine pays a full buffer per touch, the planner one half
+        // naive kind pays a full buffer per touch, the planner one half
         // buffer per relocation.
         let c = library::qft(10);
         let naive = algorithm_bytes(&c, 4, DistPlanKind::Naive);
@@ -668,15 +679,6 @@ mod tests {
             reorder * 2 <= naive,
             "reorder must at least halve QFT traffic: {reorder} vs {naive}"
         );
-    }
-
-    #[test]
-    fn profile_predicts_measured_reorder_bytes_exactly() {
-        let c = library::qft(9);
-        let ranks = 4usize;
-        let plan = plan_circuit(&c, ranks, DistPlanKind::Reorder).unwrap();
-        let measured_world = algorithm_bytes(&c, ranks, DistPlanKind::Reorder);
-        assert_eq!(plan.profile.bytes_per_rank * ranks as u64, measured_world);
     }
 
     #[test]
@@ -691,19 +693,21 @@ mod tests {
             overlap.profile.hidden_bytes_per_rank > 0,
             "the overlap schedule must defer work behind at least one swap"
         );
-        let measured_world = algorithm_bytes(&c, ranks, DistPlanKind::Overlap);
-        assert_eq!(overlap.profile.bytes_per_rank * ranks as u64, measured_world);
+        for plan in [reorder, overlap] {
+            let measured_world = algorithm_bytes(&c, ranks, plan.kind);
+            assert_eq!(plan.profile.bytes_per_rank * ranks as u64, measured_world);
+        }
     }
 
     #[test]
-    fn overlap_schedule_defers_gates_into_swaps() {
+    fn overlap_lowering_defers_gates_into_swaps() {
         let mut c = Circuit::new(8);
         // Local work, then a dense touch of a global qubit: the planner
-        // swaps, and the overlap schedule hides the local work in it.
+        // swaps, and the overlap kind hides the local work in it.
         c.h(0).h(1).cx(0, 1).h(7);
         let plan = plan_circuit(&c, 4, DistPlanKind::Overlap).unwrap();
-        let ops = plan.overlap_schedule();
-        let overlapped = ops
+        let overlapped = plan
+            .ops
             .iter()
             .filter_map(|op| match op {
                 PlanOp::OverlapSwap { resident, .. } => Some(resident.len()),
@@ -736,7 +740,7 @@ mod tests {
     }
 
     #[test]
-    fn gather_unpermuted_restores_logical_order() {
+    fn gather_restores_logical_order() {
         // X on the top qubit, which the planner relocates and leaves
         // displaced: the gather must still produce |10…0⟩… pattern.
         let mut c = Circuit::new(8);
@@ -744,13 +748,5 @@ mod tests {
         let reference = serial(&c);
         let (state, _) = run_distributed_planned(&c, 4, DistPlanKind::Reorder).unwrap();
         assert!(state.approx_eq(&reference, 0.0), "diff {}", state.max_abs_diff(&reference));
-    }
-
-    #[test]
-    fn env_routes_the_default_harness() {
-        // Covered indirectly: from_env falls back to Naive on unset or
-        // invalid values.
-        assert_eq!("naive".parse::<DistPlanKind>().unwrap(), DistPlanKind::Naive);
-        assert_eq!(DistPlanKind::default(), DistPlanKind::Naive);
     }
 }

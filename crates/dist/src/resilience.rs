@@ -1,9 +1,11 @@
 //! Resilient distributed execution: coordinated checkpoints, rollback
-//! and replay, and integrity enforcement over the exchange engine.
+//! and replay, and integrity enforcement around the rank loop.
 //!
-//! [`run_resilient`] executes a circuit gate-by-gate like
-//! [`run_distributed`](crate::engine::run_distributed), but wraps every
-//! step in a recovery envelope:
+//! [`run_resilient`] is [`run_distributed_planned`](crate::plan::run_distributed_planned)
+//! with an envelope: the same lowering, the same world, the same
+//! `DistState::run` — handed one circuit gate's ops at a time
+//! ([`DistPlan::gate_ends`]) so that between gates the envelope can do
+//! its work:
 //!
 //! * **Coordinated checkpoints** — every `checkpoint_every` gates each
 //!   rank snapshots its local shard in memory (and, when
@@ -21,6 +23,13 @@
 //!   `max_replays` budget. Each recovery is recorded as an
 //!   [`ExchangePhase::Recovery`] exchange span when tracing is on.
 //!
+//! The physical layout at a gate boundary is a pure function of the op
+//! list's prefix, so restoring a shard's bytes restores the layout too,
+//! and replaying a gate replays the swaps lowered ahead of it. The
+//! envelope steps the *blocking* form of the list: an overlapped swap's
+//! deferred gates straddle gate boundaries, so [`DistPlanKind::Overlap`]
+//! runs as its reorder list — same bytes, unchunked messages.
+//!
 //! Recovery is coordinated because every *recoverable* error the
 //! substrate produces is deterministic and symmetric: injected faults
 //! fire at fixed gate indices on every rank, and integrity verdicts are
@@ -29,21 +38,20 @@
 
 use std::collections::HashSet;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 use mpi_sim::collectives::ReduceOp;
-use mpi_sim::{Comm, CommStats, FaultPlan, World};
+use mpi_sim::{Comm, CommStats, FaultPlan};
 use qcs_core::checkpoint::{Checkpointer, ShardMeta};
 use qcs_core::circuit::Circuit;
 use qcs_core::complex::C64;
 use qcs_core::integrity::{self, IntegrityPolicy, Outcome};
 use qcs_core::state::StateVector;
-use qcs_core::telemetry::{ExchangePhase, RunMeta, TelemetryConfig, Trace, Tracer};
+use qcs_core::telemetry::{ExchangePhase, TelemetryConfig, Trace};
 
-use crate::engine::DistState;
+use crate::engine::{DistState, RankOp};
 use crate::error::DistError;
-use crate::plan::{gather_unpermuted, plan_circuit, DistPlanKind, PlannedGate};
+use crate::plan::{run_world, DistPlan, DistPlanKind};
 
 /// Knobs for [`run_resilient`].
 #[derive(Debug, Clone)]
@@ -69,15 +77,12 @@ pub struct ResilienceConfig {
     pub inject_failures: Vec<usize>,
     /// Telemetry for recovery spans; disabled by default.
     pub telemetry: TelemetryConfig,
-    /// Distributed scheduling policy; `None` reads `QCS_DIST_PLAN` like
-    /// [`crate::run_distributed`]. The resilient loop steps the plan
-    /// gate-by-gate (each step replays its pre-swaps on rollback), so
-    /// checkpoints and recovery work identically under every kind, and
-    /// all kinds produce bit-identical states. The envelope schedules
-    /// every exchange blocking — [`DistPlanKind::Overlap`] keeps its
+    /// Distributed scheduling policy. Checkpoints and recovery work
+    /// identically under every kind, and all kinds produce
+    /// bit-identical states; [`DistPlanKind::Overlap`] keeps its
     /// reduced exchange volume but not the chunked-nonblocking message
     /// pattern, which cannot cross a checkpointable gate boundary.
-    pub dist_plan: Option<DistPlanKind>,
+    pub dist_plan: DistPlanKind,
 }
 
 impl Default for ResilienceConfig {
@@ -90,7 +95,7 @@ impl Default for ResilienceConfig {
             integrity: IntegrityPolicy::default(),
             inject_failures: Vec::new(),
             telemetry: TelemetryConfig::default(),
-            dist_plan: None,
+            dist_plan: DistPlanKind::Naive,
         }
     }
 }
@@ -180,48 +185,36 @@ pub fn run_resilient(
     n_ranks: usize,
     cfg: &ResilienceConfig,
 ) -> Result<ResilientRun, DistError> {
-    let plan = cfg.fault_plan.clone().or_else(FaultPlan::from_env);
-    let (results, stats) =
-        World::run_faulted_with_stats(n_ranks, plan, |comm| run_rank(circuit, n_ranks, cfg, comm));
-    let mut state = None;
-    let mut recovery = Vec::with_capacity(n_ranks);
-    let mut traces = Vec::new();
-    for r in results {
-        let (s, rep, trace) = r?;
-        if state.is_none() {
-            state = Some(s);
-        }
-        recovery.push(rep);
-        traces.extend(trace);
-    }
-    if cfg.telemetry.trace_path.is_some() {
-        let mut tcfg = cfg.telemetry.clone();
-        for trace in &traces {
-            let _ = qcs_core::telemetry::write_configured(&tcfg, trace);
-            tcfg.append = true;
-        }
-    }
-    let state = state.ok_or_else(|| DistError::internal("world produced no ranks"))?;
-    Ok(ResilientRun { state, stats, recovery, traces })
+    let kind = match cfg.dist_plan {
+        DistPlanKind::Overlap => DistPlanKind::Reorder,
+        blocking => blocking,
+    };
+    let run = run_world(
+        circuit,
+        n_ranks,
+        kind,
+        cfg.fault_plan.clone().or_else(FaultPlan::from_env),
+        cfg.telemetry.enabled.then_some(&cfg.telemetry),
+        &format!("dist-resilient:{n_ranks}"),
+        |st, comm, plan, ops| run_rank(st, comm, cfg, plan, ops),
+    )?;
+    Ok(ResilientRun {
+        state: run.state,
+        stats: run.stats,
+        recovery: run.per_rank,
+        traces: run.traces,
+    })
 }
 
-/// One rank's resilient gate loop.
+/// One rank's envelope around the rank loop: gate by gate, with the
+/// rollback target kept between them.
 fn run_rank(
-    circuit: &Circuit,
-    n_ranks: usize,
-    cfg: &ResilienceConfig,
+    st: &mut DistState,
     comm: &mut Comm,
-) -> Result<(StateVector, RecoveryReport, Option<Trace>), DistError> {
-    let n = circuit.n_qubits();
-    let tracer = cfg.telemetry.enabled.then(|| {
-        let mut t = Tracer::with_defaults(n, 1, cfg.telemetry.capacity);
-        t.set_rank(comm.rank() as i32);
-        Arc::new(t)
-    });
-    let mut st = DistState::zero(n, comm);
-    if let Some(t) = &tracer {
-        st.set_tracer(Some(Arc::clone(t)));
-    }
+    cfg: &ResilienceConfig,
+    plan: &DistPlan,
+    ops: &[Option<RankOp>],
+) -> Result<RecoveryReport, DistError> {
     let ckpt = match &cfg.checkpoint_dir {
         Some(dir) => Some(
             Checkpointer::new(dir.join(format!("rank{}", comm.rank())), "shard", 2)
@@ -229,28 +222,24 @@ fn run_rank(
         ),
         None => None,
     };
-    let plan =
-        plan_circuit(circuit, n_ranks, cfg.dist_plan.unwrap_or_else(DistPlanKind::from_env))?;
     let mut report = RecoveryReport::default();
     // `snapshot` is the rollback target: (next gate index, shard copy).
-    // The physical layout at any gate index is a pure function of the
-    // plan prefix, so restoring the shard bytes restores the layout too.
     let mut snapshot: (usize, Vec<C64>) = (0, st.local_amps().to_vec());
     let mut replays_left = cfg.max_replays;
     let mut pending_failures: HashSet<usize> = cfg.inject_failures.iter().copied().collect();
-    let gates = &plan.steps;
     let mut i = 0usize;
-    while i < gates.len() {
+    while i < plan.gate_ends.len() {
         let t0 = Instant::now();
-        let step = step_gate(&mut st, comm, cfg, &mut pending_failures, &mut report, gates, i);
-        match step {
+        let first = i.checked_sub(1).map_or(0, |prev| plan.gate_ends[prev]);
+        let gate_ops = &ops[first..plan.gate_ends[i]];
+        match step_gate(st, comm, cfg, &mut pending_failures, &mut report, gate_ops, i) {
             Ok(()) => {
                 if cfg.checkpoint_every != 0 && (i + 1).is_multiple_of(cfg.checkpoint_every) {
                     snapshot = (i + 1, st.local_amps().to_vec());
                     report.checkpoints += 1;
                     if let Some(c) = &ckpt {
                         let meta = ShardMeta {
-                            n_qubits: n,
+                            n_qubits: plan.part.n_qubits(),
                             rank: comm.rank() as u32,
                             step: (i + 1) as u64,
                         };
@@ -277,35 +266,18 @@ fn run_rank(
                     ExchangePhase::Recovery,
                     &[i as u32],
                     snapshot.1.len() as u64,
-                    tracer.as_ref().map(|_| t0),
+                    t0.elapsed(),
                 );
                 i = snapshot.0;
             }
             Err(e) => return Err(e),
         }
     }
-    let state = gather_unpermuted(&st, comm, &plan.logical_at);
-    st.set_tracer(None);
-    let trace = match tracer {
-        Some(t) => {
-            let t = Arc::try_unwrap(t)
-                .map_err(|_| DistError::internal("tracer still shared after detach"))?;
-            Some(t.finish(RunMeta {
-                strategy: format!("dist-resilient:{n_ranks}"),
-                backend: "exchange".to_string(),
-                threads: 1,
-                schedule: "static".to_string(),
-                n_qubits: n,
-                label: cfg.telemetry.label.clone(),
-            }))
-        }
-        None => None,
-    };
-    Ok((state, report, trace))
+    Ok(report)
 }
 
-/// Apply planned gate `i` (pre-swaps, then the comm-free gate) and,
-/// when due, the integrity guard. Fallible so the caller can route
+/// Run gate `i`'s ops (the swaps lowered ahead of it, then its sweep)
+/// and, when due, the integrity guard. Fallible so the caller can route
 /// everything recoverable through one rollback arm.
 fn step_gate(
     st: &mut DistState,
@@ -313,18 +285,13 @@ fn step_gate(
     cfg: &ResilienceConfig,
     pending_failures: &mut HashSet<usize>,
     report: &mut RecoveryReport,
-    gates: &[PlannedGate],
+    gate_ops: &[Option<RankOp>],
     i: usize,
 ) -> Result<(), DistError> {
     if pending_failures.remove(&i) {
         return Err(DistError::Injected { gate_index: i });
     }
-    for &(g, l) in &gates[i].pre_swaps {
-        st.swap_physical(comm, g, l)?;
-    }
-    if let Some(g) = &gates[i].gate {
-        st.apply_gate(comm, g)?;
-    }
+    st.run(comm, gate_ops)?;
     if cfg.integrity.due(i) {
         let local: f64 = st.local_amps().iter().map(|a| a.norm_sqr()).sum();
         let global = comm.allreduce_scalar(ReduceOp::Sum, local);
@@ -339,7 +306,7 @@ fn step_gate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_distributed;
+    use crate::plan::run_distributed;
     use qcs_core::integrity::IntegrityMode;
     use qcs_core::library;
     use qcs_core::telemetry::SpanKind;

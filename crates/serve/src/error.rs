@@ -58,12 +58,14 @@ impl QcsError {
             },
             QcsError::Dist(e) => match e {
                 DistError::UnsupportedGate { .. } => "dist/unsupported-gate",
+                DistError::Partition { .. } => "dist/partition",
                 DistError::WidthMismatch { .. } => "dist/width-mismatch",
                 DistError::Exchange(_) => "dist/exchange",
                 DistError::Integrity(_) => "dist/integrity",
                 DistError::Checkpoint(_) => "dist/checkpoint",
                 DistError::Injected { .. } => "dist/injected-fault",
                 DistError::RecoveryExhausted { .. } => "dist/recovery-exhausted",
+                DistError::TraceIo(_) => "dist/trace-io",
                 DistError::Internal(_) => "dist/internal",
             },
             QcsError::BadRequest(_) => "serve/bad-request",
@@ -86,6 +88,7 @@ impl QcsError {
             QcsError::Sim(SimError::QubitMismatch { .. })
             | QcsError::Sim(SimError::InvalidConfig(_)) => 400,
             QcsError::Dist(DistError::UnsupportedGate { .. })
+            | QcsError::Dist(DistError::Partition { .. })
             | QcsError::Dist(DistError::WidthMismatch { .. }) => 400,
             _ => 500,
         }

@@ -24,7 +24,7 @@
 //!   --threads <t>                            worksharing threads [1]
 //!   --schedule static[:c]|dynamic[:c]|guided[:c]   worksharing schedule [static]
 //!   --ranks <r>                              distributed ranks (power of 2)
-//!   --dist-plan naive|reorder|overlap        distributed exchange plan [env/naive]
+//!   --dist-plan naive|reorder|overlap        distributed exchange plan [naive]
 //!   --shots <s>                              sample and print counts
 //!   --probs <top>                            print the top-N probabilities
 //!   --batch <b>                              run b independent members gate-major (single process)
@@ -50,9 +50,8 @@
 //! environment (quota, queue bound, width limit, packing window, result
 //! cache, usage ledger). The
 //! `QCS_TRACE` / `QCS_TRACE_OUT` environment variables enable telemetry
-//! without touching the command line, `QCS_STRATEGY` picks the default
-//! execution strategy (`--strategy` still wins), and `QCS_DIST_PLAN`
-//! picks the default distributed plan (`--dist-plan` still wins).
+//! without touching the command line, and `QCS_STRATEGY` picks the
+//! default execution strategy (`--strategy` still wins).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -667,19 +666,7 @@ fn execute_batched(circuit: &Circuit, opts: &Options) -> Result<StateVector, Str
 }
 
 fn execute_distributed(circuit: &Circuit, opts: &Options) -> Result<StateVector, String> {
-    if !opts.ranks.is_power_of_two() {
-        return Err(format!("--ranks must be a power of two, got {}", opts.ranks));
-    }
-    let g = opts.ranks.trailing_zeros();
-    if g + 3 > circuit.n_qubits() {
-        return Err(format!(
-            "{} ranks on {} qubits leaves fewer than 3 local qubits; \
-             use a wider circuit or fewer ranks",
-            opts.ranks,
-            circuit.n_qubits()
-        ));
-    }
-    let plan = opts.dist_plan.unwrap_or_else(DistPlanKind::from_env);
+    let plan = opts.dist_plan.unwrap_or_default();
     println!("running on {} in-process ranks ({plan} plan)…", opts.ranks);
     let telemetry = &opts.config.telemetry;
     let resilient = opts.faults.is_some()
@@ -729,7 +716,7 @@ fn execute_resilient(circuit: &Circuit, opts: &Options) -> Result<StateVector, S
         max_replays: opts.config.checkpoint.as_ref().map_or(3, |c| c.max_replays),
         integrity: opts.config.integrity.clone(),
         telemetry: opts.config.telemetry.clone(),
-        dist_plan: opts.dist_plan,
+        dist_plan: opts.dist_plan.unwrap_or_default(),
         ..ResilienceConfig::default()
     };
     let run = run_resilient(circuit, opts.ranks, &cfg).map_err(|e| e.to_string())?;

@@ -145,6 +145,53 @@ fn too_many_ranks_is_a_clean_error() {
     assert!(err.contains("fewer than 3 local qubits"));
 }
 
+/// Exit code 1 and exactly one `error:` line: a typed error reached the
+/// user, not a panic (exit code 101, a `panicked at` block).
+fn run_one_line_error(args: &[&str]) -> String {
+    let out = bin().args(args).output().expect("binary runs");
+    let err = String::from_utf8(out.stderr).expect("utf8 stderr");
+    assert_eq!(out.status.code(), Some(1), "command {args:?}: {err}");
+    assert!(err.starts_with("error: ") && err.trim_end().lines().count() == 1, "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    err
+}
+
+#[test]
+fn what_ranks_cannot_run_is_a_one_line_error_from_the_lowering() {
+    let dir = std::env::temp_dir().join("a64fx_qcs_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("measured_{}.qasm", std::process::id()));
+    std::fs::write(&path, "qreg q[5];\ncreg c[1];\nh q[0];\nmeasure q[0] -> c[0];\n").unwrap();
+    let qasm = path.to_str().unwrap();
+    for plan in ["naive", "reorder", "overlap"] {
+        let err = run_one_line_error(&["run", qasm, "--ranks", "2", "--dist-plan", plan]);
+        assert!(err.contains("measure"), "{err}");
+        let err = run_one_line_error(&["run", qasm, "--ranks", "2", "--faults", "default"]);
+        assert!(err.contains("measure"), "{err}");
+    }
+    let err = run_one_line_error(&["demo", "qft", "5", "--ranks", "3"]);
+    assert!(err.contains("not a power of two"), "{err}");
+    let err = run_one_line_error(&["demo", "qft", "5", "--ranks", "64"]);
+    assert!(err.contains("fewer than 3 local qubits"), "{err}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn unwritable_trace_is_an_error_with_and_without_ranks() {
+    // The sink creates missing directories; a regular file in the way is
+    // what it cannot get past.
+    let file = std::env::temp_dir().join(format!("a64fx_qcs_cli_not_a_dir_{}", std::process::id()));
+    std::fs::write(&file, b"x").unwrap();
+    let trace = file.join("t.jsonl");
+    let trace = trace.to_str().unwrap();
+    for extra in [&[][..], &["--ranks", "2"], &["--ranks", "2", "--faults", "default"]] {
+        let args = [&["demo", "qft", "6", "--trace-out", trace], extra].concat();
+        let err = run_one_line_error(&args);
+        assert!(err.contains("cannot write trace"), "{args:?}: {err}");
+    }
+    std::fs::remove_file(&file).unwrap();
+}
+
 #[test]
 fn bad_qasm_reports_line() {
     let dir = std::env::temp_dir().join("a64fx_qcs_cli_test");

@@ -3,12 +3,15 @@
 //! 0.0) to each other and to the serial engine across rank counts, and
 //! must stay bit-identical when executed through the resilient envelope
 //! under injected transport faults — planning changes where amplitudes
-//! live and when they move, never their values.
+//! live and when they move, never their values. What the lowering
+//! decides — which gates cost an exchange, and how many bytes — is
+//! pinned to golden numbers.
 
 use a64fx_qcs::core::library;
 use a64fx_qcs::core::prelude::*;
 use a64fx_qcs::dist::{
-    plan_circuit, run_distributed_planned, run_resilient, DistPlanKind, ResilienceConfig,
+    plan_circuit, run_distributed_planned, run_distributed_planned_traced, run_resilient,
+    DistError, DistPlanKind, ResilienceConfig,
 };
 use a64fx_qcs::mpi::FaultPlan;
 
@@ -18,18 +21,20 @@ fn serial(circuit: &Circuit) -> StateVector {
     s
 }
 
-/// QFT from a generic product state: every amplitude is a full complex
-/// number by the time the controlled phases with a rank-constant qubit
-/// multiply it, so a rank that rounded them differently from the serial
+/// A generic product state: after it every amplitude is a full complex
+/// number, so a rank that rounds a gate differently from the serial
 /// kernel (a fused multiply-add chain against a plain product) shows.
-fn dressed_qft(n: u32) -> Circuit {
+fn dressed(n: u32) -> Circuit {
     let mut c = Circuit::new(n);
     for q in 0..n {
         c.ry(q, 0.37 + 0.61 * q as f64).rz(q, 1.1 - 0.23 * q as f64);
     }
-    for g in library::qft(n).gates() {
-        c.push(g.clone());
-    }
+    c
+}
+
+fn dressed_qft(n: u32) -> Circuit {
+    let mut c = dressed(n);
+    c.append(&library::qft(n));
     c
 }
 
@@ -70,7 +75,7 @@ fn resilient_execution_under_faults_is_bit_identical_for_every_plan() {
     for kind in DistPlanKind::ALL {
         let cfg = ResilienceConfig {
             fault_plan: Some(FaultPlan::default_intensity(42)),
-            dist_plan: Some(kind),
+            dist_plan: kind,
             ..ResilienceConfig::default()
         };
         let run = run_resilient(&c, 4, &cfg).unwrap();
@@ -94,7 +99,7 @@ fn resilient_rollback_replays_planned_pre_swaps_exactly() {
         let cfg = ResilienceConfig {
             checkpoint_every: 5,
             inject_failures: vec![7, 13],
-            dist_plan: Some(kind),
+            dist_plan: kind,
             ..ResilienceConfig::default()
         };
         let run = run_resilient(&c, 4, &cfg).unwrap();
@@ -118,4 +123,160 @@ fn planned_kinds_exchange_no_more_than_naive_on_every_family() {
             assert!(planned <= naive, "{name} {kind}: planned {planned} bytes vs naive {naive}");
         }
     }
+}
+
+/// One circuit per lowering decision, on 8 qubits where 7 is global at
+/// every rank count tried, 6 from 4 ranks, 5 at 8: the gate under test
+/// on a dressed state, then a dense gate on every qubit it touched so a
+/// displaced layout has to be read back correctly too.
+fn regimes() -> Vec<(&'static str, Circuit)> {
+    use Gate::*;
+    let case = |name, gates: &[Gate]| {
+        let mut c = dressed(8);
+        for g in gates.iter().chain(&[H(0), H(5), H(6), H(7)]) {
+            c.push(g.clone());
+        }
+        (name, c)
+    };
+    vec![
+        case("dense-1q-global", &[H(7), X(6), U3(7, 0.3, 0.2, 0.1)]),
+        case("diag-1q-global", &[Rz(7, 0.7), T(6), Phase(7, 0.4), Z(5)]),
+        case("cx-local-global", &[Cx(0, 7), Cy(1, 6)]),
+        case("cx-global-local", &[Cx(7, 0), Cy(6, 4)]),
+        case("cx-global-global", &[Cx(6, 7), Cx(7, 6), Cx(5, 7)]),
+        case("rzz-one-global", &[Rzz(0, 7, 0.3), Rzz(7, 4, 0.5)]),
+        case("rzz-two-global", &[Rzz(6, 7, 0.3), Rzz(7, 5, 0.9)]),
+        case("cphase-one-global", &[CPhase(7, 1, 0.6), CPhase(2, 7, 0.8), Cz(3, 6)]),
+        case("cphase-two-global", &[CPhase(6, 7, 0.6), Cz(7, 6), CPhase(5, 6, 0.2)]),
+        case("rxx-two-global", &[Rxx(6, 7, 0.8), Rxx(7, 5, 0.4)]),
+        case("iswap-swap", &[ISwap(0, 7), Swap(6, 2), Swap(6, 7)]),
+        case("ccx-spanning", &[Ccx(7, 6, 0), Ccx(0, 7, 6), Ccx(0, 1, 7), Ccx(5, 6, 7)]),
+        case("cswap-spanning", &[CSwap(7, 0, 6), CSwap(0, 7, 1), CSwap(1, 6, 7)]),
+    ]
+}
+
+#[test]
+fn every_lowering_regime_is_bit_identical_to_serial() {
+    for (name, c) in regimes() {
+        let reference = serial(&c);
+        for ranks in [2usize, 4, 8] {
+            for kind in DistPlanKind::ALL {
+                let (state, _) = run_distributed_planned(&c, ranks, kind).unwrap();
+                assert!(
+                    state.max_abs_diff(&reference) == 0.0,
+                    "{name} {kind} ranks={ranks}: max diff {}",
+                    state.max_abs_diff(&reference)
+                );
+            }
+        }
+    }
+}
+
+/// `(family, ranks, kind, [bytes, messages, phases, hidden bytes] per
+/// rank as the plan prices itself, (bytes, messages) each rank sent,
+/// final allgather included)`, recorded at the commit before the op
+/// list replaced the per-gate engine.
+type Golden = (&'static str, usize, DistPlanKind, [u64; 4], &'static [(u64, u64)]);
+
+#[rustfmt::skip]
+const GOLDEN: &[Golden] = &[
+    ("qft9", 2, DistPlanKind::Naive, [8192, 3, 3, 0], &[(16384, 4), (12288, 4)]),
+    ("qft9", 2, DistPlanKind::Reorder, [4096, 2, 2, 0], &[(12288, 3), (8192, 3)]),
+    ("qft9", 2, DistPlanKind::Overlap, [4096, 9, 2, 90112], &[(12288, 10), (8192, 10)]),
+    ("qft9", 4, DistPlanKind::Naive, [8192, 6, 6, 0], &[(24576, 8), (10240, 7), (18432, 8), (10240, 7)]),
+    ("qft9", 4, DistPlanKind::Reorder, [3072, 3, 3, 0], &[(19456, 5), (5120, 4), (13312, 5), (5120, 4)]),
+    ("qft9", 4, DistPlanKind::Overlap, [3072, 10, 3, 30720], &[(19456, 12), (5120, 11), (13312, 12), (5120, 11)]),
+    ("qft9", 8, DistPlanKind::Naive, [6144, 9, 9, 0], &[(30720, 12), (7168, 10), (15360, 11), (7168, 10), (23552, 12), (7168, 10), (15360, 11), (7168, 10)]),
+    ("qft9", 8, DistPlanKind::Reorder, [2048, 4, 4, 0], &[(26624, 7), (3072, 5), (11264, 6), (3072, 5), (19456, 7), (3072, 5), (11264, 6), (3072, 5)]),
+    ("qft9", 8, DistPlanKind::Overlap, [2048, 11, 4, 9216], &[(26624, 14), (3072, 12), (11264, 13), (3072, 12), (19456, 14), (3072, 12), (11264, 13), (3072, 12)]),
+    ("random8", 2, DistPlanKind::Naive, [40960, 20, 20, 0], &[(45056, 21), (43008, 21)]),
+    ("random8", 2, DistPlanKind::Reorder, [11264, 11, 11, 0], &[(15360, 12), (13312, 12)]),
+    ("random8", 2, DistPlanKind::Overlap, [11264, 11, 11, 0], &[(15360, 12), (13312, 12)]),
+    ("random8", 4, DistPlanKind::Naive, [37888, 39, 39, 0], &[(44032, 37), (39936, 39), (41984, 38), (40960, 40)]),
+    ("random8", 4, DistPlanKind::Reorder, [13312, 26, 26, 0], &[(21504, 28), (14336, 27), (18432, 28), (14336, 27)]),
+    ("random8", 4, DistPlanKind::Overlap, [13312, 61, 26, 20480], &[(21504, 63), (14336, 62), (18432, 63), (14336, 62)]),
+    ("random8", 8, DistPlanKind::Naive, [26368, 56, 56, 0], &[(36352, 50), (26112, 51), (30208, 52), (27648, 54), (34304, 53), (27648, 54), (31744, 55), (29184, 57)]),
+    ("random8", 8, DistPlanKind::Reorder, [11264, 44, 44, 0], &[(23552, 47), (11776, 45), (15872, 46), (11776, 45), (19968, 47), (11776, 45), (15872, 46), (11776, 45)]),
+    ("random8", 8, DistPlanKind::Overlap, [11264, 121, 44, 12800], &[(23552, 124), (11776, 122), (15872, 123), (11776, 122), (19968, 124), (11776, 122), (15872, 123), (11776, 122)]),
+    ("trotter8", 2, DistPlanKind::Naive, [4096, 2, 2, 0], &[(8192, 3), (6144, 3)]),
+    ("trotter8", 2, DistPlanKind::Reorder, [2048, 2, 2, 0], &[(6144, 3), (4096, 3)]),
+    ("trotter8", 2, DistPlanKind::Overlap, [2048, 2, 2, 0], &[(6144, 3), (4096, 3)]),
+    ("trotter8", 4, DistPlanKind::Naive, [4096, 4, 4, 0], &[(12288, 6), (5120, 5), (9216, 6), (5120, 5)]),
+    ("trotter8", 4, DistPlanKind::Reorder, [2048, 4, 4, 0], &[(10240, 6), (3072, 5), (7168, 6), (3072, 5)]),
+    ("trotter8", 4, DistPlanKind::Overlap, [2048, 4, 4, 0], &[(10240, 6), (3072, 5), (7168, 6), (3072, 5)]),
+    ("trotter8", 8, DistPlanKind::Naive, [3072, 6, 6, 0], &[(15360, 9), (3584, 7), (7680, 8), (3584, 7), (11776, 9), (3584, 7), (7680, 8), (3584, 7)]),
+    ("trotter8", 8, DistPlanKind::Reorder, [1536, 6, 6, 0], &[(13824, 9), (2048, 7), (6144, 8), (2048, 7), (10240, 9), (2048, 7), (6144, 8), (2048, 7)]),
+    ("trotter8", 8, DistPlanKind::Overlap, [1536, 6, 6, 0], &[(13824, 9), (2048, 7), (6144, 8), (2048, 7), (10240, 9), (2048, 7), (6144, 8), (2048, 7)]),
+];
+
+#[test]
+fn exchange_profile_and_per_rank_traffic_match_the_recorded_numbers() {
+    for &(family, ranks, kind, profile, sent) in GOLDEN {
+        let c = match family {
+            "qft9" => library::qft(9),
+            "random8" => library::random_circuit(8, 24, 42),
+            _ => library::trotter_ising(8, 2, 1.0, 0.8, 0.1),
+        };
+        let cell = format!("{family} {kind} ranks={ranks}");
+        let p = plan_circuit(&c, ranks, kind).unwrap().profile;
+        assert_eq!(
+            [p.bytes_per_rank, p.messages_per_rank, p.phases, p.hidden_bytes_per_rank],
+            profile,
+            "{cell}: profile"
+        );
+        let traffic = |c: &Circuit| -> Vec<(u64, u64)> {
+            let (_, stats) = run_distributed_planned(c, ranks, kind).unwrap();
+            stats.iter().map(|s| (s.bytes_sent, s.messages_sent)).collect()
+        };
+        let with = traffic(&c);
+        assert_eq!(with, sent, "{cell}: per-rank (bytes, messages)");
+        // The profile's per-rank bytes, times the ranks, are the bytes
+        // the algorithm put on the wire: what was sent less the gather.
+        // (Exact for the naive kind too: a pair exchange behind a global
+        // control is priced at half a buffer, and half the ranks run it.)
+        let gather: u64 = traffic(&Circuit::new(c.n_qubits())).iter().map(|t| t.0).sum();
+        let algorithm = with.iter().map(|t| t.0).sum::<u64>() - gather;
+        assert_eq!(p.bytes_per_rank * ranks as u64, algorithm, "{cell}: model vs wire");
+    }
+}
+
+#[test]
+fn the_lowering_rejects_what_ranks_cannot_run() {
+    let c = library::qft(6);
+    let mut measured = c.clone();
+    measured.measure(0, 0);
+    let mut conditioned = c.clone();
+    conditioned.cif_bit(0, 1, Gate::X(1));
+    for kind in DistPlanKind::ALL {
+        for n_ranks in [0usize, 3, 16] {
+            let err = plan_circuit(&c, n_ranks, kind).unwrap_err();
+            assert_eq!(err, DistError::Partition { n_qubits: 6, n_ranks }, "{kind}");
+            assert_eq!(run_distributed_planned(&c, n_ranks, kind).unwrap_err(), err);
+        }
+        for (gate, circuit) in [("measure", &measured), ("cif", &conditioned)] {
+            match plan_circuit(circuit, 2, kind).unwrap_err() {
+                DistError::UnsupportedGate { gate: g, .. } => assert_eq!(g, gate, "{kind}"),
+                other => panic!("{kind}: expected UnsupportedGate, got {other:?}"),
+            }
+            assert!(run_distributed_planned(circuit, 2, kind).is_err());
+            let cfg = ResilienceConfig { dist_plan: kind, ..ResilienceConfig::default() };
+            assert!(run_resilient(circuit, 2, &cfg).is_err());
+        }
+    }
+}
+
+#[test]
+fn a_trace_that_cannot_be_written_is_an_error() {
+    // The sink creates missing directories, so the parent has to be a
+    // regular file for the write to fail.
+    let file = std::env::temp_dir().join(format!("qcs_dist_not_a_dir_{}", std::process::id()));
+    std::fs::write(&file, b"x").unwrap();
+    let telemetry = TelemetryConfig::on().with_output(file.join("t.jsonl"));
+    let c = library::qft(6);
+    let plain = run_distributed_planned_traced(&c, 2, DistPlanKind::Reorder, &telemetry);
+    assert!(matches!(plain, Err(DistError::TraceIo(_))), "{plain:?}");
+    let cfg = ResilienceConfig { telemetry, ..ResilienceConfig::default() };
+    let resilient = run_resilient(&c, 2, &cfg).map(|run| run.traces.len());
+    assert!(matches!(resilient, Err(DistError::TraceIo(_))), "{resilient:?}");
+    std::fs::remove_file(&file).unwrap();
 }

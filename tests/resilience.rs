@@ -32,10 +32,7 @@ fn default_intensity_faults_complete_bit_identical_with_visible_retries() {
     assert!(retries > 0, "dropped/corrupted frames must surface as retries");
     // Logical accounting: the faulted run moved the same logical bytes
     // and messages as a fault-free run of the same engine — retries are
-    // physical, never logical. (The reference is the resilient engine
-    // itself because its checkpointable gate-by-gate stepping schedules
-    // exchanges blocking, while `run_distributed` under
-    // QCS_DIST_PLAN=overlap chunks them — same bytes, more messages.)
+    // physical, never logical.
     let clean_run = run_resilient(&circuit, 4, &ResilienceConfig::default()).unwrap();
     for (a, b) in run.stats.iter().zip(&clean_run.stats) {
         assert_eq!(a.bytes_sent, b.bytes_sent, "logical byte accounting must ignore retries");
@@ -96,7 +93,7 @@ fn unsupported_width_is_a_typed_error_not_a_panic() {
     wide.h(0);
     let narrow = Circuit::new(5);
     let err = a64fx_qcs::mpi::World::run(2, |comm| {
-        let mut st = a64fx_qcs::dist::DistState::zero(wide.n_qubits(), comm);
+        let mut st = a64fx_qcs::dist::DistState::zero(wide.n_qubits(), comm).unwrap();
         st.apply_circuit(comm, &narrow).unwrap_err()
     });
     for e in err {
