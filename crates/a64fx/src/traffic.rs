@@ -158,9 +158,16 @@ impl TrafficModel {
     /// for a single-threaded sweep: 0 = L1, 1 = L2, 2 = HBM2.
     pub fn residency(&self, n: u32) -> u8 {
         let bytes = (1u64 << n) * AMP_BYTES;
-        if bytes <= self.chip.l1d.size_bytes as u64 {
+        self.residency_of(bytes, bytes)
+    }
+
+    /// The level a working set lives at when a core revisits `per_core`
+    /// bytes of its own (its private L1) and the cores of one CMG
+    /// revisit `per_cmg` bytes between them (their shared L2).
+    pub fn residency_of(&self, per_core: u64, per_cmg: u64) -> u8 {
+        if per_core <= self.chip.l1d.size_bytes as u64 {
             0
-        } else if bytes <= self.chip.l2.size_bytes as u64 {
+        } else if per_cmg <= self.chip.l2.size_bytes as u64 {
             1
         } else {
             2

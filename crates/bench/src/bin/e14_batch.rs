@@ -2,24 +2,23 @@
 //!
 //! One question, one table per register width: given B independent
 //! executions of the same circuit (parameter scans, trajectory
-//! ensembles), how much faster is one gate-major batched call than B
-//! sequential single runs — and where does the gain go?
+//! ensembles), how much faster is one batched call than B sequential
+//! single runs — and where does the gain go?
 //!
-//! The batched engine builds the execution products (fusion, plan,
-//! cache blocks) once and streams each fused gate block across all B
-//! member states, so the per-run planning work and the gate-stream
-//! fetch are paid once instead of B times. The sequential baseline is
-//! the honest alternative a user would write: B independent
-//! `Simulator::run` calls, each re-fusing and re-planning.
+//! The batched engine lowers the circuit once (fusion, plan, cache
+//! blocks, kernels) and runs the members member-major: one worksharing
+//! region, each member's whole program on one core while its state is
+//! cache-resident. The sequential baseline is the honest alternative a
+//! user would write: B independent `Simulator::run` calls, each
+//! re-lowering and opening a region per sweep.
 //!
-//! Expected shape: per-circuit throughput grows with B while the
-//! amortized planning/gate-stream cost dominates — strongly at small n,
-//! where a single run is planning-bound and batching is superlinear per
-//! circuit — then flattens and finally collapses toward 1× at large n,
-//! where every member's amplitude sweep is HBM-bound and the per-CMG
-//! memory stacks saturate (host DRAM plays the same role on this
-//! machine). The model column shows the A64FX-regime prediction from
-//! `perf::predict_batched` next to the host measurement.
+//! Expected shape (host columns): the gain is the lowering paid once
+//! plus member-level parallelism without a fork–join per sweep — largest
+//! at small n, where a sweep is short against a region, and fading
+//! toward 1× at large n, where every member streams through the same
+//! memory roof under any schedule. The model columns are a different
+//! comparison, kept separate: `perf::predict_batched`'s A64FX price of
+//! the member-major schedule against the gate-major order it replaced.
 
 use std::fmt::Write as _;
 
@@ -62,8 +61,8 @@ struct Row {
 /// difference under test is purely structural: the sequential baseline
 /// re-plans per run and parallelizes *within* each amplitude sweep
 /// (fine-grained, fork-join per sweep), the batched engine plans once
-/// and parallelizes *across* (member × block) cells (coarse-grained,
-/// one region per gate sweep).
+/// and parallelizes *across* members (coarse-grained, one region per
+/// batch).
 fn config() -> SimConfig {
     SimConfig::new().strategy(STRATEGY).threads(threads())
 }
@@ -85,7 +84,7 @@ fn bench_width(n: u32, rows: &mut Vec<Row>) {
         "batched",
         "speedup",
         "circuits/s",
-        "model speedup",
+        "model vs gate-major",
         "model circuits/s",
     ]);
     for &b in &BATCHES {
@@ -153,15 +152,14 @@ fn write_json(rows: &[Row]) {
     let model_small = at(12, 8).map_or(0.0, |r| r.model_speedup);
     let model_mid = at(14, 8).map_or(0.0, |r| r.model_speedup);
     let note = if meets_target {
-        "host columns measure this machine; model columns are the A64FX-regime \
-         prediction where the gate-stream fetch is HBM2-priced"
+        "host columns measure batched vs sequential runs on this machine; model \
+         columns are the A64FX-regime price of member-major vs gate-major order"
             .to_string()
     } else {
         format!(
-            "host gain limited by this machine ({} hardware thread(s): batching's \
-             coarse member-level parallelism has nothing to spread over, and the \
-             warm host cache hides the gate-stream fetch that HBM2 prices at \
-             150 ns/sweep); the model columns show the A64FX-regime gain \
+            "host gain limited by this machine ({} hardware thread(s) for member-level \
+             parallelism to spread over); the model columns price a different \
+             comparison, member-major vs gate-major order on A64FX \
              ({model_small:.2}x at n=12, {model_mid:.2}x at n=14 for B=8)",
             threads()
         )
@@ -192,18 +190,13 @@ fn main() {
     }
 
     println!();
-    println!("Expected shape: the gain comes from paying the per-run costs once — fusion and");
-    println!("planning of the gate stream, and (on A64FX) the cold fetch of every gate's");
-    println!("matrix block through the CMG's HBM2 stack. At small n a single run is");
-    println!("planning- and stream-bound, so batching is superlinear per circuit and the");
-    println!("model speedup at B=8 clears 1.5x easily. As n grows the 2^n-amplitude sweeps");
-    println!("dominate and every member streams its own state through the same memory roof,");
-    println!("so the curve collapses toward 1x — the per-CMG HBM stacks saturate on the");
-    println!("modelled A64FX, DRAM on a real host. Host columns on a machine with one");
-    println!("hardware thread (or a cache big enough to keep the gate stream warm) sit near");
-    println!("1x at every width: there is no parallelism for member-level sharding to");
-    println!("exploit and no cold-stream latency to amortize; the model columns then");
-    println!("document the A64FX-regime gain the paper's platform sees.");
+    println!("Expected shape: the host gain comes from lowering once and from running the");
+    println!("members side by side under one region instead of a fork-join per sweep; it is");
+    println!("largest at small n and fades toward 1x as the 2^n-amplitude sweeps dominate and");
+    println!("every member streams its own state through the same memory roof. The model");
+    println!("columns price something else: the member-major schedule against gate-major");
+    println!("order on A64FX, which differ in where the working set lives (one member per");
+    println!("core against the whole batch) and in the region count (1 against one per op).");
     println!();
     println!(
         "host parallelism: {} thread(s); A64FX model at B=8: {:.2}x (n=12), {:.2}x (n=14)",

@@ -7,14 +7,16 @@
 //!    the next — every job runs as a batch of one (the no-service
 //!    baseline shape);
 //! 2. **packed**: the same jobs submitted together inside the packing
-//!    window, so the scheduler runs them as one gate-major batch;
+//!    window, so the scheduler runs them as one member-major batch;
 //! 3. **cached**: the packed round resubmitted verbatim — every job is
 //!    answered from the result cache without touching the engine.
 //!
-//! The packed-vs-serial gain is the served form of the amortization
-//! `perf::predict_batched` models (plan once, stream the gate matrices
-//! once, touch every member per gate); the model column reports that
-//! prediction for the A64FX regime. Results land in
+//! The packed-vs-serial gain is what one batch saves over N batches of
+//! one: one lowering, one kernel set, one worksharing region, and the
+//! members spread over the pool's threads. The model column is a
+//! different quantity and is labelled as such: `perf::predict_batched`'s
+//! A64FX-regime price of the member-major schedule the engine runs
+//! against the gate-major one it replaced. Results land in
 //! `results/BENCH_serve.json`.
 
 use a64fx_model::timing::ExecConfig;
@@ -110,7 +112,7 @@ fn drive_width(server: &Server, n: u32, rows: &mut Vec<Row>) {
     }
     let packed_s = t0.elapsed().as_secs_f64();
 
-    // Every packed job must actually have shared one gate-major batch.
+    // Every packed job must actually have shared one batch.
     for &id in &ids {
         let (status, body) = http_request(addr, "GET", &format!("/jobs/{id}"), "").unwrap();
         assert_eq!(status, 200);
@@ -153,7 +155,7 @@ fn write_json(rows: &[Row], jobs_per_sec: f64, pack_rate: f64, cache_hit_rate: f
             format!(
                 "    {{\"n\": {}, \"jobs\": {}, \"serial_seconds\": {:.6}, \
                  \"packed_seconds\": {:.6}, \"cached_seconds\": {:.6}, \
-                 \"measured_amortization\": {:.4}, \"model_amortization\": {:.4}}}",
+                 \"measured_amortization\": {:.4}, \"model_schedule_gain\": {:.4}}}",
                 r.n,
                 r.jobs,
                 r.serial_s,
@@ -170,10 +172,10 @@ fn write_json(rows: &[Row], jobs_per_sec: f64, pack_rate: f64, cache_hit_rate: f
          \x20   \"jobs_per_sec\": {jobs_per_sec:.2},\n\
          \x20   \"batch_pack_rate\": {pack_rate:.4},\n\
          \x20   \"cache_hit_rate\": {cache_hit_rate:.4},\n\
-         \x20   \"note\": \"packed/serial gain is the served form of the \
-         predict_batched amortization; host ratios compress when the machine \
-         is thread-poor or the gate stream stays cache-warm — the model \
-         column reports the A64FX-regime prediction\"\n  }},\n\
+         \x20   \"note\": \"packed/serial is measured on this host: one batch \
+         against N batches of one; model_schedule_gain is predict_batched's \
+         A64FX-regime gate-major / member-major ratio for the packed batch, a \
+         different quantity kept in its own column\"\n  }},\n\
          \x20 \"rows\": [\n{body}\n  ]\n}}\n"
     );
     let _ = std::fs::create_dir_all("results");
@@ -212,7 +214,7 @@ fn main() {
         stats.cache_hits as f64 / (stats.cache_hits + stats.cache_misses).max(1) as f64;
 
     let mut table =
-        Table::new(&["n", "jobs", "serial", "packed", "cached", "measured x", "model x"]);
+        Table::new(&["n", "jobs", "serial", "packed", "cached", "measured x", "model sched x"]);
     for r in &rows {
         table.row(&[
             r.n.to_string(),
@@ -235,16 +237,16 @@ fn main() {
         cache_hit_rate * 100.0,
     );
     println!(
-        "largest gate-major batch held {} independent submissions (window 30 ms)",
+        "largest batch held {} independent submissions (window 30 ms)",
         stats.max_batch_members
     );
     println!();
-    println!("Expected shape: the serial column pays planning, gate-stream fetch, and");
-    println!("per-run dispatch once per job; the packed column pays them once per batch,");
-    println!("which is exactly the amortization predict_batched models — on a thread-rich");
-    println!("host the measured ratio also folds in member-level parallelism, on a");
-    println!("thread-poor one it hugs 1x and the model column documents the A64FX-regime");
-    println!("gain. The cached column is pure lookup: no engine time at all.");
+    println!("Expected shape: the serial column pays lowering, kernel resolution and a");
+    println!("worksharing region once per job; the packed column pays them once per batch");
+    println!("and spreads its members over the pool's threads, so the measured ratio grows");
+    println!("with the host's threads and hugs 1x on a thread-poor one. The model column is");
+    println!("predict_batched's A64FX price of member-major against gate-major order for");
+    println!("the packed batch. The cached column is pure lookup: no engine time at all.");
 
     write_json(&rows, jobs_per_sec, pack_rate, cache_hit_rate);
     server.shutdown();

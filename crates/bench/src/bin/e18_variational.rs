@@ -1,4 +1,4 @@
-//! E18 — Variational loops: fused observable reductions and gate-major
+//! E18 — Variational loops: fused observable reductions and batched
 //! parameter sweeps.
 //!
 //! Two questions:
@@ -12,10 +12,12 @@
 //!    clear 2× on the host, and on the A64FX model once the baseline is
 //!    priced, like the host baseline, on the scalar FP pipes.
 //! 2. **Sweep batching.** One VQE gradient-descent iteration evaluates
-//!    2p+1 parameter points. Serially that is 2p+1 engine builds and
-//!    gate streams; the driver binds them into same-shaped circuits and
-//!    runs one gate-major batch. The measured speedup is the batch
-//!    engine's amortization, harvested by the variational layer.
+//!    2p+1 parameter points. Serially that is 2p+1 engine builds, runs
+//!    and cold reductions; the driver binds them into same-shaped
+//!    circuits and streams them through one member-major batch, each
+//!    point reduced by the worker that ran it. The measured speedup is
+//!    what that schedule is worth on this host; the model column is
+//!    `predict_batched`'s A64FX price of it against gate-major order.
 //!
 //! A convergence smoke closes the loop: a few GD iterations on the
 //! TFIM must descend toward the exact dense ground energy.
@@ -120,17 +122,18 @@ struct SweepRow {
 }
 
 /// One VQE iteration's parameter sweep (2p+1 points), serial per-point
-/// runs vs the driver's gate-major batch.
+/// runs vs the driver's member-major batch.
 fn bench_sweep(rows: &mut Vec<SweepRow>) {
     let chip = ChipParams::a64fx();
     let cfg = ExecConfig::full_chip();
     println!();
     println!(
         "E18: gradient sweep — 2p+1 parameter points per GD iteration, serial vs \
-         gate-major batch, {} thread(s), best of {REPS}",
+         member-major batch, {} thread(s), best of {REPS}",
         threads()
     );
-    let mut table = Table::new(&["n", "points", "serial", "batched", "speedup", "model speedup"]);
+    let mut table =
+        Table::new(&["n", "points", "serial", "batched", "speedup", "model vs gate-major"]);
     for &n in &[8u32, 10, 12] {
         let h = Hamiltonian::ising_chain(n, 1.0, 0.7);
         let ansatz = hardware_efficient_ansatz(n, 1);
@@ -277,8 +280,8 @@ fn main() {
     println!("reduce in n+1 shared-basis sweeps instead of 2n-1 per-term sweeps, and each");
     println!("fused sweep runs vectorized. Host and model agree on the ratio because both");
     println!("paths are bandwidth-bound: fewer full-state passes is fewer bytes, whatever");
-    println!("the memory system. The sweep-batching gain mirrors E14: per-point planning");
-    println!("and gate-stream fetch amortize across the 2p+1 members of one iteration.");
+    println!("the memory system. The sweep gain is the schedule's: the 2p+1 members of one");
+    println!("iteration share one region, and each is run and reduced while cache-resident.");
 
     write_json(&reduction, &sweep, smoke);
 }

@@ -1,45 +1,49 @@
 //! Batched multi-circuit execution.
 //!
-//! A [`BatchSimulator`] owns nothing between calls; [`BatchSimulator::run`]
-//! applies one circuit to a batch of independent state vectors in
-//! *gate-major* order: the circuit is lowered once ([`lower`]), then
-//! each op of the program is applied to every member before the next op
-//! starts. The gate stream (matrices, offset tables) stays hot across
-//! members — the locality argument of the paper's cache-blocking
-//! analysis applied along the batch axis — while the amplitude work per
-//! member is exactly what a lone run performs.
+//! A [`BatchSimulator`] owns nothing between calls. Every batched call
+//! runs one schedule, *member-major*: one worksharing region over the
+//! members, and a worker runs **every** op of a member's program on that
+//! member before it claims the next one. A member that fits a core's
+//! L2 is fetched once and stays there for its whole program — the
+//! cache-resident plateau of the paper's target-qubit analysis (E1),
+//! kept along the batch axis the way mpiQulacs keeps a rank's working
+//! set resident across consecutive local gates — and the batch pays one
+//! region, not one per op. What the members of
+//! [`run`](BatchSimulator::run) share is the lowering: the circuit is
+//! lowered once ([`lower`]) and its kernels are built once.
 //!
-//! Every (member, block) cell executes the *serial* kernel path a
-//! single-threaded [`Simulator`] run uses (the same `program::Kernel`
-//! sits behind both interpreters), and worksharing only decides which
-//! thread owns which disjoint cell. Batched results are therefore
-//! bit-identical to running the members sequentially, for every
-//! strategy × backend × schedule combination — the property the
-//! differential-conformance suite pins down.
+//! A member is executed by the *serial* kernel path a single-threaded
+//! [`Simulator`] uses (the same `program::Kernel` sits behind both
+//! interpreters); worksharing only decides which thread owns which
+//! member. Batched results are therefore bit-identical to running the
+//! members one after another, for every strategy × backend × schedule ×
+//! thread count — the property the differential-conformance suite pins
+//! down. The price of the one schedule: a batch with fewer members than
+//! threads leaves threads idle (a lone wide state belongs in
+//! [`Simulator`], which workshares inside the sweep).
 //!
-//! Trajectory sampling rides the same machinery:
+//! Trajectory sampling rides the same schedule:
 //! [`BatchSimulator::run_trajectories`] runs one noisy trajectory per
 //! member, each with its own seeded RNG, in a single batched call.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use omp_par::{for_each_cell, CellGrid, Schedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::calibrate::Calibration;
 use crate::circuit::Circuit;
-use crate::complex::C64;
 use crate::config::SimConfig;
 use crate::kernels::simd::KernelBackend;
-use crate::kernels::AmpPtr;
 use crate::measure::{measure_qubit, MeasurementResult};
 use crate::noise::{run_trajectory, NoiseChannel};
 use crate::perf::{predict_batched, BatchPrediction};
-use crate::program::{lower, GateRef, Kernel, Program, SweepOp};
+use crate::program::{lower, Kernel, Program, SweepOp};
 use crate::sim::{strategy_label, trace_io_error, SimError, Simulator, Strategy};
 use crate::state::StateVector;
-use crate::telemetry::{self, RunMeta, Trace, Tracer};
+use crate::telemetry::{self, RunMeta, Trace};
 
 /// Most members one batched call accepts. Far above any host memory
 /// budget for interesting widths; the cap exists so configuration
@@ -55,13 +59,14 @@ fn next_batch_id() -> u64 {
     NEXT_BATCH_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// A raw pointer to row `i` of a batch-owned table (states, RNGs,
-/// error counters), `Copy` so worksharing closures can capture it.
+/// A raw pointer to row `i` of a table the region shares (member
+/// states, result slots, per-thread scratch), `Copy` so the worksharing
+/// closure can capture it.
 ///
-/// Same disjointness contract as [`AmpPtr`]: each row index is touched
-/// by exactly one (member, block) cell, and the region barrier in
-/// [`for_each_cell`] orders all cell writes before the caller reads the
-/// tables again.
+/// Disjointness contract: a member row is touched only by the worker
+/// that claimed the member, a thread row only by that thread, and the
+/// region barrier in [`BatchSimulator::for_each_member`] orders every
+/// write before the caller reads the tables again.
 struct RowPtr<T>(*mut T);
 
 impl<T> Clone for RowPtr<T> {
@@ -71,16 +76,17 @@ impl<T> Clone for RowPtr<T> {
 }
 impl<T> Copy for RowPtr<T> {}
 
-// SAFETY: rows are handed to exactly one cell each (per-member grids),
-// so no two threads alias the same element.
-unsafe impl<T> Send for RowPtr<T> {}
-unsafe impl<T> Sync for RowPtr<T> {}
+// SAFETY: each row is handed to exactly one thread of the region, so no
+// two threads alias the same element; that thread mutates (and may
+// drop) the row's `T`, hence `T: Send`.
+unsafe impl<T: Send> Send for RowPtr<T> {}
+unsafe impl<T: Send> Sync for RowPtr<T> {}
 
 impl<T> RowPtr<T> {
     /// # Safety
-    /// `i` must be in bounds and exclusively owned by the calling cell.
+    /// `i` must be in bounds and exclusively owned by the calling thread.
     #[inline(always)]
-    unsafe fn at(self, i: usize) -> &'static mut T {
+    unsafe fn at<'r>(self, i: usize) -> &'r mut T {
         &mut *self.0.add(i)
     }
 }
@@ -97,14 +103,15 @@ pub struct BatchReport {
     pub members: usize,
     /// Gates in the source circuit.
     pub gates: usize,
-    /// Sweeps executed *per member* (= the single-run sweep count).
+    /// Sweeps executed *per member* (= the single-run sweep count;
+    /// member 0's when every member runs its own circuit).
     pub sweeps: usize,
     /// Kernel backend name.
     pub backend: &'static str,
     /// Measured throughput: `members / wall_seconds`.
     pub circuits_per_sec: f64,
-    /// A64FX-model batched-vs-sequential prediction, when a chip model
-    /// is attached.
+    /// A64FX-model prediction of this schedule against the gate-major
+    /// one, when a chip model is attached.
     pub predicted: Option<BatchPrediction>,
     /// One telemetry trace per member, when telemetry is enabled.
     pub traces: Vec<Trace>,
@@ -137,6 +144,56 @@ pub struct TrajectoryBatch {
     pub errors: Vec<usize>,
 }
 
+/// Where the member states of one batched call live.
+enum Members<'s> {
+    /// The caller's states, member `m` in row `m`.
+    Given(&'s mut [StateVector]),
+    /// `count` members that each start from `|0…0⟩`, run in one scratch
+    /// state per worker: a member's state exists only while its worker
+    /// runs it, so the call's footprint is `threads` states, not `count`.
+    Scratch { count: usize, n_qubits: u32 },
+}
+
+impl Members<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Members::Given(states) => states.len(),
+            Members::Scratch { count, .. } => *count,
+        }
+    }
+
+    /// The size and width limits every batched entry point enforces.
+    fn check(&self, n_qubits: u32) -> Result<(), SimError> {
+        if self.len() > MAX_BATCH {
+            return Err(SimError::InvalidConfig(format!(
+                "batch of {} members exceeds the limit of {MAX_BATCH}",
+                self.len()
+            )));
+        }
+        let Members::Given(states) = self else { return Ok(()) };
+        match states.iter().find(|s| s.n_qubits() != n_qubits) {
+            Some(s) => Err(SimError::QubitMismatch { circuit: n_qubits, state: s.n_qubits() }),
+            None => Ok(()),
+        }
+    }
+}
+
+/// What one member's run leaves behind beside its state.
+struct MemberRun {
+    /// Ops of the member's program (= sweeps of a unitary run).
+    sweeps: usize,
+    creg: u64,
+    outcomes: Vec<MeasurementResult>,
+    trace: Option<Trace>,
+}
+
+/// One finished region: what every entry point builds its result from.
+struct Executed {
+    batch_id: u64,
+    wall_seconds: f64,
+    runs: Vec<MemberRun>,
+}
+
 /// The batched execution engine.
 ///
 /// Configured through [`SimConfig`] like the single-run engine; the
@@ -160,8 +217,8 @@ impl BatchSimulator {
 
     /// Build a batched engine from a validated [`SimConfig`].
     ///
-    /// Integrity sweeps and checkpointing are per-run rollback state and
-    /// do not compose with gate-major interleaving; configs enabling
+    /// Integrity sweeps and checkpointing are per-run rollback state
+    /// the batch engine does not carry per member; configs enabling
     /// them are rejected with [`SimError::InvalidConfig`].
     pub fn from_config(config: SimConfig) -> Result<BatchSimulator, SimError> {
         if config.integrity.enabled() {
@@ -202,13 +259,13 @@ impl BatchSimulator {
         self.engine.backend()
     }
 
-    /// Execute `circuit` on every member of `states`, gate-major.
+    /// Execute `circuit` on every member of `states`: lowered once,
+    /// kernels built once, then each member runs the whole program.
     ///
     /// Results are bit-identical to running each member through a
-    /// *serial* single-run [`Simulator`] with
-    /// the same strategy and backend — regardless of this engine's
-    /// thread count, because work is sharded at (member × block)
-    /// granularity and every cell executes the serial kernel sequence.
+    /// *serial* single-run [`Simulator`] with the same strategy and
+    /// backend — regardless of this engine's thread count, because a
+    /// member is only ever touched by the one worker that claimed it.
     pub fn run(
         &self,
         circuit: &Circuit,
@@ -226,24 +283,11 @@ impl BatchSimulator {
                     .to_string(),
             ));
         }
-        let (program, run, traces) = self.interpret(circuit, states, &[])?;
-        let members = states.len();
-        let predicted = self
-            .engine
-            .chip
-            .as_ref()
-            .map(|(chip, cfg)| predict_batched(chip, cfg, &program, members));
-        Ok(BatchReport {
-            batch_id: run.batch_id,
-            wall_seconds: run.wall_seconds,
-            members,
-            gates: circuit.len(),
-            sweeps: program.ops.len(),
-            backend: self.backend().name,
-            circuits_per_sec: circuits_per_sec(members, run.wall_seconds),
-            predicted,
-            traces,
-        })
+        let (program, done) = self.run_shared(circuit, states, None)?;
+        let model = self.engine.chip.as_ref();
+        let predicted =
+            model.map(|(chip, cfg)| predict_batched(chip, cfg, &program, done.runs.len()));
+        self.report(done, circuit.len(), predicted)
     }
 
     /// Run `circuit` on [`batch_size`](BatchSimulator::batch_size)
@@ -258,28 +302,54 @@ impl BatchSimulator {
         Ok((states, report))
     }
 
-    /// Execute one circuit *per member*, gate-major: gate position `j`
-    /// of every member's circuit is applied across the whole batch
-    /// before position `j+1` starts. Circuits must be same-shaped —
-    /// equal width and equal gate count — which is exactly what a
-    /// parameter sweep of one parameterized circuit produces
-    /// ([`crate::variational`]): the gate stream stays hot along the
-    /// batch axis while each member applies its own angles.
+    /// Execute one circuit *per member*: member `m` runs all of
+    /// `circuits[m]`, lowered under the engine's strategy by the worker
+    /// that claims it. Circuits must be same-shaped — equal width and
+    /// equal gate count — which is exactly what a parameter sweep of one
+    /// parameterized circuit produces ([`crate::variational`]).
     ///
-    /// Each member's circuit is interpreted in place as its per-gate
-    /// program (no per-member [`Program`] is built), so member `m`'s
-    /// final state is bit-identical to running `circuits[m]` through a
-    /// serial `Strategy::Naive` [`Simulator`].
+    /// Member `m`'s final state is bit-identical to running
+    /// `circuits[m]` through a serial [`Simulator`] with this engine's
+    /// strategy and backend, and [`BatchReport::sweeps`] is that run's
+    /// sweep count (member 0's).
     pub fn run_sweep(
         &self,
         circuits: &[Circuit],
         states: &mut [StateVector],
     ) -> Result<BatchReport, SimError> {
-        let members = states.len();
-        if members == 0 || circuits.len() != members {
+        Ok(self.sweep(circuits, Members::Given(states), |_, _| ())?.1)
+    }
+
+    /// [`run_sweep`](BatchSimulator::run_sweep) from `|0…0⟩` without
+    /// keeping the states: each worker owns one scratch state for the
+    /// call, re-zeroes it per member, runs the member's circuit and
+    /// hands the final state to `read(m, state)` while it is still in
+    /// cache. Returns what `read` returned, in member order — for every
+    /// member the value `run_sweep` followed by `read` on its state
+    /// gives, bit for bit — while the call holds `threads` states
+    /// instead of one per member.
+    pub fn sweep_map<R: Send>(
+        &self,
+        circuits: &[Circuit],
+        read: impl Fn(usize, &StateVector) -> R + Sync,
+    ) -> Result<(Vec<R>, BatchReport), SimError> {
+        let n_qubits = circuits.first().map_or(0, Circuit::n_qubits);
+        self.sweep(circuits, Members::Scratch { count: circuits.len(), n_qubits }, read)
+    }
+
+    /// Both sweep entry points: validate, then one region in which each
+    /// member lowers and runs its own circuit and is `read`.
+    fn sweep<R: Send>(
+        &self,
+        circuits: &[Circuit],
+        members: Members,
+        read: impl Fn(usize, &StateVector) -> R + Sync,
+    ) -> Result<(Vec<R>, BatchReport), SimError> {
+        if circuits.is_empty() || circuits.len() != members.len() {
             return Err(SimError::InvalidConfig(format!(
-                "sweep needs one circuit per member state (got {} circuits, {members} states)",
-                circuits.len()
+                "sweep needs one circuit per member state (got {} circuits, {} states)",
+                circuits.len(),
+                members.len()
             )));
         }
         let n = circuits[0].n_qubits();
@@ -301,55 +371,34 @@ impl BatchSimulator {
                 ));
             }
         }
-        check_members(states, n)?;
-        let len = 1usize << n;
-        let be = self.backend();
-        let batch_id = next_batch_id();
-        let tracers = self.tracers(n, members);
-        let start = Instant::now();
-        let ptrs = amp_ptrs(states);
-        for j in 0..gate_count {
-            self.for_each_member(&ptrs, len, |m, amps| {
-                let op = SweepOp::Gate(GateRef::Source(&circuits[m].gates()[j]));
-                exec_member(
-                    be,
-                    self.engine.sched,
-                    &op.kernel(0),
-                    &op,
-                    amps,
-                    tracers.as_ref().map(|t| &t[m]),
-                );
-            });
+        members.check(n)?;
+        let strategy = self.engine.strategy;
+        if !matches!(strategy, Strategy::Naive | Strategy::Blocked { .. }) {
+            // The one-time startup calibration is a timing measurement:
+            // take it here, not in a worker beside running members.
+            Calibration::get();
         }
-        let wall_seconds = start.elapsed().as_secs_f64();
-        // Every member runs the per-gate program of its own circuit;
-        // member 0's stands for the shape in the header and the model.
-        let shape = || Program::per_gate(&circuits[0]);
-        let traces = match tracers {
-            Some(ts) => self.finish_traces(ts, shape().strategy.to_string(), be, n, batch_id)?,
-            None => Vec::new(),
-        };
-        let predicted = self
-            .engine
-            .chip
-            .as_ref()
-            .map(|(chip, cfg)| predict_batched(chip, cfg, &shape(), members));
-        Ok(BatchReport {
-            batch_id,
-            wall_seconds,
-            members,
-            gates: gate_count,
-            sweeps: gate_count,
-            backend: be.name,
-            circuits_per_sec: circuits_per_sec(members, wall_seconds),
-            predicted,
-            traces,
-        })
+        let batch_id = next_batch_id();
+        let start = Instant::now();
+        let (runs, values) = self
+            .for_each_member(members, |m, state| {
+                let program = lower(&circuits[m], strategy, None);
+                let run = self.run_member(&program, &program.kernels(), state, None, (batch_id, m));
+                (run, read(m, state))
+            })
+            .into_iter()
+            .unzip();
+        let done = Executed { batch_id, wall_seconds: start.elapsed().as_secs_f64(), runs };
+        // Member 0's program stands for the shape in the model.
+        let predicted = self.engine.chip.as_ref().map(|(chip, cfg)| {
+            predict_batched(chip, cfg, &lower(&circuits[0], strategy, None), circuits.len())
+        });
+        Ok((values, self.report(done, gate_count, predicted)?))
     }
 
     /// Execute one circuit containing [`Gate::Measure`] /
-    /// [`Gate::Cif`] ops on every member, gate-major, with **per-member
-    /// RNG streams**: member `m` draws from
+    /// [`Gate::Cif`] ops on every member, with **per-member RNG
+    /// streams**: member `m` draws from
     /// `StdRng::seed_from_u64(seeds[m])`, one draw per `Measure`, in
     /// circuit order.
     ///
@@ -376,142 +425,150 @@ impl BatchSimulator {
                 states.len()
             )));
         }
-        Ok(self.interpret(circuit, states, seeds)?.1)
+        let Executed { batch_id, wall_seconds, runs } =
+            self.run_shared(circuit, states, Some(seeds))?.1;
+        let (outcomes, cregs) = runs.into_iter().map(|r| (r.outcomes, r.creg)).unzip();
+        Ok(MeasuredBatch { batch_id, wall_seconds, outcomes, cregs })
     }
 
-    /// The interpreter: lower `circuit` once, then apply each op of the
-    /// program to every member before the next op starts. Block ops run
-    /// on the fine (member × block) grid when untraced; everything else
-    /// — and every traced op, so each member's sweep is timed as one
-    /// span — runs one cell per member. `seeds` (one per member, or
-    /// empty for a barrier-free circuit) start the per-member RNG
-    /// streams that `Measure` ops draw from; only unseeded (unitary)
-    /// runs are traced, and return one trace per member.
-    fn interpret<'c>(
+    /// `run` and `run_measured`: lower `circuit` and build its kernels
+    /// once, then one region in which every member runs that program.
+    /// `seeds` (one per member) start the RNG streams of a measured run.
+    fn run_shared<'c>(
         &self,
         circuit: &'c Circuit,
         states: &mut [StateVector],
-        seeds: &[u64],
-    ) -> Result<(Program<'c>, MeasuredBatch, Vec<Trace>), SimError> {
-        let members = states.len();
-        let n = circuit.n_qubits();
-        check_members(states, n)?;
-        let len = 1usize << n;
-        let be = self.backend();
+        seeds: Option<&[u64]>,
+    ) -> Result<(Program<'c>, Executed), SimError> {
+        let members = Members::Given(states);
+        members.check(circuit.n_qubits())?;
         let batch_id = next_batch_id();
-        let tracers = seeds.is_empty().then(|| self.tracers(n, members)).flatten();
-        let trs = tracers.as_deref();
-        let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-        let mut cregs: Vec<u64> = vec![0; seeds.len()];
-        let mut outcomes: Vec<Vec<MeasurementResult>> = vec![Vec::new(); seeds.len()];
         let start = Instant::now();
-        // Lowered ONCE and shared by every member — the amortization
-        // the batch engine exists for.
         let program = lower(circuit, self.engine.strategy, None);
-        let mut ptrs = amp_ptrs(states);
-        let (rngs_ptr, cregs_ptr, outcomes_ptr) =
-            (RowPtr(rngs.as_mut_ptr()), RowPtr(cregs.as_mut_ptr()), RowPtr(outcomes.as_mut_ptr()));
-        for op in &program.ops {
-            match op {
-                SweepOp::Measure { q, creg: bit } => {
-                    let states_ptr = RowPtr(states.as_mut_ptr());
-                    let grid = CellGrid::per_member(members);
-                    for_each_cell(self.engine.pool.as_deref(), self.engine.sched, grid, |m, _| {
-                        // SAFETY: the per-member grid hands row `m` of
-                        // every table to exactly this cell; the region
-                        // barrier orders all writes before the next
-                        // op's cells (or the caller) read them.
-                        let (state, rng, cr, outs) = unsafe {
-                            (states_ptr.at(m), rngs_ptr.at(m), cregs_ptr.at(m), outcomes_ptr.at(m))
-                        };
-                        let r = measure_qubit(state, *q, rng);
-                        *cr = (*cr & !(1 << bit)) | ((r.outcome as u64) << bit);
-                        outs.push(r);
-                    });
-                    // The collapse reborrowed every member's buffer
-                    // through its `StateVector`: re-derive the raw
-                    // amplitude pointers the sweeps below go through.
-                    ptrs = amp_ptrs(states);
-                }
-                op => {
-                    let kernel = op.kernel(program.block_qubits);
-                    match kernel.block_len().filter(|_| trs.is_none()) {
-                        Some(block) => {
-                            let grid = CellGrid::new(members, len / block);
-                            for_each_cell(
-                                self.engine.pool.as_deref(),
-                                self.engine.sched,
-                                grid,
-                                |m, b| {
-                                    // SAFETY: cells are disjoint (member,
-                                    // block) slices; the region barrier ends
-                                    // all access before the next op.
-                                    let chunk = unsafe { ptrs[m].slice(b * block, block) };
-                                    kernel.exec_chunk(be, chunk);
-                                },
-                            );
-                        }
-                        None => self.for_each_member(&ptrs, len, |m, amps| {
-                            if let SweepOp::Cif { mask, val, .. } = op {
-                                // SAFETY: row `m` belongs to this cell.
-                                if *unsafe { cregs_ptr.at(m) } & mask != *val {
-                                    return;
-                                }
-                            }
-                            exec_member(
-                                be,
-                                self.engine.sched,
-                                &kernel,
-                                op,
-                                amps,
-                                trs.map(|ts| &ts[m]),
-                            );
-                        }),
+        let runs = {
+            let kernels = program.kernels();
+            self.for_each_member(members, |m, state| {
+                self.run_member(&program, &kernels, state, seeds.map(|s| s[m]), (batch_id, m))
+            })
+        };
+        let done = Executed { batch_id, wall_seconds: start.elapsed().as_secs_f64(), runs };
+        Ok((program, done))
+    }
+
+    /// The schedule, and the only place a batched call opens a
+    /// worksharing region: one region over the members, `body(m, state)`
+    /// once per member on the worker that claimed it (inline on the
+    /// caller without a pool), results returned in member order.
+    fn for_each_member<R: Send>(
+        &self,
+        members: Members,
+        body: impl Fn(usize, &mut StateVector) -> R + Sync,
+    ) -> Vec<R> {
+        let (count, given, n_qubits) = match members {
+            Members::Given(states) => (states.len(), Some(RowPtr(states.as_mut_ptr())), 0),
+            Members::Scratch { count, n_qubits } => (count, None, n_qubits),
+        };
+        let mut results: Vec<Option<R>> = (0..count).map(|_| None).collect();
+        let mut scratch: Vec<Option<StateVector>> = vec![None; self.threads()];
+        let (results_ptr, scratch_ptr) =
+            (RowPtr(results.as_mut_ptr()), RowPtr(scratch.as_mut_ptr()));
+        let claim = |thread: usize, claimed: Range<usize>| {
+            for m in claimed {
+                // SAFETY: worksharing hands member `m` — its state row
+                // and its result slot — to exactly this worker, scratch
+                // row `thread` belongs to this thread, and the region
+                // barrier orders every write before the reads below.
+                let state = match given {
+                    Some(rows) => unsafe { rows.at(m) },
+                    None => {
+                        // Allocated by the worker that uses it, on its
+                        // first member; re-zeroed for every member.
+                        let state = unsafe { scratch_ptr.at(thread) }
+                            .get_or_insert_with(|| StateVector::zero(n_qubits));
+                        state.reset();
+                        state
                     }
+                };
+                *unsafe { results_ptr.at(m) } = Some(body(m, state));
+            }
+        };
+        match self.engine.pool.as_deref() {
+            Some(pool) => pool.parallel_for_indexed(0..count, self.engine.sched, claim),
+            None => claim(0, 0..count),
+        }
+        results.into_iter().map(|r| r.expect("the region runs every member")).collect()
+    }
+
+    /// One member's whole program on the calling worker: every op in
+    /// order through the serial kernel path, with the member's RNG
+    /// stream, classical register, outcome list and tracer as locals.
+    /// `seed` starts the stream `Measure` ops draw from; a run without
+    /// one is unitary, and is the kind that is traced (one trace per
+    /// member, a drop-in for the single-run trace of the same circuit).
+    fn run_member(
+        &self,
+        program: &Program,
+        kernels: &[Option<Kernel>],
+        state: &mut StateVector,
+        seed: Option<u64>,
+        (batch_id, member): (u64, usize),
+    ) -> MemberRun {
+        let (be, sched) = (self.backend(), self.engine.sched);
+        let n_qubits = program.n_qubits;
+        let tracer = match seed {
+            None => {
+                self.engine.telemetry.tracer(self.engine.chip.as_ref(), n_qubits, self.threads())
+            }
+            Some(_) => None,
+        };
+        let mut rng = StdRng::seed_from_u64(seed.unwrap_or(0));
+        let mut creg = 0u64;
+        let mut outcomes = Vec::new();
+        for (op, kernel) in program.ops.iter().zip(kernels) {
+            match (op, kernel) {
+                (SweepOp::Measure { q, creg: bit }, _) => {
+                    let r = measure_qubit(state, *q, &mut rng);
+                    creg = (creg & !(1 << bit)) | ((r.outcome as u64) << bit);
+                    outcomes.push(r);
                 }
+                (SweepOp::Cif { mask, val, .. }, _) if creg & mask != *val => {}
+                (_, None) => unreachable!("every sweep op has a kernel"),
+                (_, Some(kernel)) => match &tracer {
+                    Some(t) => {
+                        let t0 = Instant::now();
+                        kernel.exec(be, None, sched, state.amplitudes_mut());
+                        t.record_op(0, op, t0.elapsed().as_nanos() as u64);
+                    }
+                    None => kernel.exec(be, None, sched, state.amplitudes_mut()),
+                },
             }
         }
-        let wall_seconds = start.elapsed().as_secs_f64();
-        let traces = match tracers {
-            Some(ts) => {
-                let strategy = strategy_label(self.engine.strategy, program.strategy);
-                self.finish_traces(ts, strategy, be, n, batch_id)?
-            }
-            None => Vec::new(),
-        };
-        Ok((program, MeasuredBatch { batch_id, wall_seconds, outcomes, cregs }, traces))
-    }
-
-    /// One tracer per member, when telemetry is on: spans stay
-    /// attributable, and each member's trace is a drop-in for the
-    /// single-run trace of the same circuit.
-    fn tracers(&self, n_qubits: u32, members: usize) -> Option<Vec<Tracer>> {
-        (0..members)
-            .map(|_| {
-                self.engine.telemetry.tracer(self.engine.chip.as_ref(), n_qubits, self.threads())
-            })
-            .collect()
-    }
-
-    /// Close every member's tracer and write the configured sink.
-    fn finish_traces(
-        &self,
-        tracers: Vec<Tracer>,
-        strategy: String,
-        be: &KernelBackend,
-        n_qubits: u32,
-        batch_id: u64,
-    ) -> Result<Vec<Trace>, SimError> {
-        let mut traces = Vec::with_capacity(tracers.len());
-        for (m, t) in tracers.into_iter().enumerate() {
-            let trace = t.finish(RunMeta {
-                strategy: strategy.clone(),
+        let trace = tracer.map(|t| {
+            t.finish(RunMeta {
+                strategy: strategy_label(self.engine.strategy, program.strategy),
                 backend: be.name.to_string(),
                 threads: self.threads() as u32,
-                schedule: self.engine.sched.to_string(),
+                schedule: sched.to_string(),
                 n_qubits,
-                label: member_label(&self.engine.telemetry.label, batch_id, m),
-            });
+                label: member_label(&self.engine.telemetry.label, batch_id, member),
+            })
+        });
+        MemberRun { sweeps: program.ops.len(), creg, outcomes, trace }
+    }
+
+    /// Write the members' traces to the configured sink and assemble
+    /// the report.
+    fn report(
+        &self,
+        done: Executed,
+        gates: usize,
+        predicted: Option<BatchPrediction>,
+    ) -> Result<BatchReport, SimError> {
+        let Executed { batch_id, wall_seconds, runs } = done;
+        let members = runs.len();
+        let sweeps = runs[0].sweeps;
+        let traces: Vec<Trace> = runs.into_iter().filter_map(|r| r.trace).collect();
+        for (m, trace) in traces.iter().enumerate() {
             // Member 0 honors the configured truncate/append choice;
             // later members append, so one batched run lands in the
             // JSONL sink as one contiguous group.
@@ -520,11 +577,20 @@ impl BatchSimulator {
             } else {
                 self.engine.telemetry.clone().appending(true)
             };
-            telemetry::write_configured(&sink_cfg, &trace)
+            telemetry::write_configured(&sink_cfg, trace)
                 .map_err(|e| trace_io_error(&self.engine.telemetry, e))?;
-            traces.push(trace);
         }
-        Ok(traces)
+        Ok(BatchReport {
+            batch_id,
+            wall_seconds,
+            members,
+            gates,
+            sweeps,
+            backend: self.backend().name,
+            circuits_per_sec: if wall_seconds > 0.0 { members as f64 / wall_seconds } else { 0.0 },
+            predicted,
+            traces,
+        })
     }
 
     /// Sample one noisy trajectory per seed, batched: member `m` starts
@@ -566,101 +632,20 @@ impl BatchSimulator {
                     .to_string(),
             ));
         }
-        let n = circuit.n_qubits();
         let batch_id = next_batch_id();
         let start = Instant::now();
-        let mut states: Vec<StateVector> = members.iter().map(|_| StateVector::zero(n)).collect();
-        let mut rngs: Vec<StdRng> =
-            members.iter().map(|&(_, seed)| StdRng::seed_from_u64(seed)).collect();
-        let mut errors: Vec<usize> = vec![0; members.len()];
-        {
-            let states_ptr = RowPtr(states.as_mut_ptr());
-            let rngs_ptr = RowPtr(rngs.as_mut_ptr());
-            let errors_ptr = RowPtr(errors.as_mut_ptr());
-            for_each_cell(
-                self.engine.pool.as_deref(),
-                self.engine.sched,
-                CellGrid::per_member(members.len()),
-                |m, _| {
-                    // SAFETY: the per-member grid hands row `m` of every
-                    // table to exactly this cell; the region barrier
-                    // orders all writes before the tables are read below.
-                    let state = unsafe { states_ptr.at(m) };
-                    let rng = unsafe { rngs_ptr.at(m) };
-                    let errs = unsafe { errors_ptr.at(m) };
-                    *errs = run_trajectory(circuit, state, members[m].0, rng);
-                },
-            );
-        }
+        let mut states: Vec<StateVector> =
+            members.iter().map(|_| StateVector::zero(circuit.n_qubits())).collect();
+        let errors = self.for_each_member(Members::Given(&mut states), |m, state| {
+            let (channel, seed) = members[m];
+            run_trajectory(circuit, state, channel, &mut StdRng::seed_from_u64(seed))
+        });
         Ok(TrajectoryBatch {
             batch_id,
             wall_seconds: start.elapsed().as_secs_f64(),
             states,
             errors,
         })
-    }
-
-    /// Run `body(member, amplitudes)` once per member, one cell each.
-    fn for_each_member(
-        &self,
-        ptrs: &[AmpPtr],
-        len: usize,
-        body: impl Fn(usize, &mut [C64]) + Sync,
-    ) {
-        let grid = CellGrid::per_member(ptrs.len());
-        for_each_cell(self.engine.pool.as_deref(), self.engine.sched, grid, |m, _| {
-            // SAFETY: cell (m, 0) is the only cell touching member m's
-            // amplitudes; the region barrier ends all access on return.
-            body(m, unsafe { ptrs[m].slice(0, len) })
-        });
-    }
-}
-
-/// One member's share of one op: the *serial* kernel path, timed into
-/// the member's tracer when tracing.
-fn exec_member(
-    be: &KernelBackend,
-    sched: Schedule,
-    kernel: &Kernel,
-    op: &SweepOp,
-    amps: &mut [C64],
-    tracer: Option<&Tracer>,
-) {
-    match tracer {
-        Some(t) => {
-            let t0 = Instant::now();
-            kernel.exec(be, None, sched, amps);
-            t.record_op(0, op, t0.elapsed().as_nanos() as u64);
-        }
-        None => kernel.exec(be, None, sched, amps),
-    }
-}
-
-/// Raw base pointers of every member's amplitude buffer, for cells to
-/// carve their disjoint slices from.
-fn amp_ptrs(states: &mut [StateVector]) -> Vec<AmpPtr> {
-    states.iter_mut().map(|s| AmpPtr(s.amplitudes_mut().as_mut_ptr())).collect()
-}
-
-/// The size and width limits every batched entry point enforces.
-fn check_members(states: &[StateVector], n_qubits: u32) -> Result<(), SimError> {
-    if states.len() > MAX_BATCH {
-        return Err(SimError::InvalidConfig(format!(
-            "batch of {} members exceeds the limit of {MAX_BATCH}",
-            states.len()
-        )));
-    }
-    match states.iter().find(|s| s.n_qubits() != n_qubits) {
-        Some(s) => Err(SimError::QubitMismatch { circuit: n_qubits, state: s.n_qubits() }),
-        None => Ok(()),
-    }
-}
-
-fn circuits_per_sec(members: usize, wall_seconds: f64) -> f64 {
-    if wall_seconds > 0.0 {
-        members as f64 / wall_seconds
-    } else {
-        0.0
     }
 }
 
@@ -859,28 +844,54 @@ mod tests {
         assert!(err.to_string().contains("unitary"), "{err}");
     }
 
-    #[test]
-    fn sweep_is_bit_identical_to_serial_naive_runs() {
+    /// Six bound points of a 5-qubit ansatz.
+    fn sweep_circuits() -> Vec<Circuit> {
         use crate::variational::hardware_efficient_ansatz;
         let pc = hardware_efficient_ansatz(5, 2);
-        let points: Vec<Vec<f64>> = (0..6)
-            .map(|i| (0..pc.n_params()).map(|j| 0.1 * (i * 3 + j) as f64).collect())
-            .collect();
-        let circuits: Vec<Circuit> = points.iter().map(|p| pc.bind(p)).collect();
-        let serial = Simulator::new();
-        let mut expect: Vec<StateVector> = circuits.iter().map(|_| StateVector::zero(5)).collect();
-        for (c, s) in circuits.iter().zip(expect.iter_mut()) {
-            serial.run(c, s).unwrap();
-        }
-        for threads in [1usize, 4] {
-            let batch = BatchSimulator::from_config(SimConfig::default().threads(threads)).unwrap();
+        (0..6)
+            .map(|i| {
+                pc.bind(&(0..pc.n_params()).map(|j| 0.1 * (i * 3 + j) as f64).collect::<Vec<_>>())
+            })
+            .collect()
+    }
+
+    /// `run_sweep` and `sweep_map` on `threads` threads against a
+    /// serial `Simulator` of the same strategy, circuit by circuit.
+    fn sweep_matches_serial_runs(threads: usize) {
+        let circuits = sweep_circuits();
+        for strategy in all_strategies() {
+            let cfg = SimConfig::default().strategy(strategy);
+            let serial = Simulator::from_config(cfg.clone().serial()).unwrap();
+            let batch = BatchSimulator::from_config(cfg.threads(threads)).unwrap();
             let mut got: Vec<StateVector> = circuits.iter().map(|_| StateVector::zero(5)).collect();
             let report = batch.run_sweep(&circuits, &mut got).unwrap();
-            assert_eq!(report.sweeps, pc.len());
-            for (m, (g, e)) in got.iter().zip(&expect).enumerate() {
-                assert!(g.approx_eq(e, 0.0), "member {m} diverged (threads={threads})");
+            let (streamed, _) = batch.sweep_map(&circuits, |m, s| (m, s.clone())).unwrap();
+            for (m, c) in circuits.iter().enumerate() {
+                let mut expect = StateVector::zero(5);
+                let run = serial.run(c, &mut expect).unwrap();
+                let cell = format!("member {m} ({strategy}, threads={threads})");
+                if m == 0 {
+                    // Cost-aware lowerings may sweep another member's
+                    // angles differently; the report carries member 0's.
+                    assert_eq!(report.sweeps, run.sweeps, "{cell}");
+                }
+                assert!(got[m].approx_eq(&expect, 0.0), "{cell}: run_sweep diverged");
+                assert_eq!(streamed[m].0, m, "{cell}: results out of member order");
+                assert!(streamed[m].1.approx_eq(&expect, 0.0), "{cell}: sweep_map diverged");
             }
         }
+    }
+
+    #[test]
+    fn sweeps_are_bit_identical_to_serial_runs_of_the_same_strategy() {
+        sweep_matches_serial_runs(1);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // spawns worker threads; covered serially above
+    fn threaded_sweeps_are_bit_identical_to_serial_runs_of_the_same_strategy() {
+        sweep_matches_serial_runs(2);
+        sweep_matches_serial_runs(4);
     }
 
     #[test]
@@ -898,8 +909,13 @@ mod tests {
         let mut m = Circuit::new(3);
         m.measure(0, 0);
         let mut one = vec![StateVector::zero(3)];
-        let err = sim.run_sweep(&[m], &mut one).unwrap_err();
+        let err = sim.run_sweep(std::slice::from_ref(&m), &mut one).unwrap_err();
         assert!(err.to_string().contains("unitary"), "{err}");
+        // The streaming form goes through the same door.
+        let err = sim.sweep_map(&[m], |_, _| ()).unwrap_err();
+        assert!(err.to_string().contains("unitary"), "{err}");
+        let err = sim.sweep_map(&[], |_, _| ()).unwrap_err();
+        assert!(err.to_string().contains("one circuit per member"), "{err}");
     }
 
     #[test]
@@ -999,7 +1015,7 @@ mod tests {
         let p = report.predicted.expect("model attached");
         assert_eq!(p.members, 8);
         assert!(p.speedup >= 1.0);
-        assert!(p.batched_seconds < p.sequential_seconds);
+        assert!(p.member_major_seconds <= p.gate_major_seconds);
     }
 
     // Seeds reaching `StateVector::random` must not collide with the

@@ -63,9 +63,8 @@ pub fn apply_blocked(
 }
 
 /// Apply one run of block gates to a single cache-resident chunk — the
-/// per-cell unit both the block loop here and the batched
-/// (member × block) engine dispatch, so every path performs the
-/// identical per-amplitude arithmetic.
+/// unit the block loop here dispatches, serial or workshared, so every
+/// path performs the identical per-amplitude arithmetic.
 pub fn apply_block_chunk(be: &KernelBackend, chunk: &mut [C64], gates: &[GateKernel]) {
     for g in gates {
         g.apply(be, None, Schedule::default(), chunk);

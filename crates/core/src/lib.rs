@@ -27,12 +27,13 @@
 //!   `a64fx-model`.
 //! * [`calibrate`] — startup micro-benchmark measuring per-kernel costs
 //!   on the actual machine; powers [`Strategy`](sim::Strategy)`::Auto`.
-//! * [`batch`] — gate-major batched multi-circuit execution: one
+//! * [`batch`] — member-major batched multi-circuit execution: one
 //!   [`BatchSimulator`](batch::BatchSimulator) call runs B independent
-//!   states (or noisy trajectories) bit-identically to B single runs.
+//!   states (or noisy trajectories) bit-identically to B single runs,
+//!   each member's whole program on one worker while it is cache-resident.
 //! * [`variational`] — parameterized circuits, parameter-shift
 //!   gradients, and VQE optimizer loops that evaluate each iteration's
-//!   parameter sweep as one gate-major batch.
+//!   parameter sweep as one batch, reduced in the worker.
 //! * [`testing`] — seeded random-circuit generators shared by the
 //!   differential-conformance test suites.
 //!

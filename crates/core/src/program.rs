@@ -33,7 +33,7 @@ use crate::calibrate::{block_pass_ns, fused_per_amp, gate_per_amp, Calibration};
 use crate::circuit::{Circuit, Gate};
 use crate::complex::C64;
 use crate::fusion::{fuse, fuse_costed, FusedOp};
-use crate::kernels::blocked::{apply_block_chunk, apply_blocked, PreparedRun};
+use crate::kernels::blocked::{apply_blocked, PreparedRun};
 use crate::kernels::dispatch::GateKernel;
 use crate::kernels::fused::PreparedFused;
 use crate::kernels::simd::KernelBackend;
@@ -218,7 +218,7 @@ fn lower_blocked<'c>(ops: &mut Vec<SweepOp<'c>>, gates: &'c [Gate], block_qubits
 impl<'c> Program<'c> {
     /// The gate-by-gate lowering — one borrowed gate per sweep, no
     /// cost table read — for callers that want the per-gate model of a
-    /// circuit, and what each member of a parameter sweep executes.
+    /// circuit.
     pub fn per_gate(circuit: &'c Circuit) -> Program<'c> {
         lower(circuit, Strategy::Naive, None)
     }
@@ -242,6 +242,13 @@ impl<'c> Program<'c> {
         let barrier = |op: &SweepOp| matches!(op, SweepOp::Measure { .. } | SweepOp::Cif { .. });
         let ops = &self.ops;
         (0..ops.len()).filter(|&i| !barrier(&ops[i]) && (i == 0 || barrier(&ops[i - 1]))).count()
+    }
+
+    /// Every op resolved to its kernel (offset tables, class dispatch),
+    /// once, ahead of the sweeps; a collapse has none.
+    pub(crate) fn kernels(&self) -> Vec<Option<Kernel<'_>>> {
+        let sweeps = |op: &SweepOp| !matches!(op, SweepOp::Measure { .. });
+        self.ops.iter().map(|op| sweeps(op).then(|| op.kernel(self.block_qubits))).collect()
     }
 
     /// Predicted serial nanoseconds on this machine, from the calibrated
@@ -354,7 +361,7 @@ impl SweepOp<'_> {
 
     /// Resolve the op to its kernel: offset tables and class dispatch
     /// are built here, once, so a batch applies the same [`Kernel`] to
-    /// every member.
+    /// every member ([`Program::kernels`] resolves a whole program).
     pub(crate) fn kernel(&self, block_qubits: u32) -> Kernel<'_> {
         match self {
             SweepOp::Gate(g) => Kernel::Gate(GateKernel::from(&**g)),
@@ -403,27 +410,6 @@ impl Kernel<'_> {
             Kernel::AxisSwap(a, b) => sweep::apply_swap(be, pool, sched, amps, *a, *b),
             Kernel::BlockRun(gates, bq) => apply_blocked(be, pool, sched, amps, gates, *bq),
             Kernel::BlockPass(run) => run.apply(be, pool, sched, amps),
-        }
-    }
-
-    /// Amplitudes per cache block, for the block ops — the ones that act
-    /// independently on each block and can therefore be sharded finer
-    /// than one state.
-    pub(crate) fn block_len(&self) -> Option<usize> {
-        match self {
-            Kernel::BlockRun(_, bq) => Some(1usize << bq),
-            Kernel::BlockPass(run) => Some(run.block_len()),
-            _ => None,
-        }
-    }
-
-    /// Apply a block op to one cache-resident chunk of
-    /// [`block_len`](Kernel::block_len) amplitudes.
-    pub(crate) fn exec_chunk(&self, be: &KernelBackend, chunk: &mut [C64]) {
-        match self {
-            Kernel::BlockRun(gates, _) => apply_block_chunk(be, chunk, gates),
-            Kernel::BlockPass(run) => run.apply_chunk(be, chunk),
-            _ => unreachable!("only block ops have a block_len to be chunked by"),
         }
     }
 }

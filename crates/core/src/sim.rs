@@ -16,7 +16,7 @@ use crate::integrity::{self, IntegrityMode, IntegrityPolicy, IntegrityViolation,
 use crate::kernels::simd::{self, BackendChoice, KernelBackend};
 use crate::measure::{measure_qubit, MeasurementResult};
 use crate::perf::{predict, ModelReport};
-use crate::program::{lower, Kernel, Program, SweepOp};
+use crate::program::{lower, Program, SweepOp};
 use crate::state::StateVector;
 use crate::telemetry::{self, RunMeta, TelemetryConfig, Trace, Tracer};
 
@@ -453,15 +453,8 @@ impl Simulator {
         };
         let start = Instant::now();
         let program = lower(circuit, strategy, None);
-        // Kernels (offset tables, class dispatch) are built once, ahead
-        // of the spans, and survive a guard replay; a collapse has none.
-        let kernels: Vec<Option<Kernel>> = program
-            .ops
-            .iter()
-            .map(|op| {
-                (!matches!(op, SweepOp::Measure { .. })).then(|| op.kernel(program.block_qubits))
-            })
-            .collect();
+        // Built once, ahead of the spans; they survive a guard replay.
+        let kernels = program.kernels();
         let mut i = 0;
         while i < program.ops.len() {
             let op = &program.ops[i];

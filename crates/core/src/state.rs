@@ -29,6 +29,12 @@ impl StateVector {
         StateVector { n_qubits, amps }
     }
 
+    /// Back to `|0…0⟩` in place — a reused buffer's fresh start.
+    pub fn reset(&mut self) {
+        self.amps.as_mut_slice().fill(C64::default());
+        self.amps[0] = C64::real(1.0);
+    }
+
     /// A specific computational basis state `|index⟩`.
     pub fn basis(n_qubits: u32, index: usize) -> StateVector {
         let mut s = StateVector::zero(n_qubits);

@@ -5,13 +5,15 @@
 //! concrete parameter vector. A [`VqeDriver`] ties a template to a
 //! compiled observable ([`CompiledObservable`]) and evaluates whole
 //! *parameter sweeps* — every shift point of one optimizer iteration —
-//! as a single gate-major batch through
-//! [`BatchSimulator::run_sweep`](crate::batch::BatchSimulator::run_sweep):
-//! the bound circuits are same-shaped by construction (only angles
-//! differ), so the gate stream stays hot along the batch axis while
-//! each member applies its own angles. Energies are bit-identical to
-//! evaluating each point serially (`Strategy::Naive`), which is the
-//! conformance property `tests/gradient_conformance.rs` pins.
+//! as a single member-major batch through
+//! [`BatchSimulator::sweep_map`](crate::batch::BatchSimulator::sweep_map):
+//! a worker runs one point's whole circuit on its scratch state while
+//! that state is cache-resident, reduces the observable over it there
+//! (QEA keeps a state slice on-chip through the readout for the same
+//! reason) and moves on to the next point. Energies are
+//! bit-identical to evaluating each point on a serial `Simulator` of the
+//! engine's strategy and backend, which is the conformance property
+//! `tests/gradient_conformance.rs` pins.
 //!
 //! Gradients use the **parameter-shift rule**: every parameterized op
 //! here is a rotation `exp(-iθP/2)` with `P² = I`, so the derivative is
@@ -321,59 +323,91 @@ impl VqeDriver {
         Ok(self.energies(std::slice::from_ref(&theta.to_vec()))?[0])
     }
 
-    /// Evaluate every parameter point of a sweep, batched gate-major:
-    /// points are chunked at [`MAX_BATCH`], each chunk bound into
-    /// same-shaped circuits and pushed through
-    /// [`BatchSimulator::run_sweep`], then reduced with the one
-    /// compiled observable. Energies are bit-identical to serial
-    /// per-point evaluation.
+    /// Evaluate every parameter point of a sweep as one batched call
+    /// (points are chunked at [`MAX_BATCH`]): each chunk is bound into
+    /// same-shaped circuits and streamed through
+    /// [`BatchSimulator::sweep_map`] — the worker that ran a point
+    /// reduces the compiled observable over its state, on the engine's
+    /// backend, while the state is still in cache, so no point's state
+    /// outlives its evaluation. Energies are bit-identical to evaluating
+    /// each point on a serial [`Simulator`](crate::sim::Simulator) of
+    /// the engine's strategy and backend.
+    ///
+    /// Every point is validated before any circuit is bound: a wrong
+    /// length or a non-finite angle is [`SimError::InvalidConfig`]
+    /// naming the point.
     pub fn energies(&self, points: &[Vec<f64>]) -> Result<Vec<f64>, SimError> {
+        for (i, point) in points.iter().enumerate() {
+            self.check_point(i, point)?;
+        }
+        let be = self.engine.backend();
         let mut out = Vec::with_capacity(points.len());
-        for chunk in points.chunks(MAX_BATCH.max(1)) {
+        for chunk in points.chunks(MAX_BATCH) {
             let circuits: Vec<Circuit> = chunk.iter().map(|p| self.ansatz.bind(p)).collect();
-            let mut states: Vec<StateVector> =
-                chunk.iter().map(|_| StateVector::zero(self.ansatz.n_qubits())).collect();
-            self.engine.run_sweep(&circuits, &mut states)?;
-            out.extend(states.iter().map(|s| self.observable.expectation(s)));
+            let reduce = |_, state: &StateVector| self.observable.expectation_with(be, state);
+            out.extend(self.engine.sweep_map(&circuits, reduce)?.0);
         }
         Ok(out)
+    }
+
+    /// The door every entry point shares: point `index` must hold one
+    /// finite angle per parameter slot.
+    fn check_point(&self, index: usize, point: &[f64]) -> Result<(), SimError> {
+        let p = self.ansatz.n_params();
+        if point.len() != p {
+            return Err(SimError::InvalidConfig(format!(
+                "point {index}: the ansatz has {p} parameters, got {}",
+                point.len()
+            )));
+        }
+        match point.iter().position(|v| !v.is_finite()) {
+            Some(j) => Err(SimError::InvalidConfig(format!(
+                "point {index}: parameter {j} is not finite ({})",
+                point[j]
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// `θ ± delta·e_j` for every slot `j`, plus before minus: the `2p`
+    /// members of one shift sweep.
+    fn shift_points(theta: &[f64], delta: f64) -> Vec<Vec<f64>> {
+        let mut points = Vec::with_capacity(2 * theta.len() + 1);
+        for j in 0..theta.len() {
+            for d in [delta, -delta] {
+                let mut shifted = theta.to_vec();
+                shifted[j] += d;
+                points.push(shifted);
+            }
+        }
+        points
+    }
+
+    /// `[E(θ + delta·e_j) − E(θ − delta·e_j)] / denominator` per slot,
+    /// all `2p` points as one batched sweep.
+    fn central_differences(
+        &self,
+        theta: &[f64],
+        delta: f64,
+        denominator: f64,
+    ) -> Result<Vec<f64>, SimError> {
+        self.check_point(0, theta)?;
+        let e = self.energies(&Self::shift_points(theta, delta))?;
+        Ok(e.chunks(2).map(|pair| (pair[0] - pair[1]) / denominator).collect())
     }
 
     /// Exact gradient via the parameter-shift rule: all `2p` shift
     /// points evaluated as one batched sweep.
     pub fn gradient(&self, theta: &[f64]) -> Result<Vec<f64>, SimError> {
-        let p = self.ansatz.n_params();
-        assert_eq!(theta.len(), p);
-        let mut points = Vec::with_capacity(2 * p);
-        for j in 0..p {
-            let mut plus = theta.to_vec();
-            plus[j] += std::f64::consts::FRAC_PI_2;
-            points.push(plus);
-            let mut minus = theta.to_vec();
-            minus[j] -= std::f64::consts::FRAC_PI_2;
-            points.push(minus);
-        }
-        let e = self.energies(&points)?;
-        Ok((0..p).map(|j| (e[2 * j] - e[2 * j + 1]) / 2.0).collect())
+        self.central_differences(theta, std::f64::consts::FRAC_PI_2, 2.0)
     }
 
     /// Central finite-difference gradient — the *reference* the
     /// parameter-shift rule is checked against, not the production
     /// path (truncation error `O(eps²)` vs the shift rule's exactness).
     pub fn gradient_fd(&self, theta: &[f64], eps: f64) -> Result<Vec<f64>, SimError> {
-        let p = self.ansatz.n_params();
-        assert_eq!(theta.len(), p);
-        let mut points = Vec::with_capacity(2 * p);
-        for j in 0..p {
-            let mut plus = theta.to_vec();
-            plus[j] += eps;
-            points.push(plus);
-            let mut minus = theta.to_vec();
-            minus[j] -= eps;
-            points.push(minus);
-        }
-        let e = self.energies(&points)?;
-        Ok((0..p).map(|j| (e[2 * j] - e[2 * j + 1]) / (2.0 * eps)).collect())
+        finite("eps", eps)?;
+        self.central_differences(theta, eps, 2.0 * eps)
     }
 
     /// Gradient descent: each iteration evaluates the `2p` shift points
@@ -385,21 +419,14 @@ impl VqeDriver {
         iters: usize,
         lr: f64,
     ) -> Result<VqeResult, SimError> {
+        self.check_point(0, theta0)?;
+        finite("lr", lr)?;
         let p = self.ansatz.n_params();
-        assert_eq!(theta0.len(), p);
         let mut theta = theta0.to_vec();
         let mut energies = Vec::with_capacity(iters);
         let mut evals = 0usize;
         for _ in 0..iters {
-            let mut points = Vec::with_capacity(2 * p + 1);
-            for j in 0..p {
-                let mut plus = theta.clone();
-                plus[j] += std::f64::consts::FRAC_PI_2;
-                points.push(plus);
-                let mut minus = theta.clone();
-                minus[j] -= std::f64::consts::FRAC_PI_2;
-                points.push(minus);
-            }
+            let mut points = Self::shift_points(&theta, std::f64::consts::FRAC_PI_2);
             points.push(theta.clone());
             let e = self.energies(&points)?;
             evals += points.len();
@@ -428,8 +455,10 @@ impl VqeDriver {
         c: f64,
         seed: u64,
     ) -> Result<VqeResult, SimError> {
+        self.check_point(0, theta0)?;
+        finite("a", a)?;
+        finite("c", c)?;
         let p = self.ansatz.n_params();
-        assert_eq!(theta0.len(), p);
         let mut rng = StdRng::seed_from_u64(seed);
         let big_a = 0.1 * iters as f64;
         let mut theta = theta0.to_vec();
@@ -453,6 +482,16 @@ impl VqeDriver {
         let energy = self.energy(&theta)?;
         evals += 1;
         Ok(VqeResult { theta, energy, energies, evals })
+    }
+}
+
+/// A step size or gain that is not a finite number is rejected before
+/// any circuit is bound.
+fn finite(name: &str, value: f64) -> Result<(), SimError> {
+    if value.is_finite() {
+        Ok(())
+    } else {
+        Err(SimError::InvalidConfig(format!("`{name}` must be finite, got {value}")))
     }
 }
 

@@ -16,16 +16,11 @@
 //! * [`affinity`] — thread→(CMG, core) placement maps (compact/scatter)
 //!   used by the A64FX model to attribute memory traffic to CMG-local HBM2
 //!   channels.
-//! * [`batch`] — (member × block) worksharing for batched multi-circuit
-//!   execution: the same [`Schedule`] policies applied to the flattened
-//!   grid of independent state vectors × cache-resident slabs.
 
 pub mod affinity;
-pub mod batch;
 pub mod pool;
 pub mod schedule;
 
 pub use affinity::{CmgTopology, Placement};
-pub use batch::{for_each_cell, CellGrid};
 pub use pool::{RegionObserver, ScheduleStats, ThreadPool};
 pub use schedule::Schedule;

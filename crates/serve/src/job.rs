@@ -30,7 +30,7 @@
 //! the result reports counts/expectations per point. The
 //! [`fingerprint`](JobSpec::fingerprint) covers the *structure* (slots,
 //! not values), so sweeps over the same template — different points,
-//! different tenants — pack into one gate-major batch; the concrete
+//! different tenants — pack into one batch; the concrete
 //! points only enter the result-cache key
 //! ([`cache_fingerprint`](JobSpec::cache_fingerprint)).
 
@@ -204,8 +204,8 @@ impl JobSpec {
     /// shapes the result body). Jobs with equal fingerprints are
     /// batch-compatible; for sweeps the *template structure* (slots,
     /// fixed gates) is hashed — not the concrete points — so sweeps
-    /// over the same template pack into one gate-major batch across
-    /// tenants. `(cache_fingerprint, seed, shots)` keys the cache.
+    /// over the same template pack into one batch across tenants.
+    /// `(cache_fingerprint, seed, shots)` keys the cache.
     pub fn fingerprint(&self) -> u64 {
         let header =
             format!("n={};strategy={};backend={};", self.n, self.strategy_str, self.backend_str);

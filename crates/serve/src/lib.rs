@@ -7,11 +7,11 @@
 //! `(n, strategy, shots, seed, tenant)`, get a job id back, poll it,
 //! and fetch results as measurement counts and Pauli expectation
 //! values — never raw `2^n` amplitude dumps. A scheduler thread packs
-//! compatible submissions from *independent tenants* into one
-//! gate-major batch, harvesting the amortization
-//! [`perf::predict_batched`](qcs_core::perf::predict_batched) models
-//! (plan once, fetch the gate stream once, touch every member state per
-//! gate), with per-tenant quotas, a result cache keyed by
+//! compatible submissions from *independent tenants* into one batch —
+//! one lowering, one worksharing region, every member's whole program
+//! on one worker while its state is cache-resident (the member-major
+//! schedule [`perf::predict_batched`](qcs_core::perf::predict_batched)
+//! prices) — with per-tenant quotas, a result cache keyed by
 //! `(circuit hash, seed, shots)`, and JSONL usage accounting in the
 //! unified [`Outcome`](qcs_core::outcome::Outcome) schema.
 //!

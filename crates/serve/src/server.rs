@@ -11,14 +11,14 @@
 //!    can land, then drains the queue and groups jobs by fingerprint —
 //!    same width, gate stream, strategy, backend — exactly the jobs
 //!    whose member states a [`BatchSimulator`](qcs_core::batch::BatchSimulator)
-//!    call can carry in one
-//!    gate-major batch (up to [`MAX_BATCH`] per call). This is where
-//!    the `predict_batched` amortization (plan once, fetch the gate
-//!    stream once, touch B member states per gate) is harvested across
-//!    *independent tenants*.
+//!    call can carry in one batch (up to [`MAX_BATCH`] per call): one
+//!    lowering and one worksharing region shared across *independent
+//!    tenants*, each member run whole by one worker.
 //! 3. Results are rendered as counts and expectation values — never raw
-//!    `2^n` amplitude dumps — cached, and (optionally) accounted per
-//!    tenant as `{"type":"outcome",...}` JSONL lines.
+//!    `2^n` amplitude dumps — *before* the job table is locked (each
+//!    body is O(2ⁿ) of sampling and reduction), then published under
+//!    one lock: cached, and (optionally) accounted per tenant as
+//!    `{"type":"outcome",...}` JSONL lines.
 //! 4. `GET /jobs/<id>` polls status; `GET /jobs/<id>/result` fetches
 //!    the stored body (cache hits return the stored bytes unchanged, so
 //!    responses are byte-identical to the first computation).
@@ -627,8 +627,8 @@ fn scheduler_loop(shared: Arc<Shared>) {
     }
 }
 
-/// Execute one fingerprint-group as a single gate-major batch and
-/// complete every member job.
+/// Execute one fingerprint-group as a single batch and complete every
+/// member job.
 fn run_group(shared: &Arc<Shared>, fingerprint: u64, members: Vec<(u64, JobSpec)>) {
     if members[0].1.is_sweep() {
         return run_sweep_group(shared, members);
@@ -643,6 +643,14 @@ fn run_group(shared: &Arc<Shared>, fingerprint: u64, members: Vec<(u64, JobSpec)
         .and_then(|batch| batch.run_fresh(&spec0.circuit))
     {
         Ok((states, report)) => {
+            // Rendering samples and reduces over every member's state:
+            // O(2ⁿ) per job, done before the job table is locked so
+            // submitters and pollers never wait on it.
+            let bodies: Vec<String> = members
+                .iter()
+                .zip(&states)
+                .map(|((_, spec), state)| render_result(spec, state, &report))
+                .collect();
             let mut core = shared.core.lock().unwrap();
             core.stats.batches += 1;
             core.stats.max_batch_members = core.stats.max_batch_members.max(report.members as u64);
@@ -650,8 +658,7 @@ fn run_group(shared: &Arc<Shared>, fingerprint: u64, members: Vec<(u64, JobSpec)
                 core.stats.packed_jobs += report.members as u64;
             }
             let share = report.wall_seconds / report.members.max(1) as f64;
-            for ((id, spec), state) in members.iter().zip(&states) {
-                let body = render_result(spec, state, &report);
+            for ((id, spec), body) in members.iter().zip(bodies) {
                 core.cache.insert((fingerprint, spec.seed, spec.shots), body.clone());
                 core.stats.completed += 1;
                 let usage = core.tenants.entry(spec.tenant.clone()).or_default();
@@ -666,6 +673,7 @@ fn run_group(shared: &Arc<Shared>, fingerprint: u64, members: Vec<(u64, JobSpec)
                     job.result = Some(body);
                 }
             }
+            drop(core);
             let outcome = Outcome::from(&report).with_config(
                 &spec0.strategy_str,
                 shared.pool.as_ref().map_or(1, |p| p.num_threads() as u32),
@@ -702,9 +710,9 @@ fn run_group(shared: &Arc<Shared>, fingerprint: u64, members: Vec<(u64, JobSpec)
 /// Execute one sweep-fingerprint group. Every member job's points are
 /// flattened into one circuit list — the templates are structurally
 /// identical (that is what the fingerprint hashes), so the bound
-/// circuits are same-shaped and [`run_sweep`] carries them gate-major
-/// in `MAX_BATCH`-sized waves: the cross-tenant packing win, per
-/// *point* rather than per job.
+/// circuits are same-shaped and [`run_sweep`] carries them, each under
+/// the jobs' strategy, in `MAX_BATCH`-sized waves: the cross-tenant
+/// packing win, per *point* rather than per job.
 ///
 /// [`run_sweep`]: qcs_core::batch::BatchSimulator::run_sweep
 fn run_sweep_group(shared: &Arc<Shared>, members: Vec<(u64, JobSpec)>) {
@@ -743,17 +751,23 @@ fn run_sweep_group(shared: &Arc<Shared>, members: Vec<(u64, JobSpec)>) {
     match result {
         Ok((states, wall, batch_id, backend, waves, max_members)) => {
             let total_points = states.len().max(1);
+            // Bodies first, outside the job-table lock (see `run_group`).
+            let mut offset = 0usize;
+            let bodies: Vec<String> = members
+                .iter()
+                .map(|(_, spec)| {
+                    let mine = &states[offset..offset + spec.points.len()];
+                    offset += spec.points.len();
+                    render_sweep_result(spec, mine, backend)
+                })
+                .collect();
             let mut core = shared.core.lock().unwrap();
             core.stats.batches += waves;
             core.stats.max_batch_members = core.stats.max_batch_members.max(max_members as u64);
             if members.len() >= 2 {
                 core.stats.packed_jobs += members.len() as u64;
             }
-            let mut offset = 0usize;
-            for (id, spec) in &members {
-                let mine = &states[offset..offset + spec.points.len()];
-                offset += spec.points.len();
-                let body = render_sweep_result(spec, mine, backend);
+            for ((id, spec), body) in members.iter().zip(bodies) {
                 core.cache.insert((spec.cache_fingerprint(), spec.seed, spec.shots), body.clone());
                 core.stats.completed += 1;
                 let share = wall * spec.points.len() as f64 / total_points as f64;

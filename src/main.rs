@@ -27,7 +27,7 @@
 //!   --dist-plan naive|reorder|overlap        distributed exchange plan [naive]
 //!   --shots <s>                              sample and print counts
 //!   --probs <top>                            print the top-N probabilities
-//!   --batch <b>                              run b independent members gate-major (single process)
+//!   --batch <b>                              run b independent members as one batch (single process)
 //!   --trajectories <n>                       sample n noisy trajectories in one batch (needs --noise)
 //!   --noise bitflip:p|phaseflip:p|depolarizing:p|damping:g   per-gate noise channel
 //!   --model                                  attach the A64FX model report
@@ -169,7 +169,7 @@ fn usage() -> String {
 
 /// `vqe`: variational ground-state search on the transverse-field
 /// Ising chain. Every iteration's parameter sweep (shift points plus
-/// the current point) executes as one gate-major batch through
+/// the current point) executes as one member-major batch through
 /// [`VqeDriver`]; for n ≤ 10 the final energy is compared against the
 /// exact dense ground state.
 fn vqe_command(args: &[String]) -> Result<(), String> {
@@ -268,7 +268,7 @@ fn vqe_command(args: &[String]) -> Result<(), String> {
     }
     println!(
         "final energy {:+.9} after {} circuit evaluations in {:.3} ms \
-         ({:.1} evals/s, batched gate-major)",
+         ({:.1} evals/s, batched member-major)",
         result.energy,
         result.evals,
         wall * 1e3,
@@ -429,7 +429,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         return Err("--dist-plan schedules distributed exchanges and needs --ranks > 1".to_string());
     }
     if (opts.config.batch > 1 || opts.trajectories > 0) && opts.ranks > 1 {
-        return Err("--batch/--trajectories run gate-major in a single process and do not \
+        return Err("--batch/--trajectories run as one batch in a single process and do not \
              compose with --ranks > 1"
             .to_string());
     }
@@ -637,10 +637,10 @@ fn execute_batched(circuit: &Circuit, opts: &Options) -> Result<StateVector, Str
         );
         if let Some(model) = &report.predicted {
             println!(
-                "A64FX model: {:.1} circuits/s batched vs {:.1} sequential \
-                 ({:.2}× from gate-stream reuse)",
+                "A64FX model: {:.1} circuits/s batched member-major vs {:.1} gate-major \
+                 ({:.2}× from cache residency and one region per batch)",
                 model.circuits_per_sec_batched(),
-                model.circuits_per_sec_sequential(),
+                model.circuits_per_sec_gate_major(),
                 model.speedup
             );
         }

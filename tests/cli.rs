@@ -278,8 +278,9 @@ fn batched_demo_reports_throughput_and_matches_single_run() {
 #[test]
 fn batched_demo_with_model_prints_the_amortization_column() {
     let out = run_ok(&["demo", "qft", "6", "--batch", "8", "--model"]);
-    assert!(out.contains("circuits/s batched"), "{out}");
-    assert!(out.contains("gate-stream reuse"), "{out}");
+    assert!(out.contains("circuits/s batched member-major"), "{out}");
+    assert!(out.contains("gate-major"), "{out}");
+    assert!(out.contains("one region per batch"), "{out}");
 }
 
 #[test]
@@ -345,7 +346,7 @@ fn bad_noise_spec_is_a_clean_error() {
 
 #[test]
 fn batch_with_integrity_is_a_clean_error() {
-    // Per-run rollback state does not compose with gate-major batching;
+    // Per-run rollback state does not compose with batching;
     // the engine rejects the combination with an explanation.
     let err = run_err(&["demo", "ghz", "4", "--batch", "2", "--integrity", "check"]);
     assert!(err.contains("do not compose with"), "{err}");
@@ -366,4 +367,32 @@ fn batched_trace_out_writes_all_member_traces() {
         assert!(text.contains(&format!("member={m}")), "member {m} label missing");
     }
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn vqe_runs_its_sweeps_under_the_configured_strategy() {
+    let args = ["vqe", "4", "--optimizer", "gd", "--iters", "3", "--seed", "3"];
+    let naive = run_ok(&args);
+    assert!(naive.contains("batched member-major"), "{naive}");
+    let fused = run_ok_env(
+        &[&args[..], &["--strategy", "fused:3"]].concat(),
+        &[("QCS_CALIBRATE", "analytic")],
+    );
+    // Same optimizer trajectory to the printed digits, whichever
+    // lowering the sweeps ran under.
+    let energies = |out: &str| -> Vec<String> {
+        out.lines().filter(|l| l.contains("iter ")).map(|l| l[..l.len() - 3].to_string()).collect()
+    };
+    assert_eq!(energies(&naive).len(), 3, "{naive}");
+    assert_eq!(energies(&naive), energies(&fused));
+}
+
+#[test]
+fn vqe_with_a_non_finite_step_size_is_a_clean_error() {
+    let err = run_err(&["vqe", "4", "--optimizer", "gd", "--lr", "nan"]);
+    assert!(err.contains("`lr` must be finite"), "{err}");
+    assert_eq!(err.lines().filter(|l| l.starts_with("error:")).count(), 1, "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    let err = run_err(&["vqe", "4", "--optimizer", "spsa", "--spsa-a", "inf"]);
+    assert!(err.contains("`a` must be finite") && !err.contains("panicked"), "{err}");
 }

@@ -78,10 +78,10 @@ fn gradients_agree_across_backends() {
     }
 }
 
-/// The driver's batched (gate-major, naive) energies agree with a
-/// serial run of the bound circuit under every strategy × backend
-/// combination — the batched sweep is not a different simulator, just
-/// a different schedule.
+/// The default driver's batched (naive) energies agree with a serial
+/// run of the bound circuit under every strategy × backend combination
+/// — the batched sweep is not a different simulator, just a different
+/// schedule.
 #[test]
 fn batched_energies_agree_with_every_strategy_and_backend() {
     let n = 4;
@@ -111,6 +111,78 @@ fn batched_energies_agree_with_every_strategy_and_backend() {
             }
         }
     }
+}
+
+/// A driver sweeps *and reduces* on its engine's backend and strategy:
+/// its energies are the bits a serial engine of the same configuration
+/// leaves when its state is reduced on the same backend. (The bound
+/// would not hold at 0 if the driver reduced on the process-wide
+/// backend: scalar and AVX2 reductions round differently.)
+#[test]
+fn driver_energies_are_the_bits_of_a_serial_run_on_the_same_backend() {
+    use a64fx_qcs::core::kernels::simd;
+    let n = 6;
+    let ansatz = hardware_efficient_ansatz(n, 2);
+    let h = tfim(n);
+    let compiled = h.compile();
+    let points: Vec<Vec<f64>> = (0..5).map(|i| random_theta(ansatz.n_params(), 80 + i)).collect();
+    for backend in [BackendChoice::Scalar, BackendChoice::Simd] {
+        for strategy in ["naive", "fused:3"] {
+            let cfg = SimConfig::default()
+                .strategy(strategy.parse::<Strategy>().unwrap())
+                .backend(backend);
+            let serial = cfg.clone().build().unwrap();
+            for threads in [1usize, 2] {
+                let engine = BatchSimulator::from_config(cfg.clone().threads(threads)).unwrap();
+                let driver = VqeDriver::with_engine(ansatz.clone(), &h, engine);
+                let energies = driver.energies(&points).unwrap();
+                for (i, (point, got)) in points.iter().zip(&energies).enumerate() {
+                    let mut state = StateVector::zero(n);
+                    serial.run(&ansatz.bind(point), &mut state).unwrap();
+                    let want = compiled.expectation_with(simd::backend_for(backend), &state);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{backend:?}/{strategy}/threads={threads}: point {i}: {got} vs {want}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Every entry point validates at the door: a wrong-length or
+/// non-finite point, or a non-finite step size, is an error naming the
+/// offender — never a panic, never a NaN energy.
+#[test]
+fn the_driver_rejects_bad_points_and_step_sizes() {
+    let ansatz = hardware_efficient_ansatz(3, 1);
+    let p = ansatz.n_params();
+    let driver = VqeDriver::new(ansatz, &tfim(3));
+    let good = vec![0.2; p];
+    let short = vec![0.2; p - 1];
+    let mut nan = good.clone();
+    nan[2] = f64::NAN;
+    let mut inf = good.clone();
+    inf[0] = f64::INFINITY;
+    let msg = |r: Result<(), SimError>| r.unwrap_err().to_string();
+
+    let err = msg(driver.energies(&[good.clone(), short.clone()]).map(drop));
+    assert!(err.contains("point 1") && err.contains(&format!("{p} parameters")), "{err}");
+    let err = msg(driver.energies(&[nan.clone()]).map(drop));
+    assert!(err.contains("point 0") && err.contains("parameter 2"), "{err}");
+    for bad in [&short, &nan, &inf] {
+        assert!(driver.energy(bad).is_err());
+        assert!(driver.gradient(bad).is_err());
+        assert!(driver.gradient_fd(bad, 1e-5).is_err());
+        assert!(driver.minimize_gd(bad, 2, 0.1).is_err());
+        assert!(driver.minimize_spsa(bad, 2, 0.2, 0.2, 1).is_err());
+    }
+    assert!(msg(driver.minimize_gd(&good, 2, f64::NAN).map(drop)).contains("`lr`"));
+    assert!(msg(driver.minimize_spsa(&good, 2, f64::INFINITY, 0.2, 1).map(drop)).contains("`a`"));
+    assert!(msg(driver.minimize_spsa(&good, 2, 0.2, f64::NAN, 1).map(drop)).contains("`c`"));
+    assert!(msg(driver.gradient_fd(&good, f64::NAN).map(drop)).contains("`eps`"));
+    assert!(driver.minimize_gd(&good, 2, 0.1).is_ok());
 }
 
 /// Gradient descent on the TFIM: monotone-ish descent to near the true

@@ -69,6 +69,43 @@ fn a_run_executes_exactly_the_lowered_ops() {
     }
 }
 
+/// A sweep runs the strategy it reports: every member executes its own
+/// circuit lowered under the engine's strategy, so under `fused:3` a
+/// hardware-efficient ansatz sweeps less often than it has gates, and
+/// exactly as often as the serial engine of the same configuration.
+#[test]
+fn a_sweep_member_executes_its_circuit_under_the_engines_strategy() {
+    pin_process_wide_choices();
+    let ansatz = hardware_efficient_ansatz(6, 2);
+    let circuits: Vec<Circuit> = (0..3)
+        .map(|m| {
+            let theta: Vec<f64> =
+                (0..ansatz.n_params()).map(|j| 0.3 + 0.11 * (m * 7 + j) as f64).collect();
+            ansatz.bind(&theta)
+        })
+        .collect();
+    for strategy in strategies() {
+        let cfg = SimConfig::default().strategy(strategy);
+        let serial = cfg.clone().build().unwrap();
+        let batch = BatchSimulator::from_config(cfg).unwrap();
+        let mut states = vec![StateVector::zero(6); circuits.len()];
+        let report = batch.run_sweep(&circuits, &mut states).unwrap();
+        for (m, (c, got)) in circuits.iter().zip(&states).enumerate() {
+            let mut want = StateVector::zero(6);
+            let run = serial.run(c, &mut want).unwrap();
+            assert_eq!(state_checksum(got), state_checksum(&want), "{strategy} member {m}");
+            if m == 0 {
+                assert_eq!(report.sweeps, run.sweeps, "{strategy}");
+            }
+        }
+        match strategy {
+            Strategy::Naive => assert_eq!(report.sweeps, ansatz.len()),
+            Strategy::Fused { .. } => assert!(report.sweeps < ansatz.len(), "{}", report.sweeps),
+            _ => {}
+        }
+    }
+}
+
 #[test]
 fn span_traffic_equals_the_model_of_the_same_program() {
     pin_process_wide_choices();

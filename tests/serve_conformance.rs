@@ -13,7 +13,7 @@ use a64fx_qcs::core::config::SimConfig;
 use a64fx_qcs::core::expectation::{Pauli, PauliString};
 use a64fx_qcs::core::kernels::simd::BackendChoice;
 use a64fx_qcs::core::measure::sample_counts;
-use a64fx_qcs::core::sim::{Simulator, Strategy};
+use a64fx_qcs::core::sim::Strategy;
 use a64fx_qcs::core::state::StateVector;
 use a64fx_qcs::core::variational::ParamCircuit;
 use a64fx_qcs::serve::client::{http_request, submit_job, wait_for_job};
@@ -269,7 +269,7 @@ fn compatible_jobs_from_independent_tenants_share_one_batch() {
     let addr = server.addr();
 
     // Same circuit/strategy/backend, different tenants and seeds: the
-    // scheduler must pack all three into one gate-major batch.
+    // scheduler must pack all three into one batch.
     let ids: Vec<u64> = (0..3)
         .map(|i| {
             submit_job(addr, &submit_body(&format!("tenant-{i}"), "fused:3", "auto", 100 + i))
@@ -308,7 +308,7 @@ fn sweep_jobs_pack_per_point_across_tenants() {
 
     // Two tenants sweep the same template at different points: the
     // structural fingerprint matches, so all three points ride one
-    // gate-major batch.
+    // batch.
     let sweep_body = |tenant: &str, points: &str| {
         format!(
             r#"{{"tenant":"{tenant}","n":3,"shots":0,"seed":5,
@@ -332,7 +332,8 @@ fn sweep_jobs_pack_per_point_across_tenants() {
     assert_eq!(stats.packed_jobs, 2);
 
     // Alice's per-point expectations are bit-identical to binding the
-    // template and running each point serially.
+    // template and running each point serially under the strategy the
+    // job ran with (none named: the server's default, `auto`).
     let (status, raw) = http_request(addr, "GET", &format!("/jobs/{a}/result"), "").unwrap();
     assert_eq!(status, 200, "{raw}");
     let result = parse(&raw).unwrap();
@@ -349,7 +350,8 @@ fn sweep_jobs_pack_per_point_across_tenants() {
         let mut template = ParamCircuit::new(3);
         template.ry(0).fixed(Gate::Cx(0, 1)).fixed(Gate::Cx(1, 2)).ry(2);
         let mut state = StateVector::zero(3);
-        Simulator::new().run(&template.bind(point), &mut state).unwrap();
+        let serial = SimConfig::default().strategy(Strategy::Auto).build().unwrap();
+        serial.run(&template.bind(point), &mut state).unwrap();
         let want = [z0z2.expectation(&state), x0.expectation(&state)];
         let got = served_expectations(&per_point[i]);
         assert_eq!(got.len(), want.len());
