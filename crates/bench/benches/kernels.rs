@@ -97,11 +97,7 @@ fn bench_simd_backends(c: &mut Criterion) {
     let rxx = standard::rxx_mat(0.6);
     let serial = Schedule::default();
 
-    let mut backends = vec![simd::backend_for(simd::BackendChoice::Scalar)];
-    if let Some(native) = simd::native() {
-        backends.push(native);
-    }
-    for be in backends {
+    for be in simd::available() {
         let mut state = bench_state(N, 7);
         group.bench_with_input(BenchmarkId::new("dense_1q", be.name), &be, |b, be| {
             b.iter(|| sweep::apply_1q(be, None, serial, state.amplitudes_mut(), t, &u));

@@ -1,18 +1,23 @@
-//! E12 — Native SIMD kernel substrate.
+//! E12 — Native SIMD kernel substrate, and E3's vector-length question
+//! asked of the host.
 //!
-//! Measures every hot kernel shape under three substrates — the plain
-//! scalar kernels, the portable (width-1) backend behind the vtable, and
-//! the host's native vector backend (AVX2 or NEON, when present) —
-//! across state sizes from L1-resident to beyond L2. The vtable's
-//! portable column isolates dispatch overhead; the native column is the
-//! payoff the substrate exists for.
+//! Measures every hot kernel shape under the plain scalar kernels and
+//! under every backend the host executes (`simd::available()`: portable,
+//! plus AVX2, AVX-512F or NEON where present), across state sizes from
+//! L1-resident to DRAM-sized (2^22). The portable column isolates dispatch
+//! overhead; the native columns are what the substrate buys. The fused
+//! rows run the one block kernel (`simd::apply_kq`), with a dense and with
+//! a diagonal 4-qubit matrix: on an AVX-512F host the `avx512` column is
+//! that kernel at 8 lanes beside `avx2`'s 4 — the same source at two
+//! vector lengths, per kernel class. The per-gate rows of those two
+//! columns run the same 4-lane code and are the control.
 //!
-//! Expected shape: native ≥ 1.3× scalar on cache-resident dense-1q
-//! sweeps (the memory wall flattens the gain once the state spills to
-//! DRAM — exactly the regime the paper's bandwidth analysis owns).
-//! Results are emitted machine-readably to `results/BENCH_simd.json`;
-//! hosts with no native vector unit record `hardware_limited: true` and
-//! carry the portable-vs-scalar columns only.
+//! Expected shape: native beats scalar on cache-resident dense sweeps
+//! and fades toward the memory wall as the state spills; 8 lanes cut the
+//! block rows while they are issue-bound and gain less once a row reaches
+//! the memory roof (E3's SVE shape). Results are emitted machine-readably
+//! to `results/BENCH_simd.json` with a host line; hosts with no native
+//! vector unit record `hardware_limited: true`.
 
 use std::fmt::Write as _;
 
@@ -22,6 +27,7 @@ use qcs_core::complex::C64;
 use qcs_core::fusion::fuse;
 use qcs_core::gates::matrices::DenseMatrix;
 use qcs_core::gates::standard;
+use qcs_core::json::quote;
 use qcs_core::kernels::{scalar, simd, sweep};
 use qcs_core::library;
 use qcs_core::state::StateVector;
@@ -36,23 +42,45 @@ struct Sample {
     seconds: f64,
 }
 
-/// The kernel shapes under test, dispatched by name so one measuring
-/// loop covers the scalar substrate and every vtable backend.
 /// Every kernel here sweeps on the calling thread.
 const SERIAL: Schedule = Schedule::Static { chunk: None };
 
-const KERNELS: &[&str] =
-    &["dense_1q", "diag_1q", "pauli_x", "controlled_1q", "diag_2q", "dense_2q", "fused_3q"];
+/// The kernel shapes under test, dispatched by name so one measuring
+/// loop covers the scalar substrate and every vtable backend.
+const KERNELS: &[&str] = &[
+    "dense_1q",
+    "diag_1q",
+    "pauli_x",
+    "controlled_1q",
+    "diag_2q",
+    "dense_2q",
+    "fused_3q",
+    "fused_4q_dense",
+    "fused_4q_diag",
+];
+
+/// The block kernel's matrices: a dense 3- and 4-qubit product of
+/// rotation layers, and a 4-qubit diagonal.
+struct Blocks {
+    dense3: DenseMatrix,
+    dense4: DenseMatrix,
+    diag4: DenseMatrix,
+}
+
+impl Blocks {
+    fn new() -> Blocks {
+        let dense = |k: u32| fuse(&library::rotation_layers(k, 2, 0.3), k)[0].matrix.clone();
+        let mut diag4 = DenseMatrix::identity(4);
+        for i in 0..16 {
+            diag4.set(i, i, C64::exp_i(0.37 * i as f64 - 1.1));
+        }
+        Blocks { dense3: dense(3), dense4: dense(4), diag4 }
+    }
+}
 
 /// Apply `kernel` once to `amps` through the scalar substrate
 /// (`be = None`) or through a vtable backend.
-fn apply(
-    kernel: &str,
-    be: Option<&simd::KernelBackend>,
-    amps: &mut [C64],
-    n: u32,
-    m3: &DenseMatrix,
-) {
+fn apply(kernel: &str, be: Option<&simd::KernelBackend>, amps: &mut [C64], n: u32, m: &Blocks) {
     let t = n / 2;
     let lo = t.saturating_sub(3);
     let u = standard::u3(0.3, 0.5, 0.7);
@@ -65,6 +93,11 @@ fn apply(
         [rzz.m[0][0], rzz.m[1][1], rzz.m[2][2], rzz.m[3][3]]
     };
     let q3: Vec<u32> = (lo..lo + 3).collect();
+    let q4: Vec<u32> = (lo..lo + 4).collect();
+    let block = |amps: &mut [C64], qs: &[u32], mat: &DenseMatrix| match be {
+        None => scalar::apply_kq(amps, qs, mat),
+        Some(be) => simd::apply_kq(be, amps, qs, mat),
+    };
     match (kernel, be) {
         ("dense_1q", None) => scalar::apply_1q(amps, t, &u),
         ("dense_1q", Some(be)) => sweep::apply_1q(be, None, SERIAL, amps, t, &u),
@@ -80,74 +113,78 @@ fn apply(
         ("diag_2q", Some(be)) => sweep::apply_2q_diag(be, None, SERIAL, amps, t, lo, d2),
         ("dense_2q", None) => scalar::apply_2q(amps, t, lo, &rxx),
         ("dense_2q", Some(be)) => sweep::apply_2q(be, None, SERIAL, amps, t, lo, &rxx),
-        ("fused_3q", None) => scalar::apply_kq(amps, &q3, m3),
-        ("fused_3q", Some(be)) => simd::apply_kq(be, amps, &q3, m3),
+        ("fused_3q", _) => block(amps, &q3, &m.dense3),
+        ("fused_4q_dense", _) => block(amps, &q4, &m.dense4),
+        ("fused_4q_diag", _) => block(amps, &q4, &m.diag4),
         (other, _) => unreachable!("unknown kernel {other}"),
     }
 }
 
 /// Seconds per application: repeat until the timed region is long enough
 /// to trust, then divide by the repetition count.
-fn measure(kernel: &str, be: Option<&simd::KernelBackend>, n: u32, m3: &DenseMatrix) -> f64 {
+fn measure(kernel: &str, be: Option<&simd::KernelBackend>, n: u32, m: &Blocks) -> f64 {
     let mut rng = StdRng::seed_from_u64(7);
     let mut state = StateVector::random(n, &mut rng);
     // ≥ ~2^22 amplitude-visits per timed sample.
-    let iters = (1usize << 22) >> n.min(22);
-    let iters = iters.max(1);
+    let iters = ((1usize << 22) >> n.min(22)).max(1);
     let secs = time_best(5, || {
         for _ in 0..iters {
-            apply(kernel, be, state.amplitudes_mut(), n, m3);
+            apply(kernel, be, state.amplitudes_mut(), n, m);
         }
     });
     std::hint::black_box(checksum(state.amplitudes()));
     secs / iters as f64
 }
 
-fn fused_3q_matrix() -> DenseMatrix {
-    let circuit = library::rotation_layers(3, 2, 0.3);
-    fuse(&circuit, 3)[0].matrix.clone()
-}
-
 fn main() {
-    let portable = simd::backend_for(simd::BackendChoice::Scalar);
+    let available = simd::available();
     let native = simd::native();
-    println!("E12 — SIMD kernel substrate (native backend: {})", native.map_or("none", |b| b.name));
+    let lanes_8_vs_4 = ["avx2", "avx512"].iter().all(|&w| available.iter().any(|b| b.name == w));
+    let host = host_json(&available);
+    println!("E12 — SIMD kernel substrate");
+    println!("host: {host}");
 
-    let mut backends: Vec<(&'static str, Option<&simd::KernelBackend>)> =
-        vec![("scalar", None), (portable.name, Some(portable))];
-    if let Some(nb) = native {
-        backends.push((nb.name, Some(nb)));
-    }
+    let mut backends: Vec<(&'static str, Option<&simd::KernelBackend>)> = vec![("scalar", None)];
+    backends.extend(available.iter().map(|&b| (b.name, Some(b))));
 
-    let m3 = fused_3q_matrix();
-    let sizes = [10u32, 12, 14, 16, 18, 20];
+    let blocks = Blocks::new();
+    let sizes = [10u32, 12, 14, 16, 18, 20, 22];
     let mut samples: Vec<Sample> = Vec::new();
+    let seconds = |samples: &[Sample], kernel: &str, n: u32, backend: &str| {
+        samples
+            .iter()
+            .find(|s| s.kernel == kernel && s.n == n && s.backend == backend)
+            .map(|s| s.seconds)
+    };
 
     for &kernel in KERNELS {
         println!();
         println!("E12: {kernel}");
         let mut header: Vec<&str> = vec!["n", "amps"];
-        for (name, _) in &backends {
-            header.push(name);
-        }
+        header.extend(backends.iter().map(|(name, _)| *name));
         header.push("native vs scalar");
+        if lanes_8_vs_4 {
+            header.push("avx512 vs avx2");
+        }
         let mut table = Table::new(&header);
         for &n in &sizes {
             let mut row = vec![n.to_string(), format!("2^{n}")];
-            let mut scalar_s = 0.0;
-            let mut native_s = None;
             for &(name, be) in &backends {
-                let s = measure(kernel, be, n, &m3);
-                if name == "scalar" {
-                    scalar_s = s;
-                }
-                if native.is_some_and(|nb| nb.name == name) {
-                    native_s = Some(s);
-                }
+                let s = measure(kernel, be, n, &blocks);
                 row.push(fmt_secs(s));
                 samples.push(Sample { kernel, n, backend: name, seconds: s });
             }
-            row.push(native_s.map_or("—".into(), |s| format!("{:.2}×", scalar_s / s)));
+            let ratio = |num: &str, den: &str| match (
+                seconds(&samples, kernel, n, num),
+                seconds(&samples, kernel, n, den),
+            ) {
+                (Some(a), Some(b)) => format!("{:.2}×", a / b),
+                _ => "—".into(),
+            };
+            row.push(native.map_or("—".into(), |nb| ratio("scalar", nb.name)));
+            if lanes_8_vs_4 {
+                row.push(ratio("avx2", "avx512"));
+            }
             table.row(&row);
         }
         table.print();
@@ -155,35 +192,52 @@ fn main() {
 
     // Headline: best native dense-1q speedup on a cache-resident size
     // (≤ 2^16 amplitudes = 1 MiB).
-    let headline = best_dense_1q(&samples, native.map(|b| b.name));
-    write_json(&samples, &headline, native.is_none());
+    let headline = native.and_then(|nb| {
+        sizes
+            .iter()
+            .filter(|&&n| n <= 16)
+            .filter_map(|&n| {
+                let speedup = seconds(&samples, "dense_1q", n, "scalar")?
+                    / seconds(&samples, "dense_1q", n, nb.name)?;
+                Some((n, speedup))
+            })
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+    });
     if let Some((n, speedup)) = headline {
         println!();
         println!("headline: dense_1q at n = {n}: native {speedup:.2}× over scalar");
     }
+    write_json(&host, &samples, &headline, native.is_none());
 }
 
-/// `(n, speedup)` of the best cache-resident native dense-1q cell.
-fn best_dense_1q(samples: &[Sample], native_name: Option<&str>) -> Option<(u32, f64)> {
-    let native_name = native_name?;
-    let mut best: Option<(u32, f64)> = None;
-    for s in samples.iter().filter(|s| s.kernel == "dense_1q" && s.n <= 16) {
-        if s.backend != native_name {
-            continue;
-        }
-        let scalar_s = samples
-            .iter()
-            .find(|r| r.kernel == "dense_1q" && r.n == s.n && r.backend == "scalar")?
-            .seconds;
-        let speedup = scalar_s / s.seconds;
-        if best.is_none_or(|(_, b)| speedup > b) {
-            best = Some((s.n, speedup));
-        }
-    }
-    best
+/// Arch, cores, CPU model and the backends measured.
+fn host_json(available: &[&simd::KernelBackend]) -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, m)| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let names: Vec<String> = available.iter().map(|b| quote(b.name)).collect();
+    format!(
+        "{{\"arch\": {}, \"nproc\": {}, \"cpu\": {}, \"backends\": [{}], \"active\": {}}}",
+        quote(std::env::consts::ARCH),
+        std::thread::available_parallelism().map_or(1, |p| p.get()),
+        quote(&cpu),
+        names.join(", "),
+        quote(simd::active().name)
+    )
 }
 
-fn write_json(samples: &[Sample], headline: &Option<(u32, f64)>, hardware_limited: bool) {
+fn write_json(
+    host: &str,
+    samples: &[Sample],
+    headline: &Option<(u32, f64)>,
+    hardware_limited: bool,
+) {
     let mut rows = String::new();
     for s in samples {
         if !rows.is_empty() {
@@ -195,23 +249,16 @@ fn write_json(samples: &[Sample], headline: &Option<(u32, f64)>, hardware_limite
             s.kernel, s.n, s.backend, s.seconds
         );
     }
-    let headline_json = match headline {
-        Some((n, speedup)) => format!(
-            "  \"headline\": {{\n\
-             \x20   \"kernel\": \"dense_1q\",\n\
-             \x20   \"n\": {n},\n\
-             \x20   \"hardware_limited\": {hardware_limited},\n\
-             \x20   \"speedup_vs_scalar\": {speedup:.3}\n  }}"
-        ),
-        None => format!(
-            "  \"headline\": {{\n\
-             \x20   \"kernel\": \"dense_1q\",\n\
-             \x20   \"hardware_limited\": {hardware_limited},\n\
-             \x20   \"speedup_vs_scalar\": null\n  }}"
-        ),
+    let (n, speedup) = match headline {
+        Some((n, speedup)) => (n.to_string(), format!("{speedup:.3}")),
+        None => ("null".into(), "null".into()),
     };
     let json = format!(
-        "{{\n  \"experiment\": \"e12_simd\",\n{headline_json},\n  \"samples\": [\n{rows}\n  ]\n}}\n"
+        "{{\n  \"experiment\": \"e12_simd\",\n  \"host\": {host},\n  \"headline\": {{\n\
+         \x20   \"kernel\": \"dense_1q\",\n\
+         \x20   \"n\": {n},\n\
+         \x20   \"hardware_limited\": {hardware_limited},\n\
+         \x20   \"speedup_vs_scalar\": {speedup}\n  }},\n  \"samples\": [\n{rows}\n  ]\n}}\n"
     );
     let _ = std::fs::create_dir_all("results");
     match std::fs::write("results/BENCH_simd.json", &json) {

@@ -147,16 +147,6 @@ mod tests {
         StateVector::random(n, &mut rng)
     }
 
-    /// Both the portable backend and (when present) the native one.
-    fn backends() -> Vec<&'static KernelBackend> {
-        let mut v: Vec<&'static KernelBackend> =
-            vec![simd::backend_for(simd::BackendChoice::Scalar)];
-        if let Some(b) = simd::native() {
-            v.push(b);
-        }
-        v
-    }
-
     fn sequential(be: &KernelBackend, amps: &mut [C64], gates: &[GateKernel]) {
         for g in gates {
             g.apply(be, None, SERIAL, amps);
@@ -183,7 +173,7 @@ mod tests {
     #[test]
     fn blocked_matches_sequential() {
         let gates = mixed_run();
-        for be in backends() {
+        for be in simd::available() {
             for block_qubits in [4u32, 5, 8] {
                 let mut a = rand_state(10, 3);
                 let mut b = a.clone();
@@ -231,7 +221,7 @@ mod tests {
     fn blocked_fused_matches_direct_kq() {
         use crate::fusion::fuse;
         use crate::library;
-        for be in backends() {
+        for be in simd::available() {
             for seed in 0..3u64 {
                 let c = library::random_circuit(4, 30, seed);
                 let ops = fuse(&c, 3);

@@ -11,15 +11,16 @@
 //!
 //! * a vector step covers `W` consecutive groups, one per lane, so the
 //!   arithmetic per step is a broadcast matrix entry times a register of
-//!   `W` groups' amplitudes, whatever the block's structure;
+//!   `W` groups' amplitudes, whatever the block's structure. `W` is the
+//!   backend's: 1 portable, 2 NEON, 4 AVX2, 8 AVX-512F;
 //! * when a target sits below `log2(W)` the lanes of a loaded vector
 //!   span that target instead of `W` groups. The kernel then loads the
-//!   vectors that differ in the lowest *non-target* address bits and
-//!   exchanges the lane bit with that address bit in registers
-//!   (`Lanes::exchange`), after which every register again holds one
-//!   local basis index of `W` groups; the same exchange precedes the
-//!   store. Low-qubit blocks cost what high-qubit blocks cost plus a few
-//!   shuffles;
+//!   vectors that differ in the lowest *non-target* address bits — up to
+//!   three of them stand in for up to three low targets — and exchanges
+//!   the lane bit with that address bit in registers (`Lanes::exchange`),
+//!   after which every register again holds one local basis index of `W`
+//!   groups; the same exchange precedes the store. Low-qubit blocks cost
+//!   what high-qubit blocks cost plus a few shuffles;
 //! * each row accumulates in eight independent chains (re·re, im·im,
 //!   re·im, im·re, over even and odd entries), so the FMA pipes stay
 //!   full on long rows;
@@ -135,8 +136,9 @@ pub(crate) unsafe trait Lanes: Copy {
     #[inline(always)]
     unsafe fn prefetch(_p: *const C64) {}
     /// Treat `(a, b)` as one table indexed by (which vector, lane) and
-    /// swap lane-index bit `t` with the which-vector bit. Its own
-    /// inverse. Only called with `t < log2(W)`.
+    /// swap the lane-index bit that [`load`](Lanes::load) fills from
+    /// address bit `t` with the which-vector bit. Its own inverse. Only
+    /// called with `t < log2(W)`.
     unsafe fn exchange(t: u32, a: Self, b: Self) -> (Self, Self);
     unsafe fn acc_zero() -> Self::Acc;
     /// `acc + w·v`, kept as four independent sums.
@@ -216,11 +218,11 @@ pub(crate) unsafe fn block_range<V: Lanes>(amps: *mut C64, g0: usize, g1: usize,
     // base address. Those at or above `lane_bits` stand in, in order, for
     // the targets below `lane_bits`: `stand_in[c]` is the address offset
     // of low-target pattern `c`.
-    debug_assert!(V::W <= 4, "stand_in holds the patterns of at most two low targets");
+    debug_assert!(V::W <= 8, "stand_in holds the patterns of at most three low targets");
     let n_low = sorted.iter().take_while(|&&t| t < lane_bits).count();
     let low_mask = (1usize << n_low) - 1;
     let mut step_bits = [0u32; usize::BITS as usize];
-    let mut stand_in = [0usize; 4];
+    let mut stand_in = [0usize; 8];
     let mut n_step = sorted.len();
     step_bits[..n_step].copy_from_slice(sorted);
     let mut n_stand = 0;
@@ -495,15 +497,6 @@ mod tests {
         StateVector::random(n, &mut rng)
     }
 
-    fn backends() -> Vec<&'static simd::KernelBackend> {
-        let mut v: Vec<&'static simd::KernelBackend> =
-            vec![simd::backend_for(simd::BackendChoice::Scalar)];
-        if let Some(b) = simd::native() {
-            v.push(b);
-        }
-        v
-    }
-
     /// One block of `class` over `qubits`.
     fn block(class: FusedClass, n: u32, qubits: &[u32]) -> FusedOp {
         let c = class_circuit(class, n, qubits).expect("the class exists at this width");
@@ -513,7 +506,7 @@ mod tests {
     }
 
     fn assert_matches_scalar_kq(op: &FusedOp, n: u32, what: &str) {
-        for be in backends() {
+        for be in simd::available() {
             let mut a = rand_state(n, 77);
             let mut b = a.clone();
             scalar::apply_kq(a.amplitudes_mut(), &op.qubits, &op.matrix);
@@ -555,7 +548,7 @@ mod tests {
         for class in [Permutation, Sparse, Dense] {
             let op = block(class, 7, &[1, 2, 4]);
             let blk = Block::new(&op.qubits, &op.matrix);
-            for be in backends() {
+            for be in simd::available() {
                 let start = rand_state(7, 19);
                 let mut whole = start.clone();
                 apply_fused(be, whole.amplitudes_mut(), &op);

@@ -258,20 +258,12 @@ pub fn signed_sum_c64(be: &KernelBackend, scratch: &[C64], chunk_base: usize, ma
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::simd::{backend_for, native, BackendChoice};
+    use crate::kernels::simd::available;
     use crate::state::StateVector;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     const EPS: f64 = 1e-12;
-
-    fn backends() -> Vec<&'static KernelBackend> {
-        let mut v = vec![backend_for(BackendChoice::Scalar)];
-        if let Some(b) = native() {
-            v.push(b);
-        }
-        v
-    }
 
     fn rand_state(n: u32, seed: u64) -> StateVector {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -293,7 +285,7 @@ mod tests {
 
     #[test]
     fn z_mask_matches_reference_every_mask() {
-        for be in backends() {
+        for be in available() {
             let s = rand_state(8, 3);
             for z in 0usize..16 {
                 let got = expect_z_mask(be, s.amplitudes(), z);
@@ -305,7 +297,7 @@ mod tests {
 
     #[test]
     fn pauli_string_matches_reference_on_mask_grid() {
-        for be in backends() {
+        for be in available() {
             let s = rand_state(7, 11);
             for flip in [0b1usize, 0b100, 0b1010, 0b1000001] {
                 for y in [0usize, flip & 0b1, flip] {
@@ -328,7 +320,7 @@ mod tests {
     fn signed_sums_match_scalar_folds() {
         let mut rng = StdRng::seed_from_u64(5);
         let s = StateVector::random(6, &mut rng);
-        for be in backends() {
+        for be in available() {
             let mut norms = vec![0.0; s.len()];
             (be.norms_into_run)(s.amplitudes(), &mut norms);
             for mask in [0usize, 0b1, 0b1000, 0b1100] {

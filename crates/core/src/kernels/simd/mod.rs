@@ -9,10 +9,17 @@
 //!
 //! * `avx2` — x86-64 AVX2+FMA intrinsics, 4 complex lanes (runtime
 //!   detected via `is_x86_feature_detected!`);
+//! * `avx512` — the `avx2` table with the block kernel at 8 complex
+//!   lanes (AVX-512F, runtime detected). Only the issue-bound block
+//!   arithmetic gains from the wider registers; the per-gate walkers and
+//!   reductions stream memory and stay at 4 lanes;
 //! * `neon` — aarch64 NEON intrinsics, 2 complex lanes (baseline on
 //!   aarch64-linux, selected at compile time);
 //! * [`portable`] — width-1 safe fallback, bit-identical to the
 //!   scalar kernels in `crate::kernels::scalar`.
+//!
+//! [`available`] lists every backend the host can execute — what the
+//! conformance suites loop over — and [`native`] is the last of them.
 //!
 //! The stride logic lives in [`crate::kernels::sweep`]: a 1q gate on
 //! target `t` splits the array into `2^t`-long paired runs, and whenever
@@ -31,6 +38,8 @@
 // dispatch resolves to the portable backend.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 pub mod avx2;
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+pub mod avx512;
 #[cfg(all(target_arch = "aarch64", not(miri)))]
 pub mod neon;
 pub mod portable;
@@ -51,8 +60,9 @@ use crate::kernels::fused::Block;
 #[derive(Debug)]
 pub struct KernelBackend {
     pub name: &'static str,
-    /// Complex lanes per vector step; runs shorter than this take the
-    /// scalar fallback path.
+    /// The per-gate walkers' vector window, in complex lanes: runs
+    /// shorter than this take the scalar fallback path. `block_range`
+    /// picks its own lanes (8 on `avx512`, whose `width` is still 4).
     pub width: usize,
     /// `a0 = m00·a0 + m01·a1`, `a1 = m10·a0 + m11·a1` over paired runs.
     pub pairs_1q: fn(&mut [C64], &mut [C64], &Mat2),
@@ -110,28 +120,28 @@ impl FromStr for BackendChoice {
     }
 }
 
-/// The best native backend the host supports, if any. Always `None`
-/// under Miri, which cannot execute vendor intrinsics.
-pub fn native() -> Option<&'static KernelBackend> {
-    #[cfg(miri)]
-    {
-        None
-    }
+/// Every backend the host can execute, portable first and the best
+/// native one last. Under Miri, which cannot execute vendor intrinsics,
+/// only portable.
+pub fn available() -> Vec<&'static KernelBackend> {
+    #[allow(unused_mut)]
+    let mut v: Vec<&'static KernelBackend> = vec![&portable::BACKEND];
     #[cfg(all(target_arch = "x86_64", not(miri)))]
-    {
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            return Some(&avx2::BACKEND);
+    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+        v.push(&avx2::BACKEND);
+        if is_x86_feature_detected!("avx512f") {
+            v.push(&avx512::BACKEND);
         }
-        None
     }
     #[cfg(all(target_arch = "aarch64", not(miri)))]
-    {
-        Some(&neon::BACKEND)
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64", miri)))]
-    {
-        None
-    }
+    v.push(&neon::BACKEND);
+    v
+}
+
+/// The best native backend the host supports, if any: the last of
+/// [`available`] unless that is portable.
+pub fn native() -> Option<&'static KernelBackend> {
+    available().into_iter().skip(1).last()
 }
 
 /// Resolve a [`BackendChoice`] against the host.
@@ -193,16 +203,6 @@ mod tests {
 
     const EPS: f64 = 1e-12;
 
-    /// Every backend the host can run: portable always, plus the native
-    /// one when detection finds it.
-    fn backends() -> Vec<&'static KernelBackend> {
-        let mut v: Vec<&'static KernelBackend> = vec![&portable::BACKEND];
-        if let Some(b) = native() {
-            v.push(b);
-        }
-        v
-    }
-
     fn rand_state(n: u32, seed: u64) -> StateVector {
         let mut rng = StdRng::seed_from_u64(seed);
         StateVector::random(n, &mut rng)
@@ -244,15 +244,23 @@ mod tests {
     #[test]
     fn active_backend_is_a_known_one() {
         let be = active();
-        assert!(["portable", "avx2", "neon"].contains(&be.name), "got {}", be.name);
+        assert!(["portable", "avx2", "avx512", "neon"].contains(&be.name), "got {}", be.name);
         assert!(be.width.is_power_of_two());
+    }
+
+    #[test]
+    fn available_lists_portable_first_and_native_last() {
+        let all = available();
+        assert_eq!(all[0].name, "portable");
+        assert_eq!(native().map(|b| b.name), all[1..].last().map(|b| b.name));
+        assert_eq!(backend_for(BackendChoice::Simd).name, all.last().unwrap().name);
     }
 
     #[test]
     fn kq_contiguous_case_matches_scalar() {
         // Targets 0..k: the contiguous-group (row-vectorized) path.
         let mut rng = StdRng::seed_from_u64(31);
-        for be in backends() {
+        for be in available() {
             for k in 2u32..=5 {
                 let ts: Vec<u32> = (0..k).collect();
                 let m = rand_dense(k, &mut rng);
@@ -269,7 +277,7 @@ mod tests {
     fn kq_strided_case_matches_scalar() {
         // All targets high: the across-group (Case A) path.
         let mut rng = StdRng::seed_from_u64(41);
-        for be in backends() {
+        for be in available() {
             for ts in [vec![5u32, 7], vec![4, 6, 8], vec![3, 5, 7, 9]] {
                 let m = rand_dense(ts.len() as u32, &mut rng);
                 let mut a = rand_state(10, 43);
@@ -286,7 +294,7 @@ mod tests {
         // Lowest target at bit 0/1: the lane-exchange path of the block
         // kernel.
         let mut rng = StdRng::seed_from_u64(47);
-        for be in backends() {
+        for be in available() {
             for ts in [vec![0u32, 5], vec![1, 6, 7]] {
                 let m = rand_dense(ts.len() as u32, &mut rng);
                 let mut a = rand_state(9, 53);
@@ -310,7 +318,7 @@ mod tests {
             let mut mrng = StdRng::seed_from_u64(mseed);
             let ts = rand_qubits(k, n, &mut mrng);
             let m = rand_dense(k as u32, &mut mrng);
-            for be in backends() {
+            for be in available() {
                 let mut a = rand_state(n, seed);
                 let mut b = a.clone();
                 scalar::apply_kq(a.amplitudes_mut(), &ts, &m);

@@ -48,7 +48,7 @@ pub struct Outcome {
     /// Execution strategy in CLI syntax (`naive`, `fused:4`, …; empty
     /// when the producer did not know it).
     pub strategy: String,
-    /// Kernel backend name (`avx2` / `neon` / `portable`).
+    /// Kernel backend name (`avx512` / `avx2` / `neon` / `portable`).
     pub backend: String,
     /// Worksharing threads.
     pub threads: u32,

@@ -82,11 +82,7 @@ proptest! {
         let mut reference = init.clone();
         Simulator::new().run(&c, &mut reference).unwrap();
         let plan = crate::fusion::fuse(&c, max_k);
-        let mut backends = vec![simd::backend_for(simd::BackendChoice::Scalar)];
-        if let Some(b) = simd::native() {
-            backends.push(b);
-        }
-        for be in backends {
+        for be in simd::available() {
             let mut spec = init.clone();
             let mut generic = init.clone();
             for op in &plan {

@@ -257,7 +257,7 @@ pub struct RunReport {
     /// fused/blocked).
     pub sweeps: usize,
     /// Name of the SIMD kernel backend that executed the sweeps
-    /// (`"avx2"`, `"neon"`, or `"portable"`).
+    /// (`"avx512"`, `"avx2"`, `"neon"`, or `"portable"`).
     pub backend: &'static str,
     /// A64FX-model prediction, when a chip model is attached.
     pub predicted: Option<ModelReport>,

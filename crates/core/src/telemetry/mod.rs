@@ -216,7 +216,7 @@ pub struct Span {
 pub struct RunMeta {
     /// Execution strategy in CLI syntax (`naive`, `fused:4`, …).
     pub strategy: String,
-    /// Kernel backend name (`avx2` / `neon` / `portable`).
+    /// Kernel backend name (`avx512` / `avx2` / `neon` / `portable`).
     pub backend: String,
     /// Worksharing threads.
     pub threads: u32,

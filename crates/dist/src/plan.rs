@@ -70,7 +70,8 @@ const BELADY_HORIZON: usize = 4096;
 
 /// Lowest local slot a relocated dense gate may land on without risking
 /// a vector-vs-scalar kernel-path divergence from the serial engine
-/// (strides below the widest vector width take the per-index path).
+/// (strides below the widest per-gate vector window,
+/// `KernelBackend::width`, take the per-index path).
 const SIMD_SAFE_SLOT: u32 = 2;
 
 /// How a distributed run schedules its communication.
@@ -637,6 +638,14 @@ mod tests {
                 other => panic!("a reorder plan holds gates and swaps only, not {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn simd_safe_slot_covers_every_per_gate_vector_window() {
+        // A wider per-gate table would move the vector/per-element split
+        // of the walkers above the slot and break dist ≡ serial.
+        let widest = qcs_core::kernels::simd::available().iter().map(|be| be.width).max();
+        assert!(1usize << SIMD_SAFE_SLOT >= widest.unwrap(), "widest window {widest:?}");
     }
 
     #[test]

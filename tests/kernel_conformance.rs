@@ -2,7 +2,8 @@
 //! outside.
 //!
 //! (a) every kernel shape, at every qubit placement of several register
-//! sizes, on every backend the host runs, pool-less: within 1e-12 of the
+//! sizes, on every backend the host runs (`simd::available`, enumerated
+//! in-process, so no `QCS_BACKEND` rerun adds coverage), pool-less: within 1e-12 of the
 //! plain per-index loops in `kernels::scalar` (exactly equal on the
 //! portable backend, whose primitives are those loops); (b) the same
 //! shapes at the placements the drivers treat differently (qubits 0 and
@@ -20,7 +21,7 @@ use a64fx_qcs::core::calibrate::Calibration;
 use a64fx_qcs::core::gates::standard;
 use a64fx_qcs::core::kernels::dispatch::{apply_gate_parallel_with, apply_gate_with, GateKernel};
 use a64fx_qcs::core::kernels::scalar;
-use a64fx_qcs::core::kernels::simd::{self, KernelBackend};
+use a64fx_qcs::core::kernels::simd;
 use a64fx_qcs::core::library::qft::qft;
 use a64fx_qcs::core::prelude::*;
 use a64fx_qcs::core::testing::random_circuit_seeded;
@@ -30,15 +31,6 @@ use rand::SeedableRng;
 
 const EPS: f64 = 1e-12;
 const SERIAL: Schedule = Schedule::Static { chunk: None };
-
-/// Every backend the host can run: portable always, plus the native one
-/// when detection finds it. Enumerated in-process, so no `QCS_BACKEND`
-/// rerun of this binary adds coverage.
-fn backends() -> Vec<&'static KernelBackend> {
-    let mut v = vec![simd::backend_for(BackendChoice::Scalar)];
-    v.extend(simd::native());
-    v
-}
 
 fn schedules() -> [Schedule; 4] {
     [
@@ -124,7 +116,7 @@ fn every_shape_at_every_placement_matches_the_scalar_loops() {
         for kernel in &kernels {
             let mut expected = start.clone();
             reference(kernel, expected.amplitudes_mut());
-            for be in backends() {
+            for be in simd::available() {
                 let mut got = start.clone();
                 kernel.apply(be, None, SERIAL, got.amplitudes_mut());
                 let off = got.max_abs_diff(&expected);
@@ -143,7 +135,7 @@ fn short_unaligned_scratch_buffers_are_accepted() {
     // buffers; those are exempt from the state-alignment assertion.
     let mut amps = vec![C64::default(); 32];
     amps[0] = C64::real(1.0);
-    for be in backends() {
+    for be in simd::available() {
         for _ in 0..2 {
             GateKernel::One(3, standard::h()).apply(be, None, SERIAL, &mut amps);
         }
@@ -156,7 +148,7 @@ fn workshared_sweeps_are_bit_identical_to_pool_less_ones() {
     let n = 10u32;
     let pools: Vec<ThreadPool> = (1..=4).map(ThreadPool::new).collect();
     let start = random_state(n, 5);
-    for be in backends() {
+    for be in simd::available() {
         // 0, 1, the last stride below the vector window, the first one
         // inside it, mid-register, top.
         let window = be.width.trailing_zeros();
@@ -281,7 +273,7 @@ fn every_gate_runs_one_kernel_whoever_sweeps_it() {
         for gate in every_gate(a, b, c) {
             let mut circuit = Circuit::new(n);
             circuit.push(gate.clone());
-            for be in backends() {
+            for be in simd::available() {
                 let mut serial = start.clone();
                 apply_gate_with(be, serial.amplitudes_mut(), &gate);
                 let mut shared = start.clone();

@@ -4,11 +4,12 @@
 //! allocator traffic: the generic fused path built scratch vectors per
 //! block application. This binary installs a counting global allocator
 //! and asserts that [`PreparedFused::apply`] performs **zero**
-//! allocations for every structure class at k ≤ 5, at every lowest
-//! target the block kernel treats differently (0 and 1: lane exchange;
-//! 2 and up: contiguous lanes) — the entire cost of lowering (offsets,
-//! the CSR rows) is paid once in `PreparedFused::new`, outside the
-//! sweep.
+//! allocations for every structure class at k ≤ 5, on every backend the
+//! host runs, at every lowest target the block kernel treats differently
+//! (below the vector's lane bits — 0 and 1 at 4 lanes, 0 to 2 at 8 —
+//! lane exchange; above them contiguous lanes) — the entire cost of
+//! lowering (offsets, the CSR rows) is paid once in `PreparedFused::new`,
+//! outside the sweep.
 //!
 //! Only the armed thread is counted (a thread-local flag), so whatever
 //! else the test harness allocates meanwhile cannot fail the proof.
@@ -52,16 +53,16 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn fused_hot_loop_is_allocation_free() {
-    let mut backends: Vec<&'static simd::KernelBackend> =
-        vec![simd::backend_for(simd::BackendChoice::Scalar)];
-    backends.extend(simd::native());
+    let backends = simd::available();
+    let names: Vec<&str> = backends.iter().map(|b| b.name).collect();
+    eprintln!("no_alloc: backends covered: {}", names.join(", "));
     let n = 12;
     let mut state = StateVector::plus(n);
 
     use FusedClass::{Dense, Diagonal, Permutation, Sparse};
     for class in [Diagonal, Permutation, Sparse, Dense] {
         for k in 1..=5u32 {
-            for lowest in [0u32, 1, 2, 5] {
+            for lowest in [0u32, 1, 2, 3, 5] {
                 let qubits: Vec<u32> = (lowest..lowest + k).collect();
                 // No sparse block below three qubits.
                 let Some(circuit) = class_circuit(class, n, &qubits) else { continue };
