@@ -43,6 +43,7 @@ use crate::fusion::{FusedClass, FusedOp};
 use crate::gates::matrices::DenseMatrix;
 use crate::kernels::dispatch::GateKernel;
 use crate::kernels::index::{compress_bits, insert_zero_bits, spread_bits};
+use crate::kernels::simd::lanes::Lanes;
 use crate::kernels::simd::KernelBackend;
 use crate::kernels::{for_range, AmpPtr, KQ_STACK_DIM};
 
@@ -110,57 +111,6 @@ impl Block {
     #[inline]
     fn groups(&self, len: usize) -> usize {
         len >> self.sorted.len()
-    }
-}
-
-/// The vector type [`block_range`] is generic over: `W` complex numbers
-/// held as `W` real parts then `W` imaginary parts.
-///
-/// # Safety
-/// An implementor must be `#[repr(C)]` with exactly that layout —
-/// `[f64; W]` real lanes followed by `[f64; W]` imaginary lanes — which
-/// [`lane`](Lanes::lane) and [`set_lane`](Lanes::set_lane) rely on.
-pub(crate) unsafe trait Lanes: Copy {
-    /// Complex lanes per vector: the groups one step covers.
-    const W: usize;
-    /// One set of four running sums (re·re, im·im, re·im, im·re).
-    type Acc: Copy;
-
-    unsafe fn zero() -> Self;
-    /// Load `W` consecutive amplitudes.
-    unsafe fn load(p: *const C64) -> Self;
-    /// Store `W` consecutive amplitudes.
-    unsafe fn store(self, p: *mut C64);
-    /// Hint that the `W` amplitudes at `p` are about to be loaded. Never
-    /// faults, whatever `p` is.
-    #[inline(always)]
-    unsafe fn prefetch(_p: *const C64) {}
-    /// Treat `(a, b)` as one table indexed by (which vector, lane) and
-    /// swap the lane-index bit that [`load`](Lanes::load) fills from
-    /// address bit `t` with the which-vector bit. Its own inverse. Only
-    /// called with `t < log2(W)`.
-    unsafe fn exchange(t: u32, a: Self, b: Self) -> (Self, Self);
-    unsafe fn acc_zero() -> Self::Acc;
-    /// `acc + w·v`, kept as four independent sums.
-    unsafe fn mul_acc(acc: Self::Acc, w: C64, v: Self) -> Self::Acc;
-    /// Fold two sets of sums into the complex total.
-    unsafe fn fold(a: Self::Acc, b: Self::Acc) -> Self;
-
-    /// Lane `l` as a complex number.
-    #[inline(always)]
-    unsafe fn lane(&self, l: usize) -> C64 {
-        let p = self as *const Self as *const f64;
-        // SAFETY: the layout contract of the trait; `l < W` by the caller.
-        C64::new(*p.add(l), *p.add(Self::W + l))
-    }
-
-    /// Overwrite lane `l`.
-    #[inline(always)]
-    unsafe fn set_lane(&mut self, l: usize, c: C64) {
-        let p = self as *mut Self as *mut f64;
-        // SAFETY: the layout contract of the trait; `l < W` by the caller.
-        *p.add(l) = c.re;
-        *p.add(Self::W + l) = c.im;
     }
 }
 

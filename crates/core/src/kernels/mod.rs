@@ -10,12 +10,15 @@
 //!   quads) with the shapes as inlined bodies, run inline on the caller
 //!   or workshared across an `omp-par` pool (`for_range` is the only
 //!   place that tells the two apart).
-//! * [`simd`] — the vector primitives the loops are built from
-//!   (AVX2/NEON intrinsics with a portable fallback), selected once at
-//!   startup.
-//! * [`fused`] / [`blocked`] — fused k-qubit blocks, and cache-blocked
-//!   multi-gate sweeps that apply a run of low-target gates to one
-//!   L2-resident block at a time (E7).
+//! * [`simd`] — the vector primitives the loops and the observable
+//!   reductions are built from, each written once over a backend's
+//!   vector type (portable, AVX2, AVX-512F, NEON); the backend is
+//!   selected once at startup.
+//! * [`fused`] / [`blocked`] — fused k-qubit blocks through the one
+//!   block kernel, and cache-blocked multi-gate sweeps that apply a run
+//!   of low-target gates to one L2-resident block at a time (E7).
+//! * [`reduce`] — the observable reductions' drivers: Pauli strings and
+//!   grouped Pauli sums decomposed into the backend's run reductions.
 //! * [`index`] — the bit-manipulation helpers shared by all kernels.
 //! * [`scalar`] — plain per-index Rust loops: the reference the
 //!   conformance tests compare against, and the cold `Ccx`/`CSwap` path.

@@ -5,8 +5,10 @@
 //! twice the lanes halve the arithmetic a step costs, where every per-gate
 //! primitive and reduction streams memory and gains nothing from wider
 //! registers. The table is therefore the AVX2 table with `block_range`
-//! swapped; its `width` stays 4 because that is the per-gate walkers'
-//! vector window.
+//! swapped, and `CVec8` implements only `Lanes`, not the run
+//! arithmetic: `width` stays 4 because that is the per-gate walkers'
+//! vector window, which dist's `SIMD_SAFE_SLOT` and its golden
+//! `CommStats` rely on.
 //!
 //! Every lane runs AVX2's exact FMA sequence, so a group's result bits
 //! equal the 4-lane kernel's. The module is only reachable through
@@ -16,8 +18,9 @@
 use std::arch::x86_64::*;
 
 use crate::complex::C64;
-use crate::kernels::fused::{self, Block, Lanes};
+use crate::kernels::fused::{self, Block};
 
+use super::lanes::Lanes;
 use super::{avx2, KernelBackend};
 
 pub(super) static BACKEND: KernelBackend =

@@ -5,17 +5,22 @@
 //! dense 1q, diag 1q/2q, X/SWAP, controlled 1q, dense 2q, and the fused
 //! k-qubit block — is expressed over a small primitive set (paired-run
 //! mat-vec, run scaling, run exchange, quad-run mat-vec, group-range
-//! block kernel) collected in a [`KernelBackend`] vtable:
+//! block kernel) plus the observable reductions, collected in a
+//! [`KernelBackend`] vtable.
 //!
-//! * `avx2` — x86-64 AVX2+FMA intrinsics, 4 complex lanes (runtime
-//!   detected via `is_x86_feature_detected!`);
+//! Each primitive is written once, in `lanes`, generic over a vector
+//! type of `W` complex lanes, and each backend is one such type with
+//! its two trait impls, from which one macro builds the table:
+//!
+//! * `avx2` — x86-64 AVX2+FMA, 4 complex lanes (runtime detected via
+//!   `is_x86_feature_detected!`);
 //! * `avx512` — the `avx2` table with the block kernel at 8 complex
 //!   lanes (AVX-512F, runtime detected). Only the issue-bound block
 //!   arithmetic gains from the wider registers; the per-gate walkers and
 //!   reductions stream memory and stay at 4 lanes;
-//! * `neon` — aarch64 NEON intrinsics, 2 complex lanes (baseline on
-//!   aarch64-linux, selected at compile time);
-//! * [`portable`] — width-1 safe fallback, bit-identical to the
+//! * `neon` — aarch64 NEON, 2 complex lanes (baseline on aarch64-linux,
+//!   selected at compile time);
+//! * [`portable`] — one lane, no intrinsics, bit-identical to the
 //!   scalar kernels in `crate::kernels::scalar`.
 //!
 //! [`available`] lists every backend the host can execute — what the
@@ -24,14 +29,16 @@
 //! The stride logic lives in [`crate::kernels::sweep`]: a 1q gate on
 //! target `t` splits the array into `2^t`-long paired runs, and whenever
 //! the run is at least one vector wide the backend primitive sweeps it.
-//! A primitive must give an amplitude the same bits wherever a run is
-//! cut — its tail loop rounds as its vector body does — because a
+//! A primitive gives an amplitude the same bits wherever a run is cut —
+//! its ragged tail runs the body's lane arithmetic — because a
 //! workshared sweep cuts runs at chunk boundaries and must still equal
 //! the serial one exactly.
 //!
 //! Backend selection happens once per process ([`active`]); the
 //! `QCS_BACKEND` environment variable (`auto`/`scalar`/`simd`) and the
 //! CLI `--backend` flag override detection.
+
+pub(super) mod lanes;
 
 // The native modules are vendor intrinsics; Miri interprets portable
 // Rust only, so under `cfg(miri)` they are compiled out and every

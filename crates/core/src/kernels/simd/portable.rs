@@ -1,127 +1,20 @@
-//! Portable fallback backend.
+//! Portable backend: one complex number is a vector of one lane.
 //!
-//! Width-1 implementations of the [`KernelBackend`] primitive set, with
-//! arithmetic identical to the [`crate::kernels::scalar`] loops (same
-//! [`C64::fma`] ordering), so forcing this backend reproduces scalar
-//! results bit-for-bit. The run-oriented loops are also what the SIMD
-//! backends fall back to for remainders and narrow strides.
+//! Every primitive is the generic one of `lanes` at `W = 1`,
+//! whose lane arithmetic is [`C64`]'s own (`fma` is [`C64::fma`], `mul`
+//! the scalar `Mul`). So the per-gate sweeps reproduce the
+//! [`crate::kernels::scalar`] loops bit for bit, and the runs never have
+//! a ragged tail. Compiled for the baseline target, no intrinsics: the
+//! backend Miri interprets and `QCS_BACKEND=scalar` forces.
 
 use crate::complex::C64;
-use crate::gates::matrices::{Mat2, Mat4};
-use crate::kernels::fused::{self, Block, Lanes};
 
-use super::KernelBackend;
+use super::lanes::{kernel_backend, Lanes, RunLanes};
 
-pub(super) static BACKEND: KernelBackend = KernelBackend {
-    name: "portable",
-    width: 1,
-    pairs_1q,
-    scale_run,
-    swap_runs,
-    quads_2q,
-    block_range,
-    sum_norms_run,
-    norms_into_run,
-    sum_f64_run,
-    dot_conj_run,
-    mul_conj_into_run,
-    sum_c64_run,
-};
+kernel_backend!("portable", C64);
 
-/// `out0 = m00·a0 + m01·a1`, `out1 = m10·a0 + m11·a1` over paired runs.
-fn pairs_1q(a0: &mut [C64], a1: &mut [C64], m: &Mat2) {
-    debug_assert_eq!(a0.len(), a1.len());
-    let (m00, m01, m10, m11) = (m.m[0][0], m.m[0][1], m.m[1][0], m.m[1][1]);
-    for (x0, x1) in a0.iter_mut().zip(a1.iter_mut()) {
-        let v0 = *x0;
-        let v1 = *x1;
-        *x0 = C64::default().fma(m00, v0).fma(m01, v1);
-        *x1 = C64::default().fma(m10, v0).fma(m11, v1);
-    }
-}
-
-/// Multiply a contiguous run by one diagonal entry.
-fn scale_run(run: &mut [C64], d: C64) {
-    for a in run {
-        *a *= d;
-    }
-}
-
-/// Exchange two equal-length runs (the X/SWAP permutation core).
-fn swap_runs(a: &mut [C64], b: &mut [C64]) {
-    a.swap_with_slice(b);
-}
-
-/// Dense 4×4 mat-vec across four runs in matrix basis order `v0..v3`.
-fn quads_2q(a0: &mut [C64], a1: &mut [C64], a2: &mut [C64], a3: &mut [C64], m: &Mat4) {
-    for i in 0..a0.len() {
-        let v = [a0[i], a1[i], a2[i], a3[i]];
-        let out = m.apply(v);
-        a0[i] = out[0];
-        a1[i] = out[1];
-        a2[i] = out[2];
-        a3[i] = out[3];
-    }
-}
-
-/// `Σ |a|²` over one run, accumulated sequentially (the reference
-/// ordering the reduction conformance tests compare SIMD backends to).
-fn sum_norms_run(run: &[C64]) -> f64 {
-    let mut acc = 0.0;
-    for a in run {
-        acc += a.norm_sqr();
-    }
-    acc
-}
-
-/// `out[k] = |run[k]|²`.
-fn norms_into_run(run: &[C64], out: &mut [f64]) {
-    debug_assert_eq!(run.len(), out.len());
-    for (a, o) in run.iter().zip(out.iter_mut()) {
-        *o = a.norm_sqr();
-    }
-}
-
-/// `Σ x` over an `f64` scratch run.
-fn sum_f64_run(run: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for &x in run {
-        acc += x;
-    }
-    acc
-}
-
-/// `Σ conj(u)·v` over paired runs.
-fn dot_conj_run(u: &[C64], v: &[C64]) -> C64 {
-    debug_assert_eq!(u.len(), v.len());
-    let mut acc = C64::default();
-    for (a, b) in u.iter().zip(v.iter()) {
-        acc = acc.fma(a.conj(), *b);
-    }
-    acc
-}
-
-/// `out[k] = conj(u[k])·v[k]`.
-fn mul_conj_into_run(u: &[C64], v: &[C64], out: &mut [C64]) {
-    debug_assert_eq!(u.len(), v.len());
-    debug_assert_eq!(u.len(), out.len());
-    for ((a, b), o) in u.iter().zip(v.iter()).zip(out.iter_mut()) {
-        *o = a.conj() * *b;
-    }
-}
-
-/// `Σ x` over a complex scratch run.
-fn sum_c64_run(run: &[C64]) -> C64 {
-    let mut acc = C64::default();
-    for &x in run {
-        acc += x;
-    }
-    acc
-}
-
-/// One complex number is a vector of one lane: the block kernel at
-/// width 1, in plain multiplies and adds (no `mul_add`, which is a libm
-/// call on baseline x86-64).
+/// The block kernel at width 1, in plain multiplies and adds (no
+/// `mul_add`, which is a libm call on baseline x86-64).
 // SAFETY: `C64` is `#[repr(C)] { re: f64, im: f64 }`: one real lane, then
 // one imaginary lane.
 unsafe impl Lanes for C64 {
@@ -163,10 +56,34 @@ unsafe impl Lanes for C64 {
     }
 }
 
-/// The block kernel one group per step.
-///
-/// # Safety
-/// As [`fused::block_range`].
-unsafe fn block_range(amps: *mut C64, g0: usize, g1: usize, blk: &Block) {
-    fused::block_range::<C64>(amps, g0, g1, blk)
+impl RunLanes for C64 {
+    #[inline(always)]
+    unsafe fn splat(c: C64) -> C64 {
+        c
+    }
+
+    #[inline(always)]
+    unsafe fn fma(acc: C64, w: C64, v: C64) -> C64 {
+        acc.fma(w, v)
+    }
+
+    #[inline(always)]
+    unsafe fn mul(a: C64, b: C64) -> C64 {
+        a * b
+    }
+
+    #[inline(always)]
+    unsafe fn conj(self) -> C64 {
+        C64::conj(self)
+    }
+
+    #[inline(always)]
+    unsafe fn add(a: C64, b: C64) -> C64 {
+        a + b
+    }
+
+    #[inline(always)]
+    unsafe fn madd(acc: C64, a: C64, b: C64) -> C64 {
+        C64::new(acc.re + a.re * b.re, acc.im + a.im * b.im)
+    }
 }

@@ -5,7 +5,7 @@
 //! sizes, on every backend the host runs (`simd::available`, enumerated
 //! in-process, so no `QCS_BACKEND` rerun adds coverage), pool-less: within 1e-12 of the
 //! plain per-index loops in `kernels::scalar` (exactly equal on the
-//! portable backend, whose primitives are those loops); (b) the same
+//! portable backend, whose one-lane arithmetic is those loops'); (b) the same
 //! shapes at the placements the drivers treat differently (qubits 0 and
 //! 1, either side of the backend's vector window, mid-register, top; both
 //! qubit orders), workshared over 1–4 threads under four schedules:
@@ -13,7 +13,9 @@
 //! sweep, however the chunks cut the runs; (c) whole circuits through
 //! `Simulator`, every concrete strategy: 2–4 threads bit-identical to one;
 //! (d) every gate constructor: pooled ≡ pool-less, and a cache-blocked
-//! run ≡ a naive one, because both read the same table.
+//! run ≡ a naive one, because both read the same table; (e) the per-gate
+//! bits of each backend pinned by a recorded checksum; (f) each run
+//! primitive cut at every offset equal to the whole run, to the bit.
 
 use std::sync::Once;
 
@@ -27,7 +29,7 @@ use a64fx_qcs::core::prelude::*;
 use a64fx_qcs::core::testing::random_circuit_seeded;
 use a64fx_qcs::omp::ThreadPool;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 const EPS: f64 = 1e-12;
 const SERIAL: Schedule = Schedule::Static { chunk: None };
@@ -98,20 +100,27 @@ fn reference(kernel: &GateKernel, amps: &mut [C64]) {
     }
 }
 
+/// Every shape at every placement of an `n`-qubit register (the 3-qubit
+/// shapes at four spread placements).
+fn every_placement(n: u32) -> Vec<GateKernel> {
+    let mut kernels: Vec<GateKernel> = (0..n).flat_map(shapes_1q).collect();
+    for a in 0..n {
+        for b in (0..n).filter(|&b| b != a) {
+            kernels.extend(shapes_2q(a, b));
+        }
+    }
+    if n >= 3 {
+        for (a, b, c) in [(0, 1, 2), (n - 1, 0, 1), (1, n - 1, n - 2), (n / 2, n - 1, 0)] {
+            kernels.extend(shapes_3q(a, b, c));
+        }
+    }
+    kernels
+}
+
 #[test]
 fn every_shape_at_every_placement_matches_the_scalar_loops() {
     for n in [1u32, 2, 3, 6, 10, 13] {
-        let mut kernels: Vec<GateKernel> = (0..n).flat_map(shapes_1q).collect();
-        for a in 0..n {
-            for b in (0..n).filter(|&b| b != a) {
-                kernels.extend(shapes_2q(a, b));
-            }
-        }
-        if n >= 3 {
-            for (a, b, c) in [(0, 1, 2), (n - 1, 0, 1), (1, n - 1, n - 2), (n / 2, n - 1, 0)] {
-                kernels.extend(shapes_3q(a, b, c));
-            }
-        }
+        let kernels = every_placement(n);
         let start = random_state(n, 7 + n as u64);
         for kernel in &kernels {
             let mut expected = start.clone();
@@ -176,6 +185,106 @@ fn workshared_sweeps_are_bit_identical_to_pool_less_ones() {
                     assert!(shared.approx_eq(&expected, EPS), "{what}: off the scalar loops");
                     assert_eq!(shared.max_abs_diff(&serial), 0.0, "{what}: pooled ≠ pool-less");
                 }
+            }
+        }
+    }
+}
+
+/// FNV-1a over the bits of every amplitude.
+fn fnv1a(hash: &mut u64, state: &StateVector) {
+    for a in state.amplitudes() {
+        for byte in [a.re, a.im].iter().flat_map(|x| x.to_bits().to_le_bytes()) {
+            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
+/// The per-gate checksum of each backend, recorded while every backend
+/// still kept its own copy of the run primitives. The portable row
+/// assumes a baseline x86-64 build, where `C64::fma` is unfused; avx512
+/// runs avx2's per-gate primitives, so the two rows agree.
+const PER_GATE_GOLDEN: [(&str, u64); 3] = [
+    ("portable", 0x2c46_6d20_9a7f_25d1),
+    ("avx2", 0x7b29_7a43_87b0_cc09),
+    ("avx512", 0x7b29_7a43_87b0_cc09),
+];
+
+#[test]
+fn per_gate_bits_match_the_recorded_checksums() {
+    // Every shape × every placement at three register sizes, pool-less
+    // and workshared in chunks of three indices, which cut runs at every
+    // offset a vector step can have.
+    let pool = ThreadPool::new(3);
+    let sched = Schedule::Dynamic { chunk: 3 };
+    for be in simd::available() {
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        for n in [3u32, 6, 9] {
+            let start = random_state(n, 7 + n as u64);
+            for kernel in every_placement(n) {
+                for pool in [None, Some(&pool)] {
+                    let mut state = start.clone();
+                    kernel.apply(be, pool, sched, state.amplitudes_mut());
+                    fnv1a(&mut hash, &state);
+                }
+            }
+        }
+        match PER_GATE_GOLDEN.iter().find(|(name, _)| *name == be.name) {
+            Some(&(_, want)) => {
+                assert_eq!(hash, want, "{}: per-gate bits moved (got {hash:#018x})", be.name)
+            }
+            None => {
+                println!("per-gate golden: {} skipped, no recorded row ({hash:#018x})", be.name)
+            }
+        }
+    }
+}
+
+/// `pairs_1q` on runs 0 and 1, `scale_run` on run 2, `quads_2q` on a copy
+/// of all four and `mul_conj_into_run` of runs 0 and 1, each called once
+/// on `..at` and once on `at..`; the bits of the eight output runs.
+fn cut_run_primitives(be: &simd::KernelBackend, runs: &[Vec<C64>], at: usize) -> Vec<Vec<u64>> {
+    let (m2, m4, d) = (standard::u3(0.3, 1.0, -0.5), dense4(), C64::exp_i(0.31));
+    let len = runs[0].len();
+    let mut pairs = runs[..3].to_vec();
+    let mut quads = runs.to_vec();
+    let mut conj = vec![C64::default(); len];
+    for piece in [0..at, at..len] {
+        let [a0, a1, a2] = &mut pairs[..] else { unreachable!() };
+        (be.pairs_1q)(&mut a0[piece.clone()], &mut a1[piece.clone()], &m2);
+        (be.scale_run)(&mut a2[piece.clone()], d);
+        let [b0, b1, b2, b3] = &mut quads[..] else { unreachable!() };
+        let p = piece.clone();
+        (be.quads_2q)(&mut b0[p.clone()], &mut b1[p.clone()], &mut b2[p.clone()], &mut b3[p], &m4);
+        let (u, v) = (&runs[0][piece.clone()], &runs[1][piece.clone()]);
+        (be.mul_conj_into_run)(u, v, &mut conj[piece]);
+    }
+    pairs
+        .into_iter()
+        .chain(quads)
+        .chain([conj])
+        .map(|run| run.iter().flat_map(|a| [a.re.to_bits(), a.im.to_bits()]).collect())
+        .collect()
+}
+
+#[test]
+fn run_primitives_cut_anywhere_give_the_bits_of_the_whole_run() {
+    // A workshared sweep cuts runs at chunk boundaries: the pieces of a
+    // run, each with its own vector body and ragged tail, must round
+    // every amplitude as the whole run does.
+    let mut rng = StdRng::seed_from_u64(29);
+    for be in simd::available() {
+        for len in 0..=2 * be.width + 3 {
+            let runs: Vec<Vec<C64>> = (0..4)
+                .map(|_| {
+                    (0..len)
+                        .map(|_| C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+                        .collect()
+                })
+                .collect();
+            let whole = cut_run_primitives(be, &runs, 0);
+            for at in 1..=len {
+                let pieces = cut_run_primitives(be, &runs, at);
+                assert_eq!(pieces, whole, "{} len={len} cut at {at}", be.name);
             }
         }
     }
