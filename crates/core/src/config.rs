@@ -2,11 +2,12 @@
 //!
 //! Strategy, kernel backend, threading, worksharing schedule, the A64FX
 //! model, and telemetry were historically six separate `with_*` knobs on
-//! [`Simulator`] plus two environment variables
-//! and four CLI flags. `SimConfig` collects them into one value that
+//! [`Simulator`] plus environment variables and four CLI flags.
+//! `SimConfig` collects them into one value that
 //! can be built fluently, validated as a whole, printed back to the user
 //! (`--verbose`), and stamped into every trace header — so a recorded
-//! run is reproducible from its own metadata.
+//! run is reproducible from its own metadata. The environment never
+//! changes it: what a run does is what its `SimConfig` says.
 //!
 //! ```
 //! use qcs_core::prelude::*;
@@ -101,9 +102,8 @@ impl CheckpointConfig {
 pub struct SimConfig {
     /// How the circuit maps onto kernel sweeps.
     pub strategy: Strategy,
-    /// SIMD kernel backend. [`BackendChoice::Auto`] defers to the
-    /// process default (runtime feature detection, `QCS_BACKEND`
-    /// override).
+    /// SIMD kernel backend. [`BackendChoice::Auto`] takes the best one
+    /// the host's runtime feature detection finds.
     pub backend: BackendChoice,
     /// Worker threads.
     pub pool: PoolSpec,
@@ -143,25 +143,11 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// The default configuration: naive strategy, auto backend, serial,
-    /// static schedule, no model — with telemetry resolved from the
-    /// environment (`QCS_TRACE`, `QCS_TRACE_OUT`; off when unset) and
-    /// the strategy overridable via `QCS_STRATEGY` (any value the CLI's
-    /// `--strategy` accepts, e.g. `fused:4` or `auto`; unparseable
-    /// values are ignored).
-    ///
-    /// Use `SimConfig::default()` for the environment-independent
-    /// configuration, or override with
-    /// [`strategy`](SimConfig::strategy) /
-    /// [`telemetry`](SimConfig::telemetry) explicitly.
+    /// The default configuration ([`SimConfig::default`]): naive
+    /// strategy, auto backend, serial, static schedule, no model,
+    /// telemetry off.
     pub fn new() -> SimConfig {
-        let mut cfg = SimConfig::default().telemetry(TelemetryConfig::default().from_env());
-        if let Ok(text) = std::env::var("QCS_STRATEGY") {
-            if let Ok(s) = text.parse::<Strategy>() {
-                cfg.strategy = s;
-            }
-        }
-        cfg
+        SimConfig::default()
     }
 
     /// Select the execution strategy.
@@ -432,26 +418,6 @@ mod tests {
         cfg.validate().unwrap();
         assert!(cfg.describe().contains("strategy:  auto"));
         cfg.build().unwrap();
-    }
-
-    #[test]
-    fn strategy_env_override_applies_to_new_only() {
-        // Serialise env-var tests to avoid cross-test races.
-        std::env::set_var("QCS_STRATEGY", "auto");
-        assert_eq!(SimConfig::new().strategy, Strategy::Auto);
-        // `default()` stays environment-independent.
-        assert_eq!(SimConfig::default().strategy, Strategy::Naive);
-        // Explicit builder choice still wins over the environment.
-        assert_eq!(
-            SimConfig::new().strategy(Strategy::Fused { max_k: 3 }).strategy,
-            Strategy::Fused { max_k: 3 }
-        );
-        std::env::set_var("QCS_STRATEGY", "planned:12:4");
-        assert_eq!(SimConfig::new().strategy, Strategy::Planned { block_qubits: 12, max_k: 4 });
-        // Unparseable values are ignored, not fatal.
-        std::env::set_var("QCS_STRATEGY", "warp-drive");
-        assert_eq!(SimConfig::new().strategy, Strategy::Naive);
-        std::env::remove_var("QCS_STRATEGY");
     }
 
     #[test]

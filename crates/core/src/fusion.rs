@@ -326,7 +326,7 @@ impl Pass<'_> {
         // Left-multiply each gate into every column at once: read as a
         // state of 2k qubits, the row-major matrix keeps its row index in
         // the high k bits. The portable kernels, whatever backend the
-        // process runs: a product matrix must not depend on `QCS_BACKEND`.
+        // engine runs: a product matrix must not depend on the backend.
         let portable = simd::backend_for(BackendChoice::Scalar);
         for g in gates() {
             apply_gate_with(portable, &mut product, &g.remap(|q| k + position(q)));

@@ -120,8 +120,8 @@ impl GateKernel {
     }
 }
 
-/// Apply one gate with the process-wide active SIMD backend (runtime
-/// feature detection, overridable via `QCS_BACKEND`).
+/// Apply one gate with the default SIMD backend ([`simd::active`], the
+/// best one runtime feature detection finds).
 pub fn apply_gate(amps: &mut [C64], g: &Gate) {
     apply_gate_with(simd::active(), amps, g);
 }

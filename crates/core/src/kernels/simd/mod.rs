@@ -34,9 +34,9 @@
 //! workshared sweep cuts runs at chunk boundaries and must still equal
 //! the serial one exactly.
 //!
-//! Backend selection happens once per process ([`active`]); the
-//! `QCS_BACKEND` environment variable (`auto`/`scalar`/`simd`) and the
-//! CLI `--backend` flag override detection.
+//! Runtime feature detection picks the default backend ([`active`]);
+//! `SimConfig::backend` and the CLI `--backend` flag choose another
+//! ([`backend_for`]).
 
 pub(super) mod lanes;
 
@@ -103,7 +103,7 @@ pub struct KernelBackend {
     pub sum_c64_run: fn(&[C64]) -> C64,
 }
 
-/// User-facing backend selection (CLI `--backend`, `QCS_BACKEND`).
+/// User-facing backend selection (CLI `--backend`, `SimConfig::backend`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendChoice {
     /// Best native backend if the host supports one, else portable.
@@ -159,18 +159,11 @@ pub fn backend_for(choice: BackendChoice) -> &'static KernelBackend {
     }
 }
 
-/// The process-wide backend, chosen once on first use: the
-/// `QCS_BACKEND` environment variable (`auto`/`scalar`/`simd`) overrides
-/// feature detection — CI uses this for its forced-scalar test run.
+/// The default backend, `backend_for(BackendChoice::Auto)`, detected
+/// once per process.
 pub fn active() -> &'static KernelBackend {
     static ACTIVE: OnceLock<&'static KernelBackend> = OnceLock::new();
-    ACTIVE.get_or_init(|| {
-        let choice = std::env::var("QCS_BACKEND")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(BackendChoice::Auto);
-        backend_for(choice)
-    })
+    ACTIVE.get_or_init(|| backend_for(BackendChoice::Auto))
 }
 
 /// Full state vectors come from [`crate::align::AlignedAmps`] and are

@@ -5,7 +5,7 @@
 //! the scalar `Mul`). So the per-gate sweeps reproduce the
 //! [`crate::kernels::scalar`] loops bit for bit, and the runs never have
 //! a ragged tail. Compiled for the baseline target, no intrinsics: the
-//! backend Miri interprets and `QCS_BACKEND=scalar` forces.
+//! backend Miri interprets and `--backend scalar` selects.
 
 use crate::complex::C64;
 

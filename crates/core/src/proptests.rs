@@ -250,8 +250,7 @@ proptest! {
         Simulator::new().run(&c, &mut plain).unwrap();
         let mut s = init.clone();
         // Pinned to Naive: the property counts one span per gate, which
-        // only the naive sweep emits (and must hold even when
-        // QCS_STRATEGY overrides the ambient default).
+        // only the naive sweep emits.
         let sim = SimConfig::new()
             .strategy(ExecStrategy::Naive)
             .telemetry(crate::telemetry::TelemetryConfig::on())

@@ -13,7 +13,7 @@ use crate::circuit::Circuit;
 use crate::complex::C64;
 use crate::config::{CheckpointConfig, PoolSpec, SimConfig};
 use crate::integrity::{self, IntegrityMode, IntegrityPolicy, IntegrityViolation, Outcome};
-use crate::kernels::simd::{self, BackendChoice, KernelBackend};
+use crate::kernels::simd::{self, KernelBackend};
 use crate::measure::{measure_qubit, MeasurementResult};
 use crate::perf::{predict, ModelReport};
 use crate::program::{lower, Program, SweepOp};
@@ -275,7 +275,7 @@ pub struct Simulator {
     pub(crate) pool: Option<Arc<ThreadPool>>,
     pub(crate) sched: Schedule,
     pub(crate) chip: Option<(ChipParams, ExecConfig)>,
-    backend: Option<BackendChoice>,
+    backend: &'static KernelBackend,
     pub(crate) telemetry: TelemetryConfig,
     integrity: IntegrityPolicy,
     checkpoint: Option<CheckpointConfig>,
@@ -284,16 +284,7 @@ pub struct Simulator {
 impl Simulator {
     /// Single-threaded, gate-by-gate, no model, telemetry off.
     pub fn new() -> Simulator {
-        Simulator {
-            strategy: Strategy::Naive,
-            pool: None,
-            sched: Schedule::default_static(),
-            chip: None,
-            backend: None,
-            telemetry: TelemetryConfig::off(),
-            integrity: IntegrityPolicy::default(),
-            checkpoint: None,
-        }
+        Simulator::from_config(SimConfig::default()).expect("the default configuration is valid")
     }
 
     /// Build an engine from a validated [`SimConfig`] — the primary
@@ -327,12 +318,7 @@ impl Simulator {
             pool,
             sched: schedule,
             chip: model,
-            // `Auto` defers to the process-wide default so `QCS_BACKEND`
-            // keeps working; explicit choices pin the backend.
-            backend: match backend {
-                BackendChoice::Auto => None,
-                explicit => Some(explicit),
-            },
+            backend: simd::backend_for(backend),
             telemetry,
             integrity,
             checkpoint,
@@ -351,10 +337,7 @@ impl Simulator {
 
     /// The kernel backend this simulator will execute with.
     pub fn backend(&self) -> &'static KernelBackend {
-        match self.backend {
-            Some(choice) => simd::backend_for(choice),
-            None => simd::active(),
-        }
+        self.backend
     }
 
     /// Execute the unitary `circuit` on `state`: lower it under the
@@ -604,7 +587,7 @@ impl std::fmt::Debug for Simulator {
             .field("threads", &self.threads())
             .field("schedule", &self.sched)
             .field("model", &self.chip.as_ref().map(|(_, cfg)| cfg))
-            .field("backend", &self.backend)
+            .field("backend", &self.backend.name)
             .field("telemetry", &self.telemetry)
             .finish()
     }
@@ -614,6 +597,7 @@ impl std::fmt::Debug for Simulator {
 mod tests {
     use super::*;
     use crate::circuit::Gate;
+    use crate::kernels::simd::BackendChoice;
     use crate::library;
     use rand::rngs::StdRng;
 
@@ -848,7 +832,7 @@ mod tests {
         let c = library::qft(6);
         let mut s = StateVector::zero(6);
         // Naive pinned: the sweep-count assertion below is
-        // strategy-dependent (`QCS_STRATEGY` must not leak in).
+        // strategy-dependent.
         let report = SimConfig::new()
             .strategy(Strategy::Naive)
             .model(ChipParams::a64fx(), ExecConfig::full_chip())

@@ -398,23 +398,6 @@ impl TelemetryConfig {
             None => Tracer::with_defaults(n_qubits, threads, self.capacity),
         })
     }
-
-    /// Apply `QCS_TRACE` (any value but `0`/empty enables) and
-    /// `QCS_TRACE_OUT` (output path) environment overrides.
-    pub fn from_env(mut self) -> TelemetryConfig {
-        if let Ok(v) = std::env::var("QCS_TRACE") {
-            if !v.is_empty() && v != "0" {
-                self.enabled = true;
-            }
-        }
-        if let Ok(path) = std::env::var("QCS_TRACE_OUT") {
-            if !path.is_empty() {
-                self.enabled = true;
-                self.trace_path = Some(PathBuf::from(path));
-            }
-        }
-        self
-    }
 }
 
 /// Cache-line-padded atomic counter (one writer thread each; padding
@@ -828,24 +811,6 @@ mod tests {
         // A double-probability collapse would price 64 B/amp instead.
         assert_eq!(s.bytes, 48 << 10);
         assert_eq!(s.amps, 2 << 10);
-    }
-
-    #[test]
-    fn telemetry_config_env_overrides() {
-        // Serialise env-var tests to avoid cross-test races.
-        std::env::set_var("QCS_TRACE", "1");
-        std::env::remove_var("QCS_TRACE_OUT");
-        let cfg = TelemetryConfig::off().from_env();
-        assert!(cfg.enabled);
-        std::env::set_var("QCS_TRACE", "0");
-        let cfg = TelemetryConfig::off().from_env();
-        assert!(!cfg.enabled);
-        std::env::set_var("QCS_TRACE_OUT", "/tmp/trace.jsonl");
-        let cfg = TelemetryConfig::off().from_env();
-        assert!(cfg.enabled);
-        assert_eq!(cfg.trace_path.as_deref(), Some(std::path::Path::new("/tmp/trace.jsonl")));
-        std::env::remove_var("QCS_TRACE");
-        std::env::remove_var("QCS_TRACE_OUT");
     }
 
     #[test]

@@ -538,11 +538,10 @@ fn run_plain(
     kind: DistPlanKind,
     telemetry: Option<&TelemetryConfig>,
 ) -> Result<(StateVector, Vec<CommStats>, Vec<Trace>), DistError> {
-    let (faults, strategy) = (FaultPlan::from_env(), kind.strategy(n_ranks));
-    let run =
-        run_world(circuit, n_ranks, kind, faults, telemetry, &strategy, |st, comm, _, ops| {
-            st.run(comm, ops)
-        })?;
+    let strategy = kind.strategy(n_ranks);
+    let run = run_world(circuit, n_ranks, kind, None, telemetry, &strategy, |st, comm, _, ops| {
+        st.run(comm, ops)
+    })?;
     Ok((run.state, run.stats, run.traces))
 }
 

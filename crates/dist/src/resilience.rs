@@ -57,9 +57,7 @@ use crate::plan::{run_world, DistPlan, DistPlanKind};
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
     /// Fault plan injected into the communication substrate. `None`
-    /// falls back to [`FaultPlan::from_env`] (the `QCS_FAULT_SEED` /
-    /// `QCS_FAULT_SPEC` variables), so a clean environment runs the
-    /// zero-overhead fast path.
+    /// runs the zero-overhead fast path.
     pub fault_plan: Option<FaultPlan>,
     /// Snapshot cadence in gates; `0` keeps only the initial snapshot.
     pub checkpoint_every: usize,
@@ -193,7 +191,7 @@ pub fn run_resilient(
         circuit,
         n_ranks,
         kind,
-        cfg.fault_plan.clone().or_else(FaultPlan::from_env),
+        cfg.fault_plan.clone(),
         cfg.telemetry.enabled.then_some(&cfg.telemetry),
         &format!("dist-resilient:{n_ranks}"),
         |st, comm, plan, ops| run_rank(st, comm, cfg, plan, ops),

@@ -237,11 +237,12 @@ impl Comm {
 mod tests {
     use super::*;
     use crate::comm::World;
+    use crate::run_clean_and_faulted;
 
     #[test]
     fn barrier_completes_all_world_sizes() {
         for n in [1usize, 2, 3, 4, 5, 7, 8] {
-            World::run(n, |c| {
+            run_clean_and_faulted(n, |c| {
                 for _ in 0..3 {
                     c.barrier();
                 }
@@ -253,7 +254,7 @@ mod tests {
     fn bcast_from_every_root() {
         for n in [1usize, 2, 3, 4, 6, 8] {
             for root in 0..n {
-                let results = World::run(n, move |c| {
+                let results = run_clean_and_faulted(n, move |c| {
                     let mut data =
                         if c.rank() == root { vec![root as u64, 17, 23] } else { Vec::new() };
                     c.bcast(root, &mut data);
@@ -268,8 +269,9 @@ mod tests {
 
     #[test]
     fn gather_concatenates_in_rank_order() {
-        let results =
-            World::run(4, |c| c.gather(2, &[c.rank() as u32 * 2, c.rank() as u32 * 2 + 1]));
+        let results = run_clean_and_faulted(4, |c| {
+            c.gather(2, &[c.rank() as u32 * 2, c.rank() as u32 * 2 + 1])
+        });
         for (r, res) in results.iter().enumerate() {
             if r == 2 {
                 assert_eq!(res.as_deref(), Some(&[0u32, 1, 2, 3, 4, 5, 6, 7][..]));
@@ -281,7 +283,7 @@ mod tests {
 
     #[test]
     fn allgather_everyone_sees_everything() {
-        let results = World::run(5, |c| c.allgather(&[c.rank() as u64]));
+        let results = run_clean_and_faulted(5, |c| c.allgather(&[c.rank() as u64]));
         for r in results {
             assert_eq!(r, vec![0, 1, 2, 3, 4]);
         }
@@ -289,7 +291,7 @@ mod tests {
 
     #[test]
     fn allreduce_sum_min_max() {
-        let results = World::run(6, |c| {
+        let results = run_clean_and_faulted(6, |c| {
             let x = c.rank() as f64 + 1.0; // 1..=6
             (
                 c.allreduce_scalar(ReduceOp::Sum, x),
@@ -306,7 +308,7 @@ mod tests {
 
     #[test]
     fn allreduce_vector_elementwise() {
-        let results = World::run(3, |c| {
+        let results = run_clean_and_faulted(3, |c| {
             let me = c.rank() as f64;
             c.allreduce(ReduceOp::Sum, &[me, 10.0 * me])
         });
@@ -322,7 +324,7 @@ mod tests {
         let vals: Vec<f64> = (0..7).map(|r| 0.1 * (r as f64 + 1.0)).collect();
         let run = || {
             let vals = vals.clone();
-            World::run(7, move |c| c.allreduce_scalar(ReduceOp::Sum, vals[c.rank()]))
+            run_clean_and_faulted(7, move |c| c.allreduce_scalar(ReduceOp::Sum, vals[c.rank()]))
         };
         let a = run();
         let b = run();
@@ -333,7 +335,7 @@ mod tests {
 
     #[test]
     fn alltoall_transposes() {
-        let results = World::run(4, |c| {
+        let results = run_clean_and_faulted(4, |c| {
             let me = c.rank() as u64;
             // chunk sent to rank r = [me*10 + r]
             let chunks: Vec<Vec<u64>> = (0..4).map(|r| vec![me * 10 + r as u64]).collect();
@@ -349,7 +351,7 @@ mod tests {
 
     #[test]
     fn alltoall_variable_sizes() {
-        let results = World::run(3, |c| {
+        let results = run_clean_and_faulted(3, |c| {
             let me = c.rank();
             // Send r copies of `me` to rank r.
             let chunks: Vec<Vec<u64>> = (0..3).map(|r| vec![me as u64; r]).collect();
@@ -365,14 +367,14 @@ mod tests {
 
     #[test]
     fn reduce_non_root_gets_none() {
-        let results = World::run(2, |c| c.reduce(0, ReduceOp::Sum, &[1.0]));
+        let results = run_clean_and_faulted(2, |c| c.reduce(0, ReduceOp::Sum, &[1.0]));
         assert_eq!(results[0], Some(vec![2.0]));
         assert_eq!(results[1], None);
     }
 
     #[test]
     fn scatter_distributes_chunks() {
-        let results = World::run(4, |c| {
+        let results = run_clean_and_faulted(4, |c| {
             let data: Vec<u64> = (0..8).collect();
 
             c.scatter(1, if c.rank() == 1 { Some(&data[..]) } else { None })
@@ -384,14 +386,14 @@ mod tests {
 
     #[test]
     fn exscan_computes_exclusive_prefixes() {
-        let results = World::run(5, |c| c.exscan_sum((c.rank() + 1) as f64));
+        let results = run_clean_and_faulted(5, |c| c.exscan_sum((c.rank() + 1) as f64));
         // Contributions 1,2,3,4,5 → prefixes 0,1,3,6,10.
         assert_eq!(results, vec![0.0, 1.0, 3.0, 6.0, 10.0]);
     }
 
     #[test]
     fn reduce_scatter_sums_and_splits() {
-        let results = World::run(3, |c| {
+        let results = run_clean_and_faulted(3, |c| {
             // Rank r contributes [r, r, r, r, r, r] (3 ranks × chunk 2).
             let data = vec![c.rank() as f64; 6];
             c.reduce_scatter_sum(&data, 2)

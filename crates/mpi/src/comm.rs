@@ -5,9 +5,9 @@
 //! * **Fast path** (no [`FaultPlan`]): sends are buffered channel pushes
 //!   and receives are tag-matched channel pops — zero per-message
 //!   overhead beyond the channel itself.
-//! * **Reliable path** (a plan attached via [`World::run_faulted`] or
-//!   the `QCS_FAULT_SEED`/`QCS_FAULT_SPEC` environment): every data
-//!   message carries a sequence number and an FNV-1a payload checksum,
+//! * **Reliable path** (a plan attached via [`World::run_faulted`]):
+//!   every data message carries a sequence number and an FNV-1a payload
+//!   checksum,
 //!   and the sender runs stop-and-wait ARQ — transmit, await an
 //!   acknowledgement (pumping its own inbox meanwhile so peers are never
 //!   starved), and retransmit with exponential backoff when the ACK
@@ -98,9 +98,8 @@ pub struct World;
 
 impl World {
     /// Run `f(comm)` on `n_ranks` rank threads and collect the per-rank
-    /// return values in rank order. A [`FaultPlan`] is resolved from the
-    /// environment (`QCS_FAULT_SEED` / `QCS_FAULT_SPEC`); without one
-    /// the zero-overhead fast path runs.
+    /// return values in rank order, on the zero-overhead fast path (no
+    /// [`FaultPlan`]).
     ///
     /// Panics in any rank propagate after all ranks have been joined, so a
     /// failing test reports the original panic message.
@@ -109,11 +108,11 @@ impl World {
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
-        World::run_faulted(n_ranks, FaultPlan::from_env(), f)
+        World::run_faulted(n_ranks, None, f)
     }
 
-    /// Like [`World::run`] with an explicit fault plan (`None` forces
-    /// the fast path regardless of the environment).
+    /// Like [`World::run`] with an optional fault plan (`None` is the
+    /// fast path).
     pub fn run_faulted<T, F>(n_ranks: usize, plan: Option<FaultPlan>, f: F) -> Vec<T>
     where
         T: Send,
@@ -175,7 +174,7 @@ impl World {
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
-        World::run_faulted_with_stats(n_ranks, FaultPlan::from_env(), f)
+        World::run_faulted_with_stats(n_ranks, None, f)
     }
 
     /// [`World::run_faulted`] + per-rank statistics.

@@ -14,10 +14,10 @@
 //! a plan can never make a correct program fail — it can only make it
 //! slower, which is the whole point of measuring resilience overhead.
 //!
-//! Plans come from three places: explicitly via
-//! [`crate::World::run_faulted`], or from the environment —
-//! `QCS_FAULT_SPEC` (full grammar below) or `QCS_FAULT_SEED` alone
-//! (default intensities). The spec grammar is a comma-separated list:
+//! A plan is always passed explicitly, to [`crate::World::run_faulted`]:
+//! built in code, from [`FaultPlan::default_intensity`], or parsed by
+//! [`FaultPlan::parse`] (the CLI's `--faults`). The spec grammar is a
+//! comma-separated list:
 //!
 //! ```text
 //! drop=0.02,dup=0.02,flip=0.02,delay=0.05:1ms,stall=0.01:2ms,timeout=25ms,retries=6
@@ -107,7 +107,7 @@ impl FaultDraw {
     }
 }
 
-/// Errors from parsing a `QCS_FAULT_SPEC`-style string.
+/// Errors from parsing a fault spec string ([`FaultPlan::parse`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSpecError(pub String);
 
@@ -120,9 +120,9 @@ impl std::fmt::Display for FaultSpecError {
 impl std::error::Error for FaultSpecError {}
 
 impl FaultPlan {
-    /// The default transient-fault intensity used when only a seed is
-    /// given (`QCS_FAULT_SEED` without `QCS_FAULT_SPEC`): 2% drops,
-    /// duplications, and bit-flips, 5% deliveries delayed by 1 ms.
+    /// The default transient-fault intensity (the CLI's
+    /// `--faults default`): 2% drops, duplications, and bit-flips, 5%
+    /// deliveries delayed by 1 ms.
     pub fn default_intensity(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
@@ -164,28 +164,6 @@ impl FaultPlan {
             return Err(FaultSpecError("timeout must be positive".to_string()));
         }
         Ok(plan)
-    }
-
-    /// Resolve a plan from the environment: `QCS_FAULT_SPEC` (parsed,
-    /// seeded by `QCS_FAULT_SEED` or 0) or `QCS_FAULT_SEED` alone
-    /// (default intensities). `None` when neither variable is set.
-    ///
-    /// Panics on a malformed spec — a misconfigured environment should
-    /// fail loudly, not silently run fault-free.
-    pub fn from_env() -> Option<FaultPlan> {
-        let seed = match std::env::var("QCS_FAULT_SEED") {
-            Ok(s) => Some(s.trim().parse::<u64>().unwrap_or_else(|e| {
-                panic!("QCS_FAULT_SEED `{s}` is not an unsigned integer: {e}")
-            })),
-            Err(_) => None,
-        };
-        match std::env::var("QCS_FAULT_SPEC") {
-            Ok(spec) => Some(
-                FaultPlan::parse(&spec, seed.unwrap_or(0))
-                    .unwrap_or_else(|e| panic!("QCS_FAULT_SPEC: {e}")),
-            ),
-            Err(_) => seed.map(FaultPlan::default_intensity),
-        }
     }
 
     /// Whether this plan can inject any fault at all.

@@ -41,3 +41,18 @@ pub use stats::CommStats;
 
 #[cfg(test)]
 mod proptests;
+
+/// Test helper: run `f` on `n_ranks` ranks twice, on the fast path and
+/// under the default fault intensity (seed 42), check that both runs
+/// return the same per-rank values, and return them.
+#[cfg(test)]
+pub(crate) fn run_clean_and_faulted<T, F>(n_ranks: usize, f: F) -> Vec<T>
+where
+    T: Send + PartialEq + std::fmt::Debug,
+    F: Fn(&mut Comm) -> T + Sync,
+{
+    let clean = World::run_faulted(n_ranks, None, &f);
+    let faulted = World::run_faulted(n_ranks, Some(FaultPlan::default_intensity(42)), &f);
+    assert_eq!(clean, faulted, "transport faults changed what the ranks returned");
+    faulted
+}

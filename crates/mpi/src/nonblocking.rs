@@ -111,11 +111,12 @@ pub fn chunk_count(len: usize, want: usize) -> usize {
 
 #[cfg(test)]
 mod tests {
-    use crate::comm::{World, ANY_SOURCE};
+    use crate::comm::ANY_SOURCE;
+    use crate::run_clean_and_faulted;
 
     #[test]
     fn isend_irecv_roundtrip() {
-        World::run(2, |c| {
+        run_clean_and_faulted(2, |c| {
             if c.rank() == 0 {
                 c.isend(1, 5, &[1.5f64, 2.5]);
             } else {
@@ -130,7 +131,7 @@ mod tests {
     #[test]
     fn overlap_computation_with_pending_receive() {
         // The classic pattern: post irecv, compute, then wait.
-        let results = World::run(2, |c| {
+        let results = run_clean_and_faulted(2, |c| {
             if c.rank() == 0 {
                 c.isend(1, 1, &[42u64]);
                 0
@@ -147,7 +148,7 @@ mod tests {
 
     #[test]
     fn waitall_preserves_request_order() {
-        World::run(3, |c| {
+        run_clean_and_faulted(3, |c| {
             if c.rank() == 0 {
                 let reqs = vec![c.irecv(1, 7), c.irecv(2, 7)];
                 let got = c.waitall::<u64>(reqs);
@@ -165,7 +166,7 @@ mod tests {
         // The sender pushes the chunks backwards; the receiver's waitall
         // must still hand them back in request order (the contract the
         // overlap engine's chunk reassembly depends on).
-        World::run(2, |c| {
+        run_clean_and_faulted(2, |c| {
             if c.rank() == 0 {
                 for tag in (10u32..14).rev() {
                     c.isend(1, tag, &[tag as u64 * 100]);
@@ -186,7 +187,7 @@ mod tests {
         assert_eq!(chunk_count(3, 8), 3);
         assert_eq!(chunk_count(0, 8), 1);
         assert_eq!(chunk_count(100, 0), 1);
-        World::run(2, |c| {
+        run_clean_and_faulted(2, |c| {
             let data: Vec<u64> = (0..37).map(|i| i + 1000 * c.rank() as u64).collect();
             let peer = 1 - c.rank();
             c.isend_chunked(peer, 0x100, &data, 5);
@@ -200,7 +201,7 @@ mod tests {
 
     #[test]
     fn any_source_request() {
-        World::run(4, |c| {
+        run_clean_and_faulted(4, |c| {
             if c.rank() == 0 {
                 let mut seen = std::collections::HashSet::new();
                 for _ in 0..3 {
@@ -217,7 +218,7 @@ mod tests {
 
     #[test]
     fn dropped_request_message_stays_matchable() {
-        World::run(2, |c| {
+        run_clean_and_faulted(2, |c| {
             if c.rank() == 0 {
                 c.isend(1, 9, &[7u32]);
             } else {
@@ -232,7 +233,7 @@ mod tests {
 
     #[test]
     fn mixing_blocking_and_nonblocking_traffic() {
-        World::run(2, |c| {
+        run_clean_and_faulted(2, |c| {
             if c.rank() == 0 {
                 c.send(1, 1, &[1u64]);
                 c.isend(1, 2, &[2u64]);

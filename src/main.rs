@@ -46,12 +46,9 @@
 //! prints it back (plus the run's unified `{"type":"outcome",...}` JSON
 //! line — the same schema the job server returns and the JSONL usage
 //! ledger appends), and the same value stamps every trace header. The
-//! `serve` subcommand reads its remaining knobs from the `QCS_SERVE_*`
-//! environment (quota, queue bound, width limit, packing window, result
-//! cache, usage ledger). The
-//! `QCS_TRACE` / `QCS_TRACE_OUT` environment variables enable telemetry
-//! without touching the command line, and `QCS_STRATEGY` picks the
-//! default execution strategy (`--strategy` still wins).
+//! environment does not change a run: only the `serve` subcommand reads
+//! its remaining knobs from the `QCS_SERVE_*` environment (quota, queue
+//! bound, width limit, packing window, result cache, usage ledger).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -90,7 +87,6 @@ struct Options {
 impl Default for Options {
     fn default() -> Self {
         Options {
-            // `SimConfig::new()` already resolves QCS_TRACE / QCS_TRACE_OUT.
             config: SimConfig::new(),
             ranks: 1,
             dist_plan: None,
@@ -468,11 +464,10 @@ fn parse_noise(spec: &str) -> Result<NoiseChannel, String> {
     })
 }
 
-/// Resolve `--faults` into a plan: `default` scales to the paper's
-/// default intensity, anything else is a `drop=…,dup=…` spec. The seed
-/// comes from `QCS_FAULT_SEED` when set, else `--seed`.
+/// Resolve `--faults` into a plan seeded by `--seed`: `default` scales
+/// to the paper's default intensity, anything else is a `drop=…,dup=…`
+/// spec.
 fn parse_fault_plan(spec: &str, seed: u64) -> Result<FaultPlan, String> {
-    let seed = std::env::var("QCS_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(seed);
     if spec == "default" {
         return Ok(FaultPlan::default_intensity(seed));
     }

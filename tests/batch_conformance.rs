@@ -13,14 +13,12 @@
 //! matrix pins exactly that: members fewer than, equal to and not a
 //! multiple of the threads, under every worksharing schedule, for all
 //! three program sources (`run`, `run_sweep`, `run_measured`) and the
-//! streaming `sweep_map`. The whole file also reruns in CI with
-//! `QCS_BACKEND=scalar` to pin the portable kernels.
+//! streaming `sweep_map`.
 //!
 //! A final section extends conformance to distributed members under
-//! transport faults: with the seed taken from `QCS_FAULT_SEED` (read,
-//! never set — the test binary is multithreaded), each member executed
-//! through the resilient distributed path must be bit-identical to the
-//! clean distributed run and agree with its batched counterpart.
+//! seeded transport faults: each member executed through the resilient
+//! distributed path must be bit-identical to the clean distributed run
+//! and agree with its batched counterpart.
 
 use a64fx_qcs::core::prelude::*;
 use a64fx_qcs::core::testing;
@@ -78,13 +76,7 @@ fn batched_runs_are_bit_identical_across_the_conformance_matrix() {
                     let engine = BatchSimulator::from_config(config.threads(threads)).unwrap();
                     let (states, report) = engine.run_fresh(&circuit).unwrap();
                     assert_eq!(report.members, MEMBERS, "{cell}");
-                    if traced {
-                        assert_eq!(report.traces.len(), MEMBERS, "{cell}");
-                    } else if std::env::var("QCS_TRACE").is_err() {
-                        // QCS_TRACE=1 (the CI tracing pass) legitimately
-                        // turns tracing on for every cell via SimConfig::new.
-                        assert!(report.traces.is_empty(), "{cell}");
-                    }
+                    assert_eq!(report.traces.len(), if traced { MEMBERS } else { 0 }, "{cell}");
                     for (m, (got, want)) in states.iter().zip(&expected).enumerate() {
                         assert!(
                             got.approx_eq(want, 0.0),
@@ -310,7 +302,7 @@ fn batched_trajectories_are_bit_identical_across_backends_and_pools() {
 
 #[test]
 fn distributed_members_conform_under_the_fault_seed() {
-    let seed: u64 = std::env::var("QCS_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(42);
+    let seed = 42;
     let circuit = testing::random_circuit_seeded(8, 24, 7);
     // The single-process batched reference.
     let engine = BatchSimulator::from_config(SimConfig::new().batch(MEMBERS)).unwrap();

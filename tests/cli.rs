@@ -85,19 +85,28 @@ fn auto_strategy_round_trips_through_cli() {
 }
 
 #[test]
-fn strategy_env_variable_sets_the_default() {
-    let out = run_ok_env(
-        &["demo", "ghz", "4", "--verbose", "--probs", "2"],
-        &[("QCS_STRATEGY", "auto"), ("QCS_CALIBRATE", "analytic")],
-    );
-    assert!(out.contains("strategy:  auto"), "{out}");
-    assert!(out.contains("|0000⟩  0.500000"), "{out}");
-    // An explicit --strategy still beats the environment.
-    let out = run_ok_env(
-        &["demo", "ghz", "4", "--strategy", "fused:3", "--verbose"],
-        &[("QCS_STRATEGY", "auto"), ("QCS_CALIBRATE", "analytic")],
-    );
-    assert!(out.contains("strategy:  fused:3"), "{out}");
+fn a_leaked_environment_changes_nothing() {
+    // Strategy, tracing, backend and transport faults come from flags
+    // only: variables of those names, even a malformed one, are inert.
+    let leaked = [
+        ("QCS_STRATEGY", "auto"),
+        ("QCS_TRACE", "1"),
+        ("QCS_BACKEND", "scalar"),
+        ("QCS_FAULT_SPEC", "bogus"),
+    ];
+    let args = ["demo", "qft", "8", "--ranks", "2", "--verbose"];
+    let out = run_ok_env(&args, &leaked);
+    assert!(out.contains("strategy:  naive"), "{out}");
+    assert!(out.contains("telemetry: off") && !out.contains("spans"), "{out}");
+    // The distributed run prints no timings, so it must match to the byte.
+    assert_eq!(out, run_ok(&args));
+    // A serial run names the kernel backend it swept with.
+    let kernels = |out: &str| {
+        let line = out.lines().find(|l| l.starts_with("executed ")).expect("a sweep line");
+        line.split("host, ").nth(1).unwrap_or(line).to_string()
+    };
+    let serial = ["demo", "qft", "8", "--verbose"];
+    assert_eq!(kernels(&run_ok_env(&serial, &leaked)), kernels(&run_ok(&serial)));
 }
 
 #[test]

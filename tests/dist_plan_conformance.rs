@@ -68,8 +68,8 @@ fn every_plan_is_bit_identical_to_serial_across_rank_counts() {
 
 #[test]
 fn resilient_execution_under_faults_is_bit_identical_for_every_plan() {
-    // The CI fault-matrix scenario (QCS_FAULT_SEED=42 analogue): drop +
-    // dup + flip + delay at the default intensity, through each plan.
+    // The fault-matrix scenario: drop + dup + flip + delay at the default
+    // intensity (seed 42), through each plan.
     let c = library::qft(8);
     let reference = serial(&c);
     for kind in DistPlanKind::ALL {

@@ -3,8 +3,8 @@
 //!
 //! (a) every kernel shape, at every qubit placement of several register
 //! sizes, on every backend the host runs (`simd::available`, enumerated
-//! in-process, so no `QCS_BACKEND` rerun adds coverage), pool-less: within 1e-12 of the
-//! plain per-index loops in `kernels::scalar` (exactly equal on the
+//! in-process), pool-less: within 1e-12 of the plain per-index loops in
+//! `kernels::scalar` (exactly equal on the
 //! portable backend, whose one-lane arithmetic is those loops'); (b) the same
 //! shapes at the placements the drivers treat differently (qubits 0 and
 //! 1, either side of the backend's vector window, mid-register, top; both

@@ -25,9 +25,9 @@ use a64fx_qcs::core::testing::random_circuit_seeded;
 /// (measured per host) prices fusion and relocation. Pin it to the
 /// analytic costs before anything in this binary lowers a circuit, so
 /// sweep counts and the golden checksums name one fixed lowering on
-/// every host. The process-wide backend needs no pin: fused product
-/// matrices are built with the portable kernels whatever `QCS_BACKEND`
-/// says, and the golden runs configure the portable backend themselves.
+/// every host. The backend needs no pin: fused product matrices are
+/// built with the portable kernels whatever backend runs them, and the
+/// golden runs configure the portable backend themselves.
 fn pin_process_wide_choices() {
     static PIN: Once = Once::new();
     PIN.call_once(|| {

@@ -66,12 +66,6 @@ fn rollback_recovery_is_traced_and_exact() {
 #[test]
 fn fault_free_resilient_path_matches_plain_engine_exactly() {
     // With every resilience feature off the wrapper must be a no-op.
-    // Under QCS_FAULT_SEED/QCS_FAULT_SPEC (the CI fault-matrix pass)
-    // both engines inherit the environment plan, so retries may
-    // legitimately occur — the zero-retry check only applies when the
-    // environment is clean. Byte equality holds either way (logical
-    // accounting ignores retransmissions).
-    let env_faults = FaultPlan::from_env().is_some();
     for ranks in [2usize, 4] {
         let circuit = library::trotter_ising(8, 3, 1.0, 0.6, 0.1);
         let (plain, plain_stats) = run_distributed(&circuit, ranks).unwrap();
@@ -79,10 +73,8 @@ fn fault_free_resilient_path_matches_plain_engine_exactly() {
         assert!(plain.approx_eq(&run.state, 0.0));
         for (a, b) in run.stats.iter().zip(&plain_stats) {
             assert_eq!(a.bytes_sent, b.bytes_sent);
-            if !env_faults {
-                assert_eq!(a.retries, 0);
-                assert_eq!(b.retries, 0);
-            }
+            assert_eq!(a.retries, 0);
+            assert_eq!(b.retries, 0);
         }
     }
 }

@@ -97,8 +97,6 @@ fn batched_simulation_inside_mpi_ranks() {
     use a64fx_qcs::core::testing;
     let c = testing::random_circuit_seeded(7, 30, 77);
     let mut reference = StateVector::zero(7);
-    // Built from `SimConfig::new()` so the reference resolves the same
-    // ambient strategy (e.g. `QCS_STRATEGY=auto`) as the batch engine.
     SimConfig::new().build().unwrap().run(&c, &mut reference).unwrap();
     let results = World::run(2, |_comm| {
         let c = testing::random_circuit_seeded(7, 30, 77);

@@ -25,9 +25,7 @@ fn tracing_never_changes_the_state() {
         Strategy::Blocked { block_qubits: 5 },
         Strategy::Planned { block_qubits: 5, max_k: 3 },
     ] {
-        // Pin telemetry off for the baseline: `SimConfig::new()` honours
-        // QCS_TRACE, and this test must hold under `QCS_TRACE=1` too.
-        let base = SimConfig::new().strategy(strategy).telemetry(TelemetryConfig::off());
+        let base = SimConfig::new().strategy(strategy);
         let (plain, plain_report) = run_with(base.clone(), &circuit);
         let (traced, traced_report) = run_with(base.traced(), &circuit);
         assert!(
