@@ -7,24 +7,18 @@
 //!    the next — every job runs as a batch of one (the no-service
 //!    baseline shape);
 //! 2. **packed**: the same jobs submitted together inside the packing
-//!    window, so the scheduler runs them as one member-major batch;
+//!    window, so the scheduler serves them from one batch;
 //! 3. **cached**: the packed round resubmitted verbatim — every job is
 //!    answered from the result cache without touching the engine.
 //!
 //! The packed-vs-serial gain is what one batch saves over N batches of
-//! one: one lowering, one kernel set, one worksharing region, and the
-//! members spread over the pool's threads. The model column is a
-//! different quantity and is labelled as such: `perf::predict_batched`'s
-//! A64FX-regime price of the member-major schedule the engine runs
-//! against the gate-major one it replaced. Results land in
-//! `results/BENCH_serve.json`.
+//! one: the packed jobs differ only in tenant and seed, so they are six
+//! copies of one circuit and the scheduler simulates it once, then
+//! samples each job's counts from that one state; the serial round
+//! simulates it six times and waits out six packing windows. Results
+//! land in `results/BENCH_serve.json`.
 
-use a64fx_model::timing::ExecConfig;
-use a64fx_model::ChipParams;
 use qcs_bench::{fmt_secs, Table};
-use qcs_core::circuit::{Circuit, Gate};
-use qcs_core::perf::predict_batched;
-use qcs_core::program::Program;
 use qcs_serve::client::{http_request, submit_job, wait_for_job};
 use qcs_serve::{ServeConfig, Server};
 use std::time::Instant;
@@ -37,25 +31,9 @@ const JOBS_PER_WIDTH: usize = 6;
 const DEPTH: usize = 4;
 const SHOTS: u64 = 256;
 
-/// The benchmark circuit: `DEPTH` layers of H + CX-chain + RZ — enough
-/// real sweep work that serving overhead doesn't dominate.
-fn circuit(n: u32) -> Circuit {
-    let mut c = Circuit::new(n);
-    for layer in 0..DEPTH {
-        for q in 0..n {
-            c.push(Gate::H(q));
-        }
-        for q in 0..n - 1 {
-            c.push(Gate::Cx(q, q + 1));
-        }
-        for q in 0..n {
-            c.push(Gate::Rz(q, 0.1 * (layer as f64 + 1.0) + q as f64 * 0.01));
-        }
-    }
-    c
-}
-
-/// The same circuit as a gate-list submission body.
+/// The benchmark circuit as a gate-list submission body: `DEPTH` layers
+/// of H + CX-chain + RZ — enough real sweep work that serving overhead
+/// doesn't dominate.
 fn submission(n: u32, tenant: &str, seed: u64) -> String {
     let mut gates = String::new();
     for layer in 0..DEPTH {
@@ -86,7 +64,6 @@ struct Row {
     packed_s: f64,
     cached_s: f64,
     measured_speedup: f64,
-    model_speedup: f64,
 }
 
 fn drive_width(server: &Server, n: u32, rows: &mut Vec<Row>) {
@@ -112,7 +89,8 @@ fn drive_width(server: &Server, n: u32, rows: &mut Vec<Row>) {
     }
     let packed_s = t0.elapsed().as_secs_f64();
 
-    // Every packed job must actually have shared one batch.
+    // Every packed job must actually have shared one batch: one
+    // simulation serving all six jobs' points.
     for &id in &ids {
         let (status, body) = http_request(addr, "GET", &format!("/jobs/{id}"), "").unwrap();
         assert_eq!(status, 200);
@@ -131,12 +109,6 @@ fn drive_width(server: &Server, n: u32, rows: &mut Vec<Row>) {
     }
     let cached_s = t0.elapsed().as_secs_f64();
 
-    let model = predict_batched(
-        &ChipParams::a64fx(),
-        &ExecConfig::full_chip(),
-        &Program::per_gate(&circuit(n)),
-        JOBS_PER_WIDTH,
-    );
     rows.push(Row {
         n,
         jobs: JOBS_PER_WIDTH,
@@ -144,7 +116,6 @@ fn drive_width(server: &Server, n: u32, rows: &mut Vec<Row>) {
         packed_s,
         cached_s,
         measured_speedup: serial_s / packed_s,
-        model_speedup: model.speedup,
     });
 }
 
@@ -155,14 +126,8 @@ fn write_json(rows: &[Row], jobs_per_sec: f64, pack_rate: f64, cache_hit_rate: f
             format!(
                 "    {{\"n\": {}, \"jobs\": {}, \"serial_seconds\": {:.6}, \
                  \"packed_seconds\": {:.6}, \"cached_seconds\": {:.6}, \
-                 \"measured_amortization\": {:.4}, \"model_schedule_gain\": {:.4}}}",
-                r.n,
-                r.jobs,
-                r.serial_s,
-                r.packed_s,
-                r.cached_s,
-                r.measured_speedup,
-                r.model_speedup
+                 \"measured_amortization\": {:.4}}}",
+                r.n, r.jobs, r.serial_s, r.packed_s, r.cached_s, r.measured_speedup
             )
         })
         .collect::<Vec<_>>()
@@ -173,9 +138,8 @@ fn write_json(rows: &[Row], jobs_per_sec: f64, pack_rate: f64, cache_hit_rate: f
          \x20   \"batch_pack_rate\": {pack_rate:.4},\n\
          \x20   \"cache_hit_rate\": {cache_hit_rate:.4},\n\
          \x20   \"note\": \"packed/serial is measured on this host: one batch \
-         against N batches of one; model_schedule_gain is predict_batched's \
-         A64FX-regime gate-major / member-major ratio for the packed batch, a \
-         different quantity kept in its own column\"\n  }},\n\
+         that simulates the six jobs' one circuit once, against six batches of \
+         one and six packing windows\"\n  }},\n\
          \x20 \"rows\": [\n{body}\n  ]\n}}\n"
     );
     let _ = std::fs::create_dir_all("results");
@@ -213,8 +177,7 @@ fn main() {
     let cache_hit_rate =
         stats.cache_hits as f64 / (stats.cache_hits + stats.cache_misses).max(1) as f64;
 
-    let mut table =
-        Table::new(&["n", "jobs", "serial", "packed", "cached", "measured x", "model sched x"]);
+    let mut table = Table::new(&["n", "jobs", "serial", "packed", "cached", "measured x"]);
     for r in &rows {
         table.row(&[
             r.n.to_string(),
@@ -223,7 +186,6 @@ fn main() {
             fmt_secs(r.packed_s),
             fmt_secs(r.cached_s),
             format!("{:.2}", r.measured_speedup),
-            format!("{:.2}", r.model_speedup),
         ]);
     }
     table.print();
@@ -237,16 +199,14 @@ fn main() {
         cache_hit_rate * 100.0,
     );
     println!(
-        "largest batch held {} independent submissions (window 30 ms)",
+        "largest batch served {} points, one per independent submission (window 30 ms)",
         stats.max_batch_members
     );
     println!();
-    println!("Expected shape: the serial column pays lowering, kernel resolution and a");
-    println!("worksharing region once per job; the packed column pays them once per batch");
-    println!("and spreads its members over the pool's threads, so the measured ratio grows");
-    println!("with the host's threads and hugs 1x on a thread-poor one. The model column is");
-    println!("predict_batched's A64FX price of member-major against gate-major order for");
-    println!("the packed batch. The cached column is pure lookup: no engine time at all.");
+    println!("Expected shape: the serial column pays a packing window, a simulation and an");
+    println!("HTTP round trip per job; the packed column pays one window and one simulation");
+    println!("for all six jobs (they are one circuit), then samples each job's counts. The");
+    println!("cached column is pure lookup: no engine time at all.");
 
     write_json(&rows, jobs_per_sec, pack_rate, cache_hit_rate);
     server.shutdown();

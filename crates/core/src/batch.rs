@@ -596,7 +596,8 @@ impl BatchSimulator {
     /// Sample one noisy trajectory per seed, batched: member `m` starts
     /// from `|0…0⟩`, draws from `StdRng::seed_from_u64(seeds[m])`, and
     /// produces exactly the state and error count a sequential
-    /// [`run_trajectory`] call with the same seed produces.
+    /// [`run_trajectory`] call with the same seed produces on this
+    /// engine's [`backend`](BatchSimulator::backend).
     pub fn run_trajectories(
         &self,
         circuit: &Circuit,
@@ -638,7 +639,8 @@ impl BatchSimulator {
             members.iter().map(|_| StateVector::zero(circuit.n_qubits())).collect();
         let errors = self.for_each_member(Members::Given(&mut states), |m, state| {
             let (channel, seed) = members[m];
-            run_trajectory(circuit, state, channel, &mut StdRng::seed_from_u64(seed))
+            let mut rng = StdRng::seed_from_u64(seed);
+            run_trajectory(self.backend(), circuit, state, channel, &mut rng)
         });
         Ok(TrajectoryBatch {
             batch_id,
@@ -756,7 +758,7 @@ mod tests {
         for (m, &seed) in seeds.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut state = StateVector::zero(4);
-            let errors = run_trajectory(&circuit, &mut state, channel, &mut rng);
+            let errors = run_trajectory(batch.backend(), &circuit, &mut state, channel, &mut rng);
             assert!(got.states[m].approx_eq(&state, 0.0), "trajectory {m} diverged");
             assert_eq!(got.errors[m], errors, "trajectory {m} error count diverged");
         }

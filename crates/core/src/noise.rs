@@ -19,8 +19,8 @@ use omp_par::Schedule;
 
 use crate::circuit::{Circuit, Gate};
 use crate::complex::{C64, ONE};
-use crate::kernels::dispatch::{apply_gate, GateKernel};
-use crate::kernels::simd;
+use crate::kernels::dispatch::{apply_gate_with, GateKernel};
+use crate::kernels::simd::{self, KernelBackend};
 use crate::state::StateVector;
 
 /// A single-qubit noise channel.
@@ -58,9 +58,10 @@ pub enum ErrorEvent {
     Decay,
 }
 
-/// Apply one channel to qubit `q`, drawing the branch from `rng`.
-/// Returns the realized error.
+/// Apply one channel to qubit `q` on backend `be`, drawing the branch
+/// from `rng`. Returns the realized error.
 pub fn apply_channel<R: Rng>(
+    be: &KernelBackend,
     state: &mut StateVector,
     q: u32,
     channel: NoiseChannel,
@@ -71,7 +72,7 @@ pub fn apply_channel<R: Rng>(
     match channel {
         NoiseChannel::BitFlip { p } => {
             if rng.gen_range(0.0..1.0) < p {
-                apply_gate(state.amplitudes_mut(), &Gate::X(q));
+                apply_gate_with(be, state.amplitudes_mut(), &Gate::X(q));
                 ErrorEvent::PauliX
             } else {
                 ErrorEvent::None
@@ -79,7 +80,7 @@ pub fn apply_channel<R: Rng>(
         }
         NoiseChannel::PhaseFlip { p } => {
             if rng.gen_range(0.0..1.0) < p {
-                apply_gate(state.amplitudes_mut(), &Gate::Z(q));
+                apply_gate_with(be, state.amplitudes_mut(), &Gate::Z(q));
                 ErrorEvent::PauliZ
             } else {
                 ErrorEvent::None
@@ -93,7 +94,7 @@ pub fn apply_channel<R: Rng>(
                     1 => (Gate::Y(q), ErrorEvent::PauliY),
                     _ => (Gate::Z(q), ErrorEvent::PauliZ),
                 };
-                apply_gate(state.amplitudes_mut(), &pauli);
+                apply_gate_with(be, state.amplitudes_mut(), &pauli);
                 event
             } else {
                 ErrorEvent::None
@@ -123,7 +124,7 @@ pub fn apply_channel<R: Rng>(
                 // K0 is diagonal but not unitary, so no `Gate` names it:
                 // hand the dispatcher its kernel shape directly.
                 let k0 = GateKernel::Diag1(q, ONE, C64::real((1.0 - gamma).sqrt()));
-                k0.apply(simd::active(), None, Schedule::default(), state.amplitudes_mut());
+                k0.apply(be, None, Schedule::default(), state.amplitudes_mut());
                 state.normalize();
                 ErrorEvent::None
             }
@@ -131,9 +132,11 @@ pub fn apply_channel<R: Rng>(
     }
 }
 
-/// Run one noisy trajectory: after every gate, apply `channel` to each
-/// qubit the gate touched. Returns the number of realized errors.
+/// Run one noisy trajectory on backend `be`: after every gate, apply
+/// `channel` to each qubit the gate touched. Returns the number of
+/// realized errors.
 pub fn run_trajectory<R: Rng>(
+    be: &KernelBackend,
     circuit: &Circuit,
     state: &mut StateVector,
     channel: NoiseChannel,
@@ -142,9 +145,9 @@ pub fn run_trajectory<R: Rng>(
     assert_eq!(circuit.n_qubits(), state.n_qubits());
     let mut errors = 0;
     for g in circuit.gates() {
-        apply_gate(state.amplitudes_mut(), g);
+        apply_gate_with(be, state.amplitudes_mut(), g);
         for q in g.qubits() {
-            if apply_channel(state, q, channel, rng) != ErrorEvent::None {
+            if apply_channel(be, state, q, channel, rng) != ErrorEvent::None {
                 errors += 1;
             }
         }
@@ -152,7 +155,8 @@ pub fn run_trajectory<R: Rng>(
     errors
 }
 
-/// Average an observable over `trajectories` noisy runs from |0…0⟩.
+/// Average an observable over `trajectories` noisy runs from |0…0⟩, on
+/// the default backend.
 pub fn average_expectation<R: Rng>(
     circuit: &Circuit,
     observable: &crate::expectation::PauliString,
@@ -163,7 +167,7 @@ pub fn average_expectation<R: Rng>(
     let mut acc = 0.0;
     for _ in 0..trajectories {
         let mut s = StateVector::zero(circuit.n_qubits());
-        run_trajectory(circuit, &mut s, channel, rng);
+        run_trajectory(simd::active(), circuit, &mut s, channel, rng);
         acc += observable.expectation(&s);
     }
     acc / trajectories as f64
@@ -177,12 +181,21 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The channel and trajectory under test, on the default backend.
+    fn apply(s: &mut StateVector, q: u32, ch: NoiseChannel, rng: &mut StdRng) -> ErrorEvent {
+        apply_channel(simd::active(), s, q, ch, rng)
+    }
+
+    fn trajectory(c: &Circuit, s: &mut StateVector, ch: NoiseChannel, rng: &mut StdRng) -> usize {
+        run_trajectory(simd::active(), c, s, ch, rng)
+    }
+
     #[test]
     fn zero_probability_is_identity() {
         let mut rng = StdRng::seed_from_u64(1);
         let circuit = library::ghz(5);
         let mut noisy = StateVector::zero(5);
-        run_trajectory(&circuit, &mut noisy, NoiseChannel::Depolarizing { p: 0.0 }, &mut rng);
+        trajectory(&circuit, &mut noisy, NoiseChannel::Depolarizing { p: 0.0 }, &mut rng);
         let mut clean = StateVector::zero(5);
         crate::sim::Simulator::new().run(&circuit, &mut clean).unwrap();
         assert!(noisy.approx_eq(&clean, 1e-12));
@@ -192,7 +205,7 @@ mod tests {
     fn certain_bitflip_flips() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut s = StateVector::zero(2);
-        let e = apply_channel(&mut s, 0, NoiseChannel::BitFlip { p: 1.0 }, &mut rng);
+        let e = apply(&mut s, 0, NoiseChannel::BitFlip { p: 1.0 }, &mut rng);
         assert_eq!(e, ErrorEvent::PauliX);
         assert!((s.probability(0b01) - 1.0).abs() < 1e-12);
     }
@@ -202,7 +215,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut s = StateVector::plus(3);
         let before = s.probabilities();
-        apply_channel(&mut s, 1, NoiseChannel::PhaseFlip { p: 1.0 }, &mut rng);
+        apply(&mut s, 1, NoiseChannel::PhaseFlip { p: 1.0 }, &mut rng);
         let after = s.probabilities();
         for (a, b) in before.iter().zip(&after) {
             assert!((a - b).abs() < 1e-12);
@@ -222,7 +235,7 @@ mod tests {
         ] {
             let mut s = StateVector::random(5, &mut rng);
             for q in 0..5 {
-                apply_channel(&mut s, q, channel, &mut rng);
+                apply(&mut s, q, channel, &mut rng);
             }
             assert!((s.norm_sqr() - 1.0).abs() < 1e-9, "{channel:?}");
         }
@@ -233,8 +246,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut s = StateVector::basis(3, 0b111);
         for q in 0..3 {
-            let e =
-                apply_channel(&mut s, q, NoiseChannel::AmplitudeDamping { gamma: 1.0 }, &mut rng);
+            let e = apply(&mut s, q, NoiseChannel::AmplitudeDamping { gamma: 1.0 }, &mut rng);
             assert_eq!(e, ErrorEvent::Decay);
         }
         assert!((s.probability(0) - 1.0).abs() < 1e-10);
@@ -244,7 +256,7 @@ mod tests {
     fn damping_on_ground_state_is_identity() {
         let mut rng = StdRng::seed_from_u64(6);
         let mut s = StateVector::zero(3);
-        let e = apply_channel(&mut s, 0, NoiseChannel::AmplitudeDamping { gamma: 0.9 }, &mut rng);
+        let e = apply(&mut s, 0, NoiseChannel::AmplitudeDamping { gamma: 0.9 }, &mut rng);
         assert_eq!(e, ErrorEvent::None);
         assert!((s.probability(0) - 1.0).abs() < 1e-12);
     }
@@ -288,7 +300,7 @@ mod tests {
         let reps = 30;
         for _ in 0..reps {
             let mut s = StateVector::zero(1);
-            total += run_trajectory(&c, &mut s, NoiseChannel::BitFlip { p: 0.25 }, &mut rng);
+            total += trajectory(&c, &mut s, NoiseChannel::BitFlip { p: 0.25 }, &mut rng);
         }
         let rate = total as f64 / (100.0 * reps as f64);
         assert!((rate - 0.25).abs() < 0.05, "observed error rate {rate}");
@@ -299,6 +311,6 @@ mod tests {
     fn invalid_probability_rejected() {
         let mut rng = StdRng::seed_from_u64(9);
         let mut s = StateVector::zero(1);
-        apply_channel(&mut s, 0, NoiseChannel::BitFlip { p: 1.5 }, &mut rng);
+        apply(&mut s, 0, NoiseChannel::BitFlip { p: 1.5 }, &mut rng);
     }
 }

@@ -37,7 +37,6 @@ use crate::kernels::blocked::{apply_blocked, PreparedRun};
 use crate::kernels::dispatch::GateKernel;
 use crate::kernels::fused::PreparedFused;
 use crate::kernels::simd::KernelBackend;
-use crate::kernels::sweep;
 use crate::perf::{classify, measure_traffic};
 use crate::plan::{plan_circuit_with, PlanOp};
 use crate::sim::Strategy;
@@ -77,8 +76,6 @@ pub enum SweepOp<'c> {
     /// The planner's cache-blocked pass: fused ops on low physical
     /// axes, applied cache block by cache block.
     BlockPass(Vec<FusedOp>),
-    /// The planner's relabeling sweep: swap two physical amplitude axes.
-    AxisSwap(u32, u32),
     /// Barrier: projective measurement of `q` into classical bit `creg`.
     Measure { q: u32, creg: u32 },
     /// Barrier: sweep `gate` iff the classical register satisfies
@@ -186,7 +183,10 @@ fn lower_unitary<'c>(
         Strategy::Planned { block_qubits, max_k } => {
             let plan = plan_circuit_with(&as_circuit(), block_qubits, max_k, cal());
             ops.extend(plan.ops.into_iter().map(|op| match op {
-                PlanOp::SwapAxes(a, b) => SweepOp::AxisSwap(a, b),
+                // A relabeling sweep is the SWAP gate on two physical axes.
+                PlanOp::SwapAxes(a, b) => {
+                    SweepOp::Gate(GateRef::Remapped(Box::new(Gate::Swap(a, b))))
+                }
                 PlanOp::Block(fused) => SweepOp::BlockPass(fused),
                 PlanOp::Gate(g) => SweepOp::Gate(GateRef::Remapped(g)),
             }))
@@ -298,9 +298,6 @@ impl SweepOp<'_> {
             SweepOp::Gate(g) => gate(g),
             SweepOp::Cif { gate: g, .. } => gate(g),
             SweepOp::Fused(op) => fused(op),
-            SweepOp::AxisSwap(a, b) => {
-                (KernelKind::Swap, model.predict(KernelKind::Swap, n, &[*a, *b]))
-            }
             SweepOp::BlockRun(source) => {
                 // The sweep streams every line once whichever member is
                 // densest; borrow the dense 1q formula for the memory side.
@@ -331,7 +328,6 @@ impl SweepOp<'_> {
             }
             SweepOp::BlockRun(source) => source[0].qubits(),
             SweepOp::BlockPass(ops) => ops[0].qubits.clone(),
-            SweepOp::AxisSwap(a, b) => vec![*a, *b],
             SweepOp::Measure { q, .. } => vec![*q],
         }
     }
@@ -346,7 +342,6 @@ impl SweepOp<'_> {
             SweepOp::Gate(g) => sweep(gate_per_amp(cal, g)),
             SweepOp::Cif { gate, .. } => sweep(gate_per_amp(cal, gate)),
             SweepOp::Fused(op) => sweep(fused_per_amp(cal, op)),
-            SweepOp::AxisSwap(..) => sweep(cal.swap),
             SweepOp::BlockRun(source) => {
                 let members = source.iter().map(|g| gate_per_amp(cal, g));
                 block_pass_ns(cal, amps, cal.block_stream_factor, members)
@@ -367,7 +362,6 @@ impl SweepOp<'_> {
             SweepOp::Gate(g) => Kernel::Gate(GateKernel::from(&**g)),
             SweepOp::Cif { gate, .. } => Kernel::Gate(GateKernel::from(*gate)),
             SweepOp::Fused(op) => Kernel::Fused(PreparedFused::new(op)),
-            SweepOp::AxisSwap(a, b) => Kernel::AxisSwap(*a, *b),
             SweepOp::BlockRun(source) => {
                 Kernel::BlockRun(source.iter().map(GateKernel::from).collect(), block_qubits)
             }
@@ -389,7 +383,6 @@ impl SweepOp<'_> {
 pub(crate) enum Kernel<'p> {
     Gate(GateKernel),
     Fused(PreparedFused<'p>),
-    AxisSwap(u32, u32),
     BlockRun(Vec<GateKernel>, u32),
     BlockPass(PreparedRun<'p>),
 }
@@ -407,7 +400,6 @@ impl Kernel<'_> {
         match self {
             Kernel::Gate(kernel) => kernel.apply(be, pool, sched, amps),
             Kernel::Fused(op) => op.apply(be, pool, sched, amps),
-            Kernel::AxisSwap(a, b) => sweep::apply_swap(be, pool, sched, amps, *a, *b),
             Kernel::BlockRun(gates, bq) => apply_blocked(be, pool, sched, amps, gates, *bq),
             Kernel::BlockPass(run) => run.apply(be, pool, sched, amps),
         }

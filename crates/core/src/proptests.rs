@@ -232,7 +232,7 @@ proptest! {
             crate::noise::NoiseChannel::AmplitudeDamping { gamma: p },
         ] {
             let mut s = StateVector::zero(4);
-            crate::noise::run_trajectory(&c, &mut s, channel, &mut rng);
+            crate::noise::run_trajectory(crate::kernels::simd::active(), &c, &mut s, channel, &mut rng);
             prop_assert!((s.norm_sqr() - 1.0).abs() < 1e-8, "{:?}", channel);
         }
     }

@@ -9,29 +9,33 @@
 //!    otherwise it enters the queue and the scheduler is woken.
 //! 2. The scheduler sleeps one packing window so concurrent submitters
 //!    can land, then drains the queue and groups jobs by fingerprint —
-//!    same width, gate stream, strategy, backend — exactly the jobs
-//!    whose member states a [`BatchSimulator`](qcs_core::batch::BatchSimulator)
-//!    call can carry in one batch (up to [`MAX_BATCH`] per call): one
-//!    lowering and one worksharing region shared across *independent
-//!    tenants*, each member run whole by one worker.
-//! 3. Results are rendered as counts and expectation values — never raw
-//!    `2^n` amplitude dumps — *before* the job table is locked (each
-//!    body is O(2ⁿ) of sampling and reduction), then published under
-//!    one lock: cached, and (optionally) accounted per tenant as
-//!    `{"type":"outcome",...}` JSONL lines.
+//!    same width, gate stream or template, strategy, backend and
+//!    observables, so a group's jobs differ only in seed, shots and
+//!    points. One runner serves plain jobs and sweeps alike: it binds
+//!    the group's *distinct* circuits (a plain job is its circuit at the
+//!    single empty point) and simulates each once through
+//!    [`BatchSimulator::run_sweep`], up to [`MAX_BATCH`] per call — one
+//!    worksharing region shared across *independent tenants*.
+//! 3. Each job is rendered from the states its points map to, as counts
+//!    and expectation values — never raw `2^n` amplitude dumps —
+//!    *before* the job table is locked, then published under one lock:
+//!    cached, and (optionally) accounted per tenant as one
+//!    `{"type":"outcome",...}` JSONL line per job.
 //! 4. `GET /jobs/<id>` polls status; `GET /jobs/<id>/result` fetches
 //!    the stored body (cache hits return the stored bytes unchanged, so
 //!    responses are byte-identical to the first computation).
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use omp_par::ThreadPool;
-use qcs_core::batch::MAX_BATCH;
+use qcs_core::batch::{BatchSimulator, MAX_BATCH};
+use qcs_core::circuit::Circuit;
 use qcs_core::config::SimConfig;
 use qcs_core::measure::sample_counts;
 use qcs_core::outcome::Outcome;
@@ -143,9 +147,10 @@ struct JobRecord {
     state: JobState,
     cached: bool,
     batch_id: u64,
-    /// Members of the batch this job executed in (0 until it ran).
+    /// Points served by the batched call this job ran in, a plain job
+    /// being one point (0 until it ran).
     members: u64,
-    /// Amortized share of the batch wall time.
+    /// The job's share of the batch wall time, split by points.
     elapsed_seconds: f64,
     result: Option<String>,
     error: Option<(&'static str, u16, String)>,
@@ -163,6 +168,7 @@ pub struct ServerStats {
     pub batches: u64,
     /// Jobs that shared their batch with at least one other job.
     pub packed_jobs: u64,
+    /// Most points one batched call served.
     pub max_batch_members: u64,
     pub cache_hits: u64,
     pub cache_misses: u64,
@@ -201,6 +207,15 @@ struct Shared {
     /// Bound address; `POST /shutdown` pokes it to unblock the accept
     /// loop.
     addr: SocketAddr,
+}
+
+impl Shared {
+    /// Flag shutdown and wake the scheduler. It runs from `Drop`, so it
+    /// recovers a poisoned lock: the flag is valid whatever was left.
+    fn begin_shutdown(&self) {
+        self.core.lock().unwrap_or_else(PoisonError::into_inner).shutdown = true;
+        self.work.notify_all();
+    }
 }
 
 /// A running job server. Dropping it shuts it down.
@@ -279,11 +294,7 @@ impl Server {
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        {
-            let mut core = self.shared.core.lock().unwrap();
-            core.shutdown = true;
-            self.shared.work.notify_all();
-        }
+        self.shared.begin_shutdown();
         if let Some(h) = self.sched_handle.take() {
             let _ = h.join();
         }
@@ -294,11 +305,7 @@ impl Server {
         if self.shared.stopping.swap(true, Ordering::SeqCst) {
             return;
         }
-        {
-            let mut core = self.shared.core.lock().unwrap();
-            core.shutdown = true;
-            self.shared.work.notify_all();
-        }
+        self.shared.begin_shutdown();
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept_handle.take() {
@@ -370,11 +377,7 @@ fn route(req: &Request, shared: &Arc<Shared>) -> (u16, String) {
         ("GET", "/healthz") => (200, "{\"ok\":true}".to_string()),
         ("GET", "/stats") => (200, stats_body(shared)),
         ("POST", "/shutdown") => {
-            {
-                let mut core = shared.core.lock().unwrap();
-                core.shutdown = true;
-                shared.work.notify_all();
-            }
+            shared.begin_shutdown();
             shared.stopping.store(true, Ordering::SeqCst);
             // Poke the accept loop so it observes the flag.
             let _ = TcpStream::connect(shared.addr);
@@ -383,8 +386,8 @@ fn route(req: &Request, shared: &Arc<Shared>) -> (u16, String) {
         ("GET", path) => {
             if let Some(rest) = path.strip_prefix("/jobs/") {
                 match rest.strip_suffix("/result") {
-                    Some(id) => job_result(shared, id),
-                    None => job_status(shared, rest),
+                    Some(id) => with_job(shared, id, job_result),
+                    None => with_job(shared, rest, job_status),
                 }
             } else {
                 let e = QcsError::NotFound(path.to_string());
@@ -425,112 +428,84 @@ fn submit(shared: &Arc<Shared>, body: &str) -> Result<String, QcsError> {
     let id = core.next_id;
     core.next_id += 1;
     core.stats.submitted += 1;
-    let tenant = spec.tenant.clone();
-    let shots = spec.shots;
-    let usage = core.tenants.entry(tenant.clone()).or_default();
+    let core = &mut *core;
+    let cached = core.cache.lookup(key);
+    let hit = cached.is_some();
+    let usage = core.tenants.entry(spec.tenant.clone()).or_default();
     usage.submitted += 1;
-
-    if let Some(cached_body) = core.cache.lookup(key) {
+    usage.shots += spec.shots;
+    if hit {
         core.stats.cache_hits += 1;
         core.stats.completed += 1;
-        let usage = core.tenants.entry(tenant.clone()).or_default();
         usage.cache_hits += 1;
         usage.completed += 1;
-        usage.shots += shots;
-        core.jobs.insert(
-            id,
-            JobRecord {
-                tenant,
-                spec: None,
-                state: JobState::Done,
-                cached: true,
-                batch_id: 0,
-                members: 0,
-                elapsed_seconds: 0.0,
-                result: Some(cached_body),
-                error: None,
-            },
-        );
-        return Ok(format!("{{\"job_id\":{id},\"status\":\"done\",\"cached\":true}}"));
+    } else {
+        core.stats.cache_misses += 1;
+        usage.active += 1;
+        core.queue.push_back(id);
+        shared.work.notify_all();
     }
-    core.stats.cache_misses += 1;
-    let usage = core.tenants.entry(tenant.clone()).or_default();
-    usage.active += 1;
-    usage.shots += shots;
-    core.jobs.insert(
-        id,
-        JobRecord {
-            tenant,
-            spec: Some(spec),
-            state: JobState::Queued,
-            cached: false,
-            batch_id: 0,
-            members: 0,
-            elapsed_seconds: 0.0,
-            result: None,
-            error: None,
-        },
+    let state = if hit { JobState::Done } else { JobState::Queued };
+    let record = JobRecord {
+        tenant: spec.tenant.clone(),
+        spec: (!hit).then_some(spec),
+        state,
+        cached: hit,
+        batch_id: 0,
+        members: 0,
+        elapsed_seconds: 0.0,
+        result: cached,
+        error: None,
+    };
+    core.jobs.insert(id, record);
+    Ok(format!("{{\"job_id\":{id},\"status\":{},\"cached\":{hit}}}", quote(state.label())))
+}
+
+/// Answer a `GET /jobs/<id>[/result]` from the job's record.
+fn with_job(
+    shared: &Shared,
+    id_text: &str,
+    answer: impl FnOnce(u64, &JobRecord) -> (u16, String),
+) -> (u16, String) {
+    let answered = parse_job_id(id_text).and_then(|id| {
+        let core = shared.core.lock().expect("no thread panics holding the job table");
+        let job = core.jobs.get(&id).ok_or_else(|| QcsError::NotFound(format!("job {id}")))?;
+        Ok(answer(id, job))
+    });
+    answered.unwrap_or_else(|e| (e.http_status(), error_body(&e)))
+}
+
+fn job_status(id: u64, job: &JobRecord) -> (u16, String) {
+    let mut body = format!(
+        "{{\"job_id\":{id},\"tenant\":{},\"status\":{},\"cached\":{},\
+         \"batch_id\":{},\"members\":{},\"elapsed_seconds\":{}",
+        quote(&job.tenant),
+        quote(job.state.label()),
+        job.cached,
+        job.batch_id,
+        job.members,
+        job.elapsed_seconds,
     );
-    core.queue.push_back(id);
-    shared.work.notify_all();
-    Ok(format!("{{\"job_id\":{id},\"status\":\"queued\",\"cached\":false}}"))
-}
-
-fn job_status(shared: &Arc<Shared>, id_text: &str) -> (u16, String) {
-    let id = match parse_job_id(id_text) {
-        Ok(id) => id,
-        Err(e) => return (e.http_status(), error_body(&e)),
-    };
-    let core = shared.core.lock().unwrap();
-    match core.jobs.get(&id) {
-        None => {
-            let e = QcsError::NotFound(format!("job {id}"));
-            (e.http_status(), error_body(&e))
-        }
-        Some(job) => {
-            let mut body = format!(
-                "{{\"job_id\":{id},\"tenant\":{},\"status\":{},\"cached\":{},\
-                 \"batch_id\":{},\"members\":{},\"elapsed_seconds\":{}",
-                quote(&job.tenant),
-                quote(job.state.label()),
-                job.cached,
-                job.batch_id,
-                job.members,
-                job.elapsed_seconds,
-            );
-            if let Some((code, _, msg)) = &job.error {
-                body.push_str(&format!(",\"error\":{},\"message\":{}", quote(code), quote(msg)));
-            }
-            body.push('}');
-            (200, body)
-        }
+    if let Some((code, _, msg)) = &job.error {
+        body.push_str(&format!(",\"error\":{},\"message\":{}", quote(code), quote(msg)));
     }
+    body.push('}');
+    (200, body)
 }
 
-fn job_result(shared: &Arc<Shared>, id_text: &str) -> (u16, String) {
-    let id = match parse_job_id(id_text) {
-        Ok(id) => id,
-        Err(e) => return (e.http_status(), error_body(&e)),
-    };
-    let core = shared.core.lock().unwrap();
-    match core.jobs.get(&id) {
-        None => {
-            let e = QcsError::NotFound(format!("job {id}"));
-            (e.http_status(), error_body(&e))
+fn job_result(id: u64, job: &JobRecord) -> (u16, String) {
+    match (job.state, &job.result, &job.error) {
+        (JobState::Done, Some(body), _) => (200, body.clone()),
+        (JobState::Failed, _, Some((code, status, msg))) => {
+            (*status, format!("{{\"error\":{},\"message\":{}}}", quote(code), quote(msg)))
         }
-        Some(job) => match (job.state, &job.result, &job.error) {
-            (JobState::Done, Some(body), _) => (200, body.clone()),
-            (JobState::Failed, _, Some((code, status, msg))) => {
-                (*status, format!("{{\"error\":{},\"message\":{}}}", quote(code), quote(msg)))
-            }
-            _ => (
-                409,
-                format!(
-                    "{{\"error\":\"serve/not-ready\",\"message\":\"job {id} is {}\"}}",
-                    job.state.label()
-                ),
+        _ => (
+            409,
+            format!(
+                "{{\"error\":\"serve/not-ready\",\"message\":\"job {id} is {}\"}}",
+                job.state.label()
             ),
-        },
+        ),
     }
 }
 
@@ -609,286 +584,250 @@ fn scheduler_loop(shared: Arc<Shared>) {
                 job.state = JobState::Running;
                 let fp = spec.fingerprint();
                 match groups.iter_mut().find(|(g, _)| *g == fp) {
-                    Some((_, members)) => members.push((id, spec)),
+                    Some((_, jobs)) => jobs.push((id, spec)),
                     None => groups.push((fp, vec![(id, spec)])),
                 }
             }
         }
-        for (fp, members) in groups {
-            // A group larger than the batch engine's limit runs in
-            // MAX_BATCH-sized waves.
-            let mut members = members;
-            while !members.is_empty() {
-                let rest = members.split_off(members.len().min(MAX_BATCH));
-                run_group(&shared, fp, members);
-                members = rest;
-            }
+        for (_, jobs) in groups {
+            run_group(&shared, jobs);
         }
     }
 }
 
-/// Execute one fingerprint-group as a single batch and complete every
-/// member job.
-fn run_group(shared: &Arc<Shared>, fingerprint: u64, members: Vec<(u64, JobSpec)>) {
-    if members[0].1.is_sweep() {
-        return run_sweep_group(shared, members);
-    }
-    let spec0 = &members[0].1;
-    let mut cfg =
-        SimConfig::default().strategy(spec0.strategy).backend(spec0.backend).batch(members.len());
+/// A fingerprint group's distinct bound circuits, and each job's
+/// indices into them, one per point. A plain job is its circuit at the
+/// single empty point. The group's jobs share one template (that is
+/// what the fingerprint hashes), so points with the same `f64` bits
+/// bind to one circuit.
+fn distinct_circuits(jobs: &[(u64, JobSpec)]) -> (Vec<Circuit>, Vec<Vec<usize>>) {
+    const PLAIN: &[Vec<f64>] = &[Vec::new()];
+    let mut circuits = Vec::new();
+    let mut seen: HashMap<Vec<u64>, usize> = HashMap::new();
+    let indices = jobs
+        .iter()
+        .map(|(_, spec)| {
+            let points = if spec.is_sweep() { spec.points.as_slice() } else { PLAIN };
+            points
+                .iter()
+                .map(|point| {
+                    let bits = point.iter().map(|x| x.to_bits()).collect();
+                    *seen.entry(bits).or_insert_with(|| {
+                        circuits.push(match &spec.ansatz {
+                            Some(template) => template.bind(point),
+                            None => spec.circuit.clone(),
+                        });
+                        circuits.len() - 1
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    (circuits, indices)
+}
+
+/// Execute one fingerprint group and complete every job in it. Each
+/// distinct circuit ([`distinct_circuits`]) is simulated once, by
+/// [`BatchSimulator::run_sweep`] in `MAX_BATCH`-sized waves: one
+/// lowering per member and one worksharing region per wave, shared
+/// across *independent tenants*. Every job is then rendered from the
+/// states its points map to.
+fn run_group(shared: &Shared, jobs: Vec<(u64, JobSpec)>) {
+    let (circuits, indices) = distinct_circuits(&jobs);
+    let spec0 = &jobs[0].1;
+    let mut cfg = SimConfig::default().strategy(spec0.strategy).backend(spec0.backend);
     if let Some(pool) = &shared.pool {
         cfg = cfg.pool(Arc::clone(pool));
     }
-    let outcome = match qcs_core::batch::BatchSimulator::from_config(cfg)
-        .and_then(|batch| batch.run_fresh(&spec0.circuit))
-    {
-        Ok((states, report)) => {
-            // Rendering samples and reduces over every member's state:
-            // O(2ⁿ) per job, done before the job table is locked so
-            // submitters and pollers never wait on it.
-            let bodies: Vec<String> = members
+    // The states, the most points one wave served, and the group as the
+    // ledger records it: every point and the summed wall time, under
+    // the last wave's batch id.
+    let ran = BatchSimulator::from_config(cfg).and_then(|engine| {
+        let mut states = Vec::with_capacity(circuits.len());
+        let mut fullest = 0;
+        let mut outcome = Outcome::default();
+        for (w, wave) in circuits.chunks(MAX_BATCH).enumerate() {
+            let mut members: Vec<StateVector> =
+                wave.iter().map(|c| StateVector::zero(c.n_qubits())).collect();
+            let report = engine.run_sweep(wave, &mut members)?;
+            let served = indices.iter().flatten().filter(|&&i| i / MAX_BATCH == w).count() as u64;
+            outcome = Outcome {
+                elapsed_seconds: outcome.elapsed_seconds + report.wall_seconds,
+                members: outcome.members + served,
+                ..Outcome::from(&report)
+            };
+            fullest = fullest.max(served);
+            states.extend(members);
+        }
+        let threads = engine.threads() as u32;
+        Ok((states, fullest, outcome.with_config(&spec0.strategy_str, threads, spec0.n)))
+    });
+    // Rendering samples and reduces every point's state — O(2ⁿ) per
+    // point — before the job table is locked, so submitters and
+    // pollers never wait on it.
+    let mut result = ran
+        .map(|(states, fullest, outcome)| {
+            let bodies: Vec<String> = jobs
                 .iter()
-                .zip(&states)
-                .map(|((_, spec), state)| render_result(spec, state, &report))
+                .zip(&indices)
+                .map(|((_, spec), mine)| render(spec, mine.iter().map(|&i| &states[i]), &outcome))
                 .collect();
-            let mut core = shared.core.lock().unwrap();
-            core.stats.batches += 1;
-            core.stats.max_batch_members = core.stats.max_batch_members.max(report.members as u64);
-            if report.members >= 2 {
-                core.stats.packed_jobs += report.members as u64;
-            }
-            let share = report.wall_seconds / report.members.max(1) as f64;
-            for ((id, spec), body) in members.iter().zip(bodies) {
-                core.cache.insert((fingerprint, spec.seed, spec.shots), body.clone());
+            (bodies, fullest, outcome)
+        })
+        .map_err(|e| {
+            let err = QcsError::from(e);
+            (err.code(), err.http_status(), err.to_string())
+        });
+    let mut guard = shared.core.lock().expect("no thread panics holding the job table");
+    let core = &mut *guard;
+    if let Ok((_, fullest, _)) = &result {
+        core.stats.batches += circuits.len().div_ceil(MAX_BATCH) as u64;
+        core.stats.max_batch_members = core.stats.max_batch_members.max(*fullest);
+        if jobs.len() >= 2 {
+            core.stats.packed_jobs += jobs.len() as u64;
+        }
+    }
+    for (j, ((id, spec), mine)) in jobs.iter().zip(&indices).enumerate() {
+        let Some(job) = core.jobs.get_mut(id) else { continue };
+        let usage = core.tenants.entry(spec.tenant.clone()).or_default();
+        usage.active = usage.active.saturating_sub(1);
+        match &mut result {
+            Ok((bodies, _, outcome)) => {
+                let body = std::mem::take(&mut bodies[j]);
+                let share = outcome.elapsed_seconds * mine.len() as f64 / outcome.members as f64;
+                core.cache.insert((spec.cache_fingerprint(), spec.seed, spec.shots), body.clone());
                 core.stats.completed += 1;
-                let usage = core.tenants.entry(spec.tenant.clone()).or_default();
-                usage.active = usage.active.saturating_sub(1);
                 usage.completed += 1;
                 usage.elapsed_seconds += share;
-                if let Some(job) = core.jobs.get_mut(id) {
-                    job.state = JobState::Done;
-                    job.batch_id = report.batch_id;
-                    job.members = report.members as u64;
-                    job.elapsed_seconds = share;
-                    job.result = Some(body);
-                }
+                job.state = JobState::Done;
+                job.batch_id = outcome.batch_id;
+                job.members = outcome.members;
+                job.elapsed_seconds = share;
+                job.result = Some(body);
             }
-            drop(core);
-            let outcome = Outcome::from(&report).with_config(
-                &spec0.strategy_str,
-                shared.pool.as_ref().map_or(1, |p| p.num_threads() as u32),
-                spec0.n,
-            );
-            Some(outcome)
-        }
-        Err(e) => {
-            let err = QcsError::from(e);
-            let (code, status, msg) = (err.code(), err.http_status(), err.to_string());
-            let mut core = shared.core.lock().unwrap();
-            for (id, spec) in &members {
+            Err(error) => {
                 core.stats.failed += 1;
-                let usage = core.tenants.entry(spec.tenant.clone()).or_default();
-                usage.active = usage.active.saturating_sub(1);
                 usage.failed += 1;
-                if let Some(job) = core.jobs.get_mut(id) {
-                    job.state = JobState::Failed;
-                    job.error = Some((code, status, msg.clone()));
-                }
+                job.state = JobState::Failed;
+                job.error = Some(error.clone());
             }
-            None
         }
-    };
-    // Usage ledger, outside the lock: one line per member job.
-    if let (Some(path), Some(outcome)) = (&shared.cfg.usage_path, outcome) {
-        for (id, spec) in &members {
-            let line = outcome.clone().with_label(format!("tenant={};job={}", spec.tenant, id));
+    }
+    drop(guard);
+    // Usage ledger, outside the lock: one line per completed job.
+    if let (Some(path), Ok((_, _, outcome))) = (&shared.cfg.usage_path, &result) {
+        for (id, spec) in &jobs {
+            let line = outcome.clone().with_label(format!("tenant={};job={id}", spec.tenant));
             let _ = qcs_core::telemetry::sink::append_outcome(path, &line);
         }
     }
 }
 
-/// Execute one sweep-fingerprint group. Every member job's points are
-/// flattened into one circuit list — the templates are structurally
-/// identical (that is what the fingerprint hashes), so the bound
-/// circuits are same-shaped and [`run_sweep`] carries them, each under
-/// the jobs' strategy, in `MAX_BATCH`-sized waves: the cross-tenant
-/// packing win, per *point* rather than per job.
-///
-/// [`run_sweep`]: qcs_core::batch::BatchSimulator::run_sweep
-fn run_sweep_group(shared: &Arc<Shared>, members: Vec<(u64, JobSpec)>) {
-    let spec0 = &members[0].1;
-    let mut cfg = SimConfig::default().strategy(spec0.strategy).backend(spec0.backend);
-    if let Some(pool) = &shared.pool {
-        cfg = cfg.pool(Arc::clone(pool));
-    }
-    let circuits: Vec<_> = members
-        .iter()
-        .flat_map(|(_, spec)| {
-            let template = spec.ansatz.as_ref().expect("sweep group member has a template");
-            spec.points.iter().map(move |p| template.bind(p))
-        })
-        .collect();
-    let result = qcs_core::batch::BatchSimulator::from_config(cfg).and_then(|engine| {
-        let mut states: Vec<StateVector> = Vec::with_capacity(circuits.len());
-        let mut wall = 0.0;
-        let mut batch_id = 0;
-        let mut backend = "";
-        let mut waves = 0u64;
-        let mut max_members = 0usize;
-        for chunk in circuits.chunks(MAX_BATCH) {
-            let mut wave: Vec<StateVector> =
-                chunk.iter().map(|c| StateVector::zero(c.n_qubits())).collect();
-            let report = engine.run_sweep(chunk, &mut wave)?;
-            wall += report.wall_seconds;
-            batch_id = report.batch_id;
-            backend = report.backend;
-            waves += 1;
-            max_members = max_members.max(report.members);
-            states.extend(wave);
-        }
-        Ok((states, wall, batch_id, backend, waves, max_members))
-    });
-    match result {
-        Ok((states, wall, batch_id, backend, waves, max_members)) => {
-            let total_points = states.len().max(1);
-            // Bodies first, outside the job-table lock (see `run_group`).
-            let mut offset = 0usize;
-            let bodies: Vec<String> = members
-                .iter()
-                .map(|(_, spec)| {
-                    let mine = &states[offset..offset + spec.points.len()];
-                    offset += spec.points.len();
-                    render_sweep_result(spec, mine, backend)
-                })
-                .collect();
-            let mut core = shared.core.lock().unwrap();
-            core.stats.batches += waves;
-            core.stats.max_batch_members = core.stats.max_batch_members.max(max_members as u64);
-            if members.len() >= 2 {
-                core.stats.packed_jobs += members.len() as u64;
-            }
-            for ((id, spec), body) in members.iter().zip(bodies) {
-                core.cache.insert((spec.cache_fingerprint(), spec.seed, spec.shots), body.clone());
-                core.stats.completed += 1;
-                let share = wall * spec.points.len() as f64 / total_points as f64;
-                let usage = core.tenants.entry(spec.tenant.clone()).or_default();
-                usage.active = usage.active.saturating_sub(1);
-                usage.completed += 1;
-                usage.elapsed_seconds += share;
-                if let Some(job) = core.jobs.get_mut(id) {
-                    job.state = JobState::Done;
-                    job.batch_id = batch_id;
-                    job.members = total_points as u64;
-                    job.elapsed_seconds = share;
-                    job.result = Some(body);
-                }
-            }
-        }
-        Err(e) => {
-            let err = QcsError::from(e);
-            let (code, status, msg) = (err.code(), err.http_status(), err.to_string());
-            let mut core = shared.core.lock().unwrap();
-            for (id, spec) in &members {
-                core.stats.failed += 1;
-                let usage = core.tenants.entry(spec.tenant.clone()).or_default();
-                usage.active = usage.active.saturating_sub(1);
-                usage.failed += 1;
-                if let Some(job) = core.jobs.get_mut(id) {
-                    job.state = JobState::Failed;
-                    job.error = Some((code, status, msg.clone()));
-                }
-            }
-        }
-    }
-}
-
-/// The public sweep-result body: one entry per point, counts sampled
-/// with `seed + point_index`, expectations per observable. Like
-/// [`render_result`], a pure function of the work, so cache hits serve
-/// these exact bytes again.
-fn render_sweep_result(spec: &JobSpec, states: &[StateVector], backend: &str) -> String {
-    let mut body = format!(
-        "{{\"type\":\"sweep_result\",\"n_qubits\":{},\"points\":{},\"shots\":{},\"seed\":{},\
-         \"strategy\":{},\"backend\":{},\"template_fnv1a\":{},\"gates\":{},\"results\":[",
-        spec.n,
-        states.len(),
+/// The public result body: a `"result"` for a plain job, a
+/// `"sweep_result"` with one block per point for a sweep (point `i`
+/// sampled under `seed + i`). Deliberately excludes job id, timing and
+/// cache status — everything here is a pure function of the work, so a
+/// cache hit serves these exact bytes again.
+fn render<'s>(
+    spec: &JobSpec,
+    mut states: impl ExactSizeIterator<Item = &'s StateVector>,
+    outcome: &Outcome,
+) -> String {
+    let config = format!(
+        "\"shots\":{},\"seed\":{},\"strategy\":{},\"backend\":{}",
         spec.shots,
         spec.seed,
         quote(&spec.strategy_str),
-        quote(backend),
-        quote(&format!("{:016x}", spec.fingerprint())),
-        spec.circuit.len(),
+        quote(&outcome.backend)
     );
-    for (i, state) in states.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        let mut rng = StdRng::seed_from_u64(spec.seed.wrapping_add(i as u64));
-        let counts = sample_counts(state, spec.shots as usize, &mut rng);
-        body.push_str(&format!("{{\"point\":{i},\"counts\":["));
-        for (k, (index, count)) in counts.iter().enumerate() {
-            if k > 0 {
-                body.push(',');
-            }
-            body.push_str(&format!("[{index},{count}]"));
-        }
-        body.push_str("],\"expectations\":[");
-        for (k, (source, op)) in spec.observables.iter().enumerate() {
-            if k > 0 {
-                body.push(',');
-            }
-            body.push_str(&format!(
-                "{{\"observable\":{},\"value\":{}}}",
-                quote(source),
-                op.expectation(state)
-            ));
-        }
-        body.push_str("]}");
+    let (n, gates, hash) =
+        (spec.n, spec.circuit.len(), quote(&format!("{:016x}", spec.fingerprint())));
+    if !spec.is_sweep() {
+        let mut body = format!(
+            "{{\"type\":\"result\",\"n_qubits\":{n},{config},\"circuit_fnv1a\":{hash},\
+             \"gates\":{gates},\"sweeps\":{},",
+            outcome.sweeps
+        );
+        write_point(&mut body, spec, states.next().expect("a plain job has one point"), spec.seed);
+        body.push('}');
+        return body;
+    }
+    let mut body = format!(
+        "{{\"type\":\"sweep_result\",\"n_qubits\":{n},\"points\":{},{config},\
+         \"template_fnv1a\":{hash},\"gates\":{gates},\"results\":[",
+        states.len()
+    );
+    for (i, state) in states.enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        let _ = write!(body, "{sep}{{\"point\":{i},");
+        write_point(&mut body, spec, state, spec.seed.wrapping_add(i as u64));
+        body.push('}');
     }
     body.push_str("]}");
     body
 }
 
-/// Render the public result body. Deliberately excludes job id, timing,
-/// and cache status — everything here is a pure function of the work,
-/// so a cache hit serves these exact bytes again.
-fn render_result(
-    spec: &JobSpec,
-    state: &StateVector,
-    report: &qcs_core::batch::BatchReport,
-) -> String {
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let counts = sample_counts(state, spec.shots as usize, &mut rng);
-    let mut body = format!(
-        "{{\"type\":\"result\",\"n_qubits\":{},\"shots\":{},\"seed\":{},\
-         \"strategy\":{},\"backend\":{},\"circuit_fnv1a\":{},\"gates\":{},\
-         \"sweeps\":{},\"counts\":[",
-        spec.n,
-        spec.shots,
-        spec.seed,
-        quote(&spec.strategy_str),
-        quote(report.backend),
-        quote(&format!("{:016x}", spec.fingerprint())),
-        report.gates,
-        report.sweeps,
-    );
-    for (i, (index, count)) in counts.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!("[{index},{count}]"));
+/// One point's `"counts":[…],"expectations":[…]`: `shots` samples drawn
+/// under `seed`, then each observable's expectation value.
+fn write_point(body: &mut String, spec: &JobSpec, state: &StateVector, seed: u64) {
+    let counts = sample_counts(state, spec.shots as usize, &mut StdRng::seed_from_u64(seed));
+    body.push_str("\"counts\":[");
+    for (k, (index, count)) in counts.iter().enumerate() {
+        let sep = if k > 0 { "," } else { "" };
+        let _ = write!(body, "{sep}[{index},{count}]");
     }
     body.push_str("],\"expectations\":[");
-    for (i, (source, op)) in spec.observables.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!(
-            "{{\"observable\":{},\"value\":{}}}",
+    for (k, (source, op)) in spec.observables.iter().enumerate() {
+        let sep = if k > 0 { "," } else { "" };
+        let _ = write!(
+            body,
+            "{sep}{{\"observable\":{},\"value\":{}}}",
             quote(source),
             op.expectation(state)
-        ));
+        );
     }
-    body.push_str("]}");
-    body
+    body.push(']');
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// How many distinct circuits a group of submissions binds, and
+    /// each job's indices into them.
+    fn group(bodies: &[String]) -> (usize, Vec<Vec<usize>>) {
+        let jobs: Vec<_> = bodies.iter().map(|b| (0, JobSpec::parse(b).unwrap())).collect();
+        let (circuits, indices) = distinct_circuits(&jobs);
+        (circuits.len(), indices)
+    }
+
+    #[test]
+    fn a_group_simulates_each_distinct_circuit_once() {
+        let plain = |seed: u64| {
+            format!(
+                r#"{{"tenant":"t{seed}","n":2,"seed":{seed},
+                    "circuit":[{{"gate":"h","q":[0]}},{{"gate":"cx","q":[0,1]}}]}}"#
+            )
+        };
+        let sweep = |points: &str| {
+            format!(
+                r#"{{"tenant":"t","n":2,"points":{points},
+                    "circuit":[{{"gate":"ry","q":[0],"param":0}},{{"gate":"cx","q":[0,1]}}]}}"#
+            )
+        };
+        // Seeds and shots stay out of the fingerprint: one circuit.
+        assert_eq!(group(&[plain(1), plain(2), plain(3)]), (1, vec![vec![0]; 3]));
+        assert_eq!(
+            group(&[sweep("[[0.1],[0.2]]"), sweep("[[0.3]]")]),
+            (3, vec![vec![0, 1], vec![2]])
+        );
+        assert_eq!(
+            group(&[sweep("[[0.1],[0.2]]"), sweep("[[0.1],[0.2]]")]),
+            (2, vec![vec![0, 1], vec![0, 1]])
+        );
+        // The circuit at a point is the template bound there.
+        let jobs = [(0, JobSpec::parse(&sweep("[[0.1],[0.2]]")).unwrap())];
+        let bound = jobs[0].1.ansatz.as_ref().unwrap().bind(&[0.2]);
+        assert_eq!(distinct_circuits(&jobs).0[1].fingerprint(), bound.fingerprint());
+    }
 }

@@ -45,6 +45,7 @@ fn main() {
     println!("\namplitude damping (γ = 0.3) on one trajectory:");
     let mut s = StateVector::zero(n);
     let errors = a64fx_qcs::core::noise::run_trajectory(
+        a64fx_qcs::core::kernels::simd::active(),
         &circuit,
         &mut s,
         NoiseChannel::AmplitudeDamping { gamma: 0.3 },

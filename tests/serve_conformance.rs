@@ -372,3 +372,49 @@ fn sweep_jobs_pack_per_point_across_tenants() {
     assert!(resp.contains("\"cached\":true"), "identical sweep not cached: {resp}");
     server.shutdown();
 }
+
+#[test]
+fn the_usage_ledger_has_one_line_per_job_of_either_kind() {
+    let ledger =
+        std::env::temp_dir().join(format!("a64fx_qcs_serve_ledger_{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&ledger);
+    let cfg =
+        ServeConfig { window_ms: 400, usage_path: Some(ledger.clone()), ..ServeConfig::default() };
+    let server = Server::start(cfg).unwrap();
+    let addr = server.addr();
+
+    // Three packed plain jobs and one sweep job from four tenants.
+    let mut jobs: Vec<(String, u64)> = (0..3)
+        .map(|i| {
+            let tenant = format!("plain-{i}");
+            let id = submit_job(addr, &submit_body(&tenant, "naive", "auto", 300 + i)).unwrap();
+            (tenant, id)
+        })
+        .collect();
+    let sweep = r#"{"tenant":"sweeper","n":2,"shots":16,"seed":1,
+        "circuit":[{"gate":"ry","q":[0],"param":0},{"gate":"cx","q":[0,1]}],
+        "points":[[0.4],[1.3]]}"#;
+    jobs.push(("sweeper".to_string(), submit_job(addr, sweep).unwrap()));
+    for (_, id) in &jobs {
+        assert_eq!(wait_for_job(addr, *id).unwrap(), "done");
+    }
+    // Shutting down joins the scheduler, which appends a group's lines
+    // after it publishes the group's jobs.
+    server.shutdown();
+
+    let text = std::fs::read_to_string(&ledger).unwrap();
+    let _ = std::fs::remove_file(&ledger);
+    let mut labels: Vec<String> = text
+        .lines()
+        .map(|line| {
+            let outcome = parse(line).unwrap();
+            assert_eq!(outcome.get("type").and_then(Value::as_str), Some("outcome"), "{line}");
+            outcome.get("label").and_then(Value::as_str).unwrap().to_string()
+        })
+        .collect();
+    let mut want: Vec<String> =
+        jobs.iter().map(|(tenant, id)| format!("tenant={tenant};job={id}")).collect();
+    labels.sort();
+    want.sort();
+    assert_eq!(labels, want, "one ledger line per job, plain and sweep alike");
+}
