@@ -7,8 +7,9 @@
 //! kernel the model priced. This module closes that loop empirically.
 //! On first use it runs a micro-benchmark on the actual machine — one
 //! timed sweep per kernel cost kind, at two state sizes so the
-//! per-amplitude slope and the per-sweep overhead separate — and caches
-//! the result process-wide.
+//! per-amplitude slope and the per-sweep overhead separate, plus one
+//! probe of the block engine that every cache-blocked pass runs
+//! through — and caches the result process-wide.
 //! [`Program::calibrated_ns`](crate::program::Program::calibrated_ns)
 //! then prices any lowering of any circuit from those measured
 //! constants, and [`choose`] (the engine behind [`Strategy::Auto`])
@@ -25,8 +26,8 @@ use omp_par::Schedule;
 use crate::circuit::{Circuit, Gate};
 use crate::complex::C64;
 use crate::fusion::{fuse, fuse_costed, FuseCosts, FusedClass, FusedOp};
-use crate::kernels::blocked::{apply_blocked, PreparedRun};
-use crate::kernels::dispatch::{apply_gate_with, GateKernel};
+use crate::kernels::blocked::PreparedRun;
+use crate::kernels::dispatch::apply_gate_with;
 use crate::kernels::fused::PreparedFused;
 use crate::kernels::simd::{self, KernelBackend};
 use crate::program::lower;
@@ -78,22 +79,15 @@ pub struct Calibration {
     /// one stream plus the members' arithmetic above the stream floor.
     pub stream: f64,
     /// How much of the memory stream each member of a cache-blocked
-    /// pass still pays on this host, measured from a real blocked pass:
+    /// pass still pays on this host, measured from a real block pass
+    /// through the one block engine (`PreparedRun`) that both
+    /// [`Strategy::Blocked`] and [`Strategy::Planned`] execute:
     /// 0 = ideal blocking (members share one stream and pay only their
     /// arithmetic above it), 1 = blocking amortizes nothing (each
     /// member pays its full sweep cost, e.g. because the benchmark
     /// state already sits in a large cache, or per-block dispatch eats
-    /// the savings). This factor is measured through the `GateKernel`
-    /// engine [`Strategy::Blocked`] executes.
+    /// the savings).
     pub block_stream_factor: f64,
-    /// Same stream share, measured through the fused-op block engine
-    /// the planner's block passes execute (`PreparedRun`). Kept
-    /// separate because the two engines measure very differently on
-    /// some hosts: per-op-per-block dispatch and the low physical
-    /// strides relocation produces can make a fused block pass cost
-    /// more than naive sweeps while a plain `GateKernel` pass still
-    /// saves memory traffic.
-    pub fused_block_stream_factor: f64,
     /// Flat cost per sweep (dispatch, loop setup), nanoseconds.
     pub sweep_overhead_ns: f64,
     /// Kernel backend the numbers were measured with.
@@ -119,7 +113,6 @@ impl Calibration {
             fused_dense: [4.0, 8.0, 16.0, 32.0],
             stream: 0.5,
             block_stream_factor: 0.05,
-            fused_block_stream_factor: 0.05,
             sweep_overhead_ns: 200.0,
             backend: "analytic",
             measured: false,
@@ -143,11 +136,11 @@ impl Calibration {
     }
 
     /// Per-amp cost one member contributes to a cache-blocked pass: its
-    /// arithmetic above the stream floor, plus the `stream_factor` share
-    /// of the stream this host fails to amortize across the pass (see
+    /// arithmetic above the stream floor, plus the share of the stream
+    /// this host fails to amortize across the pass (see
     /// [`Calibration::block_stream_factor`]).
-    fn in_block_per_amp(&self, c: f64, stream_factor: f64) -> f64 {
-        (c - self.stream).max(0.1 * c) + stream_factor * c.min(self.stream)
+    fn in_block_per_amp(&self, c: f64) -> f64 {
+        (c - self.stream).max(0.1 * c) + self.block_stream_factor * c.min(self.stream)
     }
 
     /// In-block variant for the planner: the cost table rewritten to
@@ -155,7 +148,7 @@ impl Calibration {
     /// (the same member pricing `block_pass_ns` charges), so in-block
     /// fusion decisions agree with the pass pricing.
     pub fn block_fuse_costs(&self) -> FuseCosts {
-        let arith = |c: f64| self.in_block_per_amp(c, self.fused_block_stream_factor);
+        let arith = |c: f64| self.in_block_per_amp(c);
         let full = self.fuse_costs();
         FuseCosts {
             gate_1q_dense: arith(full.gate_1q_dense),
@@ -297,20 +290,19 @@ fn measure(be: &'static KernelBackend) -> Calibration {
         fused_dense,
         stream,
         block_stream_factor: 0.0,
-        fused_block_stream_factor: 0.0,
         sweep_overhead_ns,
         backend: be.name,
         measured: true,
     };
 
-    // Blocked-pass probes: run a realistic low-register gate run through
-    // BOTH blocked engines and set each factor so the predicted
-    // block/naive ratio reproduces the measured one. The naive reference
-    // is timed on the same gates and strides — blocks always execute on
-    // low physical strides, where kernels cost more than the
-    // mid-register constants above, and comparing a blocked pass against
-    // those constants directly would fold the stride penalty into the
-    // factor and bias every block-vs-naive decision the tuner makes.
+    // Block-pass probe: run a realistic low-register gate run through
+    // the block engine and set the factor so the predicted block/naive
+    // ratio reproduces the measured one. The naive reference is timed on
+    // the same gates and strides — blocks always execute on low physical
+    // strides, where kernels cost more than the mid-register constants
+    // above, and comparing a block pass against those constants directly
+    // would fold the stride penalty into the factor and bias every
+    // block-vs-naive decision the tuner makes.
     {
         let bq = 13u32.min(N_BIG);
         let mut c = Circuit::new(N_BIG);
@@ -325,28 +317,21 @@ fn measure(be: &'static KernelBackend) -> Calibration {
         let t_naive: f64 =
             c.gates().iter().map(|g| time_sweep(big, |a| apply_gate_with(be, a, g))).sum();
         let naive_ref: f64 = c.gates().iter().map(|g| gate_per_amp(&cal, g)).sum();
-        // Target total member cost for a pass measured at `t_pass`: the
-        // calibrated naive total scaled by the measured pass/naive ratio.
-        let factor_of = |t_pass: f64, members: &[f64]| {
-            let target = naive_ref * (t_pass / t_naive.max(1e-12));
-            let arith: f64 = members.iter().map(|&m| (m - stream).max(0.1 * m)).sum();
-            let streamable: f64 = members.iter().map(|&m| m.min(stream)).sum();
-            ((target - stream - arith) / streamable.max(1e-6)).clamp(0.0, 1.5)
-        };
-
-        let bgs: Vec<GateKernel> = c.gates().iter().map(GateKernel::from).collect();
-        let t_block = time_sweep(big, |a| apply_blocked(be, None, SERIAL, a, &bgs, bq));
-        let gate_members: Vec<f64> = c.gates().iter().map(|g| gate_per_amp(&cal, g)).collect();
-        cal.block_stream_factor = factor_of(t_block, &gate_members);
 
         // The planner lowers in-block runs with cost-aware fusion; use
         // the same lowering (at the ideal-model costs the provisional
-        // factors imply) so the probe executes what plans execute.
+        // factor implies) so the probe executes what plans execute.
         let ops = fuse_costed(&c, 4, &cal.block_fuse_costs());
         let run = PreparedRun::new(&ops, bq);
-        let t_fused = time_sweep(big, |a| run.apply(be, None, SERIAL, a));
-        let fused_members: Vec<f64> = ops.iter().map(|op| fused_per_amp(&cal, op)).collect();
-        cal.fused_block_stream_factor = factor_of(t_fused, &fused_members);
+        let t_pass = time_sweep(big, |a| run.apply(be, None, SERIAL, a));
+        // Target total member cost: the calibrated naive total scaled by
+        // the measured pass/naive ratio.
+        let target = naive_ref * (t_pass / t_naive.max(1e-12));
+        let members: Vec<f64> = ops.iter().map(|op| fused_per_amp(&cal, op)).collect();
+        let arith: f64 = members.iter().map(|&m| (m - stream).max(0.1 * m)).sum();
+        let streamable: f64 = members.iter().map(|&m| m.min(stream)).sum();
+        cal.block_stream_factor =
+            ((target - stream - arith) / streamable.max(1e-6)).clamp(0.0, 1.5);
     }
     cal
 }
@@ -368,18 +353,14 @@ pub(crate) fn fused_per_amp(cal: &Calibration, op: &FusedOp) -> f64 {
 /// A pass that applies `per_amp_costs` members out of cache-resident
 /// blocks pays one memory stream plus each member's in-block
 /// contribution: arithmetic above the stream floor, plus the stream
-/// share this host fails to amortize — `stream_factor`, the
-/// calibration's [`block_stream_factor`](Calibration::block_stream_factor)
-/// for a `GateKernel` run or its
-/// [`fused_block_stream_factor`](Calibration::fused_block_stream_factor)
-/// for the planner's fused block passes.
+/// share this host fails to amortize
+/// ([`block_stream_factor`](Calibration::block_stream_factor)).
 pub(crate) fn block_pass_ns(
     cal: &Calibration,
     amps: f64,
-    stream_factor: f64,
     per_amp_costs: impl Iterator<Item = f64>,
 ) -> f64 {
-    let members: f64 = per_amp_costs.map(|c| cal.in_block_per_amp(c, stream_factor)).sum();
+    let members: f64 = per_amp_costs.map(|c| cal.in_block_per_amp(c)).sum();
     cal.sweep_overhead_ns + amps * (cal.stream + members)
 }
 
@@ -485,7 +466,6 @@ mod tests {
             cal.fused_perm,
             cal.stream,
             cal.block_stream_factor,
-            cal.fused_block_stream_factor,
             cal.sweep_overhead_ns,
         ] {
             assert!(v > 0.0);
@@ -575,5 +555,62 @@ mod tests {
                 _ => {}
             }
         }
+    }
+    /// The e15 families at n = 18 under the analytic table: what `Auto`
+    /// picks, and the exact prices of the `blocked:12` and `blocked:13`
+    /// lowerings. Recorded when `blocked` ran an engine of its own.
+    #[test]
+    fn analytic_picks_and_blocked_prices_are_pinned() {
+        let cal = Calibration::analytic();
+        let n = 18;
+        let mut low_dense = Circuit::new(n);
+        let mut diag_heavy = Circuit::new(n);
+        for l in 0..3 {
+            for q in 0..8 {
+                low_dense.ry(q, 0.1 + 0.01 * (l + q) as f64);
+            }
+            for q in 0..7 {
+                low_dense.cx(q, q + 1);
+            }
+            for q in 0..n {
+                diag_heavy.rz(q, 0.05 + 0.01 * (l + q) as f64);
+            }
+            for q in 0..n - 1 {
+                diag_heavy.cp(q, q + 1, 0.3 + 0.02 * l as f64);
+            }
+        }
+        let circuits = [
+            library::qft(n),
+            library::quantum_volume(n, 7),
+            library::random_circuit(n, 3 * n as usize, 11),
+            low_dense,
+            diag_heavy,
+        ];
+        let picks: Vec<String> = circuits.iter().map(|c| cheapest(&cal, c).to_string()).collect();
+        assert_eq!(picks, ["fused:4", "fused:3", "fused:4", "planned:10:3", "fused:4"]);
+        let prices: Vec<u64> = circuits
+            .iter()
+            .flat_map(|c| {
+                [12, 13].map(|b| {
+                    let s = Strategy::Blocked { block_qubits: b };
+                    lower(c, s, Some(&cal)).calibrated_ns(&cal).to_bits()
+                })
+            })
+            .collect();
+        assert_eq!(
+            prices,
+            [
+                0x4187e67740000007,
+                0x41871152f3333339,
+                0x41a3bfc4dfffffff,
+                0x41a39d839ccccccc,
+                0x41bd85bff6666699,
+                0x41bcd0f5be66668d,
+                0x416d5018fffffffa,
+                0x416d5018fffffffa,
+                0x417810736666666a,
+                0x417759c200000003,
+            ]
+        );
     }
 }

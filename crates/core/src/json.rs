@@ -230,9 +230,11 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad number")?;
-    text.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|_| format!("invalid number '{text}' at offset {start}"))
+    // `1e999` parses to infinity; no field of any document means that.
+    match text.parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(Value::Num(x)),
+        _ => Err(format!("invalid number '{text}' at offset {start}")),
+    }
 }
 
 /// Append `s` JSON-escaped (without surrounding quotes) to `out`.
@@ -334,5 +336,13 @@ mod tests {
         assert_eq!(parse("12").unwrap().as_u64(), Some(12));
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        for text in ["1e999", "-1e999", r#"{"theta":1e999}"#, "[0.5,-2e400]"] {
+            assert!(parse(text).unwrap_err().contains("invalid number"), "{text}");
+        }
+        assert_eq!(parse("1e308").unwrap().as_f64(), Some(1e308));
     }
 }

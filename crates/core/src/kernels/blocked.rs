@@ -1,17 +1,19 @@
-//! Cache-blocked multi-gate sweeps.
+//! Cache-blocked multi-op sweeps: the one block engine.
 //!
-//! A run of gates whose targets all lie below `block_qubits` acts
+//! A run of ops whose targets all lie below `block_qubits` acts
 //! independently on each `2^block_qubits`-amplitude block of the state.
 //! Applying the *whole run* to one block before moving to the next loads
-//! every amplitude from memory once per run instead of once per gate —
+//! every amplitude from memory once per run instead of once per op —
 //! the cache-blocking optimization state-vector simulators use when the
-//! state exceeds L2.
+//! state exceeds L2. [`PreparedRun`] executes both block lowerings: the
+//! planner's in-block fused ops, and a `blocked` run of gate-backed
+//! singletons (`FusedOp::of_gate`), each member through its gate's
+//! own kernel.
 
 use omp_par::{Schedule, ThreadPool};
 
 use crate::complex::C64;
 use crate::fusion::FusedOp;
-use crate::kernels::dispatch::GateKernel;
 use crate::kernels::fused::PreparedFused;
 use crate::kernels::simd::KernelBackend;
 use crate::kernels::{for_range, AmpPtr};
@@ -37,44 +39,10 @@ fn for_blocks(
     });
 }
 
-/// Apply a run of low-target gates block by block.
-///
-/// Every gate's qubits must be `< block_qubits` and the state must have at
-/// least `block_qubits` qubits.
-pub fn apply_blocked(
-    be: &KernelBackend,
-    pool: Option<&ThreadPool>,
-    sched: Schedule,
-    amps: &mut [C64],
-    gates: &[GateKernel],
-    block_qubits: u32,
-) {
-    for g in gates {
-        assert!(
-            g.max_qubit() < block_qubits,
-            "gate touches qubit {} outside a {}-qubit block",
-            g.max_qubit(),
-            block_qubits
-        );
-    }
-    for_blocks(pool, sched, amps, 1usize << block_qubits, |chunk| {
-        apply_block_chunk(be, chunk, gates)
-    });
-}
-
-/// Apply one run of block gates to a single cache-resident chunk — the
-/// unit the block loop here dispatches, serial or workshared, so every
-/// path performs the identical per-amplitude arithmetic.
-pub fn apply_block_chunk(be: &KernelBackend, chunk: &mut [C64], gates: &[GateKernel]) {
-    for g in gates {
-        g.apply(be, None, Schedule::default(), chunk);
-    }
-}
-
 /// A run of fused ops lowered exactly once for repeated per-chunk
-/// application. The batched engine prepares each plan block one time
-/// and re-walks the same offset tables for every (member, block) cell,
-/// which is what amortizes the gate-stream setup across the batch.
+/// application: every chunk, serial or workshared, runs the identical
+/// per-amplitude arithmetic, and a batch re-walks the same offset
+/// tables for every member.
 pub struct PreparedRun<'a> {
     ops: Vec<PreparedFused<'a>>,
     block: usize,
@@ -99,13 +67,8 @@ impl<'a> PreparedRun<'a> {
         PreparedRun { ops, block: 1usize << block_qubits }
     }
 
-    /// Amplitudes per chunk (`2^block_qubits`).
-    pub fn block_len(&self) -> usize {
-        self.block
-    }
-
     /// Apply the whole run to one cache-resident chunk.
-    pub fn apply_chunk(&self, be: &KernelBackend, chunk: &mut [C64]) {
+    fn apply_chunk(&self, be: &KernelBackend, chunk: &mut [C64]) {
         debug_assert_eq!(chunk.len(), self.block);
         for op in &self.ops {
             op.apply(be, None, Schedule::default(), chunk);
@@ -124,16 +87,12 @@ impl<'a> PreparedRun<'a> {
     }
 }
 
-/// Memory sweeps saved by blocking a run of `n_gates` gates into one
-/// block pass: the per-gate sweep count drops from `n_gates` to 1.
-pub fn sweeps_saved(n_gates: usize) -> usize {
-    n_gates.saturating_sub(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::Gate;
     use crate::gates::standard;
+    use crate::kernels::dispatch::GateKernel;
     use crate::kernels::{scalar, simd};
     use crate::state::StateVector;
     use rand::rngs::StdRng;
@@ -147,26 +106,30 @@ mod tests {
         StateVector::random(n, &mut rng)
     }
 
-    fn sequential(be: &KernelBackend, amps: &mut [C64], gates: &[GateKernel]) {
+    fn sequential(be: &KernelBackend, amps: &mut [C64], gates: &[Gate]) {
         for g in gates {
-            g.apply(be, None, SERIAL, amps);
+            GateKernel::from(g).apply(be, None, SERIAL, amps);
         }
     }
 
-    fn mixed_run() -> Vec<GateKernel> {
+    /// `gates` as one block pass of singletons, the `blocked` lowering.
+    fn blocked(be: &KernelBackend, amps: &mut [C64], gates: &[Gate], block_qubits: u32) {
+        let ops: Vec<FusedOp> = gates.iter().map(FusedOp::of_gate).collect();
+        PreparedRun::new(&ops, block_qubits).apply(be, None, SERIAL, amps);
+    }
+
+    /// One gate per kernel shape below the 3-qubit permutations: dense
+    /// 1q (twice), X, controlled, dense 2q, 1q and 2q diagonal, swap.
+    fn mixed_run() -> Vec<Gate> {
         vec![
-            GateKernel::One(0, standard::h()),
-            GateKernel::One(2, standard::t()),
-            GateKernel::X(1),
-            GateKernel::Controlled(1, 3, standard::x()),
-            GateKernel::Two(3, 0, standard::iswap_mat()),
-            GateKernel::Diag1(1, crate::complex::ONE, C64::exp_i(0.4)),
-            GateKernel::Diag2(
-                0,
-                2,
-                [C64::exp_i(0.1), C64::exp_i(-0.1), C64::exp_i(-0.1), C64::exp_i(0.1)],
-            ),
-            GateKernel::Swap(2, 3),
+            Gate::H(0),
+            Gate::Unitary1(2, standard::t()),
+            Gate::X(1),
+            Gate::Cx(1, 3),
+            Gate::ISwap(3, 0),
+            Gate::Phase(1, 0.4),
+            Gate::Rzz(0, 2, -0.2),
+            Gate::Swap(2, 3),
         ]
     }
 
@@ -178,7 +141,7 @@ mod tests {
                 let mut a = rand_state(10, 3);
                 let mut b = a.clone();
                 sequential(be, a.amplitudes_mut(), &gates);
-                apply_blocked(be, None, SERIAL, b.amplitudes_mut(), &gates, block_qubits);
+                blocked(be, b.amplitudes_mut(), &gates, block_qubits);
                 assert_eq!(a.max_abs_diff(&b), 0.0, "{} block_qubits={block_qubits}", be.name);
             }
         }
@@ -187,11 +150,11 @@ mod tests {
     #[test]
     fn block_equals_full_state_width() {
         let be = simd::active();
-        let gates = vec![GateKernel::One(1, standard::ry(0.3))];
+        let gates = [Gate::Ry(1, 0.3)];
         let mut a = rand_state(5, 4);
         let mut b = a.clone();
         sequential(be, a.amplitudes_mut(), &gates);
-        apply_blocked(be, None, SERIAL, b.amplitudes_mut(), &gates, 5);
+        blocked(be, b.amplitudes_mut(), &gates, 5);
         assert!(a.approx_eq(&b, EPS));
     }
 
@@ -199,22 +162,14 @@ mod tests {
     #[should_panic(expected = "outside")]
     fn gate_above_block_rejected() {
         let mut s = rand_state(6, 5);
-        let gates = [GateKernel::One(4, standard::h())];
-        apply_blocked(simd::active(), None, SERIAL, s.amplitudes_mut(), &gates, 3);
+        blocked(simd::active(), s.amplitudes_mut(), &[Gate::H(4)], 3);
     }
 
     #[test]
     #[should_panic(expected = "block larger")]
     fn oversize_block_rejected() {
         let mut s = rand_state(3, 6);
-        apply_blocked(simd::active(), None, SERIAL, s.amplitudes_mut(), &[], 5);
-    }
-
-    #[test]
-    fn sweeps_saved_counts() {
-        assert_eq!(sweeps_saved(0), 0);
-        assert_eq!(sweeps_saved(1), 0);
-        assert_eq!(sweeps_saved(7), 6);
+        blocked(simd::active(), s.amplitudes_mut(), &[], 5);
     }
 
     #[test]
@@ -245,13 +200,9 @@ mod tests {
 
     #[test]
     fn norm_preserved() {
-        let gates = vec![
-            GateKernel::One(0, standard::h()),
-            GateKernel::One(1, standard::sx()),
-            GateKernel::Two(1, 0, standard::rxx_mat(0.8)),
-        ];
+        let gates = [Gate::H(0), Gate::Sx(1), Gate::Rxx(1, 0, 0.8)];
         let mut s = rand_state(8, 7);
-        apply_blocked(simd::active(), None, SERIAL, s.amplitudes_mut(), &gates, 4);
+        blocked(simd::active(), s.amplitudes_mut(), &gates, 4);
         assert!((s.norm_sqr() - 1.0).abs() < 1e-10);
     }
 }

@@ -264,12 +264,7 @@ impl Planner<'_> {
         let sweep = |per_amp: f64| cal.sweep_overhead_ns + amps * per_amp;
         let naive_ns: f64 = run.iter().map(|g| sweep(gate_per_amp(cal, g))).sum();
         let block_ns = 2.0 * swaps.len() as f64 * sweep(cal.swap)
-            + block_pass_ns(
-                cal,
-                amps,
-                cal.fused_block_stream_factor,
-                fused.iter().map(|op| fused_per_amp(cal, op)),
-            );
+            + block_pass_ns(cal, amps, fused.iter().map(|op| fused_per_amp(cal, op)));
         // Relocation risk is asymmetric under calibration noise: a wrong
         // fallback forgoes a small win, a wrong commit pays the swaps
         // AND the low-stride block passes. Swap-bearing routes must

@@ -19,9 +19,10 @@
 //!
 //! The lowering itself is assembled from the passes that already
 //! existed — cost-aware fusion ([`fuse_costed`]), the relabeling planner
-//! ([`plan_circuit_with`]) and the low-target block-run grouping — and
-//! is the flat gate-record shape plan-then-execute simulators
-//! (mpiQulacs) use for the same reason.
+//! ([`plan_circuit_with`]) and the low-target block-run grouping, whose
+//! runs are block passes of gate-backed singletons — and is the flat
+//! gate-record shape plan-then-execute simulators (mpiQulacs) use for
+//! the same reason.
 
 use std::borrow::Cow;
 use std::ops::Deref;
@@ -33,7 +34,7 @@ use crate::calibrate::{block_pass_ns, fused_per_amp, gate_per_amp, Calibration};
 use crate::circuit::{Circuit, Gate};
 use crate::complex::C64;
 use crate::fusion::{fuse, fuse_costed, FusedOp};
-use crate::kernels::blocked::{apply_blocked, PreparedRun};
+use crate::kernels::blocked::PreparedRun;
 use crate::kernels::dispatch::GateKernel;
 use crate::kernels::fused::PreparedFused;
 use crate::kernels::simd::KernelBackend;
@@ -70,11 +71,9 @@ pub enum SweepOp<'c> {
     Gate(GateRef<'c>),
     /// A fused block through the kernel matching its structure class.
     Fused(FusedOp),
-    /// A run of consecutive source gates whose qubits all lie below the
-    /// block width, applied cache block by cache block.
-    BlockRun(&'c [Gate]),
-    /// The planner's cache-blocked pass: fused ops on low physical
-    /// axes, applied cache block by cache block.
+    /// A cache-blocked pass: fused ops on qubits below the block width,
+    /// applied cache block by cache block — the planner's in-block
+    /// fusion, or a `blocked` run of gate-backed singletons.
     BlockPass(Vec<FusedOp>),
     /// Barrier: projective measurement of `q` into classical bit `creg`.
     Measure { q: u32, creg: u32 },
@@ -93,8 +92,8 @@ pub struct Program<'c> {
     /// The concrete strategy the ops were lowered under — never
     /// [`Strategy::Auto`], which [`lower`] resolves.
     pub strategy: Strategy,
-    /// Block width of the `BlockRun`/`BlockPass` ops, clamped to the
-    /// state (0 for strategies that emit neither).
+    /// Block width of the `BlockPass` ops, clamped to the state (0 for
+    /// strategies that emit none).
     pub block_qubits: u32,
 }
 
@@ -196,22 +195,23 @@ fn lower_unitary<'c>(
 }
 
 /// Group consecutive gates whose qubits all fit below the block width
-/// into block runs; every other gate — and the cold 3-qubit
-/// permutations — keeps its own full-state sweep.
+/// into block passes of one gate-backed singleton per gate; every other
+/// gate — and the cold 3-qubit permutations — keeps its own full-state
+/// sweep.
 fn lower_blocked<'c>(ops: &mut Vec<SweepOp<'c>>, gates: &'c [Gate], block_qubits: u32) {
-    let mut run_start = 0;
-    for (i, g) in gates.iter().enumerate() {
+    let mut run = Vec::new();
+    for g in gates {
         if g.arity() <= 2 && g.qubits().iter().all(|&q| q < block_qubits) {
+            run.push(FusedOp::of_gate(g));
             continue;
         }
-        if run_start < i {
-            ops.push(SweepOp::BlockRun(&gates[run_start..i]));
+        if !run.is_empty() {
+            ops.push(SweepOp::BlockPass(std::mem::take(&mut run)));
         }
         ops.push(SweepOp::Gate(GateRef::Source(g)));
-        run_start = i + 1;
     }
-    if run_start < gates.len() {
-        ops.push(SweepOp::BlockRun(&gates[run_start..]));
+    if !run.is_empty() {
+        ops.push(SweepOp::BlockPass(run));
     }
 }
 
@@ -280,38 +280,26 @@ impl SweepOp<'_> {
                 (kind, model.predict(kind, n, &op.qubits))
             }
         };
-        // One streamed pass over the state with `flops` of arithmetic,
-        // `members` reads per amplitude and one write.
-        let one_pass = |mut traffic: GateTraffic, flops: u64, members: usize| {
-            let amps = 1u64 << n;
-            traffic.flops = flops;
-            traffic.amps_read = amps * members as u64;
-            traffic.amps_written = amps;
-            traffic.arithmetic_intensity = if traffic.mem_bytes == 0 {
-                0.0
-            } else {
-                traffic.flops as f64 / traffic.mem_bytes as f64
-            };
-            traffic
-        };
         match self {
             SweepOp::Gate(g) => gate(g),
             SweepOp::Cif { gate: g, .. } => gate(g),
             SweepOp::Fused(op) => fused(op),
-            SweepOp::BlockRun(source) => {
-                // The sweep streams every line once whichever member is
-                // densest; borrow the dense 1q formula for the memory side.
-                let first = source[0].qubits()[0];
-                let stream = model.predict(KernelKind::OneQubitDense, n, &[first]);
-                let flops = source.iter().map(|g| gate(g).1.flops).sum();
-                (classify(&source[0]), one_pass(stream, flops, source.len()))
-            }
             SweepOp::BlockPass(ops) => {
+                // One streamed pass over the state with every member's
+                // flops, one read per member per amplitude and one write.
                 let widest = ops.iter().map(|o| o.qubits.len()).max().expect("non-empty pass");
                 let kind = KernelKind::FusedDense { k: widest as u8 };
-                let stream = model.predict(kind, n, &ops[0].qubits);
-                let flops = ops.iter().map(|o| fused(o).1.flops).sum();
-                (kind, one_pass(stream, flops, ops.len()))
+                let mut traffic = model.predict(kind, n, &ops[0].qubits);
+                let amps = 1u64 << n;
+                traffic.flops = ops.iter().map(|o| fused(o).1.flops).sum();
+                traffic.amps_read = amps * ops.len() as u64;
+                traffic.amps_written = amps;
+                traffic.arithmetic_intensity = if traffic.mem_bytes == 0 {
+                    0.0
+                } else {
+                    traffic.flops as f64 / traffic.mem_bytes as f64
+                };
+                (kind, traffic)
             }
             SweepOp::Measure { .. } => (KernelKind::OneQubitDiagonal, measure_traffic(model, n)),
         }
@@ -326,7 +314,6 @@ impl SweepOp<'_> {
             SweepOp::Fused(op) => {
                 op.gate.as_ref().map_or_else(|| op.qubits.clone(), |g| g.qubits())
             }
-            SweepOp::BlockRun(source) => source[0].qubits(),
             SweepOp::BlockPass(ops) => ops[0].qubits.clone(),
             SweepOp::Measure { q, .. } => vec![*q],
         }
@@ -342,13 +329,8 @@ impl SweepOp<'_> {
             SweepOp::Gate(g) => sweep(gate_per_amp(cal, g)),
             SweepOp::Cif { gate, .. } => sweep(gate_per_amp(cal, gate)),
             SweepOp::Fused(op) => sweep(fused_per_amp(cal, op)),
-            SweepOp::BlockRun(source) => {
-                let members = source.iter().map(|g| gate_per_amp(cal, g));
-                block_pass_ns(cal, amps, cal.block_stream_factor, members)
-            }
             SweepOp::BlockPass(ops) => {
-                let members = ops.iter().map(|op| fused_per_amp(cal, op));
-                block_pass_ns(cal, amps, cal.fused_block_stream_factor, members)
+                block_pass_ns(cal, amps, ops.iter().map(|op| fused_per_amp(cal, op)))
             }
             SweepOp::Measure { .. } => 0.0,
         }
@@ -362,9 +344,6 @@ impl SweepOp<'_> {
             SweepOp::Gate(g) => Kernel::Gate(GateKernel::from(&**g)),
             SweepOp::Cif { gate, .. } => Kernel::Gate(GateKernel::from(*gate)),
             SweepOp::Fused(op) => Kernel::Fused(PreparedFused::new(op)),
-            SweepOp::BlockRun(source) => {
-                Kernel::BlockRun(source.iter().map(GateKernel::from).collect(), block_qubits)
-            }
             SweepOp::BlockPass(ops) => Kernel::BlockPass(PreparedRun::new(ops, block_qubits)),
             SweepOp::Measure { .. } => {
                 unreachable!("a collapse draws from the interpreter's RNG stream; it has no kernel")
@@ -383,7 +362,6 @@ impl SweepOp<'_> {
 pub(crate) enum Kernel<'p> {
     Gate(GateKernel),
     Fused(PreparedFused<'p>),
-    BlockRun(Vec<GateKernel>, u32),
     BlockPass(PreparedRun<'p>),
 }
 
@@ -400,7 +378,6 @@ impl Kernel<'_> {
         match self {
             Kernel::Gate(kernel) => kernel.apply(be, pool, sched, amps),
             Kernel::Fused(op) => op.apply(be, pool, sched, amps),
-            Kernel::BlockRun(gates, bq) => apply_blocked(be, pool, sched, amps, gates, *bq),
             Kernel::BlockPass(run) => run.apply(be, pool, sched, amps),
         }
     }
@@ -434,22 +411,28 @@ mod tests {
     #[test]
     fn blocked_runs_cover_their_source_gates() {
         // Gates on qubits {0,1} | a high gate | gates on {0,1}: two runs
-        // split by one fallback sweep.
+        // split by one fallback sweep, each member its source gate alone.
         let mut c = Circuit::new(6);
         c.h(0).cx(0, 1).h(5).rz(1, 0.3).swap(0, 1);
         let p = lower(&c, Strategy::Blocked { block_qubits: 9 }, None);
         assert_eq!(p.block_qubits, 6, "clamped to the state");
         let p = lower(&c, Strategy::Blocked { block_qubits: 3 }, None);
+        let mut members = Vec::new();
         let shape: Vec<usize> = p
             .ops
             .iter()
             .map(|op| match op {
-                SweepOp::BlockRun(source) => source.len(),
+                SweepOp::BlockPass(ops) => {
+                    members.extend(ops.iter().map(|op| op.gate.as_deref().expect("singleton")));
+                    ops.len()
+                }
                 SweepOp::Gate(_) => 0,
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
         assert_eq!(shape, vec![2, 0, 2]);
+        let source = c.gates();
+        assert_eq!(members, [&source[0], &source[1], &source[3], &source[4]]);
     }
 
     #[test]

@@ -140,64 +140,50 @@ pub fn parse(source: &str) -> Result<Circuit, QasmError> {
                 }
                 let c =
                     circuit.as_mut().ok_or_else(|| err(line, "gate before qreg declaration"))?;
-                let gate = parse_gate(body, &qreg_name, line)?;
-                let width = c.n_qubits();
-                for &q in &gate.qubits() {
-                    if q >= width {
-                        return Err(err(
-                            line,
-                            format!("qubit index {q} exceeds qreg size {width}"),
-                        ));
-                    }
-                }
+                let gate = parse_gate(body, &qreg_name, c.n_qubits(), line)?;
                 c.push(Gate::Cif { mask, val, gate: Box::new(gate) });
                 continue;
             }
             // A gate statement: name[(params)] args.
             let c = circuit.as_mut().ok_or_else(|| err(line, "gate before qreg declaration"))?;
-            let gate = parse_gate(stmt, &qreg_name, line)?;
-            // Validate indices against the register width via push.
-            let width = c.n_qubits();
-            for &q in &gate.qubits() {
-                if q >= width {
-                    return Err(err(line, format!("qubit index {q} exceeds qreg size {width}")));
-                }
-            }
+            let gate = parse_gate(stmt, &qreg_name, c.n_qubits(), line)?;
             c.push(gate);
         }
     }
     circuit.ok_or_else(|| err(0, "no qreg declaration found"))
 }
 
+/// `name[index]` → (`name`, `index`), both trimmed; `form` is the error
+/// for text with no `[`.
+fn indexed<'t>(text: &'t str, line: usize, form: &str) -> Result<(&'t str, &'t str), QasmError> {
+    let (name, rest) = text.split_once('[').ok_or_else(|| err(line, form))?;
+    let (index, _) = rest.split_once(']').ok_or_else(|| err(line, "missing `]`"))?;
+    Ok((name.trim(), index.trim()))
+}
+
 /// `q[5]` → ("q", 5).
 fn parse_reg(text: &str, line: usize) -> Result<(String, u32), QasmError> {
-    let open = text.find('[').ok_or_else(|| err(line, "expected `name[size]`"))?;
-    let close = text.find(']').ok_or_else(|| err(line, "missing `]`"))?;
-    let name = text[..open].trim().to_string();
-    let size: u32 = text[open + 1..close]
-        .trim()
-        .parse()
-        .map_err(|_| err(line, "register size must be an integer"))?;
+    let (name, size) = indexed(text, line, "expected `name[size]`")?;
+    let size: u32 = size.parse().map_err(|_| err(line, "register size must be an integer"))?;
     if name.is_empty() || size == 0 {
         return Err(err(line, "register needs a name and nonzero size"));
     }
-    Ok((name, size))
+    Ok((name.to_string(), size))
 }
 
 /// One qubit operand `q[3]` → 3.
 fn parse_qubit(text: &str, qreg: &str, line: usize) -> Result<u32, QasmError> {
     let text = text.trim();
-    let open =
-        text.find('[').ok_or_else(|| err(line, format!("expected `{qreg}[i]`, got `{text}`")))?;
-    let close = text.find(']').ok_or_else(|| err(line, "missing `]`"))?;
-    let name = text[..open].trim();
+    let (name, index) = indexed(text, line, &format!("expected `{qreg}[i]`, got `{text}`"))?;
     if name != qreg {
         return Err(err(line, format!("unknown register `{name}` (declared: `{qreg}`)")));
     }
-    text[open + 1..close].trim().parse().map_err(|_| err(line, "qubit index must be an integer"))
+    index.parse().map_err(|_| err(line, "qubit index must be an integer"))
 }
 
-fn parse_gate(stmt: &str, qreg: &str, line: usize) -> Result<Gate, QasmError> {
+/// One gate statement on a `width`-qubit register, its operands checked
+/// the way [`Circuit::push`] asserts them: in range and distinct.
+fn parse_gate(stmt: &str, qreg: &str, width: u32, line: usize) -> Result<Gate, QasmError> {
     // Split `name(params)` from operands.
     let (head, operands) = match stmt.find(|c: char| c.is_whitespace()) {
         Some(pos) if stmt[..pos].find('(').is_none() || stmt[..pos].contains(')') => {
@@ -218,7 +204,7 @@ fn parse_gate(stmt: &str, qreg: &str, line: usize) -> Result<Gate, QasmError> {
     };
     let (name, params) = match head.find('(') {
         Some(open) => {
-            let close = head.rfind(')').ok_or_else(|| err(line, "missing `)`"))?;
+            let close = open + head[open..].rfind(')').ok_or_else(|| err(line, "missing `)`"))?;
             let name = head[..open].trim();
             let params: Result<Vec<f64>, QasmError> =
                 head[open + 1..close].split(',').map(|e| eval_expr(e, line)).collect();
@@ -342,6 +328,12 @@ fn parse_gate(stmt: &str, qreg: &str, line: usize) -> Result<Gate, QasmError> {
         }
         other => return Err(err(line, format!("unsupported gate `{other}`"))),
     };
+    if let Some(&q) = q.iter().find(|&&q| q >= width) {
+        return Err(err(line, format!("qubit index {q} exceeds qreg size {width}")));
+    }
+    if let Some(i) = (1..q.len()).find(|&i| q[..i].contains(&q[i])) {
+        return Err(err(line, format!("`{name}` uses qubit {} twice", q[i])));
+    }
     Ok(gate)
 }
 
@@ -359,6 +351,10 @@ pub fn eval_expr(text: &str, line: usize) -> Result<f64, QasmError> {
     p.skip_ws();
     if p.chars.peek().is_some() {
         return Err(err(line, format!("trailing characters in expression `{text}`")));
+    }
+    // `1e999` or `1e308*10`: no gate has an infinite angle.
+    if !v.is_finite() {
+        return Err(err(line, format!("expression `{text}` is not a finite number")));
     }
     Ok(v)
 }
@@ -699,6 +695,28 @@ mod tests {
         let src = "// header\nqreg q[1];\n\n// a comment\nh q[0]; // trailing\n";
         let c = parse(src).unwrap();
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn malformed_operands_are_errors_not_panics() {
+        for (src, line, message) in [
+            ("qreg q[2];\ncx q[0],q[0];", 2, "`cx` uses qubit 0 twice"),
+            ("qreg q[2];\nccx q[1],q[0],q[1];", 2, "`ccx` uses qubit 1 twice"),
+            ("qreg q[2];\ncreg c[1];\nif(c==1) cx q[1],q[1];", 3, "`cx` uses qubit 1 twice"),
+            ("qreg q]2[;", 1, "missing `]`"),
+            ("qreg q[1];\nrx)0( q[0];", 2, "missing `)`"),
+        ] {
+            assert_eq!(parse(src).err(), Some(err(line, message)), "{src:?}");
+        }
+    }
+
+    #[test]
+    fn non_finite_angles_are_rejected() {
+        assert!(eval_expr("1e999", 1).unwrap_err().message.contains("not a finite number"));
+        assert!(eval_expr("1e308*10", 1).is_err());
+        let e = parse("qreg q[1];\nrz(1e999) q[0];").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("not a finite number"), "{}", e.message);
     }
 
     #[test]

@@ -102,7 +102,7 @@ pub enum SpanKind {
     /// One state sweep applying a single kernel (gate or fused op).
     Kernel(KernelKind),
     /// One cache-blocked pass applying `gates` member ops; `k` is the
-    /// widest fusion width inside the pass (0 for unfused block runs).
+    /// widest member's width.
     Block { gates: u32, k: u8 },
     /// One distributed communication phase.
     Exchange(ExchangePhase),
@@ -496,7 +496,6 @@ impl Tracer {
     pub fn record_op(&self, thread: usize, op: &SweepOp, wall_ns: u64) {
         let (kind, traffic) = op.traffic(&self.model, self.n_qubits);
         let span_kind = match op {
-            SweepOp::BlockRun(source) => SpanKind::Block { gates: source.len() as u32, k: 0 },
             SweepOp::BlockPass(ops) => {
                 let KernelKind::FusedDense { k } = kind else {
                     unreachable!("a block pass prices as its widest fused member")

@@ -145,11 +145,7 @@ impl JobSpec {
                     ));
                 }
                 let src = src.as_str().ok_or_else(|| bad("'qasm' must be a string"))?;
-                // The qasm front-end range-checks indices but relies on
-                // `Circuit::push` asserts for duplicate qubits; a panic
-                // here must stay a 400, not kill the connection thread.
-                let c = std::panic::catch_unwind(|| qcs_core::qasm::parse(src))
-                    .map_err(|_| bad("qasm: invalid gate operands"))??;
+                let c = qcs_core::qasm::parse(src)?;
                 if let Some(n) = v.get("n").and_then(Value::as_u64) {
                     if n as u32 != c.n_qubits() {
                         return Err(bad(format!(

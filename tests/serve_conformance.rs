@@ -241,9 +241,15 @@ fn malformed_submissions_are_rejected_without_killing_the_worker() {
         r#"{"tenant":"t","n":2,"shots":8,"seed":1,"circuit":[{"gate":"cx","q":[0,0]}]}"#,
         // Unknown gate name.
         r#"{"tenant":"t","n":2,"shots":8,"seed":1,"circuit":[{"gate":"warp","q":[0]}]}"#,
-        // QASM with duplicate operands (parser-level panic shielded).
+        // QASM with duplicate operands: the parser's own error.
         r#"{"tenant":"t","n":2,"shots":8,"seed":1,
             "qasm":"OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[0];\n"}"#,
+        // A non-finite angle through either door: the NaN state it makes
+        // would panic the sampler and wedge every later job.
+        r#"{"tenant":"t","n":2,"shots":8,"seed":1,
+            "circuit":[{"gate":"rx","q":[0],"theta":1e999}]}"#,
+        r#"{"tenant":"t","n":2,"shots":8,"seed":1,
+            "qasm":"OPENQASM 2.0;\nqreg q[2];\nrz(1e999) q[0];\n"}"#,
         // Observable wider than the register.
         r#"{"tenant":"t","n":2,"shots":8,"seed":1,"observables":["Z5"],
             "circuit":[{"gate":"h","q":[0]}]}"#,
