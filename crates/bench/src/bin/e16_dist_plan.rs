@@ -57,7 +57,7 @@ fn families() -> Vec<(&'static str, Circuit)> {
 }
 
 /// Measured wire bytes of the algorithm alone, summed over ranks (the
-/// harness's final allgather is subtracted via an empty-circuit run).
+/// harness's final gather is subtracted via an empty-circuit run).
 fn measured_bytes(circuit: &Circuit, kind: DistPlanKind) -> u64 {
     let (_, with) = run_distributed_planned(circuit, RANKS, kind).expect("distributed run");
     let empty = Circuit::new(circuit.n_qubits());

@@ -39,7 +39,7 @@ fn analyze(name: &str, circuit: &Circuit) {
 
     for ranks in [1usize, 2, 4, 8, 16] {
         // The tracer tags every exchange with its algorithm phase, so
-        // the final allgather (a harness artifact, not algorithm) is
+        // the final gather (a harness artifact, not algorithm) is
         // excluded *exactly* rather than estimated by subtracting an
         // empty-circuit run.
         let (_, _, traces) = run_distributed_traced(circuit, ranks, &TelemetryConfig::on())

@@ -23,7 +23,7 @@
 
 use std::time::{Duration, Instant};
 
-use mpi_sim::Comm;
+use mpi_sim::{Comm, ANY_SOURCE};
 use qcs_core::align::AlignedAmps;
 use qcs_core::circuit::Circuit;
 use qcs_core::complex::{as_f64_slice, as_f64_slice_mut, C64};
@@ -32,7 +32,7 @@ use qcs_core::kernels::index::insert_zero_bit;
 use qcs_core::kernels::simd;
 use qcs_core::prelude::Schedule;
 use qcs_core::state::StateVector;
-use qcs_core::telemetry::{ExchangePhase, RunMeta, Trace, Tracer};
+use qcs_core::telemetry::{ExchangePhase, Tracer};
 
 use crate::error::DistError;
 use crate::partition::Partition;
@@ -40,6 +40,7 @@ use crate::plan::{plan_circuit, DistPlanKind};
 
 const TAG_XCHG: u32 = 0xD157_0001;
 const TAG_SWAP: u32 = 0xD157_0002;
+const TAG_GATHER: u32 = 0xD157_0003;
 /// Base tag of the chunked overlapped exchange; chunk `i` travels as
 /// `TAG_OVL + i`.
 const TAG_OVL: u32 = 0xD157_0100;
@@ -117,12 +118,6 @@ impl DistState {
         let start = st.part.global_index(st.rank, 0);
         st.amps.copy_from_slice(&full.amplitudes()[start..start + st.part.local_len()]);
         Ok(st)
-    }
-
-    /// Detach the tracer and close its trace under `meta`; `None` for a
-    /// state that was not tracing.
-    pub(crate) fn finish_trace(&mut self, meta: RunMeta) -> Option<Trace> {
-        self.tracer.take().map(|t| t.finish(meta))
     }
 
     /// Record a communication phase that took `wall` — for the
@@ -444,32 +439,92 @@ impl DistState {
 
     /// Reassemble the full state on every rank (allgather).
     pub fn allgather_full(&self, comm: &mut Comm) -> StateVector {
-        let identity: Vec<u32> = (0..self.part.n_qubits()).collect();
-        self.gather(comm, &identity)
-    }
-
-    /// Allgather the shards and write each amplitude straight to its
-    /// logical index, given the layout the plan ended in
-    /// (`logical_at[p]` = logical qubit on physical axis `p`): one
-    /// conversion, one copy, and no communication beyond the collective
-    /// — restoring the layout with swaps would cost half a buffer per
-    /// displaced qubit.
-    pub(crate) fn gather(&self, comm: &mut Comm, logical_at: &[u32]) -> StateVector {
-        let t0 = Instant::now();
         let raw = comm.allgather(as_f64_slice(&self.amps));
-        self.record_exchange(ExchangePhase::Collective, &[], self.amps.len() as u64, t0.elapsed());
-        let mut out = StateVector::zero(self.part.n_qubits());
-        if logical_at.iter().enumerate().all(|(p, &l)| p as u32 == l) {
-            as_f64_slice_mut(out.amplitudes_mut()).copy_from_slice(&raw);
-            return out;
-        }
-        let amps = out.amplitudes_mut();
-        for (x, a) in raw.chunks_exact(2).enumerate() {
-            let y = logical_at.iter().enumerate().fold(0, |y, (p, &l)| y | ((x >> p) & 1) << l);
-            amps[y] = C64::new(a[0], a[1]);
-        }
+        let n = self.part.n_qubits();
+        let mut out = StateVector::zero(n);
+        let amp = |x: usize| C64::new(raw[2 * x], raw[2 * x + 1]);
+        unpermute(&(0..n).collect::<Vec<_>>(), n, 0, out.amplitudes_mut(), amp);
         out
     }
+
+    /// Gather the state at rank 0, the only rank that returns it, in
+    /// logical order (`logical_at[p]` = logical qubit on physical axis
+    /// `p`). The root writes its own shard, frees it, then each other
+    /// rank's as it arrives, read in place from the message bytes. Also
+    /// hands back the tracer, this gather its last span.
+    pub(crate) fn into_state(
+        self,
+        comm: &mut Comm,
+        logical_at: &[u32],
+    ) -> Result<(Option<StateVector>, Option<Tracer>), DistError> {
+        let DistState { part, rank, amps, tracer, scratch } = self;
+        drop(scratch);
+        let t0 = Instant::now();
+        let (state, moved) = if rank == 0 {
+            let mut out = StateVector::zero(part.n_qubits());
+            unpermute(logical_at, part.n_local(), 0, out.amplitudes_mut(), |x| amps[x]);
+            drop(amps);
+            for _ in 1..part.n_ranks() {
+                let (src, bytes) = comm.try_recv_bytes(ANY_SOURCE, TAG_GATHER)?;
+                debug_assert_eq!(bytes.len(), part.local_len() * C64_BYTES as usize);
+                let amp = |x: usize| wire_amp(&bytes, x);
+                unpermute(logical_at, part.n_local(), src, out.amplitudes_mut(), amp);
+            }
+            (Some(out), (part.n_ranks() - 1) * part.local_len())
+        } else {
+            comm.try_send(0, TAG_GATHER, as_f64_slice(&amps))?;
+            (None, part.local_len())
+        };
+        if let Some(t) = &tracer {
+            let (amps, ns) = (moved as u64, t0.elapsed().as_nanos() as u64);
+            t.record_exchange(0, ExchangePhase::Collective, &[], amps, amps * C64_BYTES, ns);
+        }
+        Ok((state, tracer))
+    }
+}
+
+/// Low physical, and low logical, bits of an [`unpermute`] tile.
+const TILE_BITS: u32 = 5;
+
+/// Write shard `rank` (`amp(x)` at local index `x` of `n_local` bits) of
+/// a state laid out as `logical_at` to its logical indices in `out`.
+/// The map splits over disjoint bits, so a tile — every combination of
+/// the low physical bits and of the local axes holding the low logical
+/// bits — has its offsets tabled once and reads and writes contiguous
+/// runs within L1, even for a reversed layout. Local axes left in place
+/// make each tile one run, copied in order.
+fn unpermute(
+    logical_at: &[u32],
+    n_local: u32,
+    rank: usize,
+    out: &mut [C64],
+    amp: impl Fn(usize) -> C64,
+) {
+    let logical =
+        |x: usize| logical_at.iter().enumerate().fold(0, |y, (p, &l)| y | ((x >> p) & 1) << l);
+    let base = logical(rank << n_local);
+    let local = (1usize << n_local) - 1;
+    let low = (1usize << TILE_BITS.min(n_local)) - 1;
+    let tile =
+        (0..n_local).filter(|&p| logical_at[p as usize] < TILE_BITS).fold(low, |m, p| m | 1 << p);
+    let offsets: Vec<(usize, usize)> = subsets(tile).map(|s| (s, logical(s))).collect();
+    for outer in subsets(local & !tile) {
+        let at = base | logical(outer);
+        for &(s, d) in &offsets {
+            out[at | d] = amp(outer | s);
+        }
+    }
+}
+
+/// Every subset of `mask`'s bits, in increasing order.
+fn subsets(mask: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(0), move |&s| (s != mask).then(|| s.wrapping_sub(mask) & mask))
+}
+
+/// Amplitude `x` of a shard on the wire: interleaved native-endian `f64`s.
+fn wire_amp(bytes: &[u8], x: usize) -> C64 {
+    let f = |i: usize| f64::from_ne_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+    C64::new(f(2 * x), f(2 * x + 1))
 }
 
 /// One pool-less sweep of `kernel` over a shard, half a shard or a
@@ -490,7 +545,7 @@ mod tests {
     use qcs_core::sim::Simulator;
     use qcs_core::telemetry::{SpanKind, TelemetryConfig};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     const EPS: f64 = 1e-10;
 
@@ -554,7 +609,7 @@ mod tests {
         let (_, stats) = run_distributed_planned(&c, 4, DistPlanKind::Naive).unwrap();
         let local_bytes = (1u64 << 6) * 16;
         for s in &stats {
-            // allgather at the end also communicates; subtract by checking
+            // The gather at the end also communicates; subtract by checking
             // the exchange happened: at least one message of local_bytes.
             assert!(
                 s.bytes_sent >= local_bytes,
@@ -608,10 +663,11 @@ mod tests {
     #[test]
     fn traced_run_matches_untraced_and_accounts_exchange_volume() {
         // One H on a global qubit over 4 ranks: each rank exchanges its
-        // whole local buffer once (pair exchange) and once more for the
-        // final allgather. The tracer must see exactly those spans with
-        // the right amplitude counts — this is the volume accounting the
-        // communication experiments read off the trace.
+        // whole local buffer once (pair exchange), and the final gather
+        // moves every other rank's buffer to rank 0. The tracer must see
+        // exactly those spans with the right amplitude counts — this is
+        // the volume accounting the communication experiments read off
+        // the trace.
         let mut c = Circuit::new(8);
         c.h(7);
         let reference = serial_reference(&c);
@@ -634,7 +690,10 @@ mod tests {
                 .filter(|s| s.kind == SpanKind::Exchange(ExchangePhase::Collective))
                 .collect();
             assert_eq!(pair.len(), 1, "rank {rank}: one pair exchange for the global H");
-            assert_eq!(coll.len(), 1, "rank {rank}: one final allgather");
+            assert_eq!(coll.len(), 1, "rank {rank}: one final gather");
+            let moved = if rank == 0 { 3 * local_amps } else { local_amps };
+            assert_eq!(coll[0].amps, moved, "rank {rank}: received at the root, sent elsewhere");
+            assert_eq!(coll[0].bytes, moved * C64_BYTES);
             assert_eq!(pair[0].amps, local_amps);
             assert_eq!(pair[0].bytes, local_amps * C64_BYTES);
             assert_eq!(pair[0].qubits, vec![7]);
@@ -781,7 +840,6 @@ mod tests {
 
     #[test]
     fn distributed_sampling_matches_serial_sampler() {
-        use rand::Rng;
         // Same uniform draws through the serial inverse-transform sampler
         // and the distributed one must yield identical samples.
         let c = library::random_circuit(8, 6, 44);
@@ -831,6 +889,97 @@ mod tests {
         });
         for r in results {
             assert_eq!(r, vec![(0b10000100, 3)]);
+        }
+    }
+
+    /// The per-amplitude fold [`unpermute`] replaced, kept as its
+    /// oracle: physical index `x` goes to logical index `y`.
+    fn fold_reference(raw: &[C64], logical_at: &[u32]) -> Vec<C64> {
+        let mut out = vec![C64::default(); raw.len()];
+        for (x, &a) in raw.iter().enumerate() {
+            let y = logical_at.iter().enumerate().fold(0, |y, (p, &l)| y | ((x >> p) & 1) << l);
+            out[y] = a;
+        }
+        out
+    }
+
+    /// Every shard of `raw` (physical order) through [`unpermute`] under
+    /// `logical_at`, read from memory and from the wire, must rebuild
+    /// the fold's state bit for bit.
+    fn check_unpermute(raw: &[C64], logical_at: &[u32], ranks: usize) {
+        let want = fold_reference(raw, logical_at);
+        let len = raw.len() / ranks;
+        let n_local = len.trailing_zeros();
+        let mut mem = vec![C64::default(); raw.len()];
+        let mut wire = vec![C64::default(); raw.len()];
+        for (rank, shard) in raw.chunks_exact(len).enumerate() {
+            unpermute(logical_at, n_local, rank, &mut mem, |x| shard[x]);
+            let bytes: Vec<u8> = as_f64_slice(shard).iter().flat_map(|f| f.to_ne_bytes()).collect();
+            unpermute(logical_at, n_local, rank, &mut wire, |x| wire_amp(&bytes, x));
+        }
+        for got in [&mem, &wire] {
+            assert_eq!(as_f64_slice(got), as_f64_slice(&want), "{logical_at:?} over {ranks} ranks");
+        }
+    }
+
+    /// `2^n` distinct amplitudes, so a misplaced write shows.
+    fn distinct(n: u32) -> Vec<C64> {
+        (0..1usize << n).map(|i| C64::new(i as f64, -0.5 - i as f64)).collect()
+    }
+
+    #[test]
+    fn unpermute_matches_the_fold_on_random_permutations() {
+        let mut rng = StdRng::seed_from_u64(32);
+        for n in 1..=12u32 {
+            for ranks in [1usize, 2, 4, 8].into_iter().filter(|&r| r <= 1 << n) {
+                for _ in 0..2 {
+                    let mut logical_at: Vec<u32> = (0..n).collect();
+                    for i in (1..logical_at.len()).rev() {
+                        logical_at.swap(i, rng.gen_range(0..=i));
+                    }
+                    check_unpermute(&distinct(n), &logical_at, ranks);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unpermute_matches_the_fold_when_local_axes_stay_put() {
+        // The identity, and a layout that swaps only global axes: both
+        // copy in order, the second to a moved base.
+        let raw = distinct(9);
+        let identity: Vec<u32> = (0..9).collect();
+        for ranks in [1usize, 2, 4, 8] {
+            check_unpermute(&raw, &identity, ranks);
+        }
+        check_unpermute(&raw, &[0, 1, 2, 3, 4, 5, 8, 6, 7], 8);
+    }
+
+    #[test]
+    fn unpermute_matches_the_fold_on_planned_layouts() {
+        for c in [library::qft(9), library::random_circuit(8, 24, 42)] {
+            for ranks in [2usize, 4, 8] {
+                for kind in [DistPlanKind::Reorder, DistPlanKind::Overlap] {
+                    let plan = plan_circuit(&c, ranks, kind).unwrap();
+                    check_unpermute(&distinct(c.n_qubits()), &plan.logical_at, ranks);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unpermute_handles_shards_narrower_than_two_tiles() {
+        // Local widths from nothing to just past one tile, each under a
+        // reversal of every axis.
+        for n_local in 0..=TILE_BITS + 1 {
+            for ranks in [1usize, 2, 4] {
+                let n = n_local + ranks.trailing_zeros();
+                if n == 0 {
+                    continue;
+                }
+                let reversed: Vec<u32> = (0..n).rev().collect();
+                check_unpermute(&distinct(n), &reversed, ranks);
+            }
         }
     }
 

@@ -474,10 +474,10 @@ pub(crate) struct WorldRun<R> {
 }
 
 /// The one run body: lower `circuit`, start a world of `n_ranks` ranks
-/// from |0…0⟩, let `body` drive each rank through its op list, gather,
-/// and — when `telemetry` is given — finish one trace per rank under
-/// the `strategy` label and write them to the configured sink, one run
-/// block per rank.
+/// from |0…0⟩, let `body` drive each rank through its op list, gather
+/// the state at rank 0, and — when `telemetry` is given — finish one
+/// trace per rank under the `strategy` label and write them to the
+/// configured sink, one run block per rank.
 pub(crate) fn run_world<R: Send>(
     circuit: &Circuit,
     n_ranks: usize,
@@ -489,13 +489,13 @@ pub(crate) fn run_world<R: Send>(
         + Sync,
 ) -> Result<WorldRun<R>, DistError> {
     let plan = plan_circuit(circuit, n_ranks, kind)?;
-    type PerRank<R> = Result<(StateVector, R, Option<Trace>), DistError>;
+    type PerRank<R> = Result<(Option<StateVector>, R, Option<Trace>), DistError>;
     let (results, stats) = World::run_faulted_with_stats(n_ranks, faults, |comm| -> PerRank<R> {
         let mut st = DistState::new(plan.part, comm, telemetry.map(|t| t.capacity));
         let out = body(&mut st, comm, &plan, &plan.localize(comm.rank()))?;
-        let state = st.gather(comm, &plan.logical_at);
-        let trace = telemetry.and_then(|cfg| {
-            st.finish_trace(RunMeta {
+        let (state, tracer) = st.into_state(comm, &plan.logical_at)?;
+        let trace = tracer.zip(telemetry).map(|(t, cfg)| {
+            t.finish(RunMeta {
                 strategy: strategy.to_string(),
                 backend: "exchange".to_string(),
                 threads: 1,
@@ -511,7 +511,7 @@ pub(crate) fn run_world<R: Send>(
     let mut traces = Vec::new();
     for r in results {
         let (s, out, trace) = r?;
-        state.get_or_insert(s);
+        state = state.or(s);
         per_rank.push(out);
         traces.extend(trace);
     }
@@ -604,7 +604,7 @@ mod tests {
         s
     }
 
-    /// Algorithm-only bytes: subtract the final-allgather baseline.
+    /// Algorithm-only bytes: subtract the final-gather baseline.
     fn algorithm_bytes(circuit: &Circuit, ranks: usize, kind: DistPlanKind) -> u64 {
         let (_, with) = run_distributed_planned(circuit, ranks, kind).unwrap();
         let (_, base) =

@@ -38,17 +38,9 @@ impl Comm {
         let mut dist = 1;
         while dist < n {
             let peer = me ^ dist;
+            // A rank left without a partner this round sits it out.
             if peer < n {
                 let _ = self.sendrecv::<u8>(peer, COLL_TAG + 1, &[1]);
-            } else {
-                // Non-power-of-two worlds: ranks without a partner in this
-                // round still participate in later rounds; pair the
-                // orphan with rank 0 via an extra token to keep rounds
-                // aligned.
-                if me == 0 {
-                    // No orphan handling needed when peer ≥ n for rank 0's
-                    // partner — handled by the modulo pairing below.
-                }
             }
             dist <<= 1;
         }
@@ -82,20 +74,14 @@ impl Comm {
             let parent = (parent_v + root) % n;
             *data = self.recv::<T>(parent, COLL_TAG + 4);
         }
-        // Forward to children: vrank + 2^k for each k above our lowest
+        // Forward to children: vrank + 2^k for each k below our lowest
         // set bit (or all k for the root).
         let lowest = if vrank == 0 { usize::BITS } else { vrank.trailing_zeros() };
-        let mut k = 0u32;
-        while (1usize << k) < n {
-            if k < lowest {
-                let child_v = vrank | (1 << k);
-                if child_v != vrank && child_v < n {
-                    let child = (child_v + root) % n;
-                    let payload = data.clone();
-                    self.send(child, COLL_TAG + 4, &payload);
-                }
+        for k in (0..lowest).take_while(|&k| 1usize << k < n) {
+            let child_v = vrank | (1 << k);
+            if child_v < n {
+                self.send((child_v + root) % n, COLL_TAG + 4, data);
             }
-            k += 1;
         }
     }
 
@@ -103,7 +89,7 @@ impl Comm {
     /// at the root (rank order), `None` elsewhere.
     pub fn gather<T: Pod>(&mut self, root: usize, data: &[T]) -> Option<Vec<T>> {
         if self.rank() == root {
-            let mut out = Vec::new();
+            let mut out = Vec::with_capacity(data.len() * self.size());
             for r in 0..self.size() {
                 if r == root {
                     out.extend_from_slice(data);

@@ -467,11 +467,17 @@ impl Comm {
         src: usize,
         tag: u32,
     ) -> Result<(usize, Vec<T>), CommError> {
+        self.try_recv_bytes(src, tag).map(|(src, bytes)| (src, from_bytes(&bytes)))
+    }
+
+    /// [`Comm::try_recv_any`] without the decode: the payload's bytes as
+    /// they travelled, for a receiver that reads them in place.
+    pub fn try_recv_bytes(&mut self, src: usize, tag: u32) -> Result<(usize, Vec<u8>), CommError> {
         // First scan the stash for an already-arrived match (FIFO per
         // (src, tag) pair preserves MPI ordering).
         if let Some(env) = self.take_stashed(src, tag) {
             self.stats.record_recv(env.src, env.payload.len());
-            return Ok((env.src, from_bytes(&env.payload)));
+            return Ok((env.src, env.payload));
         }
         if self.plan.is_some() {
             // Reliable path: all intake funnels through the pump (which
@@ -483,7 +489,7 @@ impl Comm {
                     Some(Pumped::Delivered) => {
                         if let Some(env) = self.take_stashed(src, tag) {
                             self.stats.record_recv(env.src, env.payload.len());
-                            return Ok((env.src, from_bytes(&env.payload)));
+                            return Ok((env.src, env.payload));
                         }
                     }
                     // A stale ACK from an already-completed send.
@@ -507,7 +513,7 @@ impl Comm {
             };
             if (src == ANY_SOURCE || env.src == src) && env.tag == tag {
                 self.stats.record_recv(env.src, env.payload.len());
-                return Ok((env.src, from_bytes(&env.payload)));
+                return Ok((env.src, env.payload));
             }
             self.stash.push_back(env);
         }

@@ -7,7 +7,7 @@ use a64fx_qcs::core::library;
 use a64fx_qcs::dist::{run_distributed, run_distributed_planned, DistPlanKind};
 use a64fx_qcs::mpi::{NetworkModel, TofuParams};
 
-/// Communication of the circuit minus the harness's final allgather.
+/// Communication of the circuit minus the harness's final gather.
 /// Pinned to the naive per-gate plan: these tests assert the engine's
 /// per-gate exchange regimes, which the reorder/overlap planners exist
 /// to beat (their volumes are asserted in `dist_plan_conformance`).
