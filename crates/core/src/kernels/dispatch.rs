@@ -194,20 +194,18 @@ mod tests {
 
     #[test]
     fn dispatch_matches_dense_for_every_gate() {
-        // The active backend, and the portable primitives behind a
-        // pretended vector width of 4: qubits 0 and 1 then take the
-        // walkers' per-index path, so Miri — which has no native backend
-        // and selects this module by path — interprets both sides of the
-        // vector window. The full shape × placement × pool matrix is the
-        // facade's `tests/kernel_conformance.rs`.
-        let portable = simd::backend_for(simd::BackendChoice::Scalar);
-        let windowed = KernelBackend { name: "portable-as-width-4", width: 4, ..*portable };
+        // The active backend, and the array backends of 2, 4 and 8 lanes:
+        // their low qubits take the walkers' exchange steps, so Miri —
+        // which has no native backend and selects this module by path —
+        // interprets both sides of the vector window. The full shape ×
+        // placement × pool matrix is the facade's
+        // `tests/kernel_conformance.rs`.
         let mut rng = StdRng::seed_from_u64(10);
         for g in all_gates() {
             let a0 = StateVector::random(5, &mut rng);
             let mut b = a0.clone();
             apply_gate_dense(b.amplitudes_mut(), &g);
-            for be in [simd::active(), &windowed] {
+            for be in [simd::active()].into_iter().chain(simd::array::backends()) {
                 let mut a = a0.clone();
                 apply_gate_with(be, a.amplitudes_mut(), &g);
                 assert!(a.approx_eq(&b, 1e-12), "{} gate {}", be.name, g.name());

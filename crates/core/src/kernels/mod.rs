@@ -6,10 +6,10 @@
 //!
 //! * [`dispatch`] — the gate → kernel-shape table ([`dispatch::GateKernel`]):
 //!   the one place that decides which loop a gate takes.
-//! * [`sweep`] — the loops: one range driver per index pattern (pairs,
-//!   quads) with the shapes as inlined bodies, run inline on the caller
-//!   or workshared across an `omp-par` pool (`for_range` is the only
-//!   place that tells the two apart).
+//! * [`sweep`] — the loop: one walker over a gate's groups of
+//!   amplitudes, in runs or in whole-vector steps, run inline on the
+//!   caller or workshared across an `omp-par` pool (`for_range` is the
+//!   only place that tells the two apart).
 //! * [`simd`] — the vector primitives the loops and the observable
 //!   reductions are built from, each written once over a backend's
 //!   vector type (portable, AVX2, AVX-512F, NEON); the backend is
@@ -57,9 +57,10 @@ unsafe impl Send for AmpPtr {}
 unsafe impl Sync for AmpPtr {}
 
 impl AmpPtr {
+    /// The base pointer itself, for a primitive that takes raw pointers.
     #[inline(always)]
-    pub(crate) unsafe fn at(self, i: usize) -> &'static mut C64 {
-        &mut *self.0.add(i)
+    pub(crate) fn base(self) -> *mut C64 {
+        self.0
     }
 
     /// Mutable view of `len` amplitudes starting at `start`.
@@ -87,6 +88,9 @@ where
         None => body(range),
     }
 }
+
+/// The widest vector, in complex lanes, an exchange step pads tiny states for.
+pub(crate) const MAX_WIDTH: usize = 8;
 
 /// Largest gather/scatter scratch kept on the stack by the fused-gate
 /// kernels: `2^5` amplitudes, i.e. fused ops up to `k = 5` avoid heap

@@ -6,9 +6,8 @@
 //! primitive and reduction streams memory and gains nothing from wider
 //! registers. The table is therefore the AVX2 table with `block_range`
 //! swapped, and `CVec8` implements only `Lanes`, not the run
-//! arithmetic: `width` stays 4 because that is the per-gate walkers'
-//! vector window, which dist's `SIMD_SAFE_SLOT` and its golden
-//! `CommStats` rely on.
+//! arithmetic: `width` stays 4, the per-gate walkers' vector window and
+//! the layout of their exchange steps below it.
 //!
 //! Every lane runs AVX2's exact FMA sequence, so a group's result bits
 //! equal the 4-lane kernel's. The module is only reachable through

@@ -20,8 +20,13 @@
 //! caller's `#[target_feature]`s, so a vector method inlined into one
 //! degrades to a call per intrinsic.
 
-use crate::complex::C64;
+use std::ops::Range;
+
+use crate::complex::{C64, ONE};
 use crate::gates::matrices::{Mat2, Mat4};
+use crate::kernels::sweep::{LaneOp, Steps};
+
+pub(super) use crate::kernels::fused::block_range;
 
 /// The vector type [`crate::kernels::fused::block_range`] is generic
 /// over: `W` complex numbers held as `W` real parts then `W` imaginary
@@ -147,12 +152,7 @@ unsafe fn store_part<V: Lanes>(v: V, p: *mut C64, r: usize) {
 /// The host must execute `V`'s instructions.
 #[inline(always)]
 unsafe fn mix_runs<V: RunLanes, const N: usize>(runs: [&mut [C64]; N], m: &[[C64; N]; N]) {
-    let mut w = [[V::zero(); N]; N];
-    for (wr, mr) in w.iter_mut().zip(m) {
-        for (w, &e) in wr.iter_mut().zip(mr) {
-            *w = V::splat(e);
-        }
-    }
+    let w = splat_matrix::<V, N>(m);
     let n = runs[0].len();
     let mut p = [std::ptr::null_mut(); N];
     for (p, run) in p.iter_mut().zip(runs) {
@@ -179,6 +179,21 @@ unsafe fn mix_runs<V: RunLanes, const N: usize>(runs: [&mut [C64]; N], m: &[[C64
             store_part(y, p.add(i), n - i);
         }
     }
+}
+
+/// Every entry of `m` in every lane.
+///
+/// # Safety
+/// As [`mix_runs`].
+#[inline(always)]
+unsafe fn splat_matrix<V: RunLanes, const N: usize>(m: &[[C64; N]; N]) -> [[V; N]; N] {
+    let mut w = [[V::zero(); N]; N];
+    for (wr, mr) in w.iter_mut().zip(m) {
+        for (w, &e) in wr.iter_mut().zip(mr) {
+            *w = V::splat(e);
+        }
+    }
+    w
 }
 
 /// One step of [`mix_runs`]: `w·x` over splatted matrix entries.
@@ -276,27 +291,6 @@ pub(super) unsafe fn sum_f64_run<V: RunLanes>(run: &[f64]) -> f64 {
     s.re + s.im + odd
 }
 
-/// `Σ conj(u)·v` over paired runs.
-///
-/// # Safety
-/// As [`mix_runs`].
-#[inline(always)]
-pub(super) unsafe fn dot_conj_run<V: RunLanes>(u: &[C64], v: &[C64]) -> C64 {
-    debug_assert_eq!(u.len(), v.len());
-    let (pu, pv, n) = (u.as_ptr(), v.as_ptr(), u.len());
-    let mut acc = V::zero();
-    let mut i = 0;
-    while i + V::W <= n {
-        acc = V::fma(acc, V::load(pu.add(i)).conj(), V::load(pv.add(i)));
-        i += V::W;
-    }
-    if i < n {
-        let a: V = load_part(pu.add(i), n - i);
-        acc = V::fma(acc, a.conj(), load_part(pv.add(i), n - i));
-    }
-    acc.hsum()
-}
-
 /// `out[k] = conj(u[k])·v[k]`.
 ///
 /// # Safety
@@ -336,6 +330,159 @@ pub(super) unsafe fn sum_c64_run<V: RunLanes>(run: &[C64]) -> C64 {
     acc.hsum()
 }
 
+/// Trade each low target's lane bit for its stand-in's which-vector bit
+/// in the live vectors of a step, so that vector `i` holds local index
+/// `i`. Its own inverse.
+///
+/// # Safety
+/// As [`mix_runs`].
+#[inline(always)]
+unsafe fn exchange_low<V: Lanes, const K: usize>(v: &mut [V; 4], low: &Steps) {
+    for j in 0..K {
+        let t = low.targets[j];
+        for i in 0..1 << K {
+            if t < low.lane_bits && i >> j & 1 == 0 && low.live >> i & 1 == 1 {
+                (v[i], v[i | 1 << j]) = V::exchange(t, v[i], v[i | 1 << j]);
+            }
+        }
+    }
+}
+
+/// [`step_range`] over `2^K` vectors a step.
+///
+/// # Safety
+/// As [`step_range`].
+#[inline(always)]
+unsafe fn steps_of<V: RunLanes, const K: usize>(amps: *mut C64, steps: Range<usize>, low: &Steps) {
+    for s in steps {
+        let base = amps.add(low.base(s));
+        let mut v = [V::zero(); 4];
+        for i in (0..1 << K).filter(|i| low.live >> i & 1 == 1) {
+            v[i] = V::load(base.add(low.offsets[i]));
+        }
+        exchange_low::<V, K>(&mut v, low);
+        // Constant vector indices in every arm keep the step in registers.
+        match low.op {
+            LaneOp::Mix2(m, [0, 1]) => [v[0], v[1]] = mix(&splat_matrix(&m.m), &[v[0], v[1]]),
+            LaneOp::Mix2(m, _) => [v[2], v[3]] = mix(&splat_matrix(&m.m), &[v[2], v[3]]),
+            LaneOp::Mix4(m) => v = mix(&splat_matrix(&m.m), &v),
+            LaneOp::Scale(d) => {
+                for i in 0..1 << K {
+                    if d[i] != ONE {
+                        v[i] = V::mul(v[i], V::splat(d[i]));
+                    }
+                }
+            }
+            LaneOp::Swap([0, 1]) => v.swap(0, 1),
+            LaneOp::Swap(_) => v.swap(1, 2),
+        }
+        exchange_low::<V, K>(&mut v, low);
+        for i in (0..1 << K).filter(|i| low.live >> i & 1 == 1) {
+            v[i].store(base.add(low.offsets[i]));
+        }
+    }
+}
+
+/// Steps `steps` of a sweep: load each step's vectors, exchange the low
+/// targets out of the lanes, run the [`LaneOp`]'s lane arithmetic — the
+/// run primitive's, so a gate gets the same bits wherever its targets
+/// sit —, exchange back and store.
+///
+/// # Safety
+/// As [`mix_runs`]; `low` must be laid out for `V::W`, and the caller
+/// must hold exclusive access to every amplitude of the steps.
+#[inline(always)]
+pub(super) unsafe fn step_range<V: RunLanes>(amps: *mut C64, steps: Range<usize>, low: &Steps) {
+    debug_assert_eq!(V::W, 1 << low.lane_bits);
+    match low.k {
+        1 => steps_of::<V, 1>(amps, steps, low),
+        _ => steps_of::<V, 2>(amps, steps, low),
+    }
+}
+
+/// Per-residue signed sums: `out[r] += Σ_{k ≡ r (mod 8)}
+/// (−1)^parity((base + k) & hi) · x[k]`, for `x.len()`, `base` and `hi`
+/// multiples of 8 and `W ≤ 8`. Each run of constant sign is summed in
+/// registers, then joins the positive or the negative total.
+///
+/// # Safety
+/// As [`mix_runs`].
+#[inline(always)]
+pub(super) unsafe fn residue_sums<V: RunLanes>(
+    x: &[C64],
+    base: usize,
+    hi: usize,
+    out: &mut [C64; 8],
+) {
+    assert!(x.len().is_multiple_of(8) && base.is_multiple_of(8) && hi.is_multiple_of(8));
+    let k = 8 / V::W;
+    let run = if hi == 0 { x.len() } else { (1usize << hi.trailing_zeros()).min(x.len()) };
+    let (mut pos, mut neg) = ([V::zero(); 8], [V::zero(); 8]);
+    for off in (0..x.len()).step_by(run) {
+        let mut acc = [V::zero(); 8];
+        for i in (off..off + run).step_by(8) {
+            for (j, acc) in acc.iter_mut().enumerate().take(k) {
+                *acc = V::add(*acc, V::load(x.as_ptr().add(i + j * V::W)));
+            }
+        }
+        let negative = ((base + off) & hi).count_ones() & 1 == 1;
+        for j in 0..k {
+            if negative {
+                neg[j] = V::add(neg[j], acc[j]);
+            } else {
+                pos[j] = V::add(pos[j], acc[j]);
+            }
+        }
+    }
+    let (mut bp, mut bn) = ([C64::default(); 8], [C64::default(); 8]);
+    for j in 0..k {
+        pos[j].store(bp.as_mut_ptr().add(j * V::W));
+        neg[j].store(bn.as_mut_ptr().add(j * V::W));
+    }
+    for (o, (a, b)) in out.iter_mut().zip(bp.iter().zip(&bn)) {
+        *o += *a - *b;
+    }
+}
+
+/// The pair products `conj(a_i)·a_{i⊕flip}` of groups `groups`, for a flip
+/// whose lowest bit `t` sits below the vector window: group `g` is the
+/// `2W` amplitudes from `2W·g`, and its `W` products (bit `t` of `i`
+/// clear) go to `out` in the order one exchange of `t` leaves them —
+/// slot bit `t` is address bit `log2 W`. The partner vector's lanes are
+/// then flipped by the flip's other bits inside the group, each by two
+/// exchanges of the vector with itself.
+///
+/// # Safety
+/// As [`mix_runs`].
+#[inline(always)]
+pub(super) unsafe fn mul_conj_low<V: RunLanes>(
+    amps: &[C64],
+    flip: usize,
+    groups: Range<usize>,
+    out: &mut [C64],
+) {
+    let (t, lane_bits) = (flip.trailing_zeros(), V::W.trailing_zeros());
+    let group = 2 * V::W;
+    assert!(t < lane_bits && groups.end * group <= amps.len());
+    assert_eq!(out.len(), groups.len() * V::W);
+    let (far, near) = (flip & !(group - 1), flip & (group - 1) & !(1 << t));
+    let (p, mut o) = (amps.as_ptr(), out.as_mut_ptr());
+    for g in groups {
+        let (base, partner) = (g * group, (g * group) ^ far);
+        let (u, _) = V::exchange(t, V::load(p.add(base)), V::load(p.add(base + V::W)));
+        let (_, mut v) = V::exchange(t, V::load(p.add(partner)), V::load(p.add(partner + V::W)));
+        for b in t + 1..=lane_bits {
+            if near >> b & 1 == 1 {
+                let lane = if b == lane_bits { t } else { b };
+                let (lo, hi) = V::exchange(lane, v, v);
+                v = V::exchange(lane, hi, lo).0;
+            }
+        }
+        V::mul(u.conj(), v).store(o);
+        o = o.add(V::W);
+    }
+}
+
 /// Exchange two equal-length runs: a move, whatever the vector type.
 pub(super) fn swap_runs(a: &mut [C64], b: &mut [C64]) {
     a.swap_with_slice(b);
@@ -349,10 +496,12 @@ pub(super) fn norms_into_run(run: &[C64], out: &mut [f64]) {
     }
 }
 
-/// Define `BACKEND`, the `KernelBackend` of vector type `$V`, named
-/// `$name`: every run primitive and reduction of this module and the
-/// block kernel, instantiated at `$V` inside a function compiled with
-/// the optional `#[target_feature]` attribute, behind a safe wrapper.
+/// Define `BACKEND` (or the static named before `=`), the
+/// `KernelBackend` of vector type `$V`, named `$name`: every run
+/// primitive and reduction of this module and the block kernel,
+/// instantiated at `$V` inside a function compiled with the optional
+/// `#[target_feature]` attribute, behind a wrapper that is safe unless it
+/// takes raw pointers.
 /// `width` is `$V::W`.
 ///
 /// The wrappers may only be reached where the host executes `$V`'s
@@ -360,31 +509,29 @@ pub(super) fn norms_into_run(run: &[C64], out: &mut [f64]) {
 /// detection.
 macro_rules! kernel_backend {
     ($name:literal, $V:ty $(, #[$feature:meta])?) => {
-        pub(super) static BACKEND: $crate::kernels::simd::KernelBackend = {
+        $crate::kernels::simd::lanes::kernel_backend! { BACKEND = $name, $V $(, #[$feature])? }
+    };
+    ($static:ident = $name:literal, $V:ty $(, #[$feature:meta])?) => {
+        pub(super) static $static: $crate::kernels::simd::KernelBackend = {
             use $crate::complex::C64;
             use $crate::gates::matrices::{Mat2, Mat4};
-            use $crate::kernels::fused::{self, Block};
+            use std::ops::Range;
+            use $crate::kernels::fused::Block;
             use $crate::kernels::simd::lanes::{self, Lanes};
+            use $crate::kernels::sweep::Steps;
 
-            $crate::kernels::simd::lanes::kernel_backend! { @safe $V, [$(#[$feature])?],
-                pairs_1q(a0: &mut [C64], a1: &mut [C64], m: &Mat2);
-                scale_run(run: &mut [C64], d: C64);
-                quads_2q(a0: &mut [C64], a1: &mut [C64], a2: &mut [C64], a3: &mut [C64], m: &Mat4);
-                sum_norms_run(run: &[C64]) -> f64;
-                sum_f64_run(run: &[f64]) -> f64;
-                dot_conj_run(u: &[C64], v: &[C64]) -> C64;
-                mul_conj_into_run(u: &[C64], v: &[C64], out: &mut [C64]);
-                sum_c64_run(run: &[C64]) -> C64;
-            }
-
-            /// # Safety
-            /// As [`fused::block_range`].
-            unsafe fn block_range(amps: *mut C64, g0: usize, g1: usize, blk: &Block) {
-                $(#[$feature])?
-                unsafe fn inner(amps: *mut C64, g0: usize, g1: usize, blk: &Block) {
-                    fused::block_range::<$V>(amps, g0, g1, blk)
-                }
-                inner(amps, g0, g1, blk)
+            $crate::kernels::simd::lanes::kernel_backend! { @wrap $V, [$(#[$feature])?],
+                [] pairs_1q(a0: &mut [C64], a1: &mut [C64], m: &Mat2);
+                [] scale_run(run: &mut [C64], d: C64);
+                [] quads_2q(a0: &mut [C64], a1: &mut [C64], a2: &mut [C64], a3: &mut [C64], m: &Mat4);
+                [] sum_norms_run(run: &[C64]) -> f64;
+                [] sum_f64_run(run: &[f64]) -> f64;
+                [] mul_conj_into_run(u: &[C64], v: &[C64], out: &mut [C64]);
+                [] mul_conj_low(amps: &[C64], flip: usize, groups: Range<usize>, out: &mut [C64]);
+                [] sum_c64_run(run: &[C64]) -> C64;
+                [] residue_sums(x: &[C64], base: usize, hi: usize, out: &mut [C64; 8]);
+                [unsafe] step_range(amps: *mut C64, steps: Range<usize>, low: &Steps);
+                [unsafe] block_range(amps: *mut C64, g0: usize, g1: usize, blk: &Block);
             }
 
             $crate::kernels::simd::KernelBackend {
@@ -394,18 +541,22 @@ macro_rules! kernel_backend {
                 scale_run,
                 swap_runs: lanes::swap_runs,
                 quads_2q,
+                step_range,
                 block_range,
                 sum_norms_run,
                 norms_into_run: lanes::norms_into_run,
                 sum_f64_run,
-                dot_conj_run,
                 mul_conj_into_run,
+                mul_conj_low,
                 sum_c64_run,
+                residue_sums,
             }
         };
     };
-    (@safe $V:ty, $features:tt, $($f:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?;)*) => {$(
-        fn $f($($arg: $ty),*) $(-> $ret)? {
+    (@wrap $V:ty, $features:tt, $([$($unsafe:tt)?] $f:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?;)*) => {$(
+        /// # Safety
+        /// An `unsafe` wrapper keeps the generic primitive's contract.
+        $($unsafe)? fn $f($($arg: $ty),*) $(-> $ret)? {
             $crate::kernels::simd::lanes::kernel_backend! { @with $features
                 unsafe fn inner($($arg: $ty),*) $(-> $ret)? {
                     $crate::kernels::simd::lanes::$f::<$V>($($arg),*)

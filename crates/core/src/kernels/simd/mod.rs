@@ -28,16 +28,18 @@
 //!
 //! The stride logic lives in [`crate::kernels::sweep`]: a 1q gate on
 //! target `t` splits the array into `2^t`-long paired runs, and whenever
-//! the run is at least one vector wide the backend primitive sweeps it.
-//! A primitive gives an amplitude the same bits wherever a run is cut —
-//! its ragged tail runs the body's lane arithmetic — because a
-//! workshared sweep cuts runs at chunk boundaries and must still equal
-//! the serial one exactly.
+//! the run is a few vectors wide the backend primitive sweeps it, else
+//! `step_range` does, whole vectors at a time. A primitive gives an
+//! amplitude the same bits wherever a run is cut — its ragged tail runs
+//! the body's lane arithmetic — because a workshared sweep cuts runs at
+//! chunk boundaries and must still equal the serial one exactly.
 //!
 //! Runtime feature detection picks the default backend ([`active`]);
 //! `SimConfig::backend` and the CLI `--backend` flag choose another
 //! ([`backend_for`]).
 
+#[cfg(test)]
+pub(crate) mod array;
 pub(super) mod lanes;
 
 // The native modules are vendor intrinsics; Miri interprets portable
@@ -51,12 +53,14 @@ pub mod avx512;
 pub mod neon;
 pub mod portable;
 
+use std::ops::Range;
 use std::str::FromStr;
 use std::sync::OnceLock;
 
 use crate::complex::C64;
 use crate::gates::matrices::{DenseMatrix, Mat2, Mat4};
 use crate::kernels::fused::Block;
+use crate::kernels::sweep::Steps;
 
 /// One SIMD backend: a name, its vector width in *complex lanes*, and
 /// the primitive kernels every driver is built from.
@@ -67,9 +71,9 @@ use crate::kernels::fused::Block;
 #[derive(Debug)]
 pub struct KernelBackend {
     pub name: &'static str,
-    /// The per-gate walkers' vector window, in complex lanes: runs
-    /// shorter than this take the scalar fallback path. `block_range`
-    /// picks its own lanes (8 on `avx512`, whose `width` is still 4).
+    /// The per-gate walkers' vector window, in complex lanes, which
+    /// `step_range` exchanges lower targets out of. `block_range` picks
+    /// its own lanes (8 on `avx512`, whose `width` is still 4).
     pub width: usize,
     /// `a0 = m00·a0 + m01·a1`, `a1 = m10·a0 + m11·a1` over paired runs.
     pub pairs_1q: fn(&mut [C64], &mut [C64], &Mat2),
@@ -80,6 +84,12 @@ pub struct KernelBackend {
     /// Dense 4×4 mat-vec over four runs in matrix basis order `v0..v3`.
     #[allow(clippy::type_complexity)]
     pub quads_2q: fn(&mut [C64], &mut [C64], &mut [C64], &mut [C64], &Mat4),
+    /// Steps `s0..s1` of a per-gate sweep in whole vectors.
+    ///
+    /// # Safety
+    /// The caller must hold exclusive access to every amplitude of the
+    /// steps, which must lie within the buffer, laid out for `width`.
+    pub step_range: unsafe fn(*mut C64, Range<usize>, &Steps),
     /// The fused k-qubit block over groups `g0..g1`: the one block
     /// kernel of [`crate::kernels::fused`] at this backend's width.
     ///
@@ -94,13 +104,16 @@ pub struct KernelBackend {
     pub norms_into_run: fn(&[C64], &mut [f64]),
     /// `Σ x` over an `f64` scratch run (signed per-run by the driver).
     pub sum_f64_run: fn(&[f64]) -> f64,
-    /// `Σ conj(u)·v` over paired runs — the off-diagonal Pauli pairing.
-    pub dot_conj_run: fn(&[C64], &[C64]) -> C64,
     /// `out[k] = conj(u[k])·v[k]` — materialize the pair cross-products
     /// so several Pauli terms sharing a flip mask reuse one state sweep.
     pub mul_conj_into_run: fn(&[C64], &[C64], &mut [C64]),
+    /// The pair cross-products of a flip whose lowest bit sits below
+    /// `width`, through an exchange step.
+    pub mul_conj_low: fn(&[C64], usize, Range<usize>, &mut [C64]),
     /// `Σ x` over a complex scratch run.
     pub sum_c64_run: fn(&[C64]) -> C64,
+    /// Per-residue signed sums of a scratch run, mod 8.
+    pub residue_sums: fn(&[C64], usize, usize, &mut [C64; 8]),
 }
 
 /// User-facing backend selection (CLI `--backend`, `SimConfig::backend`).

@@ -54,15 +54,16 @@ pub fn collapse_with_prob(state: &mut StateVector, q: u32, outcome: u8, p: f64) 
     }
 }
 
-/// Multi-shot register sampler with a reusable CDF scratch buffer.
+/// Multi-shot register sampler with a reusable scratch of draws.
 ///
-/// Building the prefix-sum table is the `O(2^n)` part of sampling; a
-/// loop that samples many states of the same width (the serve scheduler,
-/// trajectory batches) reuses one allocation across calls instead of
-/// growing a fresh `Vec` per state.
+/// Inverse-transform sampling without a prefix-sum table: the draws are
+/// sorted and met by one walk over the running prefix sum, so scratch
+/// grows with the shots, not with the `2^n` amplitudes. A loop that
+/// samples many states (the serve scheduler, trajectory batches) reuses
+/// one allocation across calls.
 #[derive(Debug, Default)]
 pub struct Sampler {
-    cdf: Vec<f64>,
+    draws: Vec<f64>,
 }
 
 impl Sampler {
@@ -71,31 +72,35 @@ impl Sampler {
     }
 
     /// Draw `shots` full-register samples from the state's Born
-    /// distribution *without* collapsing it, via inverse-transform
-    /// sampling on the prefix sums (the standard statevector sampler).
+    /// distribution *without* collapsing it: each draw `u` lands on the
+    /// first index whose prefix sum of probabilities reaches `u` (the
+    /// standard statevector sampler).
     pub fn sample<R: Rng>(
         &mut self,
         state: &StateVector,
         shots: usize,
         rng: &mut R,
     ) -> Vec<(usize, u64)> {
-        // Prefix sums of probabilities into the reused scratch.
-        self.cdf.clear();
-        self.cdf.reserve(state.len());
-        let mut acc = 0.0;
-        for a in state.amplitudes() {
-            acc += a.norm_sqr();
-            self.cdf.push(acc);
+        let amps = state.amplitudes();
+        let total = amps.iter().fold(0.0, |acc, a| acc + a.norm_sqr());
+        self.draws.clear();
+        self.draws.extend((0..shots).map(|_| rng.gen_range(0.0..total)));
+        self.draws.sort_unstable_by(f64::total_cmp);
+        // The prefix sums come out bit for bit as a table of them would,
+        // and sorted draws only ever move the walk forward.
+        let (mut idx, mut prefix) = (0, amps[0].norm_sqr());
+        let mut counts: Vec<(usize, u64)> = Vec::new();
+        for &u in &self.draws {
+            while prefix < u && idx + 1 < amps.len() {
+                idx += 1;
+                prefix += amps[idx].norm_sqr();
+            }
+            match counts.last_mut() {
+                Some((last, n)) if *last == idx => *n += 1,
+                _ => counts.push((idx, 1)),
+            }
         }
-        let total = acc;
-        let mut counts = std::collections::BTreeMap::new();
-        for _ in 0..shots {
-            let u: f64 = rng.gen_range(0.0..total);
-            // Binary search the first prefix ≥ u.
-            let idx = self.cdf.partition_point(|&c| c < u).min(state.len() - 1);
-            *counts.entry(idx).or_insert(0u64) += 1;
-        }
-        counts.into_iter().collect()
+        counts
     }
 }
 
@@ -227,6 +232,39 @@ mod tests {
         let reused = sampler.sample(&s2, 200, &mut rng_a);
         let fresh = sample_counts(&s2, 200, &mut rng_b);
         assert_eq!(reused, fresh);
+    }
+
+    #[test]
+    fn the_sorted_walk_lands_every_draw_where_a_prefix_table_would() {
+        // Reference: the prefix-sum table and a binary search per draw.
+        let table = |s: &StateVector, shots: usize, rng: &mut StdRng| {
+            let mut acc = 0.0;
+            let mut cdf = Vec::new();
+            for a in s.amplitudes() {
+                acc += a.norm_sqr();
+                cdf.push(acc);
+            }
+            let mut counts = std::collections::BTreeMap::new();
+            for _ in 0..shots {
+                let u: f64 = rng.gen_range(0.0..acc);
+                let idx = cdf.partition_point(|&c| c < u).min(s.len() - 1);
+                *counts.entry(idx).or_insert(0u64) += 1;
+            }
+            counts.into_iter().collect::<Vec<_>>()
+        };
+        let mut sampler = Sampler::new();
+        for seed in 0..40u64 {
+            let n = 1 + (seed % 9) as u32;
+            let mut s = StateVector::random(n, &mut StdRng::seed_from_u64(seed));
+            // Zero-probability outcomes in between must never be drawn.
+            for a in s.amplitudes_mut().iter_mut().step_by(3) {
+                *a = C64::default();
+            }
+            let shots = [0, 1, 7, 256, 1000][seed as usize % 5];
+            let mut a = StdRng::seed_from_u64(100 + seed);
+            let mut b = StdRng::seed_from_u64(100 + seed);
+            assert_eq!(sampler.sample(&s, shots, &mut a), table(&s, shots, &mut b), "seed {seed}");
+        }
     }
 
     #[test]

@@ -68,12 +68,6 @@ use crate::partition::Partition;
 /// never used again.
 const BELADY_HORIZON: usize = 4096;
 
-/// Lowest local slot a relocated dense gate may land on without risking
-/// a vector-vs-scalar kernel-path divergence from the serial engine
-/// (strides below the widest per-gate vector window,
-/// `KernelBackend::width`, take the per-index path).
-const SIMD_SAFE_SLOT: u32 = 2;
-
 /// How a distributed run schedules its communication.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DistPlanKind {
@@ -335,21 +329,15 @@ pub fn plan_circuit(
                 let relocate =
                     if comm_free(&part, &pg) { vec![] } else { globals_to_localize(&part, &pg) };
                 for gq in relocate {
-                    // Stay on SIMD-safe slots when any exist; among
-                    // those, evict the occupant whose next dense use
-                    // lies farthest ahead (Belady), breaking ties toward
-                    // the top slot (where the overlap kind hides swaps).
-                    let free = |floor: u32| {
-                        let taken = gate.qubits();
-                        let (phys_of, logical_at) = (&phys_of, &logical_at);
-                        (floor..part.n_local())
-                            .filter(move |s| !taken.iter().any(|&q| phys_of[q as usize] == *s))
-                            .max_by_key(move |&s| {
-                                (next_dense_use(gates, i + 1, logical_at[s as usize]), s)
-                            })
-                    };
-                    let victim = free(SIMD_SAFE_SLOT)
-                        .or_else(|| free(0))
+                    // Evict the occupant whose next dense use lies
+                    // farthest ahead (Belady), breaking ties toward the
+                    // top slot (where the overlap kind hides swaps). Every
+                    // slot will do: a gate gets the same bits at any
+                    // qubit position.
+                    let taken = gate.qubits();
+                    let victim = (0..part.n_local())
+                        .filter(|s| !taken.iter().any(|&q| phys_of[q as usize] == *s))
+                        .max_by_key(|&s| (next_dense_use(gates, i + 1, logical_at[s as usize]), s))
                         .expect("3 local axes leave one free beside a gate's other qubits");
                     ops.push(PlanOp::Swap(gq, victim));
                     logical_at.swap(gq as usize, victim as usize);
@@ -623,28 +611,17 @@ mod tests {
     }
 
     #[test]
-    fn planned_gates_are_comm_free_and_swaps_stay_simd_safe() {
+    fn planned_gates_are_comm_free_and_swaps_land_on_local_slots() {
         let plan = plan_circuit(&library::qft(8), 4, DistPlanKind::Reorder).unwrap();
         assert_eq!(plan.gate_ends.len(), library::qft(8).len());
         assert_eq!(plan.gate_ends.last(), Some(&plan.ops.len()));
         for op in &plan.ops {
             match op {
                 PlanOp::Gate(g) => assert!(comm_free(&plan.part, g), "{g:?}"),
-                &PlanOp::Swap(g, l) => {
-                    assert!(!plan.part.is_local(g) && plan.part.is_local(l));
-                    assert!(l >= SIMD_SAFE_SLOT, "victim {l} below the SIMD-safe floor");
-                }
+                &PlanOp::Swap(g, l) => assert!(!plan.part.is_local(g) && plan.part.is_local(l)),
                 other => panic!("a reorder plan holds gates and swaps only, not {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn simd_safe_slot_covers_every_per_gate_vector_window() {
-        // A wider per-gate table would move the vector/per-element split
-        // of the walkers above the slot and break dist ≡ serial.
-        let widest = qcs_core::kernels::simd::available().iter().map(|be| be.width).max();
-        assert!(1usize << SIMD_SAFE_SLOT >= widest.unwrap(), "widest window {widest:?}");
     }
 
     #[test]

@@ -177,29 +177,33 @@ fn every_lowering_regime_is_bit_identical_to_serial() {
 /// final gather included)`, recorded at the commit before the op list
 /// replaced the per-gate engine. The sent column was re-recorded when
 /// the final allgather became a root-only gather: each cell fell by
-/// exactly the broadcast the allgather used to send from that rank.
+/// exactly the broadcast the allgather used to send from that rank. The
+/// random8 reorder/overlap cells and the qft9 overlap `hidden` column
+/// were re-recorded when the planner stopped keeping relocated gates off
+/// local slots 0 and 1: Belady may now evict their occupants, which cuts
+/// random8's swaps and changes which gates qft9's overlap defers.
 type Golden = (&'static str, usize, DistPlanKind, [u64; 4], &'static [(u64, u64)]);
 
 #[rustfmt::skip]
 const GOLDEN: &[Golden] = &[
     ("qft9", 2, DistPlanKind::Naive, [8192, 3, 3, 0], &[(8192, 3), (12288, 4)]),
     ("qft9", 2, DistPlanKind::Reorder, [4096, 2, 2, 0], &[(4096, 2), (8192, 3)]),
-    ("qft9", 2, DistPlanKind::Overlap, [4096, 9, 2, 90112], &[(4096, 9), (8192, 10)]),
+    ("qft9", 2, DistPlanKind::Overlap, [4096, 9, 2, 110592], &[(4096, 9), (8192, 10)]),
     ("qft9", 4, DistPlanKind::Naive, [8192, 6, 6, 0], &[(8192, 6), (10240, 7), (10240, 7), (10240, 7)]),
     ("qft9", 4, DistPlanKind::Reorder, [3072, 3, 3, 0], &[(3072, 3), (5120, 4), (5120, 4), (5120, 4)]),
-    ("qft9", 4, DistPlanKind::Overlap, [3072, 10, 3, 30720], &[(3072, 10), (5120, 11), (5120, 11), (5120, 11)]),
+    ("qft9", 4, DistPlanKind::Overlap, [3072, 10, 3, 40960], &[(3072, 10), (5120, 11), (5120, 11), (5120, 11)]),
     ("qft9", 8, DistPlanKind::Naive, [6144, 9, 9, 0], &[(6144, 9), (7168, 10), (7168, 10), (7168, 10), (7168, 10), (7168, 10), (7168, 10), (7168, 10)]),
     ("qft9", 8, DistPlanKind::Reorder, [2048, 4, 4, 0], &[(2048, 4), (3072, 5), (3072, 5), (3072, 5), (3072, 5), (3072, 5), (3072, 5), (3072, 5)]),
-    ("qft9", 8, DistPlanKind::Overlap, [2048, 11, 4, 9216], &[(2048, 11), (3072, 12), (3072, 12), (3072, 12), (3072, 12), (3072, 12), (3072, 12), (3072, 12)]),
+    ("qft9", 8, DistPlanKind::Overlap, [2048, 11, 4, 14336], &[(2048, 11), (3072, 12), (3072, 12), (3072, 12), (3072, 12), (3072, 12), (3072, 12), (3072, 12)]),
     ("random8", 2, DistPlanKind::Naive, [40960, 20, 20, 0], &[(40960, 20), (43008, 21)]),
-    ("random8", 2, DistPlanKind::Reorder, [11264, 11, 11, 0], &[(11264, 11), (13312, 12)]),
-    ("random8", 2, DistPlanKind::Overlap, [11264, 11, 11, 0], &[(11264, 11), (13312, 12)]),
+    ("random8", 2, DistPlanKind::Reorder, [10240, 10, 10, 0], &[(10240, 10), (12288, 11)]),
+    ("random8", 2, DistPlanKind::Overlap, [10240, 10, 10, 0], &[(10240, 10), (12288, 11)]),
     ("random8", 4, DistPlanKind::Naive, [37888, 39, 39, 0], &[(35840, 35), (39936, 39), (37888, 37), (40960, 40)]),
-    ("random8", 4, DistPlanKind::Reorder, [13312, 26, 26, 0], &[(13312, 26), (14336, 27), (14336, 27), (14336, 27)]),
-    ("random8", 4, DistPlanKind::Overlap, [13312, 61, 26, 20480], &[(13312, 61), (14336, 62), (14336, 62), (14336, 62)]),
+    ("random8", 4, DistPlanKind::Reorder, [11264, 22, 22, 0], &[(11264, 22), (12288, 23), (12288, 23), (12288, 23)]),
+    ("random8", 4, DistPlanKind::Overlap, [11264, 29, 22, 4096], &[(11264, 29), (12288, 30), (12288, 30), (12288, 30)]),
     ("random8", 8, DistPlanKind::Naive, [26368, 56, 56, 0], &[(24064, 47), (26112, 51), (26112, 51), (27648, 54), (26112, 51), (27648, 54), (27648, 54), (29184, 57)]),
-    ("random8", 8, DistPlanKind::Reorder, [11264, 44, 44, 0], &[(11264, 44), (11776, 45), (11776, 45), (11776, 45), (11776, 45), (11776, 45), (11776, 45), (11776, 45)]),
-    ("random8", 8, DistPlanKind::Overlap, [11264, 121, 44, 12800], &[(11264, 121), (11776, 122), (11776, 122), (11776, 122), (11776, 122), (11776, 122), (11776, 122), (11776, 122)]),
+    ("random8", 8, DistPlanKind::Reorder, [9472, 37, 37, 0], &[(9472, 37), (9984, 38), (9984, 38), (9984, 38), (9984, 38), (9984, 38), (9984, 38), (9984, 38)]),
+    ("random8", 8, DistPlanKind::Overlap, [9472, 58, 37, 4096], &[(9472, 58), (9984, 59), (9984, 59), (9984, 59), (9984, 59), (9984, 59), (9984, 59), (9984, 59)]),
     ("trotter8", 2, DistPlanKind::Naive, [4096, 2, 2, 0], &[(4096, 2), (6144, 3)]),
     ("trotter8", 2, DistPlanKind::Reorder, [2048, 2, 2, 0], &[(2048, 2), (4096, 3)]),
     ("trotter8", 2, DistPlanKind::Overlap, [2048, 2, 2, 0], &[(2048, 2), (4096, 3)]),
