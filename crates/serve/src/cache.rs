@@ -6,17 +6,19 @@
 //! seed/shots pin the sampling — so a hit can return the *stored bytes*
 //! of the earlier result and remain bit-identical to recomputing it.
 //! Bounded FIFO eviction: the serving win is bursts of the same popular
-//! circuit, which FIFO captures without LRU bookkeeping.
+//! circuit, which FIFO captures without LRU bookkeeping. A body is one
+//! shared [`Arc<str>`]: its job, the cache and every hit hold one copy.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Cache key: `(job fingerprint, seed, shots)`.
 pub type CacheKey = (u64, u64, u64);
 
 /// A bounded map from finished work to its exact result body.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ResultCache {
-    map: HashMap<CacheKey, String>,
+    map: HashMap<CacheKey, Arc<str>>,
     order: VecDeque<CacheKey>,
     capacity: usize,
     hits: u64,
@@ -29,11 +31,11 @@ impl ResultCache {
     }
 
     /// Look up a finished result, counting the hit or miss.
-    pub fn lookup(&mut self, key: CacheKey) -> Option<String> {
+    pub fn lookup(&mut self, key: CacheKey) -> Option<Arc<str>> {
         match self.map.get(&key) {
             Some(body) => {
                 self.hits += 1;
-                Some(body.clone())
+                Some(Arc::clone(body))
             }
             None => {
                 self.misses += 1;
@@ -45,7 +47,7 @@ impl ResultCache {
     /// Store a finished result body, evicting the oldest entry at
     /// capacity. Re-inserting an existing key refreshes nothing — the
     /// body is deterministic for the key, so the first write stands.
-    pub fn insert(&mut self, key: CacheKey, body: String) {
+    pub fn insert(&mut self, key: CacheKey, body: Arc<str>) {
         if self.capacity == 0 || self.map.contains_key(&key) {
             return;
         }
@@ -83,9 +85,22 @@ mod tests {
     fn hit_returns_stored_bytes() {
         let mut cache = ResultCache::new(4);
         assert!(cache.lookup((1, 2, 3)).is_none());
-        cache.insert((1, 2, 3), "{\"x\":1}".to_string());
+        cache.insert((1, 2, 3), "{\"x\":1}".into());
         assert_eq!(cache.lookup((1, 2, 3)).as_deref(), Some("{\"x\":1}"));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    }
+
+    #[test]
+    fn a_hit_shares_its_own_keys_body() {
+        let mut cache = ResultCache::new(4);
+        let bodies: Vec<Arc<str>> = vec!["a".into(), "b".into(), "c".into()];
+        for (k, body) in bodies.iter().enumerate() {
+            cache.insert((k as u64, 0, 0), Arc::clone(body));
+        }
+        for (k, body) in bodies.iter().enumerate() {
+            let hit = cache.lookup((k as u64, 0, 0)).unwrap();
+            assert!(Arc::ptr_eq(&hit, body), "key {k} answered {hit:?}, not {body:?}");
+        }
     }
 
     #[test]

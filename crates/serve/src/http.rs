@@ -85,22 +85,22 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write one JSON response.
+/// Write one JSON response: head and body leave in one `write_all`, so
+/// a reply never waits on the peer's delayed ACK between the two.
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
     body: &str,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
+    let reply = format!(
+        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{body}",
         status,
         reason(status),
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(reply.as_bytes())?;
     stream.flush()
 }
 

@@ -7,15 +7,17 @@
 //!    quota, global queue bound) and the result-cache lookup happen
 //!    under the core lock. A cache hit completes the job immediately;
 //!    otherwise it enters the queue and the scheduler is woken.
-//! 2. The scheduler sleeps one packing window so concurrent submitters
-//!    can land, then drains the queue and groups jobs by fingerprint —
-//!    same width, gate stream or template, strategy, backend and
-//!    observables, so a group's jobs differ only in seed, shots and
-//!    points. One runner serves plain jobs and sweeps alike: it binds
-//!    the group's *distinct* circuits (a plain job is its circuit at the
-//!    single empty point) and simulates each once through
-//!    [`BatchSimulator::run_sweep`], up to [`MAX_BATCH`] per call — one
-//!    worksharing region shared across *independent tenants*.
+//! 2. The scheduler is work-conserving: once free, it drains the queue
+//!    (after the opt-in [`ServeConfig::window_ms`], if set) and groups
+//!    jobs by fingerprint — same width, gate stream or template,
+//!    strategy, backend and observables, so a group's jobs differ only
+//!    in seed, shots and points. One runner serves plain jobs and sweeps
+//!    alike: it binds the group's *distinct* circuits (a plain job is
+//!    its circuit at the single empty point) and simulates each once
+//!    through [`BatchSimulator::run_sweep`], up to [`MAX_BATCH`] per
+//!    call — one worksharing region shared across *independent
+//!    tenants*. Late twins then join: queued jobs of the group's
+//!    fingerprint whose every point the group already simulated.
 //! 3. Each job is rendered from the states its points map to, as counts
 //!    and expectation values — never raw `2^n` amplitude dumps —
 //!    *before* the job table is locked, then published under one lock:
@@ -30,7 +32,8 @@ use std::fmt::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use omp_par::ThreadPool;
@@ -49,27 +52,28 @@ use crate::http::{read_request, write_response, Request};
 use crate::job::JobSpec;
 use crate::json::quote;
 
-/// Server tuning; every knob has a `QCS_SERVE_*` environment override.
+/// Server tuning, always passed in: `serve` has a flag for each knob.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Per-tenant cap on jobs queued or running at once
-    /// (`QCS_SERVE_QUOTA`).
+    /// Per-tenant cap on jobs queued or running at once.
     pub quota: usize,
-    /// Global admission-queue bound (`QCS_SERVE_MAX_PENDING`).
+    /// Global admission-queue bound.
     pub max_pending: usize,
-    /// Widest circuit this server admits (`QCS_SERVE_MAX_QUBITS`).
+    /// Widest circuit this server admits.
     pub max_qubits: u32,
-    /// How long the scheduler waits after the first queued job for
-    /// compatible jobs to pack with it (`QCS_SERVE_WINDOW_MS`).
+    /// Opt-in packing window: how long the scheduler holds the first
+    /// queued job for compatible jobs to land with it. It closes early
+    /// on shutdown or once [`MAX_BATCH`] points are queued. 0 (the
+    /// default) runs work as soon as the scheduler is free.
     pub window_ms: u64,
-    /// Simulation worker threads (`QCS_SERVE_THREADS`); 1 = serial.
+    /// Simulation worker threads; 1 = serial.
     pub threads: usize,
-    /// Result-cache entries (`QCS_SERVE_CACHE`); 0 disables caching.
+    /// Result-cache entries; 0 disables caching.
     pub cache_capacity: usize,
-    /// Per-tenant usage ledger, JSONL `{"type":"outcome",...}` lines
-    /// (`QCS_SERVE_USAGE`); unset = no ledger.
+    /// Per-tenant usage ledger, JSONL `{"type":"outcome",...}` lines;
+    /// `None` = no ledger.
     pub usage_path: Option<PathBuf>,
 }
 
@@ -80,7 +84,7 @@ impl Default for ServeConfig {
             quota: 64,
             max_pending: 1024,
             max_qubits: 24,
-            window_ms: 5,
+            window_ms: 0,
             threads: 1,
             cache_capacity: 1024,
             usage_path: None,
@@ -88,41 +92,10 @@ impl Default for ServeConfig {
     }
 }
 
-impl ServeConfig {
-    /// Defaults with every `QCS_SERVE_*` environment override applied.
-    pub fn from_env() -> ServeConfig {
-        let mut cfg = ServeConfig::default();
-        let num = |key: &str| std::env::var(key).ok().and_then(|v| v.parse::<u64>().ok());
-        if let Some(v) = num("QCS_SERVE_QUOTA") {
-            cfg.quota = v as usize;
-        }
-        if let Some(v) = num("QCS_SERVE_MAX_PENDING") {
-            cfg.max_pending = v as usize;
-        }
-        if let Some(v) = num("QCS_SERVE_MAX_QUBITS") {
-            cfg.max_qubits = v as u32;
-        }
-        if let Some(v) = num("QCS_SERVE_WINDOW_MS") {
-            cfg.window_ms = v;
-        }
-        if let Some(v) = num("QCS_SERVE_THREADS") {
-            cfg.threads = (v as usize).max(1);
-        }
-        if let Some(v) = num("QCS_SERVE_CACHE") {
-            cfg.cache_capacity = v as usize;
-        }
-        if let Ok(path) = std::env::var("QCS_SERVE_USAGE") {
-            if !path.is_empty() {
-                cfg.usage_path = Some(PathBuf::from(path));
-            }
-        }
-        cfg
-    }
-}
-
 /// Where a job is in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JobState {
+    #[default]
     Queued,
     Running,
     Done,
@@ -140,6 +113,7 @@ impl JobState {
     }
 }
 
+#[derive(Default)]
 struct JobRecord {
     tenant: String,
     /// Taken by the scheduler when the job starts running.
@@ -152,7 +126,8 @@ struct JobRecord {
     members: u64,
     /// The job's share of the batch wall time, split by points.
     elapsed_seconds: f64,
-    result: Option<String>,
+    /// The result body, shared with the cache.
+    result: Option<Arc<str>>,
     error: Option<(&'static str, u16, String)>,
 }
 
@@ -188,6 +163,7 @@ pub struct TenantUsage {
     pub elapsed_seconds: f64,
 }
 
+#[derive(Default)]
 struct Core {
     jobs: HashMap<u64, JobRecord>,
     queue: VecDeque<u64>,
@@ -204,16 +180,39 @@ struct Shared {
     cfg: ServeConfig,
     pool: Option<Arc<ThreadPool>>,
     stopping: AtomicBool,
-    /// Bound address; `POST /shutdown` pokes it to unblock the accept
-    /// loop.
+    /// Bound address; poked to unblock the accept loop on shutdown.
     addr: SocketAddr,
 }
 
+impl Core {
+    /// Take, in queue order and marked running, the queued jobs a group
+    /// already answers: its fingerprint, and every point in `bound`. Each
+    /// comes with its indices into `bound`; the rest keep their order.
+    fn take_twins(&mut self, fingerprint: u64, bound: &Bound) -> Vec<(u64, JobSpec, Vec<usize>)> {
+        let mut twins = Vec::new();
+        let jobs = &mut self.jobs;
+        self.queue.retain(|id| {
+            let Some(job) = jobs.get_mut(id) else { return true };
+            let spec = job.spec.as_ref().filter(|spec| spec.fingerprint() == fingerprint);
+            let Some(mine) = spec.and_then(|spec| bound.lookup(spec)) else { return true };
+            job.state = JobState::Running;
+            twins.push((*id, job.spec.take().expect("a queued job has its spec"), mine));
+            false
+        });
+        twins
+    }
+}
+
 impl Shared {
-    /// Flag shutdown and wake the scheduler. It runs from `Drop`, so it
-    /// recovers a poisoned lock: the flag is valid whatever was left.
+    /// The job table. No critical section can panic part-way (each only
+    /// moves records and counters), so a poisoned lock is recovered.
+    fn core(&self) -> MutexGuard<'_, Core> {
+        self.core.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Flag shutdown and wake the scheduler.
     fn begin_shutdown(&self) {
-        self.core.lock().unwrap_or_else(PoisonError::into_inner).shutdown = true;
+        self.core().shutdown = true;
         self.work.notify_all();
     }
 }
@@ -222,8 +221,8 @@ impl Shared {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
-    sched_handle: Option<std::thread::JoinHandle<()>>,
+    accept_handle: Option<JoinHandle<()>>,
+    sched_handle: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -237,13 +236,9 @@ impl Server {
         let pool = (cfg.threads > 1).then(|| Arc::new(ThreadPool::named(cfg.threads, "serve")));
         let shared = Arc::new(Shared {
             core: Mutex::new(Core {
-                jobs: HashMap::new(),
-                queue: VecDeque::new(),
                 next_id: 1,
                 cache: ResultCache::new(cfg.cache_capacity),
-                tenants: HashMap::new(),
-                stats: ServerStats::default(),
-                shutdown: false,
+                ..Core::default()
             }),
             work: Condvar::new(),
             cfg,
@@ -253,21 +248,14 @@ impl Server {
         });
 
         let accept_shared = Arc::clone(&shared);
-        let accept_handle = std::thread::Builder::new()
-            .name("serve-accept".to_string())
-            .spawn(move || accept_loop(listener, accept_shared))
-            .expect("spawn accept thread");
+        let accept = spawn("serve-accept", move || accept_loop(listener, accept_shared));
         let sched_shared = Arc::clone(&shared);
-        let sched_handle = std::thread::Builder::new()
-            .name("serve-sched".to_string())
-            .spawn(move || scheduler_loop(sched_shared))
-            .expect("spawn scheduler thread");
-
+        let sched = spawn("serve-sched", move || scheduler_loop(sched_shared));
         Ok(Server {
             addr,
             shared,
-            accept_handle: Some(accept_handle),
-            sched_handle: Some(sched_handle),
+            accept_handle: Some(accept.expect("spawn accept thread")),
+            sched_handle: Some(sched.expect("spawn scheduler thread")),
         })
     }
 
@@ -278,7 +266,7 @@ impl Server {
 
     /// Snapshot of the serving counters.
     pub fn stats(&self) -> ServerStats {
-        self.shared.core.lock().unwrap().stats
+        self.shared.core().stats
     }
 
     /// Stop accepting, finish nothing further, join the service threads.
@@ -294,25 +282,17 @@ impl Server {
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        self.shared.begin_shutdown();
-        if let Some(h) = self.sched_handle.take() {
-            let _ = h.join();
-        }
-        self.shared.stopping.store(true, Ordering::SeqCst);
+        self.stop();
     }
 
     fn stop(&mut self) {
-        if self.shared.stopping.swap(true, Ordering::SeqCst) {
-            return;
+        if !self.shared.stopping.swap(true, Ordering::SeqCst) {
+            self.shared.begin_shutdown();
+            // Unblock the accept loop with a throwaway connection.
+            let _ = TcpStream::connect(self.addr);
         }
-        self.shared.begin_shutdown();
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.sched_handle.take() {
-            let _ = h.join();
+        for handle in [self.accept_handle.take(), self.sched_handle.take()].into_iter().flatten() {
+            let _ = handle.join();
         }
     }
 }
@@ -329,31 +309,37 @@ impl Drop for Server {
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     for stream in listener.incoming() {
-        if shared.stopping.load(Ordering::SeqCst) || shared.core.lock().unwrap().shutdown {
+        if shared.stopping.load(Ordering::SeqCst) || shared.core().shutdown {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Replies leave in one write; do not hold it back for an ACK.
+        let _ = stream.set_nodelay(true);
         // Idle keep-alive connections release their thread eventually.
         let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
         let conn_shared = Arc::clone(&shared);
-        let _ = std::thread::Builder::new()
-            .name("serve-conn".to_string())
-            .spawn(move || handle_connection(stream, conn_shared));
+        let _ = spawn("serve-conn", move || handle_connection(stream, conn_shared));
     }
 }
 
+fn spawn(name: &str, run: impl FnOnce() + Send + 'static) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name.to_string()).spawn(run)
+}
+
 fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
+    let Ok(mut writer) = stream.try_clone() else { return };
     let mut reader = std::io::BufReader::new(stream);
     loop {
         match read_request(&mut reader) {
             Ok(Some(req)) => {
                 let keep_alive = req.keep_alive && !shared.stopping.load(Ordering::SeqCst);
                 let (status, body) = route(&req, &shared);
-                if write_response(&mut writer, status, &body, keep_alive).is_err() || !keep_alive {
+                let sent = write_response(&mut writer, status, &body, keep_alive);
+                if (status, req.path.as_str()) == (200, "/shutdown") {
+                    // Only now that the reply is out: the process may exit.
+                    let _ = TcpStream::connect(shared.addr);
+                }
+                if sent.is_err() || !keep_alive {
                     return;
                 }
             }
@@ -379,8 +365,6 @@ fn route(req: &Request, shared: &Arc<Shared>) -> (u16, String) {
         ("POST", "/shutdown") => {
             shared.begin_shutdown();
             shared.stopping.store(true, Ordering::SeqCst);
-            // Poke the accept loop so it observes the flag.
-            let _ = TcpStream::connect(shared.addr);
             (200, "{\"ok\":true}".to_string())
         }
         ("GET", path) => {
@@ -401,21 +385,17 @@ fn route(req: &Request, shared: &Arc<Shared>) -> (u16, String) {
     }
 }
 
-fn parse_job_id(text: &str) -> Result<u64, QcsError> {
-    text.parse().map_err(|_| QcsError::NotFound(format!("job '{text}'")))
-}
-
 fn submit(shared: &Arc<Shared>, body: &str) -> Result<String, QcsError> {
     let spec = JobSpec::parse(body)?;
     let cfg = &shared.cfg;
     if spec.n > cfg.max_qubits {
-        shared.core.lock().unwrap().stats.rejected += 1;
+        shared.core().stats.rejected += 1;
         return Err(QcsError::TooWide { n: spec.n, max: cfg.max_qubits });
     }
     // Cache key uses the *cache* fingerprint (template + concrete
     // points); batch grouping below uses the structural fingerprint.
     let key = (spec.cache_fingerprint(), spec.seed, spec.shots);
-    let mut core = shared.core.lock().unwrap();
+    let mut core = shared.core();
     let active = core.tenants.get(&spec.tenant).map_or(0, |t| t.active);
     if active >= cfg.quota {
         core.stats.rejected += 1;
@@ -451,11 +431,8 @@ fn submit(shared: &Arc<Shared>, body: &str) -> Result<String, QcsError> {
         spec: (!hit).then_some(spec),
         state,
         cached: hit,
-        batch_id: 0,
-        members: 0,
-        elapsed_seconds: 0.0,
         result: cached,
-        error: None,
+        ..JobRecord::default()
     };
     core.jobs.insert(id, record);
     Ok(format!("{{\"job_id\":{id},\"status\":{},\"cached\":{hit}}}", quote(state.label())))
@@ -467,8 +444,9 @@ fn with_job(
     id_text: &str,
     answer: impl FnOnce(u64, &JobRecord) -> (u16, String),
 ) -> (u16, String) {
-    let answered = parse_job_id(id_text).and_then(|id| {
-        let core = shared.core.lock().expect("no thread panics holding the job table");
+    let id = id_text.parse().map_err(|_| QcsError::NotFound(format!("job '{id_text}'")));
+    let answered = id.and_then(|id| {
+        let core = shared.core();
         let job = core.jobs.get(&id).ok_or_else(|| QcsError::NotFound(format!("job {id}")))?;
         Ok(answer(id, job))
     });
@@ -476,15 +454,12 @@ fn with_job(
 }
 
 fn job_status(id: u64, job: &JobRecord) -> (u16, String) {
+    let JobRecord { cached, batch_id, members, elapsed_seconds, .. } = job;
     let mut body = format!(
-        "{{\"job_id\":{id},\"tenant\":{},\"status\":{},\"cached\":{},\
-         \"batch_id\":{},\"members\":{},\"elapsed_seconds\":{}",
+        "{{\"job_id\":{id},\"tenant\":{},\"status\":{},\"cached\":{cached},\
+         \"batch_id\":{batch_id},\"members\":{members},\"elapsed_seconds\":{elapsed_seconds}",
         quote(&job.tenant),
         quote(job.state.label()),
-        job.cached,
-        job.batch_id,
-        job.members,
-        job.elapsed_seconds,
     );
     if let Some((code, _, msg)) = &job.error {
         body.push_str(&format!(",\"error\":{},\"message\":{}", quote(code), quote(msg)));
@@ -495,7 +470,7 @@ fn job_status(id: u64, job: &JobRecord) -> (u16, String) {
 
 fn job_result(id: u64, job: &JobRecord) -> (u16, String) {
     match (job.state, &job.result, &job.error) {
-        (JobState::Done, Some(body), _) => (200, body.clone()),
+        (JobState::Done, Some(body), _) => (200, body.to_string()),
         (JobState::Failed, _, Some((code, status, msg))) => {
             (*status, format!("{{\"error\":{},\"message\":{}}}", quote(code), quote(msg)))
         }
@@ -510,43 +485,37 @@ fn job_result(id: u64, job: &JobRecord) -> (u16, String) {
 }
 
 fn stats_body(shared: &Arc<Shared>) -> String {
-    let core = shared.core.lock().unwrap();
-    let s = core.stats;
+    let core = shared.core();
+    let ServerStats { submitted, completed, failed, rejected, batches, .. } = core.stats;
+    let ServerStats { packed_jobs, max_batch_members, cache_hits, cache_misses, .. } = core.stats;
     let mut body = format!(
-        "{{\"submitted\":{},\"completed\":{},\"failed\":{},\"rejected\":{},\
-         \"batches\":{},\"packed_jobs\":{},\"max_batch_members\":{},\
-         \"cache_hits\":{},\"cache_misses\":{},\"queued\":{},\"tenants\":{{",
-        s.submitted,
-        s.completed,
-        s.failed,
-        s.rejected,
-        s.batches,
-        s.packed_jobs,
-        s.max_batch_members,
-        s.cache_hits,
-        s.cache_misses,
+        "{{\"submitted\":{submitted},\"completed\":{completed},\"failed\":{failed},\
+         \"rejected\":{rejected},\"batches\":{batches},\"packed_jobs\":{packed_jobs},\
+         \"max_batch_members\":{max_batch_members},\"cache_hits\":{cache_hits},\
+         \"cache_misses\":{cache_misses},\"queued\":{},\"tenants\":{{",
         core.queue.len(),
     );
     // BTreeMap-style determinism: render tenants in sorted order.
     let mut names: Vec<&String> = core.tenants.keys().collect();
     names.sort();
     for (i, name) in names.iter().enumerate() {
-        let t = &core.tenants[*name];
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!(
-            "{}:{{\"active\":{},\"submitted\":{},\"completed\":{},\"failed\":{},\
-             \"cache_hits\":{},\"shots\":{},\"elapsed_seconds\":{}}}",
+        let TenantUsage {
+            active,
+            submitted,
+            completed,
+            failed,
+            cache_hits,
+            shots,
+            elapsed_seconds,
+        } = &core.tenants[*name];
+        let _ = write!(
+            body,
+            "{}{}:{{\"active\":{active},\"submitted\":{submitted},\"completed\":{completed},\
+             \"failed\":{failed},\"cache_hits\":{cache_hits},\"shots\":{shots},\
+             \"elapsed_seconds\":{elapsed_seconds}}}",
+            if i > 0 { "," } else { "" },
             quote(name),
-            t.active,
-            t.submitted,
-            t.completed,
-            t.failed,
-            t.cache_hits,
-            t.shots,
-            t.elapsed_seconds,
-        ));
+        );
     }
     body.push_str("}}");
     body
@@ -557,132 +526,165 @@ fn stats_body(shared: &Arc<Shared>) -> String {
 // ---------------------------------------------------------------------------
 
 fn scheduler_loop(shared: Arc<Shared>) {
+    let window = Duration::from_millis(shared.cfg.window_ms);
     loop {
-        // Wait for work (or shutdown).
-        {
-            let mut core = shared.core.lock().unwrap();
-            while core.queue.is_empty() && !core.shutdown {
-                core = shared.work.wait(core).unwrap();
-            }
-            if core.shutdown {
-                return;
-            }
+        let idle = |core: &mut Core| core.queue.is_empty() && !core.shutdown;
+        let mut core =
+            shared.work.wait_while(shared.core(), idle).unwrap_or_else(PoisonError::into_inner);
+        if !window.is_zero() {
+            // The opt-in packing window: let compatible submitters land
+            // until the deadline, a full batch or shutdown.
+            let filling = |core: &mut Core| {
+                let queued = core.queue.iter().filter_map(|id| core.jobs.get(id)?.spec.as_ref());
+                !core.shutdown && queued.map(|spec| points(spec).len()).sum::<usize>() < MAX_BATCH
+            };
+            core = shared
+                .work
+                .wait_timeout_while(core, window, filling)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
-        // Packing window: let concurrent submitters land before the
-        // queue is drained, so compatible jobs share a batch.
-        if shared.cfg.window_ms > 0 {
-            std::thread::sleep(Duration::from_millis(shared.cfg.window_ms));
+        if core.shutdown {
+            return;
         }
         // Drain and group by fingerprint.
         let mut groups: Vec<(u64, Vec<(u64, JobSpec)>)> = Vec::new();
-        {
-            let mut core = shared.core.lock().unwrap();
-            let ids: Vec<u64> = core.queue.drain(..).collect();
-            for id in ids {
-                let Some(job) = core.jobs.get_mut(&id) else { continue };
-                let Some(spec) = job.spec.take() else { continue };
-                job.state = JobState::Running;
-                let fp = spec.fingerprint();
-                match groups.iter_mut().find(|(g, _)| *g == fp) {
-                    Some((_, jobs)) => jobs.push((id, spec)),
-                    None => groups.push((fp, vec![(id, spec)])),
-                }
+        for id in std::mem::take(&mut core.queue) {
+            let Some(job) = core.jobs.get_mut(&id) else { continue };
+            let Some(spec) = job.spec.take() else { continue };
+            job.state = JobState::Running;
+            let fp = spec.fingerprint();
+            match groups.iter_mut().find(|(g, _)| *g == fp) {
+                Some((_, jobs)) => jobs.push((id, spec)),
+                None => groups.push((fp, vec![(id, spec)])),
             }
         }
-        for (_, jobs) in groups {
-            run_group(&shared, jobs);
+        drop(core);
+        for (fp, jobs) in groups {
+            run_group(&shared, fp, jobs);
         }
     }
 }
 
-/// A fingerprint group's distinct bound circuits, and each job's
-/// indices into them, one per point. A plain job is its circuit at the
-/// single empty point. The group's jobs share one template (that is
-/// what the fingerprint hashes), so points with the same `f64` bits
-/// bind to one circuit.
-fn distinct_circuits(jobs: &[(u64, JobSpec)]) -> (Vec<Circuit>, Vec<Vec<usize>>) {
+/// A job's points: a plain job is its circuit at the single empty point.
+fn points(spec: &JobSpec) -> &[Vec<f64>] {
     const PLAIN: &[Vec<f64>] = &[Vec::new()];
-    let mut circuits = Vec::new();
-    let mut seen: HashMap<Vec<u64>, usize> = HashMap::new();
-    let indices = jobs
-        .iter()
-        .map(|(_, spec)| {
-            let points = if spec.is_sweep() { spec.points.as_slice() } else { PLAIN };
-            points
-                .iter()
-                .map(|point| {
-                    let bits = point.iter().map(|x| x.to_bits()).collect();
-                    *seen.entry(bits).or_insert_with(|| {
-                        circuits.push(match &spec.ansatz {
-                            Some(template) => template.bind(point),
-                            None => spec.circuit.clone(),
-                        });
-                        circuits.len() - 1
-                    })
-                })
-                .collect()
-        })
-        .collect();
-    (circuits, indices)
+    spec.ansatz.as_ref().map_or(PLAIN, |_| &spec.points)
+}
+
+fn bits(point: &[f64]) -> Vec<u64> {
+    point.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A fingerprint group's distinct bound circuits, keyed by the `f64`
+/// bits of the point that binds each. The group's jobs share one
+/// template (that is what the fingerprint hashes), so points with the
+/// same bits bind to one circuit.
+#[derive(Default)]
+struct Bound {
+    circuits: Vec<Circuit>,
+    index: HashMap<Vec<u64>, usize>,
+}
+
+impl Bound {
+    /// `spec`'s indices into the circuits, one per point, binding the
+    /// points not seen before.
+    fn bind(&mut self, spec: &JobSpec) -> Vec<usize> {
+        let circuits = &mut self.circuits;
+        let index = points(spec).iter().map(|point| {
+            *self.index.entry(bits(point)).or_insert_with(|| {
+                circuits.push(match &spec.ansatz {
+                    Some(template) => template.bind(point),
+                    None => spec.circuit.clone(),
+                });
+                circuits.len() - 1
+            })
+        });
+        index.collect()
+    }
+
+    /// `spec`'s indices if every one of its points is already bound.
+    fn lookup(&self, spec: &JobSpec) -> Option<Vec<usize>> {
+        points(spec).iter().map(|point| self.index.get(&bits(point)).copied()).collect()
+    }
+}
+
+/// A fingerprint group's distinct bound circuits, and each job's
+/// indices into them, one per point.
+fn distinct_circuits(jobs: &[(u64, JobSpec)]) -> (Bound, Vec<Vec<usize>>) {
+    let mut bound = Bound::default();
+    let indices = jobs.iter().map(|(_, spec)| bound.bind(spec)).collect();
+    (bound, indices)
 }
 
 /// Execute one fingerprint group and complete every job in it. Each
 /// distinct circuit ([`distinct_circuits`]) is simulated once, by
 /// [`BatchSimulator::run_sweep`] in `MAX_BATCH`-sized waves: one
 /// lowering per member and one worksharing region per wave, shared
-/// across *independent tenants*. Every job is then rendered from the
-/// states its points map to.
-fn run_group(shared: &Shared, jobs: Vec<(u64, JobSpec)>) {
-    let (circuits, indices) = distinct_circuits(&jobs);
+/// across *independent tenants*. Late twins ([`Core::take_twins`]) then
+/// join, and every job is rendered from the states its points map to.
+fn run_group(shared: &Shared, fingerprint: u64, mut jobs: Vec<(u64, JobSpec)>) {
+    let (bound, mut indices) = distinct_circuits(&jobs);
+    let circuits = &bound.circuits;
     let spec0 = &jobs[0].1;
     let mut cfg = SimConfig::default().strategy(spec0.strategy).backend(spec0.backend);
     if let Some(pool) = &shared.pool {
         cfg = cfg.pool(Arc::clone(pool));
     }
-    // The states, the most points one wave served, and the group as the
-    // ledger records it: every point and the summed wall time, under
-    // the last wave's batch id.
+    // The states, and the group as the ledger records it: the summed
+    // wall time under the last wave's batch id.
     let ran = BatchSimulator::from_config(cfg).and_then(|engine| {
         let mut states = Vec::with_capacity(circuits.len());
-        let mut fullest = 0;
         let mut outcome = Outcome::default();
-        for (w, wave) in circuits.chunks(MAX_BATCH).enumerate() {
+        for wave in circuits.chunks(MAX_BATCH) {
             let mut members: Vec<StateVector> =
                 wave.iter().map(|c| StateVector::zero(c.n_qubits())).collect();
             let report = engine.run_sweep(wave, &mut members)?;
-            let served = indices.iter().flatten().filter(|&&i| i / MAX_BATCH == w).count() as u64;
             outcome = Outcome {
                 elapsed_seconds: outcome.elapsed_seconds + report.wall_seconds,
-                members: outcome.members + served,
                 ..Outcome::from(&report)
             };
-            fullest = fullest.max(served);
             states.extend(members);
         }
         let threads = engine.threads() as u32;
-        Ok((states, fullest, outcome.with_config(&spec0.strategy_str, threads, spec0.n)))
+        Ok((states, outcome.with_config(&spec0.strategy_str, threads, spec0.n)))
     });
+    if ran.is_ok() {
+        for (id, spec, mine) in shared.core().take_twins(fingerprint, &bound) {
+            jobs.push((id, spec));
+            indices.push(mine);
+        }
+    }
+    // Points served per wave, late twins' included.
+    let mut served = vec![0u64; circuits.len().div_ceil(MAX_BATCH)];
+    for &i in indices.iter().flatten() {
+        served[i / MAX_BATCH] += 1;
+    }
     // Rendering samples and reduces every point's state — O(2ⁿ) per
     // point — before the job table is locked, so submitters and
     // pollers never wait on it.
-    let mut result = ran
-        .map(|(states, fullest, outcome)| {
-            let bodies: Vec<String> = jobs
+    let result = ran
+        .map(|(states, outcome)| {
+            let outcome = Outcome { members: served.iter().sum(), ..outcome };
+            let bodies: Vec<Arc<str>> = jobs
                 .iter()
                 .zip(&indices)
-                .map(|((_, spec), mine)| render(spec, mine.iter().map(|&i| &states[i]), &outcome))
+                .map(|((_, spec), mine)| {
+                    render(spec, mine.iter().map(|&i| &states[i]), &outcome).into()
+                })
                 .collect();
-            (bodies, fullest, outcome)
+            (bodies, outcome)
         })
         .map_err(|e| {
             let err = QcsError::from(e);
             (err.code(), err.http_status(), err.to_string())
         });
-    let mut guard = shared.core.lock().expect("no thread panics holding the job table");
+    let mut guard = shared.core();
     let core = &mut *guard;
-    if let Ok((_, fullest, _)) = &result {
-        core.stats.batches += circuits.len().div_ceil(MAX_BATCH) as u64;
-        core.stats.max_batch_members = core.stats.max_batch_members.max(*fullest);
+    if result.is_ok() {
+        core.stats.batches += served.len() as u64;
+        core.stats.max_batch_members =
+            served.iter().copied().fold(core.stats.max_batch_members, u64::max);
         if jobs.len() >= 2 {
             core.stats.packed_jobs += jobs.len() as u64;
         }
@@ -691,11 +693,11 @@ fn run_group(shared: &Shared, jobs: Vec<(u64, JobSpec)>) {
         let Some(job) = core.jobs.get_mut(id) else { continue };
         let usage = core.tenants.entry(spec.tenant.clone()).or_default();
         usage.active = usage.active.saturating_sub(1);
-        match &mut result {
-            Ok((bodies, _, outcome)) => {
-                let body = std::mem::take(&mut bodies[j]);
+        match &result {
+            Ok((bodies, outcome)) => {
                 let share = outcome.elapsed_seconds * mine.len() as f64 / outcome.members as f64;
-                core.cache.insert((spec.cache_fingerprint(), spec.seed, spec.shots), body.clone());
+                let key = (spec.cache_fingerprint(), spec.seed, spec.shots);
+                core.cache.insert(key, Arc::clone(&bodies[j]));
                 core.stats.completed += 1;
                 usage.completed += 1;
                 usage.elapsed_seconds += share;
@@ -703,7 +705,7 @@ fn run_group(shared: &Shared, jobs: Vec<(u64, JobSpec)>) {
                 job.batch_id = outcome.batch_id;
                 job.members = outcome.members;
                 job.elapsed_seconds = share;
-                job.result = Some(body);
+                job.result = Some(Arc::clone(&bodies[j]));
             }
             Err(error) => {
                 core.stats.failed += 1;
@@ -715,7 +717,7 @@ fn run_group(shared: &Shared, jobs: Vec<(u64, JobSpec)>) {
     }
     drop(guard);
     // Usage ledger, outside the lock: one line per completed job.
-    if let (Some(path), Ok((_, _, outcome))) = (&shared.cfg.usage_path, &result) {
+    if let (Some(path), Ok((_, outcome))) = (&shared.cfg.usage_path, &result) {
         for (id, spec) in &jobs {
             let line = outcome.clone().with_label(format!("tenant={};job={id}", spec.tenant));
             let _ = qcs_core::telemetry::sink::append_outcome(path, &line);
@@ -733,15 +735,11 @@ fn render<'s>(
     mut states: impl ExactSizeIterator<Item = &'s StateVector>,
     outcome: &Outcome,
 ) -> String {
-    let config = format!(
-        "\"shots\":{},\"seed\":{},\"strategy\":{},\"backend\":{}",
-        spec.shots,
-        spec.seed,
-        quote(&spec.strategy_str),
-        quote(&outcome.backend)
-    );
-    let (n, gates, hash) =
-        (spec.n, spec.circuit.len(), quote(&format!("{:016x}", spec.fingerprint())));
+    let JobSpec { n, shots, seed, .. } = spec;
+    let (strategy, backend) = (quote(&spec.strategy_str), quote(&outcome.backend));
+    let config =
+        format!("\"shots\":{shots},\"seed\":{seed},\"strategy\":{strategy},\"backend\":{backend}");
+    let (gates, hash) = (spec.circuit.len(), quote(&format!("{:016x}", spec.fingerprint())));
     if !spec.is_sweep() {
         let mut body = format!(
             "{{\"type\":\"result\",\"n_qubits\":{n},{config},\"circuit_fnv1a\":{hash},\
@@ -793,28 +791,33 @@ fn write_point(body: &mut String, spec: &JobSpec, state: &StateVector, seed: u64
 mod tests {
     use super::*;
 
+    fn plain(seed: u64) -> String {
+        format!(
+            r#"{{"tenant":"t{seed}","n":2,"seed":{seed},
+                "circuit":[{{"gate":"h","q":[0]}},{{"gate":"cx","q":[0,1]}}]}}"#
+        )
+    }
+
+    fn sweep(points: &str) -> String {
+        format!(
+            r#"{{"tenant":"t","n":2,"points":{points},
+                "circuit":[{{"gate":"ry","q":[0],"param":0}},{{"gate":"cx","q":[0,1]}}]}}"#
+        )
+    }
+
+    fn jobs(bodies: &[String]) -> Vec<(u64, JobSpec)> {
+        bodies.iter().map(|b| (0, JobSpec::parse(b).unwrap())).collect()
+    }
+
     /// How many distinct circuits a group of submissions binds, and
     /// each job's indices into them.
     fn group(bodies: &[String]) -> (usize, Vec<Vec<usize>>) {
-        let jobs: Vec<_> = bodies.iter().map(|b| (0, JobSpec::parse(b).unwrap())).collect();
-        let (circuits, indices) = distinct_circuits(&jobs);
-        (circuits.len(), indices)
+        let (bound, indices) = distinct_circuits(&jobs(bodies));
+        (bound.circuits.len(), indices)
     }
 
     #[test]
     fn a_group_simulates_each_distinct_circuit_once() {
-        let plain = |seed: u64| {
-            format!(
-                r#"{{"tenant":"t{seed}","n":2,"seed":{seed},
-                    "circuit":[{{"gate":"h","q":[0]}},{{"gate":"cx","q":[0,1]}}]}}"#
-            )
-        };
-        let sweep = |points: &str| {
-            format!(
-                r#"{{"tenant":"t","n":2,"points":{points},
-                    "circuit":[{{"gate":"ry","q":[0],"param":0}},{{"gate":"cx","q":[0,1]}}]}}"#
-            )
-        };
         // Seeds and shots stay out of the fingerprint: one circuit.
         assert_eq!(group(&[plain(1), plain(2), plain(3)]), (1, vec![vec![0]; 3]));
         assert_eq!(
@@ -826,8 +829,44 @@ mod tests {
             (2, vec![vec![0, 1], vec![0, 1]])
         );
         // The circuit at a point is the template bound there.
-        let jobs = [(0, JobSpec::parse(&sweep("[[0.1],[0.2]]")).unwrap())];
+        let jobs = jobs(&[sweep("[[0.1],[0.2]]")]);
         let bound = jobs[0].1.ansatz.as_ref().unwrap().bind(&[0.2]);
-        assert_eq!(distinct_circuits(&jobs).0[1].fingerprint(), bound.fingerprint());
+        assert_eq!(distinct_circuits(&jobs).0.circuits[1].fingerprint(), bound.fingerprint());
+    }
+
+    #[test]
+    fn late_twins_are_the_queued_jobs_a_group_already_answers() {
+        let mut core = Core::default();
+        let mut enqueue = |body: String| {
+            let id = core.next_id;
+            core.next_id += 1;
+            let record =
+                JobRecord { spec: Some(JobSpec::parse(&body).unwrap()), ..JobRecord::default() };
+            core.jobs.insert(id, record);
+            core.queue.push_back(id);
+            id
+        };
+        let other_circuit = plain(4).replace(r#""gate":"h""#, r#""gate":"x""#);
+        let ids = [
+            enqueue(sweep("[[0.2],[0.3]]")), // the sweep group's template, one new point
+            enqueue(plain(2)),               // a plain twin
+            enqueue(other_circuit),          // another fingerprint
+            enqueue(sweep("[[0.2]]")),       // the sweep group's template, a bound point
+            enqueue(plain(3)),               // a plain twin
+        ];
+        let mut take = |group: &[(u64, JobSpec)]| {
+            let (bound, _) = distinct_circuits(group);
+            let twins = core.take_twins(group[0].1.fingerprint(), &bound);
+            twins.into_iter().map(|(id, _, mine)| (id, mine)).collect::<Vec<_>>()
+        };
+        assert_eq!(take(&jobs(&[plain(1)])), [(ids[1], vec![0]), (ids[4], vec![0])]);
+        assert_eq!(take(&jobs(&[sweep("[[0.1],[0.2]]")])), [(ids[3], vec![1])]);
+        assert_eq!(core.queue, [ids[0], ids[2]], "what stays keeps its order");
+        for (k, id) in ids.iter().enumerate() {
+            let job = &core.jobs[id];
+            let queued = k == 0 || k == 2;
+            let want = if queued { JobState::Queued } else { JobState::Running };
+            assert_eq!((job.state, job.spec.is_some()), (want, queued), "job {k}");
+        }
     }
 }

@@ -5,8 +5,7 @@
 //! a64fx-qcs demo <family> <n> [options]      run a built-in circuit family
 //! a64fx-qcs emit <family> <n>                print a family as OpenQASM 2.0
 //! a64fx-qcs vqe <n> [vqe options] [options]  variational ground-state search (TFIM)
-//! a64fx-qcs serve [--addr host:port] [--threads <t>] [--verbose]
-//!                                            start the multi-tenant job server
+//! a64fx-qcs serve [serve options] [--verbose] start the multi-tenant job server
 //!
 //! families: ghz qft random qv trotter qaoa grover shor
 //!
@@ -17,6 +16,16 @@
 //!   --lr <f>                                  gradient-descent learning rate [0.1]
 //!   --spsa-a <f> / --spsa-c <f>               SPSA gain constants [0.4 / 0.15]
 //!   --coupling <J> / --field <h>              TFIM H = -J Σ ZZ - h Σ X [1.0 / 0.7]
+//!
+//! serve options:
+//!   --addr <host:port>                        bind address [127.0.0.1:0]
+//!   --threads <t>                             simulation worker threads [1]
+//!   --quota <j>                               per-tenant cap on queued + running jobs [64]
+//!   --max-pending <j>                         global admission-queue bound [1024]
+//!   --max-qubits <n>                          widest admitted circuit [24]
+//!   --window-ms <ms>                          opt-in packing window; 0 runs work at once [0]
+//!   --cache <entries>                         result-cache entries; 0 disables it [1024]
+//!   --usage <file.jsonl>                      per-tenant usage ledger [off]
 //!
 //! options:
 //!   --strategy naive|fused:<k>|blocked:<b>|planned:<b>:<k>|auto   execution strategy [naive]
@@ -46,9 +55,8 @@
 //! prints it back (plus the run's unified `{"type":"outcome",...}` JSON
 //! line — the same schema the job server returns and the JSONL usage
 //! ledger appends), and the same value stamps every trace header. The
-//! environment does not change a run: only the `serve` subcommand reads
-//! its remaining knobs from the `QCS_SERVE_*` environment (quota, queue
-//! bound, width limit, packing window, result cache, usage ledger).
+//! environment does not change a run, and `serve` takes every server
+//! knob as a flag.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -149,7 +157,9 @@ fn run() -> Result<(), String> {
 fn usage() -> String {
     "usage: a64fx-qcs run <file.qasm> [opts] | demo <family> <n> [opts] | emit <family> <n>\n\
             a64fx-qcs vqe <n> [--layers <l>] [--iters <k>] [--optimizer spsa|gd] [opts]\n\
-            a64fx-qcs serve [--addr host:port] [--threads <t>] [--verbose]\n\
+            a64fx-qcs serve [--addr host:port] [--threads <t>] [--quota <j>] [--max-pending <j>]\n\
+                            [--max-qubits <n>] [--window-ms <ms>] [--cache <entries>]\n\
+                            [--usage <file.jsonl>] [--verbose]\n\
      families: ghz qft random qv trotter qaoa grover shor\n\
      vqe opts: --layers <l>  --iters <k>  --optimizer spsa|gd  --lr <f>\n\
            --spsa-a <f>  --spsa-c <f>  --coupling <J>  --field <h>\n\
@@ -282,11 +292,18 @@ fn vqe_command(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `serve`: start the job server and park until `POST /shutdown`.
-/// Everything beyond the bind address and worker threads comes from the
-/// `QCS_SERVE_*` environment via [`ServeConfig::from_env`].
+/// A flag's numeric value.
+fn number<T: std::str::FromStr>(name: &str, text: String) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse().map_err(|e| format!("{name}: {e}"))
+}
+
+/// `serve`: start the job server and park until `POST /shutdown`. Every
+/// [`ServeConfig`] field has a flag; the rest keep their defaults.
 fn serve_command(args: &[String]) -> Result<(), String> {
-    let mut cfg = ServeConfig::from_env();
+    let mut cfg = ServeConfig::default();
     let mut verbose = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -294,15 +311,19 @@ fn serve_command(args: &[String]) -> Result<(), String> {
             it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
         };
         match a.as_str() {
-            "--addr" => cfg.addr = value("--addr")?,
+            "--addr" => cfg.addr = value(a)?,
             "--threads" => {
-                let t: usize =
-                    value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?;
-                if t == 0 {
+                cfg.threads = number(a, value(a)?)?;
+                if cfg.threads == 0 {
                     return Err("--threads needs at least 1".to_string());
                 }
-                cfg.threads = t;
             }
+            "--quota" => cfg.quota = number(a, value(a)?)?,
+            "--max-pending" => cfg.max_pending = number(a, value(a)?)?,
+            "--max-qubits" => cfg.max_qubits = number(a, value(a)?)?,
+            "--window-ms" => cfg.window_ms = number(a, value(a)?)?,
+            "--cache" => cfg.cache_capacity = number(a, value(a)?)?,
+            "--usage" => cfg.usage_path = Some(PathBuf::from(value(a)?)),
             "--verbose" => verbose = true,
             other => return Err(format!("unknown option `{other}`")),
         }

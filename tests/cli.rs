@@ -110,6 +110,34 @@ fn a_leaked_environment_changes_nothing() {
 }
 
 #[test]
+fn a_leaked_environment_leaves_the_server_at_its_defaults() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let mut child = bin()
+        .args(["serve", "--addr", "127.0.0.1:0", "--verbose"])
+        .env("QCS_SERVE_WINDOW_MS", "999")
+        .env("QCS_SERVE_QUOTA", "bogus")
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+    let mut line = || lines.next().expect("a line").expect("utf8 output");
+    let config = line();
+    let serving = line();
+    let addr = serving.strip_prefix("serving on http://").expect("the bound address");
+    let (status, _) =
+        a64fx_qcs::serve::client::http_request(addr, "POST", "/shutdown", "").unwrap();
+    assert_eq!(status, 200);
+    assert!(child.wait().unwrap().success());
+    assert_eq!(
+        config,
+        "serve config: quota=64 max_pending=1024 max_qubits=24 window_ms=0 threads=1 \
+         cache=1024 usage=off"
+    );
+}
+
+#[test]
 fn emit_then_run_roundtrip() {
     let qasm = run_ok(&["emit", "ghz", "3"]);
     assert!(qasm.contains("qreg q[3]"));

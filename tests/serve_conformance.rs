@@ -7,6 +7,10 @@
 //! in-process `BatchSimulator` run at tolerance **zero**: counts must
 //! match exactly and expectation values must match to the bit.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
+
 use a64fx_qcs::core::batch::BatchSimulator;
 use a64fx_qcs::core::circuit::{Circuit, Gate};
 use a64fx_qcs::core::config::SimConfig;
@@ -70,13 +74,23 @@ fn submit_body(tenant: &str, strategy: &str, backend: &str, seed: u64) -> String
 
 /// What the server should have computed, straight from the batch engine.
 fn direct_run(strategy: &str, backend: &str) -> (Vec<(usize, u64)>, Vec<f64>) {
+    direct_run_of(&reference_circuit(), strategy, backend, SEED)
+}
+
+/// [`direct_run`] of any circuit, sampled under `seed`.
+fn direct_run_of(
+    circuit: &Circuit,
+    strategy: &str,
+    backend: &str,
+    seed: u64,
+) -> (Vec<(usize, u64)>, Vec<f64>) {
     let cfg = SimConfig::default()
         .strategy(strategy.parse::<Strategy>().unwrap())
         .backend(backend.parse::<BackendChoice>().unwrap())
         .batch(1);
     let sim = BatchSimulator::from_config(cfg).unwrap();
-    let (states, _report) = sim.run_fresh(&reference_circuit()).unwrap();
-    let mut rng = StdRng::seed_from_u64(SEED);
+    let (states, _report) = sim.run_fresh(circuit).unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
     let counts = sample_counts(&states[0], SHOTS as usize, &mut rng);
     let z0z1 = PauliString::new(vec![(0, Pauli::Z), (1, Pauli::Z)]);
     let x2 = PauliString::new(vec![(2, Pauli::X)]);
@@ -423,4 +437,114 @@ fn the_usage_ledger_has_one_line_per_job_of_either_kind() {
     labels.sort();
     want.sort();
     assert_eq!(labels, want, "one ledger line per job, plain and sweep alike");
+}
+
+#[test]
+fn a_late_twin_gets_the_bits_of_a_direct_run() {
+    // A group slow enough that a twin submitted right after it usually
+    // lands while it runs. Whether the twin joins it or runs next is
+    // timing; its bits must be a direct run's either way.
+    const WIDE: u32 = 16;
+    let mut circuit = Circuit::new(WIDE);
+    let mut gates = Vec::new();
+    for layer in 0..6 {
+        for q in 0..WIDE {
+            let theta = 0.125 * f64::from(layer + q % 3 + 1);
+            circuit.push(Gate::H(q));
+            circuit.push(Gate::Rz(q, theta));
+            gates.push(format!(
+                r#"{{"gate":"h","q":[{q}]}},{{"gate":"rz","q":[{q}],"theta":{theta}}}"#
+            ));
+        }
+        for q in 0..WIDE - 1 {
+            circuit.push(Gate::Cx(q, q + 1));
+            gates.push(format!(r#"{{"gate":"cx","q":[{q},{}]}}"#, q + 1));
+        }
+    }
+    let body = |tenant: &str, seed: u64| {
+        format!(
+            r#"{{"tenant":"{tenant}","n":{WIDE},"shots":{SHOTS},"seed":{seed},"strategy":"naive",
+                "observables":["Z0 Z1","X2"],"circuit":[{}]}}"#,
+            gates.join(",")
+        )
+    };
+    let ledger =
+        std::env::temp_dir().join(format!("a64fx_qcs_serve_twins_{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&ledger);
+    let server =
+        Server::start(ServeConfig { usage_path: Some(ledger.clone()), ..ServeConfig::default() })
+            .unwrap();
+    let addr = server.addr();
+    let jobs: Vec<(&str, u64, u64)> = [("first", 21), ("twin", 22)]
+        .into_iter()
+        .map(|(tenant, seed)| (tenant, seed, submit_job(addr, &body(tenant, seed)).unwrap()))
+        .collect();
+    for &(tenant, seed, id) in &jobs {
+        assert_eq!(wait_for_job(addr, id).unwrap(), "done");
+        let (status, raw) = http_request(addr, "GET", &format!("/jobs/{id}/result"), "").unwrap();
+        assert_eq!(status, 200, "{raw}");
+        let result = parse(&raw).unwrap();
+        let (want_counts, want_exp) = direct_run_of(&circuit, "naive", "auto", seed);
+        assert_eq!(served_counts(&result), want_counts, "{tenant}'s counts");
+        let got_exp = served_expectations(&result);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got_exp), bits(&want_exp), "{tenant}'s expectations");
+    }
+    server.shutdown();
+
+    let text = std::fs::read_to_string(&ledger).unwrap();
+    let _ = std::fs::remove_file(&ledger);
+    let mut labels: Vec<String> = text
+        .lines()
+        .map(|line| parse(line).unwrap().get("label").and_then(Value::as_str).unwrap().to_string())
+        .collect();
+    labels.sort();
+    let want: Vec<String> =
+        jobs.iter().map(|(tenant, _, id)| format!("tenant={tenant};job={id}")).collect();
+    assert_eq!(labels, want, "one ledger line per job");
+}
+
+#[test]
+fn shutdown_never_waits_out_the_packing_window() {
+    let server =
+        Server::start(ServeConfig { window_ms: 10_000, ..ServeConfig::default() }).unwrap();
+    let addr = server.addr();
+    let id = submit_job(addr, &submit_body("patient", "naive", "auto", SEED)).unwrap();
+    let (_, status) = http_request(addr, "GET", &format!("/jobs/{id}"), "").unwrap();
+    assert!(status.contains("\"status\":\"queued\""), "the window holds the job: {status}");
+    let start = Instant::now();
+    server.shutdown();
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(2), "shutdown waited {took:?}");
+}
+
+#[test]
+fn replies_on_a_kept_alive_connection_never_wait_for_a_delayed_ack() {
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let start = Instant::now();
+    for _ in 0..20 {
+        writer.write_all(b"GET /healthz HTTP/1.1\r\nHost: conformance\r\n\r\n").unwrap();
+        let mut length = 0;
+        loop {
+            let mut line = String::new();
+            assert!(reader.read_line(&mut line).unwrap() > 0, "connection closed");
+            if line == "\r\n" {
+                break;
+            }
+            if let Some(value) = line.strip_prefix("Content-Length:") {
+                length = value.trim().parse().unwrap();
+            }
+        }
+        let mut body = vec![0; length];
+        reader.read_exact(&mut body).unwrap();
+        assert_eq!(body, b"{\"ok\":true}");
+    }
+    // One 40 ms delayed-ACK stall per reply would take 800 ms.
+    let took = start.elapsed();
+    assert!(took < Duration::from_millis(200), "20 kept-alive replies took {took:?}");
+    server.shutdown();
 }
