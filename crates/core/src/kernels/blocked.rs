@@ -8,7 +8,9 @@
 //! state exceeds L2. [`PreparedRun`] executes both block lowerings: the
 //! planner's in-block fused ops, and a `blocked` run of gate-backed
 //! singletons (`FusedOp::of_gate`), each member through its gate's
-//! own kernel.
+//! own kernel. A distributed rank walks its shard through the same
+//! [`for_blocks`] in [`TILE_QUBITS`]-wide tiles, each kernel pinned to
+//! the tile's bits ([`GateKernel::pin`](crate::kernels::dispatch::GateKernel::pin)).
 
 use omp_par::{Schedule, ThreadPool};
 
@@ -18,15 +20,22 @@ use crate::kernels::fused::PreparedFused;
 use crate::kernels::simd::KernelBackend;
 use crate::kernels::{for_range, AmpPtr};
 
-/// Hand each `block`-amplitude slice of `amps` to `body`: one sweep over
-/// the state, the disjoint blocks workshared across the pool if there is
-/// one.
-fn for_blocks(
+/// Width of the tiles a distributed rank sweeps its comm-free runs in:
+/// `2^14` amplitudes, 256 KiB, inside any core's share of L2 (A64FX:
+/// 8 MiB per 12 cores). `dist-qft22-r2`'s rank runs read within 4 % of
+/// one another at widths 12 to 16 on a 2-core AVX-512F x86 host with
+/// 2 MiB of L2 per core, and 13 % slower at 18.
+pub const TILE_QUBITS: u32 = 14;
+
+/// Hand each `block`-amplitude slice of `amps` to `body`, with the index
+/// of its first amplitude: one sweep over the state, the disjoint blocks
+/// workshared across the pool if there is one.
+pub fn for_blocks(
     pool: Option<&ThreadPool>,
     sched: Schedule,
     amps: &mut [C64],
     block: usize,
-    body: impl Fn(&mut [C64]) + Sync,
+    body: impl Fn(usize, &mut [C64]) + Sync,
 ) {
     assert!(block <= amps.len(), "block larger than the state");
     let p = AmpPtr(amps.as_mut_ptr());
@@ -34,7 +43,7 @@ fn for_blocks(
         for bi in chunk {
             // SAFETY: blocks are disjoint `block`-long slices; each
             // block index lands in exactly one chunk.
-            body(unsafe { p.slice(bi * block, block) });
+            body(bi * block, unsafe { p.slice(bi * block, block) });
         }
     });
 }
@@ -83,7 +92,7 @@ impl<'a> PreparedRun<'a> {
         sched: Schedule,
         amps: &mut [C64],
     ) {
-        for_blocks(pool, sched, amps, self.block, |chunk| self.apply_chunk(be, chunk));
+        for_blocks(pool, sched, amps, self.block, |_, chunk| self.apply_chunk(be, chunk));
     }
 }
 

@@ -14,7 +14,7 @@
 use omp_par::{Schedule, ThreadPool};
 
 use crate::circuit::Gate;
-use crate::complex::C64;
+use crate::complex::{C64, ONE};
 use crate::gates::matrices::{Mat2, Mat4};
 use crate::kernels::simd::{self, KernelBackend};
 use crate::kernels::{scalar, sweep};
@@ -88,6 +88,49 @@ impl GateKernel {
         }
     }
 
+    /// This kernel on one `2^w`-amplitude slice of a larger state whose
+    /// index bits at and above `w` are fixed to those of `base`: a
+    /// distributed rank's shard (`w` its local width, `base` its rank's
+    /// bits) or one tile of a cache-blocked pass.
+    ///
+    /// * Every qubit below `w`: the kernel itself.
+    /// * A diagonal with qubits at or above `w`: the row their fixed bits
+    ///   select, as a [`GateKernel::Diag1`] on the low qubit left — or,
+    ///   with none left, one uniform factor, spelled as a `Diag1` with
+    ///   equal entries on axis `w − 2`, an axis even half the slice has.
+    /// * A [`GateKernel::Controlled`] with a fixed control and a low
+    ///   target: the bare target kernel where the control bit is set.
+    ///
+    /// `Some(None)` when nothing is left to multiply (unit entries, or an
+    /// unset control); `None` when the kernel cannot be pinned, because
+    /// it moves amplitudes between slices. A pinned kernel applies the
+    /// plain complex product, or the 2×2, the full kernel applies to the
+    /// same amplitude, so the bits agree.
+    pub fn pin(&self, w: u32, base: usize) -> Option<Option<GateKernel>> {
+        if self.max_qubit() < w {
+            return Some(Some(self.clone()));
+        }
+        let bit = |q: u32| (base >> q) & 1;
+        let diag1 = |q, d0, d1| (d0 != ONE || d1 != ONE).then_some(GateKernel::Diag1(q, d0, d1));
+        let uniform = |d| diag1(w.saturating_sub(2), d, d);
+        Some(match *self {
+            GateKernel::Diag1(q, d0, d1) => uniform([d0, d1][bit(q)]),
+            GateKernel::Diag2(h, l, d) => {
+                // Entry of `|h l⟩`.
+                let d = |hb: usize, lb: usize| d[hb << 1 | lb];
+                match (h < w, l < w) {
+                    (true, _) => diag1(h, d(0, bit(l)), d(1, bit(l))),
+                    (_, true) => diag1(l, d(bit(h), 0), d(bit(h), 1)),
+                    _ => uniform(d(bit(h), bit(l))),
+                }
+            }
+            GateKernel::Controlled(c, t, m) if t < w => {
+                (bit(c) == 1).then_some(GateKernel::One(t, m))
+            }
+            _ => return None,
+        })
+    }
+
     /// One sweep over a (sub-)state of any power-of-two length covering
     /// the kernel's qubits: workshared across `pool`, or inline on the
     /// caller without one — bit-identical either way.
@@ -146,6 +189,7 @@ pub fn apply_gate_parallel_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::align::AlignedAmps;
     use crate::circuit::Circuit;
     use crate::state::StateVector;
     use rand::rngs::StdRng;
@@ -209,6 +253,76 @@ mod tests {
                 let mut a = a0.clone();
                 apply_gate_with(be, a.amplitudes_mut(), &g);
                 assert!(a.approx_eq(&b, 1e-12), "{} gate {}", be.name, g.name());
+            }
+        }
+    }
+
+    /// Every shape on an n = 6 state, on qubits that land on both sides
+    /// of some width: diagonals with unit and non-unit entries and 0, 1
+    /// or 2 qubits high, controlled gates with a high control or a high
+    /// target, and the shapes that move amplitudes.
+    fn pin_cases() -> Vec<GateKernel> {
+        use crate::gates::standard::{h, iswap_mat};
+        let e = |t: f64| C64::new(t.cos(), t.sin());
+        let (a, b, c) = (e(0.3), e(-1.1), e(2.0));
+        vec![
+            GateKernel::Diag1(5, a, b),
+            GateKernel::Diag1(3, ONE, c),
+            GateKernel::Diag1(1, b, ONE),
+            GateKernel::Diag1(4, ONE, ONE),
+            GateKernel::Diag2(5, 4, [a, b, c, e(0.7)]),
+            GateKernel::Diag2(4, 1, [ONE, ONE, ONE, c]),
+            GateKernel::Diag2(0, 5, [ONE, a, ONE, b]),
+            GateKernel::Diag2(2, 3, [ONE; 4]),
+            GateKernel::Controlled(5, 0, h()),
+            GateKernel::Controlled(4, 2, h()),
+            GateKernel::Controlled(0, 5, h()),
+            GateKernel::One(1, h()),
+            GateKernel::One(5, h()),
+            GateKernel::X(4),
+            GateKernel::Two(5, 1, iswap_mat()),
+            GateKernel::Swap(0, 2),
+            GateKernel::Ccx(5, 4, 0),
+        ]
+    }
+
+    /// What `pin` must accept at width `w`, stated apart from it.
+    fn pinnable(k: &GateKernel, w: u32) -> bool {
+        match *k {
+            _ if k.max_qubit() < w => true,
+            GateKernel::Diag1(..) | GateKernel::Diag2(..) => true,
+            GateKernel::Controlled(_, t, _) => t < w,
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn a_pinned_kernel_on_every_tile_is_the_full_kernel_there() {
+        let be = simd::active();
+        let bits =
+            |s: &[C64]| s.iter().map(|a| (a.re.to_bits(), a.im.to_bits())).collect::<Vec<_>>();
+        let s0 = StateVector::random(6, &mut StdRng::seed_from_u64(35));
+        for k in pin_cases() {
+            let mut full = s0.clone();
+            k.apply(be, None, Schedule::default(), full.amplitudes_mut());
+            for w in 1..=6u32 {
+                if !pinnable(&k, w) {
+                    assert!(k.pin(w, 0).is_none(), "{k:?} at w={w} moves amplitudes between tiles");
+                    continue;
+                }
+                for (t, want) in full.amplitudes().chunks_exact(1 << w).enumerate() {
+                    let base = t << w;
+                    let mut tile = AlignedAmps::from_slice(&s0.amplitudes()[base..base + (1 << w)]);
+                    let pinned = k.pin(w, base).unwrap_or_else(|| panic!("{k:?} at w={w}"));
+                    if k.max_qubit() >= w {
+                        let unit = want == &tile[..];
+                        assert_eq!(pinned.is_none(), unit, "{k:?} w={w} tile {t}: None iff unit");
+                    }
+                    if let Some(p) = pinned {
+                        p.apply(be, None, Schedule::default(), &mut tile);
+                    }
+                    assert_eq!(bits(&tile), bits(want), "{k:?} w={w} tile {t}");
+                }
             }
         }
     }

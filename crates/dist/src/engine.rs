@@ -9,7 +9,10 @@
 //! for the plain, the traced and the resilient runs alike. An op is one
 //! of
 //!
-//! * a **sweep** of the whole shard with a kernel, no communication;
+//! * a **run of comm-free kernels, tile by tile**: consecutive sweeps
+//!   whose kernels pin to a tile ([`GateKernel::pin`]) walk the shard
+//!   once through the block engine's [`for_blocks`]; a lone kernel, or
+//!   one that moves amplitudes between tiles, sweeps the whole shard;
 //! * a **global–local swap**: half the shard traded with the partner
 //!   across a global axis, blocking — or, on the top local axis,
 //!   chunked and nonblocking with resident kernels sweeping each half
@@ -17,7 +20,7 @@
 //! * a **pair exchange**: the whole shard traded, the kernel swept over
 //!   both partners' shards side by side, this rank's half kept.
 //!
-//! Every sweep — full shard, half shard, doubled scratch — goes through
+//! Every sweep — tile, shard, half shard, doubled scratch — goes through
 //! [`GateKernel::apply`], the serial engine's table, so the distributed
 //! arithmetic is the serial arithmetic at a different stride.
 
@@ -27,6 +30,7 @@ use mpi_sim::{Comm, ANY_SOURCE};
 use qcs_core::align::AlignedAmps;
 use qcs_core::circuit::Circuit;
 use qcs_core::complex::{as_f64_slice, as_f64_slice_mut, C64};
+use qcs_core::kernels::blocked::{for_blocks, TILE_QUBITS};
 use qcs_core::kernels::dispatch::GateKernel;
 use qcs_core::kernels::index::insert_zero_bit;
 use qcs_core::kernels::simd;
@@ -57,7 +61,7 @@ const C64_BYTES: u64 = 16;
 /// has no `Gate` spelling.
 #[derive(Debug, Clone)]
 pub(crate) enum RankOp {
-    /// Sweep the whole shard.
+    /// Sweep the shard, alone or as part of a tiled run.
     Sweep(GateKernel),
     /// Blocking swap of global axis `gq` with local axis `lq`.
     Swap { gq: u32, lq: u32 },
@@ -171,11 +175,28 @@ impl DistState {
     }
 
     /// The rank loop: execute `ops` in order, skipping the ones this
-    /// rank sits out. Transport failures surface as
-    /// [`DistError::Exchange`] so the caller can roll back instead of
-    /// tearing the world down.
+    /// rank sits out, each run of comm-free kernels in [`TILE_QUBITS`]
+    /// tiles. Transport failures surface as [`DistError::Exchange`] so
+    /// the caller can roll back instead of tearing the world down.
     pub(crate) fn run(&mut self, comm: &mut Comm, ops: &[Option<RankOp>]) -> Result<(), DistError> {
-        for op in ops.iter().flatten() {
+        self.run_tiled(comm, ops, TILE_QUBITS.min(self.part.n_local()))
+    }
+
+    /// [`DistState::run`] on `2^w`-amplitude tiles.
+    fn run_tiled(
+        &mut self,
+        comm: &mut Comm,
+        ops: &[Option<RankOp>],
+        w: u32,
+    ) -> Result<(), DistError> {
+        let mut from = 0;
+        for (i, op) in ops.iter().enumerate() {
+            let Some(op) = op else { continue };
+            if matches!(op, RankOp::Sweep(k) if k.pin(w, 0).is_some()) {
+                continue;
+            }
+            sweep_run(&ops[from..i], &mut self.amps, w);
+            from = i + 1;
             match op {
                 RankOp::Sweep(kernel) => sweep(kernel, &mut self.amps),
                 &RankOp::Swap { gq, lq } => self.swap_global_local(comm, gq, lq)?,
@@ -185,6 +206,7 @@ impl DistState {
                 RankOp::PairExchange { gq, kernel } => self.pair_exchange(comm, *gq, kernel)?,
             }
         }
+        sweep_run(&ops[from..], &mut self.amps, w);
         Ok(())
     }
 
@@ -248,10 +270,11 @@ impl DistState {
             outbox[j] = self.amps[at(j)];
         }
         let partner = self.part.partner(self.rank, gq);
-        let inbox = comm.try_sendrecv(partner, TAG_SWAP, as_f64_slice(&outbox[..half]));
+        let sent = comm.try_send(partner, TAG_SWAP, as_f64_slice(&outbox[..half]));
         self.scratch = Some(outbox);
-        for (j, p) in inbox?.chunks_exact(2).enumerate() {
-            self.amps[at(j)] = C64::new(p[0], p[1]);
+        let (_, inbox) = sent.and_then(|()| comm.try_recv_bytes(partner, TAG_SWAP))?;
+        for j in 0..half {
+            self.amps[at(j)] = wire_amp(&inbox, j);
         }
         self.record_exchange(ExchangePhase::GlobalSwap, &[gq, lq], half as u64, t0.elapsed());
         Ok(())
@@ -527,10 +550,30 @@ fn wire_amp(bytes: &[u8], x: usize) -> C64 {
     C64::new(f(2 * x), f(2 * x + 1))
 }
 
-/// One pool-less sweep of `kernel` over a shard, half a shard or a
-/// doubled scratch, on the process-wide backend.
+/// One pool-less sweep of `kernel` over a shard, a tile, half a shard or
+/// a doubled scratch, on the process-wide backend.
 fn sweep(kernel: &GateKernel, amps: &mut [C64]) {
     kernel.apply(simd::active(), None, Schedule::default(), amps);
+}
+
+/// Sweep a run of comm-free ops: a lone kernel over the whole shard,
+/// more tile by tile, each pinned to the tile's bits at width `w`, and a
+/// tile none acts on left untouched.
+fn sweep_run(run: &[Option<RankOp>], amps: &mut [C64], w: u32) {
+    let kernels = run.iter().filter_map(|op| match op {
+        Some(RankOp::Sweep(k)) => Some(k),
+        _ => None,
+    });
+    if kernels.clone().nth(1).is_none() {
+        return kernels.for_each(|k| sweep(k, amps));
+    }
+    for_blocks(None, Schedule::default(), amps, 1 << w, |base, tile| {
+        for k in kernels.clone() {
+            if let Some(k) = k.pin(w, base).flatten() {
+                sweep(&k, tile);
+            }
+        }
+    });
 }
 
 #[cfg(test)]
@@ -538,7 +581,7 @@ mod tests {
     use super::*;
     use crate::plan::{
         run_distributed, run_distributed_planned, run_distributed_planned_traced,
-        run_distributed_traced,
+        run_distributed_traced, run_world,
     };
     use mpi_sim::World;
     use qcs_core::library;
@@ -979,6 +1022,100 @@ mod tests {
                 }
                 let reversed: Vec<u32> = (0..n).rev().collect();
                 check_unpermute(&distinct(n), &reversed, ranks);
+            }
+        }
+    }
+
+    /// The engine tests' circuit family, dressed so every amplitude is a
+    /// full complex number before the circuit proper.
+    fn tiling_family() -> Vec<Circuit> {
+        let dress = |c: Circuit| {
+            let mut d = Circuit::new(c.n_qubits());
+            for q in 0..c.n_qubits() {
+                d.ry(q, 0.4 + 0.3 * q as f64).rz(q, 0.9 - 0.2 * q as f64);
+            }
+            d.append(&c);
+            d
+        };
+        [
+            library::ghz(8),
+            library::qft(7),
+            library::random_circuit(7, 8, 1),
+            library::quantum_volume(6, 5),
+            library::trotter_ising(7, 3, 1.0, 0.6, 0.1),
+        ]
+        .into_iter()
+        .map(dress)
+        .collect()
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn tiled_runs_match_untiled_at_every_width() {
+        // Untiled: every op on its own, so each sweep covers the shard.
+        for c in tiling_family() {
+            for ranks in [2usize, 4, 8] {
+                for kind in DistPlanKind::ALL {
+                    let run = |tile: Option<u32>| {
+                        run_world(&c, ranks, kind, None, None, "", |st, comm, _, ops| match tile {
+                            Some(w) => st.run_tiled(comm, ops, w),
+                            None => {
+                                ops.chunks(1).try_for_each(|op| st.run_tiled(comm, op, TILE_QUBITS))
+                            }
+                        })
+                        .unwrap()
+                        .state
+                    };
+                    let untiled = run(None);
+                    for w in 1..=Partition::new(c.n_qubits(), ranks).unwrap().n_local() {
+                        let tiled = run(Some(w));
+                        assert!(
+                            tiled.approx_eq(&untiled, 0.0),
+                            "{kind} ranks={ranks} width={w}: max diff {}",
+                            tiled.max_abs_diff(&untiled)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_sweeps_match_per_kernel_sweeps_on_one_shard() {
+        // The serial twin of the test above, with no rank threads: each
+        // rank's kernels that pin at the width, exchanges left out, as
+        // one tiled run on a random shard against one full-shard sweep
+        // per kernel.
+        let mut rng = StdRng::seed_from_u64(35);
+        for c in [library::qft(7), library::random_circuit(7, 8, 1)] {
+            for ranks in [2usize, 4] {
+                let plan = plan_circuit(&c, ranks, DistPlanKind::Reorder).unwrap();
+                let n_local = plan.part.n_local();
+                for rank in 0..ranks {
+                    let shard = StateVector::random(n_local, &mut rng);
+                    for w in 1..=n_local {
+                        let run: Vec<_> = plan
+                            .localize(rank)
+                            .into_iter()
+                            .filter(
+                                |op| matches!(op, Some(RankOp::Sweep(k)) if k.pin(w, 0).is_some()),
+                            )
+                            .collect();
+                        let mut want = AlignedAmps::from_slice(shard.amplitudes());
+                        for op in run.iter().flatten() {
+                            if let RankOp::Sweep(k) = op {
+                                sweep(k, &mut want);
+                            }
+                        }
+                        let mut got = AlignedAmps::from_slice(shard.amplitudes());
+                        sweep_run(&run, &mut got, w);
+                        assert_eq!(
+                            as_f64_slice(&got),
+                            as_f64_slice(&want),
+                            "ranks={ranks} rank={rank} width={w}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -16,7 +16,7 @@
 //!    gate is diagonal (a global qubit's bit is constant on a rank, so
 //!    its factor is a rank-local constant); or when only the *control*
 //!    of a controlled gate is global (a rank-constant predicate).
-//!    `localize` turns such a gate into the rank's [`GateKernel`].
+//!    `localize` pins such a gate's [`GateKernel`] to the rank's bits.
 //! 2. *Half a buffer* ([`PlanOp::Swap`]) to bring a global qubit onto a
 //!    local axis, after which rule 1 applies.
 //! 3. *A whole buffer* ([`PlanOp::PairExchange`], naive kind only) for a
@@ -41,10 +41,9 @@
 //!
 //! **Bit-exactness.** Every kind produces the serial engine's state to
 //! the bit: a rank reaches its arithmetic through the same
-//! [`GateKernel`] table, and victims are drawn from local slots `≥ 2`
-//! whenever possible so a relocated dense gate takes the same
-//! vector-vs-scalar path the serial axis would. The final layout is not
-//! restored with swaps; the gather unpermutes while it copies.
+//! [`GateKernel`] table, which gives a gate the same bits at any qubit
+//! position and on any slice. The final layout is not restored with
+//! swaps; the gather unpermutes while it copies.
 //!
 //! [`DistPlan::profile`] is one fold over the same op list, in the units
 //! [`qcs_core::perf::predict_distributed`] consumes, so the α–β model
@@ -53,7 +52,6 @@
 
 use mpi_sim::{Comm, CommStats, FaultPlan, World};
 use qcs_core::circuit::{Circuit, Gate};
-use qcs_core::complex::{C64, ONE};
 use qcs_core::kernels::dispatch::GateKernel;
 use qcs_core::perf::ExchangeProfile;
 use qcs_core::state::StateVector;
@@ -181,10 +179,9 @@ pub struct DistPlan {
 }
 
 /// Lowering rule 1: can `gate` run without communication under `part`?
+/// Exactly when its kernel pins to a rank's bits.
 fn comm_free(part: &Partition, gate: &Gate) -> bool {
-    gate.qubits().iter().all(|&q| part.is_local(q))
-        || gate.is_diagonal()
-        || matches!(gate.as_controlled(), Some((c, t, _)) if !part.is_local(c) && part.is_local(t))
+    GateKernel::from(gate).pin(part.n_local(), 0).is_some()
 }
 
 /// Does `gate` require qubit `q` to sit on a local axis? Diagonal gates
@@ -222,16 +219,6 @@ fn next_dense_use(gates: &[Gate], from: usize, q: u32) -> usize {
         }
     }
     BELADY_HORIZON
-}
-
-/// The global axes of `pg` that lowering rule 2 must bring local: only
-/// the target of a controlled gate (a global control is free), every
-/// global qubit of any other dense gate.
-fn globals_to_localize(part: &Partition, pg: &Gate) -> Vec<u32> {
-    if let Some((_, t, _)) = pg.as_controlled() {
-        return vec![t];
-    }
-    pg.qubits().into_iter().filter(|&q| !part.is_local(q)).collect()
 }
 
 /// The naive kind's lowering of one gate that is not comm-free: rule 3
@@ -325,10 +312,12 @@ pub fn plan_circuit(
                 phys_of.swap(a as usize, b as usize);
             }
             _ => {
+                // Lowering rule 2 brings local the global axes the gate
+                // needs there: none for a comm-free gate.
                 let pg = gate.remap(|q| phys_of[q as usize]);
-                let relocate =
-                    if comm_free(&part, &pg) { vec![] } else { globals_to_localize(&part, &pg) };
-                for gq in relocate {
+                for gq in
+                    pg.qubits().into_iter().filter(|&q| !part.is_local(q) && must_be_local(&pg, q))
+                {
                     // Evict the occupant whose next dense use lies
                     // farthest ahead (Belady), breaking ties toward the
                     // top slot (where the overlap kind hides swaps). Every
@@ -386,53 +375,16 @@ fn profile(part: &Partition, ops: &[PlanOp]) -> ExchangeProfile {
     p
 }
 
-/// Resolve a comm-free `gate` on physical axes to the kernel `rank`
-/// sweeps its shard with; `None` when the rank has nothing to do.
-///
-/// An all-local gate is the serial engine's kernel. A global qubit's
-/// bit is constant on the rank: it picks the row of a diagonal that the
-/// remaining local qubit indexes — or, with no local qubit left, one
-/// uniform factor, spelled as a [`GateKernel::Diag1`] with equal
-/// entries on an axis even a half shard has — and it satisfies a
-/// control on every amplitude or on none, leaving the bare target
-/// kernel. Each is the plain complex product or the 2×2 the serial
-/// kernel applies to the same amplitude, so the bits agree.
-pub(crate) fn localize(part: &Partition, rank: usize, gate: &Gate) -> Option<GateKernel> {
-    if gate.qubits().iter().all(|&q| part.is_local(q)) {
-        return Some(GateKernel::from(gate));
-    }
-    let bit = |q: u32| part.rank_bit(rank, q);
-    if !gate.is_diagonal() {
-        let (c, t, m) = gate.as_controlled().expect("comm-free: global control, local target");
-        return (bit(c) == 1).then_some(GateKernel::One(t, m));
-    }
-    let uniform = |d: C64| (part.n_local() - 2, d, d);
-    let (axis, d0, d1) = match (gate.as_single(), gate.as_two()) {
-        (Some((q, m)), _) => uniform(m.m[bit(q)][bit(q)]),
-        (_, Some((h, l, m))) => {
-            // Entry of `|h l⟩`, a global qubit reading its rank bit.
-            let d = |hb: usize, lb: usize| {
-                let i = (if part.is_local(h) { hb } else { bit(h) }) << 1
-                    | if part.is_local(l) { lb } else { bit(l) };
-                m.m[i][i]
-            };
-            match (part.is_local(h), part.is_local(l)) {
-                (true, _) => (h, d(0, 0), d(1, 0)),
-                (_, true) => (l, d(0, 0), d(0, 1)),
-                _ => uniform(d(0, 0)),
-            }
-        }
-        _ => unreachable!("diagonal gates act on one or two qubits"),
-    };
-    (d0 != ONE || d1 != ONE).then_some(GateKernel::Diag1(axis, d0, d1))
-}
-
 impl DistPlan {
     /// This plan as `rank` executes it: every gate resolved to the
     /// rank's kernel, once, ahead of the loop. Indices match
-    /// [`DistPlan::ops`]; `None` marks an op the rank sits out.
+    /// [`DistPlan::ops`]; `None` marks an op the rank sits out. A global
+    /// qubit's bit is constant on a rank, so a comm-free gate's kernel is
+    /// pinned to the rank's bits ([`GateKernel::pin`]), the rule a tiled
+    /// run pins each tile by.
     pub(crate) fn localize(&self, rank: usize) -> Vec<Option<RankOp>> {
-        let kernel = |g: &Gate| localize(&self.part, rank, g);
+        let w = self.part.n_local();
+        let kernel = |g: &Gate| GateKernel::from(g).pin(w, rank << w).expect("comm-free");
         let set = |q: u32| self.part.rank_bit(rank, q) == 1;
         self.ops
             .iter()
@@ -638,17 +590,26 @@ mod tests {
         assert_eq!(plan.logical_at, (0..8).collect::<Vec<u32>>());
     }
 
+    /// Does `rank` sweep anything for a lone comm-free `gate` on 8 qubits
+    /// over 4 ranks (qubits 6 and 7 global)?
+    fn sweeps(rank: usize, gate: Gate) -> bool {
+        let mut c = Circuit::new(8);
+        c.push(gate);
+        let op = plan_circuit(&c, 4, DistPlanKind::Naive).unwrap().localize(rank).remove(0);
+        assert!(op.as_ref().is_none_or(|op| matches!(op, RankOp::Sweep(_))), "{op:?}");
+        op.is_some()
+    }
+
     #[test]
     fn a_rank_sits_out_what_its_global_bits_switch_off() {
-        let part = Partition::new(8, 4).unwrap(); // qubits 6, 7 global
         for rank in 0..4 {
             let set = rank & 1 == 1; // qubit 6
-            assert_eq!(localize(&part, rank, &Gate::Cx(6, 0)).is_some(), set);
-            assert_eq!(localize(&part, rank, &Gate::CPhase(6, 1, 0.3)).is_some(), set);
-            assert_eq!(localize(&part, rank, &Gate::T(6)).is_some(), set);
-            assert_eq!(localize(&part, rank, &Gate::Cz(6, 7)).is_some(), rank == 3);
-            assert!(localize(&part, rank, &Gate::Rz(6, 0.3)).is_some());
-            assert!(localize(&part, rank, &Gate::Rzz(6, 7, 0.3)).is_some());
+            assert_eq!(sweeps(rank, Gate::Cx(6, 0)), set);
+            assert_eq!(sweeps(rank, Gate::CPhase(6, 1, 0.3)), set);
+            assert_eq!(sweeps(rank, Gate::T(6)), set);
+            assert_eq!(sweeps(rank, Gate::Cz(6, 7)), rank == 3);
+            assert!(sweeps(rank, Gate::Rz(6, 0.3)));
+            assert!(sweeps(rank, Gate::Rzz(6, 7, 0.3)));
         }
     }
 

@@ -7,6 +7,7 @@
 //! decides — which gates cost an exchange, and how many bytes — is
 //! pinned to golden numbers.
 
+use a64fx_qcs::core::kernels::blocked::TILE_QUBITS;
 use a64fx_qcs::core::library;
 use a64fx_qcs::core::prelude::*;
 use a64fx_qcs::dist::{
@@ -165,6 +166,27 @@ fn every_lowering_regime_is_bit_identical_to_serial() {
                 assert!(
                     state.max_abs_diff(&reference) == 0.0,
                     "{name} {kind} ranks={ranks}: max diff {}",
+                    state.max_abs_diff(&reference)
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn tiled_runs_at_the_production_width_are_bit_identical_to_serial() {
+    // Two qubits past a tile: over 2 ranks each shard holds two tiles of
+    // the width a rank's comm-free runs are swept in, so a diagonal on
+    // the top local axis is pinned per tile; over 4, one tile per shard.
+    let n = TILE_QUBITS + 2;
+    for (name, c) in [("qft", dressed_qft(n)), ("random", library::random_circuit(n, 6, 35))] {
+        let reference = serial(&c);
+        for ranks in [2usize, 4] {
+            for kind in DistPlanKind::ALL {
+                let (state, _) = run_distributed_planned(&c, ranks, kind).unwrap();
+                assert!(
+                    state.max_abs_diff(&reference) == 0.0,
+                    "{name} n={n} {kind} ranks={ranks}: max diff {}",
                     state.max_abs_diff(&reference)
                 );
             }
