@@ -9,11 +9,20 @@
 //! Expected shape: flat within a residency level, with a drop when the
 //! paired access stride leaves the L1-friendly window; the absolute
 //! plateau is set by the level's bandwidth.
+//!
+//! E1c times the engine's own diagonal kernels (the `GateKernel` each
+//! gate resolves to, on the host's default SIMD backend, pool-less) by
+//! qubit position at n = 14 and n = 22, with the A64FX model's time per
+//! amplitude in columns of its own.
 
 use a64fx_model::traffic::{KernelKind, TrafficModel};
+use omp_par::Schedule;
 use qcs_bench::{bench_state, checksum, fmt_gbs, sweep_bytes, time_best, Table};
+use qcs_core::circuit::Gate;
 use qcs_core::gates::standard;
+use qcs_core::kernels::dispatch::GateKernel;
 use qcs_core::kernels::scalar::apply_1q;
+use qcs_core::kernels::simd;
 
 fn main() {
     let model = TrafficModel::a64fx();
@@ -72,6 +81,64 @@ fn main() {
             format!("{frac:.2}×"),
             note.to_string(),
         ]);
+    }
+    table.print();
+
+    diagonals_by_position(&model);
+}
+
+/// E1c: host ns/amp of the diagonal kernels at each qubit position,
+/// beside the model's.
+fn diagonals_by_position(model: &TrafficModel) {
+    const SIZES: [u32; 2] = [14, 22];
+    // Label, and the gate at register size n.
+    type Row = (String, Box<dyn Fn(u32) -> Gate>);
+    let mut rows: Vec<Row> = Vec::new();
+    for t in [0u32, 1, 2, 3, 5] {
+        rows.push((
+            format!("CPhase({}, {t})", t + 1),
+            Box::new(move |_| Gate::CPhase(t + 1, t, 0.7)),
+        ));
+    }
+    rows.push(("CPhase(n-1, n-2)".into(), Box::new(|n| Gate::CPhase(n - 1, n - 2, 0.7))));
+    for t in 0u32..4 {
+        rows.push((format!("Phase({t})"), Box::new(move |_| Gate::Phase(t, 0.7))));
+    }
+    rows.push(("Phase(n-1)".into(), Box::new(|n| Gate::Phase(n - 1, 0.7))));
+
+    let be = simd::active();
+    println!();
+    println!(
+        "E1c: diagonal kernels by qubit position, ns/amp (host: {} backend, pool-less, best of \
+         several sweeps; model: A64FX, 1 CMG, cold state)",
+        be.name
+    );
+    let mut table = Table::new(&["gate", "host n=14", "host n=22", "model n=14", "model n=22"]);
+    let mut states: Vec<_> = SIZES.iter().map(|&n| bench_state(n, 7)).collect();
+    for (label, gate) in rows {
+        let (mut host, mut modelled) = (Vec::new(), Vec::new());
+        for (&n, state) in SIZES.iter().zip(&mut states) {
+            let g = gate(n);
+            let kernel = GateKernel::from(&g);
+            // Short sweeps repeat inside one timing so the clock resolves them.
+            let (reps, inner) = if n <= 16 { (20, 50) } else { (7, 1) };
+            let secs = time_best(reps, || {
+                for _ in 0..inner {
+                    kernel.apply(be, None, Schedule::default(), state.amplitudes_mut());
+                }
+            }) / inner as f64;
+            let amps = (1u64 << n) as f64;
+            host.push(format!("{:.3}", secs / amps * 1e9));
+            let kind = match g.qubits().len() {
+                1 => KernelKind::OneQubitDiagonal,
+                _ => KernelKind::TwoQubitDiagonal,
+            };
+            let traffic = model.predict(kind, n, &g.qubits());
+            let model_secs = traffic.mem_bytes as f64 / model.effective_bandwidth(n, 12, 1, false);
+            modelled.push(format!("{:.4}", model_secs / amps * 1e9));
+        }
+        std::hint::black_box(states.iter().map(|s| checksum(s.amplitudes())).sum::<f64>());
+        table.row(&[vec![label], host, modelled].concat());
     }
     table.print();
 }

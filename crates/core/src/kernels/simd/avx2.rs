@@ -147,4 +147,10 @@ impl RunLanes for CVec {
     unsafe fn madd(acc: CVec, a: CVec, b: CVec) -> CVec {
         CVec { re: _mm256_fmadd_pd(a.re, b.re, acc.re), im: _mm256_fmadd_pd(a.im, b.im, acc.im) }
     }
+
+    /// `blendv` reads each lane's sign bit.
+    #[inline(always)]
+    unsafe fn select(m: CVec, a: CVec, b: CVec) -> CVec {
+        CVec { re: _mm256_blendv_pd(a.re, b.re, m.re), im: _mm256_blendv_pd(a.im, b.im, m.re) }
+    }
 }

@@ -2,12 +2,13 @@
 //!
 //! Only the block kernel (`fused::block_range`) runs at this width. Its
 //! dense rows are issue-bound — `2^k` broadcast-FMA chains per group — so
-//! twice the lanes halve the arithmetic a step costs, where every per-gate
-//! primitive and reduction streams memory and gains nothing from wider
-//! registers. The table is therefore the AVX2 table with `block_range`
-//! swapped, and `CVec8` implements only `Lanes`, not the run
-//! arithmetic: `width` stays 4, the per-gate walkers' vector window and
-//! the layout of their exchange steps below it.
+//! twice the lanes halve the arithmetic a step costs. The per-gate
+//! primitives and reductions are not memory-bound either on cache-sized
+//! states (the diagonals measured on a 2-core AVX-512F host were bound by
+//! instruction issue), but `CVec8` implements only `Lanes`, not the run
+//! arithmetic, so the table is the AVX2 table with `block_range` swapped:
+//! `width` stays 4, the per-gate walkers' vector window and the layout of
+//! their exchange steps and lane patterns.
 //!
 //! Every lane runs AVX2's exact FMA sequence, so a group's result bits
 //! equal the 4-lane kernel's. The module is only reachable through

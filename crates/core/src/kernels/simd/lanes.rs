@@ -24,7 +24,9 @@ use std::ops::Range;
 
 use crate::complex::{C64, ONE};
 use crate::gates::matrices::{Mat2, Mat4};
-use crate::kernels::sweep::{LaneOp, Steps};
+use crate::kernels::index::{compress_bits, insert_zero_bit, spread_bits};
+use crate::kernels::sweep::{DiagSpans, LaneOp, Steps};
+use crate::kernels::MAX_WIDTH;
 
 pub(super) use crate::kernels::fused::block_range;
 
@@ -102,6 +104,20 @@ pub(super) trait RunLanes: Lanes {
     /// Plane by plane, `acc + a·b`: `acc.re + a.re·b.re` and
     /// `acc.im + a.im·b.im`.
     unsafe fn madd(acc: Self, a: Self, b: Self) -> Self;
+
+    /// Lane by lane, `b` where `pick` is all ones and `a` where it is all
+    /// zeros — the bits, not a product, so a kept lane keeps its signed
+    /// zeros. SVE's predicated multiply does this in the multiply itself.
+    #[inline(always)]
+    unsafe fn select(pick: Self, a: Self, b: Self) -> Self {
+        let mut v = a;
+        for l in 0..Self::W {
+            if pick.lane(l).re.to_bits() != 0 {
+                v.set_lane(l, b.lane(l));
+            }
+        }
+        v
+    }
 
     /// The sum of the lanes, in lane order.
     #[inline(always)]
@@ -366,13 +382,6 @@ unsafe fn steps_of<V: RunLanes, const K: usize>(amps: *mut C64, steps: Range<usi
             LaneOp::Mix2(m, [0, 1]) => [v[0], v[1]] = mix(&splat_matrix(&m.m), &[v[0], v[1]]),
             LaneOp::Mix2(m, _) => [v[2], v[3]] = mix(&splat_matrix(&m.m), &[v[2], v[3]]),
             LaneOp::Mix4(m) => v = mix(&splat_matrix(&m.m), &v),
-            LaneOp::Scale(d) => {
-                for i in 0..1 << K {
-                    if d[i] != ONE {
-                        v[i] = V::mul(v[i], V::splat(d[i]));
-                    }
-                }
-            }
             LaneOp::Swap([0, 1]) => v.swap(0, 1),
             LaneOp::Swap(_) => v.swap(1, 2),
         }
@@ -397,6 +406,102 @@ pub(super) unsafe fn step_range<V: RunLanes>(amps: *mut C64, steps: Range<usize>
     match low.k {
         1 => steps_of::<V, 1>(amps, steps, low),
         _ => steps_of::<V, 2>(amps, steps, low),
+    }
+}
+
+/// Groups `groups` of a diagonal sweep: each vector holding an entry other
+/// than 1 times its lane pattern, a unit lane kept through
+/// [`RunLanes::select`], so every lane rounds as the scalar `amp·d` or
+/// keeps its bits.
+///
+/// # Safety
+/// As [`mix_runs`]; `diag` must be laid out for `V::W`, and the caller
+/// must hold exclusive access to every amplitude of the groups.
+#[inline(always)]
+pub(super) unsafe fn diag_range<V: RunLanes>(
+    amps: *mut C64,
+    groups: Range<usize>,
+    diag: &DiagSpans,
+) {
+    match diag.span_bits - V::W.trailing_zeros() {
+        0 => diag_runs::<V, 1>(amps, groups, diag),
+        1 => diag_runs::<V, 2>(amps, groups, diag),
+        _ => diag_runs::<V, 4>(amps, groups, diag),
+    }
+}
+
+/// [`diag_range`] at `N` vectors a span: each set's patterns laid out in
+/// memory order, so `load` puts each entry in its amplitude's lane; then
+/// each live set's spans a run at a time, until the lowest high target
+/// flips.
+///
+/// # Safety
+/// As [`diag_range`].
+#[inline(always)]
+unsafe fn diag_runs<V: RunLanes, const N: usize>(
+    amps: *mut C64,
+    groups: Range<usize>,
+    diag: &DiagSpans,
+) {
+    let ([h0, h1], targets) = (diag.high, &diag.targets[..diag.k]);
+    let (mut f, mut pick) = ([[V::zero(); N]; 4], [[V::zero(); N]; 4]);
+    // Per live set: its index, its span's offset in a group, and the
+    // vectors holding an entry other than 1 and, for `select`, equal to 1.
+    let (mut sets, mut n, all) = ([(0, 0, 0, 0); 4], 0, f64::from_bits(!0));
+    for s in 0..1 << diag.kh {
+        let (offset, mut live, mut unit) = (spread_bits(s, &diag.high), 0, 0);
+        for v in 0..N {
+            let (mut e, mut m) = ([C64::default(); MAX_WIDTH], [C64::default(); MAX_WIDTH]);
+            for l in 0..V::W {
+                e[l] = diag.d[compress_bits(offset | (v * V::W) | l, targets)];
+                if e[l] == ONE {
+                    unit |= 1 << v;
+                } else {
+                    (live, m[l]) = (live | 1 << v, C64::new(all, all));
+                }
+            }
+            (f[s][v], pick[s][v]) = (V::load(e.as_ptr()), V::load(m.as_ptr()));
+        }
+        if live != 0 {
+            (sets[n], n) = ((s, offset, live, unit), n + 1);
+        }
+    }
+    let shift = h0 - diag.span_bits;
+    let mut g = groups.start;
+    while g < groups.end {
+        let end = (((g >> shift) + 1) << shift).min(groups.end);
+        let base = insert_zero_bit(insert_zero_bit(g << diag.span_bits, h0), h1);
+        for &(s, offset, live, unit) in &sets[..n] {
+            let p = amps.add(base | offset);
+            match live & unit {
+                0 => scale_spans::<V, N, false>(p, end - g, live, f[s], pick[s]),
+                _ => scale_spans::<V, N, true>(p, end - g, live, f[s], pick[s]),
+            }
+        }
+        g = end;
+    }
+}
+
+/// `count` spans from `p`: each `live` vector `v` times `f[v]`, through
+/// `pick[v]` when `SELECT`.
+///
+/// # Safety
+/// As [`diag_range`].
+#[inline(always)]
+unsafe fn scale_spans<V: RunLanes, const N: usize, const SELECT: bool>(
+    mut p: *mut C64,
+    count: usize,
+    live: u8,
+    f: [V; N],
+    pick: [V; N],
+) {
+    for _ in 0..count {
+        for v in (0..N).filter(|&v| N == 1 || live >> v & 1 == 1) {
+            let (x, q) = (V::load(p.add(v * V::W)), p.add(v * V::W));
+            let y = V::mul(x, f[v]);
+            if SELECT { V::select(pick[v], x, y) } else { y }.store(q);
+        }
+        p = p.add(N * V::W);
     }
 }
 
@@ -518,7 +623,7 @@ macro_rules! kernel_backend {
             use std::ops::Range;
             use $crate::kernels::fused::Block;
             use $crate::kernels::simd::lanes::{self, Lanes};
-            use $crate::kernels::sweep::Steps;
+            use $crate::kernels::sweep::{DiagSpans, Steps};
 
             $crate::kernels::simd::lanes::kernel_backend! { @wrap $V, [$(#[$feature])?],
                 [] pairs_1q(a0: &mut [C64], a1: &mut [C64], m: &Mat2);
@@ -531,6 +636,7 @@ macro_rules! kernel_backend {
                 [] sum_c64_run(run: &[C64]) -> C64;
                 [] residue_sums(x: &[C64], base: usize, hi: usize, out: &mut [C64; 8]);
                 [unsafe] step_range(amps: *mut C64, steps: Range<usize>, low: &Steps);
+                [unsafe] diag_range(amps: *mut C64, groups: Range<usize>, diag: &DiagSpans);
                 [unsafe] block_range(amps: *mut C64, g0: usize, g1: usize, blk: &Block);
             }
 
@@ -542,6 +648,7 @@ macro_rules! kernel_backend {
                 swap_runs: lanes::swap_runs,
                 quads_2q,
                 step_range,
+                diag_range,
                 block_range,
                 sum_norms_run,
                 norms_into_run: lanes::norms_into_run,

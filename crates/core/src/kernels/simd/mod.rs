@@ -4,9 +4,9 @@
 //! actually executes vector code on the host. Every hot kernel shape —
 //! dense 1q, diag 1q/2q, X/SWAP, controlled 1q, dense 2q, and the fused
 //! k-qubit block — is expressed over a small primitive set (paired-run
-//! mat-vec, run scaling, run exchange, quad-run mat-vec, group-range
-//! block kernel) plus the observable reductions, collected in a
-//! [`KernelBackend`] vtable.
+//! mat-vec, run scaling, run exchange, quad-run mat-vec, lane-pattern
+//! diagonal, group-range block kernel) plus the observable reductions,
+//! collected in a [`KernelBackend`] vtable.
 //!
 //! Each primitive is written once, in `lanes`, generic over a vector
 //! type of `W` complex lanes, and each backend is one such type with
@@ -15,9 +15,10 @@
 //! * `avx2` — x86-64 AVX2+FMA, 4 complex lanes (runtime detected via
 //!   `is_x86_feature_detected!`);
 //! * `avx512` — the `avx2` table with the block kernel at 8 complex
-//!   lanes (AVX-512F, runtime detected). Only the issue-bound block
-//!   arithmetic gains from the wider registers; the per-gate walkers and
-//!   reductions stream memory and stay at 4 lanes;
+//!   lanes (AVX-512F, runtime detected). The per-gate walkers and
+//!   reductions stay at 4 lanes — not because they stream memory (on
+//!   cache-sized states the diagonals were issue-bound), but because
+//!   only the block kernel has an 8-lane vector type so far;
 //! * `neon` — aarch64 NEON, 2 complex lanes (baseline on aarch64-linux,
 //!   selected at compile time);
 //! * [`portable`] — one lane, no intrinsics, bit-identical to the
@@ -29,7 +30,8 @@
 //! The stride logic lives in [`crate::kernels::sweep`]: a 1q gate on
 //! target `t` splits the array into `2^t`-long paired runs, and whenever
 //! the run is a few vectors wide the backend primitive sweeps it, else
-//! `step_range` does, whole vectors at a time. A primitive gives an
+//! `step_range` does, whole vectors at a time; a diagonal goes through
+//! `diag_range`'s lane patterns at every position. A primitive gives an
 //! amplitude the same bits wherever a run is cut — its ragged tail runs
 //! the body's lane arithmetic — because a workshared sweep cuts runs at
 //! chunk boundaries and must still equal the serial one exactly.
@@ -60,7 +62,7 @@ use std::sync::OnceLock;
 use crate::complex::C64;
 use crate::gates::matrices::{DenseMatrix, Mat2, Mat4};
 use crate::kernels::fused::Block;
-use crate::kernels::sweep::Steps;
+use crate::kernels::sweep::{DiagSpans, Steps};
 
 /// One SIMD backend: a name, its vector width in *complex lanes*, and
 /// the primitive kernels every driver is built from.
@@ -90,6 +92,11 @@ pub struct KernelBackend {
     /// The caller must hold exclusive access to every amplitude of the
     /// steps, which must lie within the buffer, laid out for `width`.
     pub step_range: unsafe fn(*mut C64, Range<usize>, &Steps),
+    /// Groups `g0..g1` of a diagonal sweep in whole vectors.
+    ///
+    /// # Safety
+    /// As `step_range`'s, for the groups.
+    pub diag_range: unsafe fn(*mut C64, Range<usize>, &DiagSpans),
     /// The fused k-qubit block over groups `g0..g1`: the one block
     /// kernel of [`crate::kernels::fused`] at this backend's width.
     ///

@@ -114,4 +114,11 @@ impl RunLanes for CVec {
     unsafe fn madd(acc: CVec, a: CVec, b: CVec) -> CVec {
         CVec { re: vfmaq_f64(acc.re, a.re, b.re), im: vfmaq_f64(acc.im, a.im, b.im) }
     }
+
+    /// `vbsl` takes each bit from `b` where the mask's is set.
+    #[inline(always)]
+    unsafe fn select(pick: CVec, a: CVec, b: CVec) -> CVec {
+        let m = vreinterpretq_u64_f64(pick.re);
+        CVec { re: vbslq_f64(m, b.re, a.re), im: vbslq_f64(m, b.im, a.im) }
+    }
 }

@@ -1,4 +1,5 @@
-//! The per-gate sweeps: one walker, two ways through the state.
+//! The per-gate sweeps: one walker, two ways through the state, and
+//! one lane-pattern pass for the diagonals.
 //!
 //! A gate kernel visits the state in groups of `2^k` amplitudes that
 //! differ only in its `k ≤ 2` target bits, handed over in local basis
@@ -20,6 +21,11 @@
 //! exchanges back. Every qubit position thus meets the same arithmetic
 //! — a gate gets the same bits on qubit 0 as on qubit 20 after a relabel
 //! — at vector speed.
+//!
+//! A diagonal gate mixes nothing, so it needs no exchange: its entries
+//! become lane patterns ([`DiagSpans`]) and the backend's `diag_range`
+//! multiplies whole vectors by them at every qubit position, keeping
+//! each lane whose entry is exactly 1 as it was.
 //!
 //! Every function takes the optional pool: without one the walker runs
 //! its whole range inline on the caller, as one chunk
@@ -43,8 +49,6 @@ pub enum LaneOp<'a> {
     Mix2(&'a Mat2, [usize; 2]),
     /// `v ← m·v` over all four: `quads_2q`.
     Mix4(&'a Mat4),
-    /// Index `i` times `d[i]`, skipped where `d[i]` is exactly 1: `scale_run`.
-    Scale([C64; 4]),
     /// Exchange local indices `[a, b]`: `swap_runs`.
     Swap([usize; 2]),
 }
@@ -86,7 +90,6 @@ impl<'a> Steps<'a> {
         let active = match op {
             LaneOp::Mix2(_, [a, b]) | LaneOp::Swap([a, b]) => (1 << a) | (1 << b),
             LaneOp::Mix4(_) => 0b1111,
-            LaneOp::Scale(d) => (0..1 << k).filter(|&i| d[i] != ONE).map(|i| 1 << i).sum(),
         };
         let live = (0..1usize << k)
             .filter(|&i| (0..1 << k).any(|a| active >> a & 1 == 1 && (a ^ i) & !low == 0))
@@ -124,12 +127,8 @@ fn sweep(
         let steps = Steps::new(targets, be.width, op);
         let span = 2 << steps.upper[steps.k - 1];
         if amps.len() < span {
-            // Shorter than one step: run it on a zero-padded copy.
-            let mut padded = [C64::default(); 4 * MAX_WIDTH];
-            padded[..amps.len()].copy_from_slice(amps);
-            // SAFETY: the one step lies inside `padded`.
-            unsafe { (be.step_range)(padded.as_mut_ptr(), 0..1, &steps) };
-            return amps.copy_from_slice(&padded[..amps.len()]);
+            // SAFETY: the one step lies inside the padded copy.
+            return on_padded(amps, |p| unsafe { (be.step_range)(p, 0..1, &steps) });
         }
         let n_steps = amps.len() >> (steps.lane_bits as usize + steps.k);
         // SAFETY: steps partition the index space; disjoint chunks touch
@@ -168,14 +167,70 @@ fn run_op(be: &KernelBackend, op: &LaneOp, [a0, a1, a2, a3]: [&mut [C64]; 4]) {
         LaneOp::Mix2(m, [0, 1]) => (be.pairs_1q)(a0, a1, m),
         LaneOp::Mix2(m, _) => (be.pairs_1q)(a2, a3, m),
         LaneOp::Mix4(m) => (be.quads_2q)(a0, a1, a2, a3, m),
-        LaneOp::Scale(d) => {
-            for (run, e) in [a0, a1, a2, a3].into_iter().zip(d).filter(|(_, e)| *e != ONE) {
-                (be.scale_run)(run, e);
-            }
-        }
         LaneOp::Swap([0, 1]) => (be.swap_runs)(a0, a1),
         LaneOp::Swap(_) => (be.swap_runs)(a1, a2),
     }
+}
+
+/// Run `f` on a zero-padded copy of a state shorter than one step.
+fn on_padded(amps: &mut [C64], f: impl FnOnce(*mut C64)) {
+    let mut padded = [C64::default(); 4 * MAX_WIDTH];
+    padded[..amps.len()].copy_from_slice(amps);
+    f(padded.as_mut_ptr());
+    amps.copy_from_slice(&padded[..amps.len()]);
+}
+
+/// A diagonal gate for the backend's `diag_range`, which turns its
+/// entries into lane patterns. A *span* is the vector window widened by
+/// the targets less than two bits above it: one to four vectors, each
+/// with its own pattern. The targets above the span pick one of up to
+/// four factor sets, and a *group* is one span of each set. A vector
+/// none of whose entries differs from 1 is neither loaded nor stored.
+#[derive(Debug, Clone, Copy)]
+pub struct DiagSpans {
+    /// Entry of each local index, over the targets by local bit.
+    pub(crate) d: [C64; 4],
+    pub(crate) targets: [u32; 2],
+    pub(crate) k: usize,
+    pub(crate) span_bits: u32,
+    /// The targets above the span, ascending, and how many; bit 63, which
+    /// no index reaches, fills the unused places.
+    pub(crate) high: [u32; 2],
+    pub(crate) kh: usize,
+}
+
+/// Each amplitude times entry `d[i]` of its local index `i` over
+/// `targets` (by local bit), unless that is exactly 1: the backend's
+/// `diag_range`, group by group.
+fn sweep_diag(
+    be: &KernelBackend,
+    pool: Option<&ThreadPool>,
+    sched: Schedule,
+    amps: &mut [C64],
+    targets: &[u32],
+    d: [C64; 4],
+) {
+    debug_assert_aligned(amps);
+    let lane_bits = be.width.trailing_zeros();
+    let near = targets.iter().filter(|&&t| t < lane_bits + 2);
+    let span_bits = near.fold(lane_bits, |b, &t| b.max(t + 1));
+    let (mut t, mut high, mut kh, k) = ([0; 2], [usize::BITS - 1; 2], 0, targets.len());
+    t[..k].copy_from_slice(targets);
+    for &q in targets.iter().filter(|&&q| q >= span_bits) {
+        (high[kh], kh) = (q, kh + 1);
+    }
+    high[..kh].sort_unstable();
+    let spans = &DiagSpans { d, targets: t, k, span_bits, high, kh };
+    if amps.len() < 1 << span_bits {
+        // SAFETY: a state this short is one group, inside the padded copy.
+        return on_padded(amps, |p| unsafe { (be.diag_range)(p, 0..1, spans) });
+    }
+    let p = AmpPtr(amps.as_mut_ptr());
+    // SAFETY: groups partition the index space; disjoint chunks touch
+    // disjoint amplitudes.
+    for_range(pool, sched, 0..amps.len() >> (span_bits as usize + kh), move |chunk| unsafe {
+        (be.diag_range)(p.base(), chunk, spans)
+    });
 }
 
 /// Dense 2×2 unitary on target `t`.
@@ -192,7 +247,8 @@ pub fn apply_1q(
 
 /// Diagonal 1-qubit gate `diag(d0, d1)` on target `t`: a streaming
 /// multiply, no mixing. A half whose entry is exactly 1 is left alone,
-/// so a rank-specialised controlled phase costs half a sweep.
+/// so a rank-specialised controlled phase costs half a sweep when `t`
+/// is at or above the vector window.
 pub fn apply_1q_diag(
     be: &KernelBackend,
     pool: Option<&ThreadPool>,
@@ -202,7 +258,7 @@ pub fn apply_1q_diag(
     d0: C64,
     d1: C64,
 ) {
-    sweep(be, pool, sched, amps, &[t], LaneOp::Scale([d0, d1, ONE, ONE]));
+    sweep_diag(be, pool, sched, amps, &[t], [d0, d1, ONE, ONE]);
 }
 
 /// Pauli-X on target `t`: exchange the paired halves, no flops.
@@ -232,8 +288,10 @@ pub fn apply_controlled_1q(
 
 /// Diagonal 2-qubit gate `diag(d)` in `|h l⟩` order: a streaming
 /// multiply. An entry of exactly 1 is left alone — the product would be
-/// the amplitude itself — so a controlled phase sweeps only its `11`
-/// quarter. The multiply is the plain complex product whatever the
+/// the amplitude itself, up to the sign of a zero — so a controlled
+/// phase whose qubits are at or above the vector window loads only its
+/// `11` quarter.
+/// The multiply is the plain complex product whatever the
 /// stride, which is what lets the distributed engine apply the entries
 /// of a rank-constant qubit on its own and still match a serial run to
 /// the bit.
@@ -246,7 +304,7 @@ pub fn apply_2q_diag(
     l: u32,
     d: [C64; 4],
 ) {
-    sweep(be, pool, sched, amps, &[l, h], LaneOp::Scale(d));
+    sweep_diag(be, pool, sched, amps, &[l, h], d);
 }
 
 /// Dense 4×4 unitary on (high `h`, low `l`).
@@ -282,6 +340,7 @@ mod tests {
     use super::*;
     use crate::gates::standard;
     use crate::kernels::dispatch::GateKernel;
+    use crate::kernels::index::compress_bits;
     use crate::kernels::simd::{self, array};
     use crate::state::StateVector;
     use omp_par::ThreadPool;
@@ -386,27 +445,49 @@ mod tests {
     }
 
     #[test]
-    fn a_unit_diagonal_half_keeps_its_bits() {
-        // `amp·1` would turn a -0.0 part into +0.0; the unit half is
-        // never multiplied, below the window or above it.
-        let n = 5u32;
-        let mut start = StateVector::zero(n);
-        for (i, a) in start.amplitudes_mut().iter_mut().enumerate() {
-            *a = [C64::new(-0.0, 0.5), C64::new(0.25, -0.0), C64::new(-0.0, -0.0)][i % 3];
-        }
-        let e = C64::exp_i(0.7);
+    fn a_diagonal_keeps_unit_lanes_and_rounds_the_rest_as_the_scalar_product() {
+        // `diag_range` at 2, 4 and 8 lanes (and the host's backends off
+        // Miri): targets below the window become lane patterns, those
+        // just above it widen the span to 2 or 4 vectors, the rest pick
+        // factor sets. An entry of exactly 1 is never multiplied — `amp·1`
+        // would turn a -0.0 part into +0.0 — and every other lane rounds
+        // as the scalar `amp·d`.
+        let top = if cfg!(miri) { 5 } else { 8 };
         let mut backends = simd::available();
         backends.extend(array::backends());
-        for be in backends {
-            for t in 0..n {
-                for (d0, d1) in [(ONE, e), (e, ONE)] {
-                    let mut s = start.clone();
-                    apply_1q_diag(be, None, Schedule::default(), s.amplitudes_mut(), t, d0, d1);
-                    for (i, (a, b)) in bits(&s).iter().zip(bits(&start)).enumerate() {
-                        let unit = if (i >> t) & 1 == 0 { d0 } else { d1 };
-                        if unit == ONE {
-                            assert_eq!(*a, b, "{} t={t} amplitude {i}", be.name);
+        let e = [C64::exp_i(0.7), C64::exp_i(-1.9), C64::exp_i(2.4), C64::exp_i(0.2)];
+        for n in 1..=top {
+            let mut start = StateVector::random(n, &mut StdRng::seed_from_u64(n as u64));
+            for (i, a) in start.amplitudes_mut().iter_mut().enumerate() {
+                match i % 4 {
+                    0 => a.re = -0.0,
+                    1 => a.im = -0.0,
+                    2 => *a = C64::new(-0.0, -0.0),
+                    _ => {}
+                }
+            }
+            let mut cases: Vec<Vec<u32>> = (0..n).map(|t| vec![t]).collect();
+            for h in 0..n {
+                cases.extend((0..n).filter(|&l| l != h).map(|l| vec![l, h]));
+            }
+            for targets in cases {
+                for unit in 0..1 << (1 << targets.len()) {
+                    let d = std::array::from_fn(|i| if unit >> i & 1 == 1 { ONE } else { e[i] });
+                    let mut want = start.clone();
+                    for (i, a) in want.amplitudes_mut().iter_mut().enumerate() {
+                        let de = d[compress_bits(i, &targets)];
+                        if de != ONE {
+                            *a *= de;
                         }
+                    }
+                    let kernel = match targets[..] {
+                        [t] => GateKernel::Diag1(t, d[0], d[1]),
+                        _ => GateKernel::Diag2(targets[1], targets[0], d),
+                    };
+                    for be in &backends {
+                        let mut got = start.clone();
+                        kernel.apply(be, None, Schedule::default(), got.amplitudes_mut());
+                        assert!(bits(&got) == bits(&want), "{} n={n} {kernel:?}", be.name);
                     }
                 }
             }

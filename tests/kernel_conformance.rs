@@ -15,7 +15,10 @@
 //! (d) every gate constructor: pooled ≡ pool-less, and a cache-blocked
 //! run ≡ a naive one, because both read the same table; (e) the per-gate
 //! bits of each backend pinned by a recorded checksum; (f) each run
-//! primitive cut at every offset equal to the whole run, to the bit.
+//! primitive cut at every offset equal to the whole run, to the bit;
+//! (g) every diagonal on every target pair of 1–10 qubits, bit for bit
+//! the scalar loop that leaves an entry of exactly 1 alone, signed zeros
+//! included.
 
 use std::sync::Once;
 
@@ -288,6 +291,78 @@ fn run_primitives_cut_anywhere_give_the_bits_of_the_whole_run() {
             for at in 1..=len {
                 let pieces = cut_run_primitives(be, &runs, at);
                 assert_eq!(pieces, whole, "{} len={len} cut at {at}", be.name);
+            }
+        }
+    }
+}
+
+/// `d[i]` of each amplitude's local index `i` over `targets` (by local
+/// bit), applied as `if d != 1 { a * d }`.
+fn skip_unit_reference(amps: &mut [C64], targets: &[u32], d: [C64; 4]) {
+    for (i, a) in amps.iter_mut().enumerate() {
+        let local = targets.iter().enumerate().map(|(j, &t)| (i >> t & 1) << j).sum::<usize>();
+        if d[local] != C64::real(1.0) {
+            *a *= d[local];
+        }
+    }
+}
+
+#[test]
+fn diagonals_keep_unit_lanes_and_round_the_rest_as_the_scalar_product() {
+    // Every target below, inside and above the vector window (n = 1..=10
+    // includes states shorter than one vector and than one span), every
+    // unit/non-unit pattern of the entries, and states whose parts are
+    // partly -0.0 — which `amp·1` would turn into +0.0.
+    let mut rng = StdRng::seed_from_u64(36);
+    let pool = ThreadPool::new(2);
+    let sched = Schedule::Dynamic { chunk: 3 };
+    for n in 1u32..=10 {
+        let mut start = random_state(n, 36 + n as u64);
+        for a in start.amplitudes_mut() {
+            match rng.gen_range(0..4) {
+                0 => a.re = -0.0,
+                1 => a.im = -0.0,
+                2 => *a = C64::new(-0.0, -0.0),
+                _ => {}
+            }
+        }
+        let mut cases: Vec<(Vec<u32>, u32)> = (0..n).map(|t| (vec![t], 0b11)).collect();
+        for h in 0..n {
+            cases.extend((0..n).filter(|&l| l != h).map(|l| (vec![l, h], 0b1111)));
+        }
+        for (targets, all) in cases {
+            for unit in 0..=all {
+                // A unit entry is 1 as written or as `1 - 0i`.
+                let one = |i: usize| C64::new(1.0, if i == 2 { -0.0 } else { 0.0 });
+                let d: [C64; 4] = std::array::from_fn(|i| match unit >> i & 1 {
+                    1 => one(i),
+                    _ => C64::exp_i(rng.gen_range(-3.0..3.0)),
+                });
+                let kernel = match targets[..] {
+                    [t] => GateKernel::Diag1(t, d[0], d[1]),
+                    [l, h] => GateKernel::Diag2(h, l, d),
+                    _ => unreachable!(),
+                };
+                let mut want = start.clone();
+                skip_unit_reference(want.amplitudes_mut(), &targets, d);
+                let bits = |s: &StateVector| {
+                    s.amplitudes()
+                        .iter()
+                        .map(|a| [a.re.to_bits(), a.im.to_bits()])
+                        .collect::<Vec<_>>()
+                };
+                for be in simd::available() {
+                    for pool in [None, Some(&pool)] {
+                        let mut got = start.clone();
+                        kernel.apply(be, pool, sched, got.amplitudes_mut());
+                        let pooled = pool.is_some();
+                        assert!(
+                            bits(&got) == bits(&want),
+                            "{} n={n} {kernel:?} pooled={pooled}",
+                            be.name
+                        );
+                    }
+                }
             }
         }
     }
