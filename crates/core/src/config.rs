@@ -246,9 +246,12 @@ impl SimConfig {
             ));
         }
         if let Strategy::Fused { max_k: 0 } | Strategy::Planned { max_k: 0, .. } = self.strategy {
-            return Err(SimError::InvalidConfig(
-                "fusion width max_k must be at least 1".to_string(),
-            ));
+            return Err(SimError::InvalidConfig("fusion width max_k must be at least 1".into()));
+        }
+        if let Strategy::Blocked { block_qubits: 0 } | Strategy::Planned { block_qubits: 0, .. } =
+            self.strategy
+        {
+            return Err(SimError::InvalidConfig("block width must be at least 1 qubit".into()));
         }
         if let Some(ck) = &self.checkpoint {
             if ck.every == 0 {
@@ -371,6 +374,21 @@ mod tests {
     fn zero_fusion_width_is_a_clean_error() {
         let err = SimConfig::new().strategy(Strategy::Fused { max_k: 0 }).build().unwrap_err();
         assert!(err.to_string().contains("max_k"));
+    }
+
+    #[test]
+    fn zero_block_width_is_a_clean_error() {
+        for strategy in
+            [Strategy::Blocked { block_qubits: 0 }, Strategy::Planned { block_qubits: 0, max_k: 3 }]
+        {
+            let err = SimConfig::new().strategy(strategy).build().unwrap_err();
+            assert!(matches!(err, SimError::InvalidConfig(_)), "{strategy}");
+            assert!(err.to_string().contains("block width"), "{strategy}");
+        }
+        assert!(SimConfig::new()
+            .strategy(Strategy::Blocked { block_qubits: 1 })
+            .validate()
+            .is_ok());
     }
 
     #[test]

@@ -103,23 +103,6 @@ pub struct FusedOp {
     pub gate: Option<Box<Gate>>,
 }
 
-impl FusedOp {
-    /// `g` alone as a gate-backed singleton — the op fusion emits for a
-    /// gate that merges with nothing — so it sweeps through `g`'s own
-    /// kernel. `g` must be unitary.
-    pub(crate) fn of_gate(g: &Gate) -> FusedOp {
-        let gates = std::slice::from_ref(g);
-        let pass = Pass {
-            gates,
-            groups: Vec::new(),
-            frontier: Vec::new(),
-            max_k: g.arity(),
-            costs: &FuseCosts::ACCEPT_EVERY_FIT,
-        };
-        pass.absorb(&Group::empty(), &[0]).expect("a gate spans its own qubits").into_op(gates)
-    }
-}
-
 /// Per-amplitude sweep costs (nanoseconds) driving [`fuse_costed`]'s
 /// merge decisions: one entry per per-gate kernel shape, plus the three
 /// constants the block kernel is priced from, in the same taxonomy as
@@ -622,19 +605,6 @@ mod tests {
         assert_eq!(plan.len(), 1);
         assert_eq!((plan[0].qubits.clone(), plan[0].n_gates), (vec![1], 1));
         assert_eq!(plan[0].gate.as_deref(), Some(&Gate::H(1)));
-    }
-
-    #[test]
-    fn a_gate_alone_is_the_singleton_fusion_emits() {
-        let mut c = Circuit::new(4);
-        c.cp(3, 1, 0.7);
-        let (op, fused) = (FusedOp::of_gate(&c.gates()[0]), one_block(&c, 2));
-        assert_eq!((&op.qubits, op.n_gates, &op.members), (&fused.qubits, 1, &fused.members));
-        assert_eq!(
-            (op.class, op.active_nnz, &op.gate),
-            (fused.class, fused.active_nnz, &fused.gate)
-        );
-        assert_eq!(op.matrix.data(), fused.matrix.data());
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! (`Cz`, `CPhase`) touches a quarter of the state —, controlled dense
 //! gates the half-state kernel, and everything else the dense 1q/2q
 //! sweeps. This mapping *is* the "kernel specialization" axis of the
-//! performance analysis; serial runs, pooled runs, cache-blocked runs
-//! and gate-backed fused singletons all read it, so an amplitude meets
-//! the same primitive whichever engine sweeps it.
+//! performance analysis; serial, pooled and tiled runs (pinned to a
+//! tile by [`GateKernel::pin`]) and gate-backed fused singletons all
+//! read it, so an amplitude meets one primitive whoever sweeps it.
 
 use omp_par::{Schedule, ThreadPool};
 

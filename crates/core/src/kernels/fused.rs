@@ -31,7 +31,7 @@
 //! Diagonal blocks need no gather at all and stream through
 //! [`KernelBackend::scale_run`]; gate-backed singletons (see
 //! [`FusedOp::gate`]) run their gate's own kernel. [`PreparedFused`]
-//! picks among the three once per op, outside the sweep loop.
+//! picks among the three once per op, also for a tiled run's members.
 //!
 //! Blocks up to `k = 5` run with stack scratch only: zero heap
 //! allocation in the hot loop (asserted by `tests/no_alloc.rs`).
@@ -321,6 +321,11 @@ impl<'a> PreparedFused<'a> {
             (None, _) => Lowered::Block(Block::new(&op.qubits, &op.matrix)),
         };
         PreparedFused { sorted: &op.qubits, lowered }
+    }
+
+    /// The op's qubits, ascending.
+    pub fn qubits(&self) -> &[u32] {
+        self.sorted
     }
 
     /// One sweep over a full state (or one cache-resident block slice;

@@ -15,9 +15,9 @@
 //!   vector type (portable, AVX2, AVX-512F, NEON); the backend is
 //!   selected once at startup.
 //! * [`fused`] / [`blocked`] — fused k-qubit blocks through the one
-//!   block kernel, and the one cache-blocked engine, which applies a run
-//!   of low-target ops (fused blocks or gate-backed singletons) to one
-//!   L2-resident block at a time (E7).
+//!   block kernel, and the one tiled runner, which applies a run of gate
+//!   kernels pinned to a tile, or fused blocks below it, to one
+//!   L2-resident tile at a time, for every engine (E7).
 //! * [`reduce`] — the observable reductions' drivers: Pauli strings and
 //!   grouped Pauli sums decomposed into the backend's run reductions.
 //! * [`index`] — the bit-manipulation helpers shared by all kernels.

@@ -1,7 +1,8 @@
 //! The planned execution strategy: qubit remapping + cache-blocked runs.
 //!
 //! [`crate::sim::Strategy::Blocked`] only wins when the circuit happens
-//! to keep its gates below the block width — a gate on a high qubit
+//! to keep its gates below the block width — a gate mixing amplitudes
+//! across a high qubit (not a diagonal or a high control, which pin)
 //! forces a full-state fallback sweep. This pass removes that luck
 //! factor: it walks the circuit with a logical→physical qubit
 //! [`Permutation`] (the local analogue of `qcs-dist`'s exchange plans),

@@ -19,8 +19,8 @@
 //!
 //! The lowering itself is assembled from the passes that already
 //! existed — cost-aware fusion ([`fuse_costed`]), the relabeling planner
-//! ([`plan_circuit_with`]) and the low-target block-run grouping, whose
-//! runs are block passes of gate-backed singletons — and is the flat
+//! ([`plan_circuit_with`]) and the block-run grouping, whose runs share
+//! a distributed rank's tiled runner ([`run_tiled`]) — and is the flat
 //! gate-record shape plan-then-execute simulators (mpiQulacs) use for
 //! the same reason.
 
@@ -34,7 +34,7 @@ use crate::calibrate::{block_pass_ns, fused_per_amp, gate_per_amp, Calibration};
 use crate::circuit::{Circuit, Gate};
 use crate::complex::C64;
 use crate::fusion::{fuse, fuse_costed, FusedOp};
-use crate::kernels::blocked::PreparedRun;
+use crate::kernels::blocked::{run_tiled, Member};
 use crate::kernels::dispatch::GateKernel;
 use crate::kernels::fused::PreparedFused;
 use crate::kernels::simd::KernelBackend;
@@ -71,10 +71,10 @@ pub enum SweepOp<'c> {
     Gate(GateRef<'c>),
     /// A fused block through the kernel matching its structure class.
     Fused(FusedOp),
-    /// A cache-blocked pass: fused ops on qubits below the block width,
-    /// applied cache block by cache block — the planner's in-block
-    /// fusion, or a `blocked` run of gate-backed singletons.
-    BlockPass(Vec<FusedOp>),
+    /// A cache-blocked pass ([`run_tiled`]): `Gate`s that pin to every
+    /// block of the program's width (a `blocked` run) or the planner's
+    /// in-block `Fused` ops, applied block by block.
+    BlockPass(Vec<SweepOp<'c>>),
     /// Barrier: projective measurement of `q` into classical bit `creg`.
     Measure { q: u32, creg: u32 },
     /// Barrier: sweep `gate` iff the classical register satisfies
@@ -186,7 +186,9 @@ fn lower_unitary<'c>(
                 PlanOp::SwapAxes(a, b) => {
                     SweepOp::Gate(GateRef::Remapped(Box::new(Gate::Swap(a, b))))
                 }
-                PlanOp::Block(fused) => SweepOp::BlockPass(fused),
+                PlanOp::Block(fused) => {
+                    SweepOp::BlockPass(fused.into_iter().map(SweepOp::Fused).collect())
+                }
                 PlanOp::Gate(g) => SweepOp::Gate(GateRef::Remapped(g)),
             }))
         }
@@ -194,24 +196,18 @@ fn lower_unitary<'c>(
     }
 }
 
-/// Group consecutive gates whose qubits all fit below the block width
-/// into block passes of one gate-backed singleton per gate; every other
-/// gate — and the cold 3-qubit permutations — keeps its own full-state
-/// sweep.
+/// Group each maximal run of gates whose kernels pin to a block of the
+/// block width ([`GateKernel::pin`], the rule a distributed rank groups
+/// its tiled runs by) into one block pass; a gate that moves amplitudes
+/// between blocks keeps its own full-state sweep.
 fn lower_blocked<'c>(ops: &mut Vec<SweepOp<'c>>, gates: &'c [Gate], block_qubits: u32) {
-    let mut run = Vec::new();
-    for g in gates {
-        if g.arity() <= 2 && g.qubits().iter().all(|&q| q < block_qubits) {
-            run.push(FusedOp::of_gate(g));
-            continue;
-        }
-        if !run.is_empty() {
-            ops.push(SweepOp::BlockPass(std::mem::take(&mut run)));
-        }
-        ops.push(SweepOp::Gate(GateRef::Source(g)));
-    }
-    if !run.is_empty() {
-        ops.push(SweepOp::BlockPass(run));
+    let pins = |g: &Gate| GateKernel::from(g).pin(block_qubits, 0).is_some();
+    let op = |g| SweepOp::Gate(GateRef::Source(g));
+    for run in gates.chunk_by(|a, b| pins(a) && pins(b)) {
+        ops.push(match run {
+            [g] if !pins(g) => op(g),
+            _ => SweepOp::BlockPass(run.iter().map(op).collect()),
+        });
     }
 }
 
@@ -247,8 +243,17 @@ impl<'c> Program<'c> {
     /// Every op resolved to its kernel (offset tables, class dispatch),
     /// once, ahead of the sweeps; a collapse has none.
     pub(crate) fn kernels(&self) -> Vec<Option<Kernel<'_>>> {
-        let sweeps = |op: &SweepOp| !matches!(op, SweepOp::Measure { .. });
-        self.ops.iter().map(|op| sweeps(op).then(|| op.kernel(self.block_qubits))).collect()
+        let w = self.block_qubits;
+        self.ops
+            .iter()
+            .map(|op| match op {
+                SweepOp::Measure { .. } => None,
+                SweepOp::BlockPass(ops) => {
+                    Some(Kernel::Tiled { w, run: ops.iter().map(SweepOp::member).collect() })
+                }
+                op => Some(Kernel::Sweep(op.member())),
+            })
+            .collect()
     }
 
     /// Predicted serial nanoseconds on this machine, from the calibrated
@@ -272,26 +277,25 @@ impl SweepOp<'_> {
             let kind = classify(g);
             (kind, model.predict(kind, n, &g.qubits()))
         };
-        // A gate-backed singleton sweeps through its gate's own kernel.
-        let fused = |op: &FusedOp| match &op.gate {
-            Some(g) => gate(g),
-            None => {
-                let kind = KernelKind::FusedDense { k: op.qubits.len() as u8 };
-                (kind, model.predict(kind, n, &op.qubits))
-            }
-        };
         match self {
             SweepOp::Gate(g) => gate(g),
             SweepOp::Cif { gate: g, .. } => gate(g),
-            SweepOp::Fused(op) => fused(op),
+            // A gate-backed singleton sweeps through its gate's own kernel.
+            SweepOp::Fused(op) => match &op.gate {
+                Some(g) => gate(g),
+                None => {
+                    let kind = KernelKind::FusedDense { k: op.qubits.len() as u8 };
+                    (kind, model.predict(kind, n, &op.qubits))
+                }
+            },
             SweepOp::BlockPass(ops) => {
                 // One streamed pass over the state with every member's
                 // flops, one read per member per amplitude and one write.
-                let widest = ops.iter().map(|o| o.qubits.len()).max().expect("non-empty pass");
+                let widest = ops.iter().map(|o| o.qubits().len()).max().expect("non-empty pass");
                 let kind = KernelKind::FusedDense { k: widest as u8 };
-                let mut traffic = model.predict(kind, n, &ops[0].qubits);
+                let mut traffic = model.predict(kind, n, &ops[0].qubits());
                 let amps = 1u64 << n;
-                traffic.flops = ops.iter().map(|o| fused(o).1.flops).sum();
+                traffic.flops = ops.iter().map(|o| o.traffic(model, n).1.flops).sum();
                 traffic.amps_read = amps * ops.len() as u64;
                 traffic.amps_written = amps;
                 traffic.arithmetic_intensity = if traffic.mem_bytes == 0 {
@@ -314,7 +318,7 @@ impl SweepOp<'_> {
             SweepOp::Fused(op) => {
                 op.gate.as_ref().map_or_else(|| op.qubits.clone(), |g| g.qubits())
             }
-            SweepOp::BlockPass(ops) => ops[0].qubits.clone(),
+            SweepOp::BlockPass(ops) => ops[0].qubits(),
             SweepOp::Measure { q, .. } => vec![*q],
         }
     }
@@ -324,45 +328,43 @@ impl SweepOp<'_> {
     /// calibration measures and costs the same under every strategy, so
     /// it prices at zero; a `Cif` is priced as taken.
     pub fn calibrated_ns(&self, cal: &Calibration, amps: f64) -> f64 {
-        let sweep = |per_amp: f64| cal.sweep_overhead_ns + amps * per_amp;
+        let per_amp = |op: &SweepOp| match op {
+            SweepOp::Gate(g) => gate_per_amp(cal, g),
+            SweepOp::Cif { gate, .. } => gate_per_amp(cal, gate),
+            SweepOp::Fused(op) => fused_per_amp(cal, op),
+            _ => unreachable!("a block pass does not nest"),
+        };
         match self {
-            SweepOp::Gate(g) => sweep(gate_per_amp(cal, g)),
-            SweepOp::Cif { gate, .. } => sweep(gate_per_amp(cal, gate)),
-            SweepOp::Fused(op) => sweep(fused_per_amp(cal, op)),
-            SweepOp::BlockPass(ops) => {
-                block_pass_ns(cal, amps, ops.iter().map(|op| fused_per_amp(cal, op)))
-            }
+            SweepOp::BlockPass(ops) => block_pass_ns(cal, amps, ops.iter().map(per_amp)),
             SweepOp::Measure { .. } => 0.0,
+            op => cal.sweep_overhead_ns + amps * per_amp(op),
         }
     }
 
-    /// Resolve the op to its kernel: offset tables and class dispatch
-    /// are built here, once, so a batch applies the same [`Kernel`] to
-    /// every member ([`Program::kernels`] resolves a whole program).
-    pub(crate) fn kernel(&self, block_qubits: u32) -> Kernel<'_> {
+    /// A `Gate`, `Cif` or `Fused` op resolved to its kernel: offset
+    /// tables and class dispatch are built here, once.
+    fn member(&self) -> Member<'_> {
         match self {
-            SweepOp::Gate(g) => Kernel::Gate(GateKernel::from(&**g)),
-            SweepOp::Cif { gate, .. } => Kernel::Gate(GateKernel::from(*gate)),
-            SweepOp::Fused(op) => Kernel::Fused(PreparedFused::new(op)),
-            SweepOp::BlockPass(ops) => Kernel::BlockPass(PreparedRun::new(ops, block_qubits)),
-            SweepOp::Measure { .. } => {
-                unreachable!("a collapse draws from the interpreter's RNG stream; it has no kernel")
-            }
+            SweepOp::Gate(g) => Member::Gate(GateKernel::from(&**g)),
+            SweepOp::Cif { gate, .. } => Member::Gate(GateKernel::from(*gate)),
+            SweepOp::Fused(op) => Member::Fused(PreparedFused::new(op)),
+            _ => unreachable!("a block pass does not nest, and a collapse has no kernel"),
         }
     }
 }
 
-/// A sweep op resolved to the kernel that executes it.
+/// A sweep op resolved to what executes it: one kernel over the whole
+/// state, or a block pass's members tiled at width `w`.
 ///
 /// Both engines funnel every sweep through [`Kernel::exec`], so a batch
 /// member executes the *identical* kernel calls a lone run does: the
 /// bit-exact batched-vs-sequential guarantee holds by construction,
 /// because worksharing only changes which thread touches which disjoint
 /// index range, never the per-amplitude arithmetic.
+#[allow(clippy::large_enum_variant)] // most ops are one member; boxing it would allocate per op
 pub(crate) enum Kernel<'p> {
-    Gate(GateKernel),
-    Fused(PreparedFused<'p>),
-    BlockPass(PreparedRun<'p>),
+    Sweep(Member<'p>),
+    Tiled { w: u32, run: Vec<Member<'p>> },
 }
 
 impl Kernel<'_> {
@@ -376,9 +378,8 @@ impl Kernel<'_> {
         amps: &mut [C64],
     ) {
         match self {
-            Kernel::Gate(kernel) => kernel.apply(be, pool, sched, amps),
-            Kernel::Fused(op) => op.apply(be, pool, sched, amps),
-            Kernel::BlockPass(run) => run.apply(be, pool, sched, amps),
+            Kernel::Sweep(member) => member.apply(be, pool, sched, amps),
+            Kernel::Tiled { w, run } => run_tiled(be, pool, sched, amps, *w, run.iter()),
         }
     }
 }
@@ -410,10 +411,12 @@ mod tests {
 
     #[test]
     fn blocked_runs_cover_their_source_gates() {
-        // Gates on qubits {0,1} | a high gate | gates on {0,1}: two runs
-        // split by one fallback sweep, each member its source gate alone.
+        // Gates on qubits {0,1}, a CPhase(5, 0), which pins to every
+        // 8-amplitude block, then an H(5), which moves amplitudes between
+        // blocks: a run of three gates, the H's own sweep, and a run of
+        // two. Each member is its source gate.
         let mut c = Circuit::new(6);
-        c.h(0).cx(0, 1).h(5).rz(1, 0.3).swap(0, 1);
+        c.h(0).cx(0, 1).cp(5, 0, 0.4).h(5).rz(1, 0.3).swap(0, 1);
         let p = lower(&c, Strategy::Blocked { block_qubits: 9 }, None);
         assert_eq!(p.block_qubits, 6, "clamped to the state");
         let p = lower(&c, Strategy::Blocked { block_qubits: 3 }, None);
@@ -423,16 +426,19 @@ mod tests {
             .iter()
             .map(|op| match op {
                 SweepOp::BlockPass(ops) => {
-                    members.extend(ops.iter().map(|op| op.gate.as_deref().expect("singleton")));
+                    members.extend(ops.iter().map(|op| match op {
+                        SweepOp::Gate(GateRef::Source(g)) => *g,
+                        other => panic!("member {other:?} is not a source gate"),
+                    }));
                     ops.len()
                 }
                 SweepOp::Gate(_) => 0,
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
-        assert_eq!(shape, vec![2, 0, 2]);
+        assert_eq!(shape, vec![3, 0, 2]);
         let source = c.gates();
-        assert_eq!(members, [&source[0], &source[1], &source[3], &source[4]]);
+        assert_eq!(members, [&source[0], &source[1], &source[2], &source[4], &source[5]]);
     }
 
     #[test]

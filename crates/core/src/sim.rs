@@ -32,8 +32,8 @@ pub enum Strategy {
     /// cheaply (the Qiskit-Aer-style optimization, commutation- and
     /// cost-aware: see [`crate::fusion`]).
     Fused { max_k: u32 },
-    /// Apply runs of gates whose qubits all lie below `block_qubits` one
-    /// cache-resident block at a time; other gates fall back to naive.
+    /// Apply each run of gates that pin to every `2^block_qubits` block
+    /// one cache-resident block at a time; other gates fall back to naive.
     Blocked { block_qubits: u32 },
     /// Plan first: remap runs of gates onto low physical qubits with
     /// cheap axis-swap sweeps, then execute them as cache-resident

@@ -774,7 +774,7 @@ mod tests {
                 gate: None,
             }
         };
-        let ops = vec![mk(vec![0, 1], 2), mk(vec![1, 2, 3], 3)];
+        let ops = vec![SweepOp::Fused(mk(vec![0, 1], 2)), SweepOp::Fused(mk(vec![1, 2, 3], 3))];
         let tr = tracer(10);
         tr.record_op(0, &SweepOp::BlockPass(ops), 500);
         let trace = tr.finish(RunMeta::default());

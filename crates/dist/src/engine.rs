@@ -11,8 +11,8 @@
 //!
 //! * a **run of comm-free kernels, tile by tile**: consecutive sweeps
 //!   whose kernels pin to a tile ([`GateKernel::pin`]) walk the shard
-//!   once through the block engine's [`for_blocks`]; a lone kernel, or
-//!   one that moves amplitudes between tiles, sweeps the whole shard;
+//!   once through the serial engine's tiled runner ([`run_tiled`]); a
+//!   kernel that moves amplitudes between tiles sweeps the whole shard;
 //! * a **global–local swap**: half the shard traded with the partner
 //!   across a global axis, blocking — or, on the top local axis,
 //!   chunked and nonblocking with resident kernels sweeping each half
@@ -30,7 +30,7 @@ use mpi_sim::{Comm, ANY_SOURCE};
 use qcs_core::align::AlignedAmps;
 use qcs_core::circuit::Circuit;
 use qcs_core::complex::{as_f64_slice, as_f64_slice_mut, C64};
-use qcs_core::kernels::blocked::{for_blocks, TILE_QUBITS};
+use qcs_core::kernels::blocked::{run_tiled, Member, TILE_QUBITS};
 use qcs_core::kernels::dispatch::GateKernel;
 use qcs_core::kernels::index::insert_zero_bit;
 use qcs_core::kernels::simd;
@@ -59,10 +59,9 @@ const C64_BYTES: u64 = 16;
 /// resolved to the kernels this rank sweeps with. It carries kernels,
 /// not gates, because a diagonal specialised to a rank's global bits
 /// has no `Gate` spelling.
-#[derive(Debug, Clone)]
 pub(crate) enum RankOp {
-    /// Sweep the shard, alone or as part of a tiled run.
-    Sweep(GateKernel),
+    /// Sweep the shard, alone or as a member of a tiled run.
+    Sweep(Member<'static>),
     /// Blocking swap of global axis `gq` with local axis `lq`.
     Swap { gq: u32, lq: u32 },
     /// Overlapped swap of `gq` with the top local axis; the `resident`
@@ -192,13 +191,15 @@ impl DistState {
         let mut from = 0;
         for (i, op) in ops.iter().enumerate() {
             let Some(op) = op else { continue };
-            if matches!(op, RankOp::Sweep(k) if k.pin(w, 0).is_some()) {
+            if matches!(op, RankOp::Sweep(m) if m.pins(w)) {
                 continue;
             }
-            sweep_run(&ops[from..i], &mut self.amps, w);
+            self.sweep_members(&ops[from..i], w);
             from = i + 1;
             match op {
-                RankOp::Sweep(kernel) => sweep(kernel, &mut self.amps),
+                RankOp::Sweep(m) => {
+                    m.apply(simd::active(), None, Schedule::default(), &mut self.amps)
+                }
                 &RankOp::Swap { gq, lq } => self.swap_global_local(comm, gq, lq)?,
                 RankOp::OverlapSwap { gq, resident } => {
                     self.swap_top_overlapped(comm, *gq, resident)?
@@ -206,8 +207,17 @@ impl DistState {
                 RankOp::PairExchange { gq, kernel } => self.pair_exchange(comm, *gq, kernel)?,
             }
         }
-        sweep_run(&ops[from..], &mut self.amps, w);
+        self.sweep_members(&ops[from..], w);
         Ok(())
+    }
+
+    /// Sweep the comm-free kernels of `run` as one tiled run.
+    fn sweep_members(&mut self, run: &[Option<RankOp>], w: u32) {
+        let members = run.iter().flatten().filter_map(|op| match op {
+            RankOp::Sweep(m) => Some(m),
+            _ => None,
+        });
+        run_tiled(simd::active(), None, Schedule::default(), &mut self.amps, w, members);
     }
 
     /// Run a whole circuit on this state, under the naive lowering
@@ -550,30 +560,10 @@ fn wire_amp(bytes: &[u8], x: usize) -> C64 {
     C64::new(f(2 * x), f(2 * x + 1))
 }
 
-/// One pool-less sweep of `kernel` over a shard, a tile, half a shard or
+/// One pool-less sweep of `kernel` over a shard, half a shard or
 /// a doubled scratch, on the process-wide backend.
 fn sweep(kernel: &GateKernel, amps: &mut [C64]) {
     kernel.apply(simd::active(), None, Schedule::default(), amps);
-}
-
-/// Sweep a run of comm-free ops: a lone kernel over the whole shard,
-/// more tile by tile, each pinned to the tile's bits at width `w`, and a
-/// tile none acts on left untouched.
-fn sweep_run(run: &[Option<RankOp>], amps: &mut [C64], w: u32) {
-    let kernels = run.iter().filter_map(|op| match op {
-        Some(RankOp::Sweep(k)) => Some(k),
-        _ => None,
-    });
-    if kernels.clone().nth(1).is_none() {
-        return kernels.for_each(|k| sweep(k, amps));
-    }
-    for_blocks(None, Schedule::default(), amps, 1 << w, |base, tile| {
-        for k in kernels.clone() {
-            if let Some(k) = k.pin(w, base).flatten() {
-                sweep(&k, tile);
-            }
-        }
-    });
 }
 
 #[cfg(test)]
@@ -1097,18 +1087,18 @@ mod tests {
                         let run: Vec<_> = plan
                             .localize(rank)
                             .into_iter()
-                            .filter(
-                                |op| matches!(op, Some(RankOp::Sweep(k)) if k.pin(w, 0).is_some()),
-                            )
+                            .filter_map(|op| match op {
+                                Some(RankOp::Sweep(m)) if m.pins(w) => Some(m),
+                                _ => None,
+                            })
                             .collect();
+                        let be = simd::active();
                         let mut want = AlignedAmps::from_slice(shard.amplitudes());
-                        for op in run.iter().flatten() {
-                            if let RankOp::Sweep(k) = op {
-                                sweep(k, &mut want);
-                            }
+                        for m in &run {
+                            m.apply(be, None, Schedule::default(), &mut want);
                         }
                         let mut got = AlignedAmps::from_slice(shard.amplitudes());
-                        sweep_run(&run, &mut got, w);
+                        run_tiled(be, None, Schedule::default(), &mut got, w, run.iter());
                         assert_eq!(
                             as_f64_slice(&got),
                             as_f64_slice(&want),

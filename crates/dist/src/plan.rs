@@ -52,6 +52,7 @@
 
 use mpi_sim::{Comm, CommStats, FaultPlan, World};
 use qcs_core::circuit::{Circuit, Gate};
+use qcs_core::kernels::blocked::Member;
 use qcs_core::kernels::dispatch::GateKernel;
 use qcs_core::perf::ExchangeProfile;
 use qcs_core::state::StateVector;
@@ -389,7 +390,7 @@ impl DistPlan {
         self.ops
             .iter()
             .map(|op| match op {
-                PlanOp::Gate(g) => kernel(g).map(RankOp::Sweep),
+                PlanOp::Gate(g) => kernel(g).map(|k| RankOp::Sweep(Member::Gate(k))),
                 &PlanOp::Swap(gq, lq) => Some(RankOp::Swap { gq, lq }),
                 PlanOp::OverlapSwap { gq, resident } => Some(RankOp::OverlapSwap {
                     gq: *gq,
@@ -596,7 +597,7 @@ mod tests {
         let mut c = Circuit::new(8);
         c.push(gate);
         let op = plan_circuit(&c, 4, DistPlanKind::Naive).unwrap().localize(rank).remove(0);
-        assert!(op.as_ref().is_none_or(|op| matches!(op, RankOp::Sweep(_))), "{op:?}");
+        assert!(op.as_ref().is_none_or(|op| matches!(op, RankOp::Sweep(_))), "rank {rank}");
         op.is_some()
     }
 

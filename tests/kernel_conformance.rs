@@ -401,6 +401,12 @@ fn every_strategy_is_bit_identical_at_every_thread_count() {
                     state
                 };
                 let one = run(1, SERIAL);
+                if let Strategy::Blocked { .. } = strategy {
+                    let naive = SimConfig::default().strategy(Strategy::Naive).backend(backend);
+                    let mut want = start.clone();
+                    naive.build().unwrap().run(&circuit, &mut want).unwrap();
+                    assert_eq!(one.max_abs_diff(&want), 0.0, "{name} {strategy} {backend:?}");
+                }
                 for threads in 2..=4 {
                     for schedule in [Schedule::default_static(), Schedule::Dynamic { chunk: 3 }] {
                         assert_eq!(
@@ -458,20 +464,25 @@ fn every_gate_runs_one_kernel_whoever_sweeps_it() {
     // that a 4-qubit block cannot hold.
     for (a, b, c) in [(0, 2, 3), (3, 1, 0), (6, 0, 4)] {
         for gate in every_gate(a, b, c) {
+            // The gate twice: a lone gate is a one-member run, which
+            // sweeps the whole state; two make `blocked` walk the tiles.
             let mut circuit = Circuit::new(n);
-            circuit.push(gate.clone());
+            circuit.push(gate.clone()).push(gate.clone());
             for be in simd::available() {
                 let mut serial = start.clone();
-                apply_gate_with(be, serial.amplitudes_mut(), &gate);
                 let mut shared = start.clone();
                 let sched = Schedule::Static { chunk: Some(5) };
-                apply_gate_parallel_with(be, &pool, sched, shared.amplitudes_mut(), &gate);
+                for _ in 0..2 {
+                    apply_gate_with(be, serial.amplitudes_mut(), &gate);
+                    apply_gate_parallel_with(be, &pool, sched, shared.amplitudes_mut(), &gate);
+                }
                 assert_eq!(shared.max_abs_diff(&serial), 0.0, "{} {gate:?}: pooled", be.name);
 
                 // Engines: naive sweeps the whole state with the gate's
                 // kernel, blocked sweeps it 16 amplitudes at a time with
-                // the same kernel; each amplitude meets the same
-                // primitive, so not one bit may differ.
+                // the same kernel, pinned to the tile where a qubit lies
+                // above it; each amplitude meets the same primitive, so
+                // not one bit may differ.
                 let choice =
                     if be.width == 1 { BackendChoice::Scalar } else { BackendChoice::Simd };
                 let run = |strategy: Strategy| {

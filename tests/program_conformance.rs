@@ -154,7 +154,11 @@ fn final_state_bits_match_the_recorded_engines() {
         [0xe1ac15682fedd7f6, 0x7d62537e0635ae62, 0xe1ac15682fedd7f6, 0x0ca31e8ca089a63c],
         [0x01cd71aafe8fcc77, 0x50cd38b35ac85c80, 0x01cd71aafe8fcc77, 0x7410a473fcd40512],
     ];
-    const SWEEPS: [[usize; 4]; 3] = [[40, 10, 31, 26], [60, 16, 54, 50], [80, 22, 74, 80]];
+    // The blocked column was re-recorded (from 31/54/74) when `blocked`
+    // took the tiled runner's pinning rule: diagonals and controlled
+    // gates with a qubit above the block now join runs; the states did
+    // not change.
+    const SWEEPS: [[usize; 4]; 3] = [[40, 10, 24, 26], [60, 16, 39, 50], [80, 22, 54, 80]];
     for (row, &(n, gates, seed)) in SHAPES.iter().enumerate() {
         let circuit = random_circuit_seeded(n, gates, seed);
         let mut naive = StateVector::zero(n);
