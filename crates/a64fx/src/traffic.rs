@@ -29,8 +29,7 @@ pub enum KernelKind {
     TwoQubitDense,
     /// Fused dense k-qubit unitary applied in one sweep.
     FusedDense { k: u8 },
-    /// SWAP / axis-relabeling sweep: a pure amplitude permutation with no
-    /// arithmetic (the planner's relocation primitive).
+    /// SWAP sweep: a pure amplitude permutation with no arithmetic.
     Swap,
 }
 

@@ -1,10 +1,10 @@
 //! E15 — Specialized fused kernels + calibrated strategy auto-tuning.
 //!
 //! The seed's generic fused path lost to naive execution by 3–6×
-//! (`results/BENCH_planned.json`): every fused block ran through the
-//! same scalar gather → dense `2^k × 2^k` mat-vec → scatter loop
-//! regardless of structure, with per-block scratch allocations. This
-//! experiment re-measures the e11 workload after the fix:
+//! (E11, now historical in EXPERIMENTS.md): every fused block ran
+//! through the same scalar gather → dense `2^k × 2^k` mat-vec → scatter
+//! loop regardless of structure, with per-block scratch allocations.
+//! This experiment re-measures E11's families after the fix:
 //!
 //! 1. fused blocks are classified (diagonal / permutation / sparse /
 //!    dense); diagonal ones stream, every other runs the one block
@@ -65,7 +65,7 @@ fn measure_all(c: &Circuit, strategies: &[Strategy], rounds: usize) -> Vec<(f64,
     best
 }
 
-/// A circuit dense on the lowest `span` qubits (e11's blocking showcase).
+/// A circuit dense on the lowest `span` qubits (E11's blocking showcase).
 fn low_dense(n: u32, span: u32, layers: usize) -> Circuit {
     let mut c = Circuit::new(n);
     for l in 0..layers {
@@ -79,7 +79,7 @@ fn low_dense(n: u32, span: u32, layers: usize) -> Circuit {
     c
 }
 
-/// The same structure on the highest qubits (planner-only territory).
+/// The same structure on the highest qubits, out of every block's reach.
 fn high_dense(n: u32, span: u32, layers: usize) -> Circuit {
     let mut c = Circuit::new(n);
     let base = n - span;

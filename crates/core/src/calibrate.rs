@@ -81,7 +81,8 @@ pub struct Calibration {
     /// How much of the memory stream each member of a cache-blocked
     /// pass still pays on this host, measured from a real block pass
     /// through the one tiled runner (`run_tiled`) that both
-    /// [`Strategy::Blocked`] and [`Strategy::Planned`] execute:
+    /// [`Strategy::Blocked`] and [`Strategy::Planned`] (the same runs,
+    /// with fused members) execute:
     /// 0 = ideal blocking (members share one stream and pay only their
     /// arithmetic above it), 1 = blocking amortizes nothing (each
     /// member pays its full sweep cost, e.g. because the benchmark
@@ -143,10 +144,11 @@ impl Calibration {
         (c - self.stream).max(0.1 * c) + self.block_stream_factor * c.min(self.stream)
     }
 
-    /// In-block variant for the planner: the cost table rewritten to
-    /// what each member actually contributes to a cache-blocked pass
-    /// (the same member pricing `block_pass_ns` charges), so in-block
-    /// fusion decisions agree with the pass pricing.
+    /// In-block variant for [`Strategy::Planned`]'s fusion inside each
+    /// run: the cost table rewritten to what each member actually
+    /// contributes to a cache-blocked pass (the same member pricing
+    /// `block_pass_ns` charges), so in-block fusion decisions agree with
+    /// the pass pricing.
     pub fn block_fuse_costs(&self) -> FuseCosts {
         let arith = |c: f64| self.in_block_per_amp(c);
         let full = self.fuse_costs();
@@ -243,9 +245,9 @@ fn measure(be: &'static KernelBackend) -> Calibration {
     let gate_2q_diag = gate_cost(Gate::Rzz(q, q + 1, 0.3), &mut overheads);
     let gate_2q_dense = gate_cost(Gate::Rxx(q, q + 1, 0.5), &mut overheads);
     // Swap measured low↔high across the full register (per state size,
-    // since the top axis moves with n): that is the stride the planner's
-    // relocation sweeps actually cross, and it costs several times an
-    // adjacent-axis swap on cache-hostile hosts.
+    // since the top axis moves with n): the stride a QFT's tail swaps
+    // cross, and it costs several times an adjacent-axis swap on
+    // cache-hostile hosts.
     let swap = {
         let gb = Gate::Swap(1, N_BIG - 1);
         let gs = Gate::Swap(1, N_SMALL - 1);

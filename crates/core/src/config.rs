@@ -245,8 +245,14 @@ impl SimConfig {
                 "thread count must be at least 1 (the calling thread counts)".to_string(),
             ));
         }
-        if let Strategy::Fused { max_k: 0 } | Strategy::Planned { max_k: 0, .. } = self.strategy {
-            return Err(SimError::InvalidConfig("fusion width max_k must be at least 1".into()));
+        if let Strategy::Fused { max_k } | Strategy::Planned { max_k, .. } = self.strategy {
+            // A fused block holds a dense 4^k matrix; 5 is the widest the
+            // cost table prices.
+            if !(1..=5).contains(&max_k) {
+                return Err(SimError::InvalidConfig(format!(
+                    "fusion width max_k must be in 1..=5, not {max_k}"
+                )));
+            }
         }
         if let Strategy::Blocked { block_qubits: 0 } | Strategy::Planned { block_qubits: 0, .. } =
             self.strategy
@@ -371,9 +377,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_fusion_width_is_a_clean_error() {
-        let err = SimConfig::new().strategy(Strategy::Fused { max_k: 0 }).build().unwrap_err();
-        assert!(err.to_string().contains("max_k"));
+    fn fusion_width_outside_1_to_5_is_a_clean_error() {
+        for max_k in [0, 6, u32::MAX] {
+            for strategy in
+                [Strategy::Fused { max_k }, Strategy::Planned { block_qubits: 10, max_k }]
+            {
+                let err = SimConfig::new().strategy(strategy).build().unwrap_err();
+                assert!(matches!(err, SimError::InvalidConfig(_)), "{strategy}");
+                assert!(err.to_string().contains("max_k must be in 1..=5"), "{strategy}: {err}");
+            }
+        }
+        assert!(SimConfig::new().strategy(Strategy::Fused { max_k: 5 }).validate().is_ok());
     }
 
     #[test]

@@ -182,9 +182,6 @@ impl FuseCosts {
 
 /// Fuse a circuit into blocks of at most `max_k` qubits, taking every
 /// merge that fits: [`fuse_costed`] under a table where blocks are free.
-///
-/// `max_k` must be ≥ the widest gate in the circuit (3 covers the whole
-/// gate set) and is clamped to the circuit width.
 pub fn fuse(circuit: &Circuit, max_k: u32) -> Vec<FusedOp> {
     fuse_costed(circuit, max_k, &FuseCosts::ACCEPT_EVERY_FIT)
 }
@@ -195,13 +192,13 @@ pub fn fuse(circuit: &Circuit, max_k: u32) -> Vec<FusedOp> {
 ///
 /// Groups that end up holding a single gate keep it (see
 /// [`FusedOp::gate`]) and execute through the per-gate kernels.
-/// `max_k` must be ≥ the widest gate and is clamped to the circuit
-/// width; the circuit must be unitary.
+/// `max_k` is raised to the widest gate (a gate always fits its own
+/// block) and clamped to the circuit width; the circuit must be unitary.
 pub fn fuse_costed(circuit: &Circuit, max_k: u32, costs: &FuseCosts) -> Vec<FusedOp> {
     let n = circuit.n_qubits() as usize;
-    let max_k = max_k.min(circuit.n_qubits()) as usize;
-    assert!(max_k >= 1);
     let gates = circuit.gates();
+    let widest = gates.iter().map(|g| g.qubits().len()).max().unwrap_or(1);
+    let max_k = (max_k as usize).max(widest).min(n);
     let mut pass = Pass { gates, groups: Vec::new(), frontier: vec![None; n], max_k, costs };
     // Single-qubit gates wait here, per qubit, for the next multi-qubit
     // gate on their qubit (or the end of the circuit).
@@ -213,7 +210,6 @@ pub fn fuse_costed(circuit: &Circuit, max_k: u32, costs: &FuseCosts) -> Vec<Fuse
             gate.name()
         );
         let qubits = gate.qubits();
-        assert!(qubits.len() <= max_k, "gate {} is wider than max_k = {max_k}", gate.name());
         if let [q] = qubits[..] {
             held[q as usize].push(i);
             continue;
@@ -608,11 +604,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "wider than max_k")]
-    fn gate_wider_than_k_rejected() {
+    fn a_gate_wider_than_k_raises_k_to_its_width() {
+        // A Toffoli under k = 1 and k = 2 fuses as under k = 3.
         let mut c = Circuit::new(4);
-        c.ccx(0, 1, 2);
-        let _ = fuse(&c, 2);
+        c.h(0).cx(0, 3).ccx(0, 1, 2).t(2);
+        let mut reference = StateVector::zero(4);
+        run_gate_by_gate(&c, &mut reference);
+        for k in [1u32, 2] {
+            let plan = fuse(&c, k);
+            assert_eq!(plan.iter().map(|op| op.qubits.len()).max(), Some(3), "k={k}");
+            let mut s = StateVector::zero(4);
+            run_fused(&plan, &mut s);
+            assert!(s.approx_eq(&reference, EPS), "k={k}");
+        }
     }
 
     #[test]

@@ -320,10 +320,8 @@ pub fn apply_2q(
     sweep(be, pool, sched, amps, &[l, h], LaneOp::Mix4(m));
 }
 
-/// SWAP two qubits: exchange the mismatched (`01`, `10`) amplitudes.
-///
-/// Also the execution kernel for the planner's axis-relabeling sweeps
-/// ([`crate::plan::PlanOp::SwapAxes`]): a pure permutation, no flops.
+/// SWAP two qubits: exchange the mismatched (`01`, `10`) amplitudes, a
+/// pure permutation with no flops.
 pub fn apply_swap(
     be: &KernelBackend,
     pool: Option<&ThreadPool>,

@@ -18,14 +18,13 @@
 //!   strategies by [`Program::calibrated_ns`].
 //!
 //! The lowering itself is assembled from the passes that already
-//! existed — cost-aware fusion ([`fuse_costed`]), the relabeling planner
-//! ([`plan_circuit_with`]) and the block-run grouping, whose runs share
-//! a distributed rank's tiled runner ([`run_tiled`]) — and is the flat
-//! gate-record shape plan-then-execute simulators (mpiQulacs) use for
-//! the same reason.
+//! existed — cost-aware fusion ([`fuse_costed`]) and the block-run
+//! grouping, whose runs share a distributed rank's tiled runner
+//! ([`run_tiled`]) — and is the flat gate-record shape plan-then-execute
+//! simulators (mpiQulacs) use for the same reason. `planned` is that
+//! grouping with the all-low stretches of each run fused in the block.
 
 use std::borrow::Cow;
-use std::ops::Deref;
 
 use a64fx_model::traffic::{GateTraffic, KernelKind, TrafficModel};
 use omp_par::{Schedule, ThreadPool};
@@ -33,47 +32,25 @@ use omp_par::{Schedule, ThreadPool};
 use crate::calibrate::{block_pass_ns, fused_per_amp, gate_per_amp, Calibration};
 use crate::circuit::{Circuit, Gate};
 use crate::complex::C64;
-use crate::fusion::{fuse, fuse_costed, FusedOp};
+use crate::fusion::{fuse, fuse_costed, FuseCosts, FusedOp};
 use crate::kernels::blocked::{run_tiled, Member};
 use crate::kernels::dispatch::GateKernel;
 use crate::kernels::fused::PreparedFused;
 use crate::kernels::simd::KernelBackend;
 use crate::perf::{classify, measure_traffic};
-use crate::plan::{plan_circuit_with, PlanOp};
 use crate::sim::Strategy;
-
-/// The gate a [`SweepOp::Gate`] sweeps with: borrowed from the source
-/// circuit where the lowering kept it as written, owned where the
-/// planner rewrote it onto physical axes. Either way no matrix is
-/// copied.
-#[derive(Debug)]
-pub enum GateRef<'c> {
-    Source(&'c Gate),
-    Remapped(Box<Gate>),
-}
-
-impl Deref for GateRef<'_> {
-    type Target = Gate;
-
-    fn deref(&self) -> &Gate {
-        match self {
-            GateRef::Source(g) => g,
-            GateRef::Remapped(g) => g,
-        }
-    }
-}
 
 /// One step of a [`Program`]: one pass over the state (or, for the two
 /// barrier ops, one collapse / one classically-conditioned sweep).
 #[derive(Debug)]
 pub enum SweepOp<'c> {
     /// A gate through its own specialized kernel.
-    Gate(GateRef<'c>),
+    Gate(&'c Gate),
     /// A fused block through the kernel matching its structure class.
     Fused(FusedOp),
     /// A cache-blocked pass ([`run_tiled`]): `Gate`s that pin to every
-    /// block of the program's width (a `blocked` run) or the planner's
-    /// in-block `Fused` ops, applied block by block.
+    /// block of the program's width, and (under `planned`) `Fused` ops
+    /// over qubits below it, applied block by block.
     BlockPass(Vec<SweepOp<'c>>),
     /// Barrier: projective measurement of `q` into classical bit `creg`.
     Measure { q: u32, creg: u32 },
@@ -97,15 +74,15 @@ pub struct Program<'c> {
     pub block_qubits: u32,
 }
 
-/// Lower `circuit` under `strategy`, pricing fusion and relocation
-/// decisions from `cal`. `None` means the process-wide
+/// Lower `circuit` under `strategy`, pricing fusion decisions from
+/// `cal`. `None` means the process-wide
 /// [`Calibration::get`] — measured on first use, and only by a strategy
 /// that reads costs, so a naive or blocked run never pays for the
 /// micro-benchmark.
 ///
 /// [`Gate::Measure`] and [`Gate::Cif`] are barriers: each maximal
 /// unitary run between them is lowered on its own, so no fusion or
-/// relabeling crosses a collapse. [`Strategy::Auto`] is resolved once
+/// block pass crosses a collapse. [`Strategy::Auto`] is resolved once
 /// for the whole circuit against the process-wide calibration (the one
 /// its memo belongs to, see [`crate::calibrate::choose`]).
 pub fn lower<'c>(
@@ -152,8 +129,8 @@ fn lower_unitary<'c>(
     if gates.is_empty() {
         return;
     }
-    // Fusion and planning take a whole `Circuit`: the source itself when
-    // no barrier splits it, otherwise a copy of this run.
+    // Fusion takes a whole `Circuit`: the source itself when no barrier
+    // splits it, otherwise a copy of this run.
     let as_circuit = || {
         if gates.len() == circuit.len() {
             return Cow::Borrowed(circuit);
@@ -168,29 +145,19 @@ fn lower_unitary<'c>(
         Some(table) => table,
         None => Calibration::get(),
     };
+    let n = circuit.n_qubits();
     match strategy {
-        Strategy::Naive => ops.extend(gates.iter().map(|g| SweepOp::Gate(GateRef::Source(g)))),
+        Strategy::Naive => ops.extend(gates.iter().map(SweepOp::Gate)),
         Strategy::Fused { max_k } => {
             // Merge only where the calibrated block kernel beats the
             // member gates' own kernels.
             let fused = fuse_costed(&as_circuit(), max_k, &cal().fuse_costs());
             ops.extend(fused.into_iter().map(SweepOp::Fused))
         }
-        Strategy::Blocked { block_qubits } => {
-            lower_blocked(ops, gates, block_qubits.min(circuit.n_qubits()))
-        }
+        Strategy::Blocked { block_qubits } => lower_blocked(ops, gates, block_qubits.min(n), None),
         Strategy::Planned { block_qubits, max_k } => {
-            let plan = plan_circuit_with(&as_circuit(), block_qubits, max_k, cal());
-            ops.extend(plan.ops.into_iter().map(|op| match op {
-                // A relabeling sweep is the SWAP gate on two physical axes.
-                PlanOp::SwapAxes(a, b) => {
-                    SweepOp::Gate(GateRef::Remapped(Box::new(Gate::Swap(a, b))))
-                }
-                PlanOp::Block(fused) => {
-                    SweepOp::BlockPass(fused.into_iter().map(SweepOp::Fused).collect())
-                }
-                PlanOp::Gate(g) => SweepOp::Gate(GateRef::Remapped(g)),
-            }))
+            let costs = cal().block_fuse_costs();
+            lower_blocked(ops, gates, block_qubits.min(n), Some((max_k, &costs)))
         }
         Strategy::Auto => unreachable!("lower resolves Auto before lowering any run"),
     }
@@ -200,15 +167,48 @@ fn lower_unitary<'c>(
 /// block width ([`GateKernel::pin`], the rule a distributed rank groups
 /// its tiled runs by) into one block pass; a gate that moves amplitudes
 /// between blocks keeps its own full-state sweep.
-fn lower_blocked<'c>(ops: &mut Vec<SweepOp<'c>>, gates: &'c [Gate], block_qubits: u32) {
+fn lower_blocked<'c>(
+    ops: &mut Vec<SweepOp<'c>>,
+    gates: &'c [Gate],
+    block_qubits: u32,
+    fusion: Option<(u32, &FuseCosts)>,
+) {
     let pins = |g: &Gate| GateKernel::from(g).pin(block_qubits, 0).is_some();
-    let op = |g| SweepOp::Gate(GateRef::Source(g));
     for run in gates.chunk_by(|a, b| pins(a) && pins(b)) {
         ops.push(match run {
-            [g] if !pins(g) => op(g),
-            _ => SweepOp::BlockPass(run.iter().map(op).collect()),
+            [g] if !pins(g) => SweepOp::Gate(g),
+            _ => SweepOp::BlockPass(block_members(run, block_qubits, fusion)),
         });
     }
+}
+
+/// A block pass's members: the run's gates as they are, or, with
+/// `fusion = Some((max_k, costs))` (`planned`), each maximal stretch of
+/// gates below the block width fused in the block ([`fuse_costed`] at
+/// `max_k` under the in-block table), between the gates pinned from
+/// above.
+fn block_members<'c>(
+    run: &'c [Gate],
+    block_qubits: u32,
+    fusion: Option<(u32, &FuseCosts)>,
+) -> Vec<SweepOp<'c>> {
+    let Some((max_k, costs)) = fusion else {
+        return run.iter().map(SweepOp::Gate).collect();
+    };
+    let low = |g: &Gate| g.qubits().iter().all(|&q| q < block_qubits);
+    let mut members = Vec::new();
+    for stretch in run.chunk_by(|a, b| low(a) == low(b)) {
+        if !low(&stretch[0]) {
+            members.extend(stretch.iter().map(SweepOp::Gate));
+            continue;
+        }
+        let mut block = Circuit::new(block_qubits);
+        for g in stretch {
+            block.push(g.clone());
+        }
+        members.extend(fuse_costed(&block, max_k, costs).into_iter().map(SweepOp::Fused));
+    }
+    members
 }
 
 impl<'c> Program<'c> {
@@ -345,7 +345,7 @@ impl SweepOp<'_> {
     /// tables and class dispatch are built here, once.
     fn member(&self) -> Member<'_> {
         match self {
-            SweepOp::Gate(g) => Member::Gate(GateKernel::from(&**g)),
+            SweepOp::Gate(g) => Member::Gate(GateKernel::from(*g)),
             SweepOp::Cif { gate, .. } => Member::Gate(GateKernel::from(*gate)),
             SweepOp::Fused(op) => Member::Fused(PreparedFused::new(op)),
             _ => unreachable!("a block pass does not nest, and a collapse has no kernel"),
@@ -405,7 +405,7 @@ mod tests {
         assert_eq!(p.ops.len(), c.len());
         assert_eq!((p.strategy, p.block_qubits, p.segments()), (Strategy::Naive, 0, 1));
         for (op, g) in p.ops.iter().zip(c.gates()) {
-            assert!(matches!(op, SweepOp::Gate(GateRef::Source(s)) if std::ptr::eq(*s, g)));
+            assert!(matches!(op, SweepOp::Gate(s) if std::ptr::eq(*s, g)));
         }
     }
 
@@ -427,7 +427,7 @@ mod tests {
             .map(|op| match op {
                 SweepOp::BlockPass(ops) => {
                     members.extend(ops.iter().map(|op| match op {
-                        SweepOp::Gate(GateRef::Source(g)) => *g,
+                        SweepOp::Gate(g) => *g,
                         other => panic!("member {other:?} is not a source gate"),
                     }));
                     ops.len()

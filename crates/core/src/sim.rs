@@ -35,10 +35,8 @@ pub enum Strategy {
     /// Apply each run of gates that pin to every `2^block_qubits` block
     /// one cache-resident block at a time; other gates fall back to naive.
     Blocked { block_qubits: u32 },
-    /// Plan first: remap runs of gates onto low physical qubits with
-    /// cheap axis-swap sweeps, then execute them as cache-resident
-    /// blocks with ≤ `max_k`-qubit fusion inside each block (the
-    /// mpiQulacs-style relabeling idea applied locally).
+    /// [`Strategy::Blocked`]'s runs, with each stretch of a run below
+    /// `block_qubits` fused into ≤ `max_k`-qubit blocks inside the pass.
     Planned { block_qubits: u32, max_k: u32 },
     /// Measure once, choose per circuit: a startup micro-benchmark
     /// calibrates per-kernel costs on this machine
@@ -289,8 +287,8 @@ impl Simulator {
 
     /// Build an engine from a validated [`SimConfig`] — the primary
     /// construction path. Returns [`SimError::InvalidConfig`] rather
-    /// than panicking on impossible configurations (zero threads, zero
-    /// fusion width).
+    /// than panicking on impossible configurations (zero threads, a
+    /// fusion width outside 1..=5).
     pub fn from_config(config: SimConfig) -> Result<Simulator, SimError> {
         config.validate()?;
         let SimConfig {
@@ -371,7 +369,7 @@ impl Simulator {
     ///
     /// [`lower`] treats every non-unitary op as a barrier: each maximal
     /// unitary run is lowered under the configured strategy on its own
-    /// (no fusion or relabeling crosses a collapse), the measurement
+    /// (no fusion or block pass crosses a collapse), the measurement
     /// itself draws from `StdRng::seed_from_u64(seed)` and collapses in
     /// two sweeps ([`crate::measure::measure_qubit`]), and
     /// classically-controlled gates consult the classical register
@@ -745,36 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_strategy_beats_blocked_on_high_targets() {
-        // Every gate sits on qubits ≥ block width: Blocked falls back to
-        // one sweep per gate; Planned relocates once and blocks the run
-        // under the analytic calibration. The engine itself runs the
-        // live (measured) calibration, which may legitimately decline
-        // relocation on a host where it does not pay — so the sweep
-        // advantage is asserted on the analytic plan and the engine is
-        // held to exactly its own plan's sweep count plus semantics.
-        let mut c = Circuit::new(12);
-        for _ in 0..8 {
-            c.h(8).cx(8, 9).cx(9, 10);
-        }
-        let analytic =
-            crate::plan::plan_circuit_with(&c, 4, 3, &crate::calibrate::Calibration::analytic());
-        assert!(analytic.sweeps < c.len(), "analytic plan {} !< {}", analytic.sweeps, c.len());
-        let run = |strategy| {
-            let mut s = StateVector::zero(12);
-            let report =
-                SimConfig::new().strategy(strategy).build().unwrap().run(&c, &mut s).unwrap();
-            (report.sweeps, s)
-        };
-        let (naive_sweeps, reference) = run(Strategy::Naive);
-        let (blocked_sweeps, _) = run(Strategy::Blocked { block_qubits: 4 });
-        let (planned_sweeps, planned_state) = run(Strategy::Planned { block_qubits: 4, max_k: 3 });
-        assert_eq!(blocked_sweeps, naive_sweeps);
-        assert_eq!(planned_sweeps, crate::plan::plan_circuit(&c, 4, 3).sweeps);
-        assert!(planned_state.approx_eq(&reference, 1e-10));
-    }
-
-    #[test]
     fn planned_threaded_matches_serial() {
         let c = library::random_circuit(9, 60, 5);
         let mut reference = StateVector::zero(9);
@@ -795,20 +763,6 @@ mod tests {
                 .unwrap();
             assert!(s.approx_eq(&reference, 1e-10), "threads={threads}");
         }
-    }
-
-    #[test]
-    fn planned_sweeps_match_plan() {
-        let c = library::qft(8);
-        let plan = crate::plan::plan_circuit(&c, 5, 3);
-        let mut s = StateVector::zero(8);
-        let report = SimConfig::new()
-            .strategy(Strategy::Planned { block_qubits: 5, max_k: 3 })
-            .build()
-            .unwrap()
-            .run(&c, &mut s)
-            .unwrap();
-        assert_eq!(report.sweeps, plan.sweeps);
     }
 
     #[test]

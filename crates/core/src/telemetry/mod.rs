@@ -7,8 +7,7 @@
 //! arithmetic in each experiment binary:
 //!
 //! * [`Span`] — one measured unit of work (a gate sweep, a fused op, a
-//!   cache-blocked pass, an axis relabeling, or a distributed exchange
-//!   phase) carrying wall time, the kernel taxonomy, the qubits it
+//!   cache-blocked pass, or a distributed exchange phase) carrying wall time, the kernel taxonomy, the qubits it
 //!   touched, and its model-side traffic/time prediction.
 //! * [`Tracer`] — the recording engine: lock-free single-producer
 //!   [`ring::SpanRing`]s (one per thread), merged at run end, plus
@@ -644,14 +643,13 @@ mod tests {
     use crate::circuit::Gate;
     use crate::fusion::FusedOp;
     use crate::perf::gate_traffic;
-    use crate::program::GateRef;
 
     fn tracer(n: u32) -> Tracer {
         Tracer::with_defaults(n, 2, 64)
     }
 
     fn record_gate(tr: &Tracer, g: &Gate, wall_ns: u64) {
-        tr.record_op(0, &SweepOp::Gate(GateRef::Source(g)), wall_ns);
+        tr.record_op(0, &SweepOp::Gate(g), wall_ns);
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! existing parser. Everything is validated here, *before* a job
 //! reaches the queue — [`Circuit::push`] asserts on bad qubit indices,
 //! and a panic in the scheduler would take the worker down, so the
-//! worker must only ever see well-formed circuits.
+//! worker must only ever see well-formed circuits and strategies the
+//! engine accepts ([`SimConfig::validate`]).
 //!
 //! # Parameter sweeps
 //!
@@ -37,6 +38,7 @@
 use std::str::FromStr;
 
 use qcs_core::circuit::{Circuit, Gate};
+use qcs_core::config::SimConfig;
 use qcs_core::expectation::{Pauli, PauliString};
 use qcs_core::io::{fnv1a, fnv1a_update};
 use qcs_core::kernels::simd::BackendChoice;
@@ -102,6 +104,7 @@ impl JobSpec {
         };
         let strategy_text = v.get("strategy").and_then(Value::as_str).unwrap_or("auto");
         let strategy = Strategy::from_str(strategy_text).map_err(bad)?;
+        SimConfig::default().strategy(strategy).validate().map_err(|e| bad(e.to_string()))?;
         let strategy_str = strategy.to_string();
         let backend_text = v.get("backend").and_then(Value::as_str).unwrap_or("auto");
         let backend = BackendChoice::from_str(backend_text).map_err(bad)?;
@@ -564,6 +567,9 @@ mod tests {
             r#"{"tenant":"t","n":3,"circuit":[{"gate":"h","q":[0,1]}]}"#.to_string(),
             r#"{"tenant":"t","n":0,"circuit":[]}"#.to_string(),
             r#"{"tenant":"t","n":3,"strategy":"warp","circuit":[]}"#.to_string(),
+            submission("").replace("fused:2", "fused:6"),
+            submission("").replace("fused:2", "planned:4:9"),
+            submission("").replace("fused:2", "blocked:0"),
             submission(",\"observables\":[\"Q0\"]"),
             submission(",\"observables\":[\"Z0 Z0\"]"),
             submission(",\"observables\":[\"Z9\"]"),

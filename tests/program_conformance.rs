@@ -16,13 +16,17 @@ use a64fx_qcs::a64fx::timing::ExecConfig;
 use a64fx_qcs::a64fx::ChipParams;
 use a64fx_qcs::core::calibrate::Calibration;
 use a64fx_qcs::core::io::{fnv1a, fnv1a_update};
+use a64fx_qcs::core::kernels::blocked::{run_tiled, Member};
+use a64fx_qcs::core::kernels::dispatch::GateKernel;
+use a64fx_qcs::core::kernels::fused::PreparedFused;
+use a64fx_qcs::core::kernels::simd::{self, KernelBackend};
 use a64fx_qcs::core::perf;
 use a64fx_qcs::core::prelude::*;
-use a64fx_qcs::core::program::lower;
+use a64fx_qcs::core::program::{lower, Program, SweepOp};
 use a64fx_qcs::core::testing::random_circuit_seeded;
 
 /// One process-wide choice shapes a lowering: the machine calibration
-/// (measured per host) prices fusion and relocation. Pin it to the
+/// (measured per host) prices fusion. Pin it to the
 /// analytic costs before anything in this binary lowers a circuit, so
 /// sweep counts and the golden checksums name one fixed lowering on
 /// every host. The backend needs no pin: fused product matrices are
@@ -147,18 +151,22 @@ fn final_state_bits_match_the_recorded_engines() {
     // Portable backend, QCS_CALIBRATE=analytic, |0…0⟩ start. Rows follow
     // SHAPES; columns follow strategies(). The naive and blocked columns
     // were recorded under the per-strategy executors (`Prep`) that
-    // `Program` replaced; the fused and planned columns when fusion
-    // learned to slide gates past groups on other qubits.
+    // `Program` replaced; the fused column when fusion learned to slide
+    // gates past groups on other qubits; the planned column as below.
     const GOLDEN: [[u64; 4]; 3] = [
-        [0x920e14d21fc5fbd9, 0x91f7309ed0d47bb1, 0x920e14d21fc5fbd9, 0x7b345042eb4999ae],
-        [0xe1ac15682fedd7f6, 0x7d62537e0635ae62, 0xe1ac15682fedd7f6, 0x0ca31e8ca089a63c],
-        [0x01cd71aafe8fcc77, 0x50cd38b35ac85c80, 0x01cd71aafe8fcc77, 0x7410a473fcd40512],
+        [0x920e14d21fc5fbd9, 0x91f7309ed0d47bb1, 0x920e14d21fc5fbd9, 0x6d8f089d27690742],
+        [0xe1ac15682fedd7f6, 0x7d62537e0635ae62, 0xe1ac15682fedd7f6, 0x458bdf5640a5684c],
+        [0x01cd71aafe8fcc77, 0x50cd38b35ac85c80, 0x01cd71aafe8fcc77, 0x48c66b00058619f3],
     ];
     // The blocked column was re-recorded (from 31/54/74) when `blocked`
     // took the tiled runner's pinning rule: diagonals and controlled
     // gates with a qubit above the block now join runs; the states did
-    // not change.
-    const SWEEPS: [[usize; 4]; 3] = [[40, 10, 24, 26], [60, 16, 39, 50], [80, 22, 54, 80]];
+    // not change. The planned column (sweeps and checksums) was
+    // re-recorded (sweeps from 26/50/80) when `planned` stopped
+    // relocating qubits and became `blocked`'s runs with fused members:
+    // it now sweeps exactly as often as `blocked`, and its arithmetic is
+    // `blocked`'s with each all-low stretch of a run fused.
+    const SWEEPS: [[usize; 4]; 3] = [[40, 10, 24, 24], [60, 16, 39, 39], [80, 22, 54, 54]];
     for (row, &(n, gates, seed)) in SHAPES.iter().enumerate() {
         let circuit = random_circuit_seeded(n, gates, seed);
         let mut naive = StateVector::zero(n);
@@ -185,6 +193,90 @@ fn final_state_bits_match_the_recorded_engines() {
                 assert_eq!(state_checksum(member), GOLDEN[row][col], "batched {strategy}");
             }
         }
+    }
+}
+
+/// `program` swept serially on `be` through the public kernels and the
+/// tiled runner: the engines' interpreter with the backend as an input.
+fn run_on(be: &KernelBackend, program: &Program, state: &mut StateVector) {
+    fn member<'p>(op: &'p SweepOp) -> Member<'p> {
+        match op {
+            SweepOp::Gate(g) => Member::Gate(GateKernel::from(*g)),
+            SweepOp::Fused(f) => Member::Fused(PreparedFused::new(f)),
+            other => panic!("{other:?} in a unitary program"),
+        }
+    }
+    let sched = Schedule::default();
+    for op in &program.ops {
+        let amps = state.amplitudes_mut();
+        match op {
+            SweepOp::BlockPass(members) => {
+                let run: Vec<Member> = members.iter().map(member).collect();
+                run_tiled(be, None, sched, amps, program.block_qubits, run.iter());
+            }
+            op => member(op).apply(be, None, sched, amps),
+        }
+    }
+}
+
+/// `planned:b:k` is `blocked:b` with fused members: the same ops, a
+/// block pass wherever `blocked` has one and a full-state gate wherever
+/// it has one, and a state within 1e-12 of naive on every backend. The
+/// random gate set includes `Ccx`/`CSwap`, so k = 2 also covers a gate
+/// wider than the fusion width.
+#[test]
+fn planned_sweeps_as_blocked_and_runs_as_naive_on_every_backend() {
+    pin_process_wide_choices();
+    let kind = |op: &SweepOp| match op {
+        SweepOp::BlockPass(_) => "pass",
+        SweepOp::Gate(_) => "gate",
+        other => panic!("{other:?} at the top level of a unitary program"),
+    };
+    let backends = simd::available();
+    for seed in 0..4u64 {
+        let circuit = random_circuit_seeded(9, 60, 200 + seed);
+        let mut naive = StateVector::zero(9);
+        run_on(backends[0], &lower(&circuit, Strategy::Naive, None), &mut naive);
+        for b in 3..=7u32 {
+            let blocked = lower(&circuit, Strategy::Blocked { block_qubits: b }, None);
+            let blocked: Vec<&str> = blocked.ops.iter().map(kind).collect();
+            for k in 2..=4u32 {
+                let planned =
+                    lower(&circuit, Strategy::Planned { block_qubits: b, max_k: k }, None);
+                let shape: Vec<&str> = planned.ops.iter().map(kind).collect();
+                assert_eq!(shape, blocked, "seed {seed} planned:{b}:{k}");
+                for &be in &backends {
+                    let mut state = StateVector::zero(9);
+                    run_on(be, &planned, &mut state);
+                    let off = state.max_abs_diff(&naive);
+                    assert!(off <= 1e-12, "seed {seed} planned:{b}:{k} {}: {off:e}", be.name);
+                }
+            }
+        }
+    }
+}
+
+/// A fusion width below the widest gate is raised to it: `fused:1` and
+/// `fused:2` on a circuit with a `Cx` and a `Ccx`, and `planned:3:1`,
+/// run and match naive.
+#[test]
+fn a_fusion_width_below_the_widest_gate_runs_as_naive() {
+    pin_process_wide_choices();
+    let mut circuit = Circuit::new(5);
+    circuit.h(0).h(1).cx(0, 1).ccx(0, 1, 2).rz(2, 0.3).cx(2, 4).ccx(4, 3, 1).t(3);
+    let run = |strategy| {
+        let mut state = StateVector::zero(5);
+        SimConfig::default().strategy(strategy).build().unwrap().run(&circuit, &mut state).unwrap();
+        state
+    };
+    let naive = run(Strategy::Naive);
+    for strategy in [
+        Strategy::Fused { max_k: 1 },
+        Strategy::Fused { max_k: 2 },
+        Strategy::Planned { block_qubits: 3, max_k: 1 },
+    ] {
+        let off = run(strategy).max_abs_diff(&naive);
+        assert!(off <= 1e-12, "{strategy}: {off:e}");
     }
 }
 

@@ -282,6 +282,39 @@ fn malformed_submissions_are_rejected_without_killing_the_worker() {
     server.shutdown();
 }
 
+/// A fusion width narrower than a gate is raised to the gate's width,
+/// so the job runs instead of panicking the scheduler thread (which
+/// left it "running" and every later job "queued"); a width above 5,
+/// whose fused blocks would hold dense 4^k matrices, is a 400.
+#[test]
+fn a_narrow_fusion_width_runs_and_a_wide_one_is_rejected() {
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let addr = server.addr();
+    let status = |id: u64| {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            let (code, body) = http_request(addr, "GET", &format!("/jobs/{id}"), "").unwrap();
+            assert_eq!(code, 200, "{body}");
+            let state =
+                parse(&body).unwrap().get("status").and_then(Value::as_str).map(String::from);
+            match state.as_deref() {
+                Some("done" | "failed") => return state.unwrap(),
+                _ if Instant::now() > deadline => panic!("job {id} is stuck: {body}"),
+                _ => std::thread::sleep(Duration::from_millis(2)),
+            }
+        }
+    };
+    let narrow = submit_job(addr, &submit_body("narrow", "fused:1", "auto", SEED)).unwrap();
+    assert_eq!(status(narrow), "done");
+    let next = submit_job(addr, &submit_body("next", "naive", "auto", SEED)).unwrap();
+    assert_eq!(status(next), "done");
+    let (code, resp) =
+        http_request(addr, "POST", "/jobs", &submit_body("wide", "fused:6", "auto", SEED)).unwrap();
+    assert_eq!(code, 400, "{resp}");
+    assert!(resp.contains("max_k"), "{resp}");
+    server.shutdown();
+}
+
 #[test]
 fn compatible_jobs_from_independent_tenants_share_one_batch() {
     let cfg = ServeConfig { window_ms: 400, ..ServeConfig::default() };
