@@ -10,10 +10,10 @@
 //! paired access stride leaves the L1-friendly window; the absolute
 //! plateau is set by the level's bandwidth.
 //!
-//! E1c times the engine's own diagonal kernels (the `GateKernel` each
-//! gate resolves to, on the host's default SIMD backend, pool-less) by
-//! qubit position at n = 14 and n = 22, with the A64FX model's time per
-//! amplitude in columns of its own.
+//! E1c times the engine's own per-gate kernels (the `GateKernel` each
+//! gate resolves to, pool-less, once per native backend the host runs)
+//! by qubit position at n = 14 and n = 22, with the A64FX model's time
+//! per amplitude in columns of its own.
 
 use a64fx_model::traffic::{KernelKind, TrafficModel};
 use omp_par::Schedule;
@@ -23,6 +23,7 @@ use qcs_core::gates::standard;
 use qcs_core::kernels::dispatch::GateKernel;
 use qcs_core::kernels::scalar::apply_1q;
 use qcs_core::kernels::simd;
+use qcs_core::perf::classify;
 
 fn main() {
     let model = TrafficModel::a64fx();
@@ -84,56 +85,68 @@ fn main() {
     }
     table.print();
 
-    diagonals_by_position(&model);
+    kernels_by_position(&model);
 }
 
-/// E1c: host ns/amp of the diagonal kernels at each qubit position,
-/// beside the model's.
-fn diagonals_by_position(model: &TrafficModel) {
+/// E1c: host ns/amp of the per-gate kernels at each qubit position, one
+/// column per native backend, beside the model's.
+fn kernels_by_position(model: &TrafficModel) {
     const SIZES: [u32; 2] = [14, 22];
     // Label, and the gate at register size n.
     type Row = (String, Box<dyn Fn(u32) -> Gate>);
     let mut rows: Vec<Row> = Vec::new();
-    for t in [0u32, 1, 2, 3, 5] {
-        rows.push((
-            format!("CPhase({}, {t})", t + 1),
-            Box::new(move |_| Gate::CPhase(t + 1, t, 0.7)),
-        ));
+    // Two-qubit rows pair `t` with `t + 1`; `Cx` targets `t`.
+    for t in [0u32, 1, 2, 3, 5, 8, 12] {
+        let gates = [
+            Gate::Ry(t, 0.7),
+            Gate::Rz(t, 0.7),
+            Gate::X(t),
+            Gate::Cz(t, t + 1),
+            Gate::Cx(t + 1, t),
+            Gate::Swap(t, t + 1),
+            Gate::Rxx(t, t + 1, 0.7),
+        ];
+        rows.extend(gates.map(|g| -> Row {
+            let qubits: Vec<String> = g.qubits().iter().map(u32::to_string).collect();
+            (format!("{}({})", g.name(), qubits.join(", ")), Box::new(move |_| g.clone()))
+        }));
     }
-    rows.push(("CPhase(n-1, n-2)".into(), Box::new(|n| Gate::CPhase(n - 1, n - 2, 0.7))));
-    for t in 0u32..4 {
-        rows.push((format!("Phase({t})"), Box::new(move |_| Gate::Phase(t, 0.7))));
-    }
-    rows.push(("Phase(n-1)".into(), Box::new(|n| Gate::Phase(n - 1, 0.7))));
+    rows.push(("Swap(0, n-1)".into(), Box::new(|n| Gate::Swap(0, n - 1))));
 
-    let be = simd::active();
+    let natives: Vec<_> = simd::available().into_iter().skip(1).collect();
     println!();
     println!(
-        "E1c: diagonal kernels by qubit position, ns/amp (host: {} backend, pool-less, best of \
-         several sweeps; model: A64FX, 1 CMG, cold state)",
-        be.name
+        "E1c: per-gate kernels by qubit position, ns/amp (host: each native backend, pool-less, \
+         best of several sweeps; model: A64FX, 1 CMG, cold state)"
     );
-    let mut table = Table::new(&["gate", "host n=14", "host n=22", "model n=14", "model n=22"]);
+    let mut header = vec!["gate".to_string()];
+    for n in SIZES {
+        header.extend(natives.iter().map(|be| format!("{} n={n}", be.name)));
+    }
+    header.extend(SIZES.iter().map(|n| format!("model n={n}")));
+    let mut table = Table::new(&header.iter().map(String::as_str).collect::<Vec<_>>());
     let mut states: Vec<_> = SIZES.iter().map(|&n| bench_state(n, 7)).collect();
     for (label, gate) in rows {
         let (mut host, mut modelled) = (Vec::new(), Vec::new());
         for (&n, state) in SIZES.iter().zip(&mut states) {
-            let g = gate(n);
-            let kernel = GateKernel::from(&g);
-            // Short sweeps repeat inside one timing so the clock resolves them.
-            let (reps, inner) = if n <= 16 { (20, 50) } else { (7, 1) };
-            let secs = time_best(reps, || {
-                for _ in 0..inner {
-                    kernel.apply(be, None, Schedule::default(), state.amplitudes_mut());
+            let kernel = GateKernel::from(&gate(n));
+            // Short sweeps repeat inside one timing so the clock resolves
+            // them; the backends alternate, each keeping its best.
+            let (reps, inner) = if n <= 16 { (10, 50) } else { (3, 1) };
+            let mut best = vec![f64::MAX; natives.len()];
+            for _ in 0..3 {
+                for (best, be) in best.iter_mut().zip(&natives) {
+                    *best = best.min(time_best(reps, || {
+                        for _ in 0..inner {
+                            kernel.apply(be, None, Schedule::default(), state.amplitudes_mut());
+                        }
+                    }));
                 }
-            }) / inner as f64;
+            }
             let amps = (1u64 << n) as f64;
-            host.push(format!("{:.3}", secs / amps * 1e9));
-            let kind = match g.qubits().len() {
-                1 => KernelKind::OneQubitDiagonal,
-                _ => KernelKind::TwoQubitDiagonal,
-            };
-            let traffic = model.predict(kind, n, &g.qubits());
+            host.extend(best.iter().map(|s| format!("{:.3}", s / inner as f64 / amps * 1e9)));
+            let g = gate(n);
+            let traffic = model.predict(classify(&g), n, &g.qubits());
             let model_secs = traffic.mem_bytes as f64 / model.effective_bandwidth(n, 12, 1, false);
             modelled.push(format!("{:.4}", model_secs / amps * 1e9));
         }

@@ -49,6 +49,7 @@ impl<const W: usize> ArrayLanes<W> {
 unsafe impl<const W: usize> Lanes for ArrayLanes<W> {
     const W: usize = W;
     type Acc = [[f64; W]; 4];
+    const PERMUTE_STEPS: bool = true;
 
     unsafe fn zero() -> Self {
         Self::from_fn(|_| C64::default())

@@ -1,30 +1,22 @@
-//! AVX-512F backend: the block kernel at 8 complex lanes.
+//! AVX-512F backend: 8 complex lanes per vector, the source paper's
+//! 512-bit vector length, for every primitive of `lanes` — per-gate
+//! walkers, diagonal lane patterns, reductions and the block kernel —
+//! instantiated under `#[target_feature(enable = "avx512f,avx2,fma")]`.
+//! In cache these kernels are bound by instruction issue, so twice
+//! AVX2's lanes halve a sweep's instructions.
 //!
-//! Only the block kernel (`fused::block_range`) runs at this width. Its
-//! dense rows are issue-bound — `2^k` broadcast-FMA chains per group — so
-//! twice the lanes halve the arithmetic a step costs. The per-gate
-//! primitives and reductions are not memory-bound either on cache-sized
-//! states (the diagonals measured on a 2-core AVX-512F host were bound by
-//! instruction issue), but `CVec8` implements only `Lanes`, not the run
-//! arithmetic, so the table is the AVX2 table with `block_range` swapped:
-//! `width` stays 4, the per-gate walkers' vector window and the layout of
-//! their exchange steps and lane patterns.
-//!
-//! Every lane runs AVX2's exact FMA sequence, so a group's result bits
-//! equal the 4-lane kernel's. The module is only reachable through
-//! [`super::native`] / [`super::available`], which check
-//! `is_x86_feature_detected!` first.
+//! Each lane runs AVX2's exact FMA sequence ([`C64::fma`]'s order), so
+//! per-gate sweeps and blocks give AVX2's bits; reductions sum eight lanes
+//! instead of four and may differ in the last bits. Only reachable through
+//! [`super::native`] / [`super::available`], after feature detection.
 
 use std::arch::x86_64::*;
 
 use crate::complex::C64;
-use crate::kernels::fused::{self, Block};
 
-use super::lanes::Lanes;
-use super::{avx2, KernelBackend};
+use super::lanes::{kernel_backend, Lanes, RunLanes};
 
-pub(super) static BACKEND: KernelBackend =
-    KernelBackend { name: "avx512", block_range, ..avx2::BACKEND };
+kernel_backend!("avx512", CVec8, #[target_feature(enable = "avx512f,avx2,fma")]);
 
 /// Eight complex numbers as separate real/imaginary planes.
 #[derive(Clone, Copy)]
@@ -43,6 +35,7 @@ struct CVec8 {
 unsafe impl Lanes for CVec8 {
     const W: usize = 8;
     type Acc = [__m512d; 4];
+    const PERMUTE_STEPS: bool = true;
 
     #[inline(always)]
     unsafe fn zero() -> CVec8 {
@@ -108,6 +101,16 @@ unsafe impl Lanes for CVec8 {
         }
     }
 
+    /// One two-source permute per plane; the index is `idx.re`'s bits.
+    #[inline(always)]
+    unsafe fn permute(idx: CVec8, a: CVec8, b: CVec8) -> CVec8 {
+        let j = _mm512_castpd_si512(idx.re);
+        CVec8 {
+            re: _mm512_permutex2var_pd(a.re, j, b.re),
+            im: _mm512_permutex2var_pd(a.im, j, b.im),
+        }
+    }
+
     #[inline(always)]
     unsafe fn acc_zero() -> [__m512d; 4] {
         [_mm512_setzero_pd(); 4]
@@ -133,16 +136,50 @@ unsafe impl Lanes for CVec8 {
     }
 }
 
-/// The block kernel eight groups per step.
-///
-/// # Safety
-/// As [`fused::block_range`].
-unsafe fn block_range(amps: *mut C64, g0: usize, g1: usize, blk: &Block) {
-    // This backend is only installed after feature detection.
-    block_range_impl(amps, g0, g1, blk)
-}
+impl RunLanes for CVec8 {
+    #[inline(always)]
+    unsafe fn splat(c: C64) -> CVec8 {
+        CVec8 { re: _mm512_set1_pd(c.re), im: _mm512_set1_pd(c.im) }
+    }
 
-#[target_feature(enable = "avx512f,avx2,fma")]
-unsafe fn block_range_impl(amps: *mut C64, g0: usize, g1: usize, blk: &Block) {
-    fused::block_range::<CVec8>(amps, g0, g1, blk)
+    #[inline(always)]
+    unsafe fn fma(acc: CVec8, w: CVec8, v: CVec8) -> CVec8 {
+        CVec8 {
+            re: _mm512_fnmadd_pd(w.im, v.im, _mm512_fmadd_pd(w.re, v.re, acc.re)),
+            im: _mm512_fmadd_pd(w.im, v.re, _mm512_fmadd_pd(w.re, v.im, acc.im)),
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn mul(a: CVec8, b: CVec8) -> CVec8 {
+        CVec8 {
+            re: _mm512_sub_pd(_mm512_mul_pd(a.re, b.re), _mm512_mul_pd(a.im, b.im)),
+            im: _mm512_add_pd(_mm512_mul_pd(a.re, b.im), _mm512_mul_pd(a.im, b.re)),
+        }
+    }
+
+    /// The sign flip is an integer `xor`: `xor_pd` needs AVX-512DQ.
+    #[inline(always)]
+    unsafe fn conj(self) -> CVec8 {
+        let im = _mm512_xor_si512(_mm512_castpd_si512(self.im), _mm512_set1_epi64(i64::MIN));
+        CVec8 { re: self.re, im: _mm512_castsi512_pd(im) }
+    }
+
+    #[inline(always)]
+    unsafe fn add(a: CVec8, b: CVec8) -> CVec8 {
+        CVec8 { re: _mm512_add_pd(a.re, b.re), im: _mm512_add_pd(a.im, b.im) }
+    }
+
+    #[inline(always)]
+    unsafe fn madd(acc: CVec8, a: CVec8, b: CVec8) -> CVec8 {
+        CVec8 { re: _mm512_fmadd_pd(a.re, b.re, acc.re), im: _mm512_fmadd_pd(a.im, b.im, acc.im) }
+    }
+
+    /// A lane of `pick` is all ones or all zeros: any bit set picks `b`.
+    #[inline(always)]
+    unsafe fn select(pick: CVec8, a: CVec8, b: CVec8) -> CVec8 {
+        let m = _mm512_castpd_si512(pick.re);
+        let k = _mm512_test_epi64_mask(m, m);
+        CVec8 { re: _mm512_mask_blend_pd(k, a.re, b.re), im: _mm512_mask_blend_pd(k, a.im, b.im) }
+    }
 }

@@ -64,6 +64,25 @@ pub(crate) unsafe trait Lanes: Copy {
     /// Fold two sets of sums into the complex total.
     unsafe fn fold(a: Self::Acc, b: Self::Acc) -> Self;
 
+    /// Whether a permutation step with a target below the window takes
+    /// one [`permute`](Lanes::permute) per vector instead of two rounds of
+    /// [`exchange`](Lanes::exchange): set where `permute` is one shuffle
+    /// per plane, and by the test backends, which check the default.
+    const PERMUTE_STEPS: bool = false;
+
+    /// Lane `l` of the result is lane `j` of the table `(a, b)` — `a`'s
+    /// `W` lanes, then `b`'s —, where `j` is the bits of the real part of
+    /// `idx`'s lane `l`. A move, so every bit is kept.
+    #[inline(always)]
+    unsafe fn permute(idx: Self, a: Self, b: Self) -> Self {
+        let mut v = a;
+        for l in 0..Self::W {
+            let j = idx.lane(l).re.to_bits() as usize;
+            v.set_lane(l, if j < Self::W { a.lane(j) } else { b.lane(j - Self::W) });
+        }
+        v
+    }
+
     /// Lane `l` as a complex number.
     #[inline(always)]
     unsafe fn lane(&self, l: usize) -> C64 {
@@ -376,26 +395,37 @@ unsafe fn steps_of<V: RunLanes, const K: usize>(amps: *mut C64, steps: Range<usi
         for i in (0..1 << K).filter(|i| low.live >> i & 1 == 1) {
             v[i] = V::load(base.add(low.offsets[i]));
         }
-        exchange_low::<V, K>(&mut v, low);
-        // Constant vector indices in every arm keep the step in registers.
-        match low.op {
-            LaneOp::Mix2(m, [0, 1]) => [v[0], v[1]] = mix(&splat_matrix(&m.m), &[v[0], v[1]]),
-            LaneOp::Mix2(m, _) => [v[2], v[3]] = mix(&splat_matrix(&m.m), &[v[2], v[3]]),
-            LaneOp::Mix4(m) => v = mix(&splat_matrix(&m.m), &v),
-            LaneOp::Swap([0, 1]) => v.swap(0, 1),
-            LaneOp::Swap(_) => v.swap(1, 2),
-        }
-        exchange_low::<V, K>(&mut v, low);
+        step::<V, K>(&mut v, low);
         for i in (0..1 << K).filter(|i| low.live >> i & 1 == 1) {
             v[i].store(base.add(low.offsets[i]));
         }
     }
 }
 
+/// One step on its loaded vectors: exchange the low targets out of the
+/// lanes, run the [`LaneOp`], exchange back.
+///
+/// # Safety
+/// As [`mix_runs`].
+#[inline(always)]
+unsafe fn step<V: RunLanes, const K: usize>(v: &mut [V; 4], low: &Steps) {
+    exchange_low::<V, K>(v, low);
+    // Constant vector indices in every arm keep the step in registers.
+    match low.op {
+        LaneOp::Mix2(m, [0, 1]) => [v[0], v[1]] = mix(&splat_matrix(&m.m), &[v[0], v[1]]),
+        LaneOp::Mix2(m, _) => [v[2], v[3]] = mix(&splat_matrix(&m.m), &[v[2], v[3]]),
+        LaneOp::Mix4(m) => *v = mix(&splat_matrix(&m.m), v),
+        LaneOp::Swap([0, 1]) => v.swap(0, 1),
+        LaneOp::Swap(_) => v.swap(1, 2),
+    }
+    exchange_low::<V, K>(v, low);
+}
+
 /// Steps `steps` of a sweep: load each step's vectors, exchange the low
 /// targets out of the lanes, run the [`LaneOp`]'s lane arithmetic — the
 /// run primitive's, so a gate gets the same bits wherever its targets
-/// sit —, exchange back and store.
+/// sit —, exchange back and store. A permutation with a low target is
+/// one [`Lanes::permute`] per vector instead, where the backend says so.
 ///
 /// # Safety
 /// As [`mix_runs`]; `low` must be laid out for `V::W`, and the caller
@@ -403,9 +433,63 @@ unsafe fn steps_of<V: RunLanes, const K: usize>(amps: *mut C64, steps: Range<usi
 #[inline(always)]
 pub(super) unsafe fn step_range<V: RunLanes>(amps: *mut C64, steps: Range<usize>, low: &Steps) {
     debug_assert_eq!(V::W, 1 << low.lane_bits);
+    let below = (0..low.k).filter(|&j| low.targets[j] < low.lane_bits).fold(0, |m, j| m | 1 << j);
+    if V::PERMUTE_STEPS && below != 0 && matches!(low.op, LaneOp::Swap(_)) {
+        // Output vector `i` reads vector `i` and the one across the
+        // targets at or above the window.
+        return match (low.k, ((1 << low.k) - 1) & !below) {
+            (1, _) => permute_steps::<V, 1, 0>(amps, steps, low),
+            (_, 0) => permute_steps::<V, 2, 0>(amps, steps, low),
+            (_, 1) => permute_steps::<V, 2, 1>(amps, steps, low),
+            _ => permute_steps::<V, 2, 2>(amps, steps, low),
+        };
+    }
     match low.k {
         1 => steps_of::<V, 1>(amps, steps, low),
         _ => steps_of::<V, 2>(amps, steps, low),
+    }
+}
+
+/// [`step_range`] of a permutation: vector `i` of a step becomes one
+/// [`Lanes::permute`] of vectors `i` and `i ^ H`. Its lane patterns are
+/// one [`step`] run on vectors whose lanes hold their own index
+/// `W·vector + lane` as bits, so every amplitude lands where the exchange
+/// steps would put it.
+///
+/// # Safety
+/// As [`step_range`].
+#[inline(always)]
+unsafe fn permute_steps<V: RunLanes, const K: usize, const H: usize>(
+    amps: *mut C64,
+    steps: Range<usize>,
+    low: &Steps,
+) {
+    debug_assert_eq!(low.live, (1 << (1 << K)) - 1, "a low target makes every vector live");
+    let tag = |j: usize| C64::new(f64::from_bits(j as u64), 0.0);
+    let mut idx = [V::zero(); 4];
+    for (i, idx) in idx.iter_mut().enumerate().take(1 << K) {
+        for l in 0..V::W {
+            idx.set_lane(l, tag(i * V::W + l));
+        }
+    }
+    step::<V, K>(&mut idx, low);
+    for (i, idx) in idx.iter_mut().enumerate().take(1 << K) {
+        for l in 0..V::W {
+            // Renumber the source within `(vector i, vector i ^ H)`.
+            let j = idx.lane(l).re.to_bits() as usize;
+            debug_assert!(j / V::W == i || j / V::W == i ^ H);
+            idx.set_lane(l, tag(usize::from(j / V::W != i) * V::W + j % V::W));
+        }
+    }
+    for s in steps {
+        let base = amps.add(low.base(s));
+        let mut v = [V::zero(); 4];
+        for (i, v) in v.iter_mut().enumerate().take(1 << K) {
+            *v = V::load(base.add(low.offsets[i]));
+        }
+        for i in 0..1 << K {
+            V::permute(idx[i], v[i], v[i ^ H]).store(base.add(low.offsets[i]));
+        }
     }
 }
 

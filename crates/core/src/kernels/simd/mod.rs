@@ -14,11 +14,8 @@
 //!
 //! * `avx2` — x86-64 AVX2+FMA, 4 complex lanes (runtime detected via
 //!   `is_x86_feature_detected!`);
-//! * `avx512` — the `avx2` table with the block kernel at 8 complex
-//!   lanes (AVX-512F, runtime detected). The per-gate walkers and
-//!   reductions stay at 4 lanes — not because they stream memory (on
-//!   cache-sized states the diagonals were issue-bound), but because
-//!   only the block kernel has an 8-lane vector type so far;
+//! * `avx512` — x86-64 AVX-512F, 8 complex lanes (runtime detected):
+//!   the source paper's 512-bit vector length, for every primitive;
 //! * `neon` — aarch64 NEON, 2 complex lanes (baseline on aarch64-linux,
 //!   selected at compile time);
 //! * [`portable`] — one lane, no intrinsics, bit-identical to the
@@ -73,9 +70,8 @@ use crate::kernels::sweep::{DiagSpans, Steps};
 #[derive(Debug)]
 pub struct KernelBackend {
     pub name: &'static str,
-    /// The per-gate walkers' vector window, in complex lanes, which
-    /// `step_range` exchanges lower targets out of. `block_range` picks
-    /// its own lanes (8 on `avx512`, whose `width` is still 4).
+    /// The vector window, in complex lanes, which `step_range` moves
+    /// lower targets out of and `block_range` exchanges them out of.
     pub width: usize,
     /// `a0 = m00·a0 + m01·a1`, `a1 = m10·a0 + m11·a1` over paired runs.
     pub pairs_1q: fn(&mut [C64], &mut [C64], &Mat2),

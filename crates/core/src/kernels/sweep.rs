@@ -377,8 +377,10 @@ mod tests {
     #[test]
     fn array_lanes_give_the_portable_bits_at_every_placement() {
         // Each array lane runs portable's arithmetic, so any difference is
-        // an amplitude the walkers or exchange steps put in the wrong
-        // place. Chunks of one step cut the sweep at every step boundary.
+        // an amplitude the walkers, exchange steps or permutation steps
+        // (`X`/`Swap` below the window, through `Lanes::permute`'s
+        // default) put in the wrong place. Chunks of one step cut the
+        // sweep at every step boundary.
         let portable = simd::backend_for(simd::BackendChoice::Scalar);
         let pool = (!cfg!(miri)).then(|| ThreadPool::new(3));
         let sched = Schedule::Dynamic { chunk: 1 };

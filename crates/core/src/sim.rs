@@ -707,24 +707,24 @@ mod tests {
 
     #[test]
     fn fused_strategy_reduces_sweeps() {
-        // Diagonal-heavy so cost-aware fusion merges under any
-        // calibration: a merged diagonal block is one cheap streaming
-        // pass, never dearer than its members' separate sweeps.
+        // Diagonal-heavy, so the analytic costs, which price a merged
+        // diagonal block as one diagonal sweep, merge it. A measured table
+        // need not: its fused diagonal kernel can time dearer than two
+        // vector diagonal sweeps, and then apart is the cheaper program.
+        // Under any costs, fusion adds no sweep.
         let mut c = Circuit::new(8);
         for i in 0..15u32 {
             let q = i % 7;
             c.rz(q, 0.1).cp(q, q + 1, 0.2);
         }
+        let strategy = Strategy::Fused { max_k: 4 };
+        let analytic = lower(&c, strategy, Some(&crate::calibrate::Calibration::analytic()));
+        assert!(analytic.ops.len() < c.len(), "{} !< {}", analytic.ops.len(), c.len());
         let mut s = StateVector::zero(8);
         let naive = Simulator::new().run(&c, &mut s).unwrap();
         let mut s = StateVector::zero(8);
-        let fused = SimConfig::new()
-            .strategy(Strategy::Fused { max_k: 4 })
-            .build()
-            .unwrap()
-            .run(&c, &mut s)
-            .unwrap();
-        assert!(fused.sweeps < naive.sweeps, "{} !< {}", fused.sweeps, naive.sweeps);
+        let fused = SimConfig::new().strategy(strategy).build().unwrap().run(&c, &mut s).unwrap();
+        assert!(fused.sweeps <= naive.sweeps, "{} > {}", fused.sweeps, naive.sweeps);
         assert_eq!(fused.gates, naive.gates);
     }
 

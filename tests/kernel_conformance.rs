@@ -18,13 +18,16 @@
 //! primitive cut at every offset equal to the whole run, to the bit;
 //! (g) every diagonal on every target pair of 1–10 qubits, bit for bit
 //! the scalar loop that leaves an entry of exactly 1 alone, signed zeros
-//! included.
+//! included; (h) where the host runs both, avx512 (8 lanes) ≡ avx2 (4
+//! lanes) to the bit for every kind at every target, and their
+//! reductions within 1e-12.
 
 use std::sync::Once;
 
 use a64fx_qcs::core::calibrate::Calibration;
 use a64fx_qcs::core::gates::standard;
 use a64fx_qcs::core::kernels::dispatch::{apply_gate_parallel_with, apply_gate_with, GateKernel};
+use a64fx_qcs::core::kernels::reduce::expect_pauli_string;
 use a64fx_qcs::core::kernels::scalar;
 use a64fx_qcs::core::kernels::simd;
 use a64fx_qcs::core::library::qft::qft;
@@ -208,7 +211,9 @@ fn fnv1a(hash: &mut u64, state: &StateVector) {
 /// vector rows were re-recorded when targets below the vector window
 /// left the per-index scalar steps for the exchange steps, which run the
 /// vector FMA: every amplitude stayed within 1.7e-16 of the old bits.
-/// avx512 runs avx2's per-gate primitives, so the two rows agree.
+/// avx512 runs every lane through avx2's FMA sequence, 8 lanes to
+/// avx2's 4, and its permutations only move amplitudes, so the two rows
+/// agree.
 const PER_GATE_GOLDEN: [(&str, u64); 3] = [
     ("portable", 0x2c46_6d20_9a7f_25d1),
     ("avx2", 0x2db0_611f_c09f_ebbd),
@@ -240,6 +245,64 @@ fn per_gate_bits_match_the_recorded_checksums() {
             }
             None => {
                 println!("per-gate golden: {} skipped, no recorded row ({hash:#018x})", be.name)
+            }
+        }
+    }
+}
+
+/// avx2 and avx512, when the host runs both.
+fn four_and_eight_lanes(what: &str) -> Option<[&'static simd::KernelBackend; 2]> {
+    let all = simd::available();
+    let find = |name: &str| all.iter().copied().find(|b| b.name == name);
+    let (Some(avx2), Some(avx512)) = (find("avx2"), find("avx512")) else {
+        let names: Vec<&str> = all.iter().map(|b| b.name).collect();
+        println!("{what}: avx512 vs avx2 skipped, the host runs only {}", names.join(", "));
+        return None;
+    };
+    assert_eq!((avx2.width, avx512.width), (4, 8), "avx512 runs every kernel at 8 lanes");
+    println!("{what}: backends covered: avx2, avx512");
+    Some([avx2, avx512])
+}
+
+#[test]
+fn eight_lane_per_gate_kernels_give_the_four_lane_bits() {
+    // Every kind at every target, so every position below the 8-lane
+    // window (qubits 0–2: exchange steps, lane patterns and the
+    // permutations' lane permute) meets its 4-lane counterpart, pool-less
+    // and workshared in chunks that cut runs anywhere.
+    let Some([avx2, avx512]) = four_and_eight_lanes("per-gate kernels") else { return };
+    let pool = ThreadPool::new(3);
+    let sched = Schedule::Dynamic { chunk: 3 };
+    for n in [3u32, 6, 10] {
+        let start = random_state(n, 40 + n as u64);
+        for kernel in every_placement(n) {
+            for pool in [None, Some(&pool)] {
+                let [mut four, mut eight] = [start.clone(), start.clone()];
+                kernel.apply(avx2, pool, sched, four.amplitudes_mut());
+                kernel.apply(avx512, pool, sched, eight.amplitudes_mut());
+                let pooled = pool.is_some();
+                assert_eq!(eight.max_abs_diff(&four), 0.0, "n={n} {kernel:?} pooled={pooled}");
+            }
+        }
+    }
+}
+
+#[test]
+fn eight_lane_reductions_agree_with_four_lane_ones() {
+    // Eight lanes sum in another order than four, so an expectation value
+    // may move in its last bits: within 1e-12 of the state's unit norm.
+    let Some([avx2, avx512]) = four_and_eight_lanes("reductions") else { return };
+    for n in [3u32, 6, 9] {
+        let start = random_state(n, 50 + n as u64);
+        let amps = start.amplitudes();
+        for flip in 0..1usize << n {
+            for z in [0, 0b1, 0b110, (1 << n) - 1] {
+                let z = z & !flip & ((1 << n) - 1);
+                let y = flip & 0b101;
+                let four = expect_pauli_string(avx2, amps, flip, z, y);
+                let eight = expect_pauli_string(avx512, amps, flip, z, y);
+                let off = (eight - four).abs();
+                assert!(off <= 1e-12 * four.abs().max(1.0), "n={n} {flip:#b} {z:#b}: {off:e}");
             }
         }
     }
