@@ -11,7 +11,9 @@
 //!    kernel over its non-identity rows' nonzeros, `W` groups per
 //!    vector step whatever the target stride;
 //! 2. `Strategy::Auto` picks a strategy per circuit from a startup
-//!    micro-benchmark of the actual machine's per-kernel costs.
+//!    micro-benchmark of the actual machine's per-kernel costs;
+//! 3. one block per class at n = 22: the host's serial ns/amp beside
+//!    the A64FX model's, two quantities printed side by side.
 //!
 //! Expected shape: `fused:4` / `planned:13:4` no longer lose to naive
 //! at n = 18; diagonal-heavy families beat the old generic fused path
@@ -21,16 +23,21 @@
 
 use std::fmt::Write as _;
 
+use a64fx_model::timing::ExecConfig;
+use a64fx_model::ChipParams;
 use qcs_bench::{checksum, fmt_secs, time_best, Table};
 use qcs_core::calibrate::{self, Calibration};
 use qcs_core::circuit::Circuit;
 use qcs_core::config::SimConfig;
-use qcs_core::fusion::fuse;
-use qcs_core::kernels::fused::apply_fused;
+use qcs_core::fusion::{fuse, FusedClass};
+use qcs_core::kernels::fused::{apply_fused, PreparedFused};
 use qcs_core::kernels::{scalar, simd};
 use qcs_core::library;
+use qcs_core::perf::predict;
+use qcs_core::program::Program;
 use qcs_core::sim::Strategy;
 use qcs_core::state::StateVector;
+use qcs_core::testing::class_circuit;
 
 struct Sample {
     family: String,
@@ -232,7 +239,59 @@ fn specialization(n: u32) -> String {
     json
 }
 
-fn write_json(samples: &[Sample], auto_rows: &str, spec_rows: &str, cal: &Calibration) {
+/// One block per class on qubits `1..=k` of an `n`-qubit state (the
+/// benchmark probes' placement, on the lane-exchange path): the host's
+/// serial ns/amp on the active backend, best of 5, beside the A64FX
+/// model's full-chip ns/amp for the same sweep. Two different
+/// quantities, never merged.
+fn per_class(n: u32) -> String {
+    println!();
+    println!("E15: one block per class, qubits 1..=k — n = {n}");
+    let (be, chip, cfg) = (simd::active(), ChipParams::a64fx(), ExecConfig::full_chip());
+    let amps = (1u64 << n) as f64;
+    let mut table = Table::new(&["block", "host ns/amp", "A64FX model ns/amp"]);
+    let mut json = String::new();
+    let blocks = [
+        (FusedClass::Diagonal, 2),
+        (FusedClass::Diagonal, 4),
+        (FusedClass::Permutation, 4),
+        (FusedClass::Sparse, 4),
+        (FusedClass::Dense, 2),
+        (FusedClass::Dense, 3),
+        (FusedClass::Dense, 4),
+        (FusedClass::Dense, 5),
+    ];
+    let mut state = StateVector::plus(n);
+    for (class, k) in blocks {
+        let qubits: Vec<u32> = (1..=k).collect();
+        let c = class_circuit(class, n, &qubits).expect("every listed class exists at its width");
+        let plan = fuse(&c, k);
+        let op = PreparedFused::new(&plan[0]);
+        let host = time_best(5, || op.apply(be, None, Default::default(), state.amplitudes_mut()));
+        let host = host / amps * 1e9;
+        let model = predict(&chip, &cfg, &Program::greedy_fused(&c, k)).seconds / amps * 1e9;
+        let name = format!("{} k={k}", class.name());
+        table.row(&[name.clone(), format!("{host:.2}"), format!("{model:.3}")]);
+        if !json.is_empty() {
+            json.push_str(",\n");
+        }
+        let _ = write!(
+            json,
+            "    {{\"block\": \"{name}\", \"n\": {n}, \"host_ns_per_amp\": {host:.4}, \
+             \"a64fx_model_ns_per_amp\": {model:.4}}}"
+        );
+    }
+    table.print();
+    json
+}
+
+fn write_json(
+    samples: &[Sample],
+    auto_rows: &str,
+    spec_rows: &str,
+    class_rows: &str,
+    cal: &Calibration,
+) {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut rows = String::new();
     for s in samples {
@@ -255,6 +314,7 @@ fn write_json(samples: &[Sample], auto_rows: &str, spec_rows: &str, cal: &Calibr
          \"k5\": {:.4}}}}},\n\
          \x20 \"auto\": [\n{auto_rows}\n  ],\n\
          \x20 \"specialization\": [\n{spec_rows}\n  ],\n\
+         \x20 \"per_class\": [\n{class_rows}\n  ],\n\
          \x20 \"samples\": [\n{rows}\n  ]\n}}\n",
         std::env::consts::ARCH,
         cores,
@@ -296,5 +356,6 @@ fn main() {
     let mut auto_rows = String::new();
     sweep(&mut samples, &mut auto_rows);
     let spec_rows = specialization(18);
-    write_json(&samples, &auto_rows, &spec_rows, cal);
+    let class_rows = per_class(22);
+    write_json(&samples, &auto_rows, &spec_rows, &class_rows, cal);
 }

@@ -24,13 +24,18 @@
 //! * each row accumulates in eight independent chains (re·re, im·im,
 //!   re·im, im·re, over even and odd entries), so the FMA pipes stay
 //!   full on long rows;
+//! * the bookkeeping is done once per call: each vector's offset and
+//!   whether it is stored are two tables, and a step's base address
+//!   advances by one carry over its zero bits, so a step costs its
+//!   loads, exchanges, row dots and stores;
 //! * a chunk that starts or ends inside a step runs the same lane
 //!   arithmetic on the lanes it owns, so a group's result bits never
 //!   depend on how a sweep is chunked or workshared.
 //!
-//! Diagonal blocks need no gather at all and stream through
-//! [`KernelBackend::scale_run`]; gate-backed singletons (see
-//! [`FusedOp::gate`]) run their gate's own kernel. [`PreparedFused`]
+//! Diagonal blocks need no gather at all: those of one or two qubits run
+//! the per-gate diagonal kernel (`GateKernel::Diag1`/`Diag2`), wider ones
+//! stream through [`KernelBackend::scale_run`]; gate-backed singletons
+//! (see [`FusedOp::gate`]) run their gate's own kernel. [`PreparedFused`]
 //! picks among the three once per op, also for a tiled run's members.
 //!
 //! Blocks up to `k = 5` run with stack scratch only: zero heap
@@ -188,29 +193,37 @@ pub(crate) unsafe fn block_range<V: Lanes>(amps: *mut C64, g0: usize, g1: usize,
     }
     let step_bits = &mut step_bits[..n_step];
     step_bits.sort_unstable();
-    // Address offset of vector `i` of a step: high targets as in the
-    // group layout, low targets replaced by their stand-ins.
-    let vector_offset = |i: usize| offsets[i & !low_mask] | stand_in[i & low_mask];
+    let step_mask = step_bits.iter().fold(0usize, |m, &b| m | 1 << b);
 
-    let n_rows = blk.rows.len();
-    let mut stack = [V::zero(); 2 * KQ_STACK_DIM];
-    let mut heap = if dim > KQ_STACK_DIM { vec![V::zero(); 2 * dim] } else { Vec::new() };
-    let scratch: &mut [V] = if dim <= KQ_STACK_DIM { &mut stack } else { &mut heap };
-    let (v, out) = scratch.split_at_mut(scratch.len() / 2);
-    let v = &mut v[..dim];
+    // Per call: vector `i`'s offset (low targets by their stand-ins), and
+    // whether it holds any active row of its low-target patterns.
+    let mut stack = ([V::zero(); 2 * KQ_STACK_DIM], [0usize; KQ_STACK_DIM], [false; KQ_STACK_DIM]);
+    let mut heap;
+    let (scratch, voff, keep): (&mut [V], &mut [usize], &mut [bool]) = if dim <= KQ_STACK_DIM {
+        (&mut stack.0[..2 * dim], &mut stack.1[..dim], &mut stack.2[..dim])
+    } else {
+        heap = (vec![V::zero(); 2 * dim], vec![0; dim], vec![false; dim]);
+        (&mut heap.0, &mut heap.1, &mut heap.2)
+    };
+    let (v, out) = scratch.split_at_mut(dim);
+    let out = &mut out[..blk.rows.len()];
+    for (i, (o, k)) in voff.iter_mut().zip(keep.iter_mut()).enumerate() {
+        *o = offsets[i & !low_mask] | stand_in[i & low_mask];
+        *k = (0..=low_mask).any(|c| blk.active[(i & !low_mask) | c]);
+    }
 
+    // Each step's base (and prefetch) address: the next with `step_mask` clear.
+    let mut first = g0 - g0 % V::W;
+    let mut base = insert_zero_bits(first / V::W, step_bits);
+    let mut ahead = insert_zero_bits(first / V::W + PREFETCH_STEPS, step_bits);
     let mut g = g0;
     while g < g1 {
-        let step = g / V::W;
-        let first = step * V::W;
         let (lo, hi) = (g - first, (g1 - first).min(V::W));
         let whole = hi - lo == V::W;
-        let step_base = insert_zero_bits(step, step_bits);
         if whole {
-            let ahead = insert_zero_bits(step + PREFETCH_STEPS, step_bits);
-            for (i, x) in v.iter_mut().enumerate() {
-                *x = V::load(amps.add(step_base | vector_offset(i)));
-                V::prefetch(amps.wrapping_add(ahead | vector_offset(i)));
+            for (x, &off) in v.iter_mut().zip(&*voff) {
+                *x = V::load(amps.add(base | off));
+                V::prefetch(amps.wrapping_add(ahead | off));
             }
             exchange_low(v, &sorted[..n_low]);
         } else {
@@ -224,22 +237,21 @@ pub(crate) unsafe fn block_range<V: Lanes>(amps: *mut C64, g0: usize, g1: usize,
 
         // All rows read the gathered amplitudes, so none is overwritten
         // before the last is computed.
-        for (i, o) in out[..n_rows].iter_mut().enumerate() {
-            let (start, end) = (blk.ptr[i] as usize, blk.ptr[i + 1] as usize);
-            // SAFETY: `Block::new` drew every column from `0..dim`.
-            *o = row_dot(&blk.cols[start..end], &blk.vals[start..end], v);
+        for (i, o) in out.iter_mut().enumerate() {
+            // SAFETY: `Block::new` bounds each row in `ptr`, all within `0..dim`.
+            let (start, end) =
+                (*blk.ptr.get_unchecked(i) as usize, *blk.ptr.get_unchecked(i + 1) as usize);
+            *o = row_dot(blk.cols.get_unchecked(start..end), blk.vals.get_unchecked(start..end), v);
         }
-        for (&row, &o) in blk.rows.iter().zip(&out[..n_rows]) {
-            v[row as usize] = o;
+        for (&row, &o) in blk.rows.iter().zip(&*out) {
+            *v.get_unchecked_mut(row as usize) = o;
         }
 
         if whole {
             exchange_low(v, &sorted[..n_low]);
-            for (i, x) in v.iter().enumerate() {
-                // A vector holds every low-target pattern of its row
-                // family; identity-only vectors are still clean.
-                if (0..=low_mask).any(|c| blk.active[(i & !low_mask) | c]) {
-                    x.store(amps.add(step_base | vector_offset(i)));
+            for ((x, &off), &k) in v.iter().zip(&*voff).zip(&*keep) {
+                if k {
+                    x.store(amps.add(base | off));
                 }
             }
         } else {
@@ -251,6 +263,9 @@ pub(crate) unsafe fn block_range<V: Lanes>(amps: *mut C64, g0: usize, g1: usize,
             }
         }
         g = first + hi;
+        first += V::W;
+        base = ((base | step_mask) + 1) & !step_mask;
+        ahead = ((ahead | step_mask) + 1) & !step_mask;
     }
 }
 
@@ -305,20 +320,16 @@ impl<'a> PreparedFused<'a> {
             "fused op qubits must be strictly ascending"
         );
         debug_assert_eq!(op.matrix.dim(), 1usize << op.qubits.len());
-        let lowered = match (&op.gate, op.class) {
-            (Some(g), _) => Lowered::Gate(GateKernel::from(&**g)),
-            (None, FusedClass::Diagonal) => {
-                let diag = (0..op.matrix.dim()).map(|i| op.matrix.get(i, i)).collect();
-                let lo = (op.qubits[0] < DIAG_RUN_MIN).then(|| {
-                    let (lo, hi): (Vec<u32>, Vec<u32>) =
-                        op.qubits.iter().copied().partition(|&q| q < DIAG_TILE_BITS);
-                    let tile = 1usize << DIAG_TILE_BITS;
-                    let lo_idx = (0..tile).map(|j| compress_bits(j, &lo) as u16).collect();
-                    DiagLoTable { lo_idx, hi, n_lo: lo.len() as u32 }
-                });
-                Lowered::Diagonal { diag, lo }
+        let d = |i| op.matrix.get(i, i);
+        let lowered = match (&op.gate, op.class, &op.qubits[..]) {
+            (Some(g), ..) => Lowered::Gate(GateKernel::from(&**g)),
+            // The per-gate diagonal kernels, local index `h<<1|l`.
+            (None, FusedClass::Diagonal, &[q]) => Lowered::Gate(GateKernel::Diag1(q, d(0), d(1))),
+            (None, FusedClass::Diagonal, &[l, h]) => {
+                Lowered::Gate(GateKernel::Diag2(h, l, [d(0), d(1), d(2), d(3)]))
             }
-            (None, _) => Lowered::Block(Block::new(&op.qubits, &op.matrix)),
+            (None, FusedClass::Diagonal, _) => diagonal_table(op),
+            (None, ..) => Lowered::Block(Block::new(&op.qubits, &op.matrix)),
         };
         PreparedFused { sorted: &op.qubits, lowered }
     }
@@ -403,6 +414,19 @@ impl<'a> PreparedFused<'a> {
     }
 }
 
+/// A diagonal op streamed run by run, or by a [`DiagLoTable`] if short.
+fn diagonal_table(op: &FusedOp) -> Lowered {
+    let diag = (0..op.matrix.dim()).map(|i| op.matrix.get(i, i)).collect();
+    let lo = (op.qubits[0] < DIAG_RUN_MIN).then(|| {
+        let (lo, hi): (Vec<u32>, Vec<u32>) =
+            op.qubits.iter().copied().partition(|&q| q < DIAG_TILE_BITS);
+        let tile = 1usize << DIAG_TILE_BITS;
+        let lo_idx = (0..tile).map(|j| compress_bits(j, &lo) as u16).collect();
+        DiagLoTable { lo_idx, hi, n_lo: lo.len() as u32 }
+    });
+    Lowered::Diagonal { diag, lo }
+}
+
 /// The tiled diagonal table, when built and the slice is at least one
 /// tile long (tiny test states fall back to the run path).
 #[inline]
@@ -460,13 +484,32 @@ mod tests {
         plan.remove(0)
     }
 
+    /// Every backend the host runs, then the array backends of 2, 4 and
+    /// 8 lanes, which Miri runs too.
+    fn backends() -> Vec<&'static KernelBackend> {
+        let mut backends = simd::available();
+        backends.extend(simd::array::backends());
+        backends
+    }
+
     fn assert_matches_scalar_kq(op: &FusedOp, n: u32, what: &str) {
-        for be in simd::available() {
-            let mut a = rand_state(n, 77);
-            let mut b = a.clone();
-            scalar::apply_kq(a.amplitudes_mut(), &op.qubits, &op.matrix);
-            apply_fused(be, b.amplitudes_mut(), op);
-            assert!(a.approx_eq(&b, EPS), "{what} class={} be={}", op.class.name(), be.name);
+        let start = rand_state(n, 77);
+        let run = |be| {
+            let mut got = start.clone();
+            apply_fused(be, got.amplitudes_mut(), op);
+            got
+        };
+        let mut expected = start.clone();
+        scalar::apply_kq(expected.amplitudes_mut(), &op.qubits, &op.matrix);
+        let portable = run(simd::backend_for(simd::BackendChoice::Scalar));
+        for be in backends() {
+            let got = run(be);
+            let class = op.class.name();
+            assert!(got.approx_eq(&expected, EPS), "{what} class={class} be={}", be.name);
+            // The array lanes run `C64`'s own arithmetic, as portable does.
+            if be.name.starts_with("array") {
+                assert_eq!(got.max_abs_diff(&portable), 0.0, "{what} class={class} be={}", be.name);
+            }
         }
     }
 
@@ -499,26 +542,57 @@ mod tests {
     #[test]
     fn ragged_chunks_produce_the_bits_of_whole_steps() {
         // The same sweep cut at every group boundary, serially: heads and
-        // tails of steps run lane by lane and must not change a bit.
-        for class in [Permutation, Sparse, Dense] {
-            let op = block(class, 7, &[1, 2, 4]);
-            let blk = Block::new(&op.qubits, &op.matrix);
-            for be in simd::available() {
-                let start = rand_state(7, 19);
-                let mut whole = start.clone();
-                apply_fused(be, whole.amplitudes_mut(), &op);
-                let groups = blk.groups(start.len());
-                for at in 0..=groups {
-                    let mut pieces = start.clone();
-                    let p = pieces.amplitudes_mut().as_mut_ptr();
-                    // SAFETY: exclusive borrow; the two ranges cover the
-                    // state's groups once.
-                    unsafe {
-                        (be.block_range)(p, 0, at, &blk);
-                        (be.block_range)(p, at, groups, &blk);
+        // tails of steps run lane by lane and must not change a bit. At
+        // every lowest target in and above the 8-lane window, k = 3 with a
+        // gap and k = 5 (the widest stack scratch); 8 or 16 groups, one or
+        // two 8-lane steps, so Miri gets through the dense k = 5 sweeps.
+        for lowest in 0..4u32 {
+            for qubits in [vec![0, 1, 3], vec![0, 1, 2, 3, 4]] {
+                let qubits: Vec<u32> = qubits.iter().map(|q| q + lowest).collect();
+                let n = (qubits.len() as u32 + 3).max(qubits[qubits.len() - 1] + 1);
+                for class in [Permutation, Sparse, Dense] {
+                    let op = block(class, n, &qubits);
+                    let blk = Block::new(&op.qubits, &op.matrix);
+                    for be in backends() {
+                        let start = rand_state(n, 19);
+                        let mut whole = start.clone();
+                        apply_fused(be, whole.amplitudes_mut(), &op);
+                        let groups = blk.groups(start.len());
+                        for at in 0..=groups {
+                            let mut pieces = start.clone();
+                            let p = pieces.amplitudes_mut().as_mut_ptr();
+                            // SAFETY: exclusive borrow; the two ranges
+                            // cover the state's groups once.
+                            unsafe {
+                                (be.block_range)(p, 0, at, &blk);
+                                (be.block_range)(p, at, groups, &blk);
+                            }
+                            let off = pieces.max_abs_diff(&whole);
+                            assert_eq!(off, 0.0, "{class:?} {qubits:?} {} cut at {at}", be.name);
+                        }
                     }
-                    assert_eq!(pieces.max_abs_diff(&whole), 0.0, "{class:?} cut at {at}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn small_diagonal_blocks_run_the_per_gate_kernel_with_the_table_bits() {
+        // Every 1- and 2-qubit placement on 10 qubits: low first qubits
+        // take the tiled table, the others the run-per-run path.
+        let singles = (0..10u32).map(|q| vec![q]);
+        let pairs = (0..10u32).flat_map(|a| (a + 1..10).map(move |b| vec![a, b]));
+        for qubits in singles.chain(pairs) {
+            let op = block(Diagonal, 10, &qubits);
+            let gate = PreparedFused::new(&op);
+            assert!(matches!(gate.lowered, Lowered::Gate(_)), "{qubits:?}");
+            let table = PreparedFused { sorted: &op.qubits, lowered: diagonal_table(&op) };
+            let start = rand_state(10, 3);
+            for be in backends() {
+                let [mut a, mut b] = [start.clone(), start.clone()];
+                gate.apply(be, None, Schedule::default(), a.amplitudes_mut());
+                table.apply(be, None, Schedule::default(), b.amplitudes_mut());
+                assert_eq!(a.max_abs_diff(&b), 0.0, "{qubits:?} be={}", be.name);
             }
         }
     }

@@ -20,19 +20,23 @@
 //! the scalar loop that leaves an entry of exactly 1 alone, signed zeros
 //! included; (h) where the host runs both, avx512 (8 lanes) ≡ avx2 (4
 //! lanes) to the bit for every kind at every target, and their
-//! reductions within 1e-12.
+//! reductions within 1e-12; (i) the fused-block bits of each backend —
+//! every structure class × lowest target 0–3 × k = 1–5, pooled and
+//! pool-less — pinned by a recorded checksum, avx512 ≡ avx2 to the bit.
 
 use std::sync::Once;
 
 use a64fx_qcs::core::calibrate::Calibration;
+use a64fx_qcs::core::fusion::{fuse, FusedClass, FusedOp};
 use a64fx_qcs::core::gates::standard;
 use a64fx_qcs::core::kernels::dispatch::{apply_gate_parallel_with, apply_gate_with, GateKernel};
+use a64fx_qcs::core::kernels::fused::PreparedFused;
 use a64fx_qcs::core::kernels::reduce::expect_pauli_string;
 use a64fx_qcs::core::kernels::scalar;
 use a64fx_qcs::core::kernels::simd;
 use a64fx_qcs::core::library::qft::qft;
 use a64fx_qcs::core::prelude::*;
-use a64fx_qcs::core::testing::random_circuit_seeded;
+use a64fx_qcs::core::testing::{class_circuit, random_circuit_seeded};
 use a64fx_qcs::omp::ThreadPool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -246,6 +250,77 @@ fn per_gate_bits_match_the_recorded_checksums() {
             None => {
                 println!("per-gate golden: {} skipped, no recorded row ({hash:#018x})", be.name)
             }
+        }
+    }
+}
+
+/// Every `class_circuit` class at lowest target 0–3 and k = 1–5, its
+/// qubits 1 and 2 apart, fused to one op on a 12-qubit register.
+fn every_block() -> Vec<FusedOp> {
+    let classes =
+        [FusedClass::Diagonal, FusedClass::Permutation, FusedClass::Sparse, FusedClass::Dense];
+    let mut ops = Vec::new();
+    for class in classes {
+        for lowest in 0..4u32 {
+            for (k, gap) in (1..=5u32).flat_map(|k| [(k, 1), (k, 2)]) {
+                let qubits: Vec<u32> = (0..k).map(|j| lowest + gap * j).collect();
+                let Some(c) = class_circuit(class, 12, &qubits) else { continue };
+                let mut plan = fuse(&c, k);
+                assert_eq!((plan.len(), plan[0].class), (1, class), "{qubits:?}");
+                ops.push(plan.remove(0));
+            }
+        }
+    }
+    ops
+}
+
+/// Each of `ops` swept once over the same random state, pool-less and
+/// workshared in chunks of three, which cut vector steps anywhere.
+fn block_sweeps(be: &simd::KernelBackend, ops: &[FusedOp]) -> Vec<StateVector> {
+    let pool = ThreadPool::new(3);
+    let sched = Schedule::Dynamic { chunk: 3 };
+    let start = random_state(12, 61);
+    let mut states = Vec::new();
+    for op in ops {
+        let prepared = PreparedFused::new(op);
+        for pool in [None, Some(&pool)] {
+            let mut state = start.clone();
+            prepared.apply(be, pool, sched, state.amplitudes_mut());
+            states.push(state);
+        }
+    }
+    states
+}
+
+/// The block checksum of each backend. avx512 runs the block kernel's
+/// lane arithmetic through avx2's FMA sequence, 8 lanes to avx2's 4, so
+/// the two rows agree.
+const BLOCK_GOLDEN: [(&str, u64); 3] = [
+    ("portable", 0x322f_5cf0_ab91_c4ad),
+    ("avx2", 0xc6a6_c236_4e6c_4751),
+    ("avx512", 0xc6a6_c236_4e6c_4751),
+];
+
+#[test]
+fn block_bits_match_the_recorded_checksums() {
+    let ops = every_block();
+    for be in simd::available() {
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        for state in block_sweeps(be, &ops) {
+            fnv1a(&mut hash, &state);
+        }
+        match BLOCK_GOLDEN.iter().find(|(name, _)| *name == be.name) {
+            Some(&(_, want)) => {
+                assert_eq!(hash, want, "{}: block bits moved (got {hash:#018x})", be.name)
+            }
+            None => println!("block golden: {} skipped, no recorded row ({hash:#018x})", be.name),
+        }
+    }
+    if let Some([avx2, avx512]) = four_and_eight_lanes("block kernel") {
+        let (four, eight) = (block_sweeps(avx2, &ops), block_sweeps(avx512, &ops));
+        for (i, (f, e)) in four.iter().zip(&eight).enumerate() {
+            let op = &ops[i / 2];
+            assert_eq!(e.max_abs_diff(f), 0.0, "{:?} {:?} pooled={}", op.class, op.qubits, i % 2);
         }
     }
 }
