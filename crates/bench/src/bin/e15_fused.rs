@@ -1,4 +1,4 @@
-//! E15 — Specialized fused kernels + calibrated strategy auto-tuning.
+//! E15 — Specialized fused kernels + strategy auto-tuning.
 //!
 //! The seed's generic fused path lost to naive execution by 3–6×
 //! (E11, now historical in EXPERIMENTS.md): every fused block ran
@@ -10,8 +10,9 @@
 //!    dense); diagonal ones stream, every other runs the one block
 //!    kernel over its non-identity rows' nonzeros, `W` groups per
 //!    vector step whatever the target stride;
-//! 2. `Strategy::Auto` picks a strategy per circuit from a startup
-//!    micro-benchmark of the actual machine's per-kernel costs;
+//! 2. `Strategy::Auto` picks a strategy per circuit from the fixed
+//!    analytic cost table every lowering is priced on (the host's
+//!    measured table is printed beside it, and no engine reads it);
 //! 3. one block per class at n = 22: the host's serial ns/amp beside
 //!    the A64FX model's, two quantities printed side by side.
 //!
@@ -321,12 +322,12 @@ fn write_json(
         cal.backend,
         cal.measured,
         cal.stream,
-        cal.fused_diag,
-        cal.fused_perm,
-        cal.fused_dense[0],
-        cal.fused_dense[1],
-        cal.fused_dense[2],
-        cal.fused_dense[3],
+        cal.costs.fused_diag,
+        cal.costs.fused_perm,
+        cal.costs.fused_dense[0],
+        cal.costs.fused_dense[1],
+        cal.costs.fused_dense[2],
+        cal.costs.fused_dense[3],
     );
     let _ = std::fs::create_dir_all("results");
     match std::fs::write("results/BENCH_fused_v2.json", &json) {
@@ -345,12 +346,12 @@ fn main() {
         cal.backend,
         cal.measured,
         cal.stream,
-        cal.fused_diag / cal.stream,
-        cal.fused_perm / cal.stream,
-        cal.fused_dense[0] / cal.stream,
-        cal.fused_dense[1] / cal.stream,
-        cal.fused_dense[2] / cal.stream,
-        cal.fused_dense[3] / cal.stream,
+        cal.costs.fused_diag / cal.stream,
+        cal.costs.fused_perm / cal.stream,
+        cal.costs.fused_dense[0] / cal.stream,
+        cal.costs.fused_dense[1] / cal.stream,
+        cal.costs.fused_dense[2] / cal.stream,
+        cal.costs.fused_dense[3] / cal.stream,
     );
     let mut samples = Vec::new();
     let mut auto_rows = String::new();

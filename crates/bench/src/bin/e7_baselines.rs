@@ -43,11 +43,12 @@ fn bench(name: &str, c: &Circuit) {
         });
         let model_secs = match strat {
             // The Aer-like comparator fuses unconditionally; the engine's
-            // cost-aware lowering may decline merges on this host.
+            // cost-aware lowering declines merges its cost table prices
+            // dearer than the member gates.
             Strategy::Fused { max_k } => {
                 predict(&chip, &cfg, &Program::greedy_fused(c, max_k)).seconds
             }
-            s => predict(&chip, &cfg, &lower(c, s, None)).seconds,
+            s => predict(&chip, &cfg, &lower(c, s)).seconds,
         };
         table.row(&[label, fmt_secs(host), fmt_secs(model_secs), sweeps.to_string()]);
     }

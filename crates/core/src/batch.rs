@@ -33,7 +33,6 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::calibrate::Calibration;
 use crate::circuit::Circuit;
 use crate::config::SimConfig;
 use crate::kernels::simd::KernelBackend;
@@ -373,16 +372,11 @@ impl BatchSimulator {
         }
         members.check(n)?;
         let strategy = self.engine.strategy;
-        if !matches!(strategy, Strategy::Naive | Strategy::Blocked { .. }) {
-            // The one-time startup calibration is a timing measurement:
-            // take it here, not in a worker beside running members.
-            Calibration::get();
-        }
         let batch_id = next_batch_id();
         let start = Instant::now();
         let (runs, values) = self
             .for_each_member(members, |m, state| {
-                let program = lower(&circuits[m], strategy, None);
+                let program = lower(&circuits[m], strategy);
                 let run = self.run_member(&program, &program.kernels(), state, None, (batch_id, m));
                 (run, read(m, state))
             })
@@ -391,7 +385,7 @@ impl BatchSimulator {
         let done = Executed { batch_id, wall_seconds: start.elapsed().as_secs_f64(), runs };
         // Member 0's program stands for the shape in the model.
         let predicted = self.engine.chip.as_ref().map(|(chip, cfg)| {
-            predict_batched(chip, cfg, &lower(&circuits[0], strategy, None), circuits.len())
+            predict_batched(chip, cfg, &lower(&circuits[0], strategy), circuits.len())
         });
         Ok((values, self.report(done, gate_count, predicted)?))
     }
@@ -444,7 +438,7 @@ impl BatchSimulator {
         members.check(circuit.n_qubits())?;
         let batch_id = next_batch_id();
         let start = Instant::now();
-        let program = lower(circuit, self.engine.strategy, None);
+        let program = lower(circuit, self.engine.strategy);
         let runs = {
             let kernels = program.kernels();
             self.for_each_member(members, |m, state| {

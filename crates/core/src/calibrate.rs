@@ -1,22 +1,25 @@
-//! Machine calibration and strategy auto-tuning.
+//! Host cost tables and strategy auto-tuning.
 //!
 //! The analytic predictors in [`crate::perf`] price sweeps from A64FX
 //! datasheet constants — which is exactly how the fused strategies got
 //! promised a 2.2× win while measuring 3–6× *slower* on the host: the
 //! host is not an A64FX, and the generic dense fused kernel was not the
-//! kernel the model priced. This module closes that loop empirically.
-//! On first use it runs a micro-benchmark on the actual machine — one
-//! timed sweep per kernel cost kind, at two state sizes so the
-//! per-amplitude slope and the per-sweep overhead separate, plus one
-//! probe of the tiled runner that every cache-blocked pass runs
-//! through — and caches the result process-wide.
-//! [`Program::calibrated_ns`](crate::program::Program::calibrated_ns)
-//! then prices any lowering of any circuit from those measured
-//! constants, and [`choose`] (the engine behind [`Strategy::Auto`])
-//! picks the cheapest candidate per circuit.
+//! kernel the model priced. [`Calibration`] prices sweeps in host
+//! magnitudes instead, per kernel cost kind.
 //!
-//! Under Miri, or with `QCS_CALIBRATE=analytic`, measurement is skipped
-//! and deterministic analytic defaults are used instead.
+//! Every lowering is priced on one table, [`Calibration::analytic`]:
+//! [`lower`] merges fused blocks by it, and [`choose`] (the resolver
+//! behind [`Strategy::Auto`]) ranks candidate lowerings by
+//! [`Program::calibrated_ns`](crate::program::Program::calibrated_ns)
+//! on it, so a circuit and a strategy lower to the same program in
+//! every process and on every host: a table measured per process would
+//! not, because its micro-benchmark is noisy.
+//!
+//! [`Calibration::get`] still measures that table — one timed sweep per
+//! kernel cost kind, at two state sizes so the per-amplitude slope and
+//! the per-sweep overhead separate, plus one probe of the tiled runner
+//! every cache-blocked pass runs through — for the benchmark, which
+//! times it, and E15, which prints it. No engine reads it.
 
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -48,70 +51,55 @@ const REPS: usize = 3;
 /// Every probe sweeps on the calling thread, where the schedule is moot.
 const SERIAL: Schedule = Schedule::Static { chunk: None };
 
-/// Measured per-kernel costs on this machine: nanoseconds per amplitude
-/// per sweep, by cost kind, plus a flat per-sweep overhead.
+/// Per-kernel costs: nanoseconds per amplitude per sweep, by cost kind,
+/// plus a flat per-sweep overhead.
 #[derive(Debug, Clone)]
 pub struct Calibration {
-    /// Dense 1-qubit gate sweep (H).
-    pub gate_1q_dense: f64,
-    /// Diagonal 1-qubit gate sweep (Rz).
-    pub gate_1q_diag: f64,
-    /// Controlled dense sweep (CX).
-    pub gate_controlled: f64,
-    /// Diagonal 2-qubit sweep (Cz).
-    pub gate_2q_diag: f64,
-    /// Dense 2-qubit sweep (Rxx).
-    pub gate_2q_dense: f64,
-    /// Axis-swap / SWAP-gate sweep.
-    pub swap: f64,
-    /// Streaming diagonal fused sweep (k = 3 block).
-    pub fused_diag: f64,
-    /// Permutation fused sweep (k = 3 block): the block kernel with one
-    /// nonzero per row, i.e. its gather/scatter floor.
-    pub fused_perm: f64,
-    /// Dense fused sweeps at k = 2, 3, 4, 5; wider blocks extrapolate
-    /// at 2× per extra qubit (the `8·2^k` flops-per-amplitude law).
-    /// Sparser blocks are priced per nonzero off these
-    /// ([`FuseCosts::block`]).
-    pub fused_dense: [f64; 4],
+    /// The per-gate and fused-block sweep costs [`fuse_costed`] merges
+    /// by. Dense fused blocks are timed at k = 2, 3, 4, 5; wider blocks
+    /// extrapolate at 2× per extra qubit (the `8·2^k`
+    /// flops-per-amplitude law), and sparser blocks are priced per
+    /// nonzero off these ([`FuseCosts::block`]).
+    pub costs: FuseCosts,
     /// Pure read-modify-write streaming pass (`scale_run`): the floor
     /// any full-state sweep pays. Cache-blocked passes are priced as
     /// one stream plus the members' arithmetic above the stream floor.
     pub stream: f64,
     /// How much of the memory stream each member of a cache-blocked
-    /// pass still pays on this host, measured from a real block pass
-    /// through the one tiled runner (`run_tiled`) that both
-    /// [`Strategy::Blocked`] and [`Strategy::Planned`] (the same runs,
-    /// with fused members) execute:
-    /// 0 = ideal blocking (members share one stream and pay only their
-    /// arithmetic above it), 1 = blocking amortizes nothing (each
-    /// member pays its full sweep cost, e.g. because the benchmark
-    /// state already sits in a large cache, or per-block dispatch eats
-    /// the savings).
+    /// pass still pays, timed from a real block pass through the one
+    /// tiled runner (`run_tiled`) that both [`Strategy::Blocked`] and
+    /// [`Strategy::Planned`] (the same runs, with fused members)
+    /// execute: 0 = ideal blocking (members share one stream and pay
+    /// only their arithmetic above it), 1 = blocking amortizes nothing
+    /// (each member pays its full sweep cost, e.g. because the state
+    /// already sits in a large cache, or per-block dispatch eats the
+    /// savings).
     pub block_stream_factor: f64,
     /// Flat cost per sweep (dispatch, loop setup), nanoseconds.
     pub sweep_overhead_ns: f64,
     /// Kernel backend the numbers were measured with.
     pub backend: &'static str,
-    /// False when these are analytic fallback constants.
+    /// False for the analytic table.
     pub measured: bool,
 }
 
 impl Calibration {
-    /// Deterministic fallback constants in the same shape (rough host
-    /// magnitudes, ns/amp serial). Used under Miri and
-    /// `QCS_CALIBRATE=analytic`.
+    /// The one table every lowering is priced on: deterministic
+    /// constants of rough host magnitudes (ns/amp serial), so a circuit
+    /// and a strategy lower to the same program in every process.
     pub fn analytic() -> Calibration {
         Calibration {
-            gate_1q_dense: 2.0,
-            gate_1q_diag: 1.2,
-            gate_controlled: 1.5,
-            gate_2q_diag: 1.2,
-            gate_2q_dense: 4.0,
-            swap: 1.0,
-            fused_diag: 1.2,
-            fused_perm: 2.0,
-            fused_dense: [4.0, 8.0, 16.0, 32.0],
+            costs: FuseCosts {
+                gate_1q_dense: 2.0,
+                gate_1q_diag: 1.2,
+                gate_controlled: 1.5,
+                gate_2q_diag: 1.2,
+                gate_2q_dense: 4.0,
+                swap: 1.0,
+                fused_diag: 1.2,
+                fused_perm: 2.0,
+                fused_dense: [4.0, 8.0, 16.0, 32.0],
+            },
             stream: 0.5,
             block_stream_factor: 0.05,
             sweep_overhead_ns: 200.0,
@@ -123,17 +111,7 @@ impl Calibration {
     /// The cost table [`fuse_costed`] uses when lowering full-state
     /// fused sweeps (`Strategy::Fused` and the batched equivalent).
     pub fn fuse_costs(&self) -> FuseCosts {
-        FuseCosts {
-            gate_1q_dense: self.gate_1q_dense,
-            gate_1q_diag: self.gate_1q_diag,
-            gate_controlled: self.gate_controlled,
-            gate_2q_diag: self.gate_2q_diag,
-            gate_2q_dense: self.gate_2q_dense,
-            swap: self.swap,
-            fused_diag: self.fused_diag,
-            fused_perm: self.fused_perm,
-            fused_dense: self.fused_dense,
-        }
+        self.costs.clone()
     }
 
     /// Per-amp cost one member contributes to a cache-blocked pass: its
@@ -150,22 +128,15 @@ impl Calibration {
     /// `block_pass_ns` charges), so in-block fusion decisions agree with
     /// the pass pricing.
     pub fn block_fuse_costs(&self) -> FuseCosts {
-        let arith = |c: f64| self.in_block_per_amp(c);
-        let full = self.fuse_costs();
-        FuseCosts {
-            gate_1q_dense: arith(full.gate_1q_dense),
-            gate_1q_diag: arith(full.gate_1q_diag),
-            gate_controlled: arith(full.gate_controlled),
-            gate_2q_diag: arith(full.gate_2q_diag),
-            gate_2q_dense: arith(full.gate_2q_dense),
-            swap: arith(full.swap),
-            fused_diag: arith(full.fused_diag),
-            fused_perm: arith(full.fused_perm),
-            fused_dense: full.fused_dense.map(arith),
-        }
+        self.costs.map(|c| self.in_block_per_amp(c))
     }
 
-    /// The process-wide calibration, measured on first use.
+    /// The table measured on this host, once per process. No engine
+    /// reads it: [`lower`] and [`choose`] price on
+    /// [`Calibration::analytic`]. It stays because the benchmark forces
+    /// and times it and E15 prints it; it goes with the benchmark change
+    /// that stops forcing it. Under Miri, or with
+    /// `QCS_CALIBRATE=analytic`, it is the analytic table.
     pub fn get() -> &'static Calibration {
         static CAL: OnceLock<Calibration> = OnceLock::new();
         CAL.get_or_init(|| {
@@ -281,15 +252,17 @@ fn measure(be: &'static KernelBackend) -> Calibration {
     let sweep_overhead_ns =
         (overheads.iter().sum::<f64>() / overheads.len() as f64).clamp(10.0, 5e4);
     let mut cal = Calibration {
-        gate_1q_dense,
-        gate_1q_diag,
-        gate_controlled,
-        gate_2q_diag,
-        gate_2q_dense,
-        swap,
-        fused_diag,
-        fused_perm,
-        fused_dense,
+        costs: FuseCosts {
+            gate_1q_dense,
+            gate_1q_diag,
+            gate_controlled,
+            gate_2q_diag,
+            gate_2q_dense,
+            swap,
+            fused_diag,
+            fused_perm,
+            fused_dense,
+        },
         stream,
         block_stream_factor: 0.0,
         sweep_overhead_ns,
@@ -338,17 +311,17 @@ fn measure(be: &'static KernelBackend) -> Calibration {
     cal
 }
 
-/// Calibrated ns/amp of one naive sweep of `g`.
+/// Priced ns/amp of one naive sweep of `g`.
 pub(crate) fn gate_per_amp(cal: &Calibration, g: &Gate) -> f64 {
-    cal.fuse_costs().gate(g)
+    cal.costs.gate(g)
 }
 
-/// Calibrated ns/amp of one specialized fused sweep of `op`; a
+/// Priced ns/amp of one specialized fused sweep of `op`; a
 /// gate-backed singleton executes through the per-gate kernel.
 pub(crate) fn fused_per_amp(cal: &Calibration, op: &FusedOp) -> f64 {
     match &op.gate {
         Some(g) => gate_per_amp(cal, g),
-        None => cal.fuse_costs().block(op.class, op.qubits.len(), op.active_nnz),
+        None => cal.costs.block(op.class, op.qubits.len(), op.active_nnz),
     }
 }
 
@@ -390,14 +363,13 @@ pub fn candidates(n: u32) -> Vec<Strategy> {
 /// on its next run.
 const AUTO_MEMO_CAPACITY: usize = 64;
 
-/// `(circuit fingerprint, resolved strategy)`, oldest first. Lives
-/// beside the process-wide [`Calibration`] because a resolution is a
-/// pure function of (circuit, that calibration).
+/// `(circuit fingerprint, resolved strategy)`, oldest first: a cache of
+/// [`cheapest`], a pure function of the circuit.
 static AUTO_MEMO: Mutex<Vec<(u64, Strategy)>> = Mutex::new(Vec::new());
 
-/// Pick the cheapest concrete strategy for `circuit` from the machine
-/// calibration — the resolver behind [`Strategy::Auto`]. Never returns
-/// `Auto`.
+/// Pick the cheapest concrete strategy for `circuit` on the analytic
+/// table — the resolver behind [`Strategy::Auto`]. Never returns
+/// `Auto`, and returns the same strategy in every process.
 ///
 /// Memoized on [`Circuit::fingerprint`], so repeated runs of the same
 /// circuit (benchmark rounds, batch replicas, served jobs) skip
@@ -411,7 +383,7 @@ pub fn choose(circuit: &Circuit) -> Strategy {
     }
     // Priced outside the lock: eight lowerings must not serialize
     // unrelated engines.
-    let s = cheapest(Calibration::get(), circuit);
+    let s = cheapest(circuit);
     let mut memo = lock();
     if memo.len() == AUTO_MEMO_CAPACITY {
         memo.remove(0);
@@ -420,20 +392,22 @@ pub fn choose(circuit: &Circuit) -> Strategy {
     s
 }
 
-/// Price every candidate lowering of `circuit` under `cal` and pick.
+/// Price every candidate lowering of `circuit` on the analytic table
+/// and pick.
 ///
-/// A prediction within the micro-benchmark's noise margin of the price
-/// winner counts as a tie, and a tie goes to a strategy that sweeps
-/// the full state substantially less: the costs the model cannot see
-/// (consecutive-sweep cache effects, per-sweep engine overhead) favor
-/// it. The sweep reduction must be meaningful (≥ 10 %) so a trivial
-/// difference cannot override the price order.
-fn cheapest(cal: &Calibration, circuit: &Circuit) -> Strategy {
+/// A prediction within 15 % of the price winner counts as a tie, and a
+/// tie goes to a strategy that sweeps the full state substantially
+/// less: the costs the model cannot see (consecutive-sweep cache
+/// effects, per-sweep engine overhead) favor it. The sweep reduction
+/// must be meaningful (≥ 10 %) so a trivial difference cannot override
+/// the price order.
+fn cheapest(circuit: &Circuit) -> Strategy {
+    let cal = Calibration::analytic();
     let scored: Vec<(f64, usize, Strategy)> = candidates(circuit.n_qubits())
         .into_iter()
         .map(|s| {
-            let program = lower(circuit, s, Some(cal));
-            (program.calibrated_ns(cal), program.ops.len(), s)
+            let program = lower(circuit, s);
+            (program.calibrated_ns(&cal), program.ops.len(), s)
         })
         .collect();
     let Some(&(best_ns, best_sweeps, best)) = scored.iter().min_by(|a, b| a.0.total_cmp(&b.0))
@@ -457,15 +431,16 @@ mod tests {
     #[test]
     fn analytic_defaults_are_positive_and_ordered() {
         let cal = Calibration::analytic();
+        let c = &cal.costs;
         for v in [
-            cal.gate_1q_dense,
-            cal.gate_1q_diag,
-            cal.gate_controlled,
-            cal.gate_2q_diag,
-            cal.gate_2q_dense,
-            cal.swap,
-            cal.fused_diag,
-            cal.fused_perm,
+            c.gate_1q_dense,
+            c.gate_1q_diag,
+            c.gate_controlled,
+            c.gate_2q_diag,
+            c.gate_2q_dense,
+            c.swap,
+            c.fused_diag,
+            c.fused_perm,
             cal.stream,
             cal.block_stream_factor,
             cal.sweep_overhead_ns,
@@ -473,7 +448,7 @@ mod tests {
             assert!(v > 0.0);
         }
         // Dense fused cost grows with block width.
-        assert!(cal.fused_dense.windows(2).all(|w| w[0] < w[1]));
+        assert!(c.fused_dense.windows(2).all(|w| w[0] < w[1]));
         assert!(!cal.measured);
     }
 
@@ -488,7 +463,9 @@ mod tests {
     #[test]
     fn measured_costs_are_finite_and_positive() {
         let cal = Calibration::get();
-        for v in [cal.gate_1q_dense, cal.fused_diag, cal.fused_dense[2], cal.stream] {
+        for v in
+            [cal.costs.gate_1q_dense, cal.costs.fused_diag, cal.costs.fused_dense[2], cal.stream]
+        {
             assert!(v.is_finite() && v > 0.0, "{cal:?}");
         }
     }
@@ -502,8 +479,8 @@ mod tests {
             long.push(g);
         }
         for s in candidates(8) {
-            let a = lower(&short, s, Some(&cal)).calibrated_ns(&cal);
-            let b = lower(&long, s, Some(&cal)).calibrated_ns(&cal);
+            let a = lower(&short, s).calibrated_ns(&cal);
+            let b = lower(&long, s).calibrated_ns(&cal);
             assert!(b > a, "{s:?}: doubled circuit predicted {b} !> {a}");
         }
     }
@@ -519,8 +496,8 @@ mod tests {
             let q = i % 7;
             c.rz(q, 0.1).cp(q, q + 1, 0.2);
         }
-        let naive = lower(&c, Strategy::Naive, Some(&cal)).calibrated_ns(&cal);
-        let fused = lower(&c, Strategy::Fused { max_k: 4 }, Some(&cal)).calibrated_ns(&cal);
+        let naive = lower(&c, Strategy::Naive).calibrated_ns(&cal);
+        let fused = lower(&c, Strategy::Fused { max_k: 4 }).calibrated_ns(&cal);
         assert!(fused < naive, "fused {fused} !< naive {naive}");
     }
 
@@ -537,15 +514,10 @@ mod tests {
     fn auto_prices_as_its_resolution() {
         let cal = Calibration::analytic();
         let c = library::qft(9);
-        // With the process-wide calibration the identity holds exactly;
-        // with analytic constants it holds whenever choose() and the
-        // pricing agree on the resolution, which they do by definition
-        // when the same calibration prices both sides.
-        let live = Calibration::get();
-        let auto = lower(&c, Strategy::Auto, Some(live)).calibrated_ns(live);
-        let resolved = lower(&c, choose(&c), Some(live)).calibrated_ns(live);
-        assert_eq!(auto, resolved);
-        assert!(lower(&c, Strategy::Auto, Some(&cal)).calibrated_ns(&cal) > 0.0);
+        let auto = lower(&c, Strategy::Auto);
+        assert_eq!(auto.strategy, choose(&c));
+        assert_eq!(auto.calibrated_ns(&cal), lower(&c, choose(&c)).calibrated_ns(&cal));
+        assert!(auto.calibrated_ns(&cal) > 0.0);
     }
 
     #[test]
@@ -592,14 +564,14 @@ mod tests {
             low_dense,
             diag_heavy,
         ];
-        let picks: Vec<String> = circuits.iter().map(|c| cheapest(&cal, c).to_string()).collect();
+        let picks: Vec<String> = circuits.iter().map(|c| cheapest(c).to_string()).collect();
         assert_eq!(picks, ["fused:4", "fused:3", "fused:4", "planned:10:3", "fused:4"]);
         let prices: Vec<u64> = circuits
             .iter()
             .flat_map(|c| {
                 [12, 13].map(|b| {
                     let s = Strategy::Blocked { block_qubits: b };
-                    lower(c, s, Some(&cal)).calibrated_ns(&cal).to_bits()
+                    lower(c, s).calibrated_ns(&cal).to_bits()
                 })
             })
             .collect();

@@ -90,11 +90,17 @@ impl PauliString {
     /// [`PauliString::expectation_scalar`] for the sequential reference
     /// ordering.
     pub fn expectation(&self, state: &StateVector) -> f64 {
+        self.expectation_with(simd::active(), state)
+    }
+
+    /// ⟨ψ|P|ψ⟩ on an explicit backend: the reduction an engine that
+    /// swept on `be` reports.
+    pub fn expectation_with(&self, be: &simd::KernelBackend, state: &StateVector) -> f64 {
         for &(q, _) in &self.ops {
             assert!(q < state.n_qubits(), "Pauli on qubit {q} beyond the state");
         }
         let (flip, z, y) = self.masks();
-        reduce::expect_pauli_string(simd::active(), state.amplitudes(), flip, z, y)
+        reduce::expect_pauli_string(be, state.amplitudes(), flip, z, y)
     }
 
     /// ⟨ψ|P|ψ⟩ by the sequential per-amplitude loop — the scalar

@@ -105,9 +105,8 @@ pub struct FusedOp {
 
 /// Per-amplitude sweep costs (nanoseconds) driving [`fuse_costed`]'s
 /// merge decisions: one entry per per-gate kernel shape, plus the three
-/// constants the block kernel is priced from, in the same taxonomy as
-/// [`Calibration`](crate::calibrate::Calibration) (which is where the
-/// numbers normally come from).
+/// constants the block kernel is priced from. The engines' table is
+/// [`Calibration::analytic`](crate::calibrate::Calibration::analytic)'s.
 #[derive(Debug, Clone)]
 pub struct FuseCosts {
     pub gate_1q_dense: f64,
@@ -139,6 +138,21 @@ impl FuseCosts {
         fused_perm: 0.0,
         fused_dense: [0.0; 4],
     };
+
+    /// Every entry rewritten by `f`.
+    pub fn map(&self, f: impl Fn(f64) -> f64) -> FuseCosts {
+        FuseCosts {
+            gate_1q_dense: f(self.gate_1q_dense),
+            gate_1q_diag: f(self.gate_1q_diag),
+            gate_controlled: f(self.gate_controlled),
+            gate_2q_diag: f(self.gate_2q_diag),
+            gate_2q_dense: f(self.gate_2q_dense),
+            swap: f(self.swap),
+            fused_diag: f(self.fused_diag),
+            fused_perm: f(self.fused_perm),
+            fused_dense: self.fused_dense.map(&f),
+        }
+    }
 
     /// Cost of one naive sweep of `g` through its specialized kernel.
     pub fn gate(&self, g: &Gate) -> f64 {

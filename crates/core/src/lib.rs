@@ -25,8 +25,9 @@
 //!   with threading, timing, and the resilience guard.
 //! * [`perf`] — per-gate traffic/time prediction hooks into
 //!   `a64fx-model`.
-//! * [`calibrate`] — startup micro-benchmark measuring per-kernel costs
-//!   on the actual machine; powers [`Strategy`](sim::Strategy)`::Auto`.
+//! * [`calibrate`] — the fixed per-kernel cost table every lowering is
+//!   priced on, and [`Strategy`](sim::Strategy)`::Auto`'s resolver on
+//!   it (plus the host micro-benchmark the benchmark times).
 //! * [`batch`] — member-major batched multi-circuit execution: one
 //!   [`BatchSimulator`](batch::BatchSimulator) call runs B independent
 //!   states (or noisy trajectories) bit-identically to B single runs,

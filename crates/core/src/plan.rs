@@ -4,7 +4,9 @@
 //! [`Strategy::Planned`] lowers in [`crate::program`] exactly as
 //! [`Strategy::Blocked`] does — one block pass per maximal run of gates
 //! that pin to a `2^b` block — and fuses each all-low stretch of a run
-//! into ≤ `k`-qubit blocks inside the pass. It moves no qubit: a
+//! into ≤ `k`-qubit blocks inside the pass, priced on the fixed
+//! analytic table ([`crate::calibrate::Calibration::analytic`]), so the
+//! shape is the same in every process. It moves no qubit: a
 //! relocation swap is a full state sweep here, not the exchange it
 //! replaces across ranks (`qcs-dist`'s plans), so it never paid.
 
@@ -31,10 +33,10 @@ impl Plan {
     }
 }
 
-/// Lower `circuit` under `planned:<block_qubits>:<max_k>` with the
-/// process-wide calibration and count what it sweeps.
+/// Lower `circuit` under `planned:<block_qubits>:<max_k>` and count
+/// what it sweeps: the program every engine runs for that strategy.
 pub fn plan_circuit(circuit: &Circuit, block_qubits: u32, max_k: u32) -> Plan {
-    let program = lower(circuit, Strategy::Planned { block_qubits, max_k }, None);
+    let program = lower(circuit, Strategy::Planned { block_qubits, max_k });
     let count = |f: fn(&SweepOp) -> bool| program.ops.iter().filter(|op| f(op)).count();
     Plan {
         blocks: count(|op| matches!(op, SweepOp::BlockPass(_))),

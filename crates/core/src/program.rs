@@ -17,6 +17,11 @@
 //! * the auto-tuner ([`crate::calibrate::choose`]) ranks candidate
 //!   strategies by [`Program::calibrated_ns`].
 //!
+//! The lowering reads no process state: fusion, `planned`'s in-block
+//! fusion and `auto` are all priced on one fixed table,
+//! [`Calibration::analytic`], so the paper's fixed sequence of sweeps
+//! per strategy is the same in every process and on every host.
+//!
 //! The lowering itself is assembled from the passes that already
 //! existed — cost-aware fusion ([`fuse_costed`]) and the block-run
 //! grouping, whose runs share a distributed rank's tiled runner
@@ -74,22 +79,16 @@ pub struct Program<'c> {
     pub block_qubits: u32,
 }
 
-/// Lower `circuit` under `strategy`, pricing fusion decisions from
-/// `cal`. `None` means the process-wide
-/// [`Calibration::get`] — measured on first use, and only by a strategy
-/// that reads costs, so a naive or blocked run never pays for the
-/// micro-benchmark.
+/// Lower `circuit` under `strategy`, pricing fusion decisions on the
+/// one fixed table, [`Calibration::analytic`]: a pure function of its
+/// arguments, so every process lowers a (circuit, strategy) pair to the
+/// same program.
 ///
 /// [`Gate::Measure`] and [`Gate::Cif`] are barriers: each maximal
 /// unitary run between them is lowered on its own, so no fusion or
 /// block pass crosses a collapse. [`Strategy::Auto`] is resolved once
-/// for the whole circuit against the process-wide calibration (the one
-/// its memo belongs to, see [`crate::calibrate::choose`]).
-pub fn lower<'c>(
-    circuit: &'c Circuit,
-    strategy: Strategy,
-    cal: Option<&Calibration>,
-) -> Program<'c> {
+/// for the whole circuit ([`crate::calibrate::choose`]).
+pub fn lower(circuit: &Circuit, strategy: Strategy) -> Program<'_> {
     let n = circuit.n_qubits();
     let strategy = match strategy {
         Strategy::Auto => crate::calibrate::choose(circuit),
@@ -110,11 +109,11 @@ pub fn lower<'c>(
             Gate::Cif { mask, val, gate } => SweepOp::Cif { mask: *mask, val: *val, gate },
             _ => continue,
         };
-        lower_unitary(&mut ops, circuit, &gates[start..i], strategy, cal);
+        lower_unitary(&mut ops, circuit, &gates[start..i], strategy);
         ops.push(barrier);
         start = i + 1;
     }
-    lower_unitary(&mut ops, circuit, &gates[start..], strategy, cal);
+    lower_unitary(&mut ops, circuit, &gates[start..], strategy);
     Program { ops, n_qubits: n, strategy, block_qubits }
 }
 
@@ -124,7 +123,6 @@ fn lower_unitary<'c>(
     circuit: &'c Circuit,
     gates: &'c [Gate],
     strategy: Strategy,
-    cal: Option<&Calibration>,
 ) {
     if gates.is_empty() {
         return;
@@ -141,22 +139,18 @@ fn lower_unitary<'c>(
         }
         Cow::Owned(run)
     };
-    let cal = || match cal {
-        Some(table) => table,
-        None => Calibration::get(),
-    };
     let n = circuit.n_qubits();
     match strategy {
         Strategy::Naive => ops.extend(gates.iter().map(SweepOp::Gate)),
         Strategy::Fused { max_k } => {
-            // Merge only where the calibrated block kernel beats the
-            // member gates' own kernels.
-            let fused = fuse_costed(&as_circuit(), max_k, &cal().fuse_costs());
+            // Merge only where the priced block kernel beats the member
+            // gates' own kernels.
+            let fused = fuse_costed(&as_circuit(), max_k, &Calibration::analytic().costs);
             ops.extend(fused.into_iter().map(SweepOp::Fused))
         }
         Strategy::Blocked { block_qubits } => lower_blocked(ops, gates, block_qubits.min(n), None),
         Strategy::Planned { block_qubits, max_k } => {
-            let costs = cal().block_fuse_costs();
+            let costs = Calibration::analytic().block_fuse_costs();
             lower_blocked(ops, gates, block_qubits.min(n), Some((max_k, &costs)))
         }
         Strategy::Auto => unreachable!("lower resolves Auto before lowering any run"),
@@ -212,11 +206,10 @@ fn block_members<'c>(
 }
 
 impl<'c> Program<'c> {
-    /// The gate-by-gate lowering — one borrowed gate per sweep, no
-    /// cost table read — for callers that want the per-gate model of a
-    /// circuit.
+    /// The gate-by-gate lowering — one borrowed gate per sweep — for
+    /// callers that want the per-gate model of a circuit.
     pub fn per_gate(circuit: &'c Circuit) -> Program<'c> {
-        lower(circuit, Strategy::Naive, None)
+        lower(circuit, Strategy::Naive)
     }
 
     /// The Aer-like comparator as a program: every merge that fits in
@@ -256,8 +249,8 @@ impl<'c> Program<'c> {
             .collect()
     }
 
-    /// Predicted serial nanoseconds on this machine, from the calibrated
-    /// per-kernel costs.
+    /// Predicted serial nanoseconds on the host, from the per-kernel
+    /// costs of `cal`.
     pub fn calibrated_ns(&self, cal: &Calibration) -> f64 {
         let amps = (1u64 << self.n_qubits) as f64;
         self.ops.iter().map(|op| op.calibrated_ns(cal, amps)).sum()
@@ -324,9 +317,9 @@ impl SweepOp<'_> {
     }
 
     /// Predicted serial nanoseconds of this op over `amps` amplitudes,
-    /// from the machine calibration. A collapse is not a kernel the
-    /// calibration measures and costs the same under every strategy, so
-    /// it prices at zero; a `Cif` is priced as taken.
+    /// from `cal`. A collapse is not a kernel the table prices and costs
+    /// the same under every strategy, so it prices at zero; a `Cif` is
+    /// priced as taken.
     pub fn calibrated_ns(&self, cal: &Calibration, amps: f64) -> f64 {
         let per_amp = |op: &SweepOp| match op {
             SweepOp::Gate(g) => gate_per_amp(cal, g),
@@ -401,7 +394,7 @@ mod tests {
     #[test]
     fn naive_lowers_one_borrowed_gate_per_sweep() {
         let c = library::qft(5);
-        let p = lower(&c, Strategy::Naive, None);
+        let p = lower(&c, Strategy::Naive);
         assert_eq!(p.ops.len(), c.len());
         assert_eq!((p.strategy, p.block_qubits, p.segments()), (Strategy::Naive, 0, 1));
         for (op, g) in p.ops.iter().zip(c.gates()) {
@@ -417,9 +410,9 @@ mod tests {
         // two. Each member is its source gate.
         let mut c = Circuit::new(6);
         c.h(0).cx(0, 1).cp(5, 0, 0.4).h(5).rz(1, 0.3).swap(0, 1);
-        let p = lower(&c, Strategy::Blocked { block_qubits: 9 }, None);
+        let p = lower(&c, Strategy::Blocked { block_qubits: 9 });
         assert_eq!(p.block_qubits, 6, "clamped to the state");
-        let p = lower(&c, Strategy::Blocked { block_qubits: 3 }, None);
+        let p = lower(&c, Strategy::Blocked { block_qubits: 3 });
         let mut members = Vec::new();
         let shape: Vec<usize> = p
             .ops
@@ -447,9 +440,8 @@ mod tests {
         c.rz(0, 0.1).cp(0, 1, 0.2).measure(0, 0);
         c.cif_bit(0, 1, Gate::X(1));
         c.rz(2, 0.3).cp(2, 3, 0.4).measure(3, 1);
-        let cal = Calibration::analytic();
         for s in all_strategies() {
-            let p = lower(&c, s, Some(&cal));
+            let p = lower(&c, s);
             assert_eq!(p.segments(), 2, "{s}");
             let barriers: Vec<usize> = p
                 .ops
@@ -463,9 +455,9 @@ mod tests {
             assert_eq!(barriers[1], barriers[0] + 1, "{s}");
             assert_eq!(barriers[2], p.ops.len() - 1, "{s}");
         }
-        // Diagonal pairs merge under any cost table, but never across
-        // the collapse: 1 fused op per side.
-        let p = lower(&c, Strategy::Fused { max_k: 3 }, Some(&cal));
+        // Diagonal pairs merge, but never across the collapse: 1 fused
+        // op per side.
+        let p = lower(&c, Strategy::Fused { max_k: 3 });
         assert_eq!(p.ops.len(), 2 + 3);
     }
 
@@ -473,7 +465,7 @@ mod tests {
     fn block_op_traffic_is_one_stream_with_summed_flops() {
         let model = TrafficModel::a64fx();
         let c = library::rotation_layers(10, 2, 0.2);
-        let p = lower(&c, Strategy::Blocked { block_qubits: 10 }, None);
+        let p = lower(&c, Strategy::Blocked { block_qubits: 10 });
         assert_eq!(p.ops.len(), 1);
         let (_, t) = p.ops[0].traffic(&model, 10);
         let one = model.predict(KernelKind::OneQubitDense, 10, &[0]);

@@ -38,10 +38,9 @@ pub enum Strategy {
     /// [`Strategy::Blocked`]'s runs, with each stretch of a run below
     /// `block_qubits` fused into ≤ `max_k`-qubit blocks inside the pass.
     Planned { block_qubits: u32, max_k: u32 },
-    /// Measure once, choose per circuit: a startup micro-benchmark
-    /// calibrates per-kernel costs on this machine
-    /// ([`crate::calibrate`]) and each run picks the cheapest concrete
-    /// strategy for its circuit from the calibrated model.
+    /// Choose per circuit: the concrete candidate strategy whose
+    /// lowering the fixed cost table ([`crate::calibrate`]) prices
+    /// cheapest — the same pick in every process.
     Auto,
 }
 
@@ -425,15 +424,14 @@ impl Simulator {
         let mut creg: u64 = 0;
         // Ops that were not state sweeps: collapses and untaken `Cif`s.
         let mut not_swept = 0usize;
-        // `Auto` resolves before the clock starts: the candidate
-        // pricing and the one-time process-wide calibration behind it
-        // are not part of this run.
+        // `Auto` resolves before the clock starts: pricing the
+        // candidate lowerings is not part of this run.
         let strategy = match self.strategy {
             Strategy::Auto => crate::calibrate::choose(circuit),
             s => s,
         };
         let start = Instant::now();
-        let program = lower(circuit, strategy, None);
+        let program = lower(circuit, strategy);
         // Built once, ahead of the spans; they survive a guard replay.
         let kernels = program.kernels();
         let mut i = 0;
@@ -516,9 +514,8 @@ impl Simulator {
 }
 
 /// The strategy a trace header names: what actually ran. A configured
-/// `auto` is written with its resolution (`auto=fused:4`), so a trace
-/// taken under the measured calibration can be replayed with the same
-/// lowering.
+/// `auto` is written with its resolution (`auto=fused:4`), so a reader
+/// of the trace sees which lowering ran without re-pricing it.
 pub(crate) fn strategy_label(configured: Strategy, resolved: Strategy) -> String {
     match configured {
         Strategy::Auto => format!("auto={resolved}"),
@@ -707,24 +704,22 @@ mod tests {
 
     #[test]
     fn fused_strategy_reduces_sweeps() {
-        // Diagonal-heavy, so the analytic costs, which price a merged
-        // diagonal block as one diagonal sweep, merge it. A measured table
-        // need not: its fused diagonal kernel can time dearer than two
-        // vector diagonal sweeps, and then apart is the cheaper program.
-        // Under any costs, fusion adds no sweep.
+        // Diagonal-heavy, so the cost table, which prices a merged
+        // diagonal block as one diagonal sweep, merges it.
         let mut c = Circuit::new(8);
         for i in 0..15u32 {
             let q = i % 7;
             c.rz(q, 0.1).cp(q, q + 1, 0.2);
         }
         let strategy = Strategy::Fused { max_k: 4 };
-        let analytic = lower(&c, strategy, Some(&crate::calibrate::Calibration::analytic()));
-        assert!(analytic.ops.len() < c.len(), "{} !< {}", analytic.ops.len(), c.len());
+        let lowered = lower(&c, strategy).ops.len();
+        assert!(lowered < c.len(), "{lowered} !< {}", c.len());
         let mut s = StateVector::zero(8);
         let naive = Simulator::new().run(&c, &mut s).unwrap();
         let mut s = StateVector::zero(8);
         let fused = SimConfig::new().strategy(strategy).build().unwrap().run(&c, &mut s).unwrap();
-        assert!(fused.sweeps <= naive.sweeps, "{} > {}", fused.sweeps, naive.sweeps);
+        assert_eq!(fused.sweeps, lowered);
+        assert!(fused.sweeps < naive.sweeps, "{} !< {}", fused.sweeps, naive.sweeps);
         assert_eq!(fused.gates, naive.gates);
     }
 

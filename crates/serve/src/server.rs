@@ -40,6 +40,7 @@ use omp_par::ThreadPool;
 use qcs_core::batch::{BatchSimulator, MAX_BATCH};
 use qcs_core::circuit::Circuit;
 use qcs_core::config::SimConfig;
+use qcs_core::kernels::simd::KernelBackend;
 use qcs_core::measure::sample_counts;
 use qcs_core::outcome::Outcome;
 use qcs_core::state::StateVector;
@@ -647,7 +648,7 @@ fn run_group(shared: &Shared, fingerprint: u64, mut jobs: Vec<(u64, JobSpec)>) {
             states.extend(members);
         }
         let threads = engine.threads() as u32;
-        Ok((states, outcome.with_config(&spec0.strategy_str, threads, spec0.n)))
+        Ok((states, outcome.with_config(&spec0.strategy_str, threads, spec0.n), engine.backend()))
     });
     if ran.is_ok() {
         for (id, spec, mine) in shared.core().take_twins(fingerprint, &bound) {
@@ -664,13 +665,13 @@ fn run_group(shared: &Shared, fingerprint: u64, mut jobs: Vec<(u64, JobSpec)>) {
     // point — before the job table is locked, so submitters and
     // pollers never wait on it.
     let result = ran
-        .map(|(states, outcome)| {
+        .map(|(states, outcome, be)| {
             let outcome = Outcome { members: served.iter().sum(), ..outcome };
             let bodies: Vec<Arc<str>> = jobs
                 .iter()
                 .zip(&indices)
                 .map(|((_, spec), mine)| {
-                    render(spec, mine.iter().map(|&i| &states[i]), &outcome).into()
+                    render(spec, mine.iter().map(|&i| &states[i]), &outcome, be).into()
                 })
                 .collect();
             (bodies, outcome)
@@ -727,13 +728,15 @@ fn run_group(shared: &Shared, fingerprint: u64, mut jobs: Vec<(u64, JobSpec)>) {
 
 /// The public result body: a `"result"` for a plain job, a
 /// `"sweep_result"` with one block per point for a sweep (point `i`
-/// sampled under `seed + i`). Deliberately excludes job id, timing and
-/// cache status — everything here is a pure function of the work, so a
-/// cache hit serves these exact bytes again.
+/// sampled under `seed + i`), its expectations reduced on `be`, the
+/// backend the states were swept on. Deliberately excludes job id,
+/// timing and cache status — everything here is a pure function of the
+/// work, so a cache hit serves these exact bytes again.
 fn render<'s>(
     spec: &JobSpec,
     mut states: impl ExactSizeIterator<Item = &'s StateVector>,
     outcome: &Outcome,
+    be: &KernelBackend,
 ) -> String {
     let JobSpec { n, shots, seed, .. } = spec;
     let (strategy, backend) = (quote(&spec.strategy_str), quote(&outcome.backend));
@@ -746,7 +749,8 @@ fn render<'s>(
              \"gates\":{gates},\"sweeps\":{},",
             outcome.sweeps
         );
-        write_point(&mut body, spec, states.next().expect("a plain job has one point"), spec.seed);
+        let state = states.next().expect("a plain job has one point");
+        write_point(&mut body, spec, state, spec.seed, be);
         body.push('}');
         return body;
     }
@@ -758,7 +762,7 @@ fn render<'s>(
     for (i, state) in states.enumerate() {
         let sep = if i > 0 { "," } else { "" };
         let _ = write!(body, "{sep}{{\"point\":{i},");
-        write_point(&mut body, spec, state, spec.seed.wrapping_add(i as u64));
+        write_point(&mut body, spec, state, spec.seed.wrapping_add(i as u64), be);
         body.push('}');
     }
     body.push_str("]}");
@@ -766,8 +770,15 @@ fn render<'s>(
 }
 
 /// One point's `"counts":[…],"expectations":[…]`: `shots` samples drawn
-/// under `seed`, then each observable's expectation value.
-fn write_point(body: &mut String, spec: &JobSpec, state: &StateVector, seed: u64) {
+/// under `seed`, then each observable's expectation value, reduced on
+/// `be`.
+fn write_point(
+    body: &mut String,
+    spec: &JobSpec,
+    state: &StateVector,
+    seed: u64,
+    be: &KernelBackend,
+) {
     let counts = sample_counts(state, spec.shots as usize, &mut StdRng::seed_from_u64(seed));
     body.push_str("\"counts\":[");
     for (k, (index, count)) in counts.iter().enumerate() {
@@ -781,7 +792,7 @@ fn write_point(body: &mut String, spec: &JobSpec, state: &StateVector, seed: u64
             body,
             "{sep}{{\"observable\":{},\"value\":{}}}",
             quote(source),
-            op.expectation(state)
+            op.expectation_with(be, state)
         );
     }
     body.push(']');

@@ -55,8 +55,10 @@
 //! prints it back (plus the run's unified `{"type":"outcome",...}` JSON
 //! line — the same schema the job server returns and the JSONL usage
 //! ledger appends), and the same value stamps every trace header. The
-//! environment does not change a run, and `serve` takes every server
-//! knob as a flag.
+//! environment does not change a run: `fused`, `planned` and `auto`
+//! lower on one fixed cost table, so a circuit and a strategy sweep the
+//! same program in every process, whatever `QCS_CALIBRATE` says. `serve`
+//! takes every server knob as a flag.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -74,11 +74,7 @@ fn run_ok_env(args: &[&str], envs: &[(&str, &str)]) -> String {
 
 #[test]
 fn auto_strategy_round_trips_through_cli() {
-    // The analytic calibration keeps the subprocess fast and machine-independent.
-    let out = run_ok_env(
-        &["demo", "ghz", "4", "--strategy", "auto", "--verbose", "--probs", "2"],
-        &[("QCS_CALIBRATE", "analytic")],
-    );
+    let out = run_ok(&["demo", "ghz", "4", "--strategy", "auto", "--verbose", "--probs", "2"]);
     assert!(out.contains("strategy:  auto"), "{out}");
     assert!(out.contains("|0000⟩  0.500000"), "{out}");
     assert!(out.contains("|1111⟩  0.500000"), "{out}");
@@ -107,6 +103,36 @@ fn a_leaked_environment_changes_nothing() {
     };
     let serial = ["demo", "qft", "8", "--verbose"];
     assert_eq!(kernels(&run_ok_env(&serial, &leaked)), kernels(&run_ok(&serial)));
+
+    // The cost table that prices fusion and `auto` is fixed: a process
+    // lowers a circuit to the same program whatever `QCS_CALIBRATE`
+    // says, and two unpinned processes agree with each other.
+    let program = |out: &str| -> (String, Vec<String>) {
+        let sweeps = out.lines().find(|l| l.starts_with("executed ")).expect("a sweep line");
+        let sweeps = sweeps.split(" in ").next().unwrap().to_string();
+        let probs = out.lines().filter(|l| l.contains('⟩')).map(str::to_string).collect();
+        (sweeps, probs)
+    };
+    for strategy in ["fused:4", "auto"] {
+        let args = ["demo", "random", "18", "--verbose", "--probs", "4", "--strategy", strategy];
+        let run = |value: Option<&str>| {
+            let mut cmd = bin();
+            match value {
+                Some(v) => cmd.env("QCS_CALIBRATE", v),
+                None => cmd.env_remove("QCS_CALIBRATE"),
+            };
+            let out = cmd.args(args).output().expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{args:?} under {value:?} failed: {stderr}");
+            program(&String::from_utf8(out.stdout).expect("utf8 output"))
+        };
+        let unset = run(None);
+        assert_eq!(unset.1.len(), 4, "{unset:?}");
+        assert_eq!(run(None), unset, "{strategy}: a second unpinned process");
+        for value in ["analytic", "bogus"] {
+            assert_eq!(run(Some(value)), unset, "{strategy} under QCS_CALIBRATE={value}");
+        }
+    }
 }
 
 #[test]
@@ -411,10 +437,7 @@ fn vqe_runs_its_sweeps_under_the_configured_strategy() {
     let args = ["vqe", "4", "--optimizer", "gd", "--iters", "3", "--seed", "3"];
     let naive = run_ok(&args);
     assert!(naive.contains("batched member-major"), "{naive}");
-    let fused = run_ok_env(
-        &[&args[..], &["--strategy", "fused:3"]].concat(),
-        &[("QCS_CALIBRATE", "analytic")],
-    );
+    let fused = run_ok(&[&args[..], &["--strategy", "fused:3"]].concat());
     // Same optimizer trajectory to the printed digits, whichever
     // lowering the sweeps ran under.
     let energies = |out: &str| -> Vec<String> {

@@ -98,8 +98,7 @@ fn fusion_never_crosses_a_measurement_or_a_classical_condition() {
                 _ => circuit.push(random_gate(&mut rng, n)),
             };
         }
-        let cal = Calibration::analytic();
-        let program = lower(&circuit, Strategy::Fused { max_k: 4 }, Some(&cal));
+        let program = lower(&circuit, Strategy::Fused { max_k: 4 });
         // Between two barriers the fused ops absorb exactly the unitary
         // gates the circuit has there.
         let mut absorbed = vec![0usize];

@@ -24,9 +24,6 @@
 //! every structure class × lowest target 0–3 × k = 1–5, pooled and
 //! pool-less — pinned by a recorded checksum, avx512 ≡ avx2 to the bit.
 
-use std::sync::Once;
-
-use a64fx_qcs::core::calibrate::Calibration;
 use a64fx_qcs::core::fusion::{fuse, FusedClass, FusedOp};
 use a64fx_qcs::core::gates::standard;
 use a64fx_qcs::core::kernels::dispatch::{apply_gate_parallel_with, apply_gate_with, GateKernel};
@@ -506,20 +503,8 @@ fn diagonals_keep_unit_lanes_and_round_the_rest_as_the_scalar_product() {
     }
 }
 
-/// Fusion and planning price their merges from the process-wide
-/// calibration; pin it to the analytic table so every simulator below
-/// lowers a circuit the same way without the startup micro-benchmark.
-fn pin_calibration() {
-    static PIN: Once = Once::new();
-    PIN.call_once(|| {
-        std::env::set_var("QCS_CALIBRATE", "analytic");
-        assert!(!Calibration::get().measured, "calibration was measured before the pin");
-    });
-}
-
 #[test]
 fn every_strategy_is_bit_identical_at_every_thread_count() {
-    pin_calibration();
     let strategies = [
         Strategy::Naive,
         Strategy::Fused { max_k: 3 },

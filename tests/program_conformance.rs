@@ -10,11 +10,8 @@
 //! state sits within 1e-12 of the naive one, so a checksum cannot bless
 //! a wrong lowering; (d) `Circuit::fingerprint` separates what it must.
 
-use std::sync::Once;
-
 use a64fx_qcs::a64fx::timing::ExecConfig;
 use a64fx_qcs::a64fx::ChipParams;
-use a64fx_qcs::core::calibrate::Calibration;
 use a64fx_qcs::core::io::{fnv1a, fnv1a_update};
 use a64fx_qcs::core::kernels::blocked::{run_tiled, Member};
 use a64fx_qcs::core::kernels::dispatch::GateKernel;
@@ -24,21 +21,6 @@ use a64fx_qcs::core::perf;
 use a64fx_qcs::core::prelude::*;
 use a64fx_qcs::core::program::{lower, Program, SweepOp};
 use a64fx_qcs::core::testing::random_circuit_seeded;
-
-/// One process-wide choice shapes a lowering: the machine calibration
-/// (measured per host) prices fusion. Pin it to the
-/// analytic costs before anything in this binary lowers a circuit, so
-/// sweep counts and the golden checksums name one fixed lowering on
-/// every host. The backend needs no pin: fused product matrices are
-/// built with the portable kernels whatever backend runs them, and the
-/// golden runs configure the portable backend themselves.
-fn pin_process_wide_choices() {
-    static PIN: Once = Once::new();
-    PIN.call_once(|| {
-        std::env::set_var("QCS_CALIBRATE", "analytic");
-        assert!(!Calibration::get().measured, "calibration was measured before the pin");
-    });
-}
 
 fn strategies() -> [Strategy; 4] {
     [
@@ -53,11 +35,10 @@ const SHAPES: [(u32, usize, u64); 3] = [(6, 40, 1), (8, 60, 2), (10, 80, 3)];
 
 #[test]
 fn a_run_executes_exactly_the_lowered_ops() {
-    pin_process_wide_choices();
     for seed in 0..6u64 {
         let circuit = random_circuit_seeded(7, 45, seed);
         for strategy in strategies() {
-            let program = lower(&circuit, strategy, None);
+            let program = lower(&circuit, strategy);
             assert_eq!(program.strategy, strategy);
             let sim = SimConfig::default().strategy(strategy).build().unwrap();
             let mut state = StateVector::zero(7);
@@ -79,7 +60,6 @@ fn a_run_executes_exactly_the_lowered_ops() {
 /// exactly as often as the serial engine of the same configuration.
 #[test]
 fn a_sweep_member_executes_its_circuit_under_the_engines_strategy() {
-    pin_process_wide_choices();
     let ansatz = hardware_efficient_ansatz(6, 2);
     let circuits: Vec<Circuit> = (0..3)
         .map(|m| {
@@ -112,12 +92,11 @@ fn a_sweep_member_executes_its_circuit_under_the_engines_strategy() {
 
 #[test]
 fn span_traffic_equals_the_model_of_the_same_program() {
-    pin_process_wide_choices();
     let (chip, cfg) = (ChipParams::a64fx(), ExecConfig::single_core());
     for seed in 0..6u64 {
         let circuit = random_circuit_seeded(8, 50, 100 + seed);
         for strategy in strategies() {
-            let model = perf::predict(&chip, &cfg, &lower(&circuit, strategy, None));
+            let model = perf::predict(&chip, &cfg, &lower(&circuit, strategy));
             let sim = SimConfig::default()
                 .strategy(strategy)
                 .model(chip.clone(), cfg)
@@ -147,9 +126,8 @@ fn state_checksum(state: &StateVector) -> u64 {
 
 #[test]
 fn final_state_bits_match_the_recorded_engines() {
-    pin_process_wide_choices();
-    // Portable backend, QCS_CALIBRATE=analytic, |0…0⟩ start. Rows follow
-    // SHAPES; columns follow strategies(). The naive and blocked columns
+    // Portable backend, |0…0⟩ start. Rows follow SHAPES; columns
+    // follow strategies(). The naive and blocked columns
     // were recorded under the per-strategy executors (`Prep`) that
     // `Program` replaced; the fused column when fusion learned to slide
     // gates past groups on other qubits; the planned column as below.
@@ -226,7 +204,6 @@ fn run_on(be: &KernelBackend, program: &Program, state: &mut StateVector) {
 /// wider than the fusion width.
 #[test]
 fn planned_sweeps_as_blocked_and_runs_as_naive_on_every_backend() {
-    pin_process_wide_choices();
     let kind = |op: &SweepOp| match op {
         SweepOp::BlockPass(_) => "pass",
         SweepOp::Gate(_) => "gate",
@@ -236,13 +213,12 @@ fn planned_sweeps_as_blocked_and_runs_as_naive_on_every_backend() {
     for seed in 0..4u64 {
         let circuit = random_circuit_seeded(9, 60, 200 + seed);
         let mut naive = StateVector::zero(9);
-        run_on(backends[0], &lower(&circuit, Strategy::Naive, None), &mut naive);
+        run_on(backends[0], &lower(&circuit, Strategy::Naive), &mut naive);
         for b in 3..=7u32 {
-            let blocked = lower(&circuit, Strategy::Blocked { block_qubits: b }, None);
+            let blocked = lower(&circuit, Strategy::Blocked { block_qubits: b });
             let blocked: Vec<&str> = blocked.ops.iter().map(kind).collect();
             for k in 2..=4u32 {
-                let planned =
-                    lower(&circuit, Strategy::Planned { block_qubits: b, max_k: k }, None);
+                let planned = lower(&circuit, Strategy::Planned { block_qubits: b, max_k: k });
                 let shape: Vec<&str> = planned.ops.iter().map(kind).collect();
                 assert_eq!(shape, blocked, "seed {seed} planned:{b}:{k}");
                 for &be in &backends {
@@ -261,7 +237,6 @@ fn planned_sweeps_as_blocked_and_runs_as_naive_on_every_backend() {
 /// run and match naive.
 #[test]
 fn a_fusion_width_below_the_widest_gate_runs_as_naive() {
-    pin_process_wide_choices();
     let mut circuit = Circuit::new(5);
     circuit.h(0).h(1).cx(0, 1).ccx(0, 1, 2).rz(2, 0.3).cx(2, 4).ccx(4, 3, 1).t(3);
     let run = |strategy| {
@@ -331,7 +306,6 @@ fn fingerprint_is_structural_and_bit_exact() {
 
 #[test]
 fn auto_trace_header_names_what_ran() {
-    pin_process_wide_choices();
     let circuit = random_circuit_seeded(6, 30, 4);
     let sim = SimConfig::default().strategy(Strategy::Auto).traced().build().unwrap();
     let mut state = StateVector::zero(6);
@@ -339,5 +313,5 @@ fn auto_trace_header_names_what_ran() {
     let resolved = trace.meta.strategy.strip_prefix("auto=").expect("auto=<resolved>");
     let resolved: Strategy = resolved.parse().expect("the resolution is replayable");
     assert_ne!(resolved, Strategy::Auto);
-    assert_eq!(resolved, lower(&circuit, Strategy::Auto, None).strategy);
+    assert_eq!(resolved, lower(&circuit, Strategy::Auto).strategy);
 }

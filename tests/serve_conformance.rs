@@ -15,7 +15,7 @@ use a64fx_qcs::core::batch::BatchSimulator;
 use a64fx_qcs::core::circuit::{Circuit, Gate};
 use a64fx_qcs::core::config::SimConfig;
 use a64fx_qcs::core::expectation::{Pauli, PauliString};
-use a64fx_qcs::core::kernels::simd::BackendChoice;
+use a64fx_qcs::core::kernels::simd::{backend_for, BackendChoice};
 use a64fx_qcs::core::measure::sample_counts;
 use a64fx_qcs::core::sim::Strategy;
 use a64fx_qcs::core::state::StateVector;
@@ -94,7 +94,9 @@ fn direct_run_of(
     let counts = sample_counts(&states[0], SHOTS as usize, &mut rng);
     let z0z1 = PauliString::new(vec![(0, Pauli::Z), (1, Pauli::Z)]);
     let x2 = PauliString::new(vec![(2, Pauli::X)]);
-    let expectations = vec![z0z1.expectation(&states[0]), x2.expectation(&states[0])];
+    let be = sim.backend();
+    let expectations =
+        vec![z0z1.expectation_with(be, &states[0]), x2.expectation_with(be, &states[0])];
     (counts, expectations)
 }
 
@@ -163,6 +165,57 @@ fn served_results_are_bit_identical_to_direct_batch_runs() {
         }
     }
     server.shutdown();
+}
+
+#[test]
+fn a_scalar_job_reduces_its_expectations_on_the_portable_kernels() {
+    // Wide enough, and with enough Y and X terms, that a vector
+    // reduction sums these observables in another order than the
+    // portable one and lands on other bits.
+    const WIDE: u32 = 12;
+    let mut circuit = Circuit::new(WIDE);
+    for layer in 0..3 {
+        for q in 0..WIDE {
+            circuit.push(Gate::Ry(q, 0.3 + 0.1 * f64::from(layer + q)));
+            circuit.push(Gate::Rz(q, 0.7 - 0.05 * f64::from(q)));
+        }
+        for q in 0..WIDE - 1 {
+            circuit.push(Gate::Cx(q, q + 1));
+        }
+    }
+    let observables = [
+        ("Z0 Z1", vec![(0, Pauli::Z), (1, Pauli::Z)]),
+        ("X0 X5", vec![(0, Pauli::X), (5, Pauli::X)]),
+        ("Y2 Y3", vec![(2, Pauli::Y), (3, Pauli::Y)]),
+        ("X11", vec![(11, Pauli::X)]),
+        ("Y1 Z4 X8", vec![(1, Pauli::Y), (4, Pauli::Z), (8, Pauli::X)]),
+    ];
+    let quoted: Vec<String> = observables.iter().map(|(o, _)| format!("\"{o}\"")).collect();
+    let qasm = a64fx_qcs::core::qasm::emit(&circuit).unwrap();
+    let body = format!(
+        r#"{{"tenant":"scalar","n":{WIDE},"shots":1,"seed":{SEED},"strategy":"naive",
+            "backend":"scalar","observables":[{}],"qasm":{}}}"#,
+        quoted.join(","),
+        a64fx_qcs::serve::json::quote(&qasm)
+    );
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let addr = server.addr();
+    let id = submit_job(addr, &body).unwrap();
+    assert_eq!(wait_for_job(addr, id).unwrap(), "done");
+    let (status, raw) = http_request(addr, "GET", &format!("/jobs/{id}/result"), "").unwrap();
+    server.shutdown();
+    assert_eq!(status, 200, "{raw}");
+    let served = served_expectations(&parse(&raw).unwrap());
+
+    let cfg = SimConfig::default().backend(BackendChoice::Scalar).batch(1);
+    let (states, _) = BatchSimulator::from_config(cfg).unwrap().run_fresh(&circuit).unwrap();
+    let portable = backend_for(BackendChoice::Scalar);
+    let want: Vec<f64> = observables
+        .iter()
+        .map(|(_, ops)| PauliString::new(ops.clone()).expectation_with(portable, &states[0]))
+        .collect();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&served), bits(&want), "served {served:?}, portable {want:?}");
 }
 
 #[test]
