@@ -14,19 +14,26 @@
 //!   once through the serial engine's tiled runner ([`run_tiled`]); a
 //!   kernel that moves amplitudes between tiles sweeps the whole shard;
 //! * a **global–local swap**: half the shard traded with the partner
-//!   across a global axis, blocking — or, on the top local axis,
-//!   chunked and nonblocking with resident kernels sweeping each half
-//!   around the flight;
+//!   across a global axis, blocking, packed into a buffer that moves to
+//!   the partner (whose buffer comes back as the next outbox) — or, on
+//!   the top local axis, chunked and nonblocking with resident kernels
+//!   sweeping each half around the flight;
 //! * a **pair exchange**: the whole shard traded, the kernel swept over
 //!   both partners' shards side by side, this rank's half kept.
 //!
 //! Every sweep — tile, shard, half shard, doubled scratch — goes through
 //! [`GateKernel::apply`], the serial engine's table, so the distributed
 //! arithmetic is the serial arithmetic at a different stride.
+//!
+//! State-sized buffers cross ranks by move ([`Comm::try_send_owned`]):
+//! swap outboxes and, at the end, every non-root shard. A rank drops its
+//! exchange buffer with its last exchange, and the root allocates the
+//! gathered state only once every shard is in hand, so a run's heap
+//! peaks at one state plus every shard, however the ranks interleave.
 
 use std::time::{Duration, Instant};
 
-use mpi_sim::{Comm, ANY_SOURCE};
+use mpi_sim::{Buffer, Comm, ANY_SOURCE};
 use qcs_core::align::AlignedAmps;
 use qcs_core::circuit::Circuit;
 use qcs_core::complex::{as_f64_slice, as_f64_slice_mut, C64};
@@ -88,8 +95,10 @@ pub struct DistState {
     amps: AlignedAmps,
     tracer: Option<Tracer>,
     /// Reusable exchange scratch, shared by every phase (pair-exchange
-    /// doubled buffers and swap outboxes) so a long circuit allocates
-    /// once instead of once per phase. 64-byte aligned like `amps`.
+    /// doubled buffers and swap outboxes, which trade places with the
+    /// partner's) so a long circuit allocates once instead of once per
+    /// phase; dropped with the rank's last exchange. 64-byte aligned like
+    /// `amps`.
     scratch: Option<AlignedAmps>,
 }
 
@@ -188,6 +197,7 @@ impl DistState {
         ops: &[Option<RankOp>],
         w: u32,
     ) -> Result<(), DistError> {
+        let last_exchange = ops.iter().rposition(|op| !matches!(op, None | Some(RankOp::Sweep(_))));
         let mut from = 0;
         for (i, op) in ops.iter().enumerate() {
             let Some(op) = op else { continue };
@@ -205,6 +215,9 @@ impl DistState {
                     self.swap_top_overlapped(comm, *gq, resident)?
                 }
                 RankOp::PairExchange { gq, kernel } => self.pair_exchange(comm, *gq, kernel)?,
+            }
+            if Some(i) == last_exchange {
+                self.scratch = None;
             }
         }
         self.sweep_members(&ops[from..], w);
@@ -266,7 +279,8 @@ impl DistState {
 
     /// Swap global axis `gq` with local axis `lq`: a physical exchange
     /// of half the local buffer. Nothing swaps back; the plan tracks
-    /// where each qubit lives.
+    /// where each qubit lives. The outbox moves to the partner and the
+    /// partner's, once unpacked, becomes this rank's scratch.
     fn swap_global_local(&mut self, comm: &mut Comm, gq: u32, lq: u32) -> Result<(), DistError> {
         debug_assert!(!self.part.is_local(gq) && self.part.is_local(lq));
         let t0 = Instant::now();
@@ -280,12 +294,13 @@ impl DistState {
             outbox[j] = self.amps[at(j)];
         }
         let partner = self.part.partner(self.rank, gq);
-        let sent = comm.try_send(partner, TAG_SWAP, as_f64_slice(&outbox[..half]));
-        self.scratch = Some(outbox);
-        let (_, inbox) = sent.and_then(|()| comm.try_recv_bytes(partner, TAG_SWAP))?;
+        comm.try_send_owned(partner, TAG_SWAP, Moved { amps: outbox, len: half })?;
+        let (_, Moved { amps: inbox, len }) = comm.try_recv_owned(partner, TAG_SWAP)?;
+        debug_assert_eq!(len, half);
         for j in 0..half {
-            self.amps[at(j)] = wire_amp(&inbox, j);
+            self.amps[at(j)] = inbox[j];
         }
+        self.scratch = Some(inbox);
         self.record_exchange(ExchangePhase::GlobalSwap, &[gq, lq], half as u64, t0.elapsed());
         Ok(())
     }
@@ -482,9 +497,12 @@ impl DistState {
 
     /// Gather the state at rank 0, the only rank that returns it, in
     /// logical order (`logical_at[p]` = logical qubit on physical axis
-    /// `p`). The root writes its own shard, frees it, then each other
-    /// rank's as it arrives, read in place from the message bytes. Also
-    /// hands back the tracer, this gather its last span.
+    /// `p`). Every other rank moves its shard to the root. The root takes
+    /// them all before it allocates the state — a rank that has sent its
+    /// shard holds no other buffer, so the heap peaks at every shard plus
+    /// one state, whatever the ranks' timing — then writes each shard in
+    /// place and frees it. Also hands back the tracer, this gather its
+    /// last span.
     pub(crate) fn into_state(
         self,
         comm: &mut Comm,
@@ -494,18 +512,19 @@ impl DistState {
         drop(scratch);
         let t0 = Instant::now();
         let (state, moved) = if rank == 0 {
-            let mut out = StateVector::zero(part.n_qubits());
-            unpermute(logical_at, part.n_local(), 0, out.amplitudes_mut(), |x| amps[x]);
-            drop(amps);
+            let mut shards = vec![(0, amps)];
             for _ in 1..part.n_ranks() {
-                let (src, bytes) = comm.try_recv_bytes(ANY_SOURCE, TAG_GATHER)?;
-                debug_assert_eq!(bytes.len(), part.local_len() * C64_BYTES as usize);
-                let amp = |x: usize| wire_amp(&bytes, x);
-                unpermute(logical_at, part.n_local(), src, out.amplitudes_mut(), amp);
+                let (src, Moved { amps, len }) = comm.try_recv_owned(ANY_SOURCE, TAG_GATHER)?;
+                debug_assert_eq!(len, part.local_len());
+                shards.push((src, amps));
+            }
+            let mut out = StateVector::zero(part.n_qubits());
+            for (src, shard) in shards {
+                unpermute(logical_at, part.n_local(), src, out.amplitudes_mut(), |x| shard[x]);
             }
             (Some(out), (part.n_ranks() - 1) * part.local_len())
         } else {
-            comm.try_send(0, TAG_GATHER, as_f64_slice(&amps))?;
+            comm.try_send_owned(0, TAG_GATHER, Moved { len: amps.len(), amps })?;
             (None, part.local_len())
         };
         if let Some(t) = &tracer {
@@ -554,10 +573,27 @@ fn subsets(mask: usize) -> impl Iterator<Item = usize> {
     std::iter::successors(Some(0), move |&s| (s != mask).then(|| s.wrapping_sub(mask) & mask))
 }
 
-/// Amplitude `x` of a shard on the wire: interleaved native-endian `f64`s.
-fn wire_amp(bytes: &[u8], x: usize) -> C64 {
-    let f = |i: usize| f64::from_ne_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"));
-    C64::new(f(2 * x), f(2 * x + 1))
+/// The first `len` amplitudes of `amps` as a message: on the fast path
+/// the buffer itself moves to the receiver, under a fault plan its
+/// interleaved `f64`s are copied as a slice send's are.
+struct Moved {
+    amps: AlignedAmps,
+    len: usize,
+}
+
+impl Buffer for Moved {
+    type Elem = f64;
+
+    fn elems(&self) -> &[f64] {
+        as_f64_slice(&self.amps[..self.len])
+    }
+
+    fn from_elems(elems: &[f64]) -> Moved {
+        let len = elems.len() / 2;
+        let mut amps = AlignedAmps::zeroed(len);
+        as_f64_slice_mut(&mut amps).copy_from_slice(elems);
+        Moved { amps, len }
+    }
 }
 
 /// One pool-less sweep of `kernel` over a shard, half a shard or
@@ -937,8 +973,8 @@ mod tests {
     }
 
     /// Every shard of `raw` (physical order) through [`unpermute`] under
-    /// `logical_at`, read from memory and from the wire, must rebuild
-    /// the fold's state bit for bit.
+    /// `logical_at`, read from memory and from its copied wire form, must
+    /// rebuild the fold's state bit for bit.
     fn check_unpermute(raw: &[C64], logical_at: &[u32], ranks: usize) {
         let want = fold_reference(raw, logical_at);
         let len = raw.len() / ranks;
@@ -947,8 +983,8 @@ mod tests {
         let mut wire = vec![C64::default(); raw.len()];
         for (rank, shard) in raw.chunks_exact(len).enumerate() {
             unpermute(logical_at, n_local, rank, &mut mem, |x| shard[x]);
-            let bytes: Vec<u8> = as_f64_slice(shard).iter().flat_map(|f| f.to_ne_bytes()).collect();
-            unpermute(logical_at, n_local, rank, &mut wire, |x| wire_amp(&bytes, x));
+            let copied = Moved::from_elems(as_f64_slice(shard));
+            unpermute(logical_at, n_local, rank, &mut wire, |x| copied.amps[x]);
         }
         for got in [&mem, &wire] {
             assert_eq!(as_f64_slice(got), as_f64_slice(&want), "{logical_at:?} over {ranks} ranks");
@@ -1013,6 +1049,50 @@ mod tests {
                 let reversed: Vec<u32> = (0..n).rev().collect();
                 check_unpermute(&distinct(n), &reversed, ranks);
             }
+        }
+    }
+
+    #[test]
+    fn moved_swap_trades_buffers_with_the_partner() {
+        // Each rank's outbox becomes its partner's scratch: the buffer
+        // moved, nothing was copied into a fresh one. The shards then
+        // hold the state with the two axes swapped.
+        let mut rng = StdRng::seed_from_u64(44);
+        let full = StateVector::random(6, &mut rng);
+        let mut want = full.clone();
+        let mut swap = Circuit::new(6);
+        swap.swap(5, 1);
+        Simulator::new().run(&swap, &mut want).unwrap();
+        let got = World::run(2, |comm| {
+            let mut st = DistState::from_full(&full, comm).unwrap();
+            let scratch = AlignedAmps::zeroed(st.amps.len() / 2);
+            let sent = scratch.as_ptr() as usize;
+            st.scratch = Some(scratch);
+            st.swap_global_local(comm, 5, 1).unwrap();
+            let kept = st.scratch.as_ref().map(|b| b.as_ptr() as usize);
+            (sent, kept, st.allgather_full(comm))
+        });
+        for (rank, (_, kept, state)) in got.iter().enumerate() {
+            assert_eq!(*kept, Some(got[1 - rank].0), "rank {rank} kept a copy");
+            assert_eq!(as_f64_slice(state.amplitudes()), as_f64_slice(want.amplitudes()));
+        }
+    }
+
+    #[test]
+    fn moved_runs_hold_no_exchange_buffer_after_the_last_swap() {
+        // A reorder run swaps, then sweeps: by the gather no rank holds
+        // a swap buffer, and the moved shards rebuild the serial state.
+        let c = library::qft(6);
+        for ranks in [2usize, 4] {
+            let run =
+                run_world(&c, ranks, DistPlanKind::Reorder, None, None, "", |st, comm, _, ops| {
+                    st.run(comm, ops)?;
+                    Ok(st.scratch.is_none())
+                })
+                .unwrap();
+            assert_eq!(run.per_rank, vec![true; ranks], "ranks={ranks}");
+            let want = serial_reference(&c);
+            assert_eq!(as_f64_slice(run.state.amplitudes()), as_f64_slice(want.amplitudes()));
         }
     }
 

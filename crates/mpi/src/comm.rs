@@ -4,7 +4,9 @@
 //!
 //! * **Fast path** (no [`FaultPlan`]): sends are buffered channel pushes
 //!   and receives are tag-matched channel pops — zero per-message
-//!   overhead beyond the channel itself.
+//!   overhead beyond the channel itself. A slice is copied into the
+//!   message; a [`Buffer`] is the message: the sender gives it up and
+//!   the receiver gets the same allocation back.
 //! * **Reliable path** (a plan attached via [`World::run_faulted`]):
 //!   every data message carries a sequence number and an FNV-1a payload
 //!   checksum,
@@ -17,13 +19,14 @@
 //!   and bit-flips are all survived and the delivered byte stream is
 //!   identical to a fault-free run.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
-use crate::datatype::{from_bytes, to_bytes, Pod};
+use crate::datatype::{from_bytes, to_bytes, Buffer, Pod};
 use crate::fault::{fnv1a, FaultPlan};
 use crate::stats::{CommStats, WorldStats};
 
@@ -69,12 +72,30 @@ pub(crate) enum Kind {
     Ack,
 }
 
+/// What a message carries.
+pub(crate) enum Payload {
+    /// A copy of the sent elements' bytes.
+    Bytes(Vec<u8>),
+    /// A [`Buffer`] the sender gave up (fast path only), with the size
+    /// of its wire form.
+    Moved(Box<dyn Any + Send>, usize),
+}
+
+impl Payload {
+    /// Bytes on the wire.
+    fn len(&self) -> usize {
+        match self {
+            Payload::Bytes(b) => b.len(),
+            Payload::Moved(_, len) => *len,
+        }
+    }
+}
+
 /// One in-flight message.
-#[derive(Debug, Clone)]
 pub(crate) struct Envelope {
     pub src: usize,
     pub tag: u32,
-    pub payload: Vec<u8>,
+    pub payload: Payload,
     /// Per-(src, dest) sequence number (reliable path; 0 on fast path).
     pub seq: u64,
     pub kind: Kind,
@@ -262,18 +283,44 @@ impl Comm {
         if self.plan.is_some() {
             return self.send_reliable(dest, tag, payload);
         }
-        self.senders[dest]
-            .send(Envelope {
-                src: self.rank,
-                tag,
-                payload,
-                seq: 0,
-                kind: Kind::Data,
-                checksum: 0,
-                deliver_after: None,
-            })
-            .expect("receiving rank has exited with messages still in flight");
+        self.push(dest, tag, Payload::Bytes(payload));
         Ok(())
+    }
+
+    /// Send `buf` itself to `dest`: on the fast path the receiver of a
+    /// [`Comm::try_recv_owned`] gets this very allocation and nothing is
+    /// copied; under a fault plan its elements are copied and sent as by
+    /// [`Comm::try_send`]. Bytes and messages count as for the slice.
+    pub fn try_send_owned<B: Buffer>(
+        &mut self,
+        dest: usize,
+        tag: u32,
+        buf: B,
+    ) -> Result<(), CommError> {
+        if self.plan.is_some() {
+            return self.try_send(dest, tag, buf.elems());
+        }
+        assert!(dest < self.size, "send to rank {dest} outside world of {}", self.size);
+        let len = std::mem::size_of_val(buf.elems());
+        self.stats.record_send(dest, len);
+        self.push(dest, tag, Payload::Moved(Box::new(buf), len));
+        Ok(())
+    }
+
+    /// Fast-path delivery: one channel push.
+    fn push(&self, dest: usize, tag: u32, payload: Payload) {
+        let env = Envelope {
+            src: self.rank,
+            tag,
+            payload,
+            seq: 0,
+            kind: Kind::Data,
+            checksum: 0,
+            deliver_after: None,
+        };
+        self.senders[dest]
+            .send(env)
+            .expect("receiving rank has exited with messages still in flight");
     }
 
     /// Stop-and-wait ARQ: transmit with injected faults, await the ACK
@@ -283,6 +330,16 @@ impl Comm {
         let seq = self.next_seq[dest];
         self.next_seq[dest] = seq + 1;
         let checksum = fnv1a(&payload);
+        let src = self.rank;
+        let data = |payload, deliver_after| Envelope {
+            src,
+            tag,
+            payload: Payload::Bytes(payload),
+            seq,
+            kind: Kind::Data,
+            checksum,
+            deliver_after,
+        };
         let attempts = plan.max_retries + 1;
         for attempt in 0..attempts {
             let final_attempt = attempt + 1 == attempts;
@@ -306,22 +363,13 @@ impl Comm {
                     self.stats.faults_injected += 1;
                     Instant::now() + d
                 });
-                let env = Envelope {
-                    src: self.rank,
-                    tag,
-                    payload: delivered,
-                    seq,
-                    kind: Kind::Data,
-                    checksum,
-                    deliver_after,
-                };
-                let dup = draw.duplicate.then(|| env.clone());
+                let dup = draw.duplicate.then(|| delivered.clone());
                 // Best-effort pushes: reliability comes from the ACK, so
                 // a peer that already exited just means no ACK arrives.
-                let _ = self.senders[dest].send(env);
+                let _ = self.senders[dest].send(data(delivered, deliver_after));
                 if let Some(d) = dup {
                     self.stats.faults_injected += 1;
-                    let _ = self.senders[dest].send(d);
+                    let _ = self.senders[dest].send(data(d, deliver_after));
                 }
             }
             if self.await_ack(dest, seq, plan.timeout_for_attempt(attempt)) {
@@ -398,7 +446,10 @@ impl Comm {
         match env.kind {
             Kind::Ack => Some(Pumped::Ack { src: env.src, seq: env.seq }),
             Kind::Data => {
-                if fnv1a(&env.payload) != env.checksum {
+                let Payload::Bytes(bytes) = &env.payload else {
+                    unreachable!("moved buffers never take the reliable path")
+                };
+                if fnv1a(bytes) != env.checksum {
                     // Corrupt in flight: drop without ACK so the sender's
                     // deadline passes and it retransmits.
                     self.stats.corrupt_dropped += 1;
@@ -432,7 +483,7 @@ impl Comm {
         let _ = self.senders[to].send(Envelope {
             src: self.rank,
             tag,
-            payload: Vec::new(),
+            payload: Payload::Bytes(Vec::new()),
             seq,
             kind: Kind::Ack,
             checksum: 0,
@@ -467,12 +518,39 @@ impl Comm {
         src: usize,
         tag: u32,
     ) -> Result<(usize, Vec<T>), CommError> {
-        self.try_recv_bytes(src, tag).map(|(src, bytes)| (src, from_bytes(&bytes)))
+        match self.try_recv_payload(src, tag)? {
+            (src, Payload::Bytes(bytes)) => Ok((src, from_bytes(&bytes))),
+            (_, Payload::Moved(..)) => {
+                panic!("rank {} received a moved buffer as a slice", self.rank)
+            }
+        }
     }
 
-    /// [`Comm::try_recv_any`] without the decode: the payload's bytes as
-    /// they travelled, for a receiver that reads them in place.
-    pub fn try_recv_bytes(&mut self, src: usize, tag: u32) -> Result<(usize, Vec<u8>), CommError> {
+    /// Receive a [`Buffer`] sent with [`Comm::try_send_owned`]: on the
+    /// fast path the sender's own allocation, read in place; otherwise
+    /// one rebuilt from the copied elements. Returns `(source, buffer)`.
+    ///
+    /// Panics if the matched message moved a buffer of another type —
+    /// a sender/receiver type mismatch, as a length mismatch is for
+    /// [`Comm::recv`].
+    pub fn try_recv_owned<B: Buffer>(
+        &mut self,
+        src: usize,
+        tag: u32,
+    ) -> Result<(usize, B), CommError> {
+        let (src, payload) = self.try_recv_payload(src, tag)?;
+        let buf = match payload {
+            Payload::Moved(buf, _) => *buf.downcast::<B>().unwrap_or_else(|_| {
+                panic!("rank {} received a moved buffer of another type", self.rank)
+            }),
+            Payload::Bytes(bytes) => B::from_elems(&from_bytes(&bytes)),
+        };
+        Ok((src, buf))
+    }
+
+    /// The one matching receive: the payload of the first message from
+    /// `src` (or [`ANY_SOURCE`]) with `tag`, and its actual source.
+    fn try_recv_payload(&mut self, src: usize, tag: u32) -> Result<(usize, Payload), CommError> {
         // First scan the stash for an already-arrived match (FIFO per
         // (src, tag) pair preserves MPI ordering).
         if let Some(env) = self.take_stashed(src, tag) {
@@ -664,6 +742,103 @@ mod tests {
         World::run(1, |c| {
             c.send(0, 5, &[1.25f64, 2.5]);
             assert_eq!(c.recv::<f64>(0, 5), vec![1.25, 2.5]);
+        });
+    }
+
+    impl<T: Pod> Buffer for Vec<T> {
+        type Elem = T;
+        fn elems(&self) -> &[T] {
+            self
+        }
+        fn from_elems(elems: &[T]) -> Vec<T> {
+            elems.to_vec()
+        }
+    }
+
+    #[test]
+    fn owned_buffers_arrive_as_the_senders_allocation() {
+        // Each rank moves a buffer to its partner and gets the partner's
+        // allocation back, the address it had on the sending rank.
+        let got = World::run(4, |c| {
+            let peer = c.rank() ^ 1;
+            let buf: Vec<u64> = (0..1000).map(|i| i * 10 + c.rank() as u64).collect();
+            let sent_at = buf.as_ptr() as usize;
+            c.try_send_owned(peer, 4, buf).unwrap();
+            let (src, back) = c.try_recv_owned::<Vec<u64>>(peer, 4).unwrap();
+            assert_eq!(src, peer);
+            (sent_at, back.as_ptr() as usize, back)
+        });
+        for (rank, (_, at, back)) in got.iter().enumerate() {
+            let peer = rank ^ 1;
+            assert_eq!(*at, got[peer].0, "rank {rank} got a copy, not rank {peer}'s buffer");
+            assert_eq!(*back, (0..1000).map(|i| i * 10 + peer as u64).collect::<Vec<_>>());
+        }
+    }
+
+    /// Rank 0 sends three 300-`f64` buffers to rank 1, moved or as
+    /// slices, and rank 1 receives them as buffers: what arrived, and
+    /// the per-rank statistics.
+    fn three_buffers(plan: Option<FaultPlan>, moved: bool) -> (Vec<Vec<f64>>, Vec<CommStats>) {
+        World::run_faulted_with_stats(2, plan, move |c| {
+            let data: Vec<f64> = (0..300).map(|i| i as f64 * 0.5 - 7.0).collect();
+            if c.rank() == 0 {
+                for _ in 0..3 {
+                    if moved {
+                        c.try_send_owned(1, 8, data.clone()).unwrap();
+                    } else {
+                        c.send(1, 8, &data);
+                    }
+                }
+                Vec::new()
+            } else {
+                (0..3).flat_map(|_| c.try_recv_owned::<Vec<f64>>(0, 8).unwrap().1).collect()
+            }
+        })
+    }
+
+    /// Same values, same logical traffic.
+    fn assert_same_delivery(
+        got: &(Vec<Vec<f64>>, Vec<CommStats>),
+        want: &(Vec<Vec<f64>>, Vec<CommStats>),
+    ) {
+        assert_eq!(got.0, want.0);
+        assert_eq!(want.0[1].len(), 900);
+        for (g, w) in got.1.iter().zip(&want.1) {
+            assert_eq!((g.bytes_sent, g.messages_sent), (w.bytes_sent, w.messages_sent));
+            assert_eq!(
+                (g.bytes_received, g.messages_received),
+                (w.bytes_received, w.messages_received)
+            );
+        }
+    }
+
+    #[test]
+    fn owned_sends_count_and_deliver_as_slices_do() {
+        // A buffer received from a slice send is rebuilt from its
+        // elements; a moved one counts the bytes the slice would.
+        assert_same_delivery(&three_buffers(None, true), &three_buffers(None, false));
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn faulted_owned_sends_are_copied_and_delivered_exactly() {
+        // Under a fault plan a moved buffer takes the reliable path as a
+        // copy, and arrives as the fault-free run's does.
+        let clean = three_buffers(None, false);
+        for (plan, moved) in [(aggressive_plan(5), true), (aggressive_plan(6), false)] {
+            assert_same_delivery(&three_buffers(Some(plan), moved), &clean);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "moved buffer of another type")]
+    fn owned_buffer_of_the_wrong_type_is_refused() {
+        World::run(2, |c| {
+            if c.rank() == 0 {
+                c.try_send_owned(1, 2, vec![1u32, 2]).unwrap();
+            } else {
+                let _ = c.try_recv_owned::<Vec<u64>>(0, 2);
+            }
         });
     }
 

@@ -29,6 +29,19 @@ unsafe impl Pod for usize {}
 unsafe impl Pod for isize {}
 unsafe impl<T: Pod, const N: usize> Pod for [T; N] {}
 
+/// A buffer that travels whole: [`crate::Comm::try_send_owned`] hands
+/// it to the receiver on the fast path — no copy on either side — and
+/// copies its elements, as for a slice, under a fault plan, where
+/// [`Buffer::from_elems`] rebuilds it on the receiving rank.
+pub trait Buffer: Send + 'static {
+    /// The element type of the buffer's wire form.
+    type Elem: Pod;
+    /// The elements the message carries.
+    fn elems(&self) -> &[Self::Elem];
+    /// A buffer holding a copy of `elems`.
+    fn from_elems(elems: &[Self::Elem]) -> Self;
+}
+
 /// Copy a typed slice into a fresh byte vector.
 pub fn to_bytes<T: Pod>(data: &[T]) -> Vec<u8> {
     let n = std::mem::size_of_val(data);

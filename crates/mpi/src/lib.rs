@@ -13,7 +13,8 @@
 //!   out-of-order stashing, plus `barrier`, `bcast`, `gather`, `allgather`,
 //!   `allreduce`, `alltoall`, `reduce`.
 //! * [`Pod`] — the plain-old-data marker used to move typed slices
-//!   through byte channels without serialization frameworks.
+//!   through byte channels without serialization frameworks; a
+//!   [`Buffer`] crosses ranks by move instead, with no copy.
 //! * [`network`] — an α–β (latency–bandwidth) cost model parameterized to
 //!   Tofu-D, which converts the bytes/messages each rank actually moved
 //!   (recorded by [`CommStats`]) into *predicted* interconnect time, so
@@ -33,7 +34,7 @@ pub mod nonblocking;
 pub mod stats;
 
 pub use comm::{Comm, CommError, World, ANY_SOURCE};
-pub use datatype::Pod;
+pub use datatype::{Buffer, Pod};
 pub use fault::{FaultDraw, FaultPlan, FaultSpecError};
 pub use network::{NetworkModel, TofuParams};
 pub use nonblocking::{chunk_count, RecvRequest};

@@ -452,6 +452,20 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
              compose with --ranks > 1"
             .to_string());
     }
+    // Ranks sweep per-gate kernels on the native backend, one rank per
+    // thread: the single-process engine's knobs would be ignored.
+    let engine_flags = [
+        ("--strategy", opts.config.strategy != Strategy::default()),
+        ("--threads", !matches!(opts.config.pool, PoolSpec::Serial)),
+        ("--backend", opts.config.backend == BackendChoice::Scalar),
+        ("--schedule", opts.config.schedule != Schedule::default()),
+    ];
+    if let Some((flag, _)) = engine_flags.iter().find(|(_, set)| *set && opts.ranks > 1) {
+        return Err(format!(
+            "{flag} configures the single-process engine and does not compose with --ranks > 1 \
+             (ranks sweep per-gate kernels on the native backend)"
+        ));
+    }
     if opts.trajectories > 0 && opts.noise.is_none() {
         return Err(
             "--trajectories samples noisy trajectories and needs --noise <channel>".to_string()

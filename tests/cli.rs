@@ -382,6 +382,26 @@ fn batch_with_ranks_is_a_clean_error() {
 }
 
 #[test]
+fn engine_flags_with_ranks_are_a_clean_error() {
+    // The ranks would ignore them: a one-line error naming both flags.
+    for (flag, value) in [
+        ("--strategy", "fused:4"),
+        ("--threads", "2"),
+        ("--backend", "scalar"),
+        ("--schedule", "dynamic"),
+    ] {
+        let err = run_one_line_error(&["demo", "random", "6", flag, value, "--ranks", "2"]);
+        assert!(err.contains(flag) && err.contains("--ranks"), "{err}");
+    }
+    // Their defaults, spelled out, still run.
+    let defaults =
+        ["--strategy", "naive", "--threads", "1", "--backend", "simd", "--schedule", "static"];
+    let out =
+        run_ok(&[&["demo", "random", "6", "--ranks", "2", "--probs", "2"][..], &defaults].concat());
+    assert!(out.contains("2 in-process ranks"), "{out}");
+}
+
+#[test]
 fn trajectories_without_noise_is_a_clean_error() {
     let err = run_err(&["demo", "ghz", "3", "--trajectories", "4"]);
     assert!(err.contains("--noise"), "{err}");
