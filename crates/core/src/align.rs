@@ -12,6 +12,7 @@
 //! Where it does not, the advice is a no-op and nothing else changes.
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
+use std::mem::MaybeUninit;
 
 use crate::complex::C64;
 
@@ -51,6 +52,23 @@ impl AlignedAmps {
         // fresh allocation, so the ranges do not overlap.
         unsafe { std::ptr::copy_nonoverlapping(amps.as_ptr(), ptr, amps.len()) };
         AlignedAmps { ptr, len: amps.len() }
+    }
+
+    /// Allocate `len` amplitudes that `fill` writes into uninitialised
+    /// room, never zeroed first. If `fill` panics the room leaks unread.
+    ///
+    /// # Safety
+    ///
+    /// `fill` must write every element of the slice it is handed.
+    pub(crate) unsafe fn from_fill(
+        len: usize,
+        fill: impl FnOnce(&mut [MaybeUninit<C64>]),
+    ) -> AlignedAmps {
+        let ptr = Self::allocate(len);
+        // SAFETY: fresh room for `len` amplitudes, and a `MaybeUninit`
+        // slot may hold anything.
+        fill(unsafe { std::slice::from_raw_parts_mut(ptr.cast(), len) });
+        AlignedAmps { ptr, len }
     }
 
     /// Uninitialised room for `len` amplitudes, advised as huge-page
@@ -286,6 +304,23 @@ mod tests {
             } else if inside && line.starts_with("AnonHugePages:") {
                 println!("8 MiB buffer at {at:#x}: {line}");
             }
+        }
+    }
+
+    #[test]
+    fn filled_room_is_aligned_and_holds_what_the_filler_wrote() {
+        for len in [1usize, 3, 1024, 4097] {
+            let want = distinct(len);
+            // SAFETY: the filler writes every slot.
+            let a = unsafe {
+                AlignedAmps::from_fill(len, |room| {
+                    for (slot, &w) in room.iter_mut().zip(&want) {
+                        slot.write(w);
+                    }
+                })
+            };
+            assert_eq!(a.as_slice().as_ptr() as usize % AMP_ALIGN, 0, "len {len}");
+            assert_eq!(bits(&a), bits(&want), "len {len}");
         }
     }
 

@@ -221,11 +221,28 @@ pub fn as_f64_slice_mut(amps: &mut [C64]) -> &mut [f64] {
     unsafe { std::slice::from_raw_parts_mut(amps.as_mut_ptr() as *mut f64, amps.len() * 2) }
 }
 
+/// Interleaved `re, im` pairs viewed as amplitudes; the inverse of
+/// [`as_f64_slice`]. Panics on an odd length.
+#[inline]
+pub fn as_c64_slice(elems: &[f64]) -> &[C64] {
+    assert!(elems.len().is_multiple_of(2), "odd number of interleaved parts");
+    // SAFETY: as above: `f64` alignment is `C64`'s, and pairs fill it.
+    unsafe { std::slice::from_raw_parts(elems.as_ptr() as *const C64, elems.len() / 2) }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const EPS: f64 = 1e-12;
+
+    #[test]
+    fn interleaved_views_round_trip() {
+        let amps = [C64::new(1.0, -2.0), C64::new(-0.0, 3.5)];
+        let parts = as_f64_slice(&amps);
+        assert_eq!(parts, &[1.0, -2.0, -0.0, 3.5]);
+        assert_eq!(as_c64_slice(parts), &amps);
+    }
 
     #[test]
     fn construction_and_constants() {

@@ -7,6 +7,8 @@
 //! kernel-level structure that the paper's performance analysis studies:
 //!
 //! * [`state`] — the aligned amplitude array ([`StateVector`]).
+//! * [`layout`] — axis layouts, and the one pass that gathers shards of
+//!   a relabelled state into logical order.
 //! * [`gates`] — the gate set and its matrices.
 //! * [`kernels`] — the hot loops: scalar (autovectorized), SVE-counted,
 //!   parallel (OpenMP-style), and specialized (diagonal / permutation /
@@ -72,6 +74,7 @@ pub mod integrity;
 pub mod io;
 pub mod json;
 pub mod kernels;
+pub mod layout;
 pub mod library;
 pub mod measure;
 pub mod noise;

@@ -29,6 +29,12 @@ impl StateVector {
         StateVector { n_qubits, amps }
     }
 
+    /// The state held by `amps`, `2^n_qubits` of them, already written.
+    pub(crate) fn from_aligned(n_qubits: u32, amps: AlignedAmps) -> StateVector {
+        assert!((1..=MAX_QUBITS).contains(&n_qubits) && amps.len() == 1 << n_qubits);
+        StateVector { n_qubits, amps }
+    }
+
     /// Back to `|0…0⟩` in place — a reused buffer's fresh start.
     pub fn reset(&mut self) {
         self.amps.as_mut_slice().fill(C64::default());

@@ -36,11 +36,12 @@ use std::time::{Duration, Instant};
 use mpi_sim::{Buffer, Comm, ANY_SOURCE};
 use qcs_core::align::AlignedAmps;
 use qcs_core::circuit::Circuit;
-use qcs_core::complex::{as_f64_slice, as_f64_slice_mut, C64};
+use qcs_core::complex::{as_c64_slice, as_f64_slice, as_f64_slice_mut, C64};
 use qcs_core::kernels::blocked::{run_tiled, Member, TILE_QUBITS};
 use qcs_core::kernels::dispatch::GateKernel;
 use qcs_core::kernels::index::insert_zero_bit;
 use qcs_core::kernels::simd;
+use qcs_core::layout;
 use qcs_core::prelude::Schedule;
 use qcs_core::state::StateVector;
 use qcs_core::telemetry::{ExchangePhase, Tracer};
@@ -488,11 +489,9 @@ impl DistState {
     /// Reassemble the full state on every rank (allgather).
     pub fn allgather_full(&self, comm: &mut Comm) -> StateVector {
         let raw = comm.allgather(as_f64_slice(&self.amps));
-        let n = self.part.n_qubits();
-        let mut out = StateVector::zero(n);
-        let amp = |x: usize| C64::new(raw[2 * x], raw[2 * x + 1]);
-        unpermute(&(0..n).collect::<Vec<_>>(), n, 0, out.amplitudes_mut(), amp);
-        out
+        let shards: Vec<&[C64]> = as_c64_slice(&raw).chunks_exact(self.amps.len()).collect();
+        let identity: Vec<u32> = (0..self.part.n_qubits()).collect();
+        layout::gather(&identity, &shards, 1)
     }
 
     /// Gather the state at rank 0, the only rank that returns it, in
@@ -500,9 +499,10 @@ impl DistState {
     /// `p`). Every other rank moves its shard to the root. The root takes
     /// them all before it allocates the state — a rank that has sent its
     /// shard holds no other buffer, so the heap peaks at every shard plus
-    /// one state, whatever the ranks' timing — then writes each shard in
-    /// place and frees it. Also hands back the tracer, this gather its
-    /// last span.
+    /// one state, whatever the ranks' timing — then writes the state once
+    /// in one pass over every shard ([`layout::gather`]) on up to one
+    /// thread per rank, the other ranks' bodies being done. Also hands
+    /// back the tracer, this gather its last span.
     pub(crate) fn into_state(
         self,
         comm: &mut Comm,
@@ -518,10 +518,9 @@ impl DistState {
                 debug_assert_eq!(len, part.local_len());
                 shards.push((src, amps));
             }
-            let mut out = StateVector::zero(part.n_qubits());
-            for (src, shard) in shards {
-                unpermute(logical_at, part.n_local(), src, out.amplitudes_mut(), |x| shard[x]);
-            }
+            shards.sort_unstable_by_key(|&(src, _)| src);
+            let views: Vec<&[C64]> = shards.iter().map(|(_, s)| &s[..]).collect();
+            let out = layout::gather(logical_at, &views, part.n_ranks());
             (Some(out), (part.n_ranks() - 1) * part.local_len())
         } else {
             comm.try_send_owned(0, TAG_GATHER, Moved { len: amps.len(), amps })?;
@@ -533,44 +532,6 @@ impl DistState {
         }
         Ok((state, tracer))
     }
-}
-
-/// Low physical, and low logical, bits of an [`unpermute`] tile.
-const TILE_BITS: u32 = 5;
-
-/// Write shard `rank` (`amp(x)` at local index `x` of `n_local` bits) of
-/// a state laid out as `logical_at` to its logical indices in `out`.
-/// The map splits over disjoint bits, so a tile — every combination of
-/// the low physical bits and of the local axes holding the low logical
-/// bits — has its offsets tabled once and reads and writes contiguous
-/// runs within L1, even for a reversed layout. Local axes left in place
-/// make each tile one run, copied in order.
-fn unpermute(
-    logical_at: &[u32],
-    n_local: u32,
-    rank: usize,
-    out: &mut [C64],
-    amp: impl Fn(usize) -> C64,
-) {
-    let logical =
-        |x: usize| logical_at.iter().enumerate().fold(0, |y, (p, &l)| y | ((x >> p) & 1) << l);
-    let base = logical(rank << n_local);
-    let local = (1usize << n_local) - 1;
-    let low = (1usize << TILE_BITS.min(n_local)) - 1;
-    let tile =
-        (0..n_local).filter(|&p| logical_at[p as usize] < TILE_BITS).fold(low, |m, p| m | 1 << p);
-    let offsets: Vec<(usize, usize)> = subsets(tile).map(|s| (s, logical(s))).collect();
-    for outer in subsets(local & !tile) {
-        let at = base | logical(outer);
-        for &(s, d) in &offsets {
-            out[at | d] = amp(outer | s);
-        }
-    }
-}
-
-/// Every subset of `mask`'s bits, in increasing order.
-fn subsets(mask: usize) -> impl Iterator<Item = usize> {
-    std::iter::successors(Some(0), move |&s| (s != mask).then(|| s.wrapping_sub(mask) & mask))
 }
 
 /// The first `len` amplitudes of `amps` as a message: on the fast path
@@ -589,10 +550,8 @@ impl Buffer for Moved {
     }
 
     fn from_elems(elems: &[f64]) -> Moved {
-        let len = elems.len() / 2;
-        let mut amps = AlignedAmps::zeroed(len);
-        as_f64_slice_mut(&mut amps).copy_from_slice(elems);
-        Moved { amps, len }
+        let amps = AlignedAmps::from_slice(as_c64_slice(elems));
+        Moved { len: amps.len(), amps }
     }
 }
 
@@ -961,7 +920,7 @@ mod tests {
         }
     }
 
-    /// The per-amplitude fold [`unpermute`] replaced, kept as its
+    /// The per-amplitude fold the tiled gather replaced, kept as its
     /// oracle: physical index `x` goes to logical index `y`.
     fn fold_reference(raw: &[C64], logical_at: &[u32]) -> Vec<C64> {
         let mut out = vec![C64::default(); raw.len()];
@@ -972,22 +931,18 @@ mod tests {
         out
     }
 
-    /// Every shard of `raw` (physical order) through [`unpermute`] under
-    /// `logical_at`, read from memory and from its copied wire form, must
-    /// rebuild the fold's state bit for bit.
-    fn check_unpermute(raw: &[C64], logical_at: &[u32], ranks: usize) {
+    /// `raw` (physical order) cut into `ranks` shards and gathered as
+    /// `into_state` gathers, read from memory and from each shard's copied
+    /// wire form, must rebuild the fold's state bit for bit.
+    fn check_gather(raw: &[C64], logical_at: &[u32], ranks: usize) {
         let want = fold_reference(raw, logical_at);
-        let len = raw.len() / ranks;
-        let n_local = len.trailing_zeros();
-        let mut mem = vec![C64::default(); raw.len()];
-        let mut wire = vec![C64::default(); raw.len()];
-        for (rank, shard) in raw.chunks_exact(len).enumerate() {
-            unpermute(logical_at, n_local, rank, &mut mem, |x| shard[x]);
-            let copied = Moved::from_elems(as_f64_slice(shard));
-            unpermute(logical_at, n_local, rank, &mut wire, |x| copied.amps[x]);
-        }
-        for got in [&mem, &wire] {
-            assert_eq!(as_f64_slice(got), as_f64_slice(&want), "{logical_at:?} over {ranks} ranks");
+        let shards: Vec<&[C64]> = raw.chunks_exact(raw.len() / ranks).collect();
+        let wire: Vec<Moved> = shards.iter().map(|s| Moved::from_elems(as_f64_slice(s))).collect();
+        let copied: Vec<&[C64]> = wire.iter().map(|m| &m.amps[..m.len]).collect();
+        for from in [&shards, &copied] {
+            let got = layout::gather(logical_at, from, ranks);
+            let ctx = format!("{logical_at:?} over {ranks} ranks");
+            assert_eq!(as_f64_slice(got.amplitudes()), as_f64_slice(&want), "{ctx}");
         }
     }
 
@@ -997,57 +952,39 @@ mod tests {
     }
 
     #[test]
-    fn unpermute_matches_the_fold_on_random_permutations() {
+    fn gather_matches_the_fold_on_random_permutations_of_wire_shards() {
         let mut rng = StdRng::seed_from_u64(32);
-        for n in 1..=12u32 {
+        for n in 1..=9u32 {
             for ranks in [1usize, 2, 4, 8].into_iter().filter(|&r| r <= 1 << n) {
-                for _ in 0..2 {
-                    let mut logical_at: Vec<u32> = (0..n).collect();
-                    for i in (1..logical_at.len()).rev() {
-                        logical_at.swap(i, rng.gen_range(0..=i));
-                    }
-                    check_unpermute(&distinct(n), &logical_at, ranks);
+                let mut logical_at: Vec<u32> = (0..n).collect();
+                for i in (1..logical_at.len()).rev() {
+                    logical_at.swap(i, rng.gen_range(0..=i));
                 }
+                check_gather(&distinct(n), &logical_at, ranks);
             }
         }
     }
 
     #[test]
-    fn unpermute_matches_the_fold_when_local_axes_stay_put() {
+    fn gather_matches_the_fold_when_local_axes_stay_put() {
         // The identity, and a layout that swaps only global axes: both
-        // copy in order, the second to a moved base.
+        // copy in order, the second from moved shards.
         let raw = distinct(9);
         let identity: Vec<u32> = (0..9).collect();
         for ranks in [1usize, 2, 4, 8] {
-            check_unpermute(&raw, &identity, ranks);
+            check_gather(&raw, &identity, ranks);
         }
-        check_unpermute(&raw, &[0, 1, 2, 3, 4, 5, 8, 6, 7], 8);
+        check_gather(&raw, &[0, 1, 2, 3, 4, 5, 8, 6, 7], 8);
     }
 
     #[test]
-    fn unpermute_matches_the_fold_on_planned_layouts() {
+    fn gather_matches_the_fold_on_planned_layouts() {
         for c in [library::qft(9), library::random_circuit(8, 24, 42)] {
             for ranks in [2usize, 4, 8] {
                 for kind in [DistPlanKind::Reorder, DistPlanKind::Overlap] {
                     let plan = plan_circuit(&c, ranks, kind).unwrap();
-                    check_unpermute(&distinct(c.n_qubits()), &plan.logical_at, ranks);
+                    check_gather(&distinct(c.n_qubits()), &plan.logical_at, ranks);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn unpermute_handles_shards_narrower_than_two_tiles() {
-        // Local widths from nothing to just past one tile, each under a
-        // reversal of every axis.
-        for n_local in 0..=TILE_BITS + 1 {
-            for ranks in [1usize, 2, 4] {
-                let n = n_local + ranks.trailing_zeros();
-                if n == 0 {
-                    continue;
-                }
-                let reversed: Vec<u32> = (0..n).rev().collect();
-                check_unpermute(&distinct(n), &reversed, ranks);
             }
         }
     }

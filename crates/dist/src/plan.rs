@@ -43,7 +43,8 @@
 //! the bit: a rank reaches its arithmetic through the same
 //! [`GateKernel`] table, which gives a gate the same bits at any qubit
 //! position and on any slice. The final layout is not restored with
-//! swaps; the gather unpermutes while it copies.
+//! swaps: rank 0 gathers every shard into logical order in one pass
+//! ([`qcs_core::layout::gather`]) that writes each amplitude once.
 //!
 //! [`DistPlan::profile`] is one fold over the same op list, in the units
 //! [`qcs_core::perf::predict_distributed`] consumes, so the α–β model
