@@ -8,11 +8,10 @@
 //! pays a per-message latency charge (amortized across the links) plus
 //! its byte volume over the node injection bandwidth.
 //!
-//! The same α–β parameters drive `mpi-sim`'s post-hoc
-//! `NetworkModel` accounting; keeping a copy here lets the *planner*
-//! (which lives below the transport crates) price exchanges without a
-//! dependency cycle, and lets [`crate::timing`]-style predictions fold
-//! communication into end-to-end estimates.
+//! It is the one α–β model: the planner (which lives below the transport
+//! crates) prices candidate exchanges with it, and the experiments price
+//! the traffic `mpi-sim` recorded per rank (`exchange_time(messages_sent,
+//! bytes_sent)`) with it after a run.
 
 /// α–β parameters of one node's attachment to the interconnect.
 #[derive(Debug, Clone, Copy)]

@@ -16,18 +16,15 @@
 //! and fades toward the memory wall as the state spills; 8 lanes cut the
 //! block rows while they are issue-bound and gain less once a row reaches
 //! the memory roof (E3's SVE shape). Results are emitted machine-readably
-//! to `results/BENCH_simd.json` with a host line; hosts with no native
-//! vector unit record `hardware_limited: true`.
-
-use std::fmt::Write as _;
+//! to `results/BENCH_simd.json`; hosts with no native vector unit record
+//! `hardware_limited: true`.
 
 use omp_par::Schedule;
-use qcs_bench::{checksum, fmt_secs, time_best, Table};
+use qcs_bench::{checksum, fmt_secs, host, time_best, Record, Table};
 use qcs_core::complex::C64;
 use qcs_core::fusion::fuse;
 use qcs_core::gates::matrices::DenseMatrix;
 use qcs_core::gates::standard;
-use qcs_core::json::quote;
 use qcs_core::kernels::{scalar, simd, sweep};
 use qcs_core::library;
 use qcs_core::state::StateVector;
@@ -140,9 +137,8 @@ fn main() {
     let available = simd::available();
     let native = simd::native();
     let lanes_8_vs_4 = ["avx2", "avx512"].iter().all(|&w| available.iter().any(|b| b.name == w));
-    let host = host_json(&available);
     println!("E12 — SIMD kernel substrate");
-    println!("host: {host}");
+    println!("host: {}", host());
 
     let mut backends: Vec<(&'static str, Option<&simd::KernelBackend>)> = vec![("scalar", None)];
     backends.extend(available.iter().map(|&b| (b.name, Some(b))));
@@ -207,62 +203,23 @@ fn main() {
         println!();
         println!("headline: dense_1q at n = {n}: native {speedup:.2}× over scalar");
     }
-    write_json(&host, &samples, &headline, native.is_none());
-}
-
-/// Arch, cores, CPU model and the backends measured.
-fn host_json(available: &[&simd::KernelBackend]) -> String {
-    let cpu = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split_once(':'))
-                .map(|(_, m)| m.trim().to_string())
+    let (n, speedup) = headline.unzip();
+    let rows = samples
+        .iter()
+        .map(|s| {
+            vec![
+                ("kernel", s.kernel.into()),
+                ("n", s.n.into()),
+                ("backend", s.backend.into()),
+                ("seconds", s.seconds.into()),
+            ]
         })
-        .unwrap_or_else(|| "unknown".into());
-    let names: Vec<String> = available.iter().map(|b| quote(b.name)).collect();
-    format!(
-        "{{\"arch\": {}, \"nproc\": {}, \"cpu\": {}, \"backends\": [{}], \"active\": {}}}",
-        quote(std::env::consts::ARCH),
-        std::thread::available_parallelism().map_or(1, |p| p.get()),
-        quote(&cpu),
-        names.join(", "),
-        quote(simd::active().name)
-    )
-}
-
-fn write_json(
-    host: &str,
-    samples: &[Sample],
-    headline: &Option<(u32, f64)>,
-    hardware_limited: bool,
-) {
-    let mut rows = String::new();
-    for s in samples {
-        if !rows.is_empty() {
-            rows.push_str(",\n");
-        }
-        let _ = write!(
-            rows,
-            "    {{\"kernel\": \"{}\", \"n\": {}, \"backend\": \"{}\", \"seconds\": {:.6e}}}",
-            s.kernel, s.n, s.backend, s.seconds
-        );
-    }
-    let (n, speedup) = match headline {
-        Some((n, speedup)) => (n.to_string(), format!("{speedup:.3}")),
-        None => ("null".into(), "null".into()),
-    };
-    let json = format!(
-        "{{\n  \"experiment\": \"e12_simd\",\n  \"host\": {host},\n  \"headline\": {{\n\
-         \x20   \"kernel\": \"dense_1q\",\n\
-         \x20   \"n\": {n},\n\
-         \x20   \"hardware_limited\": {hardware_limited},\n\
-         \x20   \"speedup_vs_scalar\": {speedup}\n  }},\n  \"samples\": [\n{rows}\n  ]\n}}\n"
-    );
-    let _ = std::fs::create_dir_all("results");
-    match std::fs::write("results/BENCH_simd.json", &json) {
-        Ok(()) => println!("\nwrote results/BENCH_simd.json"),
-        Err(e) => eprintln!("\ncould not write results/BENCH_simd.json: {e}"),
-    }
+        .collect();
+    Record::new("e12_simd")
+        .headline("kernel", "dense_1q")
+        .headline("n", n)
+        .headline("hardware_limited", native.is_none())
+        .headline("speedup_vs_scalar", speedup)
+        .table("samples", rows)
+        .write("simd");
 }

@@ -19,11 +19,10 @@
 //! intensity because each drop costs at least one ACK timeout, and the
 //! logical byte counts never move — retries are physical, not logical.
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use mpi_sim::FaultPlan;
-use qcs_bench::{fmt_secs, time_best, Table};
+use qcs_bench::{fmt_secs, time_best, Fields, Record, Table};
 use qcs_core::circuit::Circuit;
 use qcs_core::library;
 use qcs_dist::{run_distributed, run_resilient, ResilienceConfig};
@@ -129,15 +128,7 @@ fn fault_sweep(circuit: &Circuit, rows: &mut Vec<SweepRow>) {
     table.print();
 }
 
-struct CadenceRow {
-    every: usize,
-    checkpoints: u64,
-    recoveries: u64,
-    gates_replayed: u64,
-    secs: f64,
-}
-
-fn checkpoint_cadence(rows: &mut Vec<CadenceRow>) {
+fn checkpoint_cadence(rows: &mut Vec<Fields>) {
     let circuit = library::random_circuit(10, 12, 5);
     // Two forced gate-level failures, deterministic and symmetric across
     // ranks, placed deep enough that the checkpoint interval matters.
@@ -177,13 +168,13 @@ fn checkpoint_cadence(rows: &mut Vec<CadenceRow>) {
             replayed.to_string(),
             fmt_secs(secs),
         ]);
-        rows.push(CadenceRow {
-            every,
-            checkpoints: checkpoints / RANKS as u64,
-            recoveries,
-            gates_replayed: replayed,
-            secs,
-        });
+        rows.push(vec![
+            ("checkpoint_every", every.into()),
+            ("checkpoints_per_rank", (checkpoints / RANKS as u64).into()),
+            ("rollbacks", recoveries.into()),
+            ("gates_replayed", replayed.into()),
+            ("secs", secs.into()),
+        ]);
     }
     table.print();
 }
@@ -215,63 +206,6 @@ fn disabled_overhead() -> (f64, f64, f64) {
     (plain, resilient, overhead)
 }
 
-fn write_json(
-    sweep: &[SweepRow],
-    cadence: &[CadenceRow],
-    plain: f64,
-    resilient: f64,
-    overhead: f64,
-) {
-    let mut rows = String::new();
-    for (i, r) in sweep.iter().enumerate() {
-        let _ = write!(
-            rows,
-            "    {{\"intensity\": {:.2}, \"survived\": {}, \"runs\": {}, \
-             \"faults_injected\": {}, \"retries\": {}, \"ack_timeouts\": {}, \
-             \"corrupt_dropped\": {}, \"duplicates_dropped\": {}, \"mean_secs\": {:.6}}}{}",
-            r.intensity,
-            r.survived,
-            r.runs,
-            r.faults,
-            r.retries,
-            r.timeouts,
-            r.corrupt,
-            r.duplicates,
-            r.mean_secs,
-            if i + 1 < sweep.len() { ",\n" } else { "" },
-        );
-    }
-    let mut crows = String::new();
-    for (i, r) in cadence.iter().enumerate() {
-        let _ = write!(
-            crows,
-            "    {{\"checkpoint_every\": {}, \"checkpoints_per_rank\": {}, \
-             \"rollbacks\": {}, \"gates_replayed\": {}, \"secs\": {:.6}}}{}",
-            r.every,
-            r.checkpoints,
-            r.recoveries,
-            r.gates_replayed,
-            r.secs,
-            if i + 1 < cadence.len() { ",\n" } else { "" },
-        );
-    }
-    let survival_ok = sweep.iter().all(|r| r.survived == r.runs);
-    let json = format!(
-        "{{\n  \"experiment\": \"e13_resilience\",\n  \"headline\": {{\n\
-         \x20   \"all_faulted_runs_bit_identical\": {survival_ok},\n\
-         \x20   \"disabled_plain_secs\": {plain:.6},\n\
-         \x20   \"disabled_resilient_secs\": {resilient:.6},\n\
-         \x20   \"disabled_overhead_fraction\": {overhead:.4}\n  }},\n\
-         \x20 \"fault_sweep\": [\n{rows}\n  ],\n\
-         \x20 \"checkpoint_cadence\": [\n{crows}\n  ]\n}}\n"
-    );
-    let _ = std::fs::create_dir_all("results");
-    match std::fs::write("results/BENCH_resilience.json", &json) {
-        Ok(()) => println!("\nwrote results/BENCH_resilience.json"),
-        Err(e) => eprintln!("\ncould not write results/BENCH_resilience.json: {e}"),
-    }
-}
-
 fn main() {
     let mut sweep = Vec::new();
     fault_sweep(&library::qft(10), &mut sweep);
@@ -288,5 +222,28 @@ fn main() {
     println!("With every feature disabled the wrapper adds ~0% overhead: the fault plan is");
     println!("None, so the transport takes the identical code path as the plain engine.");
 
-    write_json(&sweep, &cadence, plain, resilient, overhead);
+    let sweep_rows = sweep
+        .iter()
+        .map(|r| {
+            vec![
+                ("intensity", r.intensity.into()),
+                ("survived", r.survived.into()),
+                ("runs", r.runs.into()),
+                ("faults_injected", r.faults.into()),
+                ("retries", r.retries.into()),
+                ("ack_timeouts", r.timeouts.into()),
+                ("corrupt_dropped", r.corrupt.into()),
+                ("duplicates_dropped", r.duplicates.into()),
+                ("mean_secs", r.mean_secs.into()),
+            ]
+        })
+        .collect();
+    Record::new("e13_resilience")
+        .headline("all_faulted_runs_bit_identical", sweep.iter().all(|r| r.survived == r.runs))
+        .headline("disabled_plain_secs", plain)
+        .headline("disabled_resilient_secs", resilient)
+        .headline("disabled_overhead_fraction", overhead)
+        .table("fault_sweep", sweep_rows)
+        .table("checkpoint_cadence", cadence)
+        .write("resilience");
 }

@@ -22,15 +22,14 @@
 //! family. Machine-readable output (with host metadata) goes to
 //! `results/BENCH_fused_v2.json`.
 
-use std::fmt::Write as _;
-
 use a64fx_model::timing::ExecConfig;
 use a64fx_model::ChipParams;
-use qcs_bench::{checksum, fmt_secs, time_best, Table};
+use qcs_bench::{checksum, fmt_secs, threads, time_best, Fields, Record, Table};
 use qcs_core::calibrate::{self, Calibration};
 use qcs_core::circuit::Circuit;
 use qcs_core::config::SimConfig;
 use qcs_core::fusion::{fuse, FusedClass};
+use qcs_core::json::Value;
 use qcs_core::kernels::fused::{apply_fused, PreparedFused};
 use qcs_core::kernels::{scalar, simd};
 use qcs_core::library;
@@ -39,15 +38,6 @@ use qcs_core::program::Program;
 use qcs_core::sim::Strategy;
 use qcs_core::state::StateVector;
 use qcs_core::testing::class_circuit;
-
-struct Sample {
-    family: String,
-    n: u32,
-    strategy: String,
-    seconds: f64,
-    sweeps: usize,
-    speedup_vs_naive: f64,
-}
 
 /// Time every strategy in interleaved rounds (min per strategy): slow
 /// phases of a shared host then hit all strategies alike instead of
@@ -130,7 +120,7 @@ fn families(n: u32) -> Vec<(&'static str, Circuit)> {
 
 /// Strategy sweep per family, with `auto` measured against the best
 /// fixed strategy and its resolved choice recorded.
-fn sweep(samples: &mut Vec<Sample>, auto_rows: &mut String) {
+fn sweep(samples: &mut Vec<Fields>, auto_rows: &mut Vec<Fields>) {
     let n = 18u32;
     for (family, c) in &families(n) {
         println!();
@@ -163,24 +153,22 @@ fn sweep(samples: &mut Vec<Sample>, auto_rows: &mut String) {
                 let chosen = calibrate::choose(c);
                 let ratio = secs / best_fixed;
                 println!("auto chose {chosen} — {:.2}× the best fixed strategy's time", ratio);
-                if !auto_rows.is_empty() {
-                    auto_rows.push_str(",\n");
-                }
-                let _ = write!(
-                    auto_rows,
-                    "    {{\"family\": \"{family}\", \"chose\": \"{chosen}\", \
-                     \"seconds\": {secs:.6e}, \"best_fixed_seconds\": {best_fixed:.6e}, \
-                     \"vs_best_fixed\": {ratio:.3}}}"
-                );
+                auto_rows.push(vec![
+                    ("family", (*family).into()),
+                    ("chose", chosen.to_string().into()),
+                    ("seconds", secs.into()),
+                    ("best_fixed_seconds", best_fixed.into()),
+                    ("vs_best_fixed", ratio.into()),
+                ]);
             }
-            samples.push(Sample {
-                family: family.to_string(),
-                n,
-                strategy: strat.to_string(),
-                seconds: secs,
-                sweeps,
-                speedup_vs_naive: naive_s / secs,
-            });
+            samples.push(vec![
+                ("family", (*family).into()),
+                ("n", n.into()),
+                ("strategy", strat.to_string().into()),
+                ("seconds", secs.into()),
+                ("sweeps", sweeps.into()),
+                ("speedup_vs_naive", (naive_s / secs).into()),
+            ]);
         }
         table.print();
     }
@@ -189,12 +177,12 @@ fn sweep(samples: &mut Vec<Sample>, auto_rows: &mut String) {
 /// Old-vs-new fused execution: the seed's generic scalar k-qubit
 /// gather/mat-vec/scatter per block, against the structure-aware block
 /// kernel, on the same fusion plan.
-fn specialization(n: u32) -> String {
+fn specialization(n: u32) -> Vec<Fields> {
     println!();
     println!("E15: generic vs specialized fused blocks — n = {n}, k = 4");
     let be = simd::active();
     let mut table = Table::new(&["family", "class mix", "generic (old)", "specialized", "speedup"]);
-    let mut json = String::new();
+    let mut rows = Vec::new();
     for (family, c) in &families(n) {
         let plan = fuse(c, 4);
         let mut mix: Vec<String> = Vec::new();
@@ -226,18 +214,15 @@ fn specialization(n: u32) -> String {
             fmt_secs(specialized),
             format!("{:.2}×", generic / specialized),
         ]);
-        if !json.is_empty() {
-            json.push_str(",\n");
-        }
-        let _ = write!(
-            json,
-            "    {{\"family\": \"{family}\", \"generic_seconds\": {generic:.6e}, \
-             \"specialized_seconds\": {specialized:.6e}, \"speedup\": {:.3}}}",
-            generic / specialized
-        );
+        rows.push(vec![
+            ("family", (*family).into()),
+            ("generic_seconds", generic.into()),
+            ("specialized_seconds", specialized.into()),
+            ("speedup", (generic / specialized).into()),
+        ]);
     }
     table.print();
-    json
+    rows
 }
 
 /// One block per class on qubits `1..=k` of an `n`-qubit state (the
@@ -245,13 +230,13 @@ fn specialization(n: u32) -> String {
 /// serial ns/amp on the active backend, best of 5, beside the A64FX
 /// model's full-chip ns/amp for the same sweep. Two different
 /// quantities, never merged.
-fn per_class(n: u32) -> String {
+fn per_class(n: u32) -> Vec<Fields> {
     println!();
     println!("E15: one block per class, qubits 1..=k — n = {n}");
     let (be, chip, cfg) = (simd::active(), ChipParams::a64fx(), ExecConfig::full_chip());
     let amps = (1u64 << n) as f64;
     let mut table = Table::new(&["block", "host ns/amp", "A64FX model ns/amp"]);
-    let mut json = String::new();
+    let mut rows = Vec::new();
     let blocks = [
         (FusedClass::Diagonal, 2),
         (FusedClass::Diagonal, 4),
@@ -273,72 +258,19 @@ fn per_class(n: u32) -> String {
         let model = predict(&chip, &cfg, &Program::greedy_fused(&c, k)).seconds / amps * 1e9;
         let name = format!("{} k={k}", class.name());
         table.row(&[name.clone(), format!("{host:.2}"), format!("{model:.3}")]);
-        if !json.is_empty() {
-            json.push_str(",\n");
-        }
-        let _ = write!(
-            json,
-            "    {{\"block\": \"{name}\", \"n\": {n}, \"host_ns_per_amp\": {host:.4}, \
-             \"a64fx_model_ns_per_amp\": {model:.4}}}"
-        );
+        rows.push(vec![
+            ("block", name.into()),
+            ("n", n.into()),
+            ("host_ns_per_amp", host.into()),
+            ("a64fx_model_ns_per_amp", model.into()),
+        ]);
     }
     table.print();
-    json
-}
-
-fn write_json(
-    samples: &[Sample],
-    auto_rows: &str,
-    spec_rows: &str,
-    class_rows: &str,
-    cal: &Calibration,
-) {
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut rows = String::new();
-    for s in samples {
-        if !rows.is_empty() {
-            rows.push_str(",\n");
-        }
-        let _ = write!(
-            rows,
-            "    {{\"family\": \"{}\", \"n\": {}, \"strategy\": \"{}\", \
-             \"seconds\": {:.6e}, \"sweeps\": {}, \"speedup_vs_naive\": {:.3}}}",
-            s.family, s.n, s.strategy, s.seconds, s.sweeps, s.speedup_vs_naive
-        );
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"e15_fused\",\n\
-         \x20 \"machine\": {{\"arch\": \"{}\", \"cores\": {}, \"backend\": \"{}\", \
-         \"calibration_measured\": {}, \"stream_ns_per_amp\": {:.4}, \
-         \"fused_diag_ns_per_amp\": {:.4}, \"fused_perm_ns_per_amp\": {:.4}, \
-         \"fused_dense_ns_per_amp\": {{\"k2\": {:.4}, \"k3\": {:.4}, \"k4\": {:.4}, \
-         \"k5\": {:.4}}}}},\n\
-         \x20 \"auto\": [\n{auto_rows}\n  ],\n\
-         \x20 \"specialization\": [\n{spec_rows}\n  ],\n\
-         \x20 \"per_class\": [\n{class_rows}\n  ],\n\
-         \x20 \"samples\": [\n{rows}\n  ]\n}}\n",
-        std::env::consts::ARCH,
-        cores,
-        cal.backend,
-        cal.measured,
-        cal.stream,
-        cal.costs.fused_diag,
-        cal.costs.fused_perm,
-        cal.costs.fused_dense[0],
-        cal.costs.fused_dense[1],
-        cal.costs.fused_dense[2],
-        cal.costs.fused_dense[3],
-    );
-    let _ = std::fs::create_dir_all("results");
-    match std::fs::write("results/BENCH_fused_v2.json", &json) {
-        Ok(()) => println!("\nwrote results/BENCH_fused_v2.json"),
-        Err(e) => eprintln!("\ncould not write results/BENCH_fused_v2.json: {e}"),
-    }
+    rows
 }
 
 fn main() {
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    println!("E15 — specialized fused kernels + auto-tuner (host has {cores} core(s))");
+    println!("E15 — specialized fused kernels + auto-tuner (host has {} core(s))", threads());
     let cal = Calibration::get();
     println!(
         "calibration: backend {}, measured {}, stream {:.2} ns/amp; fused blocks as multiples \
@@ -354,9 +286,21 @@ fn main() {
         cal.costs.fused_dense[3] / cal.stream,
     );
     let mut samples = Vec::new();
-    let mut auto_rows = String::new();
+    let mut auto_rows = Vec::new();
     sweep(&mut samples, &mut auto_rows);
     let spec_rows = specialization(18);
     let class_rows = per_class(22);
-    write_json(&samples, &auto_rows, &spec_rows, &class_rows, cal);
+    let fused_dense: Vec<Value> = cal.costs.fused_dense.iter().map(|&x| x.into()).collect();
+    Record::new("e15_fused")
+        .headline("calibration_backend", cal.backend)
+        .headline("calibration_measured", cal.measured)
+        .headline("stream_ns_per_amp", cal.stream)
+        .headline("fused_diag_ns_per_amp", cal.costs.fused_diag)
+        .headline("fused_perm_ns_per_amp", cal.costs.fused_perm)
+        .headline("fused_dense_ns_per_amp_k2_to_k5", Value::Arr(fused_dense))
+        .table("auto", auto_rows)
+        .table("specialization", spec_rows)
+        .table("per_class", class_rows)
+        .table("samples", samples)
+        .write("fused_v2");
 }

@@ -19,11 +19,9 @@
 //! (its global touches are scattered) but never loses — the planner's
 //! bytes are bounded above by naive on every family.
 
-use std::fmt::Write as _;
-
 use a64fx_model::timing::ExecConfig;
 use a64fx_model::{ChipParams, LinkModel};
-use qcs_bench::{fmt_secs, Table};
+use qcs_bench::{fmt_secs, Record, Table};
 use qcs_core::circuit::Circuit;
 use qcs_core::library;
 use qcs_core::perf::predict_distributed;
@@ -177,40 +175,27 @@ fn main() {
     println!("Overlap never changes the byte count; it hides the wire behind the deferred");
     println!("comm-free sweeps, which the α–β model credits as hidden seconds.");
 
-    write_json(&rows, big_wins);
-}
-
-fn write_json(rows: &[FamilyRow], big_wins: usize) {
-    let mut body = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            body,
-            "    {{\"family\": \"{}\", \"naive_bytes\": {}, \"reorder_bytes\": {}, \
-             \"overlap_bytes\": {}, \"predicted_reorder_bytes\": {}, \"model_error\": {:.4}, \
-             \"reorder_exposed_secs\": {:.9}, \"overlap_exposed_secs\": {:.9}, \
-             \"hidden_fraction\": {:.4}}}{}",
-            r.name,
-            r.naive_bytes,
-            r.reorder_bytes,
-            r.overlap_bytes,
-            r.predicted_reorder,
-            r.model_err,
-            r.reorder_exposed,
-            r.overlap_exposed,
-            r.hidden_frac,
-            if i + 1 < rows.len() { ",\n" } else { "" },
-        );
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"e16_dist_plan\",\n  \"ranks\": {RANKS},\n  \"headline\": {{\n\
-         \x20   \"families_with_2x_reduction\": {big_wins},\n\
-         \x20   \"model_within_25_percent\": true,\n\
-         \x20   \"overlap_exposed_below_reorder\": true\n  }},\n\
-         \x20 \"families\": [\n{body}\n  ]\n}}\n"
-    );
-    let _ = std::fs::create_dir_all("results");
-    match std::fs::write("results/BENCH_dist_plan.json", &json) {
-        Ok(()) => println!("\nwrote results/BENCH_dist_plan.json"),
-        Err(e) => eprintln!("\ncould not write results/BENCH_dist_plan.json: {e}"),
-    }
+    let families = rows
+        .iter()
+        .map(|r| {
+            vec![
+                ("family", r.name.into()),
+                ("naive_bytes", r.naive_bytes.into()),
+                ("reorder_bytes", r.reorder_bytes.into()),
+                ("overlap_bytes", r.overlap_bytes.into()),
+                ("predicted_reorder_bytes", r.predicted_reorder.into()),
+                ("model_error", r.model_err.into()),
+                ("reorder_exposed_secs", r.reorder_exposed.into()),
+                ("overlap_exposed_secs", r.overlap_exposed.into()),
+                ("hidden_fraction", r.hidden_frac.into()),
+            ]
+        })
+        .collect();
+    Record::new("e16_dist_plan")
+        .headline("ranks", RANKS)
+        .headline("families_with_2x_reduction", big_wins)
+        .headline("model_within_25_percent", true)
+        .headline("overlap_exposed_below_reorder", true)
+        .table("families", families)
+        .write("dist_plan");
 }

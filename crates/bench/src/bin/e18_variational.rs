@@ -22,9 +22,7 @@
 //! A convergence smoke closes the loop: a few GD iterations on the
 //! TFIM must descend toward the exact dense ground energy.
 
-use std::fmt::Write as _;
-
-use qcs_bench::{fmt_secs, time_best, Table};
+use qcs_bench::{fmt_secs, time_best, Fields, Record, Table};
 use qcs_core::config::SimConfig;
 use qcs_core::expectation::Hamiltonian;
 use qcs_core::perf::{predict_batched, predict_expectation};
@@ -42,27 +40,17 @@ fn threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get()).min(4)
 }
 
-struct ReductionRow {
-    n: u32,
-    terms: usize,
-    sweeps: usize,
-    per_term_secs: f64,
-    fused_secs: f64,
-    speedup: f64,
-    model_per_term_secs: f64,
-    model_fused_secs: f64,
-    model_speedup: f64,
-}
-
 /// Fused (compiled, SIMD, sweep-sharing) vs per-term scalar reduction
-/// of the TFIM energy on a prepared state.
-fn bench_reduction(rows: &mut Vec<ReductionRow>) {
+/// of the TFIM energy on a prepared state. Returns the host and model
+/// speedups at n = 14.
+fn bench_reduction(rows: &mut Vec<Fields>) -> (f64, f64) {
     let chip = ChipParams::a64fx();
     let cfg = ExecConfig::full_chip();
     println!();
     println!("E18: observable reduction — TFIM ⟨H⟩, fused vs per-term, best of {REPS}");
     let mut table =
         Table::new(&["n", "terms", "sweeps", "per-term", "fused", "speedup", "model speedup"]);
+    let mut at14 = (0.0, 0.0);
     for &n in &REDUCTION_WIDTHS {
         let h = Hamiltonian::ising_chain(n, 1.0, 0.7);
         let compiled = h.compile();
@@ -87,43 +75,39 @@ fn bench_reduction(rows: &mut Vec<ReductionRow>) {
         scalar_chip.simd_bits = 64;
         let (_, per_term_model) = predict_expectation(&scalar_chip, &cfg, n, terms, terms);
         let (_, fused_model) = predict_expectation(&chip, &cfg, n, terms, sweeps);
-        let row = ReductionRow {
-            n,
-            terms,
-            sweeps,
-            per_term_secs,
-            fused_secs,
-            speedup: per_term_secs / fused_secs,
-            model_per_term_secs: per_term_model.seconds,
-            model_fused_secs: fused_model.seconds,
-            model_speedup: per_term_model.seconds / fused_model.seconds,
-        };
+        let speedup = per_term_secs / fused_secs;
+        let model_speedup = per_term_model.seconds / fused_model.seconds;
+        if n == 14 {
+            at14 = (speedup, model_speedup);
+        }
         table.row(&[
             n.to_string(),
             terms.to_string(),
             sweeps.to_string(),
-            fmt_secs(row.per_term_secs),
-            fmt_secs(row.fused_secs),
-            format!("{:.2}x", row.speedup),
-            format!("{:.2}x", row.model_speedup),
+            fmt_secs(per_term_secs),
+            fmt_secs(fused_secs),
+            format!("{speedup:.2}x"),
+            format!("{model_speedup:.2}x"),
         ]);
-        rows.push(row);
+        rows.push(vec![
+            ("n", n.into()),
+            ("terms", terms.into()),
+            ("sweeps", sweeps.into()),
+            ("per_term_secs", per_term_secs.into()),
+            ("fused_secs", fused_secs.into()),
+            ("speedup", speedup.into()),
+            ("model_per_term_secs", per_term_model.seconds.into()),
+            ("model_fused_secs", fused_model.seconds.into()),
+            ("model_speedup", model_speedup.into()),
+        ]);
     }
     table.print();
-}
-
-struct SweepRow {
-    n: u32,
-    points: usize,
-    serial_secs: f64,
-    batched_secs: f64,
-    speedup: f64,
-    model_speedup: f64,
+    at14
 }
 
 /// One VQE iteration's parameter sweep (2p+1 points), serial per-point
 /// runs vs the driver's member-major batch.
-fn bench_sweep(rows: &mut Vec<SweepRow>) {
+fn bench_sweep(rows: &mut Vec<Fields>) {
     let chip = ChipParams::a64fx();
     let cfg = ExecConfig::full_chip();
     println!();
@@ -166,23 +150,23 @@ fn bench_sweep(rows: &mut Vec<SweepRow>) {
         });
         let model =
             predict_batched(&chip, &cfg, &Program::per_gate(&ansatz.bind(&theta)), points.len());
-        let row = SweepRow {
-            n,
-            points: points.len(),
-            serial_secs,
-            batched_secs,
-            speedup: serial_secs / batched_secs,
-            model_speedup: model.speedup,
-        };
+        let speedup = serial_secs / batched_secs;
         table.row(&[
             n.to_string(),
-            row.points.to_string(),
-            fmt_secs(row.serial_secs),
-            fmt_secs(row.batched_secs),
-            format!("{:.2}x", row.speedup),
-            format!("{:.2}x", row.model_speedup),
+            points.len().to_string(),
+            fmt_secs(serial_secs),
+            fmt_secs(batched_secs),
+            format!("{speedup:.2}x"),
+            format!("{:.2}x", model.speedup),
         ]);
-        rows.push(row);
+        rows.push(vec![
+            ("n", n.into()),
+            ("points", points.len().into()),
+            ("serial_secs", serial_secs.into()),
+            ("batched_secs", batched_secs.into()),
+            ("speedup", speedup.into()),
+            ("model_speedup", model.speedup.into()),
+        ]);
     }
     table.print();
 }
@@ -207,70 +191,9 @@ fn convergence_smoke() -> (f64, f64, f64) {
     (result.energies[0], result.energy, ground)
 }
 
-fn write_json(reduction: &[ReductionRow], sweep: &[SweepRow], smoke: (f64, f64, f64)) {
-    let mut red_body = String::new();
-    for (i, r) in reduction.iter().enumerate() {
-        let _ = write!(
-            red_body,
-            "    {{\"n\": {}, \"terms\": {}, \"sweeps\": {}, \"per_term_secs\": {:.9}, \
-             \"fused_secs\": {:.9}, \"speedup\": {:.4}, \"model_per_term_secs\": {:.9}, \
-             \"model_fused_secs\": {:.9}, \"model_speedup\": {:.4}}}{}",
-            r.n,
-            r.terms,
-            r.sweeps,
-            r.per_term_secs,
-            r.fused_secs,
-            r.speedup,
-            r.model_per_term_secs,
-            r.model_fused_secs,
-            r.model_speedup,
-            if i + 1 < reduction.len() { ",\n" } else { "" },
-        );
-    }
-    let mut sweep_body = String::new();
-    for (i, r) in sweep.iter().enumerate() {
-        let _ = write!(
-            sweep_body,
-            "    {{\"n\": {}, \"points\": {}, \"serial_secs\": {:.9}, \
-             \"batched_secs\": {:.9}, \"speedup\": {:.4}, \"model_speedup\": {:.4}}}{}",
-            r.n,
-            r.points,
-            r.serial_secs,
-            r.batched_secs,
-            r.speedup,
-            r.model_speedup,
-            if i + 1 < sweep.len() { ",\n" } else { "" },
-        );
-    }
-    let at14 = reduction.iter().find(|r| r.n == 14);
-    let host_speedup = at14.map_or(0.0, |r| r.speedup);
-    let model_speedup = at14.map_or(0.0, |r| r.model_speedup);
-    let meets = host_speedup >= 2.0 && model_speedup >= 2.0;
-    let (e_first, e_final, ground) = smoke;
-    let json = format!(
-        "{{\n  \"experiment\": \"e18_variational\",\n  \"headline\": {{\n\
-         \x20   \"host_threads\": {},\n\
-         \x20   \"fused_reduction_speedup_n14\": {host_speedup:.4},\n\
-         \x20   \"model_reduction_speedup_n14\": {model_speedup:.4},\n\
-         \x20   \"meets_2x_at_n14\": {meets},\n\
-         \x20   \"vqe_smoke\": {{\"first_energy\": {e_first:.9}, \"final_energy\": {e_final:.9}, \
-         \"exact_ground\": {ground:.9}}},\n\
-         \x20   \"note\": \"fused = compiled sweep-sharing SIMD reduction; per-term = one \
-         scalar sweep per Pauli string; the model prices the baseline on A64FX scalar FP \
-         pipes (simd_bits=64) and the fused path on full SVE, matching the host pairing\"\n\
-         \x20 }},\n  \"reduction\": [\n{red_body}\n  ],\n  \"sweep\": [\n{sweep_body}\n  ]\n}}\n",
-        threads(),
-    );
-    let _ = std::fs::create_dir_all("results");
-    match std::fs::write("results/BENCH_variational.json", &json) {
-        Ok(()) => println!("\nwrote results/BENCH_variational.json"),
-        Err(e) => eprintln!("\ncould not write results/BENCH_variational.json: {e}"),
-    }
-}
-
 fn main() {
     let mut reduction = Vec::new();
-    bench_reduction(&mut reduction);
+    let (host_speedup, model_speedup) = bench_reduction(&mut reduction);
     let mut sweep = Vec::new();
     bench_sweep(&mut sweep);
     let smoke = convergence_smoke();
@@ -283,5 +206,22 @@ fn main() {
     println!("the memory system. The sweep gain is the schedule's: the 2p+1 members of one");
     println!("iteration share one region, and each is run and reduced while cache-resident.");
 
-    write_json(&reduction, &sweep, smoke);
+    let (e_first, e_final, ground) = smoke;
+    Record::new("e18_variational")
+        .headline("sweep_threads", threads())
+        .headline("fused_reduction_speedup_n14", host_speedup)
+        .headline("model_reduction_speedup_n14", model_speedup)
+        .headline("meets_2x_at_n14", host_speedup >= 2.0 && model_speedup >= 2.0)
+        .headline("vqe_smoke_first_energy", e_first)
+        .headline("vqe_smoke_final_energy", e_final)
+        .headline("vqe_smoke_exact_ground", ground)
+        .headline(
+            "note",
+            "fused = compiled sweep-sharing SIMD reduction; per-term = one scalar sweep per \
+             Pauli string; the model prices the baseline on A64FX scalar FP pipes \
+             (simd_bits=64) and the fused path on full SVE, matching the host pairing",
+        )
+        .table("reduction", reduction)
+        .table("sweep", sweep)
+        .write("variational");
 }

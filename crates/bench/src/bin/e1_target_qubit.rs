@@ -4,7 +4,9 @@
 //! the target qubit of a dense 1-qubit gate and plot effective bandwidth.
 //! Reproduced at three state sizes spanning the cache hierarchy
 //! (L1-resident, L2-resident, memory-resident), with host-measured
-//! bandwidth next to the A64FX model's prediction.
+//! bandwidth next to the A64FX model's prediction. The host column times
+//! the kernel the engine ships: `GateKernel::One` on the active backend,
+//! pool-less.
 //!
 //! Expected shape: flat within a residency level, with a drop when the
 //! paired access stride leaves the L1-friendly window; the absolute
@@ -21,13 +23,13 @@ use qcs_bench::{bench_state, checksum, fmt_gbs, sweep_bytes, time_best, Table};
 use qcs_core::circuit::Gate;
 use qcs_core::gates::standard;
 use qcs_core::kernels::dispatch::GateKernel;
-use qcs_core::kernels::scalar::apply_1q;
 use qcs_core::kernels::simd;
 use qcs_core::perf::classify;
 
 fn main() {
     let model = TrafficModel::a64fx();
     let h = standard::h();
+    let be = simd::active();
 
     for &n in &[14u32, 18, 22] {
         let residency = match model.residency(n) {
@@ -37,15 +39,17 @@ fn main() {
         };
         println!();
         println!(
-            "E1: dense 1q gate, n = {n} ({} MiB state, A64FX residency: {residency})",
+            "E1: dense 1q gate on {}, n = {n} ({} MiB state, A64FX residency: {residency})",
+            be.name,
             (1u64 << n) * 16 / (1 << 20)
         );
         let mut table =
             Table::new(&["target t", "host time", "host BW", "model BW (1 CMG)", "model time"]);
         let mut state = bench_state(n, 7);
         for t in (0..n).step_by(2) {
+            let kernel = GateKernel::One(t, h);
             let secs = time_best(5, || {
-                apply_1q(state.amplitudes_mut(), t, &h);
+                kernel.apply(be, None, Schedule::default(), state.amplitudes_mut());
             });
             std::hint::black_box(checksum(state.amplitudes()));
             let bytes = sweep_bytes(n);

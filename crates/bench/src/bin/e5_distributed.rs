@@ -2,7 +2,7 @@
 //!
 //! Runs circuits distributed across 1..16 ranks (in-process MPI), counts
 //! the bytes each algorithm phase actually exchanges, and prices them
-//! with the Tofu-D network model to obtain predicted communication time
+//! with the Tofu-D α–β link model to obtain predicted communication time
 //! and communication fraction at A64FX-node speeds.
 //!
 //! Expected shape: gates on global qubits cost one local-buffer exchange
@@ -12,8 +12,7 @@
 //! scaling story.
 
 use a64fx_model::timing::ExecConfig;
-use a64fx_model::ChipParams;
-use mpi_sim::{NetworkModel, TofuParams};
+use a64fx_model::{ChipParams, LinkModel};
 use qcs_bench::{fmt_secs, Table};
 use qcs_core::circuit::Circuit;
 use qcs_core::library;
@@ -26,7 +25,7 @@ fn analyze(name: &str, circuit: &Circuit) {
     println!();
     println!("E5: {name} — n = {}, {} gates", circuit.n_qubits(), circuit.len());
     let chip = ChipParams::a64fx();
-    let net = NetworkModel::new(TofuParams::tofu_d());
+    let link = LinkModel::default();
 
     let mut table = Table::new(&[
         "ranks",
@@ -44,7 +43,7 @@ fn analyze(name: &str, circuit: &Circuit) {
         // empty-circuit run.
         let (_, _, traces) = run_distributed_traced(circuit, ranks, &TelemetryConfig::on())
             .expect("distributed run");
-        let worst = traces
+        let (bytes, messages) = traces
             .iter()
             .map(|t| {
                 let algo: Vec<_> = t
@@ -52,27 +51,23 @@ fn analyze(name: &str, circuit: &Circuit) {
                     .iter()
                     .filter(|s| s.kind != SpanKind::Exchange(ExchangePhase::Collective))
                     .collect();
-                mpi_sim::CommStats {
-                    bytes_sent: algo.iter().map(|s| s.bytes).sum(),
-                    messages_sent: algo.len() as u64,
-                    ..Default::default()
-                }
+                (algo.iter().map(|s| s.bytes).sum::<u64>(), algo.len() as u64)
             })
-            .max_by_key(|s| s.bytes_sent)
+            .max_by_key(|&(bytes, _)| bytes)
             .expect("at least one rank");
-        let comm = net.rank_time(&worst);
+        let comm = link.exchange_time(messages, bytes);
         // Compute time: each rank sweeps its slice; the model scales the
         // single-node prediction by the slice fraction (per-node chip).
         let compute = predict(&chip, &ExecConfig::full_chip(), &Program::per_gate(circuit)).seconds
             / ranks as f64;
-        let total = comm.seconds + compute;
+        let total = comm + compute;
         table.row(&[
             ranks.to_string(),
-            format!("{:.1} MiB", worst.bytes_sent as f64 / (1 << 20) as f64),
-            worst.messages_sent.to_string(),
-            fmt_secs(comm.seconds),
+            format!("{:.1} MiB", bytes as f64 / (1 << 20) as f64),
+            messages.to_string(),
+            fmt_secs(comm),
             fmt_secs(compute),
-            format!("{:.0}%", 100.0 * comm.seconds / total.max(1e-30)),
+            format!("{:.0}%", 100.0 * comm / total.max(1e-30)),
         ]);
     }
     table.print();
@@ -84,7 +79,7 @@ fn analyze(name: &str, circuit: &Circuit) {
 fn reorder_ablation(name: &str, circuit: &Circuit) {
     println!();
     println!("E5b: qubit-reorder plan — {name}, n = {}", circuit.n_qubits());
-    let net = NetworkModel::new(TofuParams::tofu_d());
+    let link = LinkModel::default();
     let mut table = Table::new(&[
         "ranks",
         "naive bytes/rank",
@@ -106,8 +101,6 @@ fn reorder_ablation(name: &str, circuit: &Circuit) {
         };
         let naive = algo(DistPlanKind::Naive);
         let reorder = algo(DistPlanKind::Reorder);
-        let reorder_stats =
-            mpi_sim::CommStats { bytes_sent: reorder, messages_sent: 1, ..Default::default() };
         table.row(&[
             ranks.to_string(),
             format!("{:.2} MiB", naive as f64 / (1 << 20) as f64),
@@ -117,7 +110,7 @@ fn reorder_ablation(name: &str, circuit: &Circuit) {
             } else {
                 "-".into()
             },
-            fmt_secs(net.rank_time(&reorder_stats).seconds),
+            fmt_secs(link.exchange_time(1, reorder)),
         ]);
     }
     table.print();

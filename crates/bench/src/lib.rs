@@ -2,15 +2,21 @@
 //!
 //! Each `src/bin/eN_*.rs` binary regenerates one reconstructed
 //! table/figure (see DESIGN.md's experiment index). This library holds
-//! the pieces they share: wall-clock measurement, table rendering, and
-//! the address-stream replayer that validates the analytical traffic
-//! model against the executable cache simulator (E6).
+//! the pieces they share: wall-clock measurement, table rendering, the
+//! one result writer ([`Record`]), and the address-stream replayer that
+//! validates the analytical traffic model against the executable cache
+//! simulator (E6).
 
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use a64fx_model::cache::MemoryHierarchy;
 use qcs_core::complex::C64;
+use qcs_core::json::{quote, Value};
 use qcs_core::kernels::index::insert_zero_bit;
+use qcs_core::kernels::simd;
 use qcs_core::state::StateVector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -78,6 +84,104 @@ impl Table {
             println!("{}", fmt_row(row));
         }
     }
+}
+
+/// Named values in the order they are written.
+pub type Fields = Vec<(&'static str, Value)>;
+
+/// One experiment's machine-readable result: its name, the host stamp
+/// ([`host`]), headline fields and named tables of rows. Every
+/// `results/BENCH_<file>.json` is one record, written by [`Record::write`].
+pub struct Record {
+    experiment: &'static str,
+    host: Value,
+    headline: Fields,
+    tables: Vec<(&'static str, Vec<Fields>)>,
+}
+
+impl Record {
+    /// An empty record for `experiment`, stamped with this host.
+    pub fn new(experiment: &'static str) -> Record {
+        Record { experiment, host: host(), headline: Vec::new(), tables: Vec::new() }
+    }
+
+    pub fn headline(&mut self, key: &'static str, value: impl Into<Value>) -> &mut Record {
+        self.headline.push((key, value.into()));
+        self
+    }
+
+    pub fn table(&mut self, key: &'static str, rows: Vec<Fields>) -> &mut Record {
+        self.tables.push((key, rows));
+        self
+    }
+
+    /// The record as one JSON object: one headline field and one table
+    /// row per line, keys in insertion order.
+    fn to_json(&self) -> String {
+        let mut out =
+            format!("{{\n  \"experiment\": {},\n  \"host\": {}", quote(self.experiment), self.host);
+        let _ =
+            write!(out, ",\n  \"headline\": {{\n    {}\n  }}", members(&self.headline, ",\n    "));
+        for (key, rows) in &self.tables {
+            let _ = write!(out, ",\n  {}: [", quote(key));
+            for (i, row) in rows.iter().enumerate() {
+                let sep = if i > 0 { "," } else { "" };
+                let _ = write!(out, "{sep}\n    {{{}}}", members(row, ", "));
+            }
+            out.push_str("\n  ]");
+        }
+        out.push_str("\n}\n");
+        out
+    }
+
+    /// Write `results/BENCH_<file>.json` and say where it went.
+    pub fn write(&self, file: &str) {
+        match self.write_in(Path::new("results"), file) {
+            Ok(path) => println!("\nwrote {}", path.display()),
+            Err(e) => eprintln!("\ncould not write results/BENCH_{file}.json: {e}"),
+        }
+    }
+
+    /// Write `<dir>/BENCH_<file>.json`, creating `dir` if needed.
+    fn write_in(&self, dir: &Path, file: &str) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(format!("BENCH_{file}.json"));
+        std::fs::write(&path, self.to_json())?;
+        Ok(path)
+    }
+}
+
+/// `"key": value` pairs joined by `sep`.
+fn members(fields: &Fields, sep: &str) -> String {
+    let pairs: Vec<String> = fields.iter().map(|(k, v)| format!("{}: {v}", quote(k))).collect();
+    pairs.join(sep)
+}
+
+/// The host facts every record carries: architecture, logical CPUs,
+/// CPU model, the kernel backends this host runs and the active one.
+pub fn host() -> Value {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, m)| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let backends = simd::available().iter().map(|b| Value::from(b.name)).collect();
+    Value::Obj(BTreeMap::from([
+        ("arch".to_string(), Value::from(std::env::consts::ARCH)),
+        ("nproc".to_string(), Value::from(threads())),
+        ("cpu".to_string(), Value::from(cpu)),
+        ("backends".to_string(), Value::Arr(backends)),
+        ("active".to_string(), Value::from(simd::active().name)),
+    ]))
+}
+
+/// Logical CPUs this process may use.
+pub fn threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 /// Format seconds with an adaptive unit.
@@ -164,6 +268,53 @@ mod tests {
         assert_eq!(fmt_secs(2.5e-6), "2.500 µs");
         assert_eq!(fmt_secs(2.5e-9), "2.5 ns");
         assert_eq!(fmt_gbs(256.0e9), "256.0 GB/s");
+    }
+
+    #[test]
+    fn record_file_parses_back() {
+        let awkward = "say \"hi\"\\ then\nbreak";
+        let mut record = Record::new("writer_test");
+        record
+            .headline("note", awkward)
+            .headline("count", 7u32)
+            .headline("ratio", 0.125)
+            .headline("nan", f64::NAN)
+            .headline("inf", f64::INFINITY)
+            .headline("flag", true)
+            .headline("missing", None::<u32>)
+            .table(
+                "rows",
+                vec![
+                    vec![("name", Value::from(awkward)), ("secs", Value::from(1.5e-9))],
+                    vec![("name", Value::from("b")), ("secs", Value::from(f64::NEG_INFINITY))],
+                ],
+            );
+        let dir = std::env::temp_dir().join(format!("qcs-bench-record-{}", std::process::id()));
+        let path = record.write_in(&dir, "writer_test").unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let v = qcs_core::json::parse(&text).unwrap();
+        assert_eq!(v.get("experiment").unwrap().as_str(), Some("writer_test"));
+        let headline = v.get("headline").unwrap();
+        assert_eq!(headline.get("note").unwrap().as_str(), Some(awkward));
+        assert_eq!(headline.get("count").unwrap().as_u64(), Some(7));
+        assert_eq!(headline.get("ratio").unwrap().as_f64(), Some(0.125));
+        assert_eq!(headline.get("nan"), Some(&Value::Null));
+        assert_eq!(headline.get("inf"), Some(&Value::Null));
+        assert_eq!(headline.get("flag"), Some(&Value::Bool(true)));
+        assert_eq!(headline.get("missing"), Some(&Value::Null));
+        let rows = v.get("rows").unwrap().as_arr().unwrap();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].get("name").unwrap().as_str(), Some(awkward));
+        assert_eq!(rows[0].get("secs").unwrap().as_f64(), Some(1.5e-9));
+        assert_eq!(rows[1].get("secs"), Some(&Value::Null));
+        let host = v.get("host").unwrap();
+        assert_eq!(host.get("arch").unwrap().as_str(), Some(std::env::consts::ARCH));
+        assert_eq!(host.get("nproc").unwrap().as_u64(), Some(threads() as u64));
+        assert!(host.get("cpu").unwrap().as_str().is_some());
+        assert_eq!(host.get("active").unwrap().as_str(), Some(simd::active().name));
+        assert!(!host.get("backends").unwrap().as_arr().unwrap().is_empty());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The one JSON reader and writer: the job server's wire protocol, the
-//! trace sink's JSON lines and the `Outcome` ledger all go through it.
+//! trace sink's JSON lines, the `Outcome` ledger and the experiment
+//! records all go through it.
 //!
 //! The schemas are small and known, so a recursive-descent parser into a
 //! DOM of a few dozen nodes per document is all the reading there is.
@@ -7,13 +8,14 @@
 //! a body of four million `[` is a parse error, not a stack overflow.
 //!
 //! Writing stays string-building ([`escape_into`], [`push_str_field`],
-//! [`push_num_field`], and the response renderers in the server) — `f64`
-//! values go through `Display`, which in Rust prints the shortest
-//! round-trip representation, so a given result renders to
-//! *byte-identical* JSON every time. The result cache and the
+//! [`push_num_field`], [`Value`]'s `Display`, and the response renderers
+//! in the server) — `f64` values go through `Display`, which in Rust
+//! prints the shortest round-trip representation, so a given result
+//! renders to *byte-identical* JSON every time. The result cache and the
 //! conformance suite rely on that.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,6 +67,69 @@ impl Value {
             Value::Arr(a) => Some(a),
             _ => None,
         }
+    }
+}
+
+/// The value as JSON, members separated by `", "` and keys by `": "`.
+/// JSON has no NaN or infinity: a non-finite number is written as `null`.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Null => f.write_str("null"),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Num(x) if x.is_finite() => write!(f, "{x}"),
+            Value::Num(_) => f.write_str("null"),
+            Value::Str(s) => f.write_str(&quote(s)),
+            Value::Arr(items) => {
+                f.write_str("[")?;
+                for (i, v) in items.iter().enumerate() {
+                    write!(f, "{}{v}", if i > 0 { ", " } else { "" })?;
+                }
+                f.write_str("]")
+            }
+            Value::Obj(members) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in members.iter().enumerate() {
+                    write!(f, "{}{}: {v}", if i > 0 { ", " } else { "" }, quote(k))?;
+                }
+                f.write_str("}")
+            }
+        }
+    }
+}
+
+macro_rules! value_from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(x: $t) -> Value {
+                Value::Num(x as f64)
+            }
+        }
+    )*};
+}
+value_from_number!(f64, u32, u64, usize);
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(x: Option<T>) -> Value {
+        x.map_or(Value::Null, Into::into)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Bool(b)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Value {
+        Value::Str(s)
     }
 }
 

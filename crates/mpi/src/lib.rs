@@ -15,11 +15,11 @@
 //! * [`Pod`] — the plain-old-data marker used to move typed slices
 //!   through byte channels without serialization frameworks; a
 //!   [`Buffer`] crosses ranks by move instead, with no copy.
-//! * [`network`] — an α–β (latency–bandwidth) cost model parameterized to
-//!   Tofu-D, which converts the bytes/messages each rank actually moved
-//!   (recorded by [`CommStats`]) into *predicted* interconnect time, so
-//!   communication-fraction figures keep the shape they would have on the
-//!   real machine.
+//! * [`CommStats`] — the bytes and messages each rank actually moved.
+//!   `a64fx_model::LinkModel::exchange_time`, the Tofu-D α–β
+//!   (latency–bandwidth) model, prices them as *predicted* interconnect
+//!   time, so communication-fraction figures keep the shape they would
+//!   have on the real machine.
 //!
 //! Semantics match MPI where it matters for correctness: message order
 //! between a fixed (sender, receiver, tag) triple is preserved, `recv`
@@ -29,14 +29,12 @@ pub mod collectives;
 pub mod comm;
 pub mod datatype;
 pub mod fault;
-pub mod network;
 pub mod nonblocking;
 pub mod stats;
 
 pub use comm::{Comm, CommError, World, ANY_SOURCE};
 pub use datatype::{Buffer, Pod};
 pub use fault::{FaultDraw, FaultPlan, FaultSpecError};
-pub use network::{NetworkModel, TofuParams};
 pub use nonblocking::{chunk_count, RecvRequest};
 pub use stats::CommStats;
 

@@ -1,7 +1,8 @@
 //! Communication accounting.
 //!
-//! Every byte a rank sends or receives is recorded here; the network model
-//! converts these totals into predicted Tofu-D time. This is the bridge
+//! Every byte a rank sends or receives is recorded here;
+//! `a64fx_model::LinkModel` converts these totals into predicted Tofu-D
+//! time. This is the bridge
 //! between "what the algorithm communicated" (exact, measured in-process)
 //! and "what it would cost on the real interconnect" (modelled).
 

@@ -2,10 +2,10 @@
 //! counts the E5 analysis depends on must follow the algorithm's
 //! structure exactly.
 
+use a64fx_qcs::a64fx::LinkModel;
 use a64fx_qcs::core::circuit::Circuit;
 use a64fx_qcs::core::library;
 use a64fx_qcs::dist::{run_distributed, run_distributed_planned, DistPlanKind};
-use a64fx_qcs::mpi::{NetworkModel, TofuParams};
 
 /// Communication of the circuit minus the harness's final gather.
 /// Pinned to the naive per-gate plan: these tests assert the engine's
@@ -108,15 +108,15 @@ fn higher_rank_counts_shrink_per_rank_volume() {
 fn tofu_pricing_is_consistent_with_volume() {
     let n = 12u32;
     let c = library::qft(n);
-    let net = NetworkModel::new(TofuParams::tofu_d());
+    let link = LinkModel::default();
     let (_, stats) = run_distributed(&c, 4).unwrap();
     for s in &stats {
-        let t = net.rank_time(s);
+        let t = link.exchange_time(s.messages_sent, s.bytes_sent);
         // Bandwidth term alone bounds from below; plus latency bounds
         // from above for the observed message count.
-        let bw_only = s.bytes_sent as f64 / net.params.injection_bw();
-        assert!(t.seconds >= bw_only);
-        assert!(t.seconds <= bw_only + s.messages_sent as f64 * net.params.latency_s + 1e-12);
+        let bw_only = s.bytes_sent as f64 / link.params.injection_bw();
+        assert!(t >= bw_only);
+        assert!(t <= bw_only + s.messages_sent as f64 * link.params.latency_s + 1e-12);
     }
 }
 
